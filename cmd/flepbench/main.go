@@ -61,18 +61,28 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "flepbench: offline done in %v\n", time.Since(start).Round(time.Millisecond))
 
-	for _, g := range gens {
+	if err := writeArtifacts(w, suite, want); err != nil {
+		fatalf("%v", err)
+	}
+}
+
+// writeArtifacts regenerates the wanted artifacts (all of them when want
+// is empty) onto w in paper order. results/flepbench.txt is this
+// function's output for the whole suite.
+func writeArtifacts(w io.Writer, suite *experiments.Suite, want map[string]bool) error {
+	for _, g := range experiments.Generators() {
 		if len(want) > 0 && !want[g.ID] {
 			continue
 		}
 		t0 := time.Now()
 		tab, err := g.Run(suite)
 		if err != nil {
-			fatalf("%s: %v", g.ID, err)
+			return fmt.Errorf("%s: %w", g.ID, err)
 		}
 		fmt.Fprintln(w, tab.Format())
 		fmt.Fprintf(os.Stderr, "flepbench: %s regenerated in %v\n", g.ID, time.Since(t0).Round(time.Millisecond))
 	}
+	return nil
 }
 
 func fatalf(format string, args ...any) {

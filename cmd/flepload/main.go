@@ -30,15 +30,6 @@
 // drive a mixed LC/BE workload against an EDF daemon. The report then
 // adds client-observed SLO attainment, and the daemon deltas include
 // flep_slo_* and any best-effort launches shed by admission control.
-//
-// -saturate replaces the client/launch-count model with an open-loop
-// saturation ramp: offered load starts at -sat-start launches/s and
-// grows geometrically (-sat-factor) in -sat-window stages until the
-// 429-reject share crosses -sat-threshold (or -sat-stages runs out).
-// Submissions are never retried — a 429 is the datum, not an obstacle —
-// and the run ends by waiting for the daemon to return to rest so the
-// exactly-once invariant is verified after the storm. The final line is
-// machine-readable (`SATURATION {...json...}`) for scripts/bench.sh.
 package main
 
 import (
@@ -53,63 +44,13 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"flep/internal/model"
 	"flep/internal/obs"
 	"flep/internal/replay"
+	"flep/internal/server"
 )
-
-// launchRequest mirrors server.LaunchRequest (flepload speaks only the
-// wire protocol; it does not import the server).
-type launchRequest struct {
-	Client     string  `json:"client,omitempty"`
-	Benchmark  string  `json:"benchmark"`
-	Class      string  `json:"class,omitempty"`
-	Priority   int     `json:"priority,omitempty"`
-	Weight     float64 `json:"weight,omitempty"`
-	TimeoutMS  int     `json:"timeout_ms,omitempty"`
-	DeadlineMS int     `json:"deadline_ms,omitempty"`
-	// Model-graph coordinates (see -model): the daemon parks a stage until
-	// its After prerequisites complete.
-	Model  string   `json:"model,omitempty"`
-	Graph  string   `json:"graph,omitempty"`
-	Stage  string   `json:"stage,omitempty"`
-	After  []string `json:"after,omitempty"`
-	Stages int      `json:"stages,omitempty"`
-}
-
-// launchResult mirrors server.LaunchResult.
-type launchResult struct {
-	ID           int     `json:"id"`
-	Device       int     `json:"device"`
-	Kernel       string  `json:"kernel"`
-	TurnaroundNS int64   `json:"turnaround_ns"`
-	WaitingNS    int64   `json:"waiting_ns"`
-	NTT          float64 `json:"ntt"`
-	Preemptions  int     `json:"preemptions"`
-	OverheadNS   int64   `json:"overhead_ns"`
-	SLO          string  `json:"slo"`
-	SLOMarginNS  int64   `json:"slo_margin_ns"`
-	Canceled     string  `json:"canceled"`
-	Err          string  `json:"error"`
-}
-
-type statusBody struct {
-	Counters struct {
-		Enqueued     int64 `json:"enqueued"`
-		Completed    int64 `json:"completed"`
-		SubmitErrors int64 `json:"submit_errors"`
-		RejectedFull int64 `json:"rejected_queue_full"`
-		TimedOut     int64 `json:"timed_out"`
-	} `json:"counters"`
-	QueueLen int `json:"queue_len"`
-}
-
-type benchInfo struct {
-	Name string `json:"name"`
-}
 
 // sample is one completed request as seen by a client. node is the
 // serving node from the gateway's X-Flep-Node header (empty when the
@@ -163,14 +104,6 @@ func main() {
 		modelCSV  = flag.String("model", "", "model-graph workload: comma-separated NAME[:DEADLINE] specs, where NAME is a preset graph (resnet, bert, diamond), or a path to a JSON graph file, and DEADLINE an SLO budget for the graph's terminal stage. Clients are dealt specs round-robin and submit whole kernel DAGs; deadline-bearing models run latency-critical (priority 2), the rest best-effort (priority 1)")
 		record    = flag.String("record", "", "write a client-side replay trace (JSONL) to this path")
 		verifySrv = flag.Bool("verify-status", true, "reconcile server /v1/status counters after the run (disable when a cluster node is killed mid-run: the dead node's completions leave the gateway's summed view)")
-
-		saturate   = flag.Bool("saturate", false, "open-loop saturation ramp mode (see package docs); ignores -clients/-n/-rate")
-		satStart   = flag.Float64("sat-start", 500, "saturation: initial offered launches/s")
-		satFactor  = flag.Float64("sat-factor", 1.7, "saturation: offered-rate growth factor per stage")
-		satWindow  = flag.Duration("sat-window", 2*time.Second, "saturation: measurement window per ramp stage")
-		satShare   = flag.Float64("sat-threshold", 0.05, "saturation: stop once this share of submissions is 429-rejected")
-		satWorkers = flag.Int("sat-workers", 64, "saturation: concurrent submitter goroutines")
-		satStages  = flag.Int("sat-stages", 12, "saturation: max ramp stages")
 	)
 	flag.Parse()
 
@@ -199,14 +132,6 @@ func main() {
 		if len(benches) == 0 {
 			fatalf("no benchmarks to launch")
 		}
-	}
-	if *saturate {
-		runSaturation(*addr, benches, *class, specs, satConfig{
-			start: *satStart, factor: *satFactor, window: *satWindow,
-			threshold: *satShare, workers: *satWorkers, maxStages: *satStages,
-			deadline: *deadline,
-		})
-		return
 	}
 	if len(specs) > 0 {
 		names := make([]string, len(specs))
@@ -425,7 +350,7 @@ func runClient(httpc *http.Client, st *stats, cc clientConfig) {
 		if tick != nil {
 			<-tick
 		}
-		req := launchRequest{
+		req := server.LaunchRequest{
 			Client:    cc.id,
 			Benchmark: cc.benches[cc.rng.Intn(len(cc.benches))],
 			Class:     cc.class,
@@ -441,7 +366,7 @@ func runClient(httpc *http.Client, st *stats, cc clientConfig) {
 
 // launchOnce submits one launch, absorbing 429 backpressure by honoring
 // Retry-After. Each accepted (non-429) submission is terminal.
-func launchOnce(httpc *http.Client, st *stats, cc clientConfig, req launchRequest) {
+func launchOnce(httpc *http.Client, st *stats, cc clientConfig, req server.LaunchRequest) {
 	body, _ := json.Marshal(req)
 	for attempt := 0; ; attempt++ {
 		begin := time.Now()
@@ -450,7 +375,7 @@ func launchOnce(httpc *http.Client, st *stats, cc clientConfig, req launchReques
 			st.note(func() { st.errors++ })
 			return
 		}
-		var res launchResult
+		var res server.LaunchResult
 		decErr := json.NewDecoder(resp.Body).Decode(&res)
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
@@ -583,7 +508,7 @@ type stageOutcome struct {
 	stage   string
 	status  int // HTTP status; 0 on transport/decode error
 	node    string
-	res     launchResult
+	res     server.LaunchResult
 	latency time.Duration
 }
 
@@ -607,7 +532,7 @@ func submitGraph(httpc *http.Client, addr string, sp modelSpec, client, graphID 
 		go func(i int) {
 			defer wg.Done()
 			stg := &g.Stages[i]
-			req := launchRequest{
+			req := server.LaunchRequest{
 				Client: client, Benchmark: stg.Bench, Class: stg.Class,
 				Priority: prio, TimeoutMS: int(timeout / time.Millisecond),
 				Model: sp.name, Graph: graphID, Stage: stg.Name,
@@ -623,7 +548,7 @@ func submitGraph(httpc *http.Client, addr string, sp modelSpec, client, graphID 
 				outs[i] = stageOutcome{stage: stg.Name}
 				return
 			}
-			var res launchResult
+			var res server.LaunchResult
 			decErr := json.NewDecoder(resp.Body).Decode(&res)
 			io.Copy(io.Discard, resp.Body)
 			node := resp.Header.Get("X-Flep-Node")
@@ -734,232 +659,6 @@ func (st *stats) noteGraph(name string, outs []stageOutcome, makespan time.Durat
 	} else {
 		agg.canceled++
 	}
-}
-
-// ---- saturation ramp (-saturate) ----
-
-type satConfig struct {
-	start, factor float64
-	window        time.Duration
-	threshold     float64
-	workers       int
-	maxStages     int
-	deadline      time.Duration
-}
-
-// satStage is one ramp step's measurement.
-type satStage struct {
-	OfferedPerS  float64 `json:"offered_per_s"`
-	OK           int64   `json:"ok"`
-	Rejected429  int64   `json:"rejected_429"`
-	Errors       int64   `json:"errors"`
-	Dropped      int64   `json:"dropped_tokens"`
-	AchievedPerS float64 `json:"achieved_per_s"`
-	RejectShare  float64 `json:"reject_share"`
-}
-
-// satSummary is the machine-readable result scripts/bench.sh consumes.
-type satSummary struct {
-	SustainedPerS float64    `json:"sustained_launches_per_s"`
-	SaturatedAt   float64    `json:"saturated_at_offered_per_s"`
-	Stages        []satStage `json:"stages"`
-	ExactlyOnceOK bool       `json:"exactly_once_ok"`
-}
-
-// runSaturation ramps offered load geometrically until the daemon sheds
-// past the threshold, reports the best sustained completion rate seen,
-// and verifies exactly-once accounting once the storm has drained. With
-// model specs the unit of offered load is one whole graph: each token
-// submits every stage of a DAG instance and counts as OK only when all
-// of them complete.
-func runSaturation(addr string, benches []string, class string, specs []modelSpec, sc satConfig) {
-	// Pre-marshal one body per benchmark: the submit path itself should
-	// cost as little as possible so the client is never the bottleneck.
-	bodies := make([][]byte, len(benches))
-	for i, b := range benches {
-		req := launchRequest{Client: "saturate", Benchmark: b, Class: class}
-		if sc.deadline > 0 {
-			req.DeadlineMS = int(sc.deadline / time.Millisecond)
-		}
-		bodies[i], _ = json.Marshal(req)
-	}
-	httpc := &http.Client{Timeout: 30 * time.Second}
-	if len(specs) > 0 {
-		names := make([]string, len(specs))
-		for i, sp := range specs {
-			names[i] = sp.String()
-		}
-		fmt.Printf("flepload: saturation ramp, models=%s (1 token = 1 graph) start=%.0f/s ×%.2f window=%v threshold=%.0f%% workers=%d\n",
-			strings.Join(names, ","), sc.start, sc.factor, sc.window, 100*sc.threshold, sc.workers)
-	} else {
-		fmt.Printf("flepload: saturation ramp, benches=%s class=%s start=%.0f/s ×%.2f window=%v threshold=%.0f%% workers=%d\n",
-			strings.Join(benches, ","), class, sc.start, sc.factor, sc.window, 100*sc.threshold, sc.workers)
-	}
-
-	sum := satSummary{}
-	offered := sc.start
-	for i := 0; i < sc.maxStages; i++ {
-		st := runSatStage(httpc, addr, bodies, specs, offered, sc)
-		sum.Stages = append(sum.Stages, st)
-		fmt.Printf("  stage %2d: offered %9.0f/s  ok %7d (%9.1f/s)  429=%5.1f%%  errors=%d dropped=%d\n",
-			i, st.OfferedPerS, st.OK, st.AchievedPerS, 100*st.RejectShare, st.Errors, st.Dropped)
-		if st.AchievedPerS > sum.SustainedPerS {
-			sum.SustainedPerS = st.AchievedPerS
-		}
-		if st.RejectShare > sc.threshold {
-			sum.SaturatedAt = offered
-			break
-		}
-		offered *= sc.factor
-	}
-
-	// The storm is over; wait for the daemon to account every accepted
-	// launch (queued work drains, timed-out handlers' invocations land).
-	var sb statusBody
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		resp, err := http.Get(addr + "/v1/status")
-		if err != nil {
-			fatalf("status after ramp: %v", err)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&sb)
-		resp.Body.Close()
-		if err != nil {
-			fatalf("status after ramp: %v", err)
-		}
-		if sb.Counters.Completed+sb.Counters.SubmitErrors == sb.Counters.Enqueued {
-			sum.ExactlyOnceOK = true
-			break
-		}
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	if sum.ExactlyOnceOK {
-		fmt.Printf("exactly-once:  OK after the storm (enqueued=%d completed=%d submit_errors=%d)\n",
-			sb.Counters.Enqueued, sb.Counters.Completed, sb.Counters.SubmitErrors)
-	} else {
-		fmt.Printf("exactly-once:  FAIL: daemon never reached rest (enqueued=%d completed=%d submit_errors=%d)\n",
-			sb.Counters.Enqueued, sb.Counters.Completed, sb.Counters.SubmitErrors)
-	}
-	j, _ := json.Marshal(sum)
-	fmt.Printf("SATURATION %s\n", j)
-	if !sum.ExactlyOnceOK {
-		os.Exit(1)
-	}
-}
-
-// runSatStage offers load at a fixed rate for one window: a token
-// dispatcher converts the rate into submission permits, workers spend
-// them on un-retried POSTs, and the stage's outcome counts live in
-// atomics (no shared lock on the submit path). With model specs a permit
-// buys a whole graph: all stages submitted, OK only if all completed,
-// 429 if any stage was shed.
-func runSatStage(httpc *http.Client, addr string, bodies [][]byte, specs []modelSpec, offered float64, sc satConfig) satStage {
-	var ok, rej, errs, dropped atomic.Int64
-	tokens := make(chan struct{}, 4*sc.workers)
-	stop := make(chan struct{})
-	var producer sync.WaitGroup
-	producer.Add(1)
-	go func() {
-		defer producer.Done()
-		defer close(tokens)
-		const interval = 5 * time.Millisecond
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		carry := 0.0
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				carry += offered * interval.Seconds()
-				for carry >= 1 {
-					carry--
-					select {
-					case tokens <- struct{}{}:
-					default:
-						// Every submitter is busy and the permit buffer is
-						// full: the client, not the daemon, is the limit for
-						// this token. Counted separately so a client-bound
-						// stage is visible as such.
-						dropped.Add(1)
-					}
-				}
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	var rr atomic.Int64
-	runStart := time.Now()
-	for w := 0; w < sc.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for range tokens {
-				seq := rr.Add(1) - 1
-				if len(specs) > 0 {
-					sp := specs[int(seq)%len(specs)]
-					graphID := fmt.Sprintf("sat-g%06d", seq)
-					outs := submitGraph(httpc, addr, sp, "saturate", graphID, 25*time.Second, nil, runStart)
-					allOK, any429 := true, false
-					for _, o := range outs {
-						if o.status != http.StatusOK {
-							allOK = false
-						}
-						if o.status == http.StatusTooManyRequests {
-							any429 = true
-						}
-					}
-					switch {
-					case allOK:
-						ok.Add(1)
-					case any429:
-						rej.Add(1)
-					default:
-						errs.Add(1)
-					}
-					continue
-				}
-				body := bodies[int(seq)%len(bodies)]
-				resp, err := httpc.Post(addr+"/v1/launch", "application/json", bytes.NewReader(body))
-				if err != nil {
-					errs.Add(1)
-					continue
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				switch resp.StatusCode {
-				case http.StatusOK:
-					ok.Add(1)
-				case http.StatusTooManyRequests:
-					rej.Add(1)
-				default:
-					errs.Add(1)
-				}
-			}
-		}()
-	}
-	start := time.Now()
-	time.Sleep(sc.window)
-	close(stop)
-	producer.Wait()
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-
-	st := satStage{
-		OfferedPerS: offered,
-		OK:          ok.Load(), Rejected429: rej.Load(),
-		Errors: errs.Load(), Dropped: dropped.Load(),
-	}
-	if elapsed > 0 {
-		st.AchievedPerS = float64(st.OK) / elapsed
-	}
-	if total := st.OK + st.Rejected429 + st.Errors; total > 0 {
-		st.RejectShare = float64(st.Rejected429) / float64(total)
-	}
-	return st
 }
 
 func (st *stats) note(f func()) {
@@ -1124,9 +823,9 @@ func report(st *stats, wall time.Duration) {
 
 // verifyExactlyOnce checks the acceptance invariant against both views:
 // client-side (every OK response carried a unique invocation ID) and —
-// when server is true — server-side (enqueued == completed +
+// when reconcile is true — server-side (enqueued == completed +
 // submit_errors once at rest).
-func verifyExactlyOnce(addr string, st *stats, server bool) error {
+func verifyExactlyOnce(addr string, st *stats, reconcile bool) error {
 	st.mu.Lock()
 	// Invocation IDs are assigned per device shard per node, so
 	// uniqueness holds on the (node, device, id) triple cluster-wide.
@@ -1148,11 +847,11 @@ func verifyExactlyOnce(addr string, st *stats, server bool) error {
 			return fmt.Errorf("node %q device %d invocation id %d delivered %d times", k.node, k.device, k.id, c)
 		}
 	}
-	if !server {
+	if !reconcile {
 		return nil
 	}
 	// Timed-out requests complete asynchronously; poll briefly for rest.
-	var sb statusBody
+	var sb server.Status
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		resp, err := http.Get(addr + "/v1/status")
@@ -1242,7 +941,7 @@ func discoverBenchmarks(addr string) ([]string, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	var infos []benchInfo
+	var infos []server.BenchmarkInfo
 	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
 		return nil, err
 	}

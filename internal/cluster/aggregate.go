@@ -1,28 +1,14 @@
 package cluster
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/url"
-	"sort"
 	"sync"
 
 	"flep/internal/obs"
 	"flep/internal/server"
 	"flep/internal/trace"
 )
-
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
 
 // Handler returns the gateway's HTTP API: the flepd /v1 surface plus the
 // cluster-management endpoints.
@@ -62,18 +48,20 @@ func (g *Gateway) fetchTargets() []fetchTarget {
 	return out
 }
 
-// fetchEach runs one fetch per target concurrently and hands each result
-// to merge in target order (merge runs on the caller's goroutine, so it
-// needs no locking of its own). Unreachable nodes are skipped: the
-// cluster view is the view of the nodes that answered.
-func fetchEach[T any](targets []fetchTarget, fetch func(fetchTarget) (T, error), merge func(fetchTarget, T)) {
+// fetchEach GETs path from every target concurrently and returns the
+// bodies that decoded, in target order, with the target each came from.
+// Unreachable nodes are skipped: the cluster view is the view of the
+// nodes that answered.
+func fetchEach[T any](g *Gateway, path string) (parts []T, from []fetchTarget) {
+	targets := g.fetchTargets()
 	results := make([]*T, len(targets))
 	var wg sync.WaitGroup
 	for i, tgt := range targets {
 		wg.Add(1)
 		go func(i int, tgt fetchTarget) {
 			defer wg.Done()
-			if v, err := fetch(tgt); err == nil {
+			var v T
+			if err := getJSON(g.cfg.Client, tgt.addr+path, &v); err == nil {
 				results[i] = &v
 			}
 		}(i, tgt)
@@ -81,62 +69,28 @@ func fetchEach[T any](targets []fetchTarget, fetch func(fetchTarget) (T, error),
 	wg.Wait()
 	for i, tgt := range targets {
 		if results[i] != nil {
-			merge(tgt, *results[i])
+			parts, from = append(parts, *results[i]), append(from, tgt)
 		}
 	}
+	return parts, from
 }
 
-// ClusterStatus is the gateway's /v1/status: the familiar flepd status
-// shape with counters and queue figures summed over the nodes that
-// answered (so a client's exactly-once verification works against the
-// gateway unchanged), plus the per-node breakdown.
+// ClusterStatus is the gateway's /v1/status: server.MergeStatus of the
+// nodes that answered — the same aggregate a fleet builds over its
+// shards, so a client's exactly-once verification and SLO read-out work
+// against the gateway unchanged — plus the per-node breakdown. Device is
+// -1: the aggregate spans nodes, not one device.
 type ClusterStatus struct {
 	server.Status
 	Nodes []NodeStatus `json:"nodes"`
 }
 
 func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
-	targets := g.fetchTargets()
-	cs := ClusterStatus{}
+	parts, _ := fetchEach[server.Status](g, "/v1/status")
+	cs := ClusterStatus{Status: server.MergeStatus(parts), Nodes: g.nodeStatuses()}
 	cs.Device = -1
 	cs.UptimeMS = g.uptimeMS()
-	cs.ExactlyOnceOK = true
-	first := true
-	fetchEach(targets,
-		func(tgt fetchTarget) (server.Status, error) {
-			var st server.Status
-			err := getJSON(g.cfg.Client, tgt.addr+"/v1/status", &st)
-			return st, err
-		},
-		func(tgt fetchTarget, st server.Status) {
-			if first {
-				cs.Policy, cs.Spatial = st.Policy, st.Spatial
-				first = false
-			}
-			cs.QueueLen += st.QueueLen
-			cs.QueueCap += st.QueueCap
-			cs.MemoryFreeBytes += st.MemoryFreeBytes
-			cs.Sessions += st.Sessions
-			cs.TraceEntries += st.TraceEntries
-			cs.TraceDropped += st.TraceDropped
-			cs.Paused = cs.Paused || st.Paused
-			cs.Draining = cs.Draining || st.Draining
-			if st.VirtualNowUS > cs.VirtualNowUS {
-				cs.VirtualNowUS = st.VirtualNowUS
-			}
-			cs.ExactlyOnceOK = cs.ExactlyOnceOK && st.ExactlyOnceOK
-			a, b := &cs.Counters, st.Counters
-			a.Enqueued += b.Enqueued
-			a.Completed += b.Completed
-			a.SubmitErrors += b.SubmitErrors
-			a.RejectedFull += b.RejectedFull
-			a.RejectedDraining += b.RejectedDraining
-			a.RejectedInvalid += b.RejectedInvalid
-			a.TimedOut += b.TimedOut
-			a.Canceled += b.Canceled
-		})
-	cs.Nodes = g.nodeStatuses()
-	writeJSON(w, http.StatusOK, cs)
+	server.WriteJSON(w, http.StatusOK, cs)
 }
 
 // ClusterSession is one client's cluster-wide session view: the merged
@@ -148,58 +102,16 @@ type ClusterSession struct {
 }
 
 func (g *Gateway) handleSessions(w http.ResponseWriter, r *http.Request) {
-	merged := map[string]*ClusterSession{}
-	fetchEach(g.fetchTargets(),
-		func(tgt fetchTarget) ([]server.SessionSnapshot, error) {
-			var snaps []server.SessionSnapshot
-			err := getJSON(g.cfg.Client, tgt.addr+"/v1/sessions", &snaps)
-			return snaps, err
-		},
-		func(tgt fetchTarget, snaps []server.SessionSnapshot) {
-			for _, snap := range snaps {
-				m, ok := merged[snap.ID]
-				if !ok {
-					merged[snap.ID] = &ClusterSession{SessionSnapshot: snap, Nodes: []string{tgt.id}}
-					continue
-				}
-				// Same completion-weighted merge the fleet applies across
-				// shards, lifted across nodes.
-				total := m.Completed + snap.Completed
-				if total > 0 {
-					m.MeanTurnUS = (m.MeanTurnUS*float64(m.Completed) + snap.MeanTurnUS*float64(snap.Completed)) / float64(total)
-					m.MeanWaitUS = (m.MeanWaitUS*float64(m.Completed) + snap.MeanWaitUS*float64(snap.Completed)) / float64(total)
-				}
-				m.Launches += snap.Launches
-				m.InFlight += snap.InFlight
-				m.Completed += snap.Completed
-				m.SubmitErrors += snap.SubmitErrors
-				m.RejectedFull += snap.RejectedFull
-				m.TimedOut += snap.TimedOut
-				m.Preemptions += snap.Preemptions
-				if snap.FirstSeenUnix < m.FirstSeenUnix {
-					m.FirstSeenUnix = snap.FirstSeenUnix
-				}
-				if snap.LastFinishUS > m.LastFinishUS {
-					m.LastFinishUS = snap.LastFinishUS
-				}
-				if m.Launches > m.Completed+m.SubmitErrors {
-					m.HostState = "S2/S3 (awaiting schedule or GPU)"
-				} else {
-					m.HostState = "S1 (cpu)"
-				}
-				m.Nodes = append(m.Nodes, tgt.id)
-			}
-		})
-	ids := make([]string, 0, len(merged))
-	for id := range merged {
-		ids = append(ids, id)
+	parts, from := fetchEach[[]server.SessionSnapshot](g, "/v1/sessions")
+	merged, served := server.MergeSessions(parts)
+	out := make([]ClusterSession, len(merged))
+	for i, m := range merged {
+		out[i] = ClusterSession{SessionSnapshot: m}
+		for _, p := range served[i] {
+			out[i].Nodes = append(out[i].Nodes, from[p].id)
+		}
 	}
-	sort.Strings(ids)
-	out := make([]ClusterSession, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, *merged[id])
-	}
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleBenchmarks relays the first answering node's catalog (catalogs
@@ -208,52 +120,44 @@ func (g *Gateway) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 	for _, tgt := range g.fetchTargets() {
 		var benches []server.BenchmarkInfo
 		if err := getJSON(g.cfg.Client, tgt.addr+"/v1/benchmarks", &benches); err == nil {
-			writeJSON(w, http.StatusOK, benches)
+			server.WriteJSON(w, http.StatusOK, benches)
 			return
 		}
 	}
-	writeJSON(w, http.StatusServiceUnavailable, apiError{"no node answered /v1/benchmarks"})
+	server.WriteJSON(w, http.StatusServiceUnavailable, server.APIError{Error: "no node answered /v1/benchmarks"})
 }
 
 // handleTrace merges the nodes' trace streams into one global
 // (Time, Node, Device)-ordered stream, each entry stamped with its node.
 func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
-	targets := g.fetchTargets()
-	q := ""
+	path := "/v1/trace"
 	if kind := r.URL.Query().Get("kind"); kind != "" {
-		q = "?kind=" + url.QueryEscape(kind)
+		path += "?kind=" + url.QueryEscape(kind)
 	}
-	streams := make([][]trace.Entry, 0, len(targets))
-	fetchEach(targets,
-		func(tgt fetchTarget) ([]trace.Entry, error) {
-			var entries []trace.Entry
-			err := getJSON(g.cfg.Client, tgt.addr+"/v1/trace"+q, &entries)
-			return entries, err
-		},
-		func(tgt fetchTarget, entries []trace.Entry) {
-			for i := range entries {
-				entries[i].Node = tgt.id
-			}
-			streams = append(streams, entries)
-		})
+	streams, from := fetchEach[[]trace.Entry](g, path)
 	if len(streams) == 0 {
-		writeJSON(w, http.StatusNotFound, apiError{"no node served a trace (start flepd with -trace)"})
+		server.WriteJSON(w, http.StatusNotFound, server.APIError{Error: "no node served a trace (start flepd with -trace)"})
 		return
 	}
-	writeJSON(w, http.StatusOK, trace.Merge(streams))
+	for i, entries := range streams {
+		for j := range entries {
+			entries[j].Node = from[i].id
+		}
+	}
+	server.WriteJSON(w, http.StatusOK, trace.Merge(streams))
 }
 
 func (g *Gateway) handleNodes(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, g.nodeStatuses())
+	server.WriteJSON(w, http.StatusOK, g.nodeStatuses())
 }
 
 func (g *Gateway) handleDrain(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if err := g.Drain(id); err != nil {
-		writeJSON(w, http.StatusNotFound, apiError{err.Error()})
+		server.WriteJSON(w, http.StatusNotFound, server.APIError{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]string{"node": id, "state": "draining"})
+	server.WriteJSON(w, http.StatusAccepted, map[string]string{"node": id, "state": "draining"})
 }
 
 // handleHealthz is the gateway's own liveness: 200 while it serves.

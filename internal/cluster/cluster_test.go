@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -198,15 +199,18 @@ func TestLaunchRoutingAffinityAndSpread(t *testing.T) {
 }
 
 func TestStatusSessionsAndNodesAggregation(t *testing.T) {
-	f0, n0, _ := startNode(t, server.Config{})
-	f1, n1, _ := startNode(t, server.Config{})
+	f0, n0, _ := startNode(t, server.Config{Policy: "edf"})
+	f1, n1, _ := startNode(t, server.Config{Policy: "edf"})
 	_, gw := startGateway(t, Config{Nodes: []string{n0.URL, n1.URL}})
 
 	ok := 0
+	home := map[string]string{} // serving node → one client homed there
 	for i := 0; i < 20; i++ {
-		code, _, _ := launchVia(t, gw.URL, server.LaunchRequest{Client: fmt.Sprintf("c%d", i), Benchmark: "VA"})
+		client := fmt.Sprintf("c%d", i)
+		code, _, node := launchVia(t, gw.URL, server.LaunchRequest{Client: client, Benchmark: "VA"})
 		if code == http.StatusOK {
 			ok++
+			home[node] = client
 		}
 	}
 	if ok != 20 {
@@ -266,6 +270,135 @@ func TestStatusSessionsAndNodesAggregation(t *testing.T) {
 		}
 		if s.Completed != 1 {
 			t.Fatalf("session %s completed=%d", s.ID, s.Completed)
+		}
+	}
+
+	// The gateway's aggregate is the fleet's: everything a node's status
+	// and sessions carry survives the hop. Drive the SLO tier and the
+	// model tier on both nodes — an anonymous (load-placed, so two-node)
+	// LC/BE mix with one hopeless deadline, and a diamond graph from one
+	// client homed on each node — then compare against server.MergeStatus
+	// and SessionSnapshot.Merge of the nodes' own bodies.
+	if len(home) != 2 {
+		t.Fatalf("20 clients homed on %d node(s); test vacuous", len(home))
+	}
+	for i := 0; i < 12; i++ {
+		req := server.LaunchRequest{Benchmark: "VA"}
+		if i%2 == 0 {
+			req.DeadlineMS = 2000
+		}
+		if code, res, _ := launchVia(t, gw.URL, req); code != http.StatusOK {
+			t.Fatalf("anonymous launch %d: code %d (%+v)", i, code, res)
+		}
+	}
+	if code, res, _ := launchVia(t, gw.URL, server.LaunchRequest{Benchmark: "MM", Class: "large", DeadlineMS: 1}); code != http.StatusOK || res.SLO != "missed" {
+		t.Fatalf("large MM on a 1ms budget: code %d, %+v; want a completed miss", code, res)
+	}
+	var wg sync.WaitGroup
+	for _, client := range home {
+		base := server.LaunchRequest{Client: client, Graph: "g", Stages: 4, Model: "diamond"}
+		for _, st := range []struct {
+			stage, bench string
+			after        []string
+		}{
+			{"pre", "VA", nil},
+			{"left", "MM", []string{"pre"}},
+			{"right", "VA", []string{"pre"}},
+			{"post", "VA", []string{"left", "right"}},
+		} {
+			req := base
+			req.Stage, req.Benchmark, req.After = st.stage, st.bench, st.after
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				body, _ := json.Marshal(req)
+				resp, err := http.Post(gw.URL+"/v1/launch", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("stage %s/%s: %v", req.Client, req.Stage, err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("stage %s/%s: code %d", req.Client, req.Stage, resp.StatusCode)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	// Every launch above has answered, so both nodes are at rest: the
+	// node bodies read here are the ones the gateway merges.
+	nodeStatus := make([]server.Status, 2)
+	nodeSessions := make([][]server.SessionSnapshot, 2)
+	for i, n := range []*httptest.Server{n0, n1} {
+		if err := getJSON(http.DefaultClient, n.URL+"/v1/status", &nodeStatus[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := getJSON(http.DefaultClient, n.URL+"/v1/sessions", &nodeSessions[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantStatus := server.MergeStatus(nodeStatus)
+	got := getClusterStatus(t, gw.URL).Status
+	// The gateway's own: its uptime, and -1 for "no single device".
+	got.UptimeMS, wantStatus.UptimeMS = 0, 0
+	wantStatus.Device = -1
+	if !reflect.DeepEqual(got, wantStatus) {
+		t.Fatalf("gateway status != MergeStatus of the node statuses:\n got  %+v\n want %+v", got, wantStatus)
+	}
+	if got.SLO.Attained == 0 || got.SLO.Missed == 0 || got.Counters.SLOMissed == 0 || got.SLO.MeanMarginUS == 0 {
+		t.Fatalf("SLO tier lost at the gateway: slo %+v counters %+v", got.SLO, got.Counters)
+	}
+	if len(got.Models) != 1 || got.Models[0].Model != "diamond" || got.Models[0].GraphsCompleted != 2 || got.Models[0].StagesCompleted != 8 {
+		t.Fatalf("models block lost or unmerged at the gateway: %+v", got.Models)
+	}
+
+	wantSessions := map[string]*server.SessionSnapshot{}
+	for _, snaps := range nodeSessions {
+		for _, snap := range snaps {
+			if m := wantSessions[snap.ID]; m != nil {
+				m.Merge(snap)
+			} else {
+				snap := snap
+				wantSessions[snap.ID] = &snap
+			}
+		}
+	}
+	sessions = nil
+	if err := getJSON(http.DefaultClient, gw.URL+"/v1/sessions", &sessions); err != nil {
+		t.Fatal(err)
+	}
+	if len(sessions) != len(wantSessions) {
+		t.Fatalf("merged sessions = %d, want %d", len(sessions), len(wantSessions))
+	}
+	for _, s := range sessions {
+		if !reflect.DeepEqual(s.SessionSnapshot, *wantSessions[s.ID]) {
+			t.Fatalf("session %s != Merge of the node snapshots:\n got  %+v\n want %+v", s.ID, s.SessionSnapshot, *wantSessions[s.ID])
+		}
+		if s.ID == "anonymous" && (len(s.Nodes) != 2 || s.SLOAttained == 0 || s.SLOMissed != 1 || s.MeanSLOMarginUS == 0) {
+			t.Fatalf("anonymous session did not merge across both nodes with its SLO accounting: %+v", s)
+		}
+	}
+
+	// One rule for aggregate paused, the fleet's: only when every part is.
+	if err := f0.Pause(); err != nil {
+		t.Fatal(err)
+	}
+	if getClusterStatus(t, gw.URL).Paused {
+		t.Fatal("cluster reports paused with one node still running")
+	}
+	if err := f1.Pause(); err != nil {
+		t.Fatal(err)
+	}
+	if !getClusterStatus(t, gw.URL).Paused {
+		t.Fatal("cluster not paused with every node paused")
+	}
+	for _, f := range []*server.Fleet{f0, f1} {
+		if err := f.Resume(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -29,11 +29,10 @@ type candidate struct {
 // every other session stays put.
 //
 // Anonymous launches have no session to preserve, so they go wherever
-// capacity is: nodes whose last-known free device memory fits the
-// launch's working set come first, ordered by load (queued + in-flight
-// at the node, plus the gateway's own not-yet-visible in-flight count);
-// non-fitting nodes trail as fallback, and ties rotate so a burst placed
-// before any load shows up in the snapshots still spreads evenly.
+// capacity is, in the fleet's placement order (server.Placement): memory
+// fit is judged against the node's last-known free device memory, and
+// load is queued + in-flight at the node plus the gateway's own
+// not-yet-visible in-flight count.
 func (g *Gateway) candidates(client string, req server.LaunchRequest) []candidate {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -48,12 +47,18 @@ func (g *Gateway) candidates(client string, req server.LaunchRequest) []candidat
 		return out
 	}
 
-	need := g.workingSetLocked(req)
+	var need int64
+	for _, nd := range g.nodes {
+		// Catalogs are identical across a homogeneous cluster: the first
+		// node that served one prices the working set for all.
+		if len(nd.benches) > 0 {
+			need = server.WorkingSet(nd.benches, req)
+			break
+		}
+	}
 	type scored struct {
-		cand candidate
-		fits bool
-		load int64
-		rot  int
+		cand  candidate
+		score server.Placement
 	}
 	n := len(g.nodes)
 	start := int(g.rr) % n
@@ -63,67 +68,24 @@ func (g *Gateway) candidates(client string, req server.LaunchRequest) []candidat
 		if !nd.eligible() {
 			continue
 		}
-		load := nd.inflight
-		fits := true
+		score := server.Placement{Fits: true, Load: nd.inflight, Rot: (i - start + n) % n}
 		if nd.haveStatus {
 			c := nd.status.Counters
-			load += int64(nd.status.QueueLen) + (c.Enqueued - c.Completed - c.SubmitErrors)
+			score.Load += int64(nd.status.QueueLen) + (c.Enqueued - c.Completed - c.SubmitErrors)
 			if need > 0 && nd.status.MemoryFreeBytes > 0 && nd.status.MemoryFreeBytes < need {
-				fits = false
+				score.Fits = false
 			}
 		}
-		elig = append(elig, scored{
-			cand: candidate{id: nd.id, addr: nd.addr},
-			fits: fits, load: load, rot: (i - start + n) % n,
-		})
+		elig = append(elig, scored{cand: candidate{id: nd.id, addr: nd.addr}, score: score})
 	}
-	sort.Slice(elig, func(i, j int) bool {
-		if elig[i].fits != elig[j].fits {
-			return elig[i].fits
-		}
-		if elig[i].load != elig[j].load {
-			return elig[i].load < elig[j].load
-		}
-		return elig[i].rot < elig[j].rot
-	})
+	// The whole order matters here, not just its head: it is the retry
+	// walk when the preferred node answers 429 or dies.
+	sort.Slice(elig, func(i, j int) bool { return elig[i].score.Before(elig[j].score) })
 	out := make([]candidate, len(elig))
 	for i, s := range elig {
 		out[i] = s.cand
 	}
 	return out
-}
-
-// workingSetLocked mirrors Fleet.workingSet using the benchmark catalog
-// cached from the first node that served one (catalogs are identical
-// across a homogeneous cluster). Zero means "not placeable by memory" —
-// the node's own admission handles it. Caller holds g.mu.
-func (g *Gateway) workingSetLocked(req server.LaunchRequest) int64 {
-	var benches []server.BenchmarkInfo
-	for _, n := range g.nodes {
-		if len(n.benches) > 0 {
-			benches = n.benches
-			break
-		}
-	}
-	class := req.Class
-	if class == "" {
-		class = "small"
-	}
-	for _, b := range benches {
-		if b.Name != req.Benchmark {
-			continue
-		}
-		ci, ok := b.Classes[class]
-		if !ok {
-			return 0
-		}
-		bytes := ci.Bytes
-		if req.TasksOverride > 0 && ci.Tasks > 0 {
-			bytes = int64(req.TasksOverride) * (ci.Bytes / int64(ci.Tasks))
-		}
-		return bytes / 8
-	}
-	return 0
 }
 
 // trackInflight adjusts the gateway-side in-flight count for a node.
@@ -160,23 +122,17 @@ func (g *Gateway) handleLaunch(w http.ResponseWriter, r *http.Request) {
 	g.met.Launches.Inc()
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{"read body: " + err.Error()})
+		server.WriteJSON(w, http.StatusBadRequest, server.APIError{Error: "read body: " + err.Error()})
 		return
 	}
 	var req server.LaunchRequest
 	if len(bytes.TrimSpace(body)) > 0 {
 		if err := json.Unmarshal(body, &req); err != nil {
-			writeJSON(w, http.StatusBadRequest, apiError{"parse launch: " + err.Error()})
+			server.WriteJSON(w, http.StatusBadRequest, server.APIError{Error: "parse launch: " + err.Error()})
 			return
 		}
 	}
-	client := r.Header.Get("X-Flep-Client")
-	if client == "" {
-		client = req.Client
-	}
-	if client == "" {
-		client = "anonymous"
-	}
+	client := server.ResolveClient(r, req.Client)
 
 	cands := g.candidates(client, req)
 	tried := 0
@@ -218,11 +174,11 @@ func (g *Gateway) handleLaunch(w http.ResponseWriter, r *http.Request) {
 			maxRetryAfter = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(maxRetryAfter))
-		writeJSON(w, http.StatusTooManyRequests, apiError{"cluster saturated: every node's admission queue is full"})
+		server.WriteJSON(w, http.StatusTooManyRequests, server.APIError{Error: "cluster saturated: every node's admission queue is full"})
 		return
 	}
 	g.met.RejectedUnroutable.Inc()
-	writeJSON(w, http.StatusServiceUnavailable, apiError{"no ready nodes"})
+	server.WriteJSON(w, http.StatusServiceUnavailable, server.APIError{Error: "no ready nodes"})
 }
 
 // proxyLaunch sends the launch to one node, counting the gateway-side

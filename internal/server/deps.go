@@ -707,41 +707,3 @@ func (s *Server) depGraphCount() int {
 	defer s.depMu.Unlock()
 	return len(s.depGraphs)
 }
-
-// mergeModelRows folds one shard's model rows into a fleet aggregate
-// keyed by model name, re-weighting the derived means by the counts
-// that produced them.
-func mergeModelRows(agg, rows []ModelStatus) []ModelStatus {
-	if len(rows) == 0 {
-		return agg
-	}
-	byName := map[string]int{}
-	for i := range agg {
-		byName[agg[i].Model] = i
-	}
-	for _, r := range rows {
-		i, ok := byName[r.Model]
-		if !ok {
-			byName[r.Model] = len(agg)
-			agg = append(agg, r)
-			continue
-		}
-		m := &agg[i]
-		if n0, n1 := m.GraphsCompleted, r.GraphsCompleted; n0+n1 > 0 {
-			m.MeanMakespanUS = (m.MeanMakespanUS*float64(n0) + r.MeanMakespanUS*float64(n1)) / float64(n0+n1)
-		}
-		m.GraphsStarted += r.GraphsStarted
-		m.GraphsCompleted += r.GraphsCompleted
-		m.GraphsCanceled += r.GraphsCanceled
-		m.StagesCompleted += r.StagesCompleted
-		m.StagesCanceled += r.StagesCanceled
-		m.StagesParked += r.StagesParked
-		m.SLOAttained += r.SLOAttained
-		m.SLOMissed += r.SLOMissed
-		if n := m.SLOAttained + m.SLOMissed; n > 0 {
-			m.AttainRate = float64(m.SLOAttained) / float64(n)
-		}
-	}
-	sort.Slice(agg, func(i, j int) bool { return agg[i].Model < agg[j].Model })
-	return agg
-}

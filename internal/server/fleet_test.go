@@ -305,7 +305,7 @@ func TestFleetEndToEndDrainExactlyOnce(t *testing.T) {
 	}
 
 	// The merged trace is time-ordered and device-stamped.
-	entries := f.TraceEntries("")
+	entries, _ := f.TraceEntries("")
 	if len(entries) == 0 {
 		t.Fatal("fleet trace is empty")
 	}

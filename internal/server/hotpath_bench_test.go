@@ -27,9 +27,9 @@ func newBenchServer(b *testing.B) *Server {
 
 // BenchmarkLaunchRoundTrip is the per-launch allocation budget: pool
 // get, atomic admission gate, channel enqueue, batched loop admission,
-// simulated execution, terminal delivery, pool put. scripts/bench.sh
-// records its allocs/op into BENCH_<pr>.json and CI fails a PR that more
-// than doubles it.
+// simulated execution, terminal delivery, pool put. flepperf's
+// server.inproc_allocs_per_launch probe (bench/README.md) measures the
+// same budget through the HTTP handler.
 func BenchmarkLaunchRoundTrip(b *testing.B) {
 	s := newBenchServer(b)
 	bench := s.benches["VA"]
@@ -75,7 +75,7 @@ func BenchmarkLaunchRoundTripParallel(b *testing.B) {
 	})
 }
 
-// discardResponseWriter is a header-only ResponseWriter: writeJSON's own
+// discardResponseWriter is a header-only ResponseWriter: WriteJSON's own
 // cost (pooled encoder, buffer reuse) is what is being measured.
 type discardResponseWriter struct{ h http.Header }
 
@@ -96,6 +96,6 @@ func BenchmarkWriteJSONLaunchResult(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		writeJSON(w, http.StatusOK, res)
+		WriteJSON(w, http.StatusOK, res)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -110,7 +111,9 @@ type SLOStatus struct {
 	MeanMarginUS   float64 `json:"mean_margin_us"`
 }
 
-type apiError struct {
+// APIError is the JSON body of every non-2xx answer that is not a launch
+// result.
+type APIError struct {
 	Error string `json:"error"`
 }
 
@@ -134,7 +137,9 @@ var jsonEncPool = sync.Pool{New: func() any {
 // pool forever.
 const jsonEncKeepBytes = 64 << 10
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers with v rendered the way every endpoint of the serving
+// tier renders JSON (two-space indent, trailing newline).
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	e := jsonEncPool.Get().(*jsonEnc)
 	e.buf.Reset()
 	err := e.enc.Encode(v)
@@ -154,45 +159,96 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	jsonEncPool.Put(e)
 }
 
+// daemon is what the HTTP surface fronts: one Server, or a Fleet of them
+// behind a placement router. Everything a daemon answers over HTTP goes
+// through this one handler set, so flepd (a Fleet) and an embedded Server
+// cannot drift apart.
+type daemon interface {
+	handleLaunch(w http.ResponseWriter, r *http.Request)
+	Status() Status
+	SessionSnapshots() []SessionSnapshot
+	catalog() []BenchmarkInfo
+	// TraceEntries returns the (kind-filtered) event log; ok is false
+	// when tracing is off.
+	TraceEntries(kind string) (entries []trace.Entry, ok bool)
+	Pause() error
+	Resume() error
+	Draining() bool
+	writeMetrics(w io.Writer) error
+}
+
 // Handler returns the daemon's HTTP API.
-func (s *Server) Handler() http.Handler {
+func (s *Server) Handler() http.Handler { return newHandler(s) }
+
+func newHandler(d daemon) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/launch", s.handleLaunch)
-	mux.HandleFunc("GET /v1/status", s.handleStatus)
-	mux.HandleFunc("GET /v1/sessions", s.handleSessions)
-	mux.HandleFunc("GET /v1/benchmarks", s.handleBenchmarks)
-	mux.HandleFunc("GET /v1/trace", s.handleTrace)
-	mux.HandleFunc("POST /v1/pause", s.handlePause)
-	mux.HandleFunc("POST /v1/resume", s.handleResume)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("POST /v1/launch", d.handleLaunch)
+	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, d.Status())
+	})
+	mux.HandleFunc("GET /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, d.SessionSnapshots())
+	})
+	mux.HandleFunc("GET /v1/benchmarks", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, d.catalog())
+	})
+	mux.HandleFunc("GET /v1/trace", func(w http.ResponseWriter, r *http.Request) { handleTrace(d, w, r) })
+	mux.HandleFunc("POST /v1/pause", func(w http.ResponseWriter, r *http.Request) { handlePause(w, d.Pause(), true) })
+	mux.HandleFunc("POST /v1/resume", func(w http.ResponseWriter, r *http.Request) { handlePause(w, d.Resume(), false) })
+	// /healthz is pure liveness: it answers 200 for as long as the process
+	// can serve HTTP, draining or not. A draining daemon is alive — it is
+	// finishing accepted work — and restarting it on a failed liveness
+	// probe would lose exactly that work. Routing decisions belong to
+	// /readyz.
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write([]byte("ok\n"))
+	})
+	// /readyz is the routing signal: 503 from the instant any shard begins
+	// draining (before in-flight work finishes), so a load balancer or the
+	// flepgw gateway stops routing new launches here immediately.
+	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
+		if d.Draining() {
+			http.Error(w, "draining", http.StatusServiceUnavailable)
+			return
+		}
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write([]byte("ready\n"))
+	})
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = d.writeMetrics(w) // a failed write is the scraper hanging up
+	})
 	return mux
 }
 
-// decodeLaunch parses the request body and resolves the client identity
-// (X-Flep-Client header over body field over "anonymous").
+// ResolveClient names the session a launch belongs to: the X-Flep-Client
+// header over the body's client field over "anonymous".
+func ResolveClient(r *http.Request, bodyClient string) string {
+	if client := r.Header.Get("X-Flep-Client"); client != "" {
+		return client
+	}
+	if bodyClient != "" {
+		return bodyClient
+	}
+	return "anonymous"
+}
+
+// decodeLaunch parses the request body and resolves the client identity.
 func decodeLaunch(w http.ResponseWriter, r *http.Request) (LaunchRequest, string, error) {
 	var req LaunchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err := dec.Decode(&req); err != nil {
 		return LaunchRequest{}, "", err
 	}
-	client := r.Header.Get("X-Flep-Client")
-	if client == "" {
-		client = req.Client
-	}
-	if client == "" {
-		client = "anonymous"
-	}
-	return req, client, nil
+	return req, ResolveClient(r, req.Client), nil
 }
 
 func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 	req, client, err := decodeLaunch(w, r)
 	if err != nil {
 		s.countInvalid("")
-		writeJSON(w, http.StatusBadRequest, apiError{"bad request body: " + err.Error()})
+		WriteJSON(w, http.StatusBadRequest, APIError{"bad request body: " + err.Error()})
 		return
 	}
 	s.serveLaunch(w, r, req, client)
@@ -206,13 +262,13 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 	bench, ok := s.benches[req.Benchmark]
 	if !ok {
 		s.countInvalid(client)
-		writeJSON(w, http.StatusBadRequest, apiError{"unknown or unloaded benchmark " + strconv.Quote(req.Benchmark)})
+		WriteJSON(w, http.StatusBadRequest, APIError{"unknown or unloaded benchmark " + strconv.Quote(req.Benchmark)})
 		return
 	}
 	class, err := parseClass(req.Class)
 	if err != nil {
 		s.countInvalid(client)
-		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
+		WriteJSON(w, http.StatusBadRequest, APIError{err.Error()})
 		return
 	}
 	prio := req.Priority
@@ -221,18 +277,18 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 	}
 	if prio < 0 || req.TasksOverride < 0 || req.Weight < 0 {
 		s.countInvalid(client)
-		writeJSON(w, http.StatusBadRequest, apiError{"priority, weight and tasks_override must be non-negative"})
+		WriteJSON(w, http.StatusBadRequest, APIError{"priority, weight and tasks_override must be non-negative"})
 		return
 	}
 	deadline, err := parseSLO(req.SLOClass, req.DeadlineMS)
 	if err != nil {
 		s.countInvalid(client)
-		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
+		WriteJSON(w, http.StatusBadRequest, APIError{err.Error()})
 		return
 	}
 	if err := validateDepSpec(&req); err != nil {
 		s.countInvalid(client)
-		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
+		WriteJSON(w, http.StatusBadRequest, APIError{err.Error()})
 		return
 	}
 
@@ -251,7 +307,7 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 		case depRejectInvalid:
 			putLaunchReq(q)
 			s.countInvalid(client)
-			writeJSON(w, http.StatusBadRequest, apiError{derr.Error()})
+			WriteJSON(w, http.StatusBadRequest, APIError{derr.Error()})
 			return
 		case depRejectDraining:
 			putLaunchReq(q)
@@ -262,7 +318,7 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 				sess.RejectedDraining++
 			}
 			s.mu.Unlock()
-			writeJSON(w, http.StatusServiceUnavailable, apiError{derr.Error()})
+			WriteJSON(w, http.StatusServiceUnavailable, APIError{derr.Error()})
 			return
 		case depRejectFull:
 			putLaunchReq(q)
@@ -274,7 +330,7 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 			}
 			s.mu.Unlock()
 			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-			writeJSON(w, http.StatusTooManyRequests, apiError{derr.Error()})
+			WriteJSON(w, http.StatusTooManyRequests, APIError{derr.Error()})
 			return
 		case depCancelStage:
 			// The stage is registered (and counted) as canceled; it never
@@ -287,7 +343,7 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 				sess.DepCanceled++
 			}
 			s.mu.Unlock()
-			writeJSON(w, http.StatusConflict, apiError{derr.Error()})
+			WriteJSON(w, http.StatusConflict, APIError{derr.Error()})
 			return
 		case depParkStage:
 			// Parked: the table owns q until a completion releases it or a
@@ -331,14 +387,14 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 		// this handler holds exclusive ownership again (res is a copy).
 		putLaunchReq(q)
 		if res.Canceled != "" {
-			writeJSON(w, http.StatusConflict, &res)
+			WriteJSON(w, http.StatusConflict, &res)
 			return
 		}
 		if res.Err != "" {
-			writeJSON(w, http.StatusUnprocessableEntity, &res)
+			WriteJSON(w, http.StatusUnprocessableEntity, &res)
 			return
 		}
-		writeJSON(w, http.StatusOK, &res)
+		WriteJSON(w, http.StatusOK, &res)
 	//flepvet:allow poolleak -- timeout abandons the wait on purpose; the loop still owns q (see comment below) so recycling here would be a use-after-free
 	case <-timer.C:
 		// q is deliberately NOT recycled on the timeout and cancel paths:
@@ -351,8 +407,8 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 		s.c.TimedOut++
 		s.session(client).TimedOut++
 		s.mu.Unlock()
-		writeJSON(w, http.StatusGatewayTimeout,
-			apiError{"timed out waiting for completion; the invocation still runs to completion"})
+		WriteJSON(w, http.StatusGatewayTimeout,
+			APIError{"timed out waiting for completion; the invocation still runs to completion"})
 	//flepvet:allow poolleak -- client cancel abandons the wait; ownership of q stays with the loop, same as the timeout arm
 	case <-r.Context().Done():
 		// The launch was accepted, so the session exists; record the
@@ -405,9 +461,9 @@ func (s *Server) rejectLaunch(w http.ResponseWriter, q *launchReq, client string
 	s.mu.Unlock()
 	if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrBestEffortShed) {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		writeJSON(w, http.StatusTooManyRequests, apiError{err.Error()})
+		WriteJSON(w, http.StatusTooManyRequests, APIError{err.Error()})
 	} else {
-		writeJSON(w, http.StatusServiceUnavailable, apiError{err.Error()})
+		WriteJSON(w, http.StatusServiceUnavailable, APIError{err.Error()})
 	}
 }
 
@@ -450,9 +506,9 @@ func parseSLO(class string, deadlineMS int) (time.Duration, error) {
 	return 0, fmt.Errorf("unknown slo_class %q (want latency or best_effort)", class)
 }
 
-// statusSnapshot assembles the shard's live status (the fleet aggregates
-// these across devices).
-func (s *Server) statusSnapshot() Status {
+// Status assembles the shard's live status (the fleet aggregates these
+// across devices).
+func (s *Server) Status() Status {
 	names := make([]string, 0, len(s.info))
 	for _, bi := range s.info {
 		names = append(names, bi.Name)
@@ -496,30 +552,29 @@ func (s *Server) statusSnapshot() Status {
 	return st
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.statusSnapshot())
-}
+func (s *Server) catalog() []BenchmarkInfo { return s.info }
 
-func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.SessionSnapshots())
-}
-
-func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.info)
-}
-
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
+// TraceEntries returns the shard's (kind-filtered) event log; ok is false
+// when tracing is off.
+func (s *Server) TraceEntries(kind string) (entries []trace.Entry, ok bool) {
 	if s.tlog == nil {
-		writeJSON(w, http.StatusNotFound, apiError{"trace disabled; start flepd with -trace"})
+		return nil, false
+	}
+	return s.tlog.Filter(kind), true
+}
+
+func handleTrace(d daemon, w http.ResponseWriter, r *http.Request) {
+	entries, ok := d.TraceEntries(r.URL.Query().Get("kind"))
+	if !ok {
+		WriteJSON(w, http.StatusNotFound, APIError{"trace disabled; start flepd with -trace"})
 		return
 	}
-	entries := s.tlog.Filter(r.URL.Query().Get("kind"))
 	if n, err := strconv.Atoi(r.URL.Query().Get("limit")); err == nil && n > 0 && n < len(entries) {
 		entries = entries[len(entries)-n:]
 	}
 	switch r.URL.Query().Get("format") {
 	case "", "json":
-		writeJSON(w, http.StatusOK, entries)
+		WriteJSON(w, http.StatusOK, entries)
 	case "text":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		for _, e := range entries {
@@ -528,43 +583,16 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	default:
-		writeJSON(w, http.StatusBadRequest, apiError{"unknown format (want json or text)"})
+		WriteJSON(w, http.StatusBadRequest, APIError{"unknown format (want json or text)"})
 	}
 }
 
-func (s *Server) handlePause(w http.ResponseWriter, r *http.Request) {
-	if err := s.Pause(); err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, apiError{err.Error()})
+// handlePause answers a pause (paused=true) or resume request whose
+// control message returned err.
+func handlePause(w http.ResponseWriter, err error, paused bool) {
+	if err != nil {
+		WriteJSON(w, http.StatusServiceUnavailable, APIError{err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"paused": true})
-}
-
-func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
-	if err := s.Resume(); err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, apiError{err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"paused": false})
-}
-
-// handleHealthz is pure liveness: it answers 200 for as long as the
-// process can serve HTTP, draining or not. A draining daemon is alive —
-// it is finishing accepted work — and restarting it on a failed liveness
-// probe would lose exactly that work.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte("ok\n"))
-}
-
-// handleReadyz is the routing signal: 503 from the instant drain begins
-// (before in-flight work finishes), so a load balancer or the flepgw
-// gateway stops routing new launches here immediately.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte("ready\n"))
+	WriteJSON(w, http.StatusOK, map[string]bool{"paused": paused})
 }

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"net/http"
+	"io"
 
 	"flep/internal/obs"
 )
@@ -174,8 +174,5 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 // scrape it directly; HTTP clients use GET /metrics).
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// handleMetrics serves the Prometheus text exposition.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.reg.WritePrometheus(w)
-}
+// writeMetrics renders the Prometheus text exposition.
+func (s *Server) writeMetrics(w io.Writer) error { return s.reg.WritePrometheus(w) }
