@@ -98,7 +98,9 @@ func startGateway(t *testing.T, cfg Config) (*Gateway, *httptest.Server) {
 		ts.Close()
 		g.Close()
 	})
-	waitFor(t, "gateway ready", func() bool { return g.ReadyNodes() > 0 })
+	// Every node, not just the first: a named client's first launch must
+	// find its ring-home node probed ready or it is placed elsewhere.
+	waitFor(t, "all nodes ready", func() bool { return g.ReadyNodes() == len(cfg.Nodes) })
 	return g, ts
 }
 
@@ -412,8 +414,7 @@ func TestNodeKilledMidBurstExactlyOnce(t *testing.T) {
 	// requests genuinely in flight.
 	_, n0, stop0 := startNode(t, server.Config{Pace: 100 * time.Microsecond})
 	_, n1, _ := startNode(t, server.Config{Pace: 100 * time.Microsecond})
-	g, gw := startGateway(t, Config{Nodes: []string{n0.URL, n1.URL}})
-	waitFor(t, "both nodes ready", func() bool { return g.ReadyNodes() == 2 })
+	_, gw := startGateway(t, Config{Nodes: []string{n0.URL, n1.URL}})
 
 	const burst = 40
 	var wg sync.WaitGroup
@@ -508,8 +509,7 @@ func TestAllNodesSaturatedPropagatesMaxRetryAfter(t *testing.T) {
 		return ts
 	}
 	s0, s1 := stub("2"), stub("7")
-	g, gw := startGateway(t, Config{Nodes: []string{s0.URL, s1.URL}})
-	waitFor(t, "stubs ready", func() bool { return g.ReadyNodes() == 2 })
+	_, gw := startGateway(t, Config{Nodes: []string{s0.URL, s1.URL}})
 
 	body, _ := json.Marshal(server.LaunchRequest{Client: "c", Benchmark: "VA"})
 	resp, err := http.Post(gw.URL+"/v1/launch", "application/json", bytes.NewReader(body))
@@ -534,8 +534,7 @@ func TestAllNodesSaturatedPropagatesMaxRetryAfter(t *testing.T) {
 func TestDrainRemapsOnlyDrainedSessionsAndWaitsInflight(t *testing.T) {
 	f0, n0, _ := startNode(t, server.Config{})
 	_, n1, _ := startNode(t, server.Config{})
-	g, gw := startGateway(t, Config{Nodes: []string{n0.URL, n1.URL}})
-	waitFor(t, "both nodes ready", func() bool { return g.ReadyNodes() == 2 })
+	_, gw := startGateway(t, Config{Nodes: []string{n0.URL, n1.URL}})
 
 	// Pin 24 clients and remember their homes.
 	const clients = 24
@@ -647,8 +646,7 @@ func TestDrainRemapsOnlyDrainedSessionsAndWaitsInflight(t *testing.T) {
 func TestTraceMergedAcrossNodesInGlobalOrder(t *testing.T) {
 	_, n0, _ := startNode(t, server.Config{Trace: true})
 	_, n1, _ := startNode(t, server.Config{Trace: true})
-	g, gw := startGateway(t, Config{Nodes: []string{n0.URL, n1.URL}})
-	waitFor(t, "both nodes ready", func() bool { return g.ReadyNodes() == 2 })
+	_, gw := startGateway(t, Config{Nodes: []string{n0.URL, n1.URL}})
 
 	for i := 0; i < 12; i++ {
 		code, _, _ := launchVia(t, gw.URL, server.LaunchRequest{Client: fmt.Sprintf("t%d", i), Benchmark: "VA"})
@@ -706,8 +704,7 @@ func metricsSnapshot(t *testing.T, gwURL string) obs.Snapshot {
 func TestMetricsCarryNodeLabelAndSumAcrossNodes(t *testing.T) {
 	f0, n0, _ := startNode(t, server.Config{})
 	f1, n1, _ := startNode(t, server.Config{})
-	g, gw := startGateway(t, Config{Nodes: []string{n0.URL, n1.URL}})
-	waitFor(t, "both nodes ready", func() bool { return g.ReadyNodes() == 2 })
+	_, gw := startGateway(t, Config{Nodes: []string{n0.URL, n1.URL}})
 
 	for i := 0; i < 10; i++ {
 		code, _, _ := launchVia(t, gw.URL, server.LaunchRequest{Client: fmt.Sprintf("m%d", i), Benchmark: "VA"})

@@ -81,13 +81,6 @@ func runDeterminism(pass *analysis.Pass) (any, error) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {
-		// The contract binds production code: only what runs during a
-		// replay must be clock-free. Tests pace goroutines and stamp
-		// tempdirs freely (they are only reached via `go vet`, which
-		// includes test files; the standalone loader does not).
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {

@@ -219,12 +219,6 @@ func TestAllowAnnotations(t *testing.T) {
 	}
 }
 
-// ---------------------------------------------------- dataflow analyzers
-
-func TestPoolOwnershipFixture(t *testing.T) {
-	checkFixture(t, "fixtures/poolown", PoolOwnershipAnalyzer)
-}
-
 func TestLockOrderFixture(t *testing.T) {
 	checkFixture(t, "fixtures/lockorder", LockOrderAnalyzer)
 }
@@ -233,8 +227,4 @@ func TestLockOrderFixture(t *testing.T) {
 // contract pair fires inside that package subtree and only there.
 func TestLockOrderContractFixture(t *testing.T) {
 	checkFixture(t, "flep/internal/server/fixturelockpair", LockOrderAnalyzer)
-}
-
-func TestLedgerFixture(t *testing.T) {
-	checkFixture(t, "flep/internal/server/fixtureledger", LedgerAnalyzer)
 }

@@ -1,11 +1,12 @@
-// Package lint is flepvet's analyzer suite: five checkers that
+// Package lint is flepvet's analyzer suite: six checkers that
 // mechanically enforce the contracts the FLEP reproduction's tests can
 // only spot-check — the determinism contract (a recorded run replays
 // bit-for-bit), the single-threaded event-loop discipline, the
-// PR 2/PR 3 lock-ordering fix classes, and the obs metrics hygiene
-// rules. The suite runs standalone (`flepvet ./...`), under `go vet
-// -vettool`, and inside `go test` (see selftest_test.go), all through
-// the same driver so the three entry points cannot drift.
+// PR 2/PR 3 lock-discipline and PR 10 lock-ordering fix classes, and
+// the obs metrics hygiene rules. The gate is TestRepoIsClean
+// (selftest_test.go), which runs inside `go test ./...`;
+// `go run ./cmd/flepvet` prints the same findings for a human. Both go
+// through Run, so they cannot drift.
 package lint
 
 import (
@@ -25,19 +26,8 @@ func Analyzers() []*analysis.Analyzer {
 		LoopPurityAnalyzer,
 		LockDisciplineAnalyzer,
 		MetricHygieneAnalyzer,
-		PoolOwnershipAnalyzer,
 		LockOrderAnalyzer,
-		LedgerAnalyzer,
 	}
-}
-
-// AnalyzerNames returns the suite's names (flag help, CLI validation).
-func AnalyzerNames() []string {
-	var out []string
-	for _, a := range Analyzers() {
-		out = append(out, a.Name)
-	}
-	return out
 }
 
 // knownCategories is the union of every analyzer's categories; allow
@@ -76,7 +66,7 @@ func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Findi
 }
 
 // RunPackages applies the analyzers to already-loaded packages: the
-// shared core of the CLI, the vettool shim, and the fixture harness.
+// shared core of Run and the fixture harness.
 func RunPackages(fset *token.FileSet, pkgs []*loader.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
 	known := knownCategories()
 	var findings []Finding
@@ -146,24 +136,4 @@ func RunPackages(fset *token.FileSet, pkgs []*loader.Package, analyzers []*analy
 		return a.Message < b.Message
 	})
 	return findings, nil
-}
-
-// Select resolves a comma-separated analyzer name list ("" = all).
-func Select(names []string) ([]*analysis.Analyzer, error) {
-	if len(names) == 0 {
-		return Analyzers(), nil
-	}
-	byName := map[string]*analysis.Analyzer{}
-	for _, a := range Analyzers() {
-		byName[a.Name] = a
-	}
-	var out []*analysis.Analyzer
-	for _, n := range names {
-		a := byName[n]
-		if a == nil {
-			return nil, fmt.Errorf("unknown analyzer %q (have %v)", n, AnalyzerNames())
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }

@@ -94,10 +94,9 @@ func exportLookup(byPath map[string]*listPkg, importMap map[string]string) func(
 	}
 }
 
-// ParseFiles parses the named files (absolute or dir-relative) with
-// comments retained. Exported for cmd/flepvet's vettool mode, which
-// gets its file list from cmd/go rather than go list.
-func ParseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
+// parseFiles parses the named files (absolute or dir-relative) with
+// comments retained.
+func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, name := range names {
 		path := name
@@ -129,7 +128,7 @@ func Load(fset *token.FileSet, dir string, patterns []string, newInfo func() *ty
 		if len(lp.GoFiles) == 0 {
 			continue
 		}
-		files, err := ParseFiles(fset, lp.Dir, lp.GoFiles)
+		files, err := parseFiles(fset, lp.Dir, lp.GoFiles)
 		if err != nil {
 			return nil, fmt.Errorf("loader: %s: %w", lp.ImportPath, err)
 		}
@@ -247,7 +246,7 @@ func (ld *fixtureLoader) parseDir(importPath string) ([]*ast.File, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("loader: fixture %s: no .go files in %s", importPath, dir)
 	}
-	return ParseFiles(ld.fset, dir, names)
+	return parseFiles(ld.fset, dir, names)
 }
 
 // Import satisfies types.Importer for the fixture type-checker.

@@ -467,3 +467,76 @@ func lockSCC(nodes map[string]bool, adj map[string]map[string]bool) map[string]i
 	}
 	return comp
 }
+
+// funcIDOf renders a stable textual key for a function object —
+// "pkgpath.Func" or "pkgpath.(Recv).Method". Facts are keyed by it
+// rather than by *types.Func because packages may be typechecked
+// independently (fixture siblings), and object identity does not survive
+// that boundary while the rendered ID does.
+func funcIDOf(fn *types.Func) string {
+	pkg := ""
+	if fn.Pkg() != nil {
+		pkg = fn.Pkg().Path()
+	}
+	sig, _ := fn.Type().(*types.Signature)
+	if sig != nil && sig.Recv() != nil {
+		t := sig.Recv().Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		name := "?"
+		if n, ok := t.(*types.Named); ok {
+			name = n.Obj().Name()
+		}
+		return pkg + ".(" + name + ")." + fn.Name()
+	}
+	return pkg + "." + fn.Name()
+}
+
+func stripParens(e ast.Expr) ast.Expr {
+	for {
+		p, ok := e.(*ast.ParenExpr)
+		if !ok {
+			return e
+		}
+		e = p.X
+	}
+}
+
+// staticCalleeFunc resolves a call expression to its target function
+// when the target is fixed at compile time: a package function, or a
+// method on a concrete named type. Interface methods, function values,
+// and builtins resolve to nil.
+func staticCalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := stripParens(call.Fun).(type) {
+	case *ast.Ident:
+		if fn, ok := info.Uses[fun].(*types.Func); ok {
+			return fn
+		}
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok {
+			fn, ok := sel.Obj().(*types.Func)
+			if !ok {
+				return nil
+			}
+			if types.IsInterface(sel.Recv()) {
+				return nil // dynamic dispatch
+			}
+			return fn
+		}
+		// Qualified identifier: pkg.Func.
+		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
+			return fn
+		}
+	}
+	return nil
+}
+
+// namedKey renders "pkgpath.Type" for a named type, "" otherwise.
+func namedKey(t types.Type) string {
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Pkg() == nil {
+		return ""
+	}
+	return n.Obj().Pkg().Path() + "." + n.Obj().Name()
+}

@@ -67,12 +67,6 @@ type metricReg struct {
 func runMetricHygiene(pass *analysis.Pass) (any, error) {
 	var regs []metricReg
 	for _, f := range pass.Files {
-		// The hygiene rules bind production telemetry. The registry's
-		// own unit tests register junk names and duplicate families on
-		// purpose — that is what they test.
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

@@ -115,25 +115,6 @@ type modelStats struct {
 	makespanSumNS   int64
 }
 
-// depVerdict is depAdmit's decision for one graph-bearing launch.
-type depVerdict int
-
-const (
-	// depReady: every prerequisite already completed; admit through the
-	// normal bounded queue.
-	depReady depVerdict = iota
-	// depParkStage: held in the table; the handler waits on q.done.
-	depParkStage
-	// depCancelStage: a prerequisite already failed; never admitted.
-	depCancelStage
-	// depRejectFull: table at capacity (HTTP 429).
-	depRejectFull
-	// depRejectInvalid: the spec contradicts the graph (HTTP 400).
-	depRejectInvalid
-	// depRejectDraining: daemon shutting down (HTTP 503).
-	depRejectDraining
-)
-
 // validateDepSpec checks the request's graph spec shape before any
 // table state is touched. A request with no graph fields passes.
 func validateDepSpec(req *LaunchRequest) error {
@@ -173,17 +154,17 @@ func validateDepSpec(req *LaunchRequest) error {
 }
 
 // depAdmit registers a graph-bearing launch in the table and decides
-// its path: ready (admit through the queue now), parked (wait for
-// prerequisites), canceled (a prerequisite already failed), or rejected
-// (invalid spec / table full / draining). The acceptMu read lock pairs
-// with Shutdown's write lock exactly like tryEnqueue: once draining is
-// set, no new stage can slip into the table behind the loop's final
-// parked-stage sweep.
-func (s *Server) depAdmit(q *launchReq) (depVerdict, error) {
+// its path: ready (admit through the queue now), parked (the handler
+// waits on q.done), or refused with the outcome to count — dep_canceled
+// (a prerequisite already failed) or rejected (invalid spec / table
+// full / draining). The acceptMu read lock pairs with Shutdown's write
+// lock exactly like tryEnqueue: once draining is set, no new stage can
+// slip into the table behind the loop's final parked-stage sweep.
+func (s *Server) depAdmit(q *launchReq) (parked bool, refused outcome, err error) {
 	s.acceptMu.RLock()
 	defer s.acceptMu.RUnlock()
 	if s.draining {
-		return depRejectDraining, ErrDraining
+		return false, outRejectedDraining, ErrDraining
 	}
 	s.depMu.Lock()
 	defer s.depMu.Unlock()
@@ -192,17 +173,17 @@ func (s *Server) depAdmit(q *launchReq) (depVerdict, error) {
 	g := s.depGraphs[key]
 	if g != nil {
 		if q.stages != g.declared {
-			return depRejectInvalid, fmt.Errorf("stage %q declares %d stages but graph %q was opened with %d",
+			return false, outRejectedInvalid, fmt.Errorf("stage %q declares %d stages but graph %q was opened with %d",
 				q.stage, q.stages, q.graph, g.declared)
 		}
 		if g.stages[q.stage] != nil {
-			return depRejectInvalid, fmt.Errorf("graph %q already has a stage %q", q.graph, q.stage)
+			return false, outRejectedInvalid, fmt.Errorf("graph %q already has a stage %q", q.graph, q.stage)
 		}
 		if len(g.stages) >= g.declared {
-			return depRejectInvalid, fmt.Errorf("graph %q already has all %d declared stages", q.graph, g.declared)
+			return false, outRejectedInvalid, fmt.Errorf("graph %q already has all %d declared stages", q.graph, g.declared)
 		}
 		if cyc := g.cycleThroughLocked(q.stage, q.after); cyc != "" {
-			return depRejectInvalid, fmt.Errorf("stage %q would close a dependency cycle through %q", q.stage, cyc)
+			return false, outRejectedInvalid, fmt.Errorf("stage %q would close a dependency cycle through %q", q.stage, cyc)
 		}
 	}
 
@@ -225,7 +206,7 @@ func (s *Server) depAdmit(q *launchReq) (depVerdict, error) {
 		}
 	}
 	if unknown > q.stages-(registered+1) {
-		return depRejectInvalid, fmt.Errorf("prerequisite %q can never exist: graph %q has no undeclared stage slots left",
+		return false, outRejectedInvalid, fmt.Errorf("prerequisite %q can never exist: graph %q has no undeclared stage slots left",
 			firstUnknown, q.graph)
 	}
 
@@ -253,11 +234,11 @@ func (s *Server) depAdmit(q *launchReq) (depVerdict, error) {
 
 	wouldPark := !anyBad && !allDone
 	if wouldPark && s.depParked >= s.cfg.DepPending {
-		return depRejectFull, ErrDepTableFull
+		return false, outRejectedDepFull, ErrDepTableFull
 	}
 	if g == nil {
 		if len(s.depGraphs) >= s.cfg.DepGraphs && !s.depEvictStalledLocked() {
-			return depRejectFull, ErrDepTableFull
+			return false, outRejectedDepFull, ErrDepTableFull
 		}
 		g = &depGraph{
 			client:   q.client,
@@ -290,18 +271,18 @@ func (s *Server) depAdmit(q *launchReq) (depVerdict, error) {
 		ms.stagesCanceled++
 		s.met.ModelStagesCanceled.Inc()
 		s.depCloseIfDoneLocked(g)
-		return depCancelStage, fmt.Errorf("canceled: prerequisite %q of stage %q did not complete", badDep, q.stage)
+		return false, outDepCanceled, fmt.Errorf("canceled: prerequisite %q of stage %q did not complete", badDep, q.stage)
 	case allDone:
 		st.state = depLive
 		g.inflight++
-		return depReady, nil
+		return false, outUnset, nil
 	default:
 		st.state = depParked
 		st.q = q
 		g.parked++
 		s.depParked++
 		s.met.ModelStagesParked.Inc()
-		return depParkStage, nil
+		return true, outUnset, nil
 	}
 }
 
@@ -548,14 +529,7 @@ func (s *Server) depCloseIfDoneLocked(g *depGraph) {
 // ownership here.
 func (s *Server) deliverDepCancels(cancels []*launchReq, reason string) {
 	for _, cq := range cancels {
-		s.met.DepCanceled.Inc()
-		//flepvet:allow sharedlock -- bounded counter bump; handlers only copy under s.mu, never block
-		s.mu.Lock()
-		s.c.DepCanceled++
-		if sess := s.sessions[cq.client]; sess != nil {
-			sess.DepCanceled++
-		}
-		s.mu.Unlock()
+		s.count(outDepCanceled, cq.client)
 		//flepvet:allow blockingsend -- cq.done is per-request with capacity 1 (http.go) and sees exactly one send
 		cq.done <- LaunchResult{
 			Client: cq.client, Kernel: cq.bench.Name, Class: cq.class.String(),
@@ -616,14 +590,8 @@ func (s *Server) admitReleased() {
 	for i := 0; i < len(s.depReady); i++ {
 		q := s.depReady[i]
 		s.depReady[i] = nil
-		//flepvet:allow ledgerforbidden -- admitReleased IS the sanctioned re-entry boundary: a released stage was parked before reaching Enqueued, so this is its first and only Enqueued count
-		s.met.Enqueued.Inc()
-		//flepvet:allow sharedlock -- bounded counter bump; handlers only copy under s.mu, never block
-		s.mu.Lock()
-		//flepvet:allow ledgerforbidden -- mirrors the metrics-side count above; same single sanctioned re-entry
-		s.c.Enqueued++
-		s.session(q.client).Launches++
-		s.mu.Unlock()
+		// Parked until now: this is the stage's first and only enqueue count.
+		s.countEnqueued(q)
 		s.queued.Add(1) // admit releases the reservation
 		if q.deadline > 0 {
 			s.lcOutstanding.Add(1)

@@ -332,8 +332,7 @@ func (f *Fleet) handleLaunch(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// A body that never parsed has no placement signal; account the
 		// reject on shard 0 so fleet sums still cover every outcome.
-		f.shards[0].countInvalid("")
-		WriteJSON(w, http.StatusBadRequest, APIError{"bad request body: " + err.Error()})
+		f.shards[0].refuse(w, outRejectedInvalid, "", fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	f.route(req, client).serveLaunch(w, r, req, client)

@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"net/http"
+	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,7 +13,7 @@ import (
 
 // newBenchServer starts a daemon for microbenchmarks (no HTTP listener:
 // these measure the in-process admission path, not Go's HTTP stack).
-func newBenchServer(b *testing.B) *Server {
+func newBenchServer(b testing.TB) *Server {
 	b.Helper()
 	s, err := NewWithSystem(testSystem(b), Config{Benchmarks: []string{"VA", "MM"}})
 	if err != nil {
@@ -25,28 +27,32 @@ func newBenchServer(b *testing.B) *Server {
 	return s
 }
 
-// BenchmarkLaunchRoundTrip is the per-launch allocation budget: pool
-// get, atomic admission gate, channel enqueue, batched loop admission,
-// simulated execution, terminal delivery, pool put. flepperf's
-// server.inproc_allocs_per_launch probe (bench/README.md) measures the
-// same budget through the HTTP handler.
+// launchRoundTrip is one launch through the admission path without HTTP:
+// pool get, atomic admission gate, channel enqueue, batched loop
+// admission, simulated execution, terminal delivery, pool put.
+func launchRoundTrip(tb testing.TB, s *Server, bench *kernels.Benchmark) {
+	q := getLaunchReq()
+	q.client, q.bench, q.class = "bench", bench, kernels.Trivial
+	q.priority = 1
+	q.enqueuedReal = time.Now()
+	if err := s.tryEnqueue(q); err != nil {
+		tb.Fatal(err)
+	}
+	if res := <-q.done; res.Err != "" {
+		tb.Fatal(res.Err)
+	}
+	putLaunchReq(q)
+}
+
+// BenchmarkLaunchRoundTrip times the admission path;
+// TestAllocationBudget gates its allocations.
 func BenchmarkLaunchRoundTrip(b *testing.B) {
 	s := newBenchServer(b)
 	bench := s.benches["VA"]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := getLaunchReq()
-		q.client, q.bench, q.class = "bench", bench, kernels.Trivial
-		q.priority = 1
-		q.enqueuedReal = time.Now()
-		if err := s.tryEnqueue(q); err != nil {
-			b.Fatal(err)
-		}
-		if res := <-q.done; res.Err != "" {
-			b.Fatal(res.Err)
-		}
-		putLaunchReq(q)
+		launchRoundTrip(b, s, bench)
 	}
 }
 
@@ -60,17 +66,7 @@ func BenchmarkLaunchRoundTripParallel(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			q := getLaunchReq()
-			q.client, q.bench, q.class = "bench", bench, kernels.Trivial
-			q.priority = 1
-			q.enqueuedReal = time.Now()
-			if err := s.tryEnqueue(q); err != nil {
-				b.Fatal(err)
-			}
-			if res := <-q.done; res.Err != "" {
-				b.Fatal(res.Err)
-			}
-			putLaunchReq(q)
+			launchRoundTrip(b, s, bench)
 		}
 	})
 }
@@ -83,19 +79,71 @@ func (d *discardResponseWriter) Header() http.Header         { return d.h }
 func (d *discardResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (d *discardResponseWriter) WriteHeader(int)             {}
 
+// benchResult is a representative hot response body.
+var benchResult = &LaunchResult{
+	ID: 42, Client: "bench", Kernel: "VA", Class: "trivial", Priority: 1,
+	SubmittedVirtualNS: 123456, FinishedVirtualNS: 654321,
+	TurnaroundNS: 530865, WaitingNS: 1000, ExecutionNS: 529865,
+	NTT: 1.25, QueueWaitRealNS: 1500,
+}
+
 // BenchmarkWriteJSONLaunchResult measures serializing the hot response
 // body on the pooled encoder path.
 func BenchmarkWriteJSONLaunchResult(b *testing.B) {
 	w := &discardResponseWriter{h: http.Header{}}
-	res := &LaunchResult{
-		ID: 42, Client: "bench", Kernel: "VA", Class: "trivial", Priority: 1,
-		SubmittedVirtualNS: 123456, FinishedVirtualNS: 654321,
-		TurnaroundNS: 530865, WaitingNS: 1000, ExecutionNS: 529865,
-		NTT: 1.25, QueueWaitRealNS: 1500,
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		WriteJSON(w, http.StatusOK, res)
+		WriteJSON(w, http.StatusOK, benchResult)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, kv := range bi.Settings {
+			if kv.Key == "-race" {
+				return kv.Value == "true"
+			}
+		}
+	}
+	return false
+}
+
+// TestAllocationBudget gates the steady-state allocations of the launch
+// hot path. The launchReq and encoder pools are what keep these figures
+// flat, and a pooled object that stops coming back shows up here and
+// nowhere else: a launchReq that is not returned costs 3 allocations per
+// launch, an encoder 10. The ceilings are the measured steady state.
+func TestAllocationBudget(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("race instrumentation allocates")
+	}
+	s := newBenchServer(t)
+	bench := s.benches["VA"]
+	h := s.Handler()
+	w := &discardResponseWriter{h: http.Header{}}
+	const body = `{"client":"bench","benchmark":"VA","class":"trivial"}`
+	for _, tc := range []struct {
+		name    string
+		ceiling float64
+		run     func()
+	}{
+		{"POST /v1/launch through the handler", 44, func() {
+			r, err := http.NewRequest(http.MethodPost, "/v1/launch", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.ServeHTTP(w, r)
+		}},
+		{"admission round trip", 23, func() { launchRoundTrip(t, s, bench) }},
+		{"WriteJSON launch result", 1, func() { WriteJSON(w, http.StatusOK, benchResult) }},
+	} {
+		for i := 0; i < 50; i++ {
+			tc.run() // fill the pools
+		}
+		if got := testing.AllocsPerRun(1000, tc.run); got > tc.ceiling {
+			t.Errorf("%s: %v allocs per run, ceiling %v", tc.name, got, tc.ceiling)
+		}
 	}
 }

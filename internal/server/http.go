@@ -153,8 +153,7 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.WriteHeader(code)
 	_, _ = w.Write(e.buf.Bytes())
 	if e.buf.Cap() > jsonEncKeepBytes {
-		//flepvet:allow poolleak -- oversized buffer dropped on purpose so one giant dump cannot pin its backing array in the pool
-		return
+		return // dropped on purpose, see jsonEncKeepBytes
 	}
 	jsonEncPool.Put(e)
 }
@@ -247,129 +246,32 @@ func decodeLaunch(w http.ResponseWriter, r *http.Request) (LaunchRequest, string
 func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 	req, client, err := decodeLaunch(w, r)
 	if err != nil {
-		s.countInvalid("")
-		WriteJSON(w, http.StatusBadRequest, APIError{"bad request body: " + err.Error()})
+		s.refuse(w, outRejectedInvalid, "", fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	s.serveLaunch(w, r, req, client)
 }
 
-// serveLaunch validates, admits, and awaits one parsed launch on this
-// shard. The fleet router calls it directly after placement, so every
-// outcome — including validation rejects — is accounted on the shard that
-// handled it.
+// refuse counts a launch that ended without becoming queue work, then
+// answers it: no refusal reaches the client uncounted.
+func (s *Server) refuse(w http.ResponseWriter, o outcome, client string, err error) {
+	s.count(o, client)
+	status := refusalStatus[o]
+	if status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
+	}
+	WriteJSON(w, status, APIError{err.Error()})
+}
+
+// serveLaunch admits one parsed launch on this shard, awaits its result
+// and answers. The fleet router calls it directly after placement, so
+// every outcome — including validation rejects — is accounted on the
+// shard that handled it.
 func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchRequest, client string) {
-	bench, ok := s.benches[req.Benchmark]
-	if !ok {
-		s.countInvalid(client)
-		WriteJSON(w, http.StatusBadRequest, APIError{"unknown or unloaded benchmark " + strconv.Quote(req.Benchmark)})
-		return
-	}
-	class, err := parseClass(req.Class)
+	q, o, err := s.admitLaunch(&req, client)
 	if err != nil {
-		s.countInvalid(client)
-		WriteJSON(w, http.StatusBadRequest, APIError{err.Error()})
+		s.refuse(w, o, client, err)
 		return
-	}
-	prio := req.Priority
-	if prio == 0 {
-		prio = 1
-	}
-	if prio < 0 || req.TasksOverride < 0 || req.Weight < 0 {
-		s.countInvalid(client)
-		WriteJSON(w, http.StatusBadRequest, APIError{"priority, weight and tasks_override must be non-negative"})
-		return
-	}
-	deadline, err := parseSLO(req.SLOClass, req.DeadlineMS)
-	if err != nil {
-		s.countInvalid(client)
-		WriteJSON(w, http.StatusBadRequest, APIError{err.Error()})
-		return
-	}
-	if err := validateDepSpec(&req); err != nil {
-		s.countInvalid(client)
-		WriteJSON(w, http.StatusBadRequest, APIError{err.Error()})
-		return
-	}
-
-	q := getLaunchReq()
-	q.client, q.bench, q.class = client, bench, class
-	q.priority, q.weight, q.tasksOverride = prio, req.Weight, req.TasksOverride
-	q.deadline = deadline
-	q.graph, q.stage, q.model = req.Graph, req.Stage, req.Model
-	q.after, q.stages = req.After, req.Stages
-	q.enqueuedReal = time.Now()
-
-	parked := false
-	if q.graph != "" {
-		verdict, derr := s.depAdmit(q)
-		switch verdict {
-		case depRejectInvalid:
-			putLaunchReq(q)
-			s.countInvalid(client)
-			WriteJSON(w, http.StatusBadRequest, APIError{derr.Error()})
-			return
-		case depRejectDraining:
-			putLaunchReq(q)
-			s.met.RejectedDraining.Inc()
-			s.mu.Lock()
-			s.c.RejectedDraining++
-			if sess := s.sessions[client]; sess != nil {
-				sess.RejectedDraining++
-			}
-			s.mu.Unlock()
-			WriteJSON(w, http.StatusServiceUnavailable, APIError{derr.Error()})
-			return
-		case depRejectFull:
-			putLaunchReq(q)
-			s.met.RejectedDepFull.Inc()
-			s.mu.Lock()
-			s.c.RejectedDepFull++
-			if sess := s.sessions[client]; sess != nil {
-				sess.RejectedDepFull++
-			}
-			s.mu.Unlock()
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-			WriteJSON(w, http.StatusTooManyRequests, APIError{derr.Error()})
-			return
-		case depCancelStage:
-			// The stage is registered (and counted) as canceled; it never
-			// becomes queue work, so it stays outside the Enqueued ledger.
-			putLaunchReq(q)
-			s.met.DepCanceled.Inc()
-			s.mu.Lock()
-			s.c.DepCanceled++
-			if sess := s.sessions[client]; sess != nil {
-				sess.DepCanceled++
-			}
-			s.mu.Unlock()
-			WriteJSON(w, http.StatusConflict, APIError{derr.Error()})
-			return
-		case depParkStage:
-			// Parked: the table owns q until a completion releases it or a
-			// cascade cancels it; this handler just waits on q.done. The
-			// session is materialized — a parked stage passed validation and
-			// occupies a bounded table slot, so it is accepted work.
-			parked = true
-			s.mu.Lock()
-			s.session(client)
-			s.mu.Unlock()
-		case depReady:
-			// Prerequisites already complete: admit through the normal
-			// bounded queue below.
-		}
-	}
-
-	if !parked {
-		if err := s.tryEnqueue(q); err != nil {
-			s.rejectLaunch(w, q, client, err)
-			return
-		}
-		s.met.Enqueued.Inc()
-		s.mu.Lock()
-		s.c.Enqueued++
-		s.session(client).Launches++
-		s.mu.Unlock()
 	}
 
 	timeout := s.cfg.RequestTimeout
@@ -386,99 +288,106 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 		// The terminal result arrived, so the loop is finished with q and
 		// this handler holds exclusive ownership again (res is a copy).
 		putLaunchReq(q)
+		status := http.StatusOK
 		if res.Canceled != "" {
-			WriteJSON(w, http.StatusConflict, &res)
-			return
+			status = http.StatusConflict
+		} else if res.Err != "" {
+			status = http.StatusUnprocessableEntity
 		}
-		if res.Err != "" {
-			WriteJSON(w, http.StatusUnprocessableEntity, &res)
-			return
-		}
-		WriteJSON(w, http.StatusOK, &res)
-	//flepvet:allow poolleak -- timeout abandons the wait on purpose; the loop still owns q (see comment below) so recycling here would be a use-after-free
+		WriteJSON(w, status, &res)
 	case <-timer.C:
 		// q is deliberately NOT recycled on the timeout and cancel paths:
 		// the loop (or the dependency table) still owns it until the
 		// buffered terminal send lands, after which nothing references it
 		// and it is garbage collected. The invocation is NOT lost: the loop
 		// finishes and accounts it; only this handler stops waiting.
-		s.met.TimedOut.Inc()
-		s.mu.Lock()
-		s.c.TimedOut++
-		s.session(client).TimedOut++
-		s.mu.Unlock()
+		s.count(outTimedOut, client)
 		WriteJSON(w, http.StatusGatewayTimeout,
 			APIError{"timed out waiting for completion; the invocation still runs to completion"})
-	//flepvet:allow poolleak -- client cancel abandons the wait; ownership of q stays with the loop, same as the timeout arm
 	case <-r.Context().Done():
-		// The launch was accepted, so the session exists; record the
-		// abandonment there too, or /v1/sessions cannot tell a canceled
-		// waiter from a live one.
-		s.met.Canceled.Inc()
-		s.mu.Lock()
-		s.c.Canceled++
-		s.session(client).Canceled++
-		s.mu.Unlock()
+		// q stays with the loop, as in the timeout arm. The session records
+		// the abandonment so /v1/sessions can tell it from a live waiter.
+		s.count(outCanceled, client)
 	}
 }
 
-// rejectLaunch accounts a tryEnqueue failure and answers the client.
-// For graph stages the failure also dooms the stage's descendants: the
-// cascade runs before q is recycled, because depStageFailed reads q's
-// graph coordinates.
-func (s *Server) rejectLaunch(w http.ResponseWriter, q *launchReq, client string, err error) {
+// admitLaunch validates one parsed launch, consults the dependency table
+// and hands the launch to the event loop. It returns the request the
+// loop (or, for a parked stage, the table) now owns, or the outcome that
+// refused it and the error to answer. It takes no ResponseWriter on
+// purpose: a refusal has to name its outcome for the caller to count.
+func (s *Server) admitLaunch(req *LaunchRequest, client string) (*launchReq, outcome, error) {
+	bench, ok := s.benches[req.Benchmark]
+	if !ok {
+		return nil, outRejectedInvalid, errors.New("unknown or unloaded benchmark " + strconv.Quote(req.Benchmark))
+	}
+	class, err := parseClass(req.Class)
+	if err != nil {
+		return nil, outRejectedInvalid, err
+	}
+	prio := req.Priority
+	if prio == 0 {
+		prio = 1
+	}
+	if prio < 0 || req.TasksOverride < 0 || req.Weight < 0 {
+		return nil, outRejectedInvalid, errors.New("priority, weight and tasks_override must be non-negative")
+	}
+	deadline, err := parseSLO(req.SLOClass, req.DeadlineMS)
+	if err != nil {
+		return nil, outRejectedInvalid, err
+	}
+	if err := validateDepSpec(req); err != nil {
+		return nil, outRejectedInvalid, err
+	}
+
+	q := getLaunchReq()
+	q.client, q.bench, q.class = client, bench, class
+	q.priority, q.weight, q.tasksOverride = prio, req.Weight, req.TasksOverride
+	q.deadline = deadline
+	q.graph, q.stage, q.model = req.Graph, req.Stage, req.Model
+	q.after, q.stages = req.After, req.Stages
+	q.enqueuedReal = time.Now()
+
 	if q.graph != "" {
+		parked, refused, err := s.depAdmit(q)
+		if err != nil {
+			// A dep_canceled stage stays registered as canceled; like the
+			// rejects it never becomes queue work or enters the ledger.
+			putLaunchReq(q)
+			return nil, refused, err
+		}
+		if parked {
+			// The table owns q until a completion releases it or a cascade
+			// cancels it. A parked stage passed validation and holds a
+			// bounded table slot, so it is accepted work and gets a session;
+			// it is counted when admitReleased makes it queue work.
+			s.mu.Lock()
+			s.session(client)
+			s.mu.Unlock()
+			return q, outUnset, nil
+		}
+	}
+
+	if err = s.tryEnqueue(q); err == nil {
+		// The loop may already be running q; whichever side reaches the
+		// ledger first counts the enqueue (countEnqueuedLocked).
+		s.countEnqueued(q)
+		return q, outUnset, nil
+	}
+	if q.graph != "" {
+		// The failure also dooms the stage's descendants; the cascade runs
+		// before q is recycled because depStageFailed reads q's graph
+		// coordinates.
 		s.depStageFailed(q)
 	}
 	putLaunchReq(q) // the loop never saw it; safe to recycle now
-	s.mu.Lock()
-	// Record the reject on the client's session only if one already
-	// exists: a launch that never entered the queue must not
-	// materialize per-client state (it would be an unbounded-memory
-	// vector, and the draining path used to create sessions it then
-	// never even recorded the rejection on).
-	sess := s.sessions[client]
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		s.c.RejectedFull++
-		if sess != nil {
-			sess.RejectedFull++
-		}
-		s.met.RejectedFull.Inc()
+		return nil, outRejectedFull, err
 	case errors.Is(err, ErrBestEffortShed):
-		s.c.RejectedShed++
-		if sess != nil {
-			sess.RejectedShed++
-		}
-		s.met.RejectedShed.Inc()
-	default:
-		s.c.RejectedDraining++
-		if sess != nil {
-			sess.RejectedDraining++
-		}
-		s.met.RejectedDraining.Inc()
+		return nil, outRejectedShed, err
 	}
-	s.mu.Unlock()
-	if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrBestEffortShed) {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		WriteJSON(w, http.StatusTooManyRequests, APIError{err.Error()})
-	} else {
-		WriteJSON(w, http.StatusServiceUnavailable, APIError{err.Error()})
-	}
-}
-
-// countInvalid accounts a validation reject. It deliberately does NOT
-// materialize a session: invalid requests carry attacker-controlled
-// client names, and creating state per garbage name is an
-// unbounded-memory vector.
-func (s *Server) countInvalid(client string) {
-	s.met.RejectedInvalid.Inc()
-	s.mu.Lock()
-	s.c.RejectedInvalid++
-	if sess := s.sessions[client]; sess != nil {
-		sess.RejectedInvalid++
-	}
-	s.mu.Unlock()
+	return nil, outRejectedDraining, err
 }
 
 // parseSLO resolves the request's SLO class and deadline into the

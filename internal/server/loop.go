@@ -39,6 +39,10 @@ type launchReq struct {
 	enqueuedReal time.Time // handler enqueue time
 	admitReal    time.Time // loop admission time (queue-wait metric)
 
+	// enqueueCounted: see countEnqueuedLocked. Guarded by Server.mu; the
+	// one field the handler touches after handing the request to the loop.
+	enqueueCounted bool
+
 	done chan LaunchResult
 }
 
@@ -409,14 +413,8 @@ func (s *Server) admit(q *launchReq) {
 		if q.deadline > 0 {
 			s.lcOutstanding.Add(-1)
 		}
-		s.met.SubmitErrors.Inc()
-		//flepvet:allow sharedlock -- bounded counter bump; handlers only copy under s.mu, never block
-		s.mu.Lock()
-		s.c.SubmitErrors++
-		if sess := s.sessions[q.client]; sess != nil {
-			sess.SubmitErrors++
-		}
-		s.mu.Unlock()
+		s.countEnqueued(q)
+		s.count(outSubmitError, q.client)
 		if q.graph != "" {
 			// A failed stage dooms its descendants: cancel parked dependents
 			// now so the graph's outcome is decided deterministically.
@@ -521,10 +519,10 @@ func (s *Server) complete(q *launchReq, fv *flepruntime.Invocation) {
 			s.svcEWMANS.Store(old + (delta-old)/4)
 		}
 	}
-	s.met.Completed.Inc()
 	//flepvet:allow sharedlock -- bounded counter bump; handlers only copy under s.mu, never block
 	s.mu.Lock()
-	s.c.Completed++
+	s.countEnqueuedLocked(q)
+	sess := s.countLocked(outCompleted, q.client)
 	switch res.SLO {
 	case "attained":
 		s.c.SLOAttained++
@@ -533,7 +531,7 @@ func (s *Server) complete(q *launchReq, fv *flepruntime.Invocation) {
 		s.c.SLOMissed++
 		s.sloMarginSum += margin
 	}
-	if sess := s.sessions[q.client]; sess != nil {
+	if sess != nil {
 		sess.noteCompletion(res)
 	}
 	s.mu.Unlock()

@@ -10,15 +10,12 @@ import (
 // struct) onto the observability registry, plus the real-time latency
 // distributions that the JSON counters cannot express. The counters
 // struct under Server.mu stays the source of truth for /v1/status and
-// the exactly-once invariant; these instruments are incremented at the
-// same sites, so `flep_server_launches_total{outcome=...}` reconciles
-// exactly with /v1/status at rest.
+// the exactly-once invariant; countLocked moves both together, so
+// `flep_server_launches_total{outcome=...}` reconciles exactly with
+// /v1/status at rest.
 type serverMetrics struct {
-	// Launch outcomes, labeled so one family tells the whole admission
-	// story: enqueued (accepted into the queue), completed, submit_error
-	// (runtime rejection), rejected_queue_full, rejected_draining,
-	// rejected_invalid, timed_out (handler gave up; invocation ran on),
-	// canceled (client went away).
+	// Launch outcomes, one per outcome constant, labeled so one family
+	// tells the whole admission story. Only countLocked increments them.
 	Enqueued         *obs.Counter
 	Completed        *obs.Counter
 	SubmitErrors     *obs.Counter

@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"strconv"
 	"sync"
@@ -168,6 +169,134 @@ type counters struct {
 	// off a full pending-dependency table.
 	DepCanceled     int64 `json:"dep_canceled"`
 	RejectedDepFull int64 `json:"rejected_dep_table_full"`
+}
+
+// outcome names one launch-accounting family: the ledger's terminal
+// families plus the timed_out/canceled annotations on a waiter that gave
+// up. The zero value is not an outcome, so a path that forgets to name
+// one panics in countLocked instead of answering uncounted.
+type outcome int
+
+const (
+	outUnset outcome = iota
+	outEnqueued
+	outCompleted
+	outSubmitError
+	outRejectedFull
+	outRejectedShed
+	outRejectedDraining
+	outRejectedInvalid
+	outRejectedDepFull
+	outDepCanceled
+	outTimedOut
+	outCanceled
+)
+
+// refusalStatus is the HTTP status that answers a launch refused with
+// each outcome (zero, which net/http rejects, where nothing is refused).
+var refusalStatus = [outCanceled + 1]int{
+	outRejectedInvalid:  http.StatusBadRequest,
+	outRejectedDraining: http.StatusServiceUnavailable,
+	outDepCanceled:      http.StatusConflict,
+	outRejectedFull:     http.StatusTooManyRequests,
+	outRejectedShed:     http.StatusTooManyRequests,
+	outRejectedDepFull:  http.StatusTooManyRequests,
+}
+
+// count applies one launch outcome; see countLocked.
+func (s *Server) count(o outcome, client string) {
+	//flepvet:allow sharedlock -- bounded counter bump; handlers only copy under s.mu, never block
+	s.mu.Lock()
+	s.countLocked(o, client)
+	s.mu.Unlock()
+}
+
+// countEnqueued counts q's entry into the ledger; see countEnqueuedLocked.
+func (s *Server) countEnqueued(q *launchReq) {
+	//flepvet:allow sharedlock -- bounded counter bump; handlers only copy under s.mu, never block
+	s.mu.Lock()
+	s.countEnqueuedLocked(q)
+	s.mu.Unlock()
+}
+
+// countEnqueuedLocked counts q as enqueued exactly once, from whichever
+// side of the hand-off gets here first: the handler right after
+// tryEnqueue, or the loop when a trivial kernel reaches its terminal
+// outcome before the handler runs again. Every terminal count on the
+// loop calls it first, so Enqueued is counted — and the session exists —
+// before Completed or SubmitErrors can be. Callers hold s.mu.
+func (s *Server) countEnqueuedLocked(q *launchReq) {
+	if !q.enqueueCounted {
+		q.enqueueCounted = true
+		s.countLocked(outEnqueued, q.client)
+	}
+}
+
+// countLocked is the one place a launch outcome is counted: it moves the
+// same family in the /metrics counter, the /v1/status counters and the
+// client's /v1/sessions row, so the three views cannot drift. Callers
+// hold s.mu. Only accepted work materializes a session (enqueued, and
+// timed_out/canceled on its waiter); a refusal is recorded on an existing
+// session only, because refused requests carry attacker-controlled names
+// and state per garbage name is unbounded memory. Returns the session.
+func (s *Server) countLocked(o outcome, client string) *Session {
+	sess := s.sessions[client]
+	if sess == nil && (o == outEnqueued || o == outTimedOut || o == outCanceled) {
+		sess = s.session(client)
+	}
+	row := sess
+	if row == nil {
+		row = &Session{} // discarded: the family moves in the other two views only
+	}
+	switch o {
+	case outEnqueued:
+		s.met.Enqueued.Inc()
+		s.c.Enqueued++
+		row.Launches++
+	case outCompleted:
+		s.met.Completed.Inc()
+		s.c.Completed++
+		row.Completed++
+	case outSubmitError:
+		s.met.SubmitErrors.Inc()
+		s.c.SubmitErrors++
+		row.SubmitErrors++
+	case outRejectedFull:
+		s.met.RejectedFull.Inc()
+		s.c.RejectedFull++
+		row.RejectedFull++
+	case outRejectedShed:
+		s.met.RejectedShed.Inc()
+		s.c.RejectedShed++
+		row.RejectedShed++
+	case outRejectedDraining:
+		s.met.RejectedDraining.Inc()
+		s.c.RejectedDraining++
+		row.RejectedDraining++
+	case outRejectedInvalid:
+		s.met.RejectedInvalid.Inc()
+		s.c.RejectedInvalid++
+		row.RejectedInvalid++
+	case outRejectedDepFull:
+		s.met.RejectedDepFull.Inc()
+		s.c.RejectedDepFull++
+		row.RejectedDepFull++
+	case outDepCanceled:
+		s.met.DepCanceled.Inc()
+		s.c.DepCanceled++
+		row.DepCanceled++
+	case outTimedOut:
+		s.met.TimedOut.Inc()
+		s.c.TimedOut++
+		row.TimedOut++
+	case outCanceled:
+		s.met.Canceled.Inc()
+		s.c.Canceled++
+		row.Canceled++
+	default:
+		panic(fmt.Sprintf("server: counting invalid launch outcome %d", o))
+	}
+	return sess
 }
 
 type soloKey struct {

@@ -38,9 +38,9 @@ type Session struct {
 	SLOMarginSumNS int64
 }
 
-// noteCompletion folds a finished invocation into the session.
+// noteCompletion folds a finished invocation's timings into the session
+// (countLocked has already counted the completion itself).
 func (sess *Session) noteCompletion(res LaunchResult) {
-	sess.Completed++
 	sess.Preemptions += int64(res.Preemptions)
 	sess.TotalTurnaroundNS += res.TurnaroundNS
 	sess.TotalWaitingNS += res.WaitingNS
