@@ -50,6 +50,7 @@ import (
 	"syscall"
 	"time"
 
+	"flep/internal/flepruntime"
 	"flep/internal/replay"
 	"flep/internal/server"
 )
@@ -57,7 +58,7 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":7450", "listen address")
-		policy       = flag.String("policy", "hpf", "scheduling policy: hpf, hpf-naive, ffs, fifo, or edf")
+		policy       = flag.String("policy", "hpf", "scheduling policy: "+flepruntime.PolicyList())
 		spatial      = flag.Bool("spatial", false, "enable spatial preemption (HPF only)")
 		spatialSMs   = flag.Int("spatial-sms", 0, "override yielded SM count for spatial preemption")
 		maxOverhead  = flag.Float64("max-overhead", 0.10, "FFS overhead budget")

@@ -299,25 +299,19 @@ func reportMetricsDeltas(before, after obs.Snapshot, wall time.Duration) {
 	// node's exposition relabeled with node=<id>; splitting the deltas by
 	// that label recovers each node's share of the run without asking the
 	// nodes directly.
-	nodes := after.LabelValues("flep_server_launches_total", "node")
-	if len(nodes) < 2 {
-		return
-	}
-	fmt.Printf("per node (node-labeled metrics deltas):\n")
-	for _, id := range nodes {
+	groups := map[string]*group{}
+	for _, id := range after.LabelValues("flep_server_launches_total", "node") {
 		dn := func(name string, pairs ...string) float64 {
-			pairs = append(pairs, "node", id)
-			return after.SumMatching(name, pairs...) - before.SumMatching(name, pairs...)
+			return d(name, append(pairs, "node", id)...)
 		}
-		completed := dn("flep_server_launches_total", "outcome", "completed")
-		antt := 0.0
-		if n := dn("flep_server_ntt_count"); n > 0 {
-			antt = dn("flep_server_ntt_sum") / n
+		groups["node "+id] = &group{
+			ok:          dn("flep_server_launches_total", "outcome", "completed"),
+			nttSum:      dn("flep_server_ntt_sum"),
+			nttN:        dn("flep_server_ntt_count"),
+			preemptions: dn("flep_runtime_preemptions_total"),
 		}
-		fmt.Printf("  node %s:     completed=%.0f  throughput %.1f launches/s  ANTT %.3f  preemptions=%.0f\n",
-			id, completed, completed/wall.Seconds(), antt,
-			dn("flep_runtime_preemptions_total"))
 	}
+	writeGroups(os.Stdout, "per node (node-labeled metrics deltas)", groups, wall)
 }
 
 // secs renders a float seconds value as a duration.
@@ -763,61 +757,71 @@ func report(st *stats, wall time.Duration) {
 		}
 	}
 
-	// Per-node breakdown when the target is a flepgw cluster: each node's
-	// share of the completions, as seen from the client side via the
-	// X-Flep-Node header. The metrics-delta report adds the server-side
-	// view of the same split.
-	perNode := map[string][]sample{}
-	for _, s := range st.samples {
-		perNode[s.node] = append(perNode[s.node], s)
-	}
-	if len(perNode) > 1 {
-		nodeIDs := make([]string, 0, len(perNode))
-		for id := range perNode {
-			nodeIDs = append(nodeIDs, id)
-		}
-		sort.Strings(nodeIDs)
-		fmt.Printf("per node:\n")
-		for _, id := range nodeIDs {
-			ss := perNode[id]
-			var ntt float64
-			var pre int
-			for _, s := range ss {
-				ntt += s.ntt
-				pre += s.preemptions
-			}
-			fmt.Printf("  node %s:     ok=%d (%4.1f%%)  throughput %.1f launches/s  ANTT %.3f  preemptions=%d\n",
-				id, len(ss), 100*float64(len(ss))/float64(n),
-				float64(len(ss))/wall.Seconds(), ntt/float64(len(ss)), pre)
-		}
-	}
+	// Per-node breakdown when the target is a flepgw cluster, as seen from
+	// the client side via the X-Flep-Node header (the metrics-delta report
+	// adds the server-side view of the same split), and per-shard
+	// breakdown when the daemon is a fleet.
+	writeGroups(os.Stdout, "per node", groupSamples(st.samples, func(s sample) string { return "node " + s.node }), wall)
+	writeGroups(os.Stdout, "per device", groupSamples(st.samples, func(s sample) string { return fmt.Sprintf("device %d", s.device) }), wall)
+}
 
-	// Per-shard breakdown when the daemon is a fleet: each device's share
-	// of the completions, its throughput, and its ANTT.
-	perDev := map[int][]sample{}
-	for _, s := range st.samples {
-		perDev[s.device] = append(perDev[s.device], s)
+// group is one key's share of a run's completions.
+type group struct {
+	ok          float64 // completions (float: the /metrics view counts in float64)
+	nttSum      float64
+	nttN        float64 // NTT terms summed; ANTT = nttSum / nttN
+	preemptions float64
+}
+
+// groupSamples folds the client-side samples by key.
+func groupSamples(samples []sample, key func(sample) string) map[string]*group {
+	groups := map[string]*group{}
+	for _, s := range samples {
+		g := groups[key(s)]
+		if g == nil {
+			g = &group{}
+			groups[key(s)] = g
+		}
+		g.ok++
+		g.nttSum += s.ntt
+		g.nttN++
+		g.preemptions += float64(s.preemptions)
 	}
-	if len(perDev) <= 1 {
+	return groups
+}
+
+// writeGroups prints the one per-key breakdown of a run — each key's
+// completions, share of the total, throughput, ANTT and preemptions —
+// under title. A run that never split (fewer than two keys) prints
+// nothing. Keys sort shorter-first so "device 2" precedes "device 10".
+func writeGroups(w io.Writer, title string, groups map[string]*group, wall time.Duration) {
+	if len(groups) < 2 {
 		return
 	}
-	devs := make([]int, 0, len(perDev))
-	for d := range perDev {
-		devs = append(devs, d)
+	keys := make([]string, 0, len(groups))
+	total := 0.0
+	for k, g := range groups {
+		keys = append(keys, k)
+		total += g.ok
 	}
-	sort.Ints(devs)
-	fmt.Printf("per device:\n")
-	for _, d := range devs {
-		ss := perDev[d]
-		var ntt float64
-		var pre int
-		for _, s := range ss {
-			ntt += s.ntt
-			pre += s.preemptions
+	sort.Slice(keys, func(i, j int) bool {
+		if len(keys[i]) != len(keys[j]) {
+			return len(keys[i]) < len(keys[j])
 		}
-		fmt.Printf("  device %d:    ok=%d (%4.1f%%)  throughput %.1f launches/s  ANTT %.3f  preemptions=%d\n",
-			d, len(ss), 100*float64(len(ss))/float64(n),
-			float64(len(ss))/wall.Seconds(), ntt/float64(len(ss)), pre)
+		return keys[i] < keys[j]
+	})
+	fmt.Fprintf(w, "%s:\n", title)
+	for _, k := range keys {
+		g := groups[k]
+		share, antt := 0.0, 0.0
+		if total > 0 {
+			share = 100 * g.ok / total
+		}
+		if g.nttN > 0 {
+			antt = g.nttSum / g.nttN
+		}
+		fmt.Fprintf(w, "  %-12s ok=%.0f (%4.1f%%)  throughput %.1f launches/s  ANTT %.3f  preemptions=%.0f\n",
+			k+":", g.ok, share, g.ok/wall.Seconds(), antt, g.preemptions)
 	}
 }
 

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -52,6 +54,51 @@ func TestPercentile(t *testing.T) {
 	for _, q := range []int{0, 50, 99, 100} {
 		if p := percentile(one, q); p != 42 {
 			t.Fatalf("p%d of singleton = %v", q, p)
+		}
+	}
+}
+
+// writeGroups is the one per-key breakdown behind "per node", "per
+// device" and the node-labeled metrics deltas; the table pins its output
+// for each source.
+func TestWriteGroups(t *testing.T) {
+	samples := []sample{
+		{device: 0, node: "n0", ntt: 1.0, preemptions: 1},
+		{device: 0, node: "n0", ntt: 2.0},
+		{device: 2, node: "n1", ntt: 3.0, preemptions: 2},
+		{device: 10, node: "n1", ntt: 6.0},
+	}
+	byNode := func(s sample) string { return "node " + s.node }
+	byDevice := func(s sample) string { return fmt.Sprintf("device %d", s.device) }
+	for _, tc := range []struct {
+		name   string
+		title  string
+		groups map[string]*group
+		want   string
+	}{
+		{"samples by node", "per node", groupSamples(samples, byNode), "" +
+			"per node:\n" +
+			"  node n0:     ok=2 (50.0%)  throughput 1.0 launches/s  ANTT 1.500  preemptions=1\n" +
+			"  node n1:     ok=2 (50.0%)  throughput 1.0 launches/s  ANTT 4.500  preemptions=2\n"},
+		{"samples by device, numeric order", "per device", groupSamples(samples, byDevice), "" +
+			"per device:\n" +
+			"  device 0:    ok=2 (50.0%)  throughput 1.0 launches/s  ANTT 1.500  preemptions=1\n" +
+			"  device 2:    ok=1 (25.0%)  throughput 0.5 launches/s  ANTT 3.000  preemptions=2\n" +
+			"  device 10:   ok=1 (25.0%)  throughput 0.5 launches/s  ANTT 6.000  preemptions=0\n"},
+		{"metrics deltas, ANTT over the NTT terms only", "per node (node-labeled metrics deltas)", map[string]*group{
+			"node a": {ok: 30, nttSum: 40, nttN: 20, preemptions: 7},
+			"node b": {ok: 10},
+		}, "" +
+			"per node (node-labeled metrics deltas):\n" +
+			"  node a:      ok=30 (75.0%)  throughput 15.0 launches/s  ANTT 2.000  preemptions=7\n" +
+			"  node b:      ok=10 (25.0%)  throughput 5.0 launches/s  ANTT 0.000  preemptions=0\n"},
+		{"one key is no split", "per device", groupSamples(samples[:2], byDevice), ""},
+		{"no samples", "per node", groupSamples(nil, byNode), ""},
+	} {
+		var buf bytes.Buffer
+		writeGroups(&buf, tc.title, tc.groups, 2*time.Second)
+		if got := buf.String(); got != tc.want {
+			t.Errorf("%s:\ngot:\n%s\nwant:\n%s", tc.name, got, tc.want)
 		}
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"strings"
 	"time"
 
+	"flep/internal/flepruntime"
 	"flep/internal/replay"
 )
 
@@ -174,7 +175,7 @@ func cmdReplay(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	var (
 		tracePath  = fs.String("trace", "", "trace path (rotated segments path.N are merged in)")
-		policy     = fs.String("policy", "", "override policy: hpf, hpf-naive, ffs, fifo, edf (empty = as recorded)")
+		policy     = fs.String("policy", "", "override policy: "+flepruntime.PolicyList()+" (empty = as recorded)")
 		devices    = fs.Int("devices", 0, "override device count (0 = as recorded)")
 		lOverride  = fs.Int("L", 0, "override the amortizing factor for every kernel (0 = tuned)")
 		spa        = fs.Int("spa", 0, "spatial preemption: >0 enables with that many yielded SMs, -1 forces off, 0 = as recorded")

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	cl "flep/internal/cudalite"
+	"flep/internal/flepruntime"
 	"flep/internal/gpu"
 	"flep/internal/hostexec"
 )
@@ -38,7 +39,7 @@ func main() {
 	flag.Var(&hosts, "host", "host function to run: FUNC[:PRIORITY[:DELAY_US[:async]]] (repeatable)")
 	n := flag.Int("n", 4096, "synthesized problem size (buffer elements / int args)")
 	spatial := flag.Bool("spatial", false, "enable spatial preemption")
-	policy := flag.String("policy", "hpf", "scheduling policy: hpf or ffs")
+	policy := flag.String("policy", "hpf", "scheduling policy: "+flepruntime.PolicyList())
 	traceOut := flag.Bool("trace", false, "print the event trace")
 	flag.Parse()
 

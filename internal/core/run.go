@@ -16,7 +16,8 @@ import (
 
 // Options configure an online run.
 type Options struct {
-	// Policy is "hpf" (default) or "ffs".
+	// Policy names the scheduling policy (see flepruntime.NewPolicy;
+	// empty = hpf).
 	Policy string
 	// Spatial enables spatial preemption (HPF only).
 	Spatial bool
@@ -74,36 +75,57 @@ func (r *RunResult) ResultFor(kernel string) *KernelResult {
 	return nil
 }
 
+// runScenario is the one scenario loop under every executor: it schedules
+// each item's arrival on eng, hands every (re)submission to launch — which
+// must call done exactly once when that launch completes, with the
+// timings filled in — resubmits closed-loop items until the horizon, and
+// runs the engine to the horizon (or to drain when there is none).
+func runScenario(eng *sim.Engine, sc workload.Scenario, launch func(item workload.Item, done func(KernelResult))) *RunResult {
+	res := &RunResult{Scenario: sc.Name, Completions: map[string]int{}}
+	for _, item := range sc.Items {
+		item := item
+		var submit func()
+		submit = func() {
+			launch(item, func(r KernelResult) {
+				r.Kernel, r.Class, r.Priority = item.Bench.Name, item.Class, item.Priority
+				res.Completions[item.Bench.Name]++
+				res.Results = append(res.Results, r)
+				if item.Loop && (sc.Horizon == 0 || eng.Now() < sc.Horizon) {
+					submit()
+				}
+			})
+		}
+		eng.Schedule(item.At, submit)
+	}
+	if sc.Horizon > 0 {
+		eng.RunUntil(sc.Horizon)
+	} else {
+		eng.Run()
+	}
+	res.Makespan = eng.Now()
+	return res
+}
+
 // RunFLEP executes a scenario under the FLEP runtime engine.
 func (s *System) RunFLEP(sc workload.Scenario, opt Options) (*RunResult, error) {
-	eng := sim.New()
-	dev := gpu.New(eng, s.Par)
-	var policy flepruntime.Policy
-	switch opt.Policy {
-	case "", "hpf":
-		policy = flepruntime.NewHPF()
-	case "hpf-naive":
-		h := flepruntime.NewHPF()
-		h.OverheadAware = false
-		policy = h
-	case "ffs":
-		f := flepruntime.NewFFS(opt.MaxOverhead)
-		f.Weights = opt.Weights
-		policy = f
-	default:
-		return nil, fmt.Errorf("core: unknown policy %q", opt.Policy)
+	for _, item := range sc.Items {
+		if s.arts[item.Bench.Name] == nil {
+			return nil, fmt.Errorf("core: no artifacts for %s (run Offline first)", item.Bench.Name)
+		}
 	}
-	res := &RunResult{Scenario: sc.Name, Completions: map[string]int{}}
 	var log *trace.Log
 	if opt.Trace {
 		log = &trace.Log{}
-		dev.Observer = log.DeviceObserver()
+	}
+	st, err := s.NewStack(opt, log, nil, nil)
+	if err != nil {
+		return nil, err
 	}
 	var acc *metrics.ShareAccumulator
 	if opt.ShareWindow > 0 {
 		acc = metrics.NewShareAccumulator(opt.ShareWindow)
-		prev := dev.Observer
-		dev.Observer = func(ev gpu.Event) {
+		prev := st.Dev.Observer
+		st.Dev.Observer = func(ev gpu.Event) {
 			if prev != nil {
 				prev(ev)
 			}
@@ -115,101 +137,39 @@ func (s *System) RunFLEP(sc workload.Scenario, opt Options) (*RunResult, error) 
 			}
 		}
 	}
-	rt := flepruntime.New(dev, flepruntime.Config{
-		Policy:        policy,
-		EnableSpatial: opt.Spatial,
-		SpatialSMs:    opt.SpatialSMs,
-		OverheadEstimate: func(kernel string) time.Duration {
-			if a := s.arts[kernel]; a != nil {
-				return a.PreemptOverhead
+	res := runScenario(st.Eng, sc, func(item workload.Item, done func(KernelResult)) {
+		v, err := st.NewInvocation(Launch{
+			Bench: item.Bench, Class: item.Class,
+			TasksOverride: item.TasksOverride, Priority: item.Priority,
+		})
+		if err == nil {
+			v.OnFinish = func(fv *flepruntime.Invocation) {
+				done(KernelResult{
+					SubmittedAt: fv.SubmittedAt(), FinishedAt: fv.FinishedAt(),
+					Waiting: fv.Tw, Preemptions: fv.Preemptions,
+				})
 			}
-			return 0
-		},
-		Log: log,
+			err = st.RT.Submit(v)
+		}
+		if err != nil {
+			panic(fmt.Sprintf("core: submit %s: %v", item.Bench.Name, err))
+		}
 	})
-
-	for _, item := range sc.Items {
-		item := item
-		a := s.arts[item.Bench.Name]
-		if a == nil {
-			return nil, fmt.Errorf("core: no artifacts for %s (run Offline first)", item.Bench.Name)
-		}
-		submit := func() {}
-		submit = func() {
-			in := item.Bench.Input(item.Class)
-			if item.TasksOverride > 0 {
-				in.Tasks = item.TasksOverride
-				in.Bytes = int64(in.Tasks) * item.Bench.BytesPerTask
-			}
-			te, _ := s.Predict(item.Bench, in)
-			v := &flepruntime.Invocation{
-				Kernel:   item.Bench.Name,
-				Priority: item.Priority,
-				Profile:  a.Profile,
-				Tasks:    in.Tasks,
-				TaskCost: in.TaskCost,
-				L:        a.L,
-				// The resident footprint is well below the logical
-				// access volume (Bytes) thanks to reuse; /8 puts the
-				// largest benchmark near 3.5 GB, comfortably inside the
-				// K40's 12 GB as the paper assumes (§8).
-				WorkingSet: in.Bytes / 8,
-				Te:         te,
-				OnFinish: func(fv *flepruntime.Invocation) {
-					res.Completions[item.Bench.Name]++
-					res.Results = append(res.Results, KernelResult{
-						Kernel: item.Bench.Name, Class: item.Class,
-						Priority:    item.Priority,
-						SubmittedAt: fv.SubmittedAt(), FinishedAt: fv.FinishedAt(),
-						Waiting:     fv.Tw,
-						Preemptions: fv.Preemptions,
-					})
-					if item.Loop && (sc.Horizon == 0 || eng.Now() < sc.Horizon) {
-						submit()
-					}
-				},
-			}
-			if err := rt.Submit(v); err != nil {
-				panic(fmt.Sprintf("core: submit %s: %v", item.Bench.Name, err))
-			}
-		}
-		eng.Schedule(item.At, submit)
-	}
-
-	if sc.Horizon > 0 {
-		eng.RunUntil(sc.Horizon)
-	} else {
-		eng.Run()
-	}
-	res.Makespan = eng.Now()
 	if acc != nil {
-		res.Shares = acc.Samples(eng.Now())
+		res.Shares = acc.Samples(st.Eng.Now())
 	}
 	res.Log = log
 	return res, nil
 }
 
-// baselineKind selects the non-FLEP executor for RunBaseline.
-type baselineKind int
-
-// Baseline executors.
-const (
-	// BaselineMPS is the default MPS FIFO co-run.
-	BaselineMPS baselineKind = iota
-	// BaselineReorder is shortest-predicted-first kernel reordering.
-	BaselineReorder
-	// BaselineSliced is kernel slicing (120-CTA sub-kernels by default).
-	BaselineSliced
-)
-
 // RunMPS executes a scenario under the MPS FIFO baseline.
 func (s *System) RunMPS(sc workload.Scenario) (*RunResult, error) {
-	return s.runBaseline(sc, BaselineMPS, 0)
+	return s.runBaseline(sc, func(dev *gpu.Device) func(*baselines.Job) { return baselines.NewMPS(dev).Submit })
 }
 
 // RunReorder executes a scenario under the kernel-reordering baseline.
 func (s *System) RunReorder(sc workload.Scenario) (*RunResult, error) {
-	return s.runBaseline(sc, BaselineReorder, 0)
+	return s.runBaseline(sc, func(dev *gpu.Device) func(*baselines.Job) { return baselines.NewReorder(dev).Submit })
 }
 
 // RunSliced executes a scenario under the kernel-slicing baseline with the
@@ -218,73 +178,38 @@ func (s *System) RunSliced(sc workload.Scenario, sliceTasks int) (*RunResult, er
 	if sliceTasks <= 0 {
 		sliceTasks = 120
 	}
-	return s.runBaseline(sc, BaselineSliced, sliceTasks)
+	return s.runBaseline(sc, func(dev *gpu.Device) func(*baselines.Job) { return baselines.NewSlicer(dev, sliceTasks).Submit })
 }
 
-func (s *System) runBaseline(sc workload.Scenario, kind baselineKind, sliceTasks int) (*RunResult, error) {
+// runBaseline executes a scenario under the non-FLEP executor newExec
+// builds on a fresh device (it returns the executor's submit function).
+func (s *System) runBaseline(sc workload.Scenario, newExec func(*gpu.Device) func(*baselines.Job)) (*RunResult, error) {
 	eng := sim.New()
-	dev := gpu.New(eng, s.Par)
-	res := &RunResult{Scenario: sc.Name, Completions: map[string]int{}}
-
-	var submitJob func(j *baselines.Job)
-	switch kind {
-	case BaselineMPS:
-		m := baselines.NewMPS(dev)
-		submitJob = m.Submit
-	case BaselineReorder:
-		r := baselines.NewReorder(dev)
-		submitJob = r.Submit
-	case BaselineSliced:
-		sl := baselines.NewSlicer(dev, sliceTasks)
-		submitJob = sl.Submit
-	}
-
+	submitJob := newExec(gpu.New(eng, s.Par))
+	profiles := map[string]*gpu.KernelProfile{}
 	for _, item := range sc.Items {
-		item := item
 		profile, err := item.Bench.Profile(s.Par.Limits)
 		if err != nil {
 			return nil, err
 		}
-		submit := func() {}
-		submit = func() {
-			in := item.Bench.Input(item.Class)
-			if item.TasksOverride > 0 {
-				in.Tasks = item.TasksOverride
-				in.Bytes = int64(in.Tasks) * item.Bench.BytesPerTask
-			}
-			var predicted time.Duration
-			if a := s.arts[item.Bench.Name]; a != nil {
-				predicted, _ = s.Predict(item.Bench, in)
-			}
-			j := &baselines.Job{
-				Kernel: item.Bench.Name, Priority: item.Priority,
-				Profile: profile, Tasks: in.Tasks, TaskCost: in.TaskCost,
-				Predicted: predicted,
-				OnFinish: func(fj *baselines.Job) {
-					res.Completions[item.Bench.Name]++
-					res.Results = append(res.Results, KernelResult{
-						Kernel: item.Bench.Name, Class: item.Class,
-						Priority:    item.Priority,
-						SubmittedAt: fj.SubmittedAt(), FinishedAt: fj.FinishedAt(),
-						Waiting: fj.Waiting(),
-					})
-					if item.Loop && (sc.Horizon == 0 || eng.Now() < sc.Horizon) {
-						submit()
-					}
-				},
-			}
-			submitJob(j)
-		}
-		eng.Schedule(item.At, submit)
+		profiles[item.Bench.Name] = profile
 	}
-
-	if sc.Horizon > 0 {
-		eng.RunUntil(sc.Horizon)
-	} else {
-		eng.Run()
-	}
-	res.Makespan = eng.Now()
-	return res, nil
+	return runScenario(eng, sc, func(item workload.Item, done func(KernelResult)) {
+		in := item.Bench.LaunchInput(item.Class, item.TasksOverride)
+		// Zero before Offline: the baselines run without artifacts.
+		predicted, _ := s.Predict(item.Bench, in)
+		submitJob(&baselines.Job{
+			Kernel: item.Bench.Name, Priority: item.Priority,
+			Profile: profiles[item.Bench.Name], Tasks: in.Tasks, TaskCost: in.TaskCost,
+			Predicted: predicted,
+			OnFinish: func(fj *baselines.Job) {
+				done(KernelResult{
+					SubmittedAt: fj.SubmittedAt(), FinishedAt: fj.FinishedAt(),
+					Waiting: fj.Waiting(),
+				})
+			},
+		})
+	}), nil
 }
 
 // KernelRuns converts a run result into metrics.KernelRun records,

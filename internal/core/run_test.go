@@ -74,29 +74,6 @@ func TestResultForMissing(t *testing.T) {
 	}
 }
 
-func TestTasksOverrideRespected(t *testing.T) {
-	s := testSystem(t)
-	nn, _ := kernels.ByName("NN")
-	cfd, _ := kernels.ByName("CFD")
-	sc := workload.SpatialPair(nn, cfd)
-	sc.Items[1].TasksOverride = 16
-	res, err := s.RunFLEP(sc, Options{Policy: "hpf", Spatial: true, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With only 16 CTAs (2 SMs at occupancy 8), the spatial drain must
-	// free exactly 2 SMs.
-	saw := false
-	for _, e := range res.Log.Filter("drained") {
-		if e.Kernel == "CFD" && e.SMHi-e.SMLo == 2 {
-			saw = true
-		}
-	}
-	if !saw {
-		t.Fatal("16-CTA override did not yield a 2-SM spatial drain")
-	}
-}
-
 func TestFigure9StyleDelayBeyondCompletion(t *testing.T) {
 	s := testSystem(t)
 	spmv, _ := kernels.ByName("SPMV")

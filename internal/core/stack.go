@@ -1,0 +1,128 @@
+package core
+
+import (
+	"time"
+
+	"flep/internal/flepruntime"
+	"flep/internal/gpu"
+	"flep/internal/kernels"
+	"flep/internal/obs"
+	"flep/internal/sim"
+	"flep/internal/trace"
+)
+
+// Stack is the one launch path below HTTP: a fresh engine, device and
+// FLEP runtime wired to a system's offline artifacts. RunFLEP, flepd's
+// event loop and the replayer each build one per simulated device and
+// turn every launch into an invocation through NewInvocation, so a policy
+// comparison across drivers compares the same mechanism. It is not safe
+// for concurrent use; whoever steps Eng owns it.
+type Stack struct {
+	Eng *sim.Engine
+	Dev *gpu.Device
+	RT  *flepruntime.Runtime
+	// DevMetrics is the device's instrument set (nil without a registry).
+	DevMetrics *gpu.DeviceMetrics
+
+	sys *System
+	ffs *flepruntime.FFS // non-nil iff the policy is FFS
+}
+
+// NewStack builds a stack on the system's device model under opt's policy
+// and spatial knobs (opt.ShareWindow and opt.Trace are RunFLEP's own). The
+// optional log receives device and runtime events, the optional registry
+// the device and runtime instruments, and onDrained every realized
+// preemption drain with its latency.
+func (s *System) NewStack(opt Options, log *trace.Log, reg *obs.Registry,
+	onDrained func(v *flepruntime.Invocation, latency time.Duration)) (*Stack, error) {
+	policy, err := flepruntime.NewPolicy(opt.Policy, opt.MaxOverhead, opt.Weights)
+	if err != nil {
+		return nil, err
+	}
+	st := &Stack{Eng: sim.New(), sys: s}
+	st.Dev = gpu.New(st.Eng, s.Par)
+	st.ffs, _ = policy.(*flepruntime.FFS)
+	cfg := flepruntime.Config{
+		Policy:        policy,
+		EnableSpatial: opt.Spatial,
+		SpatialSMs:    opt.SpatialSMs,
+		OverheadEstimate: func(kernel string) time.Duration {
+			if a := s.arts[kernel]; a != nil {
+				return a.PreemptOverhead
+			}
+			return 0
+		},
+		OnPreemptDrained: onDrained,
+		Log:              log,
+	}
+	if reg != nil {
+		st.DevMetrics = gpu.NewDeviceMetrics(reg)
+		st.Dev.Instrument(st.DevMetrics)
+		cfg.Metrics = flepruntime.NewMetrics(reg)
+	}
+	if log != nil {
+		st.Dev.Observer = log.DeviceObserver()
+	}
+	st.RT = flepruntime.New(st.Dev, cfg)
+	return st, nil
+}
+
+// Launch describes one kernel launch the way every driver receives it.
+type Launch struct {
+	Bench *kernels.Benchmark
+	Class kernels.InputClass
+	// TasksOverride replaces the class's task count when positive.
+	TasksOverride int
+	Priority      int
+	// Weight, when positive, is the tenant's requested FFS share.
+	Weight float64
+	// Budget is the SLO budget in virtual time from now (zero =
+	// best-effort).
+	Budget time.Duration
+	// Dependent marks a model-graph stage.
+	Dependent bool
+	// L overrides the tuned amortizing factor when positive.
+	L int
+}
+
+// NewInvocation translates a launch into the invocation the runtime
+// schedules: the artifacts' profile, the tuned or overridden L, the
+// predicted Te of the resolved input, its working set, and the deadline
+// stamped on the stack's clock as now + Budget, so a replay that re-applies
+// the budget at its own submission instant reproduces attainment exactly.
+// The caller sets OnFinish and submits. It fails only for a benchmark the
+// offline phase has not processed.
+func (st *Stack) NewInvocation(l Launch) (*flepruntime.Invocation, error) {
+	in := l.Bench.LaunchInput(l.Class, l.TasksOverride)
+	te, err := st.sys.Predict(l.Bench, in)
+	if err != nil {
+		return nil, err
+	}
+	a := st.sys.arts[l.Bench.Name]
+	if st.ffs != nil && l.Weight > 0 {
+		// Scope the requested share weight to this tenant's kernel: keying
+		// by priority level would let two tenants at the same priority
+		// clobber each other's share, and a departed tenant's weight would
+		// linger forever. The per-kernel entry is evicted with the kernel's
+		// overhead record when the tenant departs (FFS.OnCompletion).
+		st.ffs.SetKernelWeight(l.Bench.Name, l.Weight)
+	}
+	v := &flepruntime.Invocation{
+		Kernel:     l.Bench.Name,
+		Priority:   l.Priority,
+		Profile:    a.Profile,
+		Tasks:      in.Tasks,
+		TaskCost:   in.TaskCost,
+		L:          a.L,
+		WorkingSet: in.WorkingSet(),
+		Te:         te,
+		Dependent:  l.Dependent,
+	}
+	if l.L > 0 {
+		v.L = l.L
+	}
+	if l.Budget > 0 {
+		v.Deadline = st.Eng.Now() + l.Budget
+	}
+	return v, nil
+}

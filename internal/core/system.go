@@ -129,9 +129,9 @@ func (s *System) buildArtifacts(b *kernels.Benchmark) (*Artifacts, error) {
 	// Offline tuning: smallest L with single-run overhead under 4%,
 	// measured on the large input (§4.1).
 	large := b.Input(kernels.Large)
-	orig := s.simSolo(profile, large.Tasks, large.TaskCost, execOriginal, 0)
+	orig := s.simSolo(profile, large, 0)
 	a.L, a.TunedOverhead, a.TuneOK = transform.Autotune(func(L int) float64 {
-		t := s.simSolo(profile, large.Tasks, large.TaskCost, execPersistent, L)
+		t := s.simSolo(profile, large, L)
 		return (t - orig).Seconds() / orig.Seconds()
 	}, transform.DefaultOverheadThreshold, transform.DefaultMaxAmortize)
 
@@ -141,7 +141,7 @@ func (s *System) buildArtifacts(b *kernels.Benchmark) (*Artifacts, error) {
 	for i := 0; i < 100; i++ {
 		scale := float64(i%100+1) / 100
 		in := b.ScaledInput(scale, int64(i))
-		dur := s.simSolo(profile, in.Tasks, in.TaskCost, execOriginal, 0)
+		dur := s.simSolo(profile, in, 0)
 		samples = append(samples, perfmodel.Sample{
 			F:        s.features(b, in),
 			Duration: dur,
@@ -159,7 +159,7 @@ func (s *System) buildArtifacts(b *kernels.Benchmark) (*Artifacts, error) {
 	for i := 0; i < perfmodel.DefaultOverheadRuns; i++ {
 		frac := float64(i+1) / float64(perfmodel.DefaultOverheadRuns+1)
 		in := b.ScaledInput(0.05+0.1*frac, int64(1000+i))
-		solo := s.simSolo(profile, in.Tasks, in.TaskCost, execPersistent, a.L)
+		solo := s.simSolo(profile, in, a.L)
 		total := s.simPreemptResume(profile, in.Tasks, in.TaskCost, a.L, time.Duration(frac*float64(solo)))
 		if total > solo {
 			prof.Add(total - solo)
@@ -195,30 +195,34 @@ func (s *System) Predict(b *kernels.Benchmark, in kernels.Input) (time.Duration,
 	return a.Model.Predict(s.features(b, in)), nil
 }
 
-type execKind int
-
-const (
-	execOriginal execKind = iota
-	execPersistent
-)
-
-// simSolo measures the solo runtime of one kernel configuration on a fresh
-// simulated device.
-func (s *System) simSolo(profile *gpu.KernelProfile, tasks int, cost time.Duration, kind execKind, L int) time.Duration {
+// SoloRun measures one kernel configuration's solo runtime on a fresh
+// simulated device: the original kernel when L is zero, the
+// FLEP-transformed persistent kernel at amortizing factor L otherwise.
+func SoloRun(par gpu.Params, profile *gpu.KernelProfile, in kernels.Input, L int) (time.Duration, error) {
 	eng := sim.New()
-	dev := gpu.New(eng, s.Par)
+	dev := gpu.New(eng, par)
 	var done time.Duration
 	_, err := dev.Start(gpu.ExecConfig{
-		Profile: profile, TotalTasks: tasks, TaskCost: cost,
-		Persistent: kind == execPersistent, L: L,
+		Profile: profile, TotalTasks: in.Tasks, TaskCost: in.TaskCost,
+		Persistent: L > 0, L: L,
 		SMLo: 0, SMHi: dev.NumSMs(),
 		OnComplete: func() { done = eng.Now() },
 	})
 	if err != nil {
-		panic(fmt.Sprintf("core: simSolo: %v", err))
+		return 0, err
 	}
 	eng.Run()
-	return done
+	return done, nil
+}
+
+// simSolo is SoloRun on the system's device for inputs the offline phase
+// generates itself, where a refused start is a bug.
+func (s *System) simSolo(profile *gpu.KernelProfile, in kernels.Input, L int) time.Duration {
+	d, err := SoloRun(s.Par, profile, in, L)
+	if err != nil {
+		panic(fmt.Sprintf("core: simSolo: %v", err))
+	}
+	return d
 }
 
 // simPreemptResume measures the elapsed time of a persistent run that is
@@ -266,7 +270,7 @@ func (s *System) MeasureSolo(b *kernels.Benchmark, in kernels.Input) (time.Durat
 	if err != nil {
 		return 0, err
 	}
-	return s.simSolo(profile, in.Tasks, in.TaskCost, execOriginal, 0), nil
+	return SoloRun(s.Par, profile, in, 0)
 }
 
 // SoloTime returns (cached) the original kernel's solo runtime for a
@@ -280,8 +284,10 @@ func (s *System) SoloTime(b *kernels.Benchmark, c kernels.InputClass) (time.Dura
 	if err != nil {
 		return 0, err
 	}
-	in := b.Input(c)
-	d := s.simSolo(profile, in.Tasks, in.TaskCost, execOriginal, 0)
+	d, err := SoloRun(s.Par, profile, b.Input(c), 0)
+	if err != nil {
+		return 0, err
+	}
 	s.solo[key] = d
 	return d, nil
 }
@@ -293,6 +299,5 @@ func (s *System) SoloPersistentTime(b *kernels.Benchmark, c kernels.InputClass, 
 	if err != nil {
 		return 0, err
 	}
-	in := b.Input(c)
-	return s.simSolo(profile, in.Tasks, in.TaskCost, execPersistent, L), nil
+	return SoloRun(s.Par, profile, b.Input(c), L)
 }

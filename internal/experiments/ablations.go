@@ -4,34 +4,9 @@ import (
 	"time"
 
 	"flep/internal/core"
-	"flep/internal/gpu"
 	"flep/internal/kernels"
-	"flep/internal/sim"
 	"flep/internal/workload"
 )
-
-// soloPersistentWith runs the benchmark's large input solo as a persistent
-// kernel under modified device parameters.
-func soloPersistentWith(par gpu.Params, b *kernels.Benchmark, L int) (time.Duration, error) {
-	prof, err := b.Profile(par.Limits)
-	if err != nil {
-		return 0, err
-	}
-	in := b.Input(kernels.Large)
-	eng := sim.New()
-	dev := gpu.New(eng, par)
-	var done time.Duration
-	_, err = dev.Start(gpu.ExecConfig{
-		Profile: prof, TotalTasks: in.Tasks, TaskCost: in.TaskCost,
-		Persistent: true, L: L, SMLo: 0, SMHi: dev.NumSMs(),
-		OnComplete: func() { done = eng.Now() },
-	})
-	if err != nil {
-		return 0, err
-	}
-	eng.Run()
-	return done, nil
-}
 
 // AblationAmortize sweeps the amortizing factor for NN and reports the
 // single-run overhead against the preemption latency it implies: the
@@ -50,7 +25,7 @@ func (s *Suite) AblationAmortize() (*Table, error) {
 	par := s.Sys.Par
 	in := nn.Input(kernels.Large)
 	for _, L := range []int{1, 5, 20, 50, 100, 200, 500, 1000} {
-		withL, err := soloPersistentWith(par, nn, L)
+		withL, err := s.Sys.SoloPersistentTime(nn, kernels.Large, L)
 		if err != nil {
 			return nil, err
 		}
@@ -81,13 +56,14 @@ func (s *Suite) AblationLeaderPoll() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		leader, err := soloPersistentWith(s.Sys.Par, b, a.L)
+		in := b.Input(kernels.Large)
+		leader, err := core.SoloRun(s.Sys.Par, a.Profile, in, a.L)
 		if err != nil {
 			return nil, err
 		}
 		par := s.Sys.Par
 		par.PinnedReadLatency *= time.Duration(b.ThreadsPerCTA / par.Limits.WarpSize)
-		all, err := soloPersistentWith(par, b, a.L)
+		all, err := core.SoloRun(par, a.Profile, in, a.L)
 		if err != nil {
 			return nil, err
 		}

@@ -4,10 +4,8 @@ import (
 	"time"
 
 	"flep/internal/core"
-	"flep/internal/gpu"
 	"flep/internal/kernels"
 	"flep/internal/metrics"
-	"flep/internal/sim"
 	"flep/internal/transform"
 	"flep/internal/workload"
 )
@@ -46,12 +44,12 @@ func (s *Suite) AblationNVLink() (*Table, error) {
 				return nil, err
 			}
 			in := b.Input(kernels.Large)
-			orig, err := soloOriginalWith(par, b)
+			orig, err := core.SoloRun(par, prof, in, 0)
 			if err != nil {
 				return nil, err
 			}
 			l, ov, _ := transform.Autotune(func(L int) float64 {
-				withL, err := soloPersistentWithProfile(par, prof, in, L)
+				withL, err := core.SoloRun(par, prof, in, L)
 				if err != nil {
 					return 1
 				}
@@ -64,32 +62,6 @@ func (s *Suite) AblationNVLink() (*Table, error) {
 	}
 	t.Note("a faster interconnect shrinks the tuned amortizing factor, cutting preemption latency at equal overhead (§7)")
 	return t, nil
-}
-
-func soloOriginalWith(par gpu.Params, b *kernels.Benchmark) (time.Duration, error) {
-	prof, err := b.Profile(par.Limits)
-	if err != nil {
-		return 0, err
-	}
-	return soloPersistentWithProfile(par, prof, b.Input(kernels.Large), 0)
-}
-
-// soloPersistentWithProfile runs the input solo; L=0 means the original
-// (non-persistent) kernel.
-func soloPersistentWithProfile(par gpu.Params, prof *gpu.KernelProfile, in kernels.Input, L int) (time.Duration, error) {
-	eng := sim.New()
-	dev := gpu.New(eng, par)
-	var done time.Duration
-	_, err := dev.Start(gpu.ExecConfig{
-		Profile: prof, TotalTasks: in.Tasks, TaskCost: in.TaskCost,
-		Persistent: L > 0, L: L, SMLo: 0, SMHi: dev.NumSMs(),
-		OnComplete: func() { done = eng.Now() },
-	})
-	if err != nil {
-		return 0, err
-	}
-	eng.Run()
-	return done, nil
 }
 
 // ExtFFSTriplet extends §6.3.3: the paper elides three-kernel FFS co-runs

@@ -121,7 +121,8 @@ type HostProc struct {
 
 // Options configure a session.
 type Options struct {
-	// Policy is "hpf" (default) or "ffs".
+	// Policy names the scheduling policy (see flepruntime.NewPolicy;
+	// empty = hpf). FFS runs at its default overhead budget.
 	Policy string
 	// Spatial enables spatial preemption.
 	Spatial bool
@@ -176,14 +177,9 @@ func Run(p *Program, opt Options, procs ...HostProc) (*Report, error) {
 		report: &Report{},
 	}
 	s.dev = gpu.New(s.eng, p.par)
-	var policy flepruntime.Policy
-	switch opt.Policy {
-	case "", "hpf":
-		policy = flepruntime.NewHPF()
-	case "ffs":
-		policy = flepruntime.NewFFS(0.10)
-	default:
-		return nil, fmt.Errorf("hostexec: unknown policy %q", opt.Policy)
+	policy, err := flepruntime.NewPolicy(opt.Policy, 0, nil)
+	if err != nil {
+		return nil, fmt.Errorf("hostexec: %w", err)
 	}
 	if opt.Trace {
 		s.report.Log = &trace.Log{}

@@ -45,6 +45,20 @@ func (c InputClass) String() string {
 // Classes lists all input classes in Table 1 order.
 func Classes() []InputClass { return []InputClass{Large, Small, Trivial} }
 
+// ParseClass maps a launch's input-class name to its InputClass; the
+// empty name means small.
+func ParseClass(name string) (InputClass, error) {
+	switch name {
+	case "", "small":
+		return Small, nil
+	case "large":
+		return Large, nil
+	case "trivial":
+		return Trivial, nil
+	}
+	return 0, fmt.Errorf("unknown input class %q (want large, small, or trivial)", name)
+}
+
 // Input is one concrete workload: the task count (original grid size) and
 // the calibrated per-task cost, plus the features the performance model
 // sees (§4.2: grid size, CTA size, input size, shared memory size).
@@ -91,6 +105,24 @@ type Benchmark struct {
 
 // Input returns the calibrated workload for the class.
 func (b *Benchmark) Input(c InputClass) Input { return b.inputs[c] }
+
+// LaunchInput resolves one launch to its workload: the class's calibrated
+// input, or, when tasksOverride is positive, that input at the overridden
+// grid size with the input-size feature rescaled to match.
+func (b *Benchmark) LaunchInput(c InputClass, tasksOverride int) Input {
+	in := b.inputs[c]
+	if tasksOverride > 0 {
+		in.Tasks = tasksOverride
+		in.Bytes = int64(in.Tasks) * b.BytesPerTask
+	}
+	return in
+}
+
+// WorkingSet is the launch's resident device-memory footprint. It is well
+// below the logical access volume (Bytes) thanks to reuse; /8 puts the
+// largest benchmark near 3.5 GB, comfortably inside the K40's 12 GB as
+// the paper assumes (§8).
+func (in Input) WorkingSet() int64 { return in.Bytes / 8 }
 
 // Parse returns the benchmark's parsed MiniCUDA program.
 func (b *Benchmark) Parse() (*cudalite.Program, error) {

@@ -115,10 +115,8 @@ func (g *Graph) Validate() error {
 		if _, err := kernels.ByName(st.Bench); err != nil {
 			return fmt.Errorf("model: graph %q stage %q: %w", g.Name, st.Name, err)
 		}
-		switch st.Class {
-		case "", "small", "large", "trivial":
-		default:
-			return fmt.Errorf("model: graph %q stage %q: unknown input class %q", g.Name, st.Name, st.Class)
+		if _, err := kernels.ParseClass(st.Class); err != nil {
+			return fmt.Errorf("model: graph %q stage %q: %w", g.Name, st.Name, err)
 		}
 		if len(st.After) > MaxAfter {
 			return fmt.Errorf("model: graph %q stage %q lists %d prerequisites (max %d)",

@@ -13,7 +13,6 @@ import (
 	"flep/internal/kernels"
 	"flep/internal/obs"
 	"flep/internal/perfmodel"
-	"flep/internal/sim"
 )
 
 // Replay modes.
@@ -48,7 +47,6 @@ type ReplayerOptions struct {
 // what-if matrix amortizes the offline cost across all its cells.
 type Replayer struct {
 	trace   *Trace
-	opts    ReplayerOptions
 	sys     *core.System
 	benches map[string]*kernels.Benchmark
 	solo    map[soloKey]time.Duration
@@ -73,7 +71,6 @@ func NewReplayer(t *Trace, opts ReplayerOptions) (*Replayer, error) {
 	}
 	rp := &Replayer{
 		trace:   t,
-		opts:    opts,
 		sys:     core.NewSystem(opts.Params),
 		benches: map[string]*kernels.Benchmark{},
 		solo:    map[soloKey]time.Duration{},
@@ -117,9 +114,8 @@ func (rp *Replayer) System() *core.System { return rp.sys }
 // recorded": the header's policy and device count, recorded placement,
 // and step-exact timing when the trace supports it.
 type ReplayConfig struct {
-	// Policy overrides the scheduling policy: hpf, hpf-naive, ffs, fifo
-	// (the non-preemptive baseline), or edf (deadline-first). Empty = the
-	// trace header's policy (hpf if the header has none).
+	// Policy overrides the scheduling policy (see flepruntime.NewPolicy).
+	// Empty = the trace header's policy (hpf if the header has none).
 	Policy string
 	// Spatial / SpatialSMs / MaxOverhead / Weights override the
 	// corresponding recorded scheduler knobs. SpatialSMs is the paper's
@@ -157,9 +153,6 @@ func (rp *Replayer) effective(cfg ReplayConfig) ReplayConfig {
 	}
 	if cfg.MaxOverhead == 0 {
 		cfg.MaxOverhead = h.MaxOverhead
-	}
-	if cfg.MaxOverhead == 0 {
-		cfg.MaxOverhead = 0.10
 	}
 	if cfg.Weights == nil && len(h.Weights) > 0 {
 		cfg.Weights = map[int]float64{}
@@ -204,37 +197,10 @@ func (rp *Replayer) maxRecordedDevice() int {
 	return max
 }
 
-// newPolicy constructs a scheduling policy by name.
-func newPolicy(cfg ReplayConfig) (flepruntime.Policy, *flepruntime.FFS, error) {
-	switch cfg.Policy {
-	case "hpf":
-		return flepruntime.NewHPF(), nil, nil
-	case "hpf-naive":
-		h := flepruntime.NewHPF()
-		h.OverheadAware = false
-		return h, nil, nil
-	case "ffs":
-		f := flepruntime.NewFFS(cfg.MaxOverhead)
-		f.Weights = map[int]float64{}
-		for p, w := range cfg.Weights {
-			f.Weights[p] = w
-		}
-		return f, f, nil
-	case "fifo":
-		return flepruntime.NewFIFO(), nil, nil
-	case "edf":
-		return flepruntime.NewEDF(), nil, nil
-	}
-	return nil, nil, fmt.Errorf("replay: unknown policy %q (want hpf, hpf-naive, ffs, fifo, or edf)", cfg.Policy)
-}
-
-// devRun is one replayed device shard: engine, device, runtime, and the
+// devRun is one replayed device shard: its launch stack and the
 // step/bookkeeping counters the drivers need.
 type devRun struct {
-	eng       *sim.Engine
-	dev       *gpu.Device
-	rt        *flepruntime.Runtime
-	ffs       *flepruntime.FFS
+	*core.Stack
 	stepped   int64
 	inFlight  int
 	drains    []time.Duration
@@ -253,20 +219,6 @@ type outcome struct {
 	// deadline is the absolute virtual-time deadline (submission time plus
 	// the record's budget); zero for best-effort records.
 	deadline time.Duration
-}
-
-// parseClass maps a record's class name (replay mirrors the server's
-// parsing: empty means small).
-func parseClass(name string) (kernels.InputClass, error) {
-	switch name {
-	case "", "small":
-		return kernels.Small, nil
-	case "large":
-		return kernels.Large, nil
-	case "trivial":
-		return kernels.Trivial, nil
-	}
-	return 0, fmt.Errorf("replay: unknown input class %q", name)
 }
 
 // Run replays the trace under the configuration and summarizes the
@@ -291,93 +243,61 @@ func (rp *Replayer) Run(cfg ReplayConfig) (*Summary, error) {
 	stageDone := map[stageKey]bool{}
 	stageDev := map[stageKey]int{}
 	for i := range devs {
-		policy, ffs, err := newPolicy(eff)
-		if err != nil {
-			return nil, err
-		}
-		d := &devRun{eng: sim.New(), ffs: ffs}
-		d.dev = gpu.New(d.eng, rp.opts.Params)
-		sys := rp.sys.Clone()
-		d.rt = flepruntime.New(d.dev, flepruntime.Config{
-			Policy:        policy,
-			EnableSpatial: *eff.Spatial,
-			SpatialSMs:    eff.SpatialSMs,
-			OverheadEstimate: func(kernel string) time.Duration {
-				if a := sys.Artifacts(kernel); a != nil {
-					return a.PreemptOverhead
-				}
-				return 0
-			},
-			OnPreemptDrained: func(_ *flepruntime.Invocation, latency time.Duration) {
-				d.drains = append(d.drains, latency)
-			},
+		d := &devRun{}
+		var err error
+		d.Stack, err = rp.sys.Clone().NewStack(core.Options{
+			Policy: eff.Policy, Spatial: *eff.Spatial, SpatialSMs: eff.SpatialSMs,
+			MaxOverhead: eff.MaxOverhead, Weights: eff.Weights,
+		}, nil, nil, func(_ *flepruntime.Invocation, latency time.Duration) {
+			d.drains = append(d.drains, latency)
 		})
+		if err != nil {
+			return nil, fmt.Errorf("replay: %w", err)
+		}
 		devs[i] = d
 	}
 
-	// submit mirrors the daemon's admission path for one record on one
-	// replayed device.
+	// submit puts one record through the launch path the recording daemon
+	// admitted it on (core.Stack.NewInvocation), on one replayed device.
 	submit := func(d *devRun, devIdx int, rec Record) error {
 		b := rp.benches[rec.Bench]
 		if b == nil {
 			return fmt.Errorf("replay: record %d references unknown benchmark %q", rec.Seq, rec.Bench)
 		}
-		class, err := parseClass(rec.Class)
+		class, err := kernels.ParseClass(rec.Class)
 		if err != nil {
 			return fmt.Errorf("replay: record %d: %w", rec.Seq, err)
 		}
-		a := rp.sys.Artifacts(rec.Bench)
-		in := b.Input(class)
-		if rec.TasksOverride > 0 {
-			in.Tasks = rec.TasksOverride
-			in.Bytes = int64(in.Tasks) * b.BytesPerTask
+		// The recorded SLO budget is re-applied relative to the replayed
+		// submission instant: the deadline is a virtual-time budget from
+		// admission, not an absolute timestamp, so it survives timing
+		// divergence.
+		v, err := d.NewInvocation(core.Launch{
+			Bench: b, Class: class, TasksOverride: rec.TasksOverride,
+			Priority: rec.Priority, Weight: rec.Weight,
+			Budget: time.Duration(rec.DeadlineNS), Dependent: rec.GraphID != "",
+			L: eff.L,
+		})
+		if err != nil {
+			return err
 		}
-		te, _ := rp.sys.Predict(b, in)
-		if rec.Te > 0 && int64(te) != rec.Te {
+		if rec.Te > 0 && int64(v.Te) != rec.Te {
 			divTe++
 		}
-		if d.ffs != nil && rec.Weight > 0 {
-			d.ffs.SetKernelWeight(rec.Bench, rec.Weight)
+		o := &outcome{rec: rec, device: devIdx, te: v.Te, deadline: v.Deadline}
+		v.OnFinish = func(fv *flepruntime.Invocation) {
+			o.turnaround = fv.Turnaround()
+			o.waiting = fv.Tw
+			o.finishedAt = fv.FinishedAt()
+			o.preemptions = fv.Preemptions
+			d.inFlight--
+			d.completed++
+			if rec.GraphID != "" && rec.Stage != "" {
+				stageDone[stageKey{rec.Client, rec.GraphID, rec.Stage}] = true
+			}
+			outcomes = append(outcomes, o)
 		}
-		L := a.L
-		if eff.L > 0 {
-			L = eff.L
-		}
-		o := &outcome{rec: rec, device: devIdx, te: te}
-		// Re-apply the recorded SLO budget relative to the replayed
-		// submission instant, mirroring the daemon's admit path: the
-		// deadline is a virtual-time budget from admission, not an
-		// absolute timestamp, so it survives timing divergence.
-		var deadline time.Duration
-		if rec.DeadlineNS > 0 {
-			deadline = d.eng.Now() + time.Duration(rec.DeadlineNS)
-			o.deadline = deadline
-		}
-		v := &flepruntime.Invocation{
-			Kernel:     rec.Bench,
-			Deadline:   deadline,
-			Priority:   rec.Priority,
-			Profile:    a.Profile,
-			Tasks:      in.Tasks,
-			TaskCost:   in.TaskCost,
-			L:          L,
-			WorkingSet: in.Bytes / 8,
-			Te:         te,
-			Dependent:  rec.GraphID != "",
-			OnFinish: func(fv *flepruntime.Invocation) {
-				o.turnaround = fv.Turnaround()
-				o.waiting = fv.Tw
-				o.finishedAt = fv.FinishedAt()
-				o.preemptions = fv.Preemptions
-				d.inFlight--
-				d.completed++
-				if rec.GraphID != "" && rec.Stage != "" {
-					stageDone[stageKey{rec.Client, rec.GraphID, rec.Stage}] = true
-				}
-				outcomes = append(outcomes, o)
-			},
-		}
-		if err := d.rt.Submit(v); err != nil {
+		if err := d.RT.Submit(v); err != nil {
 			// The live daemon records only successful admissions, so a
 			// replay rejection is itself a divergence worth counting.
 			submitErrors++
@@ -407,7 +327,7 @@ func (rp *Replayer) Run(cfg ReplayConfig) (*Summary, error) {
 				divDependency++
 				continue
 			}
-			for !stageDone[k] && devs[di].eng.Step() {
+			for !stageDone[k] && devs[di].Eng.Step() {
 			}
 			if !stageDone[k] {
 				divDependency++
@@ -433,7 +353,7 @@ func (rp *Replayer) Run(cfg ReplayConfig) (*Summary, error) {
 			sort.SliceStable(recs, func(a, b int) bool { return recs[a].Seq < recs[b].Seq })
 			for _, rec := range recs {
 				for d.stepped < rec.Step {
-					if !d.eng.Step() {
+					if !d.Eng.Step() {
 						divStep++
 						break
 					}
@@ -462,13 +382,13 @@ func (rp *Replayer) Run(cfg ReplayConfig) (*Summary, error) {
 			var target int
 			if !route && rec.Device >= 0 && rec.Device < eff.Devices {
 				target = rec.Device
-				devs[target].eng.RunUntil(at)
+				devs[target].Eng.RunUntil(at)
 			} else {
 				// Advance every shard to the arrival so the router scores
 				// fresh state, then pick the least loaded, ties broken from
 				// a seeded rotating start.
 				for _, d := range devs {
-					d.eng.RunUntil(at)
+					d.Eng.RunUntil(at)
 				}
 				start := rng.Intn(eff.Devices)
 				best, bestLoad := -1, int(^uint(0)>>1)
@@ -494,7 +414,7 @@ func (rp *Replayer) Run(cfg ReplayConfig) (*Summary, error) {
 
 	// Drain: run every shard to completion.
 	for _, d := range devs {
-		d.eng.Run()
+		d.Eng.Run()
 	}
 
 	sum := rp.summarize(eff, policyName, mode, devs, outcomes, divTe, divStep, divPlacement, divDependency, submitErrors)

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"flep/internal/core"
+	"flep/internal/kernels"
 	"flep/internal/workload"
 )
 
@@ -235,39 +237,6 @@ func TestReplayRejectsUnknownPolicy(t *testing.T) {
 	}
 }
 
-// The scenario adapters: a synthesized trace converts to a scripted
-// scenario and back without losing the replay-critical fields, and
-// closed-loop scenarios are rejected with a pointed error.
-func TestScenarioAdapters(t *testing.T) {
-	tr, _ := mixReplayer(t)
-	sc, err := tr.ToScenario("mix")
-	if err != nil {
-		t.Fatalf("ToScenario: %v", err)
-	}
-	if len(sc.Items) != len(tr.Records) {
-		t.Fatalf("scenario has %d items, trace %d records", len(sc.Items), len(tr.Records))
-	}
-	back, err := FromScenario(sc, 7)
-	if err != nil {
-		t.Fatalf("FromScenario: %v", err)
-	}
-	if len(back.Records) != len(tr.Records) {
-		t.Fatalf("round-trip lost records: %d vs %d", len(back.Records), len(tr.Records))
-	}
-	for i, r := range back.Records {
-		orig := tr.Records[i] // both sides sort by (At, Seq)
-		if r.At != orig.At || r.Bench != orig.Bench || r.Class != orig.Class || r.Priority != orig.Priority {
-			t.Fatalf("record %d mangled: %+v vs %+v", i, r, orig)
-		}
-	}
-
-	b := sc.Items[0].Bench
-	_, err = FromScenario(workload.Scenario{Name: "loop", Items: []workload.Item{{Bench: b, Loop: true}}}, 1)
-	if err == nil || !strings.Contains(err.Error(), "closed-loop") {
-		t.Fatalf("closed-loop scenario not rejected: %v", err)
-	}
-}
-
 // WriteFile persists a synthesized trace that loads back identically —
 // the flepreplay record → replay path.
 func TestTraceWriteFileRoundTrip(t *testing.T) {
@@ -401,5 +370,58 @@ func TestModelTraceReplayByteIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(tr.Records, got.Records) {
 		t.Fatalf("records mangled on disk round-trip")
+	}
+}
+
+// Driver equivalence: replay and core.RunFLEP share one launch path
+// (core.Stack), so the Figure 8 priority pair scripted as a scenario and
+// hand-written as a two-record trace finishes each kernel at the same
+// virtual instant, after the same wait and the same preemptions.
+func TestReplayMatchesRunFLEPOnPriorityPair(t *testing.T) {
+	va, _ := kernels.ByName("VA")
+	mm, _ := kernels.ByName("MM")
+	sc := workload.PriorityPair(va, mm, 0)
+	tr := &Trace{Header: Header{
+		Magic: true, TraceVersion: Version, Source: SourceScenario,
+		Benchmarks: []string{"MM", "VA"},
+	}}
+	for i, it := range sc.Items {
+		tr.Records = append(tr.Records, Record{
+			Seq: int64(i + 1), At: int64(it.At), Device: -1,
+			Client: it.Bench.Name, Bench: it.Bench.Name, Class: it.Class.String(), Priority: it.Priority,
+		})
+	}
+	rp, err := NewReplayer(tr, ReplayerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := rp.Run(ReplayConfig{Policy: "hpf", Devices: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Mode != ModeTimed || sum.Completed != 2 {
+		t.Fatalf("replay: mode=%s completed=%d, want timed/2", sum.Mode, sum.Completed)
+	}
+	res, err := rp.System().Clone().RunFLEP(sc, core.Options{Policy: "hpf"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ResultFor("MM").Preemptions == 0 {
+		t.Fatal("the pair did not preempt; the comparison would be vacuous")
+	}
+	for _, ten := range sum.Tenants { // one tenant per kernel, one launch each
+		want := res.ResultFor(ten.Client)
+		if want == nil {
+			t.Fatalf("RunFLEP has no result for %s", ten.Client)
+		}
+		finished := time.Duration(ten.MeanTurnaroundNS) + want.SubmittedAt
+		if finished != want.FinishedAt || time.Duration(ten.MeanWaitNS) != want.Waiting || ten.Preemptions != want.Preemptions {
+			t.Errorf("%s: replay finished=%v waiting=%v preemptions=%d, RunFLEP finished=%v waiting=%v preemptions=%d",
+				ten.Client, finished, time.Duration(ten.MeanWaitNS), ten.Preemptions,
+				want.FinishedAt, want.Waiting, want.Preemptions)
+		}
+	}
+	if time.Duration(sum.MakespanNS) != res.Makespan {
+		t.Errorf("makespan: replay %v, RunFLEP %v", time.Duration(sum.MakespanNS), res.Makespan)
 	}
 }

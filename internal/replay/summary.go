@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"time"
+
+	"flep/internal/kernels"
 )
 
 // Summary is one replay run's aggregate result. Every field is computed
@@ -393,7 +395,7 @@ func (rp *Replayer) ntt(o *outcome) (float64, bool) {
 	if o.rec.TasksOverride != 0 {
 		return 0, false
 	}
-	class, err := parseClass(o.rec.Class)
+	class, err := kernels.ParseClass(o.rec.Class)
 	if err != nil {
 		return 0, false
 	}

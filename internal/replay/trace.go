@@ -51,8 +51,8 @@ const (
 	// node. No single virtual clock spans the cluster, so gateway traces
 	// replay in timed mode (like flepload's).
 	SourceFlepgw = "flepgw"
-	// SourceScenario marks a trace converted from a workload.Scenario or
-	// synthesized mix: At is the scripted arrival offset.
+	// SourceScenario marks a scripted trace (a synthesized mix or a
+	// hand-built scenario): At is the scripted arrival offset.
 	SourceScenario = "scenario"
 )
 

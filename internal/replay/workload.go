@@ -7,69 +7,7 @@ import (
 	"time"
 
 	"flep/internal/kernels"
-	"flep/internal/workload"
 )
-
-// FromScenario converts a scripted workload.Scenario into a trace, so
-// the EXPERIMENTS scenarios can be fed to the replayer and what-if
-// advisor directly. Closed-loop (Loop) items have no finite arrival
-// list — their arrivals depend on completions — and are rejected;
-// record a live run instead.
-func FromScenario(sc workload.Scenario, seed int64) (*Trace, error) {
-	t := &Trace{Header: Header{
-		Magic: true, TraceVersion: Version, Source: SourceScenario,
-		Seed: seed,
-	}}
-	seen := map[string]bool{}
-	for i, it := range sc.Items {
-		if it.Loop {
-			return nil, fmt.Errorf("replay: scenario %s item %d is closed-loop; record a live run to trace it", sc.Name, i)
-		}
-		if !seen[it.Bench.Name] {
-			seen[it.Bench.Name] = true
-			t.Header.Benchmarks = append(t.Header.Benchmarks, it.Bench.Name)
-		}
-		t.Records = append(t.Records, Record{
-			Seq: int64(i + 1), At: int64(it.At), Device: -1,
-			Client:        fmt.Sprintf("%s-p%d", it.Bench.Name, it.Priority),
-			Bench:         it.Bench.Name,
-			Class:         it.Class.String(),
-			Priority:      it.Priority,
-			TasksOverride: it.TasksOverride,
-		})
-	}
-	sort.Strings(t.Header.Benchmarks)
-	return t, nil
-}
-
-// ToScenario converts a trace back into a scripted scenario (arrivals at
-// the recorded offsets), so trace-driven runs compose with the existing
-// scenario tooling.
-func (t *Trace) ToScenario(name string) (workload.Scenario, error) {
-	sc := workload.Scenario{Name: name}
-	recs := append([]Record(nil), t.Records...)
-	sort.SliceStable(recs, func(i, j int) bool {
-		if recs[i].At != recs[j].At {
-			return recs[i].At < recs[j].At
-		}
-		return recs[i].Seq < recs[j].Seq
-	})
-	for _, r := range recs {
-		b, err := kernels.ByName(r.Bench)
-		if err != nil {
-			return workload.Scenario{}, fmt.Errorf("replay: %w", err)
-		}
-		class, err := parseClass(r.Class)
-		if err != nil {
-			return workload.Scenario{}, err
-		}
-		sc.Items = append(sc.Items, workload.Item{
-			Bench: b, Class: class, Priority: r.Priority,
-			At: time.Duration(r.At), TasksOverride: r.TasksOverride,
-		})
-	}
-	return sc, nil
-}
 
 // MixTenant describes one tenant of a synthesized multi-tenant trace: a
 // client submitting Count launches of Bench/Class at Priority, one every
@@ -102,7 +40,7 @@ func SynthesizeMix(tenants []MixTenant, seed int64) (*Trace, error) {
 		if _, err := kernels.ByName(ten.Bench); err != nil {
 			return nil, fmt.Errorf("replay: mix tenant %d: %w", i, err)
 		}
-		if _, err := parseClass(ten.Class); err != nil {
+		if _, err := kernels.ParseClass(ten.Class); err != nil {
 			return nil, fmt.Errorf("replay: mix tenant %d: %w", i, err)
 		}
 		if ten.Count <= 0 || ten.Period <= 0 {

@@ -57,24 +57,9 @@ type Fleet struct {
 // NewFleet builds the offline artifacts once, clones the system per shard,
 // and starts one event loop per device.
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
-	cfg.Config.applyDefaults()
-	if cfg.Devices <= 0 {
-		cfg.Devices = 1
-	}
-	benchs, err := resolveBenchmarks(cfg.Benchmarks)
+	sys, err := offlineSystem(&cfg.Config)
 	if err != nil {
 		return nil, err
-	}
-	sys := core.NewSystem(cfg.Params)
-	for _, b := range benchs {
-		start := time.Now()
-		if err := sys.Offline([]*kernels.Benchmark{b}); err != nil {
-			return nil, fmt.Errorf("server: offline %s: %w", b.Name, err)
-		}
-		a := sys.Artifacts(b.Name)
-		cfg.Logf("offline %-5s L=%-4d overhead=%.2f%% preempt=%v (%v)",
-			b.Name, a.L, a.TunedOverhead*100, a.PreemptOverhead.Round(time.Microsecond),
-			time.Since(start).Round(time.Millisecond))
 	}
 	return NewFleetWithSystem(sys, cfg)
 }
@@ -115,28 +100,25 @@ func (f *Fleet) Devices() int { return len(f.shards) }
 // Shard returns the i-th device shard (tests and embedders).
 func (f *Fleet) Shard(i int) *Server { return f.shards[i] }
 
-// WorkingSet computes a launch's resident footprint for placement from a
-// daemon's /v1/benchmarks catalog (the same /8 model Server.admit
-// applies), or 0 when the request is not placeable by memory (unknown
-// benchmark or class — the serving shard's own validation rejects it).
+// WorkingSet computes a launch's resident footprint for placement — the
+// figure the serving shard's admission will reserve — or 0 when the
+// request is not placeable by memory (a benchmark the daemon's
+// /v1/benchmarks catalog does not list, or an unknown class; the serving
+// shard's own validation rejects it).
 func WorkingSet(catalog []BenchmarkInfo, req LaunchRequest) int64 {
-	class := req.Class
-	if class == "" {
-		class = kernels.Small.String()
-	}
-	for _, b := range catalog {
-		if b.Name != req.Benchmark {
+	for _, bi := range catalog {
+		if bi.Name != req.Benchmark {
 			continue
 		}
-		ci, ok := b.Classes[class]
-		if !ok {
+		b, err := kernels.ByName(bi.Name)
+		if err != nil {
 			return 0
 		}
-		bytes := ci.Bytes
-		if req.TasksOverride > 0 && ci.Tasks > 0 {
-			bytes = int64(req.TasksOverride) * (ci.Bytes / int64(ci.Tasks))
+		class, err := kernels.ParseClass(req.Class)
+		if err != nil {
+			return 0
 		}
-		return bytes / 8
+		return b.LaunchInput(class, req.TasksOverride).WorkingSet()
 	}
 	return 0
 }

@@ -166,6 +166,72 @@ func TestFleetRetryAfterShrinksWithDevices(t *testing.T) {
 	}
 }
 
+// TestPauseHoldsLaunchesSentAfterAck pins Pause's contract: once Pause has
+// returned, a launch sent afterwards stays in the admission queue — the
+// loop neither pops nor submits it — until Resume. The loop used to run
+// an absorb pass after every control message, paused or not, so a launch
+// that raced the acknowledgement was admitted (a window only a loaded
+// host hits), and so was everything queued when a redundant Pause arrived
+// (which this test uses to hit the same pass deterministically).
+func TestPauseHoldsLaunchesSentAfterAck(t *testing.T) {
+	const depth = 8
+	s, _ := newTestServer(t, Config{QueueDepth: depth})
+	submits := func() float64 {
+		var buf bytes.Buffer
+		if err := s.writeMetrics(&buf); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := obs.ParseText(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, _ := snap.Get("flep_runtime_submits_total")
+		return v
+	}
+	reqs := make([]*launchReq, depth)
+	for cycle := 0; cycle < 50; cycle++ {
+		if err := s.Pause(); err != nil {
+			t.Fatal(err)
+		}
+		before, completed := submits(), s.Counters()["completed"]
+		for i := range reqs {
+			reqs[i] = mkLaunchReq(s, "paused", 0)
+			if err := s.tryEnqueue(reqs[i]); err != nil {
+				t.Fatalf("cycle %d: enqueue %d into a paused, empty queue: %v", cycle, i, err)
+			}
+			s.countEnqueued(reqs[i])
+		}
+		if err := s.Pause(); err != nil { // an operator's retry; must change nothing
+			t.Fatal(err)
+		}
+		// A wrongly admitted launch never comes back (virtual time stands
+		// still), so one look after the loop had time to finish its pass
+		// is conclusive.
+		time.Sleep(200 * time.Microsecond)
+		if got := s.Status().QueueLen; got != depth {
+			t.Fatalf("cycle %d: queue_len = %d while paused, want %d: the loop popped launches sent after Pause returned", cycle, got, depth)
+		}
+		if got := submits(); got != before {
+			t.Fatalf("cycle %d: flep_runtime_submits_total moved %v -> %v while paused", cycle, before, got)
+		}
+		if got := s.Counters()["completed"]; got != completed {
+			t.Fatalf("cycle %d: completed moved %d -> %d while paused", cycle, completed, got)
+		}
+		if err := s.Resume(); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range reqs {
+			if res := <-q.done; res.Err != "" {
+				t.Fatalf("cycle %d: %s", cycle, res.Err)
+			}
+			putLaunchReq(q)
+		}
+		if got := s.Counters()["completed"]; got != completed+depth {
+			t.Fatalf("cycle %d: completed = %d after resume, want %d", cycle, got, completed+depth)
+		}
+	}
+}
+
 // TestQueueWaitAccountingUnderSaturation saturates a paused queue, 429s
 // the overflow, and checks that the two views of queue wait — the
 // per-result QueueWaitRealNS and the flep_server_admission_wait_seconds

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"flep/internal/kernels"
 	"flep/internal/trace"
 )
 
@@ -321,7 +322,7 @@ func (s *Server) admitLaunch(req *LaunchRequest, client string) (*launchReq, out
 	if !ok {
 		return nil, outRejectedInvalid, errors.New("unknown or unloaded benchmark " + strconv.Quote(req.Benchmark))
 	}
-	class, err := parseClass(req.Class)
+	class, err := kernels.ParseClass(req.Class)
 	if err != nil {
 		return nil, outRejectedInvalid, err
 	}

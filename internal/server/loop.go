@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"flep/internal/core"
 	"flep/internal/flepruntime"
 	"flep/internal/kernels"
 	"flep/internal/replay"
@@ -228,8 +229,15 @@ func (s *Server) loop() {
 		// to one-at-a-time admission.
 	absorb:
 		for {
+			submitCh := s.submitCh
+			if paused {
+				// Pause has been acknowledged: a launch sent from here on
+				// must stay queued until Resume, including for the rest of
+				// the pass the pause arrived in.
+				submitCh = nil
+			}
 			select {
-			case q := <-s.submitCh:
+			case q := <-submitCh:
 				s.batch = append(s.batch, q)
 			case m := <-s.ctrlCh:
 				paused = s.handleCtrl(m, paused, draining)
@@ -261,8 +269,8 @@ func (s *Server) loop() {
 			}
 		}
 
-		if s.eng.Step() {
-			s.vnow.Store(int64(s.eng.Now()))
+		if s.stack.Eng.Step() {
+			s.vnow.Store(int64(s.stack.Eng.Now()))
 			s.steps.Add(1)
 			if s.cfg.Pace > 0 {
 				paceDebt = s.sleepAbsorb(s.cfg.Pace, &paused, &draining, &stop)
@@ -367,49 +375,24 @@ func (s *Server) admit(q *launchReq) {
 		q.admitReal = time.Now()
 	}
 	s.met.AdmissionWait.Observe(q.admitReal.Sub(q.enqueuedReal).Seconds())
-	a := s.sys.Artifacts(q.bench.Name)
-	in := q.bench.Input(q.class)
-	if q.tasksOverride > 0 {
-		in.Tasks = q.tasksOverride
-		in.Bytes = int64(in.Tasks) * q.bench.BytesPerTask
-	}
-	te, _ := s.sys.Predict(q.bench, in)
-	if s.ffs != nil && q.weight > 0 {
-		// Scope the requested share weight to this tenant's kernel: keying
-		// by priority level would let two tenants at the same priority
-		// clobber each other's share, and a departed tenant's weight would
-		// linger forever. The per-kernel entry is evicted with the kernel's
-		// overhead record when the tenant departs (FFS.OnCompletion).
-		s.ffs.SetKernelWeight(q.bench.Name, q.weight)
-	}
-	v := &flepruntime.Invocation{
-		Kernel:   q.bench.Name,
-		Priority: q.priority,
-		Profile:  a.Profile,
-		Tasks:    in.Tasks,
-		TaskCost: in.TaskCost,
-		L:        a.L,
-		// Same resident-footprint model as core.RunFLEP: /8 keeps the
-		// largest benchmark within the K40's 12 GB (§8).
-		WorkingSet: in.Bytes / 8,
-		Te:         te,
-		Dependent:  q.graph != "",
-		OnFinish:   func(fv *flepruntime.Invocation) { s.complete(q, fv) },
-	}
-	if q.deadline > 0 {
-		// The SLO clock starts at admission: the budget is measured on the
-		// virtual clock the invocation was stamped onto, so replays
-		// reproduce attainment exactly.
-		v.Deadline = s.eng.Now() + q.deadline
-	}
+	v, err := s.stack.NewInvocation(core.Launch{
+		Bench: q.bench, Class: q.class, TasksOverride: q.tasksOverride,
+		Priority: q.priority, Weight: q.weight,
+		// The SLO clock starts here, at admission.
+		Budget: q.deadline, Dependent: q.graph != "",
+	})
 	// Capture the engine position before Submit: the trace must describe
 	// the state the launch arrived into, and Submit's own scheduling may
 	// not step the engine (steps only advance in the loop), but the
 	// invariant "step exactly Step events, then submit" depends on
 	// reading the counter at the admission boundary.
-	atVirtual := s.eng.Now()
+	atVirtual := s.stack.Eng.Now()
 	atStep := s.steps.Load()
-	if err := s.rt.Submit(v); err != nil {
+	if err == nil {
+		v.OnFinish = func(fv *flepruntime.Invocation) { s.complete(q, fv) }
+		err = s.stack.RT.Submit(v)
+	}
+	if err != nil {
 		if q.deadline > 0 {
 			s.lcOutstanding.Add(-1)
 		}
@@ -441,10 +424,10 @@ func (s *Server) admit(q *launchReq) {
 			Priority:      q.priority,
 			Weight:        q.weight,
 			TasksOverride: q.tasksOverride,
-			Grid:          in.Tasks,
+			Grid:          v.Tasks,
 			Block:         q.bench.ThreadsPerCTA,
 			WorkingSet:    v.WorkingSet,
-			Te:            int64(te),
+			Te:            int64(v.Te),
 			DeadlineNS:    int64(q.deadline),
 			SLOClass:      recordSLOClass(q.deadline),
 			Model:         q.model,
@@ -453,7 +436,7 @@ func (s *Server) admit(q *launchReq) {
 			After:         q.after,
 		})
 	}
-	s.vnow.Store(int64(s.eng.Now()))
+	s.vnow.Store(int64(s.stack.Eng.Now()))
 }
 
 // recordSLOClass names the SLO tier for trace records. Best-effort maps
@@ -469,7 +452,7 @@ func recordSLOClass(deadline time.Duration) string {
 // complete delivers the terminal result for a finished invocation. Runs
 // on the loop goroutine (from the runtime's OnFinish hook).
 func (s *Server) complete(q *launchReq, fv *flepruntime.Invocation) {
-	s.vnow.Store(int64(s.dev.Now()))
+	s.vnow.Store(int64(s.stack.Dev.Now()))
 	a := s.sys.Artifacts(q.bench.Name)
 	res := LaunchResult{
 		ID:     fv.ID,

@@ -27,21 +27,19 @@ import (
 	"time"
 
 	"flep/internal/core"
-	"flep/internal/flepruntime"
 	"flep/internal/gpu"
 	"flep/internal/kernels"
 	"flep/internal/obs"
 	"flep/internal/replay"
-	"flep/internal/sim"
 	"flep/internal/trace"
 )
 
 // Config parameterizes a daemon instance.
 type Config struct {
-	// Policy selects the scheduling policy: "hpf" (default), "hpf-naive",
-	// "ffs", "edf" (earliest-deadline-first over launches carrying
-	// deadline_ms, best-effort behind), or "fifo" (non-preemptive
-	// baseline).
+	// Policy names the scheduling policy (see flepruntime.NewPolicy;
+	// default "hpf"): "edf" is earliest-deadline-first over launches
+	// carrying deadline_ms with best-effort behind, "fifo" the
+	// non-preemptive baseline.
 	Policy string
 	// Spatial enables spatial preemption (HPF only).
 	Spatial bool
@@ -49,8 +47,8 @@ type Config struct {
 	SpatialSMs int
 	// MaxOverhead is FFS's overhead budget (default 0.10).
 	MaxOverhead float64
-	// Weights seeds the FFS priority-level → share-weight map; launch
-	// requests may extend it.
+	// Weights is the FFS priority-level → share-weight map; a launch's
+	// weight field adds a per-kernel share on top of it.
 	Weights map[int]float64
 	// Benchmarks names the kernels to build offline artifacts for
 	// (nil/empty = the full Table 1 suite).
@@ -307,14 +305,12 @@ type soloKey struct {
 // Server is one flepd instance. Create it with New or NewWithSystem; it
 // serves HTTP through Handler and stops through Shutdown.
 type Server struct {
-	cfg     Config
-	sys     *core.System
-	eng     *sim.Engine
-	dev     *gpu.Device
-	devMet  *gpu.DeviceMetrics // atomic instruments, readable cross-goroutine
-	rt      *flepruntime.Runtime
-	ffs     *flepruntime.FFS // non-nil iff cfg.Policy == "ffs"
-	tlog    *trace.Log       // nil unless cfg.Trace
+	cfg Config
+	sys *core.System
+	// stack is the engine, device and runtime the loop goroutine owns;
+	// only stack.DevMetrics (atomic instruments) is read cross-goroutine.
+	stack   *core.Stack
+	tlog    *trace.Log // nil unless cfg.Trace
 	reg     *obs.Registry
 	met     *serverMetrics
 	benches map[string]*kernels.Benchmark
@@ -386,6 +382,16 @@ type Server struct {
 // New builds the offline artifacts for cfg.Benchmarks on a fresh system
 // and starts the daemon's event loop.
 func New(cfg Config) (*Server, error) {
+	sys, err := offlineSystem(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	return NewWithSystem(sys, cfg)
+}
+
+// offlineSystem applies cfg's defaults and runs the offline phase for
+// cfg.Benchmarks on a fresh system, logging each kernel's artifacts.
+func offlineSystem(cfg *Config) (*core.System, error) {
 	cfg.applyDefaults()
 	benchs, err := resolveBenchmarks(cfg.Benchmarks)
 	if err != nil {
@@ -402,7 +408,7 @@ func New(cfg Config) (*Server, error) {
 			b.Name, a.L, a.TunedOverhead*100, a.PreemptOverhead.Round(time.Microsecond),
 			time.Since(start).Round(time.Millisecond))
 	}
-	return NewWithSystem(sys, cfg)
+	return sys, nil
 }
 
 // NewWithSystem starts a daemon over an existing system (whose Offline
@@ -410,6 +416,7 @@ func New(cfg Config) (*Server, error) {
 // concurrently by anyone else afterwards: the event loop owns it.
 func NewWithSystem(sys *core.System, cfg Config) (*Server, error) {
 	cfg.applyDefaults()
+	cfg.Params = sys.Par // the device served is the one the artifacts were profiled on
 	benchs, err := resolveBenchmarks(cfg.Benchmarks)
 	if err != nil {
 		return nil, err
@@ -449,54 +456,20 @@ func NewWithSystem(sys *core.System, cfg Config) (*Server, error) {
 	}
 	s.info = buildBenchmarkInfo(sys, benchs, s.solo)
 
-	var policy flepruntime.Policy
-	switch cfg.Policy {
-	case "hpf":
-		policy = flepruntime.NewHPF()
-	case "hpf-naive":
-		h := flepruntime.NewHPF()
-		h.OverheadAware = false
-		policy = h
-	case "ffs":
-		f := flepruntime.NewFFS(cfg.MaxOverhead)
-		f.Weights = map[int]float64{}
-		for p, w := range cfg.Weights {
-			f.Weights[p] = w
-		}
-		s.ffs = f
-		policy = f
-	case "edf":
-		policy = flepruntime.NewEDF()
-	case "fifo":
-		policy = flepruntime.NewFIFO()
-	default:
-		return nil, fmt.Errorf("server: unknown policy %q", cfg.Policy)
-	}
 	s.beLimit = bestEffortLimit(s.info, cfg.QueueDepth)
 
 	s.reg = obs.NewRegistry()
 	s.met = newServerMetrics(s.reg, s)
-	s.eng = sim.New()
-	s.dev = gpu.New(s.eng, cfg.Params)
-	s.devMet = gpu.NewDeviceMetrics(s.reg)
-	s.dev.Instrument(s.devMet)
 	if cfg.Trace {
 		s.tlog = &trace.Log{Limit: cfg.TraceLimit}
-		s.dev.Observer = s.tlog.DeviceObserver()
 	}
-	s.rt = flepruntime.New(s.dev, flepruntime.Config{
-		Policy:        policy,
-		Metrics:       flepruntime.NewMetrics(s.reg),
-		EnableSpatial: cfg.Spatial,
-		SpatialSMs:    cfg.SpatialSMs,
-		OverheadEstimate: func(kernel string) time.Duration {
-			if a := sys.Artifacts(kernel); a != nil {
-				return a.PreemptOverhead
-			}
-			return 0
-		},
-		Log: s.tlog,
-	})
+	s.stack, err = sys.NewStack(core.Options{
+		Policy: cfg.Policy, Spatial: cfg.Spatial, SpatialSMs: cfg.SpatialSMs,
+		MaxOverhead: cfg.MaxOverhead, Weights: cfg.Weights,
+	}, s.tlog, s.reg, nil)
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
 	if cfg.Recorder != nil && cfg.Device == 0 {
 		// One shard (by convention the first) owns the shared recorder's
 		// instrumentation, so fleet expositions carry it exactly once.
@@ -677,7 +650,7 @@ func (s *Server) MemoryAvailable() int64 {
 	if s.cfg.Params.MemoryBytes <= 0 {
 		return int64(^uint64(0) >> 1)
 	}
-	free := s.cfg.Params.MemoryBytes - int64(s.devMet.MemoryReserved.Value())
+	free := s.cfg.Params.MemoryBytes - int64(s.stack.DevMetrics.MemoryReserved.Value())
 	if free < 0 {
 		return 0
 	}
@@ -760,17 +733,4 @@ func buildBenchmarkInfo(sys *core.System, benchs []*kernels.Benchmark, solo map[
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// parseClass maps an input-class name to its kernels.InputClass.
-func parseClass(name string) (kernels.InputClass, error) {
-	switch name {
-	case "", "small":
-		return kernels.Small, nil
-	case "large":
-		return kernels.Large, nil
-	case "trivial":
-		return kernels.Trivial, nil
-	}
-	return 0, fmt.Errorf("unknown input class %q (want large, small, or trivial)", name)
 }
