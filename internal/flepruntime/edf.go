@@ -170,7 +170,7 @@ func (e *EDF) onRisk(seq int) {
 		return
 	}
 	e.riskTimer = nil
-	if head := e.firstDeadline(); head != nil {
+	if head := e.firstDeadline(); head != nil && e.rt.cfg.Log != nil {
 		e.rt.log("edf-risk", head.Kernel,
 			fmt.Sprintf("id=%d deadline=%v at risk", head.ID, head.Deadline))
 	}

@@ -204,7 +204,9 @@ func (f *FFS) onEpochEnd(r *Runtime, seq int) {
 		return
 	}
 	f.curKernel = ""
-	r.log("epoch", owner, fmt.Sprintf("expired at %v", r.Device().Now()))
+	if r.cfg.Log != nil {
+		r.log("epoch", owner, fmt.Sprintf("expired at %v", r.Device().Now()))
+	}
 	r.PreemptRunning()
 }
 

@@ -111,6 +111,9 @@ func (r *Runtime) Device() *gpu.Device { return r.dev }
 // Running returns the primary running invocation, or nil.
 func (r *Runtime) Running() *Invocation { return r.running }
 
+// log records a runtime event. Callers that format their detail guard the
+// call with cfg.Log != nil themselves: the arguments of a Sprintf are boxed
+// and the string built before log could look.
 func (r *Runtime) log(kind, kernel, detail string) {
 	if r.cfg.Log != nil {
 		r.cfg.Log.Runtime(r.dev.Now(), kind, kernel, detail)
@@ -142,7 +145,9 @@ func (r *Runtime) Submit(v *Invocation) error {
 		r.met.DependentSubmits.Inc()
 	}
 	r.setQueueGauges()
-	r.log("submit", v.Kernel, fmt.Sprintf("id=%d prio=%d Te=%v", v.ID, v.Priority, v.Te))
+	if r.cfg.Log != nil {
+		r.log("submit", v.Kernel, fmt.Sprintf("id=%d prio=%d Te=%v", v.ID, v.Priority, v.Te))
+	}
 	r.schedule()
 	return nil
 }
@@ -282,7 +287,9 @@ func (r *Runtime) preemptFor(best *Invocation) {
 	}
 	victim.preemptAt = r.dev.Now()
 	victim.preemptPredicted = r.OverheadFor(victim)
-	r.log("preempt", victim.Kernel, fmt.Sprintf("for=%s sms=%d spatial=%v", best.Kernel, need, spatial))
+	if r.cfg.Log != nil {
+		r.log("preempt", victim.Kernel, fmt.Sprintf("for=%s sms=%d spatial=%v", best.Kernel, need, spatial))
+	}
 	if err := victim.exec.Preempt(need); err != nil {
 		// The victim raced to completion; its completion callback will
 		// reschedule.
@@ -334,7 +341,9 @@ func (r *Runtime) dispatch(v *Invocation, smLo, smHi int, asGuest bool) {
 		r.met.Dispatches.Inc()
 	}
 	r.setQueueGauges()
-	r.log("dispatch", v.Kernel, fmt.Sprintf("id=%d sms=[%d,%d) guest=%v", v.ID, smLo, smHi, asGuest))
+	if r.cfg.Log != nil {
+		r.log("dispatch", v.Kernel, fmt.Sprintf("id=%d sms=[%d,%d) guest=%v", v.ID, smLo, smHi, asGuest))
+	}
 	r.cfg.Policy.OnDispatch(r, v)
 }
 
@@ -356,7 +365,9 @@ func (r *Runtime) onComplete(v *Invocation) {
 	if r.running == v {
 		r.running = nil
 	}
-	r.log("complete", v.Kernel, fmt.Sprintf("id=%d turnaround=%v Tw=%v", v.ID, v.Turnaround(), v.Tw))
+	if r.cfg.Log != nil {
+		r.log("complete", v.Kernel, fmt.Sprintf("id=%d turnaround=%v Tw=%v", v.ID, v.Turnaround(), v.Tw))
+	}
 	if wasGuest && !r.draining && r.running != nil && r.running.exec != nil {
 		// Reclaim the guest's SMs for the shrunk victim. Skipped while the
 		// primary itself is draining: a temporal drain tears the execution
@@ -412,7 +423,9 @@ func (r *Runtime) onDrained(v *Invocation, remaining int) {
 		r.pendingGuest = nil
 		r.met.SpatialPreempts.Inc()
 		lo, _ := v.exec.SMRange()
-		r.log("drained", v.Kernel, fmt.Sprintf("spatial remaining=%d freed=[0,%d)", remaining, lo))
+		if r.cfg.Log != nil {
+			r.log("drained", v.Kernel, fmt.Sprintf("spatial remaining=%d freed=[0,%d)", remaining, lo))
+		}
 		r.dispatch(g, 0, lo, true)
 		return
 	}
@@ -423,7 +436,9 @@ func (r *Runtime) onDrained(v *Invocation, remaining int) {
 	if r.running == v {
 		r.running = nil
 	}
-	r.log("drained", v.Kernel, fmt.Sprintf("temporal remaining=%d", remaining))
+	if r.cfg.Log != nil {
+		r.log("drained", v.Kernel, fmt.Sprintf("temporal remaining=%d", remaining))
+	}
 	r.cfg.Policy.Enqueue(v)
 	r.setQueueGauges()
 	r.schedule()
