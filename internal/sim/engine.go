@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -18,15 +17,21 @@ type Event struct {
 	when     time.Duration
 	seq      uint64
 	fn       func()
+	eng      *Engine
 	canceled bool
-	index    int // heap index; -1 when not queued
+	index    int // position in eng.queue; -1 when not queued
 }
 
-// Cancel prevents the event from firing. Canceling an already-fired or
-// already-canceled event is a no-op.
+// Cancel prevents the event from firing and takes it out of the queue at
+// once, so a superseded far-future timer costs nobody a deeper sift.
+// Canceling an already-fired or already-canceled event is a no-op.
 func (e *Event) Cancel() {
-	if e != nil {
-		e.canceled = true
+	if e == nil || e.canceled {
+		return
+	}
+	e.canceled = true
+	if e.index >= 0 {
+		e.eng.remove(e.index)
 	}
 }
 
@@ -36,33 +41,11 @@ func (e *Event) Canceled() bool { return e != nil && e.canceled }
 // When returns the virtual time the event is scheduled for.
 func (e *Event) When() time.Duration { return e.when }
 
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+// before is the firing order: time, then scheduling sequence. seq is unique,
+// so the order is total and the heap's pop order does not depend on how it
+// arranges its interior.
+func (e *Event) before(o *Event) bool {
+	return e.when < o.when || (e.when == o.when && e.seq < o.seq)
 }
 
 // Engine is a single-threaded discrete-event simulator.
@@ -70,7 +53,7 @@ func (q *eventQueue) Pop() any {
 type Engine struct {
 	now     time.Duration
 	seq     uint64
-	queue   eventQueue
+	queue   []*Event // binary min-heap under Event.before
 	running bool
 }
 
@@ -98,39 +81,85 @@ func (e *Engine) At(when time.Duration, fn func()) *Event {
 		panic("sim: nil event func")
 	}
 	e.seq++
-	ev := &Event{when: when, seq: e.seq, fn: fn, index: -1}
-	heap.Push(&e.queue, ev)
+	ev := &Event{when: when, seq: e.seq, fn: fn, eng: e}
+	e.queue = append(e.queue, nil)
+	e.up(len(e.queue)-1, ev)
 	return ev
 }
 
-// Pending returns the number of queued events that can still fire.
-// Canceled events sit in the heap until their time comes up, but they are
-// dead weight, not pending work — a long-lived daemon uses Pending as its
-// idleness signal, so counting them would keep an idle engine looking
-// busy.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ev := range e.queue {
-		if !ev.canceled {
-			n++
+// up places ev at or above hole i, moving later parents down into the hole
+// (one write per level instead of a swap).
+func (e *Engine) up(i int, ev *Event) {
+	q := e.queue
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(q[p]) {
+			break
 		}
+		q[i] = q[p]
+		q[i].index = i
+		i = p
 	}
-	return n
+	q[i] = ev
+	ev.index = i
 }
+
+// down places ev at or below hole i, moving earlier children up.
+func (e *Engine) down(i int, ev *Event) {
+	q := e.queue
+	for {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if c+1 < len(q) && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(ev) {
+			break
+		}
+		q[i] = q[c]
+		q[i].index = i
+		i = c
+	}
+	q[i] = ev
+	ev.index = i
+}
+
+// remove takes the event at heap position i out of the queue.
+func (e *Engine) remove(i int) {
+	q := e.queue
+	n := len(q) - 1
+	q[i].index = -1
+	last := q[n]
+	q[n] = nil
+	e.queue = q[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(q[(i-1)/2]) {
+		e.up(i, last)
+	} else {
+		e.down(i, last)
+	}
+}
+
+// Pending returns the number of queued events. Canceled events leave the
+// queue when they are canceled, so a long-lived daemon can use Pending as
+// its idleness signal.
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // Step fires the earliest pending event, advancing the clock to its time.
 // It reports whether an event fired.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
-		if ev.canceled {
-			continue
-		}
-		e.now = ev.when
-		ev.fn()
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	ev := e.queue[0]
+	e.remove(0)
+	e.now = ev.when
+	ev.fn()
+	return true
 }
 
 // Run fires events until the queue is empty, returning the final clock.
@@ -153,31 +182,11 @@ func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.queue) > 0 {
-		next := e.peek()
-		if next == nil {
-			break
-		}
-		if next.when > deadline {
-			break
-		}
+	for len(e.queue) > 0 && e.queue[0].when <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {
 		e.now = deadline
 	}
 	return e.now
-}
-
-// peek returns the earliest non-canceled event without firing it, popping
-// canceled events as it goes.
-func (e *Engine) peek() *Event {
-	for len(e.queue) > 0 {
-		ev := e.queue[0]
-		if !ev.canceled {
-			return ev
-		}
-		heap.Pop(&e.queue)
-	}
-	return nil
 }

@@ -1,0 +1,207 @@
+package sim
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+	"time"
+)
+
+// refEngine is the naive reference the real engine is checked against: a
+// slice kept sorted by (when, seq), with cancellation by deletion.
+type refEngine struct {
+	now   time.Duration
+	seq   uint64
+	queue []*refEvent
+}
+
+type refEvent struct {
+	when     time.Duration
+	seq      uint64
+	id       int
+	canceled bool
+	queued   bool
+}
+
+func (r *refEngine) at(when time.Duration, id int) *refEvent {
+	r.seq++
+	ev := &refEvent{when: when, seq: r.seq, id: id, queued: true}
+	i := sort.Search(len(r.queue), func(i int) bool {
+		q := r.queue[i]
+		return q.when > when || (q.when == when && q.seq > ev.seq)
+	})
+	r.queue = append(r.queue, nil)
+	copy(r.queue[i+1:], r.queue[i:])
+	r.queue[i] = ev
+	return ev
+}
+
+func (r *refEngine) cancel(ev *refEvent) {
+	ev.canceled = true
+	if !ev.queued {
+		return
+	}
+	for i, q := range r.queue {
+		if q == ev {
+			r.queue = append(r.queue[:i], r.queue[i+1:]...)
+			ev.queued = false
+			return
+		}
+	}
+}
+
+// pop removes and returns the next event to fire, or nil.
+func (r *refEngine) pop() *refEvent {
+	if len(r.queue) == 0 {
+		return nil
+	}
+	ev := r.queue[0]
+	r.queue = r.queue[1:]
+	ev.queued = false
+	r.now = ev.when
+	return ev
+}
+
+// TestEngineMatchesSortedSliceModel drives the engine and the reference
+// with one seeded operation sequence — At, Schedule, Cancel (of queued,
+// fired and already-cancelled events), Step and RunUntil, same-timestamp
+// ties, and callbacks that schedule and cancel from inside a firing — and
+// requires the same firing order, clock and Pending() after every
+// operation.
+func TestEngineMatchesSortedSliceModel(t *testing.T) {
+	seed := time.Now().UnixNano()
+	rng := rand.New(rand.NewSource(seed))
+	t.Logf("seed %d", seed)
+	fail := func(op int, format string, args ...any) {
+		t.Helper()
+		t.Fatalf("seed %d, operation %d: "+format, append([]any{seed, op}, args...)...)
+	}
+
+	eng := New()
+	ref := &refEngine{}
+	type pair struct {
+		ev  *Event
+		ref *refEvent
+	}
+	var handles []pair
+	var fired, refFired []int
+	nextID := 0
+
+	// schedule adds the same event to both sides. One in four callbacks
+	// schedules a follow-up and cancels a random earlier handle when it
+	// fires; the reference replays that from its own pop loop.
+	var schedule func(when time.Duration)
+	schedule = func(when time.Duration) {
+		id := nextID
+		nextID++
+		follow, victim := time.Duration(-1), -1 // none
+		if rng.Intn(4) == 0 {
+			follow = time.Duration(rng.Intn(3)) * time.Microsecond
+			if len(handles) > 0 {
+				victim = rng.Intn(len(handles))
+			}
+		}
+		ev := eng.At(when, func() {
+			fired = append(fired, id)
+			if follow >= 0 {
+				schedule(eng.Now() + follow)
+			}
+			if victim >= 0 {
+				handles[victim].ev.Cancel()
+				ref.cancel(handles[victim].ref)
+			}
+		})
+		handles = append(handles, pair{ev, ref.at(when, id)})
+	}
+	// refStep fires one reference event. The follow-up and the cancel were
+	// already applied to the reference by the real callback (they share
+	// schedule), so the reference only has to agree on which event is next.
+	refStep := func() bool {
+		ev := ref.pop()
+		if ev == nil {
+			return false
+		}
+		refFired = append(refFired, ev.id)
+		return true
+	}
+
+	for op := 0; op < 20000; op++ {
+		switch k := rng.Intn(10); {
+		case k < 4: // At / Schedule, often onto an occupied timestamp
+			delay := time.Duration(rng.Intn(8)) * time.Microsecond
+			if rng.Intn(8) == 0 {
+				delay = time.Duration(rng.Intn(1000)) * time.Millisecond
+			}
+			schedule(eng.Now() + delay)
+		case k < 6: // Cancel: queued, fired or cancelled, whichever it hits
+			if len(handles) > 0 {
+				h := handles[rng.Intn(len(handles))]
+				h.ev.Cancel()
+				ref.cancel(h.ref)
+				if !h.ev.Canceled() {
+					fail(op, "Canceled() false after Cancel")
+				}
+			}
+		case k < 9: // Step: the reference pops first, the callback then
+			// mutates both sides identically
+			want := refStep()
+			if got := eng.Step(); got != want {
+				fail(op, "Step = %v, reference %v", got, want)
+			}
+		default: // RunUntil
+			deadline := eng.Now() + time.Duration(rng.Intn(20))*time.Microsecond
+			for len(ref.queue) > 0 && ref.queue[0].when <= deadline {
+				// Fire the real event for each reference pop so callbacks
+				// interleave exactly as RunUntil would run them.
+				refStep()
+				if !eng.Step() {
+					fail(op, "engine idle while the reference still had events ≤ %v", deadline)
+				}
+			}
+			eng.RunUntil(deadline)
+			if ref.now < deadline {
+				ref.now = deadline
+			}
+		}
+		if eng.Now() != ref.now {
+			fail(op, "Now = %v, reference %v", eng.Now(), ref.now)
+		}
+		if eng.Pending() != len(ref.queue) {
+			fail(op, "Pending = %d, reference %d", eng.Pending(), len(ref.queue))
+		}
+		if len(fired) != len(refFired) {
+			fail(op, "%d events fired, reference %d", len(fired), len(refFired))
+		}
+		if n := len(fired); n > 0 && fired[n-1] != refFired[n-1] {
+			fail(op, "fired event %d, reference %d", fired[n-1], refFired[n-1])
+		}
+	}
+	for i := range fired {
+		if fired[i] != refFired[i] {
+			t.Fatalf("seed %d: firing order diverges at position %d: %d vs reference %d", seed, i, fired[i], refFired[i])
+		}
+	}
+	if len(fired) < 2000 {
+		t.Fatalf("seed %d: only %d events fired; the sequence is not exercising the engine", seed, len(fired))
+	}
+}
+
+// TestCancelRemovesFromQueue: a cancelled event leaves the queue at once
+// instead of riding the heap until its timestamp comes up.
+func TestCancelRemovesFromQueue(t *testing.T) {
+	e := New()
+	keep := e.Schedule(time.Hour, func() {})
+	for i := 0; i < 10000; i++ {
+		e.Schedule(time.Duration(i+1)*time.Second, func() {}).Cancel()
+	}
+	if got := e.Pending(); got != 1 {
+		t.Fatalf("Pending = %d after 10,000 schedule+cancel pairs, want the 1 live event", got)
+	}
+	if got := len(e.queue); got != 1 {
+		t.Fatalf("queue holds %d events, want 1", got)
+	}
+	keep.Cancel()
+	if e.Pending() != 0 || e.Step() {
+		t.Fatal("queue not empty after cancelling the last event")
+	}
+}
