@@ -60,6 +60,7 @@ type Device struct {
 
 	execs    []*Exec
 	wake     *sim.Event // earliest completion/deadline event
+	onWakeFn func()     // d.onWake, bound once: reschedule re-arms it on every state change
 	reserved int64      // device memory currently reserved
 	met      DeviceMetrics
 }
@@ -103,7 +104,9 @@ func New(eng *sim.Engine, par Params) *Device {
 	if par.Limits.NumSMs <= 0 {
 		panic("gpu: params without device limits")
 	}
-	return &Device{eng: eng, par: par}
+	d := &Device{eng: eng, par: par}
+	d.onWakeFn = d.onWake
+	return d
 }
 
 // Params returns the device's calibration constants.
@@ -184,7 +187,11 @@ type Exec struct {
 	lastSync time.Duration
 	smLo     int // current SM range (shrinks under spatial preemption)
 	smHi     int
-	ctas     []int // resident CTAs per SM offset (index 0 = smLo)
+	// Placement (see place): resident CTAs in total, and per SM — the first
+	// extra SMs of the range hold perSM+1, the rest perSM.
+	resident, perSM, extra int
+	// perTask's constants in seconds, converted once at Start.
+	taskSecs, atomicSecs, pollSecs float64
 
 	draining   bool
 	drainYield int // SMs to free, counted from smLo
@@ -225,6 +232,10 @@ func (d *Device) Start(cfg ExecConfig) (*Exec, error) {
 		done:  float64(cfg.DoneTasks),
 		smLo:  cfg.SMLo,
 		smHi:  cfg.SMHi,
+
+		taskSecs:   cfg.TaskCost.Seconds(),
+		atomicSecs: d.par.TaskAtomicLatency.Seconds(),
+		pollSecs:   d.par.PinnedReadLatency.Seconds() / float64(cfg.L),
 	}
 	// Register immediately so overlap checks see launching executions too.
 	d.execs = append(d.execs, e)
@@ -257,30 +268,20 @@ func (d *Device) becomeResident(e *Exec) {
 	d.reschedule()
 }
 
-// place distributes the execution's CTAs evenly over its SM range, capped
-// by occupancy and by remaining tasks (a persistent kernel launches at most
-// one worker per task when tasks are scarce).
+// place distributes the execution's CTAs round-robin over its SM range,
+// capped by occupancy and by remaining tasks (a persistent kernel launches
+// at most one worker per task when tasks are scarce).
 func (e *Exec) place() {
 	n := e.smHi - e.smLo
-	perSM := e.cfg.Profile.CTAsPerSM
-	want := n * perSM
+	want := n * e.cfg.Profile.CTAsPerSM
 	if rem := e.Remaining(); rem < want {
 		want = rem
 	}
-	e.ctas = make([]int, n)
-	for i := 0; i < want; i++ {
-		e.ctas[i%n]++
-	}
+	e.resident, e.perSM, e.extra = want, want/n, want%n
 }
 
 // totalCTAs returns the execution's resident CTA count.
-func (e *Exec) totalCTAs() int {
-	t := 0
-	for _, c := range e.ctas {
-		t += c
-	}
-	return t
-}
+func (e *Exec) totalCTAs() int { return e.resident }
 
 // Remaining returns the integer remaining-task count at the current time.
 func (e *Exec) Remaining() int {
@@ -300,15 +301,16 @@ func (e *Exec) SMRange() (lo, hi int) { return e.smLo, e.smHi }
 // perTask returns the effective per-task duration (seconds) of one CTA on
 // an SM with k resident CTAs, under the device-wide pressure multipliers.
 func (e *Exec) perTask(k int, pressure, mix float64) float64 {
-	base := e.cfg.TaskCost.Seconds() * e.cfg.Profile.speedFactor(k) * pressure * mix
+	base := e.taskSecs * e.cfg.Profile.speedFactor(k) * pressure * mix
 	if e.cfg.Persistent {
-		base += e.dev.par.TaskAtomicLatency.Seconds()
-		base += e.dev.par.PinnedReadLatency.Seconds() / float64(e.cfg.L)
+		base += e.atomicSecs
+		base += e.pollSecs
 	}
 	return base
 }
 
-// sync advances all fluid progress to now and recomputes rates.
+// sync advances all fluid progress to now. Rates are already current: every
+// change to placement or to the running set ends in recomputeRates.
 func (d *Device) sync() {
 	now := d.eng.Now()
 	for _, e := range d.execs {
@@ -324,7 +326,6 @@ func (d *Device) sync() {
 		}
 		e.lastSync = now
 	}
-	d.recomputeRates()
 }
 
 // recomputeRates derives each execution's task rate from its placement and
@@ -335,12 +336,20 @@ func (d *Device) recomputeRates() {
 		if e.state != StateRunning {
 			continue
 		}
+		// One term per occupied SM, summed in SM order: an SM's term depends
+		// only on its CTA count, and placement has at most two of those.
 		rate := 0.0
-		for _, k := range e.ctas {
-			if k == 0 {
-				continue
+		if e.extra > 0 {
+			term := float64(e.perSM+1) / e.perTask(e.perSM+1, pressure, mix)
+			for i := 0; i < e.extra; i++ {
+				rate += term
 			}
-			rate += float64(k) / e.perTask(k, pressure, mix)
+		}
+		if e.perSM > 0 {
+			term := float64(e.perSM) / e.perTask(e.perSM, pressure, mix)
+			for i := e.extra; i < e.smHi-e.smLo; i++ {
+				rate += term
+			}
 		}
 		e.rate = rate
 	}
@@ -406,7 +415,7 @@ func (d *Device) reschedule() {
 		}
 	}
 	if found {
-		d.wake = d.eng.At(soonest, d.onWake)
+		d.wake = d.eng.At(soonest, d.onWakeFn)
 	}
 }
 
@@ -444,8 +453,7 @@ func (d *Device) finish(e *Exec) {
 		}
 	}
 	if e.cfg.OnComplete != nil {
-		cb := e.cfg.OnComplete
-		d.eng.Schedule(0, func() { cb() })
+		d.eng.Schedule(0, e.cfg.OnComplete)
 	}
 	d.recomputeRates()
 	d.reschedule()

@@ -72,12 +72,12 @@ func (d *Device) updateGauges() {
 		if e.state != StateRunning {
 			continue
 		}
-		for _, k := range e.ctas {
-			if k > 0 {
-				busy++
-				ctas += k
-			}
+		if e.perSM > 0 {
+			busy += e.smHi - e.smLo
+		} else {
+			busy += e.extra
 		}
+		ctas += e.resident
 	}
 	d.met.BusySMs.Set(float64(busy))
 	d.met.ResidentCTAs.Set(float64(ctas))
