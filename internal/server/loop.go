@@ -131,6 +131,7 @@ type ctrlMsg struct {
 // ctrl sends a control message to the loop and waits for acknowledgement.
 func (s *Server) ctrl(kind ctrlKind) error {
 	m := ctrlMsg{kind: kind, ack: make(chan struct{})}
+	s.signals.Add(1) // before the send: see Server.signals
 	select {
 	case s.ctrlCh <- m:
 	case <-s.loopDone:
@@ -192,6 +193,12 @@ func (s *Server) tryEnqueue(q *launchReq) error {
 	}
 }
 
+// loopState is the event loop's own view of pause and drain.
+type loopState struct {
+	paused, draining bool
+	stop             <-chan struct{} // nil once draining
+}
+
 // loop is the daemon's scheduling thread. It is the only goroutine that
 // touches the engine, device, runtime, policy, and core.System after
 // startup; everything reaches it through submitCh/ctrlCh. Each iteration
@@ -204,16 +211,7 @@ func (s *Server) loop() {
 		// the moment Shutdown returns, even if nobody calls Close.
 		defer func() { _ = s.cfg.Recorder.Flush() }()
 	}
-	stop := (<-chan struct{})(s.stopCh)
-	draining := false
-	paused := false
-
-	beginDrain := func() {
-		draining = true
-		stop = nil
-		paused = false
-		s.paused.Store(false)
-	}
+	st := &loopState{stop: s.stopCh}
 
 	// paceDebt is the unserved remainder of the current pace interval: a
 	// pause arriving mid-sleep parks the loop, and the owed balance is
@@ -222,15 +220,21 @@ func (s *Server) loop() {
 	var paceDebt time.Duration
 
 	for {
-		// Absorb everything already pending, without blocking. Arrivals
-		// drain into the reusable batch and are admitted in one pass —
-		// submitCh is FIFO, so batch order is arrival order and the
+		// Absorb everything already pending, without blocking — but only
+		// when something can be: every sender registers in queued or signals
+		// before it sends, so with both at zero all three channels are empty
+		// and a backlog of events is stepped without a select per step. A
+		// sender that registers just after the look is seen one step later,
+		// and the loop never blocks without selecting on the channels
+		// themselves, so no wake-up is lost.
+		// Arrivals drain into the reusable batch and are admitted in one
+		// pass — submitCh is FIFO, so batch order is arrival order and the
 		// virtual-clock stamping (hence the replay trace) is byte-identical
 		// to one-at-a-time admission.
 	absorb:
-		for {
+		for s.queued.Load() > 0 || s.signals.Load() > 0 {
 			submitCh := s.submitCh
-			if paused {
+			if st.paused {
 				// Pause has been acknowledged: a launch sent from here on
 				// must stay queued until Resume, including for the rest of
 				// the pass the pause arrived in.
@@ -240,9 +244,9 @@ func (s *Server) loop() {
 			case q := <-submitCh:
 				s.batch = append(s.batch, q)
 			case m := <-s.ctrlCh:
-				paused = s.handleCtrl(m, paused, draining)
-			case <-stop:
-				beginDrain()
+				s.handleCtrl(m, st)
+			case <-st.stop:
+				s.beginDrain(st)
 			default:
 				break absorb
 			}
@@ -250,20 +254,20 @@ func (s *Server) loop() {
 		s.admitAll()
 		s.admitReleased()
 
-		if paused {
+		if st.paused {
 			// Parked: arrivals pile up in submitCh (backpressure) until
 			// Resume or Shutdown.
 			select {
 			case m := <-s.ctrlCh:
-				paused = s.handleCtrl(m, paused, draining)
-			case <-stop:
-				beginDrain()
+				s.handleCtrl(m, st)
+			case <-st.stop:
+				s.beginDrain(st)
 			}
 			continue
 		}
 
 		if paceDebt > 0 {
-			paceDebt = s.sleepAbsorb(paceDebt, &paused, &draining, &stop)
+			paceDebt = s.sleepAbsorb(paceDebt, st)
 			if paceDebt > 0 {
 				continue // paused again mid-interval; settle after Resume
 			}
@@ -273,13 +277,13 @@ func (s *Server) loop() {
 			s.vnow.Store(int64(s.stack.Eng.Now()))
 			s.steps.Add(1)
 			if s.cfg.Pace > 0 {
-				paceDebt = s.sleepAbsorb(s.cfg.Pace, &paused, &draining, &stop)
+				paceDebt = s.sleepAbsorb(s.cfg.Pace, st)
 			}
 			continue
 		}
 
 		// Simulator idle: nothing left to run.
-		if draining && len(s.submitCh) == 0 && len(s.depReady) == 0 {
+		if st.draining && len(s.submitCh) == 0 && len(s.depReady) == 0 {
 			// Parked graph stages can never be released now — the engine is
 			// idle, the queue is empty, and admission is closed — so cancel
 			// them deterministically instead of leaving handlers to time out.
@@ -290,9 +294,9 @@ func (s *Server) loop() {
 		case q := <-s.submitCh:
 			s.admit(q)
 		case m := <-s.ctrlCh:
-			paused = s.handleCtrl(m, paused, draining)
-		case <-stop:
-			beginDrain()
+			s.handleCtrl(m, st)
+		case <-st.stop:
+			s.beginDrain(st)
 		}
 	}
 }
@@ -306,7 +310,7 @@ func (s *Server) loop() {
 // settle the debt after Resume; a timer expiry or a Shutdown returns 0
 // (drain runs the remaining work without further pacing of this
 // interval).
-func (s *Server) sleepAbsorb(d time.Duration, paused, draining *bool, stop *<-chan struct{}) time.Duration {
+func (s *Server) sleepAbsorb(d time.Duration, st *loopState) time.Duration {
 	deadline := time.Now().Add(d)
 	timer := time.NewTimer(d)
 	defer timer.Stop()
@@ -317,36 +321,42 @@ func (s *Server) sleepAbsorb(d time.Duration, paused, draining *bool, stop *<-ch
 		case q := <-s.submitCh:
 			s.admit(q)
 		case m := <-s.ctrlCh:
-			*paused = s.handleCtrl(m, *paused, *draining)
-			if *paused {
+			s.handleCtrl(m, st)
+			if st.paused {
 				// Park promptly; the loop owes the rest of the interval.
 				if rem := time.Until(deadline); rem > 0 {
 					return rem
 				}
 				return 0
 			}
-		case <-*stop:
-			*draining = true
-			*stop = nil
-			*paused = false
-			s.paused.Store(false)
+		case <-st.stop:
+			s.beginDrain(st)
 			return 0
 		}
 	}
 }
 
-func (s *Server) handleCtrl(m ctrlMsg, paused, draining bool) bool {
+// beginDrain takes the stop request: admission is closed, so the loop runs
+// what is queued and in flight to completion, unparking if it was paused.
+func (s *Server) beginDrain(st *loopState) {
+	s.signals.Add(-1)
+	st.draining, st.stop = true, nil
+	st.paused = false
+	s.paused.Store(false)
+}
+
+func (s *Server) handleCtrl(m ctrlMsg, st *loopState) {
+	s.signals.Add(-1)
 	switch m.kind {
 	case ctrlPause:
-		if !draining { // a draining daemon must keep making progress
-			paused = true
+		if !st.draining { // a draining daemon must keep making progress
+			st.paused = true
 		}
 	case ctrlResume:
-		paused = false
+		st.paused = false
 	}
-	s.paused.Store(paused)
+	s.paused.Store(st.paused)
 	close(m.ack)
-	return paused
 }
 
 // admitAll stamps and submits every launch drained into the batch, in

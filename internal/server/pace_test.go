@@ -12,19 +12,19 @@ import (
 // forgotten.
 func TestSleepAbsorbPauseReturnsRemainder(t *testing.T) {
 	s := &Server{ctrlCh: make(chan ctrlMsg, 1)}
-	paused, draining := false, false
-	stop := (<-chan struct{})(nil)
+	st := &loopState{}
 
 	const interval = 200 * time.Millisecond
 	const pauseAt = 20 * time.Millisecond
 	go func() {
 		time.Sleep(pauseAt)
+		s.signals.Add(1)
 		s.ctrlCh <- ctrlMsg{kind: ctrlPause, ack: make(chan struct{})}
 	}()
 	start := time.Now()
-	rem := s.sleepAbsorb(interval, &paused, &draining, &stop)
+	rem := s.sleepAbsorb(interval, st)
 	served := time.Since(start)
-	if !paused {
+	if !st.paused {
 		t.Fatal("pause was not applied")
 	}
 	if served >= interval {
@@ -46,20 +46,20 @@ func TestSleepAbsorbPauseReturnsRemainder(t *testing.T) {
 // ctrl arrival as the end of the interval.
 func TestSleepAbsorbKeepsIntervalAcrossCtrl(t *testing.T) {
 	s := &Server{ctrlCh: make(chan ctrlMsg, 4)}
-	paused, draining := false, false
-	stop := (<-chan struct{})(nil)
+	st := &loopState{}
 
 	const interval = 60 * time.Millisecond
 	for i := 0; i < 4; i++ {
+		s.signals.Add(1)
 		s.ctrlCh <- ctrlMsg{kind: ctrlResume, ack: make(chan struct{})}
 	}
 	start := time.Now()
-	rem := s.sleepAbsorb(interval, &paused, &draining, &stop)
+	rem := s.sleepAbsorb(interval, st)
 	elapsed := time.Since(start)
 	if rem != 0 {
 		t.Fatalf("remainder = %v after full interval, want 0", rem)
 	}
-	if paused {
+	if st.paused {
 		t.Fatal("resume-only ctrl stream left the loop paused")
 	}
 	if elapsed < interval {
@@ -72,20 +72,20 @@ func TestSleepAbsorbKeepsIntervalAcrossCtrl(t *testing.T) {
 func TestSleepAbsorbStopEndsPacing(t *testing.T) {
 	s := &Server{}
 	stopCh := make(chan struct{})
+	s.signals.Add(1)
 	close(stopCh)
-	stop := (<-chan struct{})(stopCh)
-	paused, draining := false, false
+	st := &loopState{stop: stopCh}
 
 	start := time.Now()
-	rem := s.sleepAbsorb(time.Second, &paused, &draining, &stop)
+	rem := s.sleepAbsorb(time.Second, st)
 	if time.Since(start) > 500*time.Millisecond {
 		t.Fatal("stop did not interrupt the sleep promptly")
 	}
 	if rem != 0 {
 		t.Fatalf("remainder = %v on shutdown, want 0", rem)
 	}
-	if !draining || stop != nil {
-		t.Fatalf("stop not latched: draining=%v stop=%v", draining, stop)
+	if !st.draining || st.stop != nil {
+		t.Fatalf("stop not latched: draining=%v stop=%v", st.draining, st.stop)
 	}
 }
 

@@ -351,6 +351,12 @@ type Server struct {
 	// check and overshoot beLimit.
 	queued atomic.Int64
 
+	// signals counts control messages and the stop request from just
+	// before they are sent until the loop receives them. With queued it
+	// tells the stepping loop whether any of its channels can hold
+	// something, so it only looks at them when one can.
+	signals atomic.Int32
+
 	// batch is the loop-owned scratch slice absorb passes drain submitCh
 	// into, so a burst of arrivals is admitted in one pass with a single
 	// wall-clock read instead of one select iteration (and one time.Now)
@@ -607,6 +613,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining = true
 	s.acceptMu.Unlock()
 	if !already {
+		s.signals.Add(1)
 		close(s.stopCh)
 	}
 	select {
