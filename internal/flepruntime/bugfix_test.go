@@ -182,8 +182,8 @@ func TestFFSKernelWeightsScopedPerTenant(t *testing.T) {
 	if _, ok := ffs.KernelWeight("b"); ok {
 		t.Fatal("departed tenant b's weight entry was not evicted")
 	}
-	if len(ffs.seen) != 0 {
-		t.Fatalf("seen retains %d kernels after all tenants departed", len(ffs.seen))
+	if len(ffs.tenants) != 0 {
+		t.Fatalf("seen retains %d kernels after all tenants departed", len(ffs.tenants))
 	}
 }
 

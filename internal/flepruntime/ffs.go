@@ -23,20 +23,20 @@ type FFS struct {
 	// Weights maps priority level to its share weight. Missing levels
 	// weigh their priority value (min 1).
 	Weights map[int]float64
-	// kernelWeights maps a tenant kernel to its requested share weight.
-	// Per-kernel weights take precedence over the priority-level table, so
-	// two tenants at the same priority keep distinct shares instead of
-	// clobbering one slot. Entries are evicted with the kernel's overhead
-	// record when the tenant departs (OnCompletion).
-	kernelWeights map[string]float64
 
 	rt    *Runtime
 	queue []*Invocation
-	// seen tracks each distinct kernel's overhead and weight for the
-	// epoch computation. Kernels are evicted when their last invocation
-	// completes (OnCompletion), so a departed tenant stops inflating
-	// baseEpoch's ΣO_i/ΣW_i sums for the daemon's lifetime.
-	seen map[string]ffsKernel
+	// tenants holds one entry per distinct kernel, ordered by name: its
+	// requested share weight and, once it has been dispatched, the overhead
+	// and weight the epoch computation sums. A tenant is evicted when its
+	// last invocation completes (OnCompletion), so a departed kernel stops
+	// inflating the ΣO_i/ΣW_i sums for the daemon's lifetime. The sums are
+	// taken in name order — float addition in map-iteration order gave an
+	// epoch length that differed in its last bit from run to run — and
+	// cached in sumO/sumW until an entry changes.
+	tenants []ffsTenant
+	sumO    time.Duration
+	sumW    float64
 	// curKernel owns the current epoch, which ends at epochEnd.
 	curKernel string
 	epochEnd  time.Duration
@@ -52,9 +52,47 @@ type FFS struct {
 	lastEpochLen time.Duration
 }
 
-type ffsKernel struct {
-	overhead time.Duration
-	weight   float64
+type ffsTenant struct {
+	kernel string
+	// requested is the tenant's own share weight (SetKernelWeight; 0 = none).
+	// It takes precedence over the priority-level table, so two tenants at
+	// the same priority keep distinct shares instead of clobbering one slot.
+	requested float64
+	// dispatched marks a tenant that has run; only those count in the sums.
+	dispatched bool
+	overhead   time.Duration
+	weight     float64
+}
+
+// tenant returns the position of kernel's entry in f.tenants, or the
+// position it would be inserted at. The table is a handful of entries.
+func (f *FFS) tenant(kernel string) (i int, ok bool) {
+	for i < len(f.tenants) && f.tenants[i].kernel < kernel {
+		i++
+	}
+	return i, i < len(f.tenants) && f.tenants[i].kernel == kernel
+}
+
+// ensureTenant returns kernel's entry, inserting an empty one if needed.
+func (f *FFS) ensureTenant(kernel string) *ffsTenant {
+	i, ok := f.tenant(kernel)
+	if !ok {
+		f.tenants = append(f.tenants, ffsTenant{})
+		copy(f.tenants[i+1:], f.tenants[i:])
+		f.tenants[i] = ffsTenant{kernel: kernel}
+	}
+	return &f.tenants[i]
+}
+
+// resum recomputes the cached epoch sums over the dispatched tenants.
+func (f *FFS) resum() {
+	f.sumO, f.sumW = 0, 0
+	for i := range f.tenants {
+		if t := &f.tenants[i]; t.dispatched {
+			f.sumO += t.overhead
+			f.sumW += t.weight
+		}
+	}
 }
 
 // NewFFS returns an FFS policy with the given overhead budget.
@@ -62,7 +100,7 @@ func NewFFS(maxOverhead float64) *FFS {
 	if maxOverhead <= 0 {
 		maxOverhead = 0.10
 	}
-	return &FFS{MaxOverhead: maxOverhead, seen: map[string]ffsKernel{}}
+	return &FFS{MaxOverhead: maxOverhead}
 }
 
 // Name implements Policy.
@@ -75,24 +113,22 @@ func (f *FFS) bind(r *Runtime) { f.rt = r }
 // priority-level Weights table for that kernel and is dropped automatically
 // when the tenant departs.
 func (f *FFS) SetKernelWeight(kernel string, w float64) {
-	if w <= 0 {
-		return
+	if w > 0 {
+		f.ensureTenant(kernel).requested = w
 	}
-	if f.kernelWeights == nil {
-		f.kernelWeights = map[string]float64{}
-	}
-	f.kernelWeights[kernel] = w
 }
 
 // KernelWeight reports the per-kernel share weight, if one is set.
 func (f *FFS) KernelWeight(kernel string) (float64, bool) {
-	w, ok := f.kernelWeights[kernel]
-	return w, ok
+	if i, ok := f.tenant(kernel); ok && f.tenants[i].requested > 0 {
+		return f.tenants[i].requested, true
+	}
+	return 0, false
 }
 
 // weight returns the share weight of an invocation.
 func (f *FFS) weight(v *Invocation) float64 {
-	if w, ok := f.kernelWeights[v.Kernel]; ok && w > 0 {
+	if w, ok := f.KernelWeight(v.Kernel); ok {
 		return w
 	}
 	if w, ok := f.Weights[v.Priority]; ok && w > 0 {
@@ -140,27 +176,25 @@ func (f *FFS) ShouldPreempt(*Runtime, *Invocation, *Invocation) bool { return fa
 // baseEpoch computes the minimum T satisfying the overhead constraint over
 // the kernels seen so far.
 func (f *FFS) baseEpoch() time.Duration {
-	var sumO time.Duration
-	sumW := 0.0
-	for _, k := range f.seen {
-		sumO += k.overhead
-		sumW += k.weight
-	}
-	if sumW == 0 {
+	if f.sumW == 0 {
 		return 0
 	}
-	return time.Duration(float64(sumO) / (f.MaxOverhead * sumW))
+	return time.Duration(float64(f.sumO) / (f.MaxOverhead * f.sumW))
 }
 
 // OnDispatch opens a new epoch when the GPU changes hands; dispatches of
 // the epoch owner's follow-up invocations inherit the running epoch.
 func (f *FFS) OnDispatch(r *Runtime, v *Invocation) {
-	f.seen[v.Kernel] = ffsKernel{overhead: r.OverheadFor(v), weight: f.weight(v)}
+	overhead, weight := r.OverheadFor(v), f.weight(v)
+	if t := f.ensureTenant(v.Kernel); !t.dispatched || t.overhead != overhead || t.weight != weight {
+		t.dispatched, t.overhead, t.weight = true, overhead, weight
+		f.resum()
+	}
 	now := r.Device().Now()
 	if v.Kernel == f.curKernel && now < f.epochEnd {
 		return // continuation within the owner's epoch
 	}
-	epoch := time.Duration(float64(f.baseEpoch()) * f.weight(v))
+	epoch := time.Duration(float64(f.baseEpoch()) * weight)
 	if epoch <= 0 {
 		return
 	}
@@ -218,7 +252,8 @@ func (f *FFS) onEpochEnd(r *Runtime, seq int) {
 // kernels' overheads and the epoch length inflates monotonically over the
 // daemon's lifetime.
 func (f *FFS) OnCompletion(r *Runtime, v *Invocation) {
-	if _, ok := f.seen[v.Kernel]; !ok {
+	i, ok := f.tenant(v.Kernel)
+	if !ok || !f.tenants[i].dispatched {
 		return
 	}
 	for _, q := range f.queue {
@@ -226,13 +261,13 @@ func (f *FFS) OnCompletion(r *Runtime, v *Invocation) {
 			return
 		}
 	}
-	for _, x := range []*Invocation{r.running, r.guest, r.pendingGuest} {
+	for _, x := range [...]*Invocation{r.running, r.guest, r.pendingGuest} {
 		if x != nil && x.Kernel == v.Kernel {
 			return
 		}
 	}
-	delete(f.seen, v.Kernel)
-	delete(f.kernelWeights, v.Kernel)
+	f.tenants = append(f.tenants[:i], f.tenants[i+1:]...)
+	f.resum()
 	r.met.Evictions.Inc()
 	if f.curKernel == v.Kernel {
 		// The departed tenant owned the open epoch; close it so the next

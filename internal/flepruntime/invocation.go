@@ -99,6 +99,11 @@ type Invocation struct {
 	exec             *gpu.Exec
 	guest            bool // currently running as a spatial guest
 	reserved         bool // holds a device-memory reservation
+	// overhead caches Runtime.OverheadFor; onComplete and onDrained are the
+	// device callbacks, bound at first dispatch.
+	overhead   time.Duration
+	onComplete func()
+	onDrained  func(remaining int)
 }
 
 // State returns the invocation's lifecycle state.

@@ -62,8 +62,8 @@ func TestFFSEvictsDepartedTenant(t *testing.T) {
 	if rt.met.Evictions.Value() < 1 {
 		t.Fatal("departed tenant was never evicted from the overhead table")
 	}
-	if len(ffs.seen) != 0 {
-		t.Fatalf("seen retains %d kernels after all tenants departed", len(ffs.seen))
+	if len(ffs.tenants) != 0 {
+		t.Fatalf("seen retains %d kernels after all tenants departed", len(ffs.tenants))
 	}
 
 	// The last epoch opened while a ran alone: exactly a's solo epoch
@@ -256,7 +256,7 @@ func TestFFSSoakEpochRotationsBounded(t *testing.T) {
 	var midSeen int
 	eng.Schedule(400*time.Millisecond, func() {
 		midPending = eng.Pending()
-		midSeen = len(ffs.seen)
+		midSeen = len(ffs.tenants)
 		stopB = true
 	})
 	eng.RunUntil(600 * time.Millisecond)
@@ -271,8 +271,8 @@ func TestFFSSoakEpochRotationsBounded(t *testing.T) {
 	if midSeen > 2 {
 		t.Fatalf("overhead table mid-soak tracks %d kernels, want ≤ 2", midSeen)
 	}
-	if len(ffs.seen) != 1 {
-		t.Fatalf("overhead table tracks %d kernels after b departed, want 1", len(ffs.seen))
+	if len(ffs.tenants) != 1 {
+		t.Fatalf("overhead table tracks %d kernels after b departed, want 1", len(ffs.tenants))
 	}
 	o := rt.OverheadFor(inv("a", 1, 2400, us(100), 2))
 	solo := time.Duration(float64(o) / 0.10)

@@ -53,3 +53,57 @@ func BenchmarkFFSRotation4Tenants(b *testing.B) {
 		fx.rotate(b)
 	}
 }
+
+// TestRotationAllocationBudget pins what one FFS rotation allocates with no
+// trace log attached: the four engine events it schedules (epoch timer,
+// drain, drained callback, relaunch) with a closure each bar the bound
+// device wake, and the new gpu.Exec. The ceiling is the measured value; a
+// trace line formatted for a nil log or a callback rebound per redispatch
+// shows up here.
+func TestRotationAllocationBudget(t *testing.T) {
+	fx := newRotationFixture(t)
+	const ceiling = 10
+	if got := testing.AllocsPerRun(500, func() { fx.rotate(t) }); got > ceiling {
+		t.Errorf("one FFS rotation allocates %v times, ceiling %d", got, ceiling)
+	}
+}
+
+// TestFFSEpochDeterministicWithFractionalWeights: the epoch length is
+// ΣO/(max_overhead·ΣW) truncated to a Duration, and ΣW was summed in Go map
+// iteration order — with weights 0.1/0.2/0.3 the sum differs in its last
+// bit between orders, the epoch by a nanosecond, and a recorded run no
+// longer replays byte-identically. Tenants are now summed in name order.
+func TestFFSEpochDeterministicWithFractionalWeights(t *testing.T) {
+	type outcome struct {
+		epoch    time.Duration
+		finished [3]time.Duration
+	}
+	run := func() outcome {
+		ffs := NewFFS(0.10)
+		eng, rt := newRT(ffs, false)
+		var out outcome
+		for i, name := range []string{"a", "b", "c"} {
+			i := i
+			ffs.SetKernelWeight(name, float64(i+1)/10)
+			v := inv(name, 1, 24000+7000*i, us(10), 4+i)
+			v.OnFinish = func(fv *Invocation) { out.finished[i] = fv.FinishedAt() }
+			if err := rt.Submit(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// All three tenants are present and have run by now, so the epoch
+		// in force was sized from all three weights.
+		eng.At(us(1500), func() { out.epoch = ffs.lastEpochLen })
+		eng.Run()
+		return out
+	}
+	first := run()
+	if first.epoch == 0 || first.finished[2] == 0 {
+		t.Fatalf("scenario did not run: %+v", first)
+	}
+	for i := 1; i < 200; i++ {
+		if got := run(); got != first {
+			t.Fatalf("run %d diverged from run 0:\n got %+v\nwant %+v", i, got, first)
+		}
+	}
+}

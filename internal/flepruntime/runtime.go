@@ -138,6 +138,8 @@ func (r *Runtime) Submit(v *Invocation) error {
 	if v.L <= 0 {
 		v.L = 1
 	}
+	// Estimated, and bound to this runtime, on first use.
+	v.overhead, v.onComplete, v.onDrained = 0, nil, nil
 	v.beginWait(r.dev.Now())
 	r.cfg.Policy.Enqueue(v)
 	r.met.Submits.Inc()
@@ -177,7 +179,17 @@ func (r *Runtime) fits(v *Invocation) bool {
 // bound (flag propagation + poll + expected residual batch + relaunch).
 // The residual term mirrors gpu.Exec.drainTime: a uniformly-positioned
 // worker owes (L-1)/2 tasks on average before its next flag poll.
+//
+// The estimate depends only on the kernel and on fields fixed at Submit, so
+// it is computed once per invocation; policies ask on every decision.
 func (r *Runtime) OverheadFor(v *Invocation) time.Duration {
+	if v.overhead == 0 {
+		v.overhead = r.estimateOverhead(v)
+	}
+	return v.overhead
+}
+
+func (r *Runtime) estimateOverhead(v *Invocation) time.Duration {
 	if r.cfg.OverheadEstimate != nil {
 		if d := r.cfg.OverheadEstimate(v.Kernel); d > 0 {
 			return d
@@ -316,6 +328,12 @@ func (r *Runtime) dispatch(v *Invocation, smLo, smHi int, asGuest bool) {
 	}
 	v.beginRun(now)
 	v.guest = asGuest
+	if v.onComplete == nil {
+		// Bound once per invocation: a rotated kernel is redispatched dozens
+		// of times with the same two callbacks.
+		v.onComplete = func() { r.onComplete(v) }
+		v.onDrained = func(rem int) { r.onDrained(v, rem) }
+	}
 	exec, err := r.dev.Start(gpu.ExecConfig{
 		Profile:    v.Profile,
 		TotalTasks: v.Tasks,
@@ -326,8 +344,8 @@ func (r *Runtime) dispatch(v *Invocation, smLo, smHi int, asGuest bool) {
 		SMLo:       smLo,
 		SMHi:       smHi,
 		ColdStart:  v.doneTasks > 0,
-		OnComplete: func() { r.onComplete(v) },
-		OnDrained:  func(rem int) { r.onDrained(v, rem) },
+		OnComplete: v.onComplete,
+		OnDrained:  v.onDrained,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("flepruntime: dispatch %s: %v", v.Kernel, err))

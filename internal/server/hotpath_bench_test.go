@@ -129,14 +129,14 @@ func TestAllocationBudget(t *testing.T) {
 		ceiling float64
 		run     func()
 	}{
-		{"POST /v1/launch through the handler", 44, func() {
+		{"POST /v1/launch through the handler", 31, func() {
 			r, err := http.NewRequest(http.MethodPost, "/v1/launch", strings.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
 			}
 			h.ServeHTTP(w, r)
 		}},
-		{"admission round trip", 23, func() { launchRoundTrip(t, s, bench) }},
+		{"admission round trip", 9, func() { launchRoundTrip(t, s, bench) }},
 		{"WriteJSON launch result", 1, func() { WriteJSON(w, http.StatusOK, benchResult) }},
 	} {
 		for i := 0; i < 50; i++ {
