@@ -2,6 +2,7 @@ package flepruntime
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"flep/internal/sim"
@@ -30,13 +31,10 @@ type FFS struct {
 	// requested share weight and, once it has been dispatched, the overhead
 	// and weight the epoch computation sums. A tenant is evicted when its
 	// last invocation completes (OnCompletion), so a departed kernel stops
-	// inflating the ΣO_i/ΣW_i sums for the daemon's lifetime. The sums are
-	// taken in name order — float addition in map-iteration order gave an
-	// epoch length that differed in its last bit from run to run — and
-	// cached in sumO/sumW until an entry changes.
+	// inflating baseEpoch's ΣO_i/ΣW_i sums for the daemon's lifetime. The
+	// sums are taken in name order: float addition in map-iteration order
+	// gave an epoch length that differed in its last bit from run to run.
 	tenants []ffsTenant
-	sumO    time.Duration
-	sumW    float64
 	// curKernel owns the current epoch, which ends at epochEnd.
 	curKernel string
 	epochEnd  time.Duration
@@ -55,8 +53,6 @@ type FFS struct {
 type ffsTenant struct {
 	kernel string
 	// requested is the tenant's own share weight (SetKernelWeight; 0 = none).
-	// It takes precedence over the priority-level table, so two tenants at
-	// the same priority keep distinct shares instead of clobbering one slot.
 	requested float64
 	// dispatched marks a tenant that has run; only those count in the sums.
 	dispatched bool
@@ -77,22 +73,9 @@ func (f *FFS) tenant(kernel string) (i int, ok bool) {
 func (f *FFS) ensureTenant(kernel string) *ffsTenant {
 	i, ok := f.tenant(kernel)
 	if !ok {
-		f.tenants = append(f.tenants, ffsTenant{})
-		copy(f.tenants[i+1:], f.tenants[i:])
-		f.tenants[i] = ffsTenant{kernel: kernel}
+		f.tenants = slices.Insert(f.tenants, i, ffsTenant{kernel: kernel})
 	}
 	return &f.tenants[i]
-}
-
-// resum recomputes the cached epoch sums over the dispatched tenants.
-func (f *FFS) resum() {
-	f.sumO, f.sumW = 0, 0
-	for i := range f.tenants {
-		if t := &f.tenants[i]; t.dispatched {
-			f.sumO += t.overhead
-			f.sumW += t.weight
-		}
-	}
 }
 
 // NewFFS returns an FFS policy with the given overhead budget.
@@ -176,20 +159,26 @@ func (f *FFS) ShouldPreempt(*Runtime, *Invocation, *Invocation) bool { return fa
 // baseEpoch computes the minimum T satisfying the overhead constraint over
 // the kernels seen so far.
 func (f *FFS) baseEpoch() time.Duration {
-	if f.sumW == 0 {
+	var sumO time.Duration
+	sumW := 0.0
+	for _, t := range f.tenants {
+		if t.dispatched {
+			sumO += t.overhead
+			sumW += t.weight
+		}
+	}
+	if sumW == 0 {
 		return 0
 	}
-	return time.Duration(float64(f.sumO) / (f.MaxOverhead * f.sumW))
+	return time.Duration(float64(sumO) / (f.MaxOverhead * sumW))
 }
 
 // OnDispatch opens a new epoch when the GPU changes hands; dispatches of
 // the epoch owner's follow-up invocations inherit the running epoch.
 func (f *FFS) OnDispatch(r *Runtime, v *Invocation) {
-	overhead, weight := r.OverheadFor(v), f.weight(v)
-	if t := f.ensureTenant(v.Kernel); !t.dispatched || t.overhead != overhead || t.weight != weight {
-		t.dispatched, t.overhead, t.weight = true, overhead, weight
-		f.resum()
-	}
+	weight := f.weight(v)
+	t := f.ensureTenant(v.Kernel)
+	t.dispatched, t.overhead, t.weight = true, r.OverheadFor(v), weight
 	now := r.Device().Now()
 	if v.Kernel == f.curKernel && now < f.epochEnd {
 		return // continuation within the owner's epoch
@@ -266,8 +255,7 @@ func (f *FFS) OnCompletion(r *Runtime, v *Invocation) {
 			return
 		}
 	}
-	f.tenants = append(f.tenants[:i], f.tenants[i+1:]...)
-	f.resum()
+	f.tenants = slices.Delete(f.tenants, i, i+1)
 	r.met.Evictions.Inc()
 	if f.curKernel == v.Kernel {
 		// The departed tenant owned the open epoch; close it so the next

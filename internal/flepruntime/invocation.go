@@ -99,8 +99,7 @@ type Invocation struct {
 	exec             *gpu.Exec
 	guest            bool // currently running as a spatial guest
 	reserved         bool // holds a device-memory reservation
-	// overhead caches Runtime.OverheadFor; onComplete and onDrained are the
-	// device callbacks, bound at first dispatch.
+	// Runtime.OverheadFor's cache, and the device callbacks bound at first dispatch.
 	overhead   time.Duration
 	onComplete func()
 	onDrained  func(remaining int)

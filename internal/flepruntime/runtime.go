@@ -111,9 +111,8 @@ func (r *Runtime) Device() *gpu.Device { return r.dev }
 // Running returns the primary running invocation, or nil.
 func (r *Runtime) Running() *Invocation { return r.running }
 
-// log records a runtime event. Callers that format their detail guard the
-// call with cfg.Log != nil themselves: the arguments of a Sprintf are boxed
-// and the string built before log could look.
+// log records a runtime event. Callers that format their detail check
+// cfg.Log themselves: a Sprintf's arguments are boxed before log could look.
 func (r *Runtime) log(kind, kernel, detail string) {
 	if r.cfg.Log != nil {
 		r.cfg.Log.Runtime(r.dev.Now(), kind, kernel, detail)
@@ -179,25 +178,21 @@ func (r *Runtime) fits(v *Invocation) bool {
 // bound (flag propagation + poll + expected residual batch + relaunch).
 // The residual term mirrors gpu.Exec.drainTime: a uniformly-positioned
 // worker owes (L-1)/2 tasks on average before its next flag poll.
-//
-// The estimate depends only on the kernel and on fields fixed at Submit, so
-// it is computed once per invocation; policies ask on every decision.
+// It depends only on the kernel and on fields fixed at Submit, so it is
+// computed once per invocation; policies ask on every decision.
 func (r *Runtime) OverheadFor(v *Invocation) time.Duration {
-	if v.overhead == 0 {
-		v.overhead = r.estimateOverhead(v)
-	}
-	return v.overhead
-}
-
-func (r *Runtime) estimateOverhead(v *Invocation) time.Duration {
-	if r.cfg.OverheadEstimate != nil {
-		if d := r.cfg.OverheadEstimate(v.Kernel); d > 0 {
-			return d
-		}
+	if v.overhead > 0 {
+		return v.overhead
 	}
 	par := r.dev.Params()
 	batch := time.Duration(float64(v.L-1) / 2 * float64(v.TaskCost))
-	return par.FlagPropagation + par.PinnedReadLatency + batch + 2*par.LaunchLatency
+	v.overhead = par.FlagPropagation + par.PinnedReadLatency + batch + 2*par.LaunchLatency
+	if r.cfg.OverheadEstimate != nil {
+		if d := r.cfg.OverheadEstimate(v.Kernel); d > 0 {
+			v.overhead = d
+		}
+	}
+	return v.overhead
 }
 
 // smsNeeded computes the spatial footprint of an invocation: just enough
@@ -329,8 +324,7 @@ func (r *Runtime) dispatch(v *Invocation, smLo, smHi int, asGuest bool) {
 	v.beginRun(now)
 	v.guest = asGuest
 	if v.onComplete == nil {
-		// Bound once per invocation: a rotated kernel is redispatched dozens
-		// of times with the same two callbacks.
+		// Bound once: a rotated kernel is redispatched dozens of times.
 		v.onComplete = func() { r.onComplete(v) }
 		v.onDrained = func(rem int) { r.onDrained(v, rem) }
 	}

@@ -189,9 +189,8 @@ type Exec struct {
 	smHi     int
 	// Placement (see place): resident CTAs in total, and per SM — the first
 	// extra SMs of the range hold perSM+1, the rest perSM.
-	resident, perSM, extra int
-	// perTask's constants in seconds, converted once at Start.
-	taskSecs, atomicSecs, pollSecs float64
+	resident, perSM, extra         int
+	taskSecs, atomicSecs, pollSecs float64 // perTask's constants, converted once at Start
 
 	draining   bool
 	drainYield int // SMs to free, counted from smLo
@@ -226,13 +225,12 @@ func (d *Device) Start(cfg ExecConfig) (*Exec, error) {
 		}
 	}
 	e := &Exec{
-		dev:   d,
-		cfg:   cfg,
-		state: StateLaunching,
-		done:  float64(cfg.DoneTasks),
-		smLo:  cfg.SMLo,
-		smHi:  cfg.SMHi,
-
+		dev:        d,
+		cfg:        cfg,
+		state:      StateLaunching,
+		done:       float64(cfg.DoneTasks),
+		smLo:       cfg.SMLo,
+		smHi:       cfg.SMHi,
 		taskSecs:   cfg.TaskCost.Seconds(),
 		atomicSecs: d.par.TaskAtomicLatency.Seconds(),
 		pollSecs:   d.par.PinnedReadLatency.Seconds() / float64(cfg.L),
@@ -258,7 +256,7 @@ func (d *Device) becomeResident(e *Exec) {
 	e.place()
 	d.recomputeRates()
 	d.met.Residencies.Inc()
-	d.met.CTAsPlaced.Add(int64(e.totalCTAs()))
+	d.met.CTAsPlaced.Add(int64(e.resident))
 	d.updateGauges()
 	d.emit(Event{Time: d.eng.Now(), Kind: EvResident, Kernel: e.cfg.Profile.Name, SMLo: e.smLo, SMHi: e.smHi, Remaining: e.Remaining()})
 	if e.Remaining() == 0 {
@@ -279,9 +277,6 @@ func (e *Exec) place() {
 	}
 	e.resident, e.perSM, e.extra = want, want/n, want%n
 }
-
-// totalCTAs returns the execution's resident CTA count.
-func (e *Exec) totalCTAs() int { return e.resident }
 
 // Remaining returns the integer remaining-task count at the current time.
 func (e *Exec) Remaining() int {
@@ -309,8 +304,8 @@ func (e *Exec) perTask(k int, pressure, mix float64) float64 {
 	return base
 }
 
-// sync advances all fluid progress to now. Rates are already current: every
-// change to placement or to the running set ends in recomputeRates.
+// sync advances all fluid progress to now (rates are current: every change
+// to placement or to the running set ends in recomputeRates).
 func (d *Device) sync() {
 	now := d.eng.Now()
 	for _, e := range d.execs {
@@ -363,7 +358,7 @@ func (d *Device) globalFactors() (pressure, mix float64) {
 	minMI, maxMI := 1.0, 0.0
 	running := 0
 	for _, e := range d.execs {
-		if e.state != StateRunning || e.totalCTAs() == 0 {
+		if e.state != StateRunning || e.resident == 0 {
 			continue
 		}
 		running++
@@ -376,7 +371,7 @@ func (d *Device) globalFactors() (pressure, mix float64) {
 		}
 		full := float64(d.par.Limits.NumSMs * e.cfg.Profile.CTAsPerSM)
 		if full > 0 {
-			demand += mi * float64(e.totalCTAs()) / full
+			demand += mi * float64(e.resident) / full
 		}
 	}
 	pressure = 1.0
@@ -529,7 +524,7 @@ func (e *Exec) Preempt(yieldSMs int) error {
 func (e *Exec) drainTime() time.Duration {
 	pressure, mix := e.dev.globalFactors()
 	k := e.cfg.Profile.CTAsPerSM
-	if n := e.totalCTAs(); n > 0 && n < k*(e.smHi-e.smLo) {
+	if n := e.resident; n > 0 && n < k*(e.smHi-e.smLo) {
 		// Sparse placement: per-SM occupancy is lower.
 		k = (n + (e.smHi - e.smLo) - 1) / (e.smHi - e.smLo)
 	}
@@ -623,10 +618,10 @@ func (e *Exec) Expand(lo int) error {
 			}
 		}
 		d.sync()
-		before := e.totalCTAs()
+		before := e.resident
 		e.smLo = lo
 		e.place()
-		if grown := e.totalCTAs() - before; grown > 0 {
+		if grown := e.resident - before; grown > 0 {
 			d.met.CTAsPlaced.Add(int64(grown))
 		}
 		d.met.Residencies.Inc()

@@ -220,13 +220,11 @@ func (s *Server) loop() {
 	var paceDebt time.Duration
 
 	for {
-		// Absorb everything already pending, without blocking — but only
-		// when something can be: every sender registers in queued or signals
-		// before it sends, so with both at zero all three channels are empty
-		// and a backlog of events is stepped without a select per step. A
-		// sender that registers just after the look is seen one step later,
-		// and the loop never blocks without selecting on the channels
-		// themselves, so no wake-up is lost.
+		// Absorb everything already pending, without blocking — and without
+		// a select per step when nothing can be: every sender registers in
+		// queued or signals before it sends. One that registers just after
+		// the look is seen a step later, and wherever the loop blocks it
+		// selects on the channels themselves, so no wake-up is lost.
 		// Arrivals drain into the reusable batch and are admitted in one
 		// pass — submitCh is FIFO, so batch order is arrival order and the
 		// virtual-clock stamping (hence the replay trace) is byte-identical
@@ -336,8 +334,7 @@ func (s *Server) sleepAbsorb(d time.Duration, st *loopState) time.Duration {
 	}
 }
 
-// beginDrain takes the stop request: admission is closed, so the loop runs
-// what is queued and in flight to completion, unparking if it was paused.
+// beginDrain takes the stop request, unparking the loop if it was paused.
 func (s *Server) beginDrain(st *loopState) {
 	s.signals.Add(-1)
 	st.draining, st.stop = true, nil

@@ -351,10 +351,9 @@ type Server struct {
 	// check and overshoot beLimit.
 	queued atomic.Int64
 
-	// signals counts control messages and the stop request from just
-	// before they are sent until the loop receives them. With queued it
-	// tells the stepping loop whether any of its channels can hold
-	// something, so it only looks at them when one can.
+	// signals counts control messages and the stop request from just before
+	// they are sent until the loop receives them: with queued, how the
+	// stepping loop knows whether any of its channels can hold something.
 	signals atomic.Int32
 
 	// batch is the loop-owned scratch slice absorb passes drain submitCh

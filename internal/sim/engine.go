@@ -87,8 +87,7 @@ func (e *Engine) At(when time.Duration, fn func()) *Event {
 	return ev
 }
 
-// up places ev at or above hole i, moving later parents down into the hole
-// (one write per level instead of a swap).
+// up places ev at or above hole i, moving later parents down into the hole.
 func (e *Engine) up(i int, ev *Event) {
 	q := e.queue
 	for i > 0 {
