@@ -117,7 +117,6 @@ func TestEventOrderGoldens(t *testing.T) {
 	}
 	scenarios = append(scenarios, scenario{"hpf-spatial", Options{Policy: "hpf", Spatial: true}, eventOrderSpatialLaunches})
 	for _, sc := range scenarios {
-		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			got := runEventOrderScenario(t, sys, sc.opt, sc.launches)
 			path := filepath.Join("testdata", "eventorder", sc.name+".json")
@@ -180,9 +179,8 @@ func runEventOrderScenario(t *testing.T, sys *System, opt Options, launches []ev
 	}
 	want := 0
 	for i, l := range launches {
-		i, repeat := i, l.repeat
-		st.Eng.At(l.at, func() { submit(i, repeat) })
-		want += 1 + repeat
+		st.Eng.At(l.at, func() { submit(i, l.repeat) })
+		want += 1 + l.repeat
 	}
 	steps := 0
 	for st.Eng.Step() {

@@ -250,7 +250,7 @@ func (f *FFS) OnCompletion(r *Runtime, v *Invocation) {
 			return
 		}
 	}
-	for _, x := range [...]*Invocation{r.running, r.guest, r.pendingGuest} {
+	for _, x := range []*Invocation{r.running, r.guest, r.pendingGuest} {
 		if x != nil && x.Kernel == v.Kernel {
 			return
 		}

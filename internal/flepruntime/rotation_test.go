@@ -10,20 +10,21 @@ import (
 // rotationFixture is four weighted FFS tenants, each with one kernel far
 // longer than any epoch, on a runtime with no trace log: the steady state
 // is one rotation after another. rotate steps the engine through exactly
-// one of them — epoch expiry, preempt, drain, redispatch of the next
-// tenant, residency — and returns the number of engine events it took.
+// one of them: epoch expiry, preempt, drain, redispatch of the next tenant,
+// residency.
 type rotationFixture struct {
 	eng    *sim.Engine
 	drains int
 }
 
 func newRotationFixture(tb testing.TB) *rotationFixture {
-	eng, rt := newRT(NewFFS(0.10), false)
+	ffs := NewFFS(0.10)
+	eng, rt := newRT(ffs, false)
 	fx := &rotationFixture{eng: eng}
 	rt.cfg.OnPreemptDrained = func(*Invocation, time.Duration) { fx.drains++ }
 	for i, name := range []string{"a", "b", "c", "d"} {
 		v := inv(name, 1+i%2, 1<<40, us(10), 4)
-		rt.cfg.Policy.(*FFS).SetKernelWeight(name, float64(1+i%2))
+		ffs.SetKernelWeight(name, float64(1+i%2))
 		if err := rt.Submit(v); err != nil {
 			tb.Fatal(err)
 		}
@@ -34,13 +35,12 @@ func newRotationFixture(tb testing.TB) *rotationFixture {
 	return fx
 }
 
-func (fx *rotationFixture) rotate(tb testing.TB) (events int) {
-	for want := fx.drains + 1; fx.drains < want; events++ {
+func (fx *rotationFixture) rotate(tb testing.TB) {
+	for want := fx.drains + 1; fx.drains < want; {
 		if !fx.eng.Step() {
 			tb.Fatal("engine went idle mid-rotation")
 		}
 	}
-	return events
 }
 
 // BenchmarkFFSRotation4Tenants is the cost of one FFS rotation (§5.2.2:
@@ -83,7 +83,6 @@ func TestFFSEpochDeterministicWithFractionalWeights(t *testing.T) {
 		eng, rt := newRT(ffs, false)
 		var out outcome
 		for i, name := range []string{"a", "b", "c"} {
-			i := i
 			ffs.SetKernelWeight(name, float64(i+1)/10)
 			v := inv(name, 1, 24000+7000*i, us(10), 4+i)
 			v.OnFinish = func(fv *Invocation) { out.finished[i] = fv.FinishedAt() }
