@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -62,7 +63,7 @@ func main() {
 	if *ffs {
 		printFFS(sc, res)
 	} else {
-		printComparison(sys, sc, mps, res)
+		printComparison(os.Stdout, sys, sc, mps, res)
 	}
 	if *traceOut && res.Log != nil {
 		fmt.Println("\n--- event trace ---")
@@ -148,25 +149,32 @@ func three(names []string) (a, b, c *kernels.Benchmark, err error) {
 	return
 }
 
-func printComparison(sys *core.System, sc workload.Scenario, mps, flep *core.RunResult) {
-	fmt.Printf("%-8s %-8s %14s %14s %9s\n", "kernel", "input", "MPS(us)", "FLEP(us)", "speedup")
+func printComparison(w io.Writer, sys *core.System, sc workload.Scenario, mps, flep *core.RunResult) {
+	// Rows match on (kernel, class): a pair may run one kernel on two inputs.
+	find := func(res *core.RunResult, item workload.Item) *core.KernelResult {
+		for i := range res.Results {
+			if r := &res.Results[i]; r.Kernel == item.Bench.Name && r.Class == item.Class {
+				return r
+			}
+		}
+		return nil
+	}
+	fmt.Fprintf(w, "%-8s %-8s %14s %14s %9s\n", "kernel", "input", "MPS(us)", "FLEP(us)", "speedup")
 	for _, item := range sc.Items {
-		name := item.Bench.Name
-		m := mps.ResultFor(name)
-		f := flep.ResultFor(name)
+		m, f := find(mps, item), find(flep, item)
 		if m == nil || f == nil {
 			continue
 		}
-		fmt.Printf("%-8s %-8s %14.1f %14.1f %8.2fx\n",
-			name, item.Class,
+		fmt.Fprintf(w, "%-8s %-8s %14.1f %14.1f %8.2fx\n",
+			item.Bench.Name, item.Class,
 			float64(m.Turnaround())/float64(time.Microsecond),
 			float64(f.Turnaround())/float64(time.Microsecond),
 			metrics.Speedup(m.Turnaround(), f.Turnaround()))
 	}
-	mRuns, err1 := sys.KernelRuns(sc, mps)
-	fRuns, err2 := sys.KernelRuns(sc, flep)
+	mRuns, err1 := sys.Runs(mps)
+	fRuns, err2 := sys.Runs(flep)
 	if err1 == nil && err2 == nil {
-		fmt.Printf("\nANTT: MPS %.2f → FLEP %.2f (%.1fx better)\n",
+		fmt.Fprintf(w, "\nANTT: MPS %.2f → FLEP %.2f (%.1fx better)\n",
 			metrics.ANTT(mRuns), metrics.ANTT(fRuns), metrics.ANTT(mRuns)/metrics.ANTT(fRuns))
 	}
 }

@@ -1,8 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
+
+	"flep/internal/core"
+	"flep/internal/gpu"
+	"flep/internal/kernels"
+	"flep/internal/metrics"
 )
 
 func TestBuildScenarioPair(t *testing.T) {
@@ -75,5 +83,55 @@ func TestBuildScenarioErrors(t *testing.T) {
 		if _, _, err := buildScenario(c.pair, c.triplet, false, false, false, 0); err == nil {
 			t.Errorf("pair=%q triplet=%q: expected error", c.pair, c.triplet)
 		}
+	}
+}
+
+// -pair VA,VA runs one kernel on two inputs: each row must show its own
+// run and the ANTT must normalize each run by its own class's baseline.
+func TestComparisonOfTheSameKernelTwice(t *testing.T) {
+	sc, opt, err := buildScenario("VA,VA", "", false, false, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	va, _ := kernels.ByName("VA")
+	sys := core.NewSystem(gpu.DefaultParams())
+	if err := sys.Offline([]*kernels.Benchmark{va}); err != nil {
+		t.Fatal(err)
+	}
+	mps, err := sys.RunMPS(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flep, err := sys.RunFLEP(sc, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	printComparison(&out, sys, sc, mps, flep)
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 5 {
+		t.Fatalf("want a header, two rows, a blank and the ANTT line:\n%s", out.String())
+	}
+	large, small := strings.Fields(lines[1]), strings.Fields(lines[2])
+	if large[1] != "large" || small[1] != "small" {
+		t.Fatalf("rows out of scenario order:\n%s", out.String())
+	}
+	if large[2] == small[2] || large[3] == small[3] {
+		t.Errorf("both rows print one run's figures:\n%s\n%s", lines[1], lines[2])
+	}
+	mRuns, err := sys.Runs(mps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fRuns, err := sys.Runs(flep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("ANTT: MPS %.2f → FLEP %.2f ", metrics.ANTT(mRuns), metrics.ANTT(fRuns))
+	if !strings.HasPrefix(lines[4], want) {
+		t.Errorf("printed %q, want it to start %q", lines[4], want)
+	}
+	if a := metrics.ANTT(fRuns); a < 1 || a > 2 {
+		t.Errorf("FLEP ANTT %.2f: the small run preempts the large one, so both finish near their solo times", a)
 	}
 }

@@ -36,12 +36,16 @@ type Options struct {
 
 // KernelResult is one completed invocation's timing.
 type KernelResult struct {
-	Kernel      string
-	Class       kernels.InputClass
-	Priority    int
-	SubmittedAt time.Duration
-	FinishedAt  time.Duration
-	Waiting     time.Duration
+	Kernel string
+	// Bench, Class and TasksOverride name the input the invocation ran,
+	// which is what Runs normalizes it by.
+	Bench         *kernels.Benchmark
+	Class         kernels.InputClass
+	TasksOverride int
+	Priority      int
+	SubmittedAt   time.Duration
+	FinishedAt    time.Duration
+	Waiting       time.Duration
 	// Preemptions counts realized preemptions (FLEP runs only; baselines
 	// never preempt).
 	Preemptions int
@@ -87,7 +91,8 @@ func runScenario(eng *sim.Engine, sc workload.Scenario, launch func(item workloa
 		var submit func()
 		submit = func() {
 			launch(item, func(r KernelResult) {
-				r.Kernel, r.Class, r.Priority = item.Bench.Name, item.Class, item.Priority
+				r.Kernel, r.Bench, r.Class = item.Bench.Name, item.Bench, item.Class
+				r.TasksOverride, r.Priority = item.TasksOverride, item.Priority
 				res.Completions[item.Bench.Name]++
 				res.Results = append(res.Results, r)
 				if item.Loop && (sc.Horizon == 0 || eng.Now() < sc.Horizon) {
@@ -212,24 +217,20 @@ func (s *System) runBaseline(sc workload.Scenario, newExec func(*gpu.Device) fun
 	}), nil
 }
 
-// KernelRuns converts a run result into metrics.KernelRun records,
-// normalizing each completed invocation by its solo time.
-func (s *System) KernelRuns(sc workload.Scenario, res *RunResult) ([]metrics.KernelRun, error) {
-	classOf := map[string]kernels.InputClass{}
-	benchOf := map[string]*kernels.Benchmark{}
-	for _, item := range sc.Items {
-		classOf[item.Bench.Name] = item.Class
-		benchOf[item.Bench.Name] = item.Bench
-	}
-	var out []metrics.KernelRun
+// Runs normalizes a scenario result into the results record, one per
+// completed invocation in completion order, each by the solo time of its
+// own (kernel, class) — so a scenario that runs one kernel on two inputs
+// is normalized by two baselines.
+func (s *System) Runs(res *RunResult) ([]metrics.KernelRun, error) {
+	out := make([]metrics.KernelRun, 0, len(res.Results))
 	for _, r := range res.Results {
-		b := benchOf[r.Kernel]
-		alone, err := s.SoloTime(b, classOf[r.Kernel])
+		alone, err := s.baseline(r.Bench, r.Class, r.TasksOverride)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, metrics.KernelRun{
 			Name: r.Kernel, Alone: alone, Turnaround: r.Turnaround(),
+			Waiting: r.Waiting, Preemptions: r.Preemptions,
 		})
 	}
 	return out, nil

@@ -17,7 +17,7 @@ func TestKernelRunsNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, err := s.KernelRuns(sc, res)
+	runs, err := s.Runs(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,6 +27,54 @@ func TestKernelRunsNormalization(t *testing.T) {
 	for _, r := range runs {
 		if r.Alone <= 0 || r.Turnaround < r.Alone {
 			t.Fatalf("run %+v: turnaround below solo time", r)
+		}
+	}
+}
+
+// A scenario that runs one kernel on two inputs is normalized by two
+// baselines: looking the class up by kernel name gave both runs the same
+// one, and the pair an ANTT some twenty times too large.
+func TestRunsNormalizesEachResultByItsOwnClass(t *testing.T) {
+	s := testSystem(t)
+	va, _ := kernels.ByName("VA")
+	sc := workload.PriorityPair(va, va, 0) // VA small at high priority over VA large
+	res, err := s.RunFLEP(sc, Options{Policy: "hpf"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := s.Runs(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 2 {
+		t.Fatalf("runs = %d", len(runs))
+	}
+	for i, r := range res.Results {
+		want, err := s.SoloTime(va, r.Class)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runs[i].Alone != want {
+			t.Errorf("VA %s normalized by %v, want its own solo time %v", r.Class, runs[i].Alone, want)
+		}
+		if runs[i].Turnaround != r.Turnaround() || runs[i].Waiting != r.Waiting || runs[i].Preemptions != r.Preemptions {
+			t.Errorf("VA %s: run %+v does not carry result %+v", r.Class, runs[i], r)
+		}
+	}
+	if res.Results[0].Class == res.Results[1].Class {
+		t.Fatal("both results have one class; the test would be vacuous")
+	}
+	// An overridden task count has no calibrated baseline.
+	sc.Items[0].TasksOverride = 16
+	if res, err = s.RunFLEP(sc, Options{Policy: "hpf"}); err != nil {
+		t.Fatal(err)
+	}
+	if runs, err = s.Runs(res); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res.Results {
+		if overridden := r.TasksOverride != 0; overridden != (runs[i].Alone == 0) {
+			t.Errorf("VA %s (override %d) normalized by %v", r.Class, r.TasksOverride, runs[i].Alone)
 		}
 	}
 }

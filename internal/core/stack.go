@@ -6,6 +6,7 @@ import (
 	"flep/internal/flepruntime"
 	"flep/internal/gpu"
 	"flep/internal/kernels"
+	"flep/internal/metrics"
 	"flep/internal/obs"
 	"flep/internal/sim"
 	"flep/internal/trace"
@@ -15,8 +16,9 @@ import (
 // FLEP runtime wired to a system's offline artifacts. RunFLEP, flepd's
 // event loop and the replayer each build one per simulated device and
 // turn every launch into an invocation through NewInvocation, so a policy
-// comparison across drivers compares the same mechanism. It is not safe
-// for concurrent use; whoever steps Eng owns it.
+// comparison across drivers compares the same mechanism — and measures it
+// the same way: Finished is the one way a finished invocation becomes a
+// result. It is not safe for concurrent use; whoever steps Eng owns it.
 type Stack struct {
 	Eng *sim.Engine
 	Dev *gpu.Device
@@ -125,4 +127,21 @@ func (st *Stack) NewInvocation(l Launch) (*flepruntime.Invocation, error) {
 		v.Deadline = st.Eng.Now() + l.Budget
 	}
 	return v, nil
+}
+
+// Finished is the one way out of the runtime: it turns a finished
+// invocation of launch l into the results record every driver tallies —
+// the timings the runtime measured, the solo baseline of l's own input
+// (none when that cannot be had), and for a deadline-bearing launch the
+// margin it finished with, which decides the SLO verdict.
+func (st *Stack) Finished(l Launch, fv *flepruntime.Invocation) metrics.KernelRun {
+	r := metrics.KernelRun{
+		Name: fv.Kernel, Turnaround: fv.Turnaround(),
+		Waiting: fv.Tw, Preemptions: fv.Preemptions,
+	}
+	r.Alone, _ = st.sys.baseline(l.Bench, l.Class, l.TasksOverride) // an error leaves no baseline
+	if fv.Deadline > 0 {
+		r.Tracked, r.Margin = true, fv.Deadline-fv.FinishedAt()
+	}
+	return r
 }

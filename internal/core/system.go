@@ -38,7 +38,8 @@ type Artifacts struct {
 }
 
 // System is a FLEP deployment: device parameters plus per-kernel offline
-// artifacts.
+// artifacts, and the one table of solo baselines every driver normalizes
+// a finished launch by (SoloTime, Stack.Finished, Runs).
 type System struct {
 	Par  gpu.Params
 	arts map[string]*Artifacts
@@ -126,10 +127,17 @@ func (s *System) buildArtifacts(b *kernels.Benchmark) (*Artifacts, error) {
 		Resources: res,
 	}
 
+	// The solo baselines (the ANTT/STP denominators) are offline artifacts
+	// too: for a processed benchmark SoloTime never simulates, on this
+	// system or on a Clone of it.
+	for _, c := range kernels.Classes() {
+		s.solo[soloKey{b.Name, c}] = s.simSolo(profile, b.Input(c), 0)
+	}
+
 	// Offline tuning: smallest L with single-run overhead under 4%,
 	// measured on the large input (§4.1).
 	large := b.Input(kernels.Large)
-	orig := s.simSolo(profile, large, 0)
+	orig := s.solo[soloKey{b.Name, kernels.Large}]
 	a.L, a.TunedOverhead, a.TuneOK = transform.Autotune(func(L int) float64 {
 		t := s.simSolo(profile, large, L)
 		return (t - orig).Seconds() / orig.Seconds()
@@ -290,6 +298,16 @@ func (s *System) SoloTime(b *kernels.Benchmark, c kernels.InputClass) (time.Dura
 	}
 	s.solo[key] = d
 	return d, nil
+}
+
+// baseline returns the solo time a launch of b is normalized by: that of
+// its own input class, or zero — no baseline — when the task count was
+// overridden, since no solo run was calibrated for that input.
+func (s *System) baseline(b *kernels.Benchmark, c kernels.InputClass, tasksOverride int) (time.Duration, error) {
+	if tasksOverride != 0 {
+		return 0, nil
+	}
+	return s.SoloTime(b, c)
 }
 
 // SoloPersistentTime measures the FLEP-transformed kernel's solo runtime at

@@ -148,11 +148,11 @@ func TestFLEPEqualPairImprovesANTT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpsRuns, err := s.KernelRuns(sc, mps)
+	mpsRuns, err := s.Runs(mps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flepRuns, err := s.KernelRuns(sc, flep)
+	flepRuns, err := s.Runs(flep)
 	if err != nil {
 		t.Fatal(err)
 	}

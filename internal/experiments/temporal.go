@@ -96,40 +96,27 @@ func (s *Suite) equalPairMetrics(sc workload.Scenario) (anttM, anttF, stpM, stpF
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	tRuns, err := s.Sys.KernelRuns(sc, mps)
+	tRuns, err := s.Sys.Runs(mps)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	fRuns, err := s.Sys.KernelRuns(sc, flep)
+	fRuns, err := s.Sys.Runs(flep)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
 	anttM, anttF = metrics.ANTT(tRuns), metrics.ANTT(fRuns)
-	stpM = metrics.STP(execRuns(s, sc, mps))
-	stpF = metrics.STP(execRuns(s, sc, flep))
+	stpM = metrics.STP(execOnly(tRuns))
+	stpF = metrics.STP(execOnly(fRuns))
 	return anttM, anttF, stpM, stpF, nil
 }
 
-// execRuns converts results into runs normalized by execution time
-// (turnaround − waiting) for throughput accounting.
-func execRuns(s *Suite, sc workload.Scenario, res *core.RunResult) []metrics.KernelRun {
-	classOf := map[string]kernels.InputClass{}
-	benchOf := map[string]*kernels.Benchmark{}
-	for _, item := range sc.Items {
-		classOf[item.Bench.Name] = item.Class
-		benchOf[item.Bench.Name] = item.Bench
+// execOnly takes the waiting out of each run's turnaround, in place: what
+// is left is normalized execution time, for throughput accounting.
+func execOnly(runs []metrics.KernelRun) []metrics.KernelRun {
+	for i := range runs {
+		runs[i].Turnaround -= runs[i].Waiting
 	}
-	var out []metrics.KernelRun
-	for _, r := range res.Results {
-		alone, err := s.Sys.SoloTime(benchOf[r.Kernel], classOf[r.Kernel])
-		if err != nil {
-			continue
-		}
-		out = append(out, metrics.KernelRun{
-			Name: r.Kernel, Alone: alone, Turnaround: r.Turnaround() - r.Waiting,
-		})
-	}
-	return out
+	return runs
 }
 
 // Figure10 regenerates the equal-priority ANTT improvement over MPS across
@@ -202,15 +189,15 @@ func (s *Suite) Figure12() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mRuns, err := s.Sys.KernelRuns(sc, mps)
+		mRuns, err := s.Sys.Runs(mps)
 		if err != nil {
 			return nil, err
 		}
-		fRuns, err := s.Sys.KernelRuns(sc, flep)
+		fRuns, err := s.Sys.Runs(flep)
 		if err != nil {
 			return nil, err
 		}
-		rRuns, err := s.Sys.KernelRuns(sc, reorder)
+		rRuns, err := s.Sys.Runs(reorder)
 		if err != nil {
 			return nil, err
 		}

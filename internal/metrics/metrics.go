@@ -2,6 +2,11 @@
 // paper evaluates with: System Throughput (STP) and Average Normalized
 // Turnaround Time (ANTT) as defined by Eyerman & Eeckhout, plus speedups,
 // performance degradation, and GPU-share accounting for fairness runs.
+//
+// It owns the results vocabulary every driver reports in: KernelRun, the
+// record of one finished launch (internal/core writes it), and what is
+// computed from records — Tally per key, Jain's index, nearest-rank
+// percentiles — so that two mechanisms are always compared by one code.
 package metrics
 
 import (
@@ -9,13 +14,25 @@ import (
 	"time"
 )
 
-// KernelRun records one kernel invocation's timing in a co-run experiment.
+// KernelRun is the one record of a finished launch: what every driver —
+// a scenario run, flepd, a replay, a load generator reading flepd's
+// answers — knows about it once it is done, and what every figure below
+// is computed from.
 type KernelRun struct {
 	Name string
-	// Alone is the kernel's solo execution time (no co-runners).
+	// Alone is the kernel's solo execution time (no co-runners) on the
+	// same input; zero means there is no calibrated baseline and the run
+	// counts toward no normalized figure.
 	Alone time.Duration
 	// Turnaround is waiting time plus execution time in the co-run.
 	Turnaround time.Duration
+	// Waiting is the part of Turnaround spent queued or preempted.
+	Waiting     time.Duration
+	Preemptions int
+	// Tracked marks a deadline-bearing launch; Margin is then its deadline
+	// minus its completion (negative = late).
+	Margin  time.Duration
+	Tracked bool
 }
 
 // NTT returns the run's normalized turnaround time T_co/T_alone (≥ 1 for
@@ -27,17 +44,81 @@ func (r KernelRun) NTT() float64 {
 	return r.Turnaround.Seconds() / r.Alone.Seconds()
 }
 
-// ANTT is the average normalized turnaround time across runs: the paper's
-// responsiveness metric (lower is better).
-func ANTT(runs []KernelRun) float64 {
-	if len(runs) == 0 {
+// Attained is the SLO verdict: a tracked run that finished at or before
+// its deadline.
+func (r KernelRun) Attained() bool { return r.Tracked && r.Margin >= 0 }
+
+// Tally accumulates finished launches under one key (a tenant, a priority
+// level, a node, a whole run). The zero value is empty.
+type Tally struct {
+	Completed   int64 // runs added
+	Preempted   int64 // of those, preempted at least once
+	Preemptions int64
+	// NTTSum adds up the NTT of the NTTN runs that have a baseline.
+	NTTSum float64
+	NTTN   int64
+	// Turnaround and Waiting are sums over every run.
+	Turnaround, Waiting time.Duration
+	// Attained and Missed partition the tracked runs; Margin sums theirs.
+	Attained, Missed int64
+	Margin           time.Duration
+}
+
+// Add folds one finished launch into the tally.
+func (t *Tally) Add(r KernelRun) {
+	t.Completed++
+	if r.Preemptions > 0 {
+		t.Preempted++
+		t.Preemptions += int64(r.Preemptions)
+	}
+	if r.Alone > 0 {
+		t.NTTSum += r.NTT()
+		t.NTTN++
+	}
+	t.Turnaround += r.Turnaround
+	t.Waiting += r.Waiting
+	if r.Tracked {
+		if r.Attained() {
+			t.Attained++
+		} else {
+			t.Missed++
+		}
+		t.Margin += r.Margin
+	}
+}
+
+// ANTT is the average normalized turnaround time over the runs that have
+// a baseline: the paper's responsiveness metric (lower is better).
+func (t *Tally) ANTT() float64 {
+	if t.NTTN == 0 {
 		return 0
 	}
-	sum := 0.0
-	for _, r := range runs {
-		sum += r.NTT()
+	return t.NTTSum / float64(t.NTTN)
+}
+
+// AttainRate is the share of tracked runs that met their deadline.
+func (t *Tally) AttainRate() float64 {
+	if n := t.Attained + t.Missed; n > 0 {
+		return float64(t.Attained) / float64(n)
 	}
-	return sum / float64(len(runs))
+	return 0
+}
+
+// MeanMargin is the tracked runs' mean margin, in whole nanoseconds.
+func (t *Tally) MeanMargin() time.Duration {
+	if n := t.Attained + t.Missed; n > 0 {
+		return t.Margin / time.Duration(n)
+	}
+	return 0
+}
+
+// ANTT is the average normalized turnaround time across runs.
+func ANTT(runs []KernelRun) float64 {
+	var t Tally
+	for _, r := range runs {
+		t.Add(r)
+	}
+	return t.ANTT()
 }
 
 // STP is system throughput: Σ T_alone/T_co (higher is better, max = #runs).
@@ -144,4 +225,35 @@ func MeanShare(samples []ShareSample, name string) float64 {
 		sum += smp.Share[name]
 	}
 	return sum / float64(len(samples))
+}
+
+// Jain returns Jain's fairness index over non-negative values: 1 when
+// they are all equal, 1/n when one of n holds everything, 0 when there is
+// nothing to compare.
+func Jain(values []float64) float64 {
+	var sum, sq float64
+	for _, v := range values {
+		sum += v
+		sq += v * v
+	}
+	if sq == 0 {
+		return 0
+	}
+	return sum * sum / (float64(len(values)) * sq)
+}
+
+// Percentile returns the q-quantile (0 ≤ q ≤ 1) of ascending-sorted
+// durations by the nearest-rank method: deterministic, no interpolation.
+func Percentile(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(q*float64(len(sorted))+0.5) - 1
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(sorted) {
+		i = len(sorted) - 1
+	}
+	return sorted[i]
 }

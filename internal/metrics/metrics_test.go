@@ -32,6 +32,98 @@ func TestANTT(t *testing.T) {
 	}
 }
 
+func TestTally(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		runs []KernelRun
+		want Tally
+		antt float64
+		rate float64
+		mean time.Duration
+	}{
+		{name: "empty"},
+		{
+			name: "a run with no baseline completes but is in no ANTT",
+			runs: []KernelRun{
+				{Alone: 2 * time.Second, Turnaround: 6 * time.Second, Waiting: us(50), Preemptions: 2},
+				{Turnaround: time.Second, Waiting: us(10)},
+			},
+			want: Tally{Completed: 2, Preempted: 1, Preemptions: 2, NTTSum: 3, NTTN: 1, Turnaround: 7 * time.Second, Waiting: us(60)},
+			antt: 3,
+		},
+		{
+			name: "a margin of exactly zero is attained",
+			runs: []KernelRun{{Alone: time.Second, Turnaround: time.Second, Tracked: true}},
+			want: Tally{Completed: 1, NTTSum: 1, NTTN: 1, Turnaround: time.Second, Attained: 1},
+			antt: 1, rate: 1,
+		},
+		{
+			name: "a negative margin is a miss and pulls the mean down",
+			runs: []KernelRun{
+				{Turnaround: us(10), Tracked: true, Margin: us(30)},
+				{Turnaround: us(10), Tracked: true, Margin: -us(50)},
+				{Turnaround: us(10), Margin: us(999)}, // untracked: its margin means nothing
+			},
+			want: Tally{Completed: 3, Turnaround: us(30), Attained: 1, Missed: 1, Margin: -us(20)},
+			rate: 0.5, mean: -us(10),
+		},
+	} {
+		var got Tally
+		for _, r := range tc.runs {
+			got.Add(r)
+		}
+		if got != tc.want {
+			t.Errorf("%s:\n got  %+v\n want %+v", tc.name, got, tc.want)
+		}
+		if got.ANTT() != tc.antt || got.AttainRate() != tc.rate || got.MeanMargin() != tc.mean {
+			t.Errorf("%s: ANTT %v, attain rate %v, mean margin %v; want %v, %v, %v",
+				tc.name, got.ANTT(), got.AttainRate(), got.MeanMargin(), tc.antt, tc.rate, tc.mean)
+		}
+		if ANTT(tc.runs) != tc.antt {
+			t.Errorf("%s: ANTT(runs) = %v, want the tally's %v", tc.name, ANTT(tc.runs), tc.antt)
+		}
+	}
+}
+
+func TestJain(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		values []float64
+		want   float64
+	}{
+		{"empty", nil, 0},
+		{"all zero", []float64{0, 0, 0}, 0},
+		{"equal", []float64{2.5, 2.5, 2.5, 2.5}, 1},
+		{"one-hot of four", []float64{0, 7, 0, 0}, 0.25},
+	} {
+		if got := Jain(tc.values); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("%s: Jain = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// Nearest rank: the q-quantile of n values is the ⌈qn⌉-th (here by
+// rounding qn half up), so the median of ten is the fifth, not the sixth.
+func TestPercentile(t *testing.T) {
+	sorted := []time.Duration{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	for _, tc := range []struct {
+		q    float64
+		want time.Duration
+	}{{0, 1}, {0.5, 5}, {0.9, 9}, {0.99, 10}, {1, 10}} {
+		if p := Percentile(sorted, tc.q); p != tc.want {
+			t.Errorf("p%v of 1..10 = %v, want %v", 100*tc.q, p, tc.want)
+		}
+	}
+	if p := Percentile(nil, 0.5); p != 0 {
+		t.Errorf("empty = %v", p)
+	}
+	for _, q := range []float64{0, 0.5, 0.99, 1} {
+		if p := Percentile([]time.Duration{42}, q); p != 42 {
+			t.Errorf("p%v of a singleton = %v", 100*q, p)
+		}
+	}
+}
+
 func TestSTP(t *testing.T) {
 	runs := []KernelRun{
 		{Alone: us(100), Turnaround: us(100)},
