@@ -11,6 +11,7 @@ import (
 	"flep/internal/flepruntime"
 	"flep/internal/gpu"
 	"flep/internal/kernels"
+	"flep/internal/metrics"
 	"flep/internal/obs"
 	"flep/internal/perfmodel"
 )
@@ -49,16 +50,11 @@ type Replayer struct {
 	trace   *Trace
 	sys     *core.System
 	benches map[string]*kernels.Benchmark
-	solo    map[soloKey]time.Duration
-}
-
-type soloKey struct {
-	bench string
-	class kernels.InputClass
 }
 
 // NewReplayer builds the offline artifacts for every benchmark the trace
-// references and precomputes the solo baselines (ANTT denominators).
+// references; the solo baselines (ANTT denominators) come with them, so
+// every run's Clone starts with the table warm.
 func NewReplayer(t *Trace, opts ReplayerOptions) (*Replayer, error) {
 	if len(t.Records) == 0 {
 		return nil, fmt.Errorf("replay: trace has no records")
@@ -73,7 +69,6 @@ func NewReplayer(t *Trace, opts ReplayerOptions) (*Replayer, error) {
 		trace:   t,
 		sys:     core.NewSystem(opts.Params),
 		benches: map[string]*kernels.Benchmark{},
-		solo:    map[soloKey]time.Duration{},
 	}
 	for _, name := range t.Benchmarks() {
 		b, err := kernels.ByName(name)
@@ -91,15 +86,6 @@ func NewReplayer(t *Trace, opts ReplayerOptions) (*Replayer, error) {
 			opts.Logf("offline %-5s (%v)", name, time.Since(start).Round(time.Millisecond)) //flepvet:allow wallclock -- progress log timing only; never enters the Summary
 		}
 		rp.benches[name] = b
-	}
-	for name, b := range rp.benches {
-		for _, c := range kernels.Classes() {
-			d, err := rp.sys.SoloTime(b, c)
-			if err != nil {
-				return nil, fmt.Errorf("replay: solo %s/%s: %w", name, c, err)
-			}
-			rp.solo[soloKey{name, c}] = d
-		}
 	}
 	return rp, nil
 }
@@ -201,24 +187,16 @@ func (rp *Replayer) maxRecordedDevice() int {
 // step/bookkeeping counters the drivers need.
 type devRun struct {
 	*core.Stack
-	stepped   int64
-	inFlight  int
-	drains    []time.Duration
-	completed int
+	stepped  int64
+	inFlight int
+	drains   []time.Duration
 }
 
 // outcome is one finished replayed launch joined with its trace record.
 type outcome struct {
-	rec         Record
-	device      int
-	te          time.Duration
-	turnaround  time.Duration
-	waiting     time.Duration
-	finishedAt  time.Duration
-	preemptions int
-	// deadline is the absolute virtual-time deadline (submission time plus
-	// the record's budget); zero for best-effort records.
-	deadline time.Duration
+	rec        Record
+	run        metrics.KernelRun
+	finishedAt time.Duration
 }
 
 // Run replays the trace under the configuration and summarizes the
@@ -272,28 +250,27 @@ func (rp *Replayer) Run(cfg ReplayConfig) (*Summary, error) {
 		// submission instant: the deadline is a virtual-time budget from
 		// admission, not an absolute timestamp, so it survives timing
 		// divergence.
-		v, err := d.NewInvocation(core.Launch{
+		launch := core.Launch{
 			Bench: b, Class: class, TasksOverride: rec.TasksOverride,
 			Priority: rec.Priority, Weight: rec.Weight,
 			Budget: time.Duration(rec.DeadlineNS), Dependent: rec.GraphID != "",
 			L: eff.L,
-		})
+		}
+		v, err := d.NewInvocation(launch)
 		if err != nil {
 			return err
 		}
 		if rec.Te > 0 && int64(v.Te) != rec.Te {
 			divTe++
 		}
-		o := &outcome{rec: rec, device: devIdx, te: v.Te, deadline: v.Deadline}
+		// The closure reads the record through o: capturing rec itself
+		// would move a second copy of every record to the heap.
+		o := &outcome{rec: rec}
 		v.OnFinish = func(fv *flepruntime.Invocation) {
-			o.turnaround = fv.Turnaround()
-			o.waiting = fv.Tw
-			o.finishedAt = fv.FinishedAt()
-			o.preemptions = fv.Preemptions
+			o.run, o.finishedAt = d.Finished(launch, fv), fv.FinishedAt()
 			d.inFlight--
-			d.completed++
-			if rec.GraphID != "" && rec.Stage != "" {
-				stageDone[stageKey{rec.Client, rec.GraphID, rec.Stage}] = true
+			if o.rec.GraphID != "" && o.rec.Stage != "" {
+				stageDone[stageKey{o.rec.Client, o.rec.GraphID, o.rec.Stage}] = true
 			}
 			outcomes = append(outcomes, o)
 		}

@@ -12,6 +12,7 @@ import (
 
 	"flep/internal/core"
 	"flep/internal/kernels"
+	"flep/internal/metrics"
 	"flep/internal/workload"
 )
 
@@ -409,10 +410,22 @@ func TestReplayMatchesRunFLEPOnPriorityPair(t *testing.T) {
 	if res.ResultFor("MM").Preemptions == 0 {
 		t.Fatal("the pair did not preempt; the comparison would be vacuous")
 	}
+	runs, err := rp.System().Runs(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	antt := map[string]float64{} // one launch per kernel
+	for _, r := range runs {
+		antt[r.Name] = metrics.ANTT([]metrics.KernelRun{r})
+	}
 	for _, ten := range sum.Tenants { // one tenant per kernel, one launch each
 		want := res.ResultFor(ten.Client)
 		if want == nil {
 			t.Fatalf("RunFLEP has no result for %s", ten.Client)
+		}
+		// Both drivers normalize through core, so not a bit may differ.
+		if ten.MeanNTT != antt[ten.Client] || ten.MeanNTT < 1 {
+			t.Errorf("%s: replay mean NTT %v, RunFLEP %v", ten.Client, ten.MeanNTT, antt[ten.Client])
 		}
 		finished := time.Duration(ten.MeanTurnaroundNS) + want.SubmittedAt
 		if finished != want.FinishedAt || time.Duration(ten.MeanWaitNS) != want.Waiting || ten.Preemptions != want.Preemptions {

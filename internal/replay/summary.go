@@ -6,7 +6,7 @@ import (
 	"sort"
 	"time"
 
-	"flep/internal/kernels"
+	"flep/internal/metrics"
 )
 
 // Summary is one replay run's aggregate result. Every field is computed
@@ -149,76 +149,39 @@ func (rp *Replayer) summarize(eff ReplayConfig, policy, mode string, devs []*dev
 		},
 	}
 
-	tenants := map[string]*acc{}
-	prios := map[int]*acc{}
+	var all metrics.Tally
+	tenants := map[string]*metrics.Tally{}
+	prios := map[int]*metrics.Tally{}
 	var makespan time.Duration
-	var nttSum float64
-	var nttN int
-	var sloMarginSum time.Duration
-
 	for _, o := range outcomes {
 		if o.finishedAt > makespan {
 			makespan = o.finishedAt
 		}
 		ta := tenants[o.rec.Client]
 		if ta == nil {
-			ta = &acc{}
+			ta = &metrics.Tally{}
 			tenants[o.rec.Client] = ta
 		}
 		pa := prios[o.rec.Priority]
 		if pa == nil {
-			pa = &acc{}
+			pa = &metrics.Tally{}
 			prios[o.rec.Priority] = pa
 		}
-		ntt, hasNTT := rp.ntt(o)
-		attained := o.deadline > 0 && o.finishedAt <= o.deadline
-		for _, a := range []*acc{ta, pa} {
-			a.completed++
-			a.preemptions += o.preemptions
-			if o.preemptions > 0 {
-				a.preempted++
-			}
-			a.turnSum += o.turnaround
-			a.waitSum += o.waiting
-			if hasNTT {
-				a.nttSum += ntt
-				a.nttN++
-			}
-			if o.deadline > 0 {
-				if attained {
-					a.sloAttained++
-				} else {
-					a.sloMissed++
-				}
-			}
-		}
-		if hasNTT {
-			nttSum += ntt
-			nttN++
-		}
-		if o.deadline > 0 {
-			if attained {
-				sum.SLOAttained++
-			} else {
-				sum.SLOMissed++
-			}
-			sloMarginSum += o.deadline - o.finishedAt
-		}
-		sum.Preemptions += o.preemptions
+		all.Add(o.run)
+		ta.Add(o.run)
+		pa.Add(o.run)
 	}
 
 	sum.MakespanNS = int64(makespan)
 	if makespan > 0 {
 		sum.ThroughputPerSec = float64(sum.Completed) / makespan.Seconds()
 	}
-	if nttN > 0 {
-		sum.ANTT = nttSum / float64(nttN)
-	}
+	sum.ANTT = all.ANTT()
+	sum.Preemptions = int(all.Preemptions)
+	sum.SLOAttained, sum.SLOMissed = int(all.Attained), int(all.Missed)
 	sum.SLOTracked = sum.SLOAttained + sum.SLOMissed
-	if sum.SLOTracked > 0 {
-		sum.SLOAttainRate = float64(sum.SLOAttained) / float64(sum.SLOTracked)
-		sum.SLOMeanMarginNS = int64(sloMarginSum) / int64(sum.SLOTracked)
-	}
+	sum.SLOAttainRate = all.AttainRate()
+	sum.SLOMeanMarginNS = int64(all.MeanMargin())
 
 	// Per-priority rows, ascending; the top level doubles as the
 	// high-priority ANTT headline.
@@ -229,11 +192,9 @@ func (rp *Replayer) summarize(eff ReplayConfig, policy, mode string, devs []*dev
 	sort.Ints(prioKeys)
 	for _, p := range prioKeys {
 		a := prios[p]
-		ps := PrioritySummary{Priority: p, Completed: a.completed, Preemptions: a.preemptions}
-		if a.nttN > 0 {
-			ps.ANTT = a.nttSum / float64(a.nttN)
-		}
-		sum.PerPriority = append(sum.PerPriority, ps)
+		sum.PerPriority = append(sum.PerPriority, PrioritySummary{
+			Priority: p, Completed: int(a.Completed), ANTT: a.ANTT(), Preemptions: int(a.Preemptions),
+		})
 	}
 	if n := len(prioKeys); n > 0 {
 		sum.HighPriority = prioKeys[n-1]
@@ -247,34 +208,27 @@ func (rp *Replayer) summarize(eff ReplayConfig, policy, mode string, devs []*dev
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	var jainSum, jainSq float64
-	jainN := 0
+	var slowdowns []float64
 	for _, n := range names {
 		a := tenants[n]
-		ts := TenantSummary{
-			Client: n, Completed: a.completed,
-			Preempted: a.preempted, Preemptions: a.preemptions,
+		// Every tallied tenant completed at least one launch.
+		sum.Tenants = append(sum.Tenants, TenantSummary{
+			Client:           n,
+			Completed:        int(a.Completed),
+			Preempted:        int(a.Preempted),
+			Preemptions:      int(a.Preemptions),
+			MeanNTT:          a.ANTT(),
+			MeanTurnaroundNS: int64(a.Turnaround) / a.Completed,
+			MeanWaitNS:       int64(a.Waiting) / a.Completed,
+			SLOAttained:      int(a.Attained),
+			SLOMissed:        int(a.Missed),
+			SLOAttainRate:    a.AttainRate(),
+		})
+		if a.NTTN > 0 {
+			slowdowns = append(slowdowns, a.ANTT())
 		}
-		if a.completed > 0 {
-			ts.MeanTurnaroundNS = int64(a.turnSum) / int64(a.completed)
-			ts.MeanWaitNS = int64(a.waitSum) / int64(a.completed)
-		}
-		if a.nttN > 0 {
-			ts.MeanNTT = a.nttSum / float64(a.nttN)
-			jainSum += ts.MeanNTT
-			jainSq += ts.MeanNTT * ts.MeanNTT
-			jainN++
-		}
-		if n := a.sloAttained + a.sloMissed; n > 0 {
-			ts.SLOAttained = a.sloAttained
-			ts.SLOMissed = a.sloMissed
-			ts.SLOAttainRate = float64(a.sloAttained) / float64(n)
-		}
-		sum.Tenants = append(sum.Tenants, ts)
 	}
-	if jainN > 0 && jainSq > 0 {
-		sum.Fairness = (jainSum * jainSum) / (float64(jainN) * jainSq)
-	}
+	sum.Fairness = metrics.Jain(slowdowns)
 
 	sum.Models = rp.modelRows(outcomes)
 
@@ -284,9 +238,9 @@ func (rp *Replayer) summarize(eff ReplayConfig, policy, mode string, devs []*dev
 		drains = append(drains, d.drains...)
 	}
 	sort.Slice(drains, func(i, j int) bool { return drains[i] < drains[j] })
-	sum.DrainP50NS = int64(percentile(drains, 0.50))
-	sum.DrainP90NS = int64(percentile(drains, 0.90))
-	sum.DrainP99NS = int64(percentile(drains, 0.99))
+	sum.DrainP50NS = int64(metrics.Percentile(drains, 0.50))
+	sum.DrainP90NS = int64(metrics.Percentile(drains, 0.90))
+	sum.DrainP99NS = int64(metrics.Percentile(drains, 0.99))
 	return sum
 }
 
@@ -335,7 +289,7 @@ func (rp *Replayer) modelRows(outcomes []*outcome) []ModelSummary {
 		if g == nil {
 			continue
 		}
-		submitted := o.finishedAt - o.turnaround
+		submitted := o.finishedAt - o.run.Turnaround
 		if g.completed == 0 || submitted < g.first {
 			g.first = submitted
 		}
@@ -363,14 +317,14 @@ func (rp *Replayer) modelRows(outcomes []*outcome) []ModelSummary {
 		}
 	}
 	for _, o := range outcomes {
-		if o.rec.GraphID == "" || o.deadline == 0 {
+		if o.rec.GraphID == "" || !o.run.Tracked {
 			continue
 		}
 		row := rows[modelName(&o.rec)]
 		if row == nil {
 			continue
 		}
-		if o.finishedAt <= o.deadline {
+		if o.run.Attained() {
 			row.SLOAttained++
 		} else {
 			row.SLOMissed++
@@ -386,53 +340,6 @@ func (rp *Replayer) modelRows(outcomes []*outcome) []ModelSummary {
 		out = append(out, *row)
 	}
 	return out
-}
-
-// ntt returns the outcome's normalized turnaround time (turnaround over
-// the solo baseline), mirroring the daemon: overridden task counts have
-// no calibrated baseline and are excluded.
-func (rp *Replayer) ntt(o *outcome) (float64, bool) {
-	if o.rec.TasksOverride != 0 {
-		return 0, false
-	}
-	class, err := kernels.ParseClass(o.rec.Class)
-	if err != nil {
-		return 0, false
-	}
-	solo := rp.solo[soloKey{o.rec.Bench, class}]
-	if solo <= 0 {
-		return 0, false
-	}
-	return o.turnaround.Seconds() / solo.Seconds(), true
-}
-
-// acc accumulates one tenant's or priority level's outcome statistics.
-type acc struct {
-	completed   int
-	preempted   int
-	preemptions int
-	nttSum      float64
-	nttN        int
-	turnSum     time.Duration
-	waitSum     time.Duration
-	sloAttained int
-	sloMissed   int
-}
-
-// percentile returns the q-quantile of ascending-sorted durations using
-// the nearest-rank method (deterministic, no interpolation).
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(sorted))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
 
 // RenderText writes the summary as a human-oriented report.
