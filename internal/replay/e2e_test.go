@@ -1,14 +1,17 @@
 // Live-vs-replay agreement: a real flepd daemon records its admission
 // stream while serving concurrent tenants; the replayer then re-drives
 // the trace through a fresh system and must land on exactly the same
-// per-tenant completion and preemption counts. Lives in the external
-// test package because it imports the server (which imports replay).
+// per-tenant tallies: completions, preemptions, mean NTT and SLO verdicts
+// — the daemon's answers and the replay's summary come out of one
+// function. Lives in the external test package because it imports the
+// server (which imports replay).
 package replay_test
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -16,15 +19,10 @@ import (
 	"testing"
 	"time"
 
+	"flep/internal/metrics"
 	"flep/internal/replay"
 	"flep/internal/server"
 )
-
-type tenantStats struct {
-	completed   int
-	preempted   int // launches that were preempted at least once
-	preemptions int
-}
 
 func TestRecordReplayEndToEnd(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.trace")
@@ -44,16 +42,16 @@ func TestRecordReplayEndToEnd(t *testing.T) {
 	// VA launches keep arriving while the batch tenant's large CFD
 	// launches occupy the device, so HPF preempts.
 	type spec struct {
-		client, bench, class string
-		priority, n          int
+		client, bench, class    string
+		priority, n, deadlineMS int
 	}
 	specs := []spec{
-		{"tenant-hi", "VA", "small", 2, 12},
-		{"tenant-lo", "CFD", "large", 1, 4},
+		{"tenant-hi", "VA", "small", 2, 12, 1},
+		{"tenant-lo", "CFD", "large", 1, 4, 0},
 	}
-	live := map[string]*tenantStats{}
+	live := map[string]*metrics.Tally{}
 	for _, sp := range specs {
-		live[sp.client] = &tenantStats{}
+		live[sp.client] = &metrics.Tally{}
 	}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -64,7 +62,7 @@ func TestRecordReplayEndToEnd(t *testing.T) {
 			for i := 0; i < sp.n; i++ {
 				body, _ := json.Marshal(map[string]any{
 					"client": sp.client, "benchmark": sp.bench,
-					"class": sp.class, "priority": sp.priority,
+					"class": sp.class, "priority": sp.priority, "deadline_ms": sp.deadlineMS,
 				})
 				resp, err := http.Post(ts.URL+"/v1/launch", "application/json", bytes.NewReader(body))
 				if err != nil {
@@ -79,12 +77,7 @@ func TestRecordReplayEndToEnd(t *testing.T) {
 					return
 				}
 				mu.Lock()
-				st := live[sp.client]
-				st.completed++
-				st.preemptions += res.Preemptions
-				if res.Preemptions > 0 {
-					st.preempted++
-				}
+				live[sp.client].Add(res.Run())
 				mu.Unlock()
 			}
 		}(sp)
@@ -148,11 +141,22 @@ func TestRecordReplayEndToEnd(t *testing.T) {
 		if !ok {
 			t.Fatalf("replay lost tenant %s", client)
 		}
-		if rv.Completed != lv.completed || rv.Preempted != lv.preempted || rv.Preemptions != lv.preemptions {
+		if int64(rv.Completed) != lv.Completed || int64(rv.Preempted) != lv.Preempted || int64(rv.Preemptions) != lv.Preemptions {
 			t.Fatalf("tenant %s: live (completed=%d preempted=%d preemptions=%d) vs replay (completed=%d preempted=%d preemptions=%d)",
-				client, lv.completed, lv.preempted, lv.preemptions,
+				client, lv.Completed, lv.Preempted, lv.Preemptions,
 				rv.Completed, rv.Preempted, rv.Preemptions)
 		}
+		if lv.NTTN != lv.Completed || math.Abs(rv.MeanNTT-lv.ANTT()) > 1e-9*lv.ANTT() {
+			t.Fatalf("tenant %s: live mean NTT %v over %d of %d launches, replayed %v",
+				client, lv.ANTT(), lv.NTTN, lv.Completed, rv.MeanNTT)
+		}
+		if int64(rv.SLOAttained) != lv.Attained || int64(rv.SLOMissed) != lv.Missed {
+			t.Fatalf("tenant %s: live SLO %d attained / %d missed, replayed %d / %d",
+				client, lv.Attained, lv.Missed, rv.SLOAttained, rv.SLOMissed)
+		}
+	}
+	if hi := live["tenant-hi"]; hi.Attained+hi.Missed != hi.Completed || live["tenant-lo"].Attained+live["tenant-lo"].Missed != 0 {
+		t.Fatalf("only tenant-hi carries deadlines: tallies %+v and %+v", hi, live["tenant-lo"])
 	}
 
 	// The replayed trace also replays deterministically a second time.

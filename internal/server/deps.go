@@ -25,6 +25,7 @@ import (
 	"sort"
 	"time"
 
+	"flep/internal/metrics"
 	"flep/internal/model"
 )
 
@@ -108,10 +109,8 @@ type modelStats struct {
 	graphsStarted   int64
 	graphsCompleted int64
 	graphsCanceled  int64
-	stagesCompleted int64
+	stages          metrics.Tally // completed stages and their SLO verdicts
 	stagesCanceled  int64
-	sloAttained     int64
-	sloMissed       int64
 	makespanSumNS   int64
 }
 
@@ -370,7 +369,7 @@ func (s *Server) depEvictStalledLocked() bool {
 // parked dependents it unblocks into s.depReady, which the loop drains
 // right after its arrival batch. Runs only on the loop goroutine (from
 // complete), so appending to the loop-owned depReady slice is safe.
-func (s *Server) depStageDone(q *launchReq, res *LaunchResult) {
+func (s *Server) depStageDone(q *launchReq, res *LaunchResult, run metrics.KernelRun) {
 	//flepvet:allow sharedlock -- bounded table update; handlers hold depMu only for bounded map edits, never block
 	s.depMu.Lock()
 	defer s.depMu.Unlock()
@@ -393,14 +392,11 @@ func (s *Server) depStageDone(q *launchReq, res *LaunchResult) {
 		g.lastFinishNS = res.FinishedVirtualNS
 	}
 	ms := s.modelStatsLocked(g.model)
-	ms.stagesCompleted++
+	ms.stages.Add(run)
 	s.met.ModelStagesCompleted.Inc()
-	switch res.SLO {
-	case "attained":
-		ms.sloAttained++
+	if run.Attained() {
 		s.met.ModelSLOAttained.Inc()
-	case "missed":
-		ms.sloMissed++
+	} else if run.Tracked {
 		s.met.ModelSLOMissed.Inc()
 	}
 	// Release every parked dependent whose prerequisites are now all
@@ -532,8 +528,8 @@ func (s *Server) deliverDepCancels(cancels []*launchReq, reason string) {
 		s.count(outDepCanceled, cq.client)
 		//flepvet:allow blockingsend -- cq.done is per-request with capacity 1 (http.go) and sees exactly one send
 		cq.done <- LaunchResult{
-			Client: cq.client, Kernel: cq.bench.Name, Class: cq.class.String(),
-			Priority: cq.priority, Device: s.cfg.Device, Canceled: reason,
+			Client: cq.client, Kernel: cq.Bench.Name, Class: cq.Class.String(),
+			Priority: cq.Priority, Device: s.cfg.Device, Canceled: reason,
 		}
 	}
 }
@@ -593,7 +589,7 @@ func (s *Server) admitReleased() {
 		// Parked until now: this is the stage's first and only enqueue count.
 		s.countEnqueued(q)
 		s.queued.Add(1) // admit releases the reservation
-		if q.deadline > 0 {
+		if q.Budget > 0 {
 			s.lcOutstanding.Add(1)
 		}
 		q.admitReal = now
@@ -643,14 +639,12 @@ func (s *Server) modelStatuses() []ModelStatus {
 			GraphsStarted:   ms.graphsStarted,
 			GraphsCompleted: ms.graphsCompleted,
 			GraphsCanceled:  ms.graphsCanceled,
-			StagesCompleted: ms.stagesCompleted,
+			StagesCompleted: ms.stages.Completed,
 			StagesCanceled:  ms.stagesCanceled,
 			StagesParked:    parked[name],
-			SLOAttained:     ms.sloAttained,
-			SLOMissed:       ms.sloMissed,
-		}
-		if n := ms.sloAttained + ms.sloMissed; n > 0 {
-			row.AttainRate = float64(ms.sloAttained) / float64(n)
+			SLOAttained:     ms.stages.Attained,
+			SLOMissed:       ms.stages.Missed,
+			AttainRate:      ms.stages.AttainRate(),
 		}
 		if ms.graphsCompleted > 0 {
 			row.MeanMakespanUS = float64(ms.makespanSumNS) / float64(ms.graphsCompleted) / 1e3

@@ -32,8 +32,8 @@ func newBenchServer(b testing.TB) *Server {
 // admission, simulated execution, terminal delivery, pool put.
 func launchRoundTrip(tb testing.TB, s *Server, bench *kernels.Benchmark) {
 	q := getLaunchReq()
-	q.client, q.bench, q.class = "bench", bench, kernels.Trivial
-	q.priority = 1
+	q.client, q.Bench, q.Class = "bench", bench, kernels.Trivial
+	q.Priority = 1
 	q.enqueuedReal = time.Now()
 	if err := s.tryEnqueue(q); err != nil {
 		tb.Fatal(err)

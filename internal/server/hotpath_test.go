@@ -23,8 +23,8 @@ import (
 // driving tryEnqueue directly from tests.
 func mkLaunchReq(s *Server, client string, deadline time.Duration) *launchReq {
 	q := getLaunchReq()
-	q.client, q.bench, q.class = client, s.benches["VA"], kernels.Trivial
-	q.priority, q.deadline = 1, deadline
+	q.client, q.Bench, q.Class = client, s.benches["VA"], kernels.Trivial
+	q.Priority, q.Budget = 1, deadline
 	q.enqueuedReal = time.Now()
 	return q
 }

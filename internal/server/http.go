@@ -11,7 +11,9 @@ import (
 	"sync"
 	"time"
 
+	"flep/internal/core"
 	"flep/internal/kernels"
+	"flep/internal/replay"
 	"flep/internal/trace"
 )
 
@@ -67,6 +69,21 @@ type LaunchRequest struct {
 	// Model names the workload the graph instance aggregates under in
 	// per-model accounting (default "default").
 	Model string `json:"model,omitempty"`
+}
+
+// Record is the launch as a replay trace record — the one conversion for
+// everyone who records a request it sent or relayed (the admission loop
+// records what it resolved instead). It carries the request's own fields,
+// graph coordinates included; the caller stamps when and where the launch
+// ran (At, Device, Node).
+func (r *LaunchRequest) Record() replay.Record {
+	budget := time.Duration(r.DeadlineMS) * time.Millisecond
+	return replay.Record{
+		Client: r.Client, Bench: r.Benchmark, Class: r.Class,
+		Priority: r.Priority, Weight: r.Weight, TasksOverride: r.TasksOverride,
+		DeadlineNS: int64(budget), SLOClass: recordSLOClass(budget),
+		Model: r.Model, GraphID: r.Graph, Stage: r.Stage, After: r.After,
+	}
 }
 
 // Status is the JSON body of GET /v1/status. On a fleet daemon the
@@ -342,9 +359,11 @@ func (s *Server) admitLaunch(req *LaunchRequest, client string) (*launchReq, out
 	}
 
 	q := getLaunchReq()
-	q.client, q.bench, q.class = client, bench, class
-	q.priority, q.weight, q.tasksOverride = prio, req.Weight, req.TasksOverride
-	q.deadline = deadline
+	q.client = client
+	q.Launch = core.Launch{
+		Bench: bench, Class: class, TasksOverride: req.TasksOverride,
+		Priority: prio, Weight: req.Weight, Budget: deadline, Dependent: req.Graph != "",
+	}
 	q.graph, q.stage, q.model = req.Graph, req.Stage, req.Model
 	q.after, q.stages = req.After, req.Stages
 	q.enqueuedReal = time.Now()
@@ -444,11 +463,11 @@ func (s *Server) Status() Status {
 			Attained:       s.c.SLOAttained,
 			Missed:         s.c.SLOMissed,
 			BestEffortShed: s.c.RejectedShed,
+			AttainRate:     s.runs.AttainRate(),
 		},
 	}
 	if n := st.SLO.Attained + st.SLO.Missed; n > 0 {
-		st.SLO.AttainRate = float64(st.SLO.Attained) / float64(n)
-		st.SLO.MeanMarginUS = float64(s.sloMarginSum) / float64(n) / 1e3
+		st.SLO.MeanMarginUS = float64(s.runs.Margin) / float64(n) / 1e3
 	}
 	s.mu.Unlock()
 	st.Draining = s.Draining()

@@ -1,12 +1,13 @@
 package server
 
 import (
+	"math"
 	"sync"
 	"time"
 
 	"flep/internal/core"
 	"flep/internal/flepruntime"
-	"flep/internal/kernels"
+	"flep/internal/metrics"
 	"flep/internal/replay"
 )
 
@@ -16,16 +17,12 @@ import (
 // loop's terminal send never blocks, even if the handler timed out and
 // went away — the invocation is accounted for regardless.
 type launchReq struct {
-	client        string
-	bench         *kernels.Benchmark
-	class         kernels.InputClass
-	priority      int
-	weight        float64
-	tasksOverride int
-	// deadline is the SLO budget in virtual time from admission (zero =
-	// best-effort). The loop converts it to an absolute virtual deadline
-	// when it stamps the invocation onto the clock.
-	deadline time.Duration
+	client string
+	// Launch is what the runtime is asked to run. Its Budget is the SLO
+	// budget in virtual time from admission (zero = best-effort): the loop
+	// turns it into an absolute virtual deadline when it stamps the
+	// invocation onto the clock.
+	core.Launch
 
 	// Graph coordinates (empty for plain launches): graph is the
 	// client-chosen instance id, stage this launch's name within it,
@@ -116,6 +113,22 @@ type LaunchResult struct {
 	Err string `json:"error,omitempty"`
 }
 
+// Run is the result as the record it was built from, for a client that
+// tallies the answers it got. The wire carries NTT, not the baseline
+// behind it: rounding turnaround/NTT to whole nanoseconds recovers the
+// baseline exactly (the quotient is off by rounding error only, far less
+// than half a nanosecond), so Run().NTT() is NTT bit for bit.
+func (r *LaunchResult) Run() metrics.KernelRun {
+	run := metrics.KernelRun{
+		Name: r.Kernel, Turnaround: time.Duration(r.TurnaroundNS), Waiting: time.Duration(r.WaitingNS),
+		Preemptions: r.Preemptions, Margin: time.Duration(r.SLOMarginNS), Tracked: r.SLO != "",
+	}
+	if r.NTT > 0 {
+		run.Alone = time.Duration(math.Round(float64(r.TurnaroundNS) / r.NTT))
+	}
+	return run
+}
+
 type ctrlKind int
 
 const (
@@ -168,7 +181,7 @@ func (s *Server) tryEnqueue(q *launchReq) error {
 	if s.draining {
 		return ErrDraining
 	}
-	if q.deadline == 0 {
+	if q.Budget == 0 {
 		for {
 			n := s.queued.Load()
 			if s.lcOutstanding.Load() > 0 && n >= int64(s.beLimit) {
@@ -183,7 +196,7 @@ func (s *Server) tryEnqueue(q *launchReq) error {
 	}
 	select {
 	case s.submitCh <- q:
-		if q.deadline > 0 {
+		if q.Budget > 0 {
 			s.lcOutstanding.Add(1)
 		}
 		return nil
@@ -382,12 +395,8 @@ func (s *Server) admit(q *launchReq) {
 		q.admitReal = time.Now()
 	}
 	s.met.AdmissionWait.Observe(q.admitReal.Sub(q.enqueuedReal).Seconds())
-	v, err := s.stack.NewInvocation(core.Launch{
-		Bench: q.bench, Class: q.class, TasksOverride: q.tasksOverride,
-		Priority: q.priority, Weight: q.weight,
-		// The SLO clock starts here, at admission.
-		Budget: q.deadline, Dependent: q.graph != "",
-	})
+	// The SLO clock starts here, at admission.
+	v, err := s.stack.NewInvocation(q.Launch)
 	// Capture the engine position before Submit: the trace must describe
 	// the state the launch arrived into, and Submit's own scheduling may
 	// not step the engine (steps only advance in the loop), but the
@@ -400,7 +409,7 @@ func (s *Server) admit(q *launchReq) {
 		err = s.stack.RT.Submit(v)
 	}
 	if err != nil {
-		if q.deadline > 0 {
+		if q.Budget > 0 {
 			s.lcOutstanding.Add(-1)
 		}
 		s.countEnqueued(q)
@@ -412,8 +421,8 @@ func (s *Server) admit(q *launchReq) {
 		}
 		//flepvet:allow blockingsend -- q.done is per-request with capacity 1 (http.go) and sees exactly one send
 		q.done <- LaunchResult{
-			Client: q.client, Kernel: q.bench.Name, Class: q.class.String(),
-			Priority: q.priority, Device: s.cfg.Device, Err: err.Error(),
+			Client: q.client, Kernel: q.Bench.Name, Class: q.Class.String(),
+			Priority: q.Priority, Device: s.cfg.Device, Err: err.Error(),
 		}
 		return
 	}
@@ -426,17 +435,17 @@ func (s *Server) admit(q *launchReq) {
 			Step:          atStep,
 			Device:        s.cfg.Device,
 			Client:        q.client,
-			Bench:         q.bench.Name,
-			Class:         q.class.String(),
-			Priority:      q.priority,
-			Weight:        q.weight,
-			TasksOverride: q.tasksOverride,
+			Bench:         q.Bench.Name,
+			Class:         q.Class.String(),
+			Priority:      q.Priority,
+			Weight:        q.Weight,
+			TasksOverride: q.TasksOverride,
 			Grid:          v.Tasks,
-			Block:         q.bench.ThreadsPerCTA,
+			Block:         q.Bench.ThreadsPerCTA,
 			WorkingSet:    v.WorkingSet,
 			Te:            int64(v.Te),
-			DeadlineNS:    int64(q.deadline),
-			SLOClass:      recordSLOClass(q.deadline),
+			DeadlineNS:    int64(q.Budget),
+			SLOClass:      recordSLOClass(q.Budget),
 			Model:         q.model,
 			GraphID:       q.graph,
 			Stage:         q.stage,
@@ -460,35 +469,33 @@ func recordSLOClass(deadline time.Duration) string {
 // on the loop goroutine (from the runtime's OnFinish hook).
 func (s *Server) complete(q *launchReq, fv *flepruntime.Invocation) {
 	s.vnow.Store(int64(s.stack.Dev.Now()))
-	a := s.sys.Artifacts(q.bench.Name)
+	run := s.stack.Finished(q.Launch, fv)
+	a := s.sys.Artifacts(q.Bench.Name)
 	res := LaunchResult{
 		ID:     fv.ID,
-		Client: q.client, Kernel: fv.Kernel, Class: q.class.String(),
+		Client: q.client, Kernel: fv.Kernel, Class: q.Class.String(),
 		Priority:           fv.Priority,
 		Device:             s.cfg.Device,
 		SubmittedVirtualNS: int64(fv.SubmittedAt()),
 		FinishedVirtualNS:  int64(fv.FinishedAt()),
-		TurnaroundNS:       int64(fv.Turnaround()),
-		WaitingNS:          int64(fv.Tw),
-		ExecutionNS:        int64(fv.Turnaround() - fv.Tw),
-		Preemptions:        fv.Preemptions,
+		TurnaroundNS:       int64(run.Turnaround),
+		WaitingNS:          int64(run.Waiting),
+		ExecutionNS:        int64(run.Turnaround - run.Waiting),
+		NTT:                run.NTT(),
+		Preemptions:        run.Preemptions,
 		PreemptEstimateNS:  int64(a.PreemptOverhead),
-		OverheadNS:         int64(a.PreemptOverhead) * int64(fv.Preemptions),
+		OverheadNS:         int64(a.PreemptOverhead) * int64(run.Preemptions),
 		QueueWaitRealNS:    q.admitReal.Sub(q.enqueuedReal).Nanoseconds(),
 	}
-	if q.tasksOverride == 0 {
-		if solo := s.solo[soloKey{q.bench.Name, q.class}]; solo > 0 {
-			res.NTT = fv.Turnaround().Seconds() / solo.Seconds()
-			s.met.NTT.Observe(res.NTT)
-		}
+	if run.Alone > 0 {
+		s.met.NTT.Observe(res.NTT)
 	}
-	var margin time.Duration
-	if fv.Deadline > 0 {
-		margin = fv.Deadline - fv.FinishedAt()
+	if run.Tracked {
 		res.DeadlineVirtualNS = int64(fv.Deadline)
-		res.SLOMarginNS = int64(margin)
-		s.met.SLOMargin.Observe(margin.Seconds())
-		if margin >= 0 {
+		res.SLOMarginNS = int64(run.Margin)
+		s.met.SLOMargin.Observe(run.Margin.Seconds())
+		// The verdict's two names are written here and nowhere else.
+		if run.Attained() {
 			res.SLO = "attained"
 			s.met.SLOAttained.Inc()
 		} else {
@@ -513,23 +520,18 @@ func (s *Server) complete(q *launchReq, fv *flepruntime.Invocation) {
 	s.mu.Lock()
 	s.countEnqueuedLocked(q)
 	sess := s.countLocked(outCompleted, q.client)
-	switch res.SLO {
-	case "attained":
-		s.c.SLOAttained++
-		s.sloMarginSum += margin
-	case "missed":
-		s.c.SLOMissed++
-		s.sloMarginSum += margin
-	}
+	s.runs.Add(run)
+	s.c.SLOAttained, s.c.SLOMissed = s.runs.Attained, s.runs.Missed
 	if sess != nil {
-		sess.noteCompletion(res)
+		sess.Runs.Add(run)
+		sess.LastFinishVirtual = fv.FinishedAt()
 	}
 	s.mu.Unlock()
 	if q.graph != "" {
 		// Fold the stage into its graph and collect newly-unblocked
 		// dependents before the handler learns the result, so a client that
 		// reacts instantly still observes its dependents as released.
-		s.depStageDone(q, &res)
+		s.depStageDone(q, &res, run)
 	}
 	//flepvet:allow blockingsend -- q.done is per-request with capacity 1 (http.go) and sees exactly one send
 	q.done <- res

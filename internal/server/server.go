@@ -29,6 +29,7 @@ import (
 	"flep/internal/core"
 	"flep/internal/gpu"
 	"flep/internal/kernels"
+	"flep/internal/metrics"
 	"flep/internal/obs"
 	"flep/internal/replay"
 	"flep/internal/trace"
@@ -297,11 +298,6 @@ func (s *Server) countLocked(o outcome, client string) *Session {
 	return sess
 }
 
-type soloKey struct {
-	bench string
-	class kernels.InputClass
-}
-
 // Server is one flepd instance. Create it with New or NewWithSystem; it
 // serves HTTP through Handler and stops through Shutdown.
 type Server struct {
@@ -314,8 +310,7 @@ type Server struct {
 	reg     *obs.Registry
 	met     *serverMetrics
 	benches map[string]*kernels.Benchmark
-	solo    map[soloKey]time.Duration // immutable after New
-	info    []BenchmarkInfo           // immutable after New
+	info    []BenchmarkInfo // immutable after New
 
 	submitCh chan *launchReq
 	ctrlCh   chan ctrlMsg
@@ -377,11 +372,11 @@ type Server struct {
 	mu        sync.Mutex
 	startReal time.Time
 	c         counters
-	// sloMarginSum accumulates (deadline − completion) across all
-	// deadline-bearing completions, so /v1/status can report the mean
-	// margin without a second pass. Guarded by mu like the counters.
-	sloMarginSum time.Duration
-	sessions     map[string]*Session
+	// runs tallies every completion, so /v1/status can report SLO
+	// attainment and the mean margin without a second pass; c's two SLO
+	// counters are copied from it. Guarded by mu like the counters.
+	runs     metrics.Tally
+	sessions map[string]*Session
 }
 
 // New builds the offline artifacts for cfg.Benchmarks on a fresh system
@@ -430,7 +425,6 @@ func NewWithSystem(sys *core.System, cfg Config) (*Server, error) {
 		cfg:      cfg,
 		sys:      sys,
 		benches:  map[string]*kernels.Benchmark{},
-		solo:     map[soloKey]time.Duration{},
 		submitCh: make(chan *launchReq, cfg.QueueDepth),
 		ctrlCh:   make(chan ctrlMsg),
 		stopCh:   make(chan struct{}),
@@ -447,19 +441,7 @@ func NewWithSystem(sys *core.System, cfg Config) (*Server, error) {
 		s.benches[b.Name] = b
 	}
 
-	// Precompute solo baselines (the ANTT denominators) while we are
-	// still single-threaded: core.System caches them in a plain map, so
-	// they must never be computed lazily once the loop is running.
-	for _, b := range benchs {
-		for _, c := range kernels.Classes() {
-			d, err := sys.SoloTime(b, c)
-			if err != nil {
-				return nil, fmt.Errorf("server: solo %s/%s: %w", b.Name, c, err)
-			}
-			s.solo[soloKey{b.Name, c}] = d
-		}
-	}
-	s.info = buildBenchmarkInfo(sys, benchs, s.solo)
+	s.info = buildBenchmarkInfo(sys, benchs)
 
 	s.beLimit = bestEffortLimit(s.info, cfg.QueueDepth)
 
@@ -716,7 +698,7 @@ type ClassInfo struct {
 	PredictedNS int64 `json:"predicted_ns"`
 }
 
-func buildBenchmarkInfo(sys *core.System, benchs []*kernels.Benchmark, solo map[soloKey]time.Duration) []BenchmarkInfo {
+func buildBenchmarkInfo(sys *core.System, benchs []*kernels.Benchmark) []BenchmarkInfo {
 	out := make([]BenchmarkInfo, 0, len(benchs))
 	for _, b := range benchs {
 		a := sys.Artifacts(b.Name)
@@ -729,9 +711,12 @@ func buildBenchmarkInfo(sys *core.System, benchs []*kernels.Benchmark, solo map[
 		for _, c := range kernels.Classes() {
 			in := b.Input(c)
 			pred, _ := sys.Predict(b, in)
+			// The offline phase left the baseline in sys's table, where the
+			// loop's completions find it too; neither call simulates.
+			solo, _ := sys.SoloTime(b, c)
 			bi.Classes[c.String()] = ClassInfo{
 				Tasks: in.Tasks, Bytes: in.Bytes,
-				SoloNS:      int64(solo[soloKey{b.Name, c}]),
+				SoloNS:      int64(solo),
 				PredictedNS: int64(pred),
 			}
 		}

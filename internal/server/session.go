@@ -3,6 +3,8 @@ package server
 import (
 	"sort"
 	"time"
+
+	"flep/internal/metrics"
 )
 
 // Session is one client's standing with the daemon. The paper's runtime
@@ -27,32 +29,11 @@ type Session struct {
 	DepCanceled      int64 // graph stages canceled before admission (prerequisite failed / drain)
 	RejectedDepFull  int64 // 429s (pending-dependency table full)
 
-	Preemptions       int64 // realized preemptions across invocations
-	TotalTurnaroundNS int64
-	TotalWaitingNS    int64
+	// Runs tallies the client's finished invocations: preemptions,
+	// turnaround and waiting sums, and SLO accounting over its
+	// deadline-bearing completions.
+	Runs              metrics.Tally
 	LastFinishVirtual time.Duration
-
-	// SLO accounting over this client's deadline-bearing completions.
-	SLOAttained    int64
-	SLOMissed      int64
-	SLOMarginSumNS int64
-}
-
-// noteCompletion folds a finished invocation's timings into the session
-// (countLocked has already counted the completion itself).
-func (sess *Session) noteCompletion(res LaunchResult) {
-	sess.Preemptions += int64(res.Preemptions)
-	sess.TotalTurnaroundNS += res.TurnaroundNS
-	sess.TotalWaitingNS += res.WaitingNS
-	sess.LastFinishVirtual = time.Duration(res.FinishedVirtualNS)
-	switch res.SLO {
-	case "attained":
-		sess.SLOAttained++
-		sess.SLOMarginSumNS += res.SLOMarginNS
-	case "missed":
-		sess.SLOMissed++
-		sess.SLOMarginSumNS += res.SLOMarginNS
-	}
 }
 
 // hostState maps the session onto Figure 5's host-program states: a
@@ -135,17 +116,17 @@ func (s *Server) SessionSnapshots() []SessionSnapshot {
 			Canceled:         sess.Canceled,
 			DepCanceled:      sess.DepCanceled,
 			RejectedDepFull:  sess.RejectedDepFull,
-			Preemptions:      sess.Preemptions,
+			Preemptions:      sess.Runs.Preemptions,
 			LastFinishUS:     float64(sess.LastFinishVirtual) / 1e3,
-			SLOAttained:      sess.SLOAttained,
-			SLOMissed:        sess.SLOMissed,
+			SLOAttained:      sess.Runs.Attained,
+			SLOMissed:        sess.Runs.Missed,
 		}
 		if sess.Completed > 0 {
-			snap.MeanTurnUS = float64(sess.TotalTurnaroundNS) / float64(sess.Completed) / 1e3
-			snap.MeanWaitUS = float64(sess.TotalWaitingNS) / float64(sess.Completed) / 1e3
+			snap.MeanTurnUS = float64(sess.Runs.Turnaround) / float64(sess.Completed) / 1e3
+			snap.MeanWaitUS = float64(sess.Runs.Waiting) / float64(sess.Completed) / 1e3
 		}
-		if n := sess.SLOAttained + sess.SLOMissed; n > 0 {
-			snap.MeanSLOMarginUS = float64(sess.SLOMarginSumNS) / float64(n) / 1e3
+		if n := sess.Runs.Attained + sess.Runs.Missed; n > 0 {
+			snap.MeanSLOMarginUS = float64(sess.Runs.Margin) / float64(n) / 1e3
 		}
 		out = append(out, snap)
 	}

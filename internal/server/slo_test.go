@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"flep/internal/metrics"
 )
 
 func TestSLOAttainmentEndToEnd(t *testing.T) {
@@ -74,6 +77,37 @@ func TestSLOAttainmentEndToEnd(t *testing.T) {
 				t.Fatalf("be session SLO: %+v", snap)
 			}
 		}
+	}
+}
+
+// A client tallies flepd's answers through LaunchResult.Run, which has to
+// recover the solo baseline from the NTT on the wire — exactly, so that
+// the client's ANTT is the daemon's bit for bit.
+func TestLaunchResultRunRecoversTheRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100_000; i++ {
+		alone := time.Duration(1 + rng.Int63n(int64(10*time.Second)))
+		want := metrics.KernelRun{
+			Name: "VA", Alone: alone, Turnaround: alone + time.Duration(rng.Int63n(int64(time.Minute))),
+			Waiting: time.Duration(rng.Int63n(int64(alone))), Preemptions: rng.Intn(3),
+		}
+		res := LaunchResult{
+			Kernel: "VA", TurnaroundNS: int64(want.Turnaround), WaitingNS: int64(want.Waiting),
+			NTT: want.NTT(), Preemptions: want.Preemptions,
+		}
+		if i%2 == 0 {
+			want.Tracked, want.Margin = true, time.Duration(rng.Int63n(2000)-1000)
+			res.SLO, res.SLOMarginNS = "missed", int64(want.Margin)
+			if want.Attained() {
+				res.SLO = "attained"
+			}
+		}
+		if got := res.Run(); got != want || got.NTT() != res.NTT {
+			t.Fatalf("result %+v\n runs as %+v\n want    %+v", res, got, want)
+		}
+	}
+	if got := (&LaunchResult{TurnaroundNS: 500}).Run(); got.Alone != 0 || got.Tracked {
+		t.Fatalf("a result with no NTT and no verdict runs as %+v", got)
 	}
 }
 

@@ -33,7 +33,7 @@ func TestSteppingLoopLosesNoWakeup(t *testing.T) {
 	enqueue := func(client, bench string, class kernels.InputClass) *launchReq {
 		t.Helper()
 		q := mkLaunchReq(s, client, 0)
-		q.bench, q.class = s.benches[bench], class
+		q.Bench, q.Class = s.benches[bench], class
 		if err := s.tryEnqueue(q); err != nil {
 			t.Fatalf("enqueue %s: %v", client, err)
 		}
