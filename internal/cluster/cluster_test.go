@@ -753,6 +753,19 @@ func TestGatewayRecorderCapturesAcceptedLaunches(t *testing.T) {
 	if code, _, _ := launchVia(t, gw.URL, server.LaunchRequest{Benchmark: "NOPE"}); code != http.StatusBadRequest {
 		t.Fatalf("invalid launch code = %d, want 400", code)
 	}
+	// A graph stage is recorded with its coordinates, or the trace replays
+	// as unrelated launches with no models block.
+	stage := server.LaunchRequest{
+		Client: "r0", Benchmark: "VA", DeadlineMS: 2000,
+		Model: "pair", Graph: "g", Stage: "b", After: []string{"a"}, Stages: 2,
+	}
+	first := stage
+	first.Stage, first.After, first.DeadlineMS = "a", nil, 0
+	for _, req := range []server.LaunchRequest{first, stage} {
+		if code, res, _ := launchVia(t, gw.URL, req); code != http.StatusOK {
+			t.Fatalf("stage %s: code %d (%+v)", req.Stage, code, res)
+		}
+	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -764,8 +777,15 @@ func TestGatewayRecorderCapturesAcceptedLaunches(t *testing.T) {
 	if tr.Header.Source != replay.SourceFlepgw {
 		t.Fatalf("trace source = %q", tr.Header.Source)
 	}
-	if len(tr.Records) != launches {
-		t.Fatalf("recorded %d launches, want %d", len(tr.Records), launches)
+	if len(tr.Records) != launches+2 {
+		t.Fatalf("recorded %d launches, want %d", len(tr.Records), launches+2)
+	}
+	got := tr.Records[launches+1]
+	want := stage.Record()
+	want.Seq, want.At, want.Wall, want.Node, want.Device = got.Seq, got.At, got.Wall, "n0", 0
+	if !reflect.DeepEqual(got, want) || got.Model != "pair" || got.GraphID != "g" || got.Stage != "b" ||
+		len(got.After) != 1 || got.After[0] != "a" || got.SLOClass != "latency" {
+		t.Fatalf("graph stage recorded as\n %+v\nwant\n %+v", got, want)
 	}
 	for i, r := range tr.Records {
 		if r.Node != "n0" {
@@ -774,6 +794,38 @@ func TestGatewayRecorderCapturesAcceptedLaunches(t *testing.T) {
 		if r.Bench != "VA" || r.Device < 0 {
 			t.Fatalf("record %d malformed: %+v", i, r)
 		}
+	}
+}
+
+// An anonymous client has no home node, but its graph still has to meet
+// itself: placing each stage by load sent stage b to the node that never
+// saw stage a, where it parked until the handler gave up (504).
+func TestAnonymousGraphCompletesThroughGateway(t *testing.T) {
+	_, n0, _ := startNode(t, server.Config{})
+	_, n1, _ := startNode(t, server.Config{})
+	_, gw := startGateway(t, Config{Nodes: []string{n0.URL, n1.URL}})
+
+	for i := 0; i < 4; i++ {
+		req := server.LaunchRequest{
+			Benchmark: "VA", Class: "trivial", TimeoutMS: 2000,
+			Graph: fmt.Sprintf("g%d", i), Stage: "a", Stages: 2, Model: "pair",
+		}
+		code, res, home := launchVia(t, gw.URL, req)
+		if code != http.StatusOK {
+			t.Fatalf("graph %d stage a: code %d (%+v)", i, code, res)
+		}
+		req.Stage, req.After = "b", []string{"a"}
+		code, res, node := launchVia(t, gw.URL, req)
+		if code != http.StatusOK {
+			t.Fatalf("graph %d stage b: code %d (%+v); stage a ran on %s", i, code, res, home)
+		}
+		if node != home {
+			t.Fatalf("graph %d: stage a on %s, stage b on %s", i, home, node)
+		}
+	}
+	st := getClusterStatus(t, gw.URL)
+	if len(st.Models) != 1 || st.Models[0].GraphsCompleted != 4 || st.Models[0].StagesCompleted != 8 {
+		t.Fatalf("models block: %+v, want 4 graphs and 8 stages completed", st.Models)
 	}
 }
 

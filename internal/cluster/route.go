@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"time"
 
-	"flep/internal/replay"
 	"flep/internal/server"
 )
 
@@ -28,18 +27,29 @@ type candidate struct {
 // remaps exactly its own sessions to their next ring preference while
 // every other session stays put.
 //
-// Anonymous launches have no session to preserve, so they go wherever
-// capacity is, in the fleet's placement order (server.Placement): memory
-// fit is judged against the node's last-known free device memory, and
-// load is queued + in-flight at the node plus the gateway's own
+// A graph's stages must meet in one node's pending-dependency table, so a
+// graph-bearing launch walks the ring whatever its client is called: a
+// named client's from its home as ever, an anonymous one's — which has
+// no home — from its (client, graph) key. (server.Fleet.route pins graph
+// launches to a shard for the same reason.)
+//
+// Other anonymous launches have no session to preserve, so they go
+// wherever capacity is, in the fleet's placement order (server.Placement):
+// memory fit is judged against the node's last-known free device memory,
+// and load is queued + in-flight at the node plus the gateway's own
 // not-yet-visible in-flight count.
 func (g *Gateway) candidates(client string, req server.LaunchRequest) []candidate {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 
-	if client != "" && client != "anonymous" {
+	named := client != "" && client != "anonymous"
+	if named || req.Graph != "" {
+		key := client
+		if !named {
+			key += "\x00" + req.Graph
+		}
 		out := make([]candidate, 0, len(g.nodes))
-		for _, addr := range g.ring.sequence(client) {
+		for _, addr := range g.ring.sequence(key) {
 			if n := g.byAddr[addr]; n.eligible() {
 				out = append(out, candidate{id: n.id, addr: n.addr})
 			}
@@ -215,30 +225,13 @@ func (g *Gateway) record(nodeID, client string, req server.LaunchRequest, respBo
 	if g.rec == nil {
 		return
 	}
+	rec := req.Record()
+	rec.At, rec.Node, rec.Client, rec.Device = time.Since(g.startReal).Nanoseconds(), nodeID, client, -1
 	var res server.LaunchResult
-	device := -1
 	if err := json.Unmarshal(respBody, &res); err == nil {
-		device = res.Device
+		rec.Device = res.Device
 	}
-	var deadlineNS int64
-	sloClass := ""
-	if req.DeadlineMS > 0 {
-		deadlineNS = int64(req.DeadlineMS) * int64(time.Millisecond)
-		sloClass = "latency"
-	}
-	g.rec.Record(replay.Record{
-		At:            time.Since(g.startReal).Nanoseconds(),
-		Device:        device,
-		Node:          nodeID,
-		Client:        client,
-		Bench:         req.Benchmark,
-		Class:         req.Class,
-		Priority:      req.Priority,
-		Weight:        req.Weight,
-		TasksOverride: req.TasksOverride,
-		DeadlineNS:    deadlineNS,
-		SLOClass:      sloClass,
-	})
+	g.rec.Record(rec)
 }
 
 // relay writes a node's terminal response through to the client.
