@@ -46,45 +46,41 @@ import (
 	"sync"
 	"time"
 
+	"flep/internal/metrics"
 	"flep/internal/model"
 	"flep/internal/obs"
 	"flep/internal/replay"
 	"flep/internal/server"
 )
 
-// sample is one completed request as seen by a client. node is the
-// serving node from the gateway's X-Flep-Node header (empty when the
-// target is a single flepd).
+// sample is one launch's terminal answer as its client saw it: the
+// finished launch in the shared results vocabulary, plus what only the
+// client knows. node is the serving node from the gateway's X-Flep-Node
+// header (empty when the target is a single flepd).
 type sample struct {
+	metrics.KernelRun
+	status      int // HTTP status; 0 on a transport or decode error
 	id          int
 	device      int
 	node        string
 	realLatency time.Duration
-	turnaround  time.Duration
-	waiting     time.Duration
-	ntt         float64
-	preemptions int
-	slo         string // "attained"/"missed"; empty for best-effort
-	sloMargin   time.Duration
 }
 
 type stats struct {
 	mu       sync.Mutex
-	samples  []sample
-	retries  int64 // 429s absorbed
-	timeouts int64 // 504s
+	samples  []sample // the 200s
+	retries  int64    // 429s absorbed
+	timeouts int64    // 504s
 	errors   int64
 	models   map[string]*modelAgg // per-model graph accounting (-model)
 }
 
 // modelAgg accumulates one model's graph outcomes across all clients.
 type modelAgg struct {
-	graphs, completed, canceled         int64
-	stagesOK, stagesCanceled, stagesRej int64
-	sloAttained, sloMissed              int64
-	nttSum                              float64
-	nttN                                int64
-	makespans                           []time.Duration // real time, completed graphs only
+	graphs, completed, canceled int64
+	stages                      metrics.Tally // the stages that answered 200
+	stagesCanceled, stagesRej   int64
+	makespans                   []time.Duration // real time, completed graphs only
 }
 
 func main() {
@@ -299,16 +295,16 @@ func reportMetricsDeltas(before, after obs.Snapshot, wall time.Duration) {
 	// node's exposition relabeled with node=<id>; splitting the deltas by
 	// that label recovers each node's share of the run without asking the
 	// nodes directly.
-	groups := map[string]*group{}
+	groups := map[string]*metrics.Tally{}
 	for _, id := range after.LabelValues("flep_server_launches_total", "node") {
 		dn := func(name string, pairs ...string) float64 {
 			return d(name, append(pairs, "node", id)...)
 		}
-		groups["node "+id] = &group{
-			ok:          dn("flep_server_launches_total", "outcome", "completed"),
-			nttSum:      dn("flep_server_ntt_sum"),
-			nttN:        dn("flep_server_ntt_count"),
-			preemptions: dn("flep_runtime_preemptions_total"),
+		groups["node "+id] = &metrics.Tally{
+			Completed:   int64(dn("flep_server_launches_total", "outcome", "completed")),
+			NTTSum:      dn("flep_server_ntt_sum"),
+			NTTN:        int64(dn("flep_server_ntt_count")),
+			Preemptions: int64(dn("flep_runtime_preemptions_total")),
 		}
 	}
 	writeGroups(os.Stdout, "per node (node-labeled metrics deltas)", groups, wall)
@@ -358,72 +354,60 @@ func runClient(httpc *http.Client, st *stats, cc clientConfig) {
 	}
 }
 
-// launchOnce submits one launch, absorbing 429 backpressure by honoring
-// Retry-After. Each accepted (non-429) submission is terminal.
+// launchOnce submits one plain launch, absorbing 429 backpressure, and
+// files its terminal answer.
 func launchOnce(httpc *http.Client, st *stats, cc clientConfig, req server.LaunchRequest) {
+	s := post(httpc, st, cc, req, cc.maxRetry)
+	st.note(func() {
+		switch s.status {
+		case http.StatusOK:
+			st.samples = append(st.samples, s)
+		case http.StatusGatewayTimeout:
+			st.timeouts++
+		default:
+			st.errors++
+		}
+	})
+}
+
+// post is the one way a launch reaches the daemon: marshal, POST, decode
+// and drain the answer, read the serving node, and — for a 200 under
+// -record — append the launch to the client-side trace. A 429 is retried
+// after the server's Retry-After hint up to maxRetry times; any other
+// answer, and the 429 that exhausts the retries, is terminal.
+func post(httpc *http.Client, st *stats, cc clientConfig, req server.LaunchRequest, maxRetry int) sample {
 	body, _ := json.Marshal(req)
 	for attempt := 0; ; attempt++ {
 		begin := time.Now()
 		resp, err := httpc.Post(cc.addr+"/v1/launch", "application/json", bytes.NewReader(body))
 		if err != nil {
-			st.note(func() { st.errors++ })
-			return
+			return sample{}
 		}
 		var res server.LaunchResult
 		decErr := json.NewDecoder(resp.Body).Decode(&res)
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
+		s := sample{
+			KernelRun: res.Run(), status: resp.StatusCode,
+			id: res.ID, device: res.Device, node: resp.Header.Get("X-Flep-Node"),
+			realLatency: time.Since(begin),
+		}
 		switch {
-		case resp.StatusCode == http.StatusTooManyRequests:
+		case s.status == http.StatusTooManyRequests && attempt < maxRetry:
 			st.note(func() { st.retries++ })
-			if attempt >= cc.maxRetry {
-				st.note(func() { st.errors++ })
-				return
-			}
 			time.Sleep(retryAfter(resp))
 			continue
-		case resp.StatusCode == http.StatusGatewayTimeout:
-			st.note(func() { st.timeouts++ })
-			return
-		case resp.StatusCode != http.StatusOK || decErr != nil:
-			st.note(func() { st.errors++ })
-			return
-		}
-		s := sample{
-			id:          res.ID,
-			device:      res.Device,
-			node:        resp.Header.Get("X-Flep-Node"),
-			realLatency: time.Since(begin),
-			turnaround:  time.Duration(res.TurnaroundNS),
-			waiting:     time.Duration(res.WaitingNS),
-			ntt:         res.NTT,
-			preemptions: res.Preemptions,
-			slo:         res.SLO,
-			sloMargin:   time.Duration(res.SLOMarginNS),
-		}
-		st.note(func() { st.samples = append(st.samples, s) })
-		if cc.rec != nil {
+		case s.status == http.StatusOK && decErr != nil:
+			s.status = 0
+		case s.status == http.StatusOK && cc.rec != nil:
 			// Client-side traces record real arrival offsets (the daemon's
 			// virtual clock is not visible here), so they replay in timed
 			// mode only; Step stays zero.
-			sloClass := ""
-			if req.DeadlineMS > 0 {
-				sloClass = "latency"
-			}
-			cc.rec.Record(replay.Record{
-				At:         begin.Sub(cc.runStart).Nanoseconds(),
-				Device:     res.Device,
-				Node:       s.node,
-				Client:     cc.id,
-				Bench:      req.Benchmark,
-				Class:      req.Class,
-				Priority:   req.Priority,
-				Weight:     req.Weight,
-				DeadlineNS: int64(req.DeadlineMS) * int64(time.Millisecond),
-				SLOClass:   sloClass,
-			})
+			rec := req.Record()
+			rec.At, rec.Device, rec.Node = begin.Sub(cc.runStart).Nanoseconds(), s.device, s.node
+			cc.rec.Record(rec)
 		}
-		return
+		return s
 	}
 }
 
@@ -497,29 +481,19 @@ func dedupSorted(s []string) []string {
 	return out
 }
 
-// stageOutcome is one stage POST's terminal result within a graph.
-type stageOutcome struct {
-	stage   string
-	status  int // HTTP status; 0 on transport/decode error
-	node    string
-	res     server.LaunchResult
-	latency time.Duration
-}
-
 // submitGraph posts every stage of one graph instance concurrently — the
 // daemon's pending-dependency table enforces ordering — and returns when
 // all stages are terminal. Graph stages are never retried: a 429 or 409
 // is the graph's outcome, not an obstacle (the DISB-style client measures
 // what the serving system did, it does not paper over shedding).
-func submitGraph(httpc *http.Client, addr string, sp modelSpec, client, graphID string,
-	timeout time.Duration, rec *replay.Recorder, runStart time.Time) []stageOutcome {
+func submitGraph(httpc *http.Client, st *stats, cc clientConfig, sp modelSpec, graphID string) []sample {
 	g := sp.graph
 	terminal := g.Terminal().Name
 	prio := 1
 	if sp.deadline > 0 {
 		prio = 2
 	}
-	outs := make([]stageOutcome, len(g.Stages))
+	outs := make([]sample, len(g.Stages))
 	var wg sync.WaitGroup
 	for i := range g.Stages {
 		wg.Add(1)
@@ -527,52 +501,15 @@ func submitGraph(httpc *http.Client, addr string, sp modelSpec, client, graphID 
 			defer wg.Done()
 			stg := &g.Stages[i]
 			req := server.LaunchRequest{
-				Client: client, Benchmark: stg.Bench, Class: stg.Class,
-				Priority: prio, TimeoutMS: int(timeout / time.Millisecond),
+				Client: cc.id, Benchmark: stg.Bench, Class: stg.Class,
+				Priority: prio, TimeoutMS: int(cc.timeout / time.Millisecond),
 				Model: sp.name, Graph: graphID, Stage: stg.Name,
 				After: stg.After, Stages: len(g.Stages),
 			}
 			if stg.Name == terminal && sp.deadline > 0 {
 				req.DeadlineMS = int(sp.deadline / time.Millisecond)
 			}
-			body, _ := json.Marshal(req)
-			begin := time.Now()
-			resp, err := httpc.Post(addr+"/v1/launch", "application/json", bytes.NewReader(body))
-			if err != nil {
-				outs[i] = stageOutcome{stage: stg.Name}
-				return
-			}
-			var res server.LaunchResult
-			decErr := json.NewDecoder(resp.Body).Decode(&res)
-			io.Copy(io.Discard, resp.Body)
-			node := resp.Header.Get("X-Flep-Node")
-			resp.Body.Close()
-			status := resp.StatusCode
-			if status == http.StatusOK && decErr != nil {
-				status = 0
-			}
-			outs[i] = stageOutcome{stage: stg.Name, status: status, node: node, res: res, latency: time.Since(begin)}
-			if rec != nil && status == http.StatusOK {
-				sloClass := ""
-				if req.DeadlineMS > 0 {
-					sloClass = "latency"
-				}
-				rec.Record(replay.Record{
-					At:         begin.Sub(runStart).Nanoseconds(),
-					Device:     res.Device,
-					Node:       node,
-					Client:     client,
-					Bench:      req.Benchmark,
-					Class:      req.Class,
-					Priority:   req.Priority,
-					DeadlineNS: int64(req.DeadlineMS) * int64(time.Millisecond),
-					SLOClass:   sloClass,
-					Model:      sp.name,
-					GraphID:    graphID,
-					Stage:      stg.Name,
-					After:      stg.After,
-				})
-			}
+			outs[i] = post(httpc, st, cc, req, 0)
 		}(i)
 	}
 	wg.Wait()
@@ -595,13 +532,13 @@ func runGraphClient(httpc *http.Client, st *stats, cc clientConfig, sp modelSpec
 		}
 		graphID := fmt.Sprintf("%s-g%04d", cc.id, i)
 		begin := time.Now()
-		outs := submitGraph(httpc, cc.addr, sp, cc.id, graphID, cc.timeout, cc.rec, cc.runStart)
+		outs := submitGraph(httpc, st, cc, sp, graphID)
 		st.noteGraph(sp.name, outs, time.Since(begin))
 	}
 }
 
 // noteGraph folds one graph instance's stage outcomes into the stats.
-func (st *stats) noteGraph(name string, outs []stageOutcome, makespan time.Duration) {
+func (st *stats) noteGraph(name string, outs []sample, makespan time.Duration) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	agg := st.models[name]
@@ -612,39 +549,21 @@ func (st *stats) noteGraph(name string, outs []stageOutcome, makespan time.Durat
 	agg.graphs++
 	allOK := true
 	for _, o := range outs {
+		if o.status == http.StatusOK {
+			agg.stages.Add(o.KernelRun)
+			st.samples = append(st.samples, o)
+			continue
+		}
+		allOK = false
 		switch o.status {
-		case http.StatusOK:
-			agg.stagesOK++
-			agg.nttSum += o.res.NTT
-			agg.nttN++
-			switch o.res.SLO {
-			case "attained":
-				agg.sloAttained++
-			case "missed":
-				agg.sloMissed++
-			}
-			st.samples = append(st.samples, sample{
-				id: o.res.ID, device: o.res.Device, node: o.node,
-				realLatency: o.latency,
-				turnaround:  time.Duration(o.res.TurnaroundNS),
-				waiting:     time.Duration(o.res.WaitingNS),
-				ntt:         o.res.NTT,
-				preemptions: o.res.Preemptions,
-				slo:         o.res.SLO,
-				sloMargin:   time.Duration(o.res.SLOMarginNS),
-			})
 		case http.StatusConflict:
 			agg.stagesCanceled++
-			allOK = false
 		case http.StatusTooManyRequests:
 			agg.stagesRej++
-			allOK = false
 		case http.StatusGatewayTimeout:
 			st.timeouts++
-			allOK = false
 		default:
 			st.errors++
-			allOK = false
 		}
 	}
 	if allOK {
@@ -687,43 +606,26 @@ func report(st *stats, wall time.Duration) {
 	}
 	lat := make([]time.Duration, n)
 	turn := make([]time.Duration, n)
-	var sumNTT, sumWait float64
-	var preempts int
+	var all metrics.Tally
 	for i, s := range st.samples {
-		lat[i], turn[i] = s.realLatency, s.turnaround
-		sumNTT += s.ntt
-		sumWait += float64(s.waiting)
-		preempts += s.preemptions
+		lat[i], turn[i] = s.realLatency, s.Turnaround
+		all.Add(s.KernelRun)
 	}
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	sort.Slice(turn, func(i, j int) bool { return turn[i] < turn[j] })
 	fmt.Printf("real latency:  p50=%v p90=%v p99=%v max=%v\n",
-		percentile(lat, 50).Round(time.Microsecond), percentile(lat, 90).Round(time.Microsecond),
-		percentile(lat, 99).Round(time.Microsecond), lat[n-1].Round(time.Microsecond))
+		metrics.Percentile(lat, 0.50).Round(time.Microsecond), metrics.Percentile(lat, 0.90).Round(time.Microsecond),
+		metrics.Percentile(lat, 0.99).Round(time.Microsecond), lat[n-1].Round(time.Microsecond))
 	fmt.Printf("virtual turn:  p50=%v p99=%v mean-wait=%v\n",
-		percentile(turn, 50).Round(time.Microsecond), percentile(turn, 99).Round(time.Microsecond),
-		time.Duration(sumWait/float64(n)).Round(time.Microsecond))
-	fmt.Printf("ANTT:          %.3f   preemptions=%d\n", sumNTT/float64(n), preempts)
+		metrics.Percentile(turn, 0.50).Round(time.Microsecond), metrics.Percentile(turn, 0.99).Round(time.Microsecond),
+		(all.Waiting / time.Duration(n)).Round(time.Microsecond))
+	fmt.Printf("ANTT:          %.3f   preemptions=%d\n", all.ANTT(), all.Preemptions)
 
 	// SLO attainment over the deadline-bearing completions (absent when
 	// the run was pure best-effort).
-	var attained, missed int
-	var marginSum time.Duration
-	for _, s := range st.samples {
-		switch s.slo {
-		case "attained":
-			attained++
-		case "missed":
-			missed++
-		default:
-			continue
-		}
-		marginSum += s.sloMargin
-	}
-	if tracked := attained + missed; tracked > 0 {
+	if tracked := all.Attained + all.Missed; tracked > 0 {
 		fmt.Printf("SLO:           attained=%d missed=%d rate=%.1f%% mean-margin=%v (virtual)\n",
-			attained, missed, 100*float64(attained)/float64(tracked),
-			(marginSum / time.Duration(tracked)).Round(time.Microsecond))
+			all.Attained, all.Missed, 100*all.AttainRate(), all.MeanMargin().Round(time.Microsecond))
 	}
 
 	// Per-model breakdown when the run submitted kernel DAGs (-model):
@@ -739,19 +641,19 @@ func report(st *stats, wall time.Duration) {
 		for _, name := range names {
 			a := st.models[name]
 			line := fmt.Sprintf("  model %-10s graphs=%d completed=%d canceled=%d  stages ok=%d canceled=%d shed=%d",
-				name, a.graphs, a.completed, a.canceled, a.stagesOK, a.stagesCanceled, a.stagesRej)
-			if a.nttN > 0 {
-				line += fmt.Sprintf("  ANTT %.3f", a.nttSum/float64(a.nttN))
+				name, a.graphs, a.completed, a.canceled, a.stages.Completed, a.stagesCanceled, a.stagesRej)
+			if a.stages.NTTN > 0 {
+				line += fmt.Sprintf("  ANTT %.3f", a.stages.ANTT())
 			}
-			if tracked := a.sloAttained + a.sloMissed; tracked > 0 {
-				line += fmt.Sprintf("  slo=%d/%d", a.sloAttained, tracked)
+			if tracked := a.stages.Attained + a.stages.Missed; tracked > 0 {
+				line += fmt.Sprintf("  slo=%d/%d", a.stages.Attained, tracked)
 			}
 			if len(a.makespans) > 0 {
 				sorted := append([]time.Duration(nil), a.makespans...)
 				sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 				line += fmt.Sprintf("  makespan p50=%v p99=%v",
-					percentile(sorted, 50).Round(time.Microsecond),
-					percentile(sorted, 99).Round(time.Microsecond))
+					metrics.Percentile(sorted, 0.50).Round(time.Microsecond),
+					metrics.Percentile(sorted, 0.99).Round(time.Microsecond))
 			}
 			fmt.Println(line)
 		}
@@ -765,27 +667,16 @@ func report(st *stats, wall time.Duration) {
 	writeGroups(os.Stdout, "per device", groupSamples(st.samples, func(s sample) string { return fmt.Sprintf("device %d", s.device) }), wall)
 }
 
-// group is one key's share of a run's completions.
-type group struct {
-	ok          float64 // completions (float: the /metrics view counts in float64)
-	nttSum      float64
-	nttN        float64 // NTT terms summed; ANTT = nttSum / nttN
-	preemptions float64
-}
-
 // groupSamples folds the client-side samples by key.
-func groupSamples(samples []sample, key func(sample) string) map[string]*group {
-	groups := map[string]*group{}
+func groupSamples(samples []sample, key func(sample) string) map[string]*metrics.Tally {
+	groups := map[string]*metrics.Tally{}
 	for _, s := range samples {
 		g := groups[key(s)]
 		if g == nil {
-			g = &group{}
+			g = &metrics.Tally{}
 			groups[key(s)] = g
 		}
-		g.ok++
-		g.nttSum += s.ntt
-		g.nttN++
-		g.preemptions += float64(s.preemptions)
+		g.Add(s.KernelRun)
 	}
 	return groups
 }
@@ -794,15 +685,15 @@ func groupSamples(samples []sample, key func(sample) string) map[string]*group {
 // completions, share of the total, throughput, ANTT and preemptions —
 // under title. A run that never split (fewer than two keys) prints
 // nothing. Keys sort shorter-first so "device 2" precedes "device 10".
-func writeGroups(w io.Writer, title string, groups map[string]*group, wall time.Duration) {
+func writeGroups(w io.Writer, title string, groups map[string]*metrics.Tally, wall time.Duration) {
 	if len(groups) < 2 {
 		return
 	}
 	keys := make([]string, 0, len(groups))
-	total := 0.0
+	var total int64
 	for k, g := range groups {
 		keys = append(keys, k)
-		total += g.ok
+		total += g.Completed
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		if len(keys[i]) != len(keys[j]) {
@@ -813,15 +704,12 @@ func writeGroups(w io.Writer, title string, groups map[string]*group, wall time.
 	fmt.Fprintf(w, "%s:\n", title)
 	for _, k := range keys {
 		g := groups[k]
-		share, antt := 0.0, 0.0
+		share := 0.0
 		if total > 0 {
-			share = 100 * g.ok / total
+			share = 100 * float64(g.Completed) / float64(total)
 		}
-		if g.nttN > 0 {
-			antt = g.nttSum / g.nttN
-		}
-		fmt.Fprintf(w, "  %-12s ok=%.0f (%4.1f%%)  throughput %.1f launches/s  ANTT %.3f  preemptions=%.0f\n",
-			k+":", g.ok, share, g.ok/wall.Seconds(), antt, g.preemptions)
+		fmt.Fprintf(w, "  %-12s ok=%d (%4.1f%%)  throughput %.1f launches/s  ANTT %.3f  preemptions=%d\n",
+			k+":", g.Completed, share, float64(g.Completed)/wall.Seconds(), g.ANTT(), g.Preemptions)
 	}
 }
 
@@ -928,15 +816,6 @@ func pickPriority(mix []prioShare, u float64) int {
 		}
 	}
 	return mix[len(mix)-1].prio
-}
-
-// percentile returns the p-th percentile of sorted durations.
-func percentile(sorted []time.Duration, p int) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := (len(sorted)-1)*p + 50 // nearest-rank with rounding
-	return sorted[idx/100]
 }
 
 func discoverBenchmarks(addr string) ([]string, error) {

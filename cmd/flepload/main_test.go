@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"flep/internal/metrics"
 )
 
 func TestParseMixNormalizes(t *testing.T) {
@@ -39,41 +41,25 @@ func TestPickPriorityCoversMix(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	sorted := []time.Duration{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if p := percentile(sorted, 50); p != 5 && p != 6 {
-		t.Fatalf("p50 = %v", p)
-	}
-	if p := percentile(sorted, 99); p != 10 {
-		t.Fatalf("p99 = %v", p)
-	}
-	if p := percentile(nil, 50); p != 0 {
-		t.Fatalf("empty = %v", p)
-	}
-	one := []time.Duration{42}
-	for _, q := range []int{0, 50, 99, 100} {
-		if p := percentile(one, q); p != 42 {
-			t.Fatalf("p%d of singleton = %v", q, p)
-		}
-	}
-}
-
 // writeGroups is the one per-key breakdown behind "per node", "per
 // device" and the node-labeled metrics deltas; the table pins its output
 // for each source.
 func TestWriteGroups(t *testing.T) {
+	run := func(ntt time.Duration, preemptions int) metrics.KernelRun {
+		return metrics.KernelRun{Alone: time.Microsecond, Turnaround: ntt * time.Microsecond, Preemptions: preemptions}
+	}
 	samples := []sample{
-		{device: 0, node: "n0", ntt: 1.0, preemptions: 1},
-		{device: 0, node: "n0", ntt: 2.0},
-		{device: 2, node: "n1", ntt: 3.0, preemptions: 2},
-		{device: 10, node: "n1", ntt: 6.0},
+		{device: 0, node: "n0", KernelRun: run(1, 1)},
+		{device: 0, node: "n0", KernelRun: run(2, 0)},
+		{device: 2, node: "n1", KernelRun: run(3, 2)},
+		{device: 10, node: "n1", KernelRun: run(6, 0)},
 	}
 	byNode := func(s sample) string { return "node " + s.node }
 	byDevice := func(s sample) string { return fmt.Sprintf("device %d", s.device) }
 	for _, tc := range []struct {
 		name   string
 		title  string
-		groups map[string]*group
+		groups map[string]*metrics.Tally
 		want   string
 	}{
 		{"samples by node", "per node", groupSamples(samples, byNode), "" +
@@ -85,9 +71,9 @@ func TestWriteGroups(t *testing.T) {
 			"  device 0:    ok=2 (50.0%)  throughput 1.0 launches/s  ANTT 1.500  preemptions=1\n" +
 			"  device 2:    ok=1 (25.0%)  throughput 0.5 launches/s  ANTT 3.000  preemptions=2\n" +
 			"  device 10:   ok=1 (25.0%)  throughput 0.5 launches/s  ANTT 6.000  preemptions=0\n"},
-		{"metrics deltas, ANTT over the NTT terms only", "per node (node-labeled metrics deltas)", map[string]*group{
-			"node a": {ok: 30, nttSum: 40, nttN: 20, preemptions: 7},
-			"node b": {ok: 10},
+		{"metrics deltas, ANTT over the NTT terms only", "per node (node-labeled metrics deltas)", map[string]*metrics.Tally{
+			"node a": {Completed: 30, NTTSum: 40, NTTN: 20, Preemptions: 7},
+			"node b": {Completed: 10},
 		}, "" +
 			"per node (node-labeled metrics deltas):\n" +
 			"  node a:      ok=30 (75.0%)  throughput 15.0 launches/s  ANTT 2.000  preemptions=7\n" +
