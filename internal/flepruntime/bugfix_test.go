@@ -46,106 +46,80 @@ func TestOverheadForMatchesRealizedDrain(t *testing.T) {
 	}
 }
 
-// TestHPFEnqueueMatchesStableSort checks the binary-insert Enqueue against
-// the reference ordering: (priority desc, Tr asc), FIFO-stable among equal
-// keys — exactly what the old per-insert sort.SliceStable produced.
+// TestHPFEnqueueMatchesStableSort checks the runtime's binary-insert enqueue
+// against the reference ordering under every policy: inserting each arrival
+// after the queued invocations it is not strictly ahead of is one stable
+// sort of the arrival order by the policy's Before — for HPF (priority
+// desc, Tr asc), FIFO-stable among equal keys, exactly what the old
+// per-insert sort.SliceStable produced.
 func TestHPFEnqueueMatchesStableSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	h := NewHPF()
-	var ref []*Invocation
-	for i := 0; i < 600; i++ {
-		if len(ref) > 0 && rng.Intn(5) == 0 {
-			// Mid-queue removal keeps Dequeue honest too.
-			j := rng.Intn(len(ref))
-			h.Dequeue(ref[j])
-			ref = append(ref[:j], ref[j+1:]...)
-			continue
-		}
-		v := &Invocation{
-			Kernel:   fmt.Sprintf("k%d", i),
-			Priority: rng.Intn(4),
-			Tr:       time.Duration(rng.Intn(5)) * time.Microsecond,
-		}
-		h.Enqueue(v)
-		ref = append(ref, v)
-	}
-	// Insert-after-equals per arrival is equivalent to one stable sort of
-	// the arrival order.
-	want := append([]*Invocation(nil), ref...)
-	sort.SliceStable(want, func(i, j int) bool {
-		if want[i].Priority != want[j].Priority {
-			return want[i].Priority > want[j].Priority
-		}
-		return want[i].Tr < want[j].Tr
-	})
-	got := h.Queued()
-	if len(got) != len(want) {
-		t.Fatalf("queue length %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("queue[%d] = %s (prio %d, Tr %v), want %s (prio %d, Tr %v)",
-				i, got[i].Kernel, got[i].Priority, got[i].Tr,
-				want[i].Kernel, want[i].Priority, want[i].Tr)
-		}
+	for _, name := range PolicyNames() {
+		t.Run(name, func(t *testing.T) {
+			pol, err := NewPolicy(name, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, rt := newRT(pol, false)
+			rng := rand.New(rand.NewSource(7))
+			var ref []*Invocation
+			for i := 0; i < 600; i++ {
+				if len(ref) > 0 && rng.Intn(5) == 0 {
+					// Mid-queue removal keeps dequeue honest too.
+					j := rng.Intn(len(ref))
+					rt.dequeue(ref[j])
+					ref = append(ref[:j], ref[j+1:]...)
+					continue
+				}
+				v := &Invocation{
+					Kernel:   fmt.Sprintf("k%d", i),
+					Priority: rng.Intn(4),
+					Tr:       time.Duration(rng.Intn(5)) * time.Microsecond,
+					// Half best-effort, half on one of four tied deadlines.
+					Deadline: time.Duration(max(0, rng.Intn(8)-3)) * time.Millisecond,
+				}
+				rt.enqueue(v)
+				ref = append(ref, v)
+			}
+			want := append([]*Invocation(nil), ref...)
+			sort.SliceStable(want, func(i, j int) bool { return pol.Before(want[i], want[j]) })
+			got := rt.Queued()
+			if len(got) != len(want) {
+				t.Fatalf("queue length %d, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("queue[%d] = %s (prio %d, Tr %v, deadline %v), want %s (prio %d, Tr %v, deadline %v)",
+						i, got[i].Kernel, got[i].Priority, got[i].Tr, got[i].Deadline,
+						want[i].Kernel, want[i].Priority, want[i].Tr, want[i].Deadline)
+				}
+			}
+		})
 	}
 }
 
-// queueFill pre-loads a queue with n invocations of mixed keys.
-func queueFill(h *HPF, n int, rng *rand.Rand) []*Invocation {
-	out := make([]*Invocation, 0, n)
+// queueFill pre-loads a runtime's queue with n invocations of mixed keys.
+func queueFill(rt *Runtime, n int, rng *rand.Rand) {
 	for i := 0; i < n; i++ {
-		v := &Invocation{
+		rt.enqueue(&Invocation{
 			Priority: rng.Intn(8),
 			Tr:       time.Duration(rng.Intn(1000)) * time.Microsecond,
-		}
-		h.Enqueue(v)
-		out = append(out, v)
+		})
 	}
-	return out
 }
 
-// BenchmarkHPFEnqueueDeep measures one insert into a deep queue with the
-// binary-search implementation.
+// BenchmarkHPFEnqueueDeep measures one insert into (and removal from) a
+// deep queue.
 func BenchmarkHPFEnqueueDeep(b *testing.B) {
 	for _, depth := range []int{100, 10000} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			h := NewHPF()
+			_, rt := newRT(NewHPF(), false)
 			rng := rand.New(rand.NewSource(1))
-			queueFill(h, depth, rng)
-			vs := queueFill(NewHPF(), 1, rng)
+			queueFill(rt, depth, rng)
+			v := &Invocation{Priority: rng.Intn(8), Tr: time.Duration(rng.Intn(1000)) * time.Microsecond}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				h.Enqueue(vs[0])
-				h.Dequeue(vs[0])
-			}
-		})
-	}
-}
-
-// BenchmarkHPFEnqueueDeepResort is the pre-fix baseline: append plus a
-// full stable re-sort per insert, for comparison against the binary
-// search above.
-func BenchmarkHPFEnqueueDeepResort(b *testing.B) {
-	resort := func(h *HPF, v *Invocation) {
-		h.queue = append(h.queue, v)
-		sort.SliceStable(h.queue, func(i, j int) bool {
-			if h.queue[i].Priority != h.queue[j].Priority {
-				return h.queue[i].Priority > h.queue[j].Priority
-			}
-			return h.queue[i].Tr < h.queue[j].Tr
-		})
-	}
-	for _, depth := range []int{100, 10000} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			h := NewHPF()
-			rng := rand.New(rand.NewSource(1))
-			queueFill(h, depth, rng)
-			vs := queueFill(NewHPF(), 1, rng)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				resort(h, vs[0])
-				h.Dequeue(vs[0])
+				rt.enqueue(v)
+				rt.dequeue(v)
 			}
 		})
 	}

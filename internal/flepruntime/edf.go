@@ -2,7 +2,6 @@ package flepruntime
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"flep/internal/sim"
@@ -26,9 +25,6 @@ import (
 // preemption instant (Deadline − Tr − O(running)); when it fires, the
 // reconcile loop re-evaluates and the preemption rule above takes over.
 type EDF struct {
-	rt    *Runtime
-	queue []*Invocation
-
 	// riskTimer is the armed latest-safe-preemption event for the
 	// earliest queued deadline; riskSeq invalidates superseded timers
 	// (the FFS epoch-timer pattern, so dead events never accrete in the
@@ -40,17 +36,9 @@ type EDF struct {
 // NewEDF returns the earliest-deadline-first policy.
 func NewEDF() *EDF { return &EDF{} }
 
-// Name implements Policy.
-func (e *EDF) Name() string { return "EDF" }
-
-// bind gives the policy its runtime (called by Runtime's constructor).
-func (e *EDF) bind(r *Runtime) { e.rt = r }
-
-// edfBefore reports whether v sorts strictly before q: deadline-bearing
-// work first in deadline order, then best-effort by (priority desc,
-// arrival). Equal keys are not "before", so a binary insert lands ties
-// after existing entries (FIFO tie-break).
-func edfBefore(v, q *Invocation) bool {
+// Before implements Policy: deadline-bearing work first in deadline order,
+// then best-effort by (priority desc, arrival).
+func (e *EDF) Before(v, q *Invocation) bool {
 	vd, qd := v.Deadline > 0, q.Deadline > 0
 	if vd != qd {
 		return vd
@@ -59,36 +47,6 @@ func edfBefore(v, q *Invocation) bool {
 		return v.Deadline < q.Deadline
 	}
 	return v.Priority > q.Priority
-}
-
-// Enqueue inserts keeping the queue in EDF order (O(log n) search, one
-// tail copy), then re-arms the risk timer: the new head deadline may be
-// tighter than the one the current timer guards.
-func (e *EDF) Enqueue(v *Invocation) {
-	i := sort.Search(len(e.queue), func(i int) bool { return edfBefore(v, e.queue[i]) })
-	e.queue = append(e.queue, nil)
-	copy(e.queue[i+1:], e.queue[i:])
-	e.queue[i] = v
-	e.rearm()
-}
-
-// Peek implements Policy.
-func (e *EDF) Peek() *Invocation {
-	if len(e.queue) == 0 {
-		return nil
-	}
-	return e.queue[0]
-}
-
-// Dequeue implements Policy.
-func (e *EDF) Dequeue(v *Invocation) {
-	for i, q := range e.queue {
-		if q == v {
-			e.queue = append(e.queue[:i], e.queue[i+1:]...)
-			e.rearm()
-			return
-		}
-	}
 }
 
 // ShouldPreempt applies the cost-of-preemption-aware EDF rule described
@@ -113,51 +71,46 @@ func (e *EDF) ShouldPreempt(r *Runtime, running, best *Invocation) bool {
 // OnDispatch re-arms the risk timer for the next queued deadline: the
 // runner just changed, so the latest safe preemption instant (which
 // depends on the runner's drain cost) changed with it.
-func (e *EDF) OnDispatch(r *Runtime, v *Invocation) { e.rearm() }
+func (e *EDF) OnDispatch(r *Runtime, v *Invocation) { e.rearm(r) }
 
-// Queued implements Policy.
-func (e *EDF) Queued() []*Invocation { return e.queue }
-
-// Pending returns the queued invocation count (for tests).
-func (e *EDF) Pending() int { return len(e.queue) }
+// OnQueueChange re-arms the risk timer: the head deadline may be tighter
+// than, or no longer be, the one the current timer guards.
+func (e *EDF) OnQueueChange(r *Runtime) { e.rearm(r) }
 
 // firstDeadline returns the earliest-deadline queued invocation (the
 // queue head when any deadline work waits), or nil.
-func (e *EDF) firstDeadline() *Invocation {
-	if len(e.queue) == 0 || e.queue[0].Deadline <= 0 {
+func firstDeadline(r *Runtime) *Invocation {
+	if len(r.queue) == 0 || r.queue[0].Deadline <= 0 {
 		return nil
 	}
-	return e.queue[0]
+	return r.queue[0]
 }
 
 // rearm (re)schedules the risk timer at the queued head deadline's
 // latest safe preemption instant. With nothing running the reconcile
 // loop dispatches immediately, and with no queued deadline there is
 // nothing to guard — both cases just cancel any armed timer.
-func (e *EDF) rearm() {
-	if e.rt == nil {
-		return
-	}
+func (e *EDF) rearm(r *Runtime) {
 	e.riskSeq++
-	now := e.rt.Device().Now()
+	now := r.Device().Now()
 	if e.riskTimer != nil && !e.riskTimer.Canceled() && e.riskTimer.When() > now {
 		e.riskTimer.Cancel()
 	}
 	e.riskTimer = nil
-	head := e.firstDeadline()
+	head := firstDeadline(r)
 	if head == nil {
 		return
 	}
-	running := e.rt.Running()
+	running := r.Running()
 	if running == nil {
 		return
 	}
-	at := head.Deadline - head.Tr - e.rt.OverheadFor(running)
+	at := head.Deadline - head.Tr - r.OverheadFor(running)
 	if at < now {
 		at = now
 	}
 	seq := e.riskSeq
-	e.riskTimer = e.rt.Device().Engine().At(at, func() { e.onRisk(seq) })
+	e.riskTimer = r.Device().Engine().At(at, func() { e.onRisk(r, seq) })
 }
 
 // onRisk fires at the latest safe preemption instant: re-enter the
@@ -165,16 +118,16 @@ func (e *EDF) rearm() {
 // risk. It does not re-arm itself — every state change that could
 // matter (enqueue, dequeue, dispatch) re-arms, so a no-op firing (e.g.
 // mid-drain) cannot spin at one timestamp.
-func (e *EDF) onRisk(seq int) {
+func (e *EDF) onRisk(r *Runtime, seq int) {
 	if seq != e.riskSeq {
 		return
 	}
 	e.riskTimer = nil
-	if head := e.firstDeadline(); head != nil && e.rt.cfg.Log != nil {
-		e.rt.log("edf-risk", head.Kernel,
+	if head := firstDeadline(r); head != nil && r.cfg.Log != nil {
+		r.log("edf-risk", head.Kernel,
 			fmt.Sprintf("id=%d deadline=%v at risk", head.ID, head.Deadline))
 	}
-	e.rt.schedule()
+	r.schedule()
 }
 
 // Deadline slack helpers shared with the server's admission path.

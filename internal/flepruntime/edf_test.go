@@ -16,8 +16,8 @@ func linv(name string, tasks int, cost, deadline time.Duration) *Invocation {
 }
 
 func TestEDFQueueOrder(t *testing.T) {
-	// Pure queue-discipline test: no runtime bound, so rearm is a no-op.
-	e := NewEDF()
+	// Pure queue-discipline test: nothing runs, so rearm arms no timer.
+	_, rt := newRT(NewEDF(), false)
 	be1 := inv("be1", 1, 1200, us(100), 2)
 	be2 := inv("be2", 3, 1200, us(100), 2)
 	be3 := inv("be3", 3, 1200, us(100), 2)
@@ -25,10 +25,10 @@ func TestEDFQueueOrder(t *testing.T) {
 	lc2 := linv("lc2", 1200, us(100), us(3000))
 	lc3 := linv("lc3", 1200, us(100), us(9000)) // ties with lc1 → FIFO
 	for _, v := range []*Invocation{be1, lc1, be2, lc2, lc3, be3} {
-		e.Enqueue(v)
+		rt.enqueue(v)
 	}
 	want := []string{"lc2", "lc1", "lc3", "be2", "be3", "be1"}
-	got := e.Queued()
+	got := rt.Queued()
 	if len(got) != len(want) {
 		t.Fatalf("queued %d, want %d", len(got), len(want))
 	}
@@ -41,9 +41,9 @@ func TestEDFQueueOrder(t *testing.T) {
 			t.Fatalf("order = %v, want %v", names, want)
 		}
 	}
-	e.Dequeue(lc2)
-	if e.Peek() != lc1 {
-		t.Fatalf("after dequeue head = %v", e.Peek().Kernel)
+	rt.dequeue(lc2)
+	if rt.next() != lc1 {
+		t.Fatalf("after dequeue head = %v", rt.next().Kernel)
 	}
 }
 
@@ -222,8 +222,7 @@ func TestEDFRiskTimerFiresOnStalePrediction(t *testing.T) {
 	if be.State() != InvFinished || lc.State() != InvFinished {
 		t.Fatalf("states be=%v lc=%v, want both finished", be.State(), lc.State())
 	}
-	e := rt.cfg.Policy.(*EDF)
-	if e.Pending() != 0 {
-		t.Fatalf("queue not drained: %d pending", e.Pending())
+	if n := len(rt.Queued()); n != 0 {
+		t.Fatalf("queue not drained: %d pending", n)
 	}
 }

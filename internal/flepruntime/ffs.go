@@ -25,8 +25,6 @@ type FFS struct {
 	// weigh their priority value (min 1).
 	Weights map[int]float64
 
-	rt    *Runtime
-	queue []*Invocation
 	// tenants holds one entry per distinct kernel, ordered by name: its
 	// requested share weight and, once it has been dispatched, the overhead
 	// and weight the epoch computation sums. A tenant is evicted when its
@@ -86,12 +84,6 @@ func NewFFS(maxOverhead float64) *FFS {
 	return &FFS{MaxOverhead: maxOverhead}
 }
 
-// Name implements Policy.
-func (f *FFS) Name() string { return "FFS" }
-
-// bind gives the policy its runtime (called by Runtime's constructor).
-func (f *FFS) bind(r *Runtime) { f.rt = r }
-
 // SetKernelWeight records a tenant kernel's share weight. It overrides the
 // priority-level Weights table for that kernel and is dropped automatically
 // when the tenant departs.
@@ -123,33 +115,20 @@ func (f *FFS) weight(v *Invocation) float64 {
 	return 1
 }
 
-// Enqueue appends in FIFO (round-robin) order.
-func (f *FFS) Enqueue(v *Invocation) { f.queue = append(f.queue, v) }
+// Before implements Policy: arrival (round-robin) order.
+func (f *FFS) Before(*Invocation, *Invocation) bool { return false }
 
-// Peek implements Policy: within an open epoch, the epoch owner's next
-// invocation goes first; otherwise the round-robin head.
-func (f *FFS) Peek() *Invocation {
-	if len(f.queue) == 0 {
-		return nil
-	}
-	if f.rt != nil && f.curKernel != "" && f.rt.Device().Now() < f.epochEnd {
-		for _, v := range f.queue {
+// Choose prefers the epoch owner's next invocation while its epoch is open;
+// otherwise the round-robin head goes.
+func (f *FFS) Choose(r *Runtime) *Invocation {
+	if f.curKernel != "" && r.Device().Now() < f.epochEnd {
+		for _, v := range r.queue {
 			if v.Kernel == f.curKernel {
 				return v
 			}
 		}
 	}
-	return f.queue[0]
-}
-
-// Dequeue implements Policy.
-func (f *FFS) Dequeue(v *Invocation) {
-	for i, q := range f.queue {
-		if q == v {
-			f.queue = append(f.queue[:i], f.queue[i+1:]...)
-			return
-		}
-	}
+	return nil
 }
 
 // ShouldPreempt implements Policy: FFS never preempts on arrival; epochs
@@ -219,7 +198,7 @@ func (f *FFS) onEpochEnd(r *Runtime, seq int) {
 		r.schedule()
 		return
 	}
-	if f.Peek() == nil {
+	if r.next() == nil {
 		// Nobody else waiting: extend the owner's epoch in place.
 		// curKernel is left set so OnDispatch can tell an extension from a
 		// rotation.
@@ -245,7 +224,7 @@ func (f *FFS) OnCompletion(r *Runtime, v *Invocation) {
 	if !ok || !f.tenants[i].dispatched {
 		return
 	}
-	for _, q := range f.queue {
+	for _, q := range r.queue {
 		if q.Kernel == v.Kernel {
 			return
 		}
@@ -270,9 +249,3 @@ func (f *FFS) OnCompletion(r *Runtime, v *Invocation) {
 		}
 	}
 }
-
-// Queued implements Policy.
-func (f *FFS) Queued() []*Invocation { return f.queue }
-
-// Pending returns the queued invocation count (for tests).
-func (f *FFS) Pending() int { return len(f.queue) }

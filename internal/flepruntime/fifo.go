@@ -6,42 +6,13 @@ package flepruntime
 // plumbing, so replay what-if runs can compare HPF/FFS against a
 // non-preemptive deployment on identical traces with identical
 // accounting.
-type FIFO struct {
-	queue []*Invocation
-}
+type FIFO struct{}
 
 // NewFIFO returns the non-preemptive FIFO policy.
 func NewFIFO() *FIFO { return &FIFO{} }
 
-// Name implements Policy.
-func (f *FIFO) Name() string { return "FIFO" }
-
-// Enqueue implements Policy: arrival order, nothing else.
-func (f *FIFO) Enqueue(v *Invocation) { f.queue = append(f.queue, v) }
-
-// Peek implements Policy.
-func (f *FIFO) Peek() *Invocation {
-	if len(f.queue) == 0 {
-		return nil
-	}
-	return f.queue[0]
-}
-
-// Dequeue implements Policy.
-func (f *FIFO) Dequeue(v *Invocation) {
-	for i, q := range f.queue {
-		if q == v {
-			f.queue = append(f.queue[:i], f.queue[i+1:]...)
-			return
-		}
-	}
-}
+// Before implements Policy: arrival order, nothing else.
+func (FIFO) Before(*Invocation, *Invocation) bool { return false }
 
 // ShouldPreempt implements Policy: never.
-func (f *FIFO) ShouldPreempt(*Runtime, *Invocation, *Invocation) bool { return false }
-
-// OnDispatch implements Policy (no-op).
-func (f *FIFO) OnDispatch(*Runtime, *Invocation) {}
-
-// Queued implements Policy.
-func (f *FIFO) Queued() []*Invocation { return f.queue }
+func (FIFO) ShouldPreempt(*Runtime, *Invocation, *Invocation) bool { return false }

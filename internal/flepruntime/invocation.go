@@ -1,10 +1,11 @@
 // Package flepruntime implements FLEP's online phase (§5): it intercepts
 // kernel invocations, tracks each one's execution triplet (predicted
-// duration Te, waiting time Tw, remaining time Tr), and makes preemption
-// and scheduling decisions under one of two policies — HPF
-// (highest-priority-first with shortest-remaining-time within a priority
-// level, Figure 6) and FFS (weighted round-robin fairness under a
-// configurable overhead budget).
+// duration Te, waiting time Tw, remaining time Tr), keeps them in one
+// waiting queue, and makes preemption and scheduling decisions under a
+// Policy — an order over that queue and a preemption rule. The paper's two
+// are HPF (highest-priority-first with shortest-remaining-time within a
+// priority level, Figure 6) and FFS (weighted round-robin fairness under a
+// configurable overhead budget); NewPolicy lists the rest.
 package flepruntime
 
 import (

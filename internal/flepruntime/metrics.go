@@ -34,7 +34,8 @@ type Metrics struct {
 	// QueueWait is the waiting-time segment folded into T_w at each
 	// dispatch (seconds of virtual time).
 	QueueWait *obs.Histogram
-	// QueueLength tracks the policy queue depth after each reconcile.
+	// QueueLength tracks the waiting queue's depth, moved with every
+	// insertion and removal.
 	QueueLength *obs.Gauge
 	// DependentSubmits counts accepted invocations that belong to a model
 	// graph (released from the daemon's pending-dependency table);

@@ -2,6 +2,7 @@ package flepruntime
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -10,31 +11,41 @@ import (
 	"flep/internal/transform"
 )
 
-// Policy is a pluggable scheduling policy. The runtime calls it from its
-// reconcile loop; implementations must not call back into the runtime
-// except through the documented hooks.
+// Policy is a scheduling policy: an order over the waiting invocations and
+// a preemption rule. The runtime owns the waiting queue and keeps it sorted
+// by Before; what a policy needs beyond the two methods it gets through the
+// optional one-method hooks below, each of which receives the runtime.
 type Policy interface {
-	// Name identifies the policy in traces.
-	Name() string
-	// Enqueue inserts a newly waiting invocation into the policy's queue.
-	Enqueue(v *Invocation)
-	// Peek returns the invocation the policy would run next, or nil.
-	Peek() *Invocation
-	// Queued lists all waiting invocations in policy order (used for
-	// memory-admission fallbacks).
-	Queued() []*Invocation
-	// Dequeue removes a previously peeked invocation.
-	Dequeue(v *Invocation)
+	// Before reports whether v goes strictly ahead of q. Invocations
+	// neither of which is ahead of the other keep their arrival order.
+	Before(v, q *Invocation) bool
 	// ShouldPreempt decides whether best should preempt running (both
 	// non-nil).
 	ShouldPreempt(r *Runtime, running, best *Invocation) bool
-	// OnDispatch lets the policy arm timers (FFS epochs).
-	OnDispatch(r *Runtime, v *Invocation)
 }
+
+// The optional hooks, resolved once in New.
+
+// dispatchHook runs after every dispatch (FFS opens epochs, EDF re-arms its
+// risk timer against the new runner).
+type dispatchHook interface{ OnDispatch(*Runtime, *Invocation) }
+
+// completionHook runs after an invocation finishes and its OnFinish has
+// fired (FFS evicts departed tenants).
+type completionHook interface{ OnCompletion(*Runtime, *Invocation) }
+
+// queueHook runs after every insertion into and removal from the waiting
+// queue (EDF's risk timer guards the head deadline).
+type queueHook interface{ OnQueueChange(*Runtime) }
+
+// chooseHook picks the next invocation to run when that is not simply the
+// head of the queue; nil means the head (FFS prefers the open epoch's
+// owner).
+type chooseHook interface{ Choose(*Runtime) *Invocation }
 
 // Config parameterizes the runtime engine.
 type Config struct {
-	// Policy selects HPF or FFS (required).
+	// Policy is the scheduling policy (required; see NewPolicy).
 	Policy Policy
 	// EnableSpatial turns on spatial preemption: when a higher-priority
 	// kernel needs fewer SMs than the device has, only that many SMs are
@@ -59,20 +70,24 @@ type Config struct {
 	Metrics *Metrics
 }
 
-// completionObserver is an optional Policy extension: policies that keep
-// per-kernel state (FFS's overhead table) implement it to learn when a
-// kernel's invocation finishes, so departed tenants can be evicted.
-type completionObserver interface {
-	OnCompletion(r *Runtime, v *Invocation)
-}
-
 // Runtime is the FLEP online engine: it owns the device, buffers
-// intercepted invocations in priority queues, and realizes preemption and
-// scheduling decisions.
+// intercepted invocations in one waiting queue ordered by the policy, and
+// realizes preemption and scheduling decisions.
 type Runtime struct {
 	dev *gpu.Device
 	cfg Config
 	met *Metrics
+
+	onDispatch    dispatchHook
+	onCompletion  completionHook
+	onQueueChange queueHook
+	choose        chooseHook
+
+	// queue holds the waiting invocations, sorted by cfg.Policy.Before with
+	// arrival order among equals; queuedDependents counts the model-graph
+	// stages among them.
+	queue            []*Invocation
+	queuedDependents int
 
 	nextID  int
 	running *Invocation // primary execution (nil if GPU free)
@@ -83,10 +98,6 @@ type Runtime struct {
 	pendingGuest *Invocation // waiting to land on spatially-freed SMs
 }
 
-// binder is implemented by policies that need a back-reference to their
-// runtime (FFS's epoch bookkeeping).
-type binder interface{ bind(*Runtime) }
-
 // New builds a runtime on the device.
 func New(dev *gpu.Device, cfg Config) *Runtime {
 	if cfg.Policy == nil {
@@ -96,9 +107,10 @@ func New(dev *gpu.Device, cfg Config) *Runtime {
 	if r.met == nil {
 		r.met = &Metrics{} // inert: every instrument is nil-safe
 	}
-	if b, ok := cfg.Policy.(binder); ok {
-		b.bind(r)
-	}
+	r.onDispatch, _ = cfg.Policy.(dispatchHook)
+	r.onCompletion, _ = cfg.Policy.(completionHook)
+	r.onQueueChange, _ = cfg.Policy.(queueHook)
+	r.choose, _ = cfg.Policy.(chooseHook)
 	return r
 }
 
@@ -110,6 +122,52 @@ func (r *Runtime) Device() *gpu.Device { return r.dev }
 
 // Running returns the primary running invocation, or nil.
 func (r *Runtime) Running() *Invocation { return r.running }
+
+// Queued lists the waiting invocations in policy order.
+func (r *Runtime) Queued() []*Invocation { return r.queue }
+
+// enqueue inserts v after every queued invocation it is not strictly ahead
+// of: a binary search for the slot and one copy of the tail.
+func (r *Runtime) enqueue(v *Invocation) {
+	i := sort.Search(len(r.queue), func(i int) bool { return r.cfg.Policy.Before(v, r.queue[i]) })
+	r.queue = slices.Insert(r.queue, i, v)
+	r.queueChanged(v, 1)
+}
+
+// dequeue removes a queued invocation.
+func (r *Runtime) dequeue(v *Invocation) {
+	if i := slices.Index(r.queue, v); i >= 0 {
+		r.queue = slices.Delete(r.queue, i, i+1)
+		r.queueChanged(v, -1)
+	}
+}
+
+// queueChanged moves the depth gauges by v's arrival or departure and tells
+// the policy.
+func (r *Runtime) queueChanged(v *Invocation, delta int) {
+	if v.Dependent {
+		r.queuedDependents += delta
+	}
+	r.met.QueueLength.Set(float64(len(r.queue)))
+	r.met.DependentQueueLength.Set(float64(r.queuedDependents))
+	if r.onQueueChange != nil {
+		r.onQueueChange.OnQueueChange(r)
+	}
+}
+
+// next returns the invocation to run next — the policy's pick if it makes
+// one, else the head of the queue — or nil when nothing waits.
+func (r *Runtime) next() *Invocation {
+	if r.choose != nil {
+		if v := r.choose.Choose(r); v != nil {
+			return v
+		}
+	}
+	if len(r.queue) == 0 {
+		return nil
+	}
+	return r.queue[0]
+}
 
 // log records a runtime event. Callers that format their detail check
 // cfg.Log themselves: a Sprintf's arguments are boxed before log could look.
@@ -140,31 +198,16 @@ func (r *Runtime) Submit(v *Invocation) error {
 	// Estimated, and bound to this runtime, on first use.
 	v.overhead, v.onComplete, v.onDrained = 0, nil, nil
 	v.beginWait(r.dev.Now())
-	r.cfg.Policy.Enqueue(v)
+	r.enqueue(v)
 	r.met.Submits.Inc()
 	if v.Dependent {
 		r.met.DependentSubmits.Inc()
 	}
-	r.setQueueGauges()
 	if r.cfg.Log != nil {
 		r.log("submit", v.Kernel, fmt.Sprintf("id=%d prio=%d Te=%v", v.ID, v.Priority, v.Te))
 	}
 	r.schedule()
 	return nil
-}
-
-// setQueueGauges refreshes the policy-queue depth gauges: total waiting
-// invocations and the model-graph subset among them.
-func (r *Runtime) setQueueGauges() {
-	queued := r.cfg.Policy.Queued()
-	dep := 0
-	for _, q := range queued {
-		if q.Dependent {
-			dep++
-		}
-	}
-	r.met.QueueLength.Set(float64(len(queued)))
-	r.met.DependentQueueLength.Set(float64(dep))
 }
 
 // fits reports whether the invocation's working set can be (or already is)
@@ -208,7 +251,7 @@ func (r *Runtime) schedule() {
 	if r.draining {
 		return
 	}
-	best := r.cfg.Policy.Peek()
+	best := r.next()
 	if best == nil {
 		return
 	}
@@ -218,7 +261,7 @@ func (r *Runtime) schedule() {
 		// fits, so neither an idle GPU nor a preemption opportunity
 		// stalls behind a memory-blocked kernel.
 		best = nil
-		for _, q := range r.cfg.Policy.Queued() {
+		for _, q := range r.queue {
 			if r.fits(q) {
 				best = q
 				break
@@ -239,11 +282,11 @@ func (r *Runtime) schedule() {
 			if hi >= r.dev.NumSMs() {
 				return // guest covers the device; wait for it
 			}
-			r.cfg.Policy.Dequeue(best)
+			r.dequeue(best)
 			r.dispatch(best, hi, r.dev.NumSMs(), false)
 			return
 		}
-		r.cfg.Policy.Dequeue(best)
+		r.dequeue(best)
 		r.dispatch(best, 0, r.dev.NumSMs(), false)
 		return
 	}
@@ -290,7 +333,7 @@ func (r *Runtime) preemptFor(best *Invocation) {
 	r.draining = true
 	if spatial {
 		r.pendingGuest = best
-		r.cfg.Policy.Dequeue(best)
+		r.dequeue(best)
 	}
 	victim.preemptAt = r.dev.Now()
 	victim.preemptPredicted = r.OverheadFor(victim)
@@ -304,7 +347,7 @@ func (r *Runtime) preemptFor(best *Invocation) {
 		r.met.PreemptAborts.Inc()
 		if spatial {
 			r.pendingGuest = nil
-			r.cfg.Policy.Enqueue(best)
+			r.enqueue(best)
 		}
 	}
 }
@@ -352,11 +395,12 @@ func (r *Runtime) dispatch(v *Invocation, smLo, smHi int, asGuest bool) {
 		r.running = v
 		r.met.Dispatches.Inc()
 	}
-	r.setQueueGauges()
 	if r.cfg.Log != nil {
 		r.log("dispatch", v.Kernel, fmt.Sprintf("id=%d sms=[%d,%d) guest=%v", v.ID, smLo, smHi, asGuest))
 	}
-	r.cfg.Policy.OnDispatch(r, v)
+	if r.onDispatch != nil {
+		r.onDispatch.OnDispatch(r, v)
+	}
 }
 
 // onComplete handles an invocation finishing all tasks.
@@ -397,8 +441,8 @@ func (r *Runtime) onComplete(v *Invocation) {
 	}
 	// After OnFinish, so a closed-loop client's immediate resubmission
 	// counts as the kernel still being present (no eviction churn).
-	if co, ok := r.cfg.Policy.(completionObserver); ok {
-		co.OnCompletion(r, v)
+	if r.onCompletion != nil {
+		r.onCompletion.OnCompletion(r, v)
 	}
 	r.schedule()
 }
@@ -410,7 +454,7 @@ func (r *Runtime) onDrained(v *Invocation, remaining int) {
 		// The victim completed before the drain; onComplete already ran.
 		if g := r.pendingGuest; g != nil {
 			r.pendingGuest = nil
-			r.cfg.Policy.Enqueue(g)
+			r.enqueue(g)
 		}
 		r.schedule()
 		return
@@ -451,8 +495,7 @@ func (r *Runtime) onDrained(v *Invocation, remaining int) {
 	if r.cfg.Log != nil {
 		r.log("drained", v.Kernel, fmt.Sprintf("temporal remaining=%d", remaining))
 	}
-	r.cfg.Policy.Enqueue(v)
-	r.setQueueGauges()
+	r.enqueue(v)
 	r.schedule()
 }
 
@@ -462,7 +505,6 @@ func (r *Runtime) onDrained(v *Invocation, remaining int) {
 // time ordering and overhead-aware preemption within a priority level
 // (Figure 6, §5.2.1).
 type HPF struct {
-	queue []*Invocation
 	// OverheadAware disables the preemption-overhead term when false
 	// (the naive-SRT ablation). The paper's HPF sets it true.
 	OverheadAware bool
@@ -471,43 +513,13 @@ type HPF struct {
 // NewHPF returns the paper's HPF policy.
 func NewHPF() *HPF { return &HPF{OverheadAware: true} }
 
-// Name implements Policy.
-func (h *HPF) Name() string { return "HPF" }
-
-// Enqueue inserts keeping the queue sorted by (priority desc, Tr asc), so
-// the head is always the next kernel to schedule. A binary search finds the
-// slot in O(log n) and one copy shifts the tail, instead of re-sorting the
-// whole queue per insert. Equal (priority, Tr) keys land after existing
-// entries, preserving the FIFO tie-break sort.SliceStable used to give.
-func (h *HPF) Enqueue(v *Invocation) {
-	i := sort.Search(len(h.queue), func(i int) bool {
-		q := h.queue[i]
-		if q.Priority != v.Priority {
-			return q.Priority < v.Priority
-		}
-		return q.Tr > v.Tr
-	})
-	h.queue = append(h.queue, nil)
-	copy(h.queue[i+1:], h.queue[i:])
-	h.queue[i] = v
-}
-
-// Peek implements Policy.
-func (h *HPF) Peek() *Invocation {
-	if len(h.queue) == 0 {
-		return nil
+// Before orders by (priority desc, Tr asc), so the head of the queue is
+// always the next kernel to schedule.
+func (h *HPF) Before(v, q *Invocation) bool {
+	if v.Priority != q.Priority {
+		return v.Priority > q.Priority
 	}
-	return h.queue[0]
-}
-
-// Dequeue implements Policy.
-func (h *HPF) Dequeue(v *Invocation) {
-	for i, q := range h.queue {
-		if q == v {
-			h.queue = append(h.queue[:i], h.queue[i+1:]...)
-			return
-		}
-	}
+	return v.Tr < q.Tr
 }
 
 // ShouldPreempt applies Figure 6's rules: a strictly higher priority always
@@ -525,12 +537,3 @@ func (h *HPF) ShouldPreempt(r *Runtime, running, best *Invocation) bool {
 	}
 	return running.Tr > threshold
 }
-
-// OnDispatch implements Policy (no-op for HPF).
-func (h *HPF) OnDispatch(*Runtime, *Invocation) {}
-
-// Queued implements Policy.
-func (h *HPF) Queued() []*Invocation { return h.queue }
-
-// Pending returns the queued invocation count (for tests).
-func (h *HPF) Pending() int { return len(h.queue) }
