@@ -1,20 +1,22 @@
-// Package baselines implements the systems FLEP is evaluated against:
+// Package baselines implements the systems FLEP is evaluated against, as
+// one executor run under three orders:
 //
-//   - MPS: the default co-run on NVIDIA's Multi-Process Service — a
+//   - NewMPS: the default co-run on NVIDIA's Multi-Process Service — a
 //     non-preemptive FIFO. Because every benchmark's CTAs saturate the
 //     hardware dispatcher, a later kernel cannot start until the earlier
 //     kernel's queue drains (§2.1), which the model realizes as
 //     serialization.
-//   - Reorder: kernel reordering (Li et al. [23], Margiolas et al. [25]) —
-//     still non-preemptive, but the next kernel is chosen
+//   - NewReorder: kernel reordering (Li et al. [23], Margiolas et al. [25])
+//     — still non-preemptive, but the next kernel is chosen
 //     shortest-predicted-first at each completion.
-//   - Slicer: kernel slicing (GPES/RGEM/PKM [41,19,5]) — each kernel is
+//   - NewSlicer: kernel slicing (GPES/RGEM/PKM [41,19,5]) — each kernel is
 //     split into sub-kernels of a fixed CTA count; scheduling decisions
 //     happen at slice boundaries, and every slice pays a launch.
 package baselines
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -24,7 +26,7 @@ import (
 // Job is one kernel invocation handled by a baseline executor.
 type Job struct {
 	Kernel   string
-	Priority int // higher = more important (used by Slicer)
+	Priority int // higher = more important (used by Reorder and Slicer)
 	Profile  *gpu.KernelProfile
 	Tasks    int
 	TaskCost time.Duration
@@ -65,189 +67,86 @@ func (j *Job) FinishedAt() time.Duration { return j.finishedAt }
 // Turnaround returns waiting plus execution time.
 func (j *Job) Turnaround() time.Duration { return j.finishedAt - j.submittedAt }
 
-// MPS is the non-preemptive FIFO baseline.
-type MPS struct {
-	dev     *gpu.Device
-	queue   []*Job
-	running bool
-}
-
-// NewMPS builds the MPS baseline on the device.
-func NewMPS(dev *gpu.Device) *MPS { return &MPS{dev: dev} }
-
-// Submit enqueues a job; it runs when all earlier jobs have completed.
-func (m *MPS) Submit(j *Job) {
-	j.submittedAt = m.dev.Now()
-	m.queue = append(m.queue, j)
-	m.kick()
-}
-
-func (m *MPS) kick() {
-	if m.running || len(m.queue) == 0 {
-		return
-	}
-	j := m.queue[0]
-	m.queue = m.queue[1:]
-	m.running = true
-	j.markStarted(m.dev.Now())
-	_, err := m.dev.Start(gpu.ExecConfig{
-		Profile: j.Profile, TotalTasks: j.Tasks, TaskCost: j.TaskCost,
-		SMLo: 0, SMHi: m.dev.NumSMs(),
-		OnComplete: func() {
-			j.finishedAt = m.dev.Now()
-			m.running = false
-			if j.OnFinish != nil {
-				j.OnFinish(j)
-			}
-			m.kick()
-		},
-	})
-	if err != nil {
-		panic(fmt.Sprintf("baselines: MPS start: %v", err))
-	}
-}
-
-// Reorder is the shortest-predicted-first non-preemptive baseline.
-type Reorder struct {
-	dev     *gpu.Device
-	queue   []*Job
-	running bool
-}
-
-// NewReorder builds the reordering baseline.
-func NewReorder(dev *gpu.Device) *Reorder { return &Reorder{dev: dev} }
-
-// Submit enqueues a job for shortest-first selection. A running kernel is
-// never preempted (the GPU cannot be).
-func (r *Reorder) Submit(j *Job) {
-	j.submittedAt = r.dev.Now()
-	r.queue = append(r.queue, j)
-	sort.SliceStable(r.queue, func(a, b int) bool {
-		if r.queue[a].Priority != r.queue[b].Priority {
-			return r.queue[a].Priority > r.queue[b].Priority
-		}
-		return r.queue[a].Predicted < r.queue[b].Predicted
-	})
-	r.kick()
-}
-
-func (r *Reorder) kick() {
-	if r.running || len(r.queue) == 0 {
-		return
-	}
-	j := r.queue[0]
-	r.queue = r.queue[1:]
-	r.running = true
-	j.markStarted(r.dev.Now())
-	_, err := r.dev.Start(gpu.ExecConfig{
-		Profile: j.Profile, TotalTasks: j.Tasks, TaskCost: j.TaskCost,
-		SMLo: 0, SMHi: r.dev.NumSMs(),
-		OnComplete: func() {
-			j.finishedAt = r.dev.Now()
-			r.running = false
-			if j.OnFinish != nil {
-				j.OnFinish(j)
-			}
-			r.kick()
-		},
-	})
-	if err != nil {
-		panic(fmt.Sprintf("baselines: reorder start: %v", err))
-	}
-}
-
-// Slicer is the kernel-slicing baseline: sub-kernels of SliceTasks CTAs,
-// scheduled (priority, then FIFO) at each slice boundary.
-type Slicer struct {
+// Executor runs jobs one at a time on the whole device: the head of its
+// queue goes next, and a kernel on the GPU is never interrupted.
+type Executor struct {
 	dev *gpu.Device
-	// SliceTasks is the sub-kernel size in CTAs. The paper's example
-	// slices to the device's concurrent capacity (120 CTAs of size 256).
-	SliceTasks int
+	// before orders the queue (nil = arrival order); equals keep arrival
+	// order.
+	before func(a, b *Job) bool
+	// slice is the sub-kernel size in CTAs; 0 launches each kernel whole.
+	slice int
 
+	// queue holds every unfinished job, the running one included: a job that
+	// sorts ahead of it can arrive while it runs.
 	queue   []*Job
 	running bool
-	seq     int // FIFO tiebreak
-	order   map[*Job]int
 }
 
-// NewSlicer builds the slicing baseline with the given sub-kernel size.
-func NewSlicer(dev *gpu.Device, sliceTasks int) *Slicer {
+// NewMPS builds the MPS baseline on the device: arrival order.
+func NewMPS(dev *gpu.Device) *Executor { return &Executor{dev: dev} }
+
+// NewReorder builds the reordering baseline: priority first, then shortest
+// predicted duration.
+func NewReorder(dev *gpu.Device) *Executor {
+	return &Executor{dev: dev, before: func(a, b *Job) bool {
+		if a.Priority != b.Priority {
+			return a.Priority > b.Priority
+		}
+		return a.Predicted < b.Predicted
+	}}
+}
+
+// NewSlicer builds the slicing baseline: sub-kernels of sliceTasks CTAs
+// (the paper's example slices to the device's concurrent capacity, 120 CTAs
+// of size 256), highest priority first at each slice boundary.
+func NewSlicer(dev *gpu.Device, sliceTasks int) *Executor {
 	if sliceTasks <= 0 {
 		panic("baselines: non-positive slice size")
 	}
-	return &Slicer{dev: dev, SliceTasks: sliceTasks, order: map[*Job]int{}}
+	return &Executor{dev: dev, slice: sliceTasks,
+		before: func(a, b *Job) bool { return a.Priority > b.Priority }}
 }
 
-// Submit enqueues a job; it competes for the GPU at slice granularity.
-func (s *Slicer) Submit(j *Job) {
-	j.submittedAt = s.dev.Now()
-	s.seq++
-	s.order[j] = s.seq
-	s.queue = append(s.queue, j)
-	s.kick()
+// Submit enqueues a job behind every job it does not sort ahead of.
+func (x *Executor) Submit(j *Job) {
+	j.submittedAt = x.dev.Now()
+	i := sort.Search(len(x.queue), func(i int) bool { return x.before != nil && x.before(j, x.queue[i]) })
+	x.queue = slices.Insert(x.queue, i, j)
+	x.kick()
 }
 
-// pick chooses the next job: highest priority first, FIFO within a level.
-func (s *Slicer) pick() *Job {
-	if len(s.queue) == 0 {
-		return nil
-	}
-	best := s.queue[0]
-	for _, j := range s.queue[1:] {
-		if j.Priority > best.Priority ||
-			(j.Priority == best.Priority && s.order[j] < s.order[best]) {
-			best = j
-		}
-	}
-	return best
-}
-
-func (s *Slicer) remove(j *Job) {
-	for i, q := range s.queue {
-		if q == j {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			return
-		}
-	}
-}
-
-func (s *Slicer) kick() {
-	if s.running {
+// kick starts the head job's next slice (the whole kernel when unsliced) if
+// the GPU is free.
+func (x *Executor) kick() {
+	if x.running || len(x.queue) == 0 {
 		return
 	}
-	j := s.pick()
-	if j == nil {
-		return
+	j := x.queue[0]
+	x.running = true
+	j.markStarted(x.dev.Now())
+	end := j.Tasks
+	if x.slice > 0 {
+		end = min(end, j.doneTasks+x.slice)
 	}
-	s.running = true
-	j.markStarted(s.dev.Now())
-	end := j.doneTasks + s.SliceTasks
-	if end > j.Tasks {
-		end = j.Tasks
-	}
-	_, err := s.dev.Start(gpu.ExecConfig{
+	_, err := x.dev.Start(gpu.ExecConfig{
 		Profile: j.Profile, TotalTasks: end, DoneTasks: j.doneTasks,
-		TaskCost: j.TaskCost, SMLo: 0, SMHi: s.dev.NumSMs(),
+		TaskCost: j.TaskCost, SMLo: 0, SMHi: x.dev.NumSMs(),
 		OnComplete: func() {
-			s.running = false
+			x.running = false
 			j.doneTasks = end
-			if j.doneTasks >= j.Tasks {
-				s.remove(j)
-				delete(s.order, j)
-				j.finishedAt = s.dev.Now()
+			if end == j.Tasks {
+				// By identity: the head may no longer be the job that ran.
+				x.queue = slices.DeleteFunc(x.queue, func(q *Job) bool { return q == j })
+				j.finishedAt = x.dev.Now()
 				if j.OnFinish != nil {
 					j.OnFinish(j)
 				}
 			}
-			s.kick()
+			x.kick()
 		},
 	})
 	if err != nil {
-		panic(fmt.Sprintf("baselines: slice start: %v", err))
+		panic(fmt.Sprintf("baselines: start %s: %v", j.Kernel, err))
 	}
-}
-
-// SliceCountFor returns how many sub-kernel launches a job needs.
-func (s *Slicer) SliceCountFor(tasks int) int {
-	return (tasks + s.SliceTasks - 1) / s.SliceTasks
 }

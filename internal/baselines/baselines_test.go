@@ -128,17 +128,6 @@ func TestSlicerFIFOWithinPriority(t *testing.T) {
 	}
 }
 
-func TestSliceCountFor(t *testing.T) {
-	_, dev := newDev()
-	s := NewSlicer(dev, 120)
-	cases := []struct{ tasks, want int }{{1, 1}, {120, 1}, {121, 2}, {12000, 100}}
-	for _, c := range cases {
-		if got := s.SliceCountFor(c.tasks); got != c.want {
-			t.Errorf("SliceCountFor(%d) = %d, want %d", c.tasks, got, c.want)
-		}
-	}
-}
-
 func TestMPSBackToBackIdle(t *testing.T) {
 	eng, dev := newDev()
 	m := NewMPS(dev)

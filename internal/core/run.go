@@ -169,12 +169,12 @@ func (s *System) RunFLEP(sc workload.Scenario, opt Options) (*RunResult, error) 
 
 // RunMPS executes a scenario under the MPS FIFO baseline.
 func (s *System) RunMPS(sc workload.Scenario) (*RunResult, error) {
-	return s.runBaseline(sc, func(dev *gpu.Device) func(*baselines.Job) { return baselines.NewMPS(dev).Submit })
+	return s.runBaseline(sc, baselines.NewMPS)
 }
 
 // RunReorder executes a scenario under the kernel-reordering baseline.
 func (s *System) RunReorder(sc workload.Scenario) (*RunResult, error) {
-	return s.runBaseline(sc, func(dev *gpu.Device) func(*baselines.Job) { return baselines.NewReorder(dev).Submit })
+	return s.runBaseline(sc, baselines.NewReorder)
 }
 
 // RunSliced executes a scenario under the kernel-slicing baseline with the
@@ -183,14 +183,14 @@ func (s *System) RunSliced(sc workload.Scenario, sliceTasks int) (*RunResult, er
 	if sliceTasks <= 0 {
 		sliceTasks = 120
 	}
-	return s.runBaseline(sc, func(dev *gpu.Device) func(*baselines.Job) { return baselines.NewSlicer(dev, sliceTasks).Submit })
+	return s.runBaseline(sc, func(dev *gpu.Device) *baselines.Executor { return baselines.NewSlicer(dev, sliceTasks) })
 }
 
 // runBaseline executes a scenario under the non-FLEP executor newExec
-// builds on a fresh device (it returns the executor's submit function).
-func (s *System) runBaseline(sc workload.Scenario, newExec func(*gpu.Device) func(*baselines.Job)) (*RunResult, error) {
+// builds on a fresh device.
+func (s *System) runBaseline(sc workload.Scenario, newExec func(*gpu.Device) *baselines.Executor) (*RunResult, error) {
 	eng := sim.New()
-	submitJob := newExec(gpu.New(eng, s.Par))
+	exec := newExec(gpu.New(eng, s.Par))
 	profiles := map[string]*gpu.KernelProfile{}
 	for _, item := range sc.Items {
 		profile, err := item.Bench.Profile(s.Par.Limits)
@@ -203,7 +203,7 @@ func (s *System) runBaseline(sc workload.Scenario, newExec func(*gpu.Device) fun
 		in := item.Bench.LaunchInput(item.Class, item.TasksOverride)
 		// Zero before Offline: the baselines run without artifacts.
 		predicted, _ := s.Predict(item.Bench, in)
-		submitJob(&baselines.Job{
+		exec.Submit(&baselines.Job{
 			Kernel: item.Bench.Name, Priority: item.Priority,
 			Profile: profiles[item.Bench.Name], Tasks: in.Tasks, TaskCost: in.TaskCost,
 			Predicted: predicted,
