@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"flep/internal/sim"
 )
 
 // TestOverheadForMatchesRealizedDrain pins the drain model's residual-batch
@@ -210,5 +212,67 @@ func TestGuestCompletesWhilePrimaryDraining(t *testing.T) {
 	}
 	if got := eng.Pending(); got != 0 {
 		t.Fatalf("engine still reports %d pending events at quiescence", got)
+	}
+}
+
+// quiescent fails the test unless every invocation finished and the runtime
+// and engine hold nothing.
+func quiescent(t *testing.T, eng *sim.Engine, rt *Runtime, invs ...*Invocation) {
+	t.Helper()
+	for _, v := range invs {
+		if v.State() != InvFinished {
+			t.Errorf("%s is %v at quiescence", v.Kernel, v.State())
+		}
+	}
+	if rt.Running() != nil || rt.guest != nil || rt.pendingGuest != nil || len(rt.Queued()) != 0 {
+		t.Errorf("runtime not quiescent: running=%v guest=%v pending=%v queued=%d",
+			rt.Running(), rt.guest, rt.pendingGuest, len(rt.Queued()))
+	}
+	if got := eng.Pending(); got != 0 {
+		t.Errorf("engine still reports %d pending events at quiescence", got)
+	}
+}
+
+// TestSpatialPreemptOfLaunchingPrimary is the regression test for the
+// `bad SM range [0,0)` panic that took flepd -spatial down: a small
+// high-priority grid arriving while the primary is still in its launch
+// window. The device cancels such a launch outright, so the victim keeps no
+// SMs and there is no low range to host a guest on; the preemption must be
+// temporal.
+func TestSpatialPreemptOfLaunchingPrimary(t *testing.T) {
+	eng, rt := newInstrumentedRT(NewHPF(), true)
+	primary := inv("primary", 1, 12000, us(100), 2)
+	small := inv("small", 5, 16, us(100), 2)
+	rt.Submit(primary)
+	rt.Submit(small) // same instant: primary is launching
+	eng.Run()
+	quiescent(t, eng, rt, primary, small)
+	if small.FinishedAt() >= primary.FinishedAt() {
+		t.Errorf("small (prio 5) finished at %v, after primary (prio 1) at %v", small.FinishedAt(), primary.FinishedAt())
+	}
+	if s, tm := rt.met.SpatialPreempts.Value(), rt.met.TemporalPreempts.Value(); s != 0 || tm != 1 {
+		t.Errorf("preemptions spatial=%d temporal=%d, want 0 and 1", s, tm)
+	}
+}
+
+// TestSpatialPreemptWiderThanShrunkPrimary is the regression test for the
+// primary that stayed r.running forever: between a guest's departure and
+// the reclaim of its SMs the primary spans fewer SMs than the device, and a
+// second guest needing at least that span stops it outright. The runtime
+// must see that coming and preempt temporally.
+func TestSpatialPreemptWiderThanShrunkPrimary(t *testing.T) {
+	eng, rt := newInstrumentedRT(NewHPF(), true)
+	primary := inv("primary", 1, 12000, us(100), 2)
+	narrow := inv("narrow", 3, 56, us(100), 2) // 7 SMs: primary shrinks to 8
+	wide := inv("wide", 3, 80, us(100), 2)     // 10 SMs: more than those 8
+	rt.Submit(primary)
+	eng.Schedule(us(1000), func() {
+		rt.Submit(narrow)
+		rt.Submit(wide)
+	})
+	eng.Run()
+	quiescent(t, eng, rt, primary, narrow, wide)
+	if s, tm := rt.met.SpatialPreempts.Value(), rt.met.TemporalPreempts.Value(); s != 1 || tm != 1 {
+		t.Errorf("preemptions spatial=%d temporal=%d, want 1 (narrow) and 1 (wide)", s, tm)
 	}
 }

@@ -325,7 +325,12 @@ func (r *Runtime) preemptFor(best *Invocation) {
 		if r.cfg.SpatialSMs > 0 && r.cfg.SpatialSMs >= n {
 			n = r.cfg.SpatialSMs
 		}
-		if n < r.dev.NumSMs() {
+		// A victim that would keep no SMs is preempted temporally: one still
+		// in its launch window is cancelled outright by the device, and one
+		// whose departed guest's SMs are not yet reclaimed spans fewer SMs
+		// than the device has.
+		lo, hi := victim.exec.SMRange()
+		if victim.exec.State() != gpu.StateLaunching && n < hi-lo {
 			need = n
 			spatial = true
 		}

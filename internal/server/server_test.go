@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -379,6 +380,54 @@ func TestConcurrentSessionsExactlyOnce(t *testing.T) {
 		if snap.InFlight != 0 || snap.Completed != perClient {
 			t.Fatalf("session %s inconsistent: %+v", snap.ID, snap)
 		}
+	}
+}
+
+// TestSpatialDaemonSurvivesMixedPriorityBurst is the regression test for
+// the `bad SM range [0,0)` panic on the loop goroutine: sixteen closed-loop
+// clients alternating a device-filling low-priority launch with a 16-CTA
+// high-priority one keep aiming spatial preemptions at primaries that are
+// still launching, or that have not yet reclaimed a departed guest's SMs.
+// Every launch must be answered, and spatial preemption must still happen.
+func TestSpatialDaemonSurvivesMixedPriorityBurst(t *testing.T) {
+	const clients, perClient = 16, 200
+	// Paced, so that launches arrive while kernels are resident and not only
+	// between them: some two hundred preemptions of each kind per run.
+	_, ts := newTestServer(t, Config{Spatial: true, QueueDepth: 64, RequestTimeout: time.Minute, Pace: 20 * time.Microsecond})
+	var wg sync.WaitGroup
+	var oks atomic.Int64
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				req := LaunchRequest{Client: fmt.Sprintf("c%02d", c), Benchmark: "VA", Class: "small", Priority: 1}
+				if (c+i)%2 == 1 {
+					req = LaunchRequest{Client: req.Client, Benchmark: "MM", Class: "small", TasksOverride: 16, Priority: 2}
+				}
+				body, _ := json.Marshal(req)
+				resp, err := http.Post(ts.URL+"/v1/launch", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("%s launch %d: %v", req.Client, i, err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode == http.StatusOK {
+					oks.Add(1)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if got := oks.Load(); got != clients*perClient {
+		t.Fatalf("%d of %d launches answered 200", got, clients*perClient)
+	}
+	st := getStatus(t, ts.URL)
+	if st.Counters.Enqueued != clients*perClient || st.Counters.Completed != st.Counters.Enqueued {
+		t.Fatalf("enqueued=%d completed=%d, want %d of each", st.Counters.Enqueued, st.Counters.Completed, clients*perClient)
+	}
+	if n, _ := scrape(t, ts.URL).Get(`flep_runtime_preemptions_total{mode="spatial"}`); n < 1 {
+		t.Fatalf("%v spatial preemptions counted: the burst no longer exercises the spatial path", n)
 	}
 }
 
