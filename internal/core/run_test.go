@@ -146,3 +146,53 @@ func TestFigure9StyleDelayBeyondCompletion(t *testing.T) {
 		t.Fatalf("speedup with idle GPU = %.2f, want ≈1", ratio)
 	}
 }
+
+// ffsTenants builds one closed-loop small-input FFS tenant per name, the
+// i-th at priority (and so share weight) prios[i], arriving Eps apart.
+func ffsTenants(t *testing.T, horizon time.Duration, names []string, prios []int) workload.Scenario {
+	t.Helper()
+	sc := workload.Scenario{Name: "ffs-tenants", Horizon: horizon}
+	for i, name := range names {
+		b, err := kernels.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Items = append(sc.Items, workload.Item{
+			Bench: b, Class: kernels.Small, Priority: prios[i],
+			At: time.Duration(i) * workload.Eps, Loop: true,
+		})
+	}
+	return sc
+}
+
+// TestFFSEveryTenantCompletes is the regression test for FFS starving a
+// tenant whose single task outlasts its epoch: a drain discards the
+// fraction of a task in flight, so an epoch shorter than a relaunch plus
+// one task banked nothing and the kernel rotated on its last tasks for as
+// long as anyone else was queued. CFD's and MD's small inputs have the
+// suite's longest tasks; at the lowest weight each completed no launch at
+// all, a fact the share column of ext-ffs-triplet's NN_CFD_MD row hid.
+func TestFFSEveryTenantCompletes(t *testing.T) {
+	s := testSystem(t)
+	for _, slow := range []string{"CFD", "MD"} {
+		sc := ffsTenants(t, 100*time.Millisecond, []string{slow, "PF", "NN", "VA"}, []int{1, 2, 3, 4})
+		res, err := s.RunFLEP(sc, Options{Policy: "ffs"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Completions[slow]; n < 10 {
+			t.Errorf("%s at weight 1 of 10 completed %d launches in 100 ms, want at least 10 (all: %v)", slow, n, res.Completions)
+		}
+	}
+	// ExtFFSTriplet's NN_CFD_MD scenario.
+	sc := ffsTenants(t, 300*time.Millisecond, []string{"NN", "CFD", "MD"}, []int{3, 2, 1})
+	res, err := s.RunFLEP(sc, Options{Policy: "ffs", MaxOverhead: 0.10, Weights: map[int]float64{3: 3, 2: 2, 1: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"NN", "CFD", "MD"} {
+		if res.Completions[name] == 0 {
+			t.Errorf("%s completed no launch in 300 ms of NN_CFD_MD at weights 3:2:1 (all: %v)", name, res.Completions)
+		}
+	}
+}

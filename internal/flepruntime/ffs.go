@@ -15,7 +15,8 @@ import (
 //	ΣO_i / (T ΣW_i) ≤ max_overhead
 //
 // so that context-switch (preemption) cost never exceeds the user's budget.
-// An epoch belongs to a client (kernel), not to one invocation: a client
+// An epoch is never shorter than O_i plus one task of kernel i, so that
+// every turn banks at least one task. An epoch belongs to a client (kernel), not to one invocation: a client
 // whose invocation completes mid-epoch keeps the GPU for its next
 // invocation until the epoch expires.
 type FFS struct {
@@ -162,10 +163,12 @@ func (f *FFS) OnDispatch(r *Runtime, v *Invocation) {
 	if v.Kernel == f.curKernel && now < f.epochEnd {
 		return // continuation within the owner's epoch
 	}
-	epoch := time.Duration(float64(f.baseEpoch()) * weight)
-	if epoch <= 0 {
-		return
-	}
+	// T is a minimum (a longer epoch only lowers the overhead share), and a
+	// drain discards the fraction of a task in flight: an epoch that cannot
+	// fit a relaunch plus one whole task banks nothing once fewer tasks
+	// remain than workers, and the kernel rotates on them forever. A real
+	// persistent CTA finishes its task before it polls the flag (§4).
+	epoch := max(time.Duration(float64(f.baseEpoch())*weight), t.overhead+v.TaskCost)
 	if f.epochTimer != nil && !f.epochTimer.Canceled() && f.epochTimer.When() > now {
 		// The previous epoch's timer is superseded; cancel it so it never
 		// sits dead in the event queue.

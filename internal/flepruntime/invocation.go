@@ -46,7 +46,8 @@ type Invocation struct {
 	Profile  *gpu.KernelProfile
 	Tasks    int
 	// TaskCost is the ground-truth per-task time used by the device
-	// model. The scheduler never reads it; it schedules on Te/Tr.
+	// model. Scheduling decisions are made on Te/Tr; the one reader on the
+	// scheduling side is FFS's epoch floor.
 	TaskCost time.Duration
 	// L is the kernel's tuned amortizing factor.
 	L int
