@@ -451,14 +451,5 @@ func (g *Gateway) ReadyNodes() int {
 	return count
 }
 
-// NodeIDs returns the configured node IDs in cluster order.
-func (g *Gateway) NodeIDs() []string {
-	ids := make([]string, len(g.nodes))
-	for i, n := range g.nodes {
-		ids[i] = n.id
-	}
-	return ids
-}
-
 // uptimeMS mirrors the flepd status field.
 func (g *Gateway) uptimeMS() int64 { return time.Since(g.startReal).Milliseconds() }

@@ -2,7 +2,6 @@ package flepruntime
 
 import (
 	"fmt"
-	"time"
 
 	"flep/internal/sim"
 )
@@ -128,16 +127,4 @@ func (e *EDF) onRisk(r *Runtime, seq int) {
 			fmt.Sprintf("id=%d deadline=%v at risk", head.ID, head.Deadline))
 	}
 	r.schedule()
-}
-
-// Deadline slack helpers shared with the server's admission path.
-
-// SlackFor reports how much virtual time remains between "dispatch best
-// now" and its deadline: Deadline − now − Tr. Negative slack means the
-// deadline is already unmeetable even on an idle GPU.
-func SlackFor(v *Invocation, now time.Duration) time.Duration {
-	if v.Deadline <= 0 {
-		return 0
-	}
-	return v.Deadline - now - v.Tr
 }

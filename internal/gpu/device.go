@@ -635,12 +635,3 @@ func (e *Exec) Expand(lo int) error {
 
 // Busy reports whether any execution is resident or launching.
 func (d *Device) Busy() bool { return len(d.execs) > 0 }
-
-// RunningKernels lists the names of resident executions (for tests/traces).
-func (d *Device) RunningKernels() []string {
-	var out []string
-	for _, e := range d.execs {
-		out = append(out, e.cfg.Profile.Name)
-	}
-	return out
-}

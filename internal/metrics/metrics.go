@@ -140,15 +140,6 @@ func Speedup(base, improved time.Duration) float64 {
 	return base.Seconds() / improved.Seconds()
 }
 
-// Degradation returns the paper's per-kernel performance degradation
-// (T_w + T_e)/T_e, identical to NTT when turnaround = waiting + execution.
-func Degradation(waiting, execution time.Duration) float64 {
-	if execution <= 0 {
-		return 0
-	}
-	return (waiting + execution).Seconds() / execution.Seconds()
-}
-
 // ShareSample is one point of a GPU-share time series.
 type ShareSample struct {
 	At    time.Duration

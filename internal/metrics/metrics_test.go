@@ -141,12 +141,6 @@ func TestSpeedupAndDegradation(t *testing.T) {
 	if Speedup(us(1000), 0) != 0 {
 		t.Fatal("Speedup with zero improved")
 	}
-	if math.Abs(Degradation(us(900), us(100))-10) > 1e-9 {
-		t.Fatal("Degradation")
-	}
-	if Degradation(us(1), 0) != 0 {
-		t.Fatal("Degradation with zero exec")
-	}
 }
 
 // Property: ANTT of a perfectly isolated schedule is exactly 1 and STP

@@ -17,12 +17,6 @@ import (
 	"flep/internal/trace"
 )
 
-// formatEntry renders one trace entry like trace.Log.WriteText.
-func formatEntry(e trace.Entry) string {
-	return fmt.Sprintf("%12v %-8s %-8s %-8s [%2d,%2d) %s\n",
-		e.Time, e.Source, e.Kind, e.Kernel, e.SMLo, e.SMHi, e.Detail)
-}
-
 // LaunchRequest is the JSON body of POST /v1/launch: the serving-layer
 // equivalent of the transformed host program's flep_intercept call.
 type LaunchRequest struct {
@@ -507,7 +501,7 @@ func handleTrace(d daemon, w http.ResponseWriter, r *http.Request) {
 	case "text":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		for _, e := range entries {
-			if _, err := w.Write([]byte(formatEntry(e))); err != nil {
+			if e.WriteText(w) != nil {
 				return
 			}
 		}

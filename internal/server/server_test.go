@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -488,6 +489,34 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("submit entries = %d, want 1", len(entries))
+	}
+}
+
+// TestTraceEndpointTextIsTheLogsWriteText pins the text rendering of
+// /v1/trace to trace.Log.WriteText, byte for byte: the event-order goldens
+// hash that text, and the endpoint used to re-spell its format string.
+func TestTraceEndpointTextIsTheLogsWriteText(t *testing.T) {
+	s, ts := newTestServer(t, Config{Trace: true})
+	for _, req := range []LaunchRequest{{Benchmark: "MM", Priority: 1}, {Benchmark: "VA", Class: "trivial", Priority: 3}} {
+		if code, _ := launch(t, ts.URL, req); code != 200 {
+			t.Fatal("launch failed")
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/trace?format=text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := s.tlog.WriteText(&want); err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() == 0 || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("GET /v1/trace?format=text differs from the log's WriteText\ngot:\n%s\nwant:\n%s", got, want.Bytes())
 	}
 }
 

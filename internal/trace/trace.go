@@ -4,12 +4,10 @@
 package trace
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -115,36 +113,21 @@ func (l *Log) Filter(kind string) []Entry {
 	return out
 }
 
+// WriteText writes the entry as one line of the human-readable log.
+func (e Entry) WriteText(w io.Writer) error {
+	_, err := fmt.Fprintf(w, "%12v %-8s %-8s %-8s [%2d,%2d) %s\n",
+		e.Time, e.Source, e.Kind, e.Kernel, e.SMLo, e.SMHi, e.Detail)
+	return err
+}
+
 // WriteText writes a human-readable log.
 func (l *Log) WriteText(w io.Writer) error {
 	for _, e := range l.snapshot() {
-		_, err := fmt.Fprintf(w, "%12v %-8s %-8s %-8s [%2d,%2d) %s\n",
-			e.Time, e.Source, e.Kind, e.Kernel, e.SMLo, e.SMHi, e.Detail)
-		if err != nil {
+		if err := e.WriteText(w); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// WriteCSV writes the log as CSV with a header row.
-func (l *Log) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"time_us", "source", "kind", "kernel", "sm_lo", "sm_hi", "detail"}); err != nil {
-		return err
-	}
-	for _, e := range l.snapshot() {
-		rec := []string{
-			strconv.FormatFloat(float64(e.Time)/float64(time.Microsecond), 'f', 3, 64),
-			e.Source, e.Kind, e.Kernel,
-			strconv.Itoa(e.SMLo), strconv.Itoa(e.SMHi), e.Detail,
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // WriteJSON writes the log as a JSON array.

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -44,25 +43,6 @@ func TestWriteText(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("text log missing %q: %s", want, out)
 		}
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	var l Log
-	l.Add(Entry{Time: us(1), Source: "device", Kind: "launch", Kernel: "k", SMLo: 0, SMHi: 15})
-	var buf bytes.Buffer
-	if err := l.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("rows = %d", len(recs))
-	}
-	if recs[0][0] != "time_us" || recs[1][2] != "launch" {
-		t.Fatalf("csv = %v", recs)
 	}
 }
 

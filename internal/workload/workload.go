@@ -164,21 +164,6 @@ func Triplets() []Scenario {
 	return out
 }
 
-// SpatialPairs enumerates Figure 15's co-runs: every benchmark paired with
-// every other (high trivial vs low large).
-func SpatialPairs() []Scenario {
-	var out []Scenario
-	for _, low := range kernels.All() {
-		for _, high := range kernels.All() {
-			if low.Name == high.Name {
-				continue
-			}
-			out = append(out, SpatialPair(high, low))
-		}
-	}
-	return out
-}
-
 // FairPairs enumerates the FFS co-runs over the same pairs as the HPF
 // experiments (Figure 13/14 uses "the same co-run pairs").
 func FairPairs(horizon time.Duration) []Scenario {

@@ -148,12 +148,6 @@ func TestTripletsDeterministicAndValid(t *testing.T) {
 	}
 }
 
-func TestSpatialPairsCount(t *testing.T) {
-	if got := len(SpatialPairs()); got != 56 {
-		t.Fatalf("spatial pairs = %d, want 56 (8×7)", got)
-	}
-}
-
 func TestFairPairsCount(t *testing.T) {
 	if got := len(FairPairs(time.Second)); got != 28 {
 		t.Fatalf("fair pairs = %d", got)
