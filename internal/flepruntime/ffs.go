@@ -16,9 +16,9 @@ import (
 //
 // so that context-switch (preemption) cost never exceeds the user's budget.
 // An epoch is never shorter than O_i plus one task of kernel i, so that
-// every turn banks at least one task. An epoch belongs to a client (kernel), not to one invocation: a client
-// whose invocation completes mid-epoch keeps the GPU for its next
-// invocation until the epoch expires.
+// every turn banks at least one task. An epoch belongs to a client
+// (kernel), not to one invocation: a client whose invocation completes
+// mid-epoch keeps the GPU for its next invocation until the epoch expires.
 type FFS struct {
 	// MaxOverhead is the user's tolerated throughput loss (e.g. 0.10).
 	MaxOverhead float64

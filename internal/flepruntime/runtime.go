@@ -17,7 +17,9 @@ import (
 // optional one-method hooks below, each of which receives the runtime.
 type Policy interface {
 	// Before reports whether v goes strictly ahead of q. Invocations
-	// neither of which is ahead of the other keep their arrival order.
+	// neither of which is ahead of the other keep their arrival order. The
+	// queue is binary-searched by it, so the answer for two queued
+	// invocations must not change while they wait.
 	Before(v, q *Invocation) bool
 	// ShouldPreempt decides whether best should preempt running (both
 	// non-nil).
