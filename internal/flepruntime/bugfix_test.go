@@ -206,13 +206,7 @@ func TestGuestCompletesWhilePrimaryDraining(t *testing.T) {
 	if !guestSawDrain {
 		t.Fatalf("guest completed outside the primary's drain window (order %v) — retune arrival times", done)
 	}
-	if rt.Running() != nil || rt.guest != nil || rt.pendingGuest != nil {
-		t.Fatalf("runtime not quiescent: running=%v guest=%v pending=%v",
-			rt.Running(), rt.guest, rt.pendingGuest)
-	}
-	if got := eng.Pending(); got != 0 {
-		t.Fatalf("engine still reports %d pending events at quiescence", got)
-	}
+	quiescent(t, eng, rt, primary, guest, high)
 }
 
 // quiescent fails the test unless every invocation finished and the runtime

@@ -33,7 +33,7 @@ const (
 // a 1–40 ms deadline, a third a working set of up to 7 GiB, a fifth are
 // model-graph stages. Every draw comes from the seed, so a cell is
 // reproduced by its (policy, spatial, seed) coordinates alone.
-func seededMix(t testing.TB, policy string, spatial bool, seed int64) (*sim.Engine, []*Invocation) {
+func seededMix(t *testing.T, policy string, spatial bool, seed int64) (*sim.Engine, []*Invocation) {
 	pol, err := NewPolicy(policy, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func seededMix(t testing.TB, policy string, spatial bool, seed int64) (*sim.Engi
 
 // seededMixDigest runs one cell to quiescence and names its outcome: the
 // FNV-64a digest of the schedule, or the way it failed to produce one.
-func seededMixDigest(t testing.TB, policy string, spatial bool, seed int64) (out string) {
+func seededMixDigest(t *testing.T, policy string, spatial bool, seed int64) (out string) {
 	defer func() {
 		if recover() != nil {
 			out = "panic"
