@@ -453,18 +453,27 @@ func TestNodeKilledMidBurstExactlyOnce(t *testing.T) {
 		}
 	}
 
-	// Let the survivor finish any retried work, then reconcile.
-	waitFor(t, "survivor at rest", func() bool {
+	// Let the gateway notice the kill (on a fast host the burst can finish
+	// before it, and then only the next health probe finds the node gone),
+	// the survivor finish any retried work, and the health loop's cached
+	// status catch up with the gateway's live ledger; then reconcile.
+	waitFor(t, "the kill noticed and the survivor's status at rest and current", func() bool {
+		ready, atRest := 0, 0
 		for _, ns := range getNodes(t, gw.URL) {
-			if ns.State != "ready" || ns.Status == nil {
+			if ns.State != "ready" {
+				continue
+			}
+			ready++
+			if ns.Status == nil {
 				continue
 			}
 			c := ns.Status.Counters
-			if ns.InFlight == 0 && c.Enqueued == c.Completed+c.SubmitErrors {
-				return true
+			if ns.InFlight == 0 && c.Enqueued == c.Completed+c.SubmitErrors &&
+				c.Enqueued == ns.Accepted+ns.Failed+ns.TimedOut {
+				atRest++
 			}
 		}
-		return false
+		return ready == 1 && atRest == 1
 	})
 	var acceptedTotal int64
 	survivors := 0
