@@ -165,3 +165,33 @@ func TestLexKeywords(t *testing.T) {
 		}
 	}
 }
+
+// Every keyword and punctuation spelled in kindNames lexes to exactly its
+// own Kind, no Kind is left without a spelling, and operators that share a
+// prefix split longest-first.
+func TestEveryTokenLexesAsItself(t *testing.T) {
+	for k := KwGlobal; k <= LaunchClose; k++ {
+		s := kindNames[k]
+		if s == "" {
+			t.Errorf("Kind(%d) has no spelling in kindNames", int(k))
+			continue
+		}
+		toks, err := Lex(s)
+		if err != nil || len(toks) != 1 || toks[0].Kind != k || toks[0].Text != s {
+			t.Errorf("Lex(%q) = %v, %v; want the single token %v", s, toks, err, k)
+		}
+	}
+	splits := []struct {
+		src string
+		op  Kind
+	}{
+		{"a<<<b", LaunchOpen}, {"a>>>b", LaunchClose}, {"a<<b", Shl}, {"a>>b", Shr},
+		{"a<=b", Le}, {"a<b", Lt}, {"a>=b", Ge}, {"a>b", Gt},
+	}
+	for _, c := range splits {
+		toks, err := Lex(c.src)
+		if err != nil || len(toks) != 3 || toks[0].Kind != IDENT || toks[1].Kind != c.op || toks[2].Kind != IDENT {
+			t.Errorf("Lex(%q) = %v, %v; want identifier %v identifier", c.src, toks, err, c.op)
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package cudalite
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -138,6 +140,120 @@ func TestPropertyCloneFaithful(t *testing.T) {
 		clone := CloneProgram(prog)
 		if Format(prog) != Format(clone) {
 			t.Fatalf("seed %d: clone differs", seed)
+		}
+	}
+}
+
+// shape renders the subtree at n as its pre-order node sequence with Paren
+// nodes dropped and positions ignored: two trees have the same shape exactly
+// when they group the same way, whatever parentheses the source carried.
+func shape(n Node) string {
+	var sb strings.Builder
+	Inspect(n, func(n Node) bool {
+		switch x := n.(type) {
+		case *Paren:
+			return true
+		case *FuncDecl:
+			fmt.Fprintf(&sb, "func %s; ", x.Name)
+		case *Ident:
+			sb.WriteString(x.Name + " ")
+		case *IntLit:
+			fmt.Fprintf(&sb, "%d ", x.Val)
+		case *FloatLit:
+			sb.WriteString(formatFloat(x.Val) + " ")
+		case *BoolLit:
+			fmt.Fprintf(&sb, "%t ", x.Val)
+		case *StrLit:
+			fmt.Fprintf(&sb, "%q ", x.Val)
+		case *Unary:
+			fmt.Fprintf(&sb, "pre%s ", x.Op)
+		case *Postfix:
+			fmt.Fprintf(&sb, "post%s ", x.Op)
+		case *Binary:
+			fmt.Fprintf(&sb, "bin%s ", x.Op)
+		case *Assign:
+			fmt.Fprintf(&sb, "set%s ", x.Op)
+		case *Call:
+			fmt.Fprintf(&sb, "%s/%d ", x.Fun, len(x.Args))
+		case *Member:
+			fmt.Fprintf(&sb, ".%s ", x.Name)
+		case *Cast:
+			fmt.Fprintf(&sb, "(%s) ", x.Type)
+		case *DeclStmt:
+			fmt.Fprintf(&sb, "decl %s/%d; ", x.Type, len(x.Decls))
+		case *LaunchStmt:
+			fmt.Fprintf(&sb, "launch %s/%d; ", x.Kernel, len(x.Args))
+		default:
+			fmt.Fprintf(&sb, "%T ", n)
+		}
+		return true
+	})
+	return strings.TrimSpace(sb.String())
+}
+
+// knownMisprints lists the operator nestings, by shape, whose printed form
+// re-parses to a different grouping or not at all.
+var knownMisprints = map[string]bool{
+	// A prefix operator or a cast directly over * / % loses its parentheses.
+	"pre- bin* a b": true, "pre! bin* a b": true, "pre~ bin* a b": true, "pre* bin* a b": true, "pre& bin* a b": true, "pre++ bin* a b": true, "pre-- bin* a b": true,
+	"(float) bin* a b": true,
+	"pre- bin/ a b":    true, "pre! bin/ a b": true, "pre~ bin/ a b": true, "pre* bin/ a b": true, "pre& bin/ a b": true, "pre++ bin/ a b": true, "pre-- bin/ a b": true,
+	"(float) bin/ a b": true,
+	"pre- bin% a b":    true, "pre! bin% a b": true, "pre~ bin% a b": true, "pre* bin% a b": true, "pre& bin% a b": true, "pre++ bin% a b": true, "pre-- bin% a b": true,
+	"(float) bin% a b": true,
+	// Adjacent prefix operators fuse into another token.
+	"pre- pre- a": true, "pre& pre& a": true, "pre- pre-- a": true,
+}
+
+// Every nesting of one operator directly inside another — built as node
+// literals, with no Paren nodes, the way a rewrite hook builds them — must
+// print as text that parses back to the same grouping.
+func TestEveryOperatorRoundTrips(t *testing.T) {
+	a, b, c := &Ident{Name: "a"}, &Ident{Name: "b"}, &Ident{Name: "c"}
+	var cases []Expr
+	for in := OpAdd; in <= OpShr; in++ {
+		inner := &Binary{Op: in, L: a, R: b}
+		for out := OpAdd; out <= OpShr; out++ {
+			cases = append(cases,
+				&Binary{Op: out, L: inner, R: c},
+				&Binary{Op: out, L: c, R: inner})
+		}
+		for pre := OpNeg; pre <= OpPreDec; pre++ {
+			cases = append(cases, &Unary{Op: pre, X: inner})
+		}
+		cases = append(cases, &Cast{Type: Type{Base: TFloat}, X: inner})
+	}
+	for in := OpNeg; in <= OpPreDec; in++ {
+		inner := &Unary{Op: in, X: a}
+		for pre := OpNeg; pre <= OpPreDec; pre++ {
+			cases = append(cases, &Unary{Op: pre, X: inner})
+		}
+		for out := OpAdd; out <= OpShr; out++ {
+			cases = append(cases,
+				&Binary{Op: out, L: inner, R: c},
+				&Binary{Op: out, L: c, R: inner})
+		}
+	}
+	seen := map[string]bool{}
+	for _, e := range cases {
+		want := shape(e)
+		seen[want] = true
+		if knownMisprints[want] {
+			continue
+		}
+		text := FormatExpr(e)
+		f, err := ParseKernel("void f(int a, int b, int c) { " + text + "; }")
+		if err != nil {
+			t.Errorf("%s prints as %q, which does not parse: %v", want, text, err)
+			continue
+		}
+		if got := shape(f.Body.Stmts[0].(*ExprStmt).X); got != want {
+			t.Errorf("%s prints as %q, which parses as %s", want, text, got)
+		}
+	}
+	for s := range knownMisprints {
+		if !seen[s] {
+			t.Errorf("knownMisprints names %q, which is not a case", s)
 		}
 	}
 }
