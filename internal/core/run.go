@@ -193,7 +193,7 @@ func (s *System) runBaseline(sc workload.Scenario, newExec func(*gpu.Device) *ba
 	exec := newExec(gpu.New(eng, s.Par))
 	profiles := map[string]*gpu.KernelProfile{}
 	for _, item := range sc.Items {
-		profile, err := item.Bench.Profile(s.Par.Limits)
+		profile, err := s.profile(item.Bench)
 		if err != nil {
 			return nil, err
 		}

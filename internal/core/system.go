@@ -117,7 +117,7 @@ func (s *System) buildArtifacts(b *kernels.Benchmark) (*Artifacts, error) {
 	if err != nil {
 		return nil, err
 	}
-	profile, err := b.Profile(s.Par.Limits)
+	profile, err := s.profile(b)
 	if err != nil {
 		return nil, err
 	}
@@ -271,10 +271,19 @@ func (s *System) simPreemptResume(profile *gpu.KernelProfile, tasks int, cost ti
 	return done
 }
 
+// profile returns b's execution profile: the offline artifact's once b has
+// been processed, else derived from source (a parse and a resource scan).
+func (s *System) profile(b *kernels.Benchmark) (*gpu.KernelProfile, error) {
+	if a := s.arts[b.Name]; a != nil {
+		return a.Profile, nil
+	}
+	return b.Profile(s.Par.Limits)
+}
+
 // MeasureSolo measures the original kernel's solo runtime for an arbitrary
 // input (used for performance-model evaluation).
 func (s *System) MeasureSolo(b *kernels.Benchmark, in kernels.Input) (time.Duration, error) {
-	profile, err := b.Profile(s.Par.Limits)
+	profile, err := s.profile(b)
 	if err != nil {
 		return 0, err
 	}
@@ -288,7 +297,7 @@ func (s *System) SoloTime(b *kernels.Benchmark, c kernels.InputClass) (time.Dura
 	if d, ok := s.solo[key]; ok {
 		return d, nil
 	}
-	profile, err := b.Profile(s.Par.Limits)
+	profile, err := s.profile(b)
 	if err != nil {
 		return 0, err
 	}
@@ -313,7 +322,7 @@ func (s *System) baseline(b *kernels.Benchmark, c kernels.InputClass, tasksOverr
 // SoloPersistentTime measures the FLEP-transformed kernel's solo runtime at
 // amortizing factor L (Figure 17's FLEP bars).
 func (s *System) SoloPersistentTime(b *kernels.Benchmark, c kernels.InputClass, L int) (time.Duration, error) {
-	profile, err := b.Profile(s.Par.Limits)
+	profile, err := s.profile(b)
 	if err != nil {
 		return 0, err
 	}
