@@ -254,7 +254,9 @@ type Expr interface {
 // Op identifies a unary, binary, or assignment operator.
 type Op int
 
-// Operators. Assignment ops reuse the token spelling.
+// Operators, in four contiguous ranges the parser looks tokens up in: binary
+// OpAdd..OpShr, prefix OpNeg..OpPreDec, postfix OpPostInc..OpPostDec and
+// assignment OpAssign..OpDivAssign.
 const (
 	OpAdd Op = iota
 	OpSub
@@ -282,6 +284,7 @@ const (
 	OpAddr   // unary &
 	OpPreInc
 	OpPreDec
+
 	OpPostInc
 	OpPostDec
 
@@ -292,19 +295,59 @@ const (
 	OpDivAssign
 )
 
-var opNames = map[Op]string{
-	OpAdd: "+", OpSub: "-", OpMul: "*", OpDiv: "/", OpRem: "%",
-	OpLt: "<", OpGt: ">", OpLe: "<=", OpGe: ">=", OpEq: "==", OpNe: "!=",
-	OpAnd: "&&", OpOr: "||",
-	OpBitAnd: "&", OpBitOr: "|", OpBitXor: "^", OpShl: "<<", OpShr: ">>",
-	OpNeg: "-", OpNot: "!", OpBitNot: "~", OpDeref: "*", OpAddr: "&",
-	OpPreInc: "++", OpPreDec: "--", OpPostInc: "++", OpPostDec: "--",
-	OpAssign: "=", OpAddAssign: "+=", OpSubAssign: "-=", OpMulAssign: "*=",
-	OpDivAssign: "/=",
+// Precedence levels, loosest first: the parser climbs and the printer
+// parenthesizes by the same scale, and prefix and postfix operators sit
+// above every binary one because their levels are declared after.
+const (
+	precAssign = iota + 1
+	precTernary
+	precOr
+	precAnd
+	precBitOr
+	precBitXor
+	precBitAnd
+	precEq
+	precRel
+	precShift
+	precAdd
+	precMul
+	precUnary // prefix operators and casts
+	precPostfix
+)
+
+// ops gives each operator its token (spelled once, in kindNames) and, if it
+// is binary, its precedence level.
+var ops = [...]struct {
+	tok  Kind
+	prec int
+}{
+	OpAdd: {Plus, precAdd}, OpSub: {Minus, precAdd},
+	OpMul: {Star, precMul}, OpDiv: {Slash, precMul}, OpRem: {Percent, precMul},
+	OpLt: {Lt, precRel}, OpGt: {Gt, precRel}, OpLe: {Le, precRel}, OpGe: {Ge, precRel},
+	OpEq: {Eq, precEq}, OpNe: {Ne, precEq},
+	OpAnd: {AndAnd, precAnd}, OpOr: {OrOr, precOr},
+	OpBitAnd: {Amp, precBitAnd}, OpBitOr: {Pipe, precBitOr}, OpBitXor: {Caret, precBitXor},
+	OpShl: {Shl, precShift}, OpShr: {Shr, precShift},
+
+	OpNeg: {tok: Minus}, OpNot: {tok: Not}, OpBitNot: {tok: Tilde},
+	OpDeref: {tok: Star}, OpAddr: {tok: Amp}, OpPreInc: {tok: Inc}, OpPreDec: {tok: Dec},
+	OpPostInc: {tok: Inc}, OpPostDec: {tok: Dec},
+	OpAssign: {tok: AssignTok}, OpAddAssign: {tok: PlusAssign}, OpSubAssign: {tok: MinusAssign},
+	OpMulAssign: {tok: StarAssign}, OpDivAssign: {tok: SlashAssign},
 }
 
 // String returns the C spelling of the operator.
-func (o Op) String() string { return opNames[o] }
+func (o Op) String() string { return kindNames[ops[o].tok] }
+
+// opFor returns the operator in lo..hi whose token is k.
+func opFor(k Kind, lo, hi Op) (Op, bool) {
+	for o := lo; o <= hi; o++ {
+		if ops[o].tok == k {
+			return o, true
+		}
+	}
+	return 0, false
+}
 
 // Ident is a name reference.
 type Ident struct {

@@ -228,47 +228,17 @@ func (l *Lexer) lexString(pos Pos) (Token, error) {
 	return Token{}, &SyntaxError{pos, "unterminated string"}
 }
 
-// two and three character operator tables, checked longest-first.
-var threeCharOps = map[string]Kind{
-	"<<<": LaunchOpen,
-	">>>": LaunchClose,
-}
-
-var twoCharOps = map[string]Kind{
-	"+=": PlusAssign, "-=": MinusAssign, "*=": StarAssign, "/=": SlashAssign,
-	"++": Inc, "--": Dec,
-	"<=": Le, ">=": Ge, "==": Eq, "!=": Ne,
-	"&&": AndAnd, "||": OrOr, "<<": Shl, ">>": Shr,
-}
-
-var oneCharOps = map[byte]Kind{
-	'(': LParen, ')': RParen, '{': LBrace, '}': RBrace,
-	'[': LBracket, ']': RBracket, ';': Semicolon, ',': Comma, '.': Dot,
-	'?': Question, ':': Colon, '=': AssignTok,
-	'+': Plus, '-': Minus, '*': Star, '/': Slash, '%': Percent,
-	'<': Lt, '>': Gt, '!': Not, '&': Amp, '|': Pipe, '^': Caret, '~': Tilde,
-}
-
+// lexOperator matches the longest punctuation token at the cursor.
 func (l *Lexer) lexOperator(pos Pos) (Token, error) {
-	if l.off+3 <= len(l.src) {
-		if k, ok := threeCharOps[l.src[l.off:l.off+3]]; ok {
-			l.advance()
-			l.advance()
-			l.advance()
-			return Token{Kind: k, Text: kindNames[k], Pos: pos}, nil
+	rest := l.src[l.off:]
+	if c := rest[0]; c < byte(len(punct)) {
+		for _, k := range punct[c] {
+			if s := kindNames[k]; strings.HasPrefix(rest, s) {
+				l.off += len(s) // punctuation holds no newline
+				l.col += len(s)
+				return Token{Kind: k, Text: s, Pos: pos}, nil
+			}
 		}
 	}
-	if l.off+2 <= len(l.src) {
-		if k, ok := twoCharOps[l.src[l.off:l.off+2]]; ok {
-			l.advance()
-			l.advance()
-			return Token{Kind: k, Text: kindNames[k], Pos: pos}, nil
-		}
-	}
-	c := l.peek()
-	if k, ok := oneCharOps[c]; ok {
-		l.advance()
-		return Token{Kind: k, Text: kindNames[k], Pos: pos}, nil
-	}
-	return Token{}, &SyntaxError{pos, fmt.Sprintf("unexpected character %q", c)}
+	return Token{}, &SyntaxError{pos, fmt.Sprintf("unexpected character %q", rest[0])}
 }

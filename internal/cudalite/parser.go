@@ -473,19 +473,8 @@ func (p *Parser) parseAssignExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	var op Op
-	switch p.cur().Kind {
-	case AssignTok:
-		op = OpAssign
-	case PlusAssign:
-		op = OpAddAssign
-	case MinusAssign:
-		op = OpSubAssign
-	case StarAssign:
-		op = OpMulAssign
-	case SlashAssign:
-		op = OpDivAssign
-	default:
+	op, ok := opFor(p.cur().Kind, OpAssign, OpDivAssign)
+	if !ok {
 		return lhs, nil
 	}
 	t := p.next()
@@ -513,7 +502,7 @@ func isLValue(e Expr) bool {
 }
 
 func (p *Parser) parseTernary() (Expr, error) {
-	c, err := p.parseBinary(0)
+	c, err := p.parseBinary(precOr)
 	if err != nil {
 		return nil, err
 	}
@@ -534,116 +523,52 @@ func (p *Parser) parseTernary() (Expr, error) {
 	return &Cond{C: c, T: th, E: el, Pos: c.NodePos()}, nil
 }
 
-// binary operator precedence, higher binds tighter.
-var binPrec = map[Kind]int{
-	OrOr:   1,
-	AndAnd: 2,
-	Pipe:   3,
-	Caret:  4,
-	Amp:    5,
-	Eq:     6, Ne: 6,
-	Lt: 7, Gt: 7, Le: 7, Ge: 7,
-	Shl: 8, Shr: 8,
-	Plus: 9, Minus: 9,
-	Star: 10, Slash: 10, Percent: 10,
-}
-
-var binOp = map[Kind]Op{
-	OrOr: OpOr, AndAnd: OpAnd, Pipe: OpBitOr, Caret: OpBitXor, Amp: OpBitAnd,
-	Eq: OpEq, Ne: OpNe, Lt: OpLt, Gt: OpGt, Le: OpLe, Ge: OpGe,
-	Shl: OpShl, Shr: OpShr, Plus: OpAdd, Minus: OpSub,
-	Star: OpMul, Slash: OpDiv, Percent: OpRem,
-}
-
+// parseBinary climbs the binary operators binding at least as tightly as
+// minPrec; every level is left-associative.
 func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 	lhs, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		k := p.cur().Kind
-		prec, ok := binPrec[k]
-		if !ok || prec < minPrec {
+		op, ok := opFor(p.cur().Kind, OpAdd, OpShr)
+		if !ok || ops[op].prec < minPrec {
 			return lhs, nil
 		}
 		t := p.next()
-		rhs, err := p.parseBinary(prec + 1)
+		rhs, err := p.parseBinary(ops[op].prec + 1)
 		if err != nil {
 			return nil, err
 		}
-		lhs = &Binary{Op: binOp[k], L: lhs, R: rhs, Pos: t.Pos}
+		lhs = &Binary{Op: op, L: lhs, R: rhs, Pos: t.Pos}
 	}
 }
 
 func (p *Parser) parseUnary() (Expr, error) {
 	t := p.cur()
-	switch t.Kind {
-	case Minus:
+	if op, ok := opFor(t.Kind, OpNeg, OpPreDec); ok {
 		p.next()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &Unary{Op: OpNeg, X: x, Pos: t.Pos}, nil
-	case Not:
-		p.next()
+		return &Unary{Op: op, X: x, Pos: t.Pos}, nil
+	}
+	// Cast or parenthesized expression.
+	if t.Kind == LParen && isTypeStart(p.peekKind(1)) {
+		p.next() // (
+		typ, err := p.parseType()
+		if err != nil {
+			return nil, err
+		}
+		if _, err := p.expect(RParen); err != nil {
+			return nil, err
+		}
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &Unary{Op: OpNot, X: x, Pos: t.Pos}, nil
-	case Tilde:
-		p.next()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: OpBitNot, X: x, Pos: t.Pos}, nil
-	case Star:
-		p.next()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: OpDeref, X: x, Pos: t.Pos}, nil
-	case Amp:
-		p.next()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: OpAddr, X: x, Pos: t.Pos}, nil
-	case Inc:
-		p.next()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: OpPreInc, X: x, Pos: t.Pos}, nil
-	case Dec:
-		p.next()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: OpPreDec, X: x, Pos: t.Pos}, nil
-	case LParen:
-		// Cast or parenthesized expression.
-		if isTypeStart(p.peekKind(1)) {
-			p.next() // (
-			typ, err := p.parseType()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(RParen); err != nil {
-				return nil, err
-			}
-			x, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			return &Cast{Type: typ, X: x, Pos: t.Pos}, nil
-		}
+		return &Cast{Type: typ, X: x, Pos: t.Pos}, nil
 	}
 	return p.parsePostfix()
 }
@@ -673,14 +598,13 @@ func (p *Parser) parsePostfix() (Expr, error) {
 				return nil, err
 			}
 			x = &Member{X: x, Name: name.Text, Pos: t.Pos}
-		case Inc:
-			p.next()
-			x = &Postfix{Op: OpPostInc, X: x, Pos: t.Pos}
-		case Dec:
-			p.next()
-			x = &Postfix{Op: OpPostDec, X: x, Pos: t.Pos}
 		default:
-			return x, nil
+			op, ok := opFor(t.Kind, OpPostInc, OpPostDec)
+			if !ok {
+				return x, nil
+			}
+			p.next()
+			x = &Postfix{Op: op, X: x, Pos: t.Pos}
 		}
 	}
 }

@@ -228,41 +228,8 @@ func (p *printer) declString(x *DeclStmt) string {
 	return s
 }
 
-// Expression printing with minimal parentheses. prec is the precedence of
-// the surrounding context; sub-expressions with lower precedence get parens.
-const (
-	precAssign  = 1
-	precTernary = 2
-	precUnary   = 12
-	precPostfix = 13
-)
-
-func opPrec(o Op) int {
-	switch o {
-	case OpOr:
-		return 3
-	case OpAnd:
-		return 4
-	case OpBitOr:
-		return 5
-	case OpBitXor:
-		return 6
-	case OpBitAnd:
-		return 7
-	case OpEq, OpNe:
-		return 8
-	case OpLt, OpGt, OpLe, OpGe:
-		return 9
-	case OpShl, OpShr:
-		return 10
-	case OpAdd, OpSub:
-		return 11
-	case OpMul, OpDiv, OpRem:
-		return 12
-	}
-	return 0
-}
-
+// expr prints e with minimal parentheses: prec is the level (ast.go) the
+// surrounding context binds at, and a looser sub-expression gets parens.
 func (p *printer) expr(e Expr, prec int) string {
 	switch x := e.(type) {
 	case *Ident:
@@ -281,19 +248,11 @@ func (p *printer) expr(e Expr, prec int) string {
 	case *StrLit:
 		return strconv.Quote(x.Val)
 	case *Unary:
-		inner := p.expr(x.X, precUnary)
-		var s string
-		switch x.Op {
-		case OpPreInc, OpPreDec:
-			s = x.Op.String() + inner
-		default:
-			s = x.Op.String() + inner
-		}
-		return parenIf(prec > precUnary, s)
+		return parenIf(prec > precUnary, x.Op.String()+p.expr(x.X, precUnary))
 	case *Postfix:
 		return parenIf(prec > precPostfix, p.expr(x.X, precPostfix)+x.Op.String())
 	case *Binary:
-		bp := opPrec(x.Op)
+		bp := ops[x.Op].prec
 		s := p.expr(x.L, bp) + " " + x.Op.String() + " " + p.expr(x.R, bp+1)
 		return parenIf(prec > bp, s)
 	case *Assign:

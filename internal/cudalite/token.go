@@ -5,7 +5,10 @@
 // transformation preserves kernel semantics.
 package cudalite
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Kind identifies a lexical token class.
 type Kind int
@@ -88,7 +91,10 @@ const (
 	LaunchClose // >>>
 )
 
-var kindNames = map[Kind]string{
+// kindNames is the only place a keyword or a punctuation token is spelled:
+// the lexer's tables are derived from it and the printer writes an operator
+// as its token's entry here.
+var kindNames = [...]string{
 	EOF: "EOF", IDENT: "identifier", INTLIT: "int literal",
 	FLOATLIT: "float literal", STRINGLIT: "string literal",
 	KwGlobal: "__global__", KwDevice: "__device__", KwShared: "__shared__",
@@ -111,34 +117,30 @@ var kindNames = map[Kind]string{
 
 // String returns a human-readable name for the kind.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-var keywords = map[string]Kind{
-	"__global__": KwGlobal,
-	"__device__": KwDevice,
-	"__shared__": KwShared,
-	"void":       KwVoid,
-	"int":        KwInt,
-	"unsigned":   KwUnsigned,
-	"float":      KwFloat,
-	"bool":       KwBool,
-	"const":      KwConst,
-	"volatile":   KwVolatile,
-	"if":         KwIf,
-	"else":       KwElse,
-	"for":        KwFor,
-	"while":      KwWhile,
-	"return":     KwReturn,
-	"break":      KwBreak,
-	"continue":   KwContinue,
-	"true":       KwTrue,
-	"false":      KwFalse,
-	"NULL":       KwNull,
-}
+// keywords maps each keyword's spelling to its kind; punct lists, by first
+// byte, the punctuation kinds that begin with it, longest spelling first, so
+// the first prefix match is the longest token.
+var keywords, punct = func() (map[string]Kind, [128][]Kind) {
+	kw := map[string]Kind{}
+	for k := KwGlobal; k <= KwNull; k++ {
+		kw[kindNames[k]] = k
+	}
+	var pn [128][]Kind
+	for k := LParen; k <= LaunchClose; k++ {
+		c := kindNames[k][0]
+		pn[c] = append(pn[c], k)
+	}
+	for _, ks := range pn {
+		sort.SliceStable(ks, func(i, j int) bool { return len(kindNames[ks[i]]) > len(kindNames[ks[j]]) })
+	}
+	return kw, pn
+}()
 
 // Pos is a source position (1-based line and column).
 type Pos struct {
