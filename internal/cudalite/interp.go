@@ -175,25 +175,6 @@ func (m *Machine) stepBudget() int64 {
 	return defaultStepBudget
 }
 
-// reachableFuncs returns fn plus every function transitively called from it
-// (ignoring unresolved names, which are builtins).
-func (m *Machine) reachableFuncs(fn *FuncDecl) []*FuncDecl {
-	seen := map[string]bool{fn.Name: true}
-	order := []*FuncDecl{fn}
-	for i := 0; i < len(order); i++ {
-		Inspect(order[i].Body, func(n Node) bool {
-			if c, ok := n.(*Call); ok && !seen[c.Fun] {
-				seen[c.Fun] = true
-				if callee := m.prog.Func(c.Fun); callee != nil {
-					order = append(order, callee)
-				}
-			}
-			return true
-		})
-	}
-	return order
-}
-
 // allocShared evaluates the __shared__ declarations of the kernel and every
 // function it transitively calls, once per CTA (CUDA static shared
 // semantics). Shared declarations must not have initializers; sizes may
@@ -201,7 +182,7 @@ func (m *Machine) reachableFuncs(fn *FuncDecl) []*FuncDecl {
 func (m *Machine) allocShared(fn *FuncDecl, args []Value, grid, block Dim3) (map[string]*Buffer, error) {
 	shared := map[string]*Buffer{}
 	var walkErr error
-	for _, reach := range m.reachableFuncs(fn) {
+	for _, reach := range m.prog.Reachable(fn) {
 		m.allocSharedIn(reach, fn, args, grid, block, shared, &walkErr)
 		if walkErr != nil {
 			return nil, walkErr

@@ -4,15 +4,14 @@ package cudalite
 // for each node. If f returns false for a node, its children are skipped.
 // A nil node is ignored, so callers may pass optional fields directly.
 func Inspect(n Node, f func(Node) bool) {
-	if n == nil || isNilNode(n) {
-		return
-	}
-	if !f(n) {
+	if n == nil || !f(n) {
 		return
 	}
 	switch x := n.(type) {
 	case *FuncDecl:
-		Inspect(x.Body, f)
+		if x.Body != nil { // a nil *Block would not be a nil Node
+			Inspect(x.Body, f)
+		}
 	case *Block:
 		for _, s := range x.Stmts {
 			Inspect(s, f)
@@ -75,178 +74,162 @@ func Inspect(n Node, f func(Node) bool) {
 	}
 }
 
-// isNilNode reports whether n is a typed nil inside the Node interface.
-func isNilNode(n Node) bool {
-	switch x := n.(type) {
-	case *FuncDecl:
-		return x == nil
-	case *Block:
-		return x == nil
-	case *DeclStmt:
-		return x == nil
-	case *ExprStmt:
-		return x == nil
-	case *IfStmt:
-		return x == nil
-	case *ForStmt:
-		return x == nil
-	case *WhileStmt:
-		return x == nil
-	case *ReturnStmt:
-		return x == nil
-	case *BreakStmt:
-		return x == nil
-	case *ContinueStmt:
-		return x == nil
-	case *LaunchStmt:
-		return x == nil
-	case *Ident:
-		return x == nil
-	case *IntLit:
-		return x == nil
-	case *FloatLit:
-		return x == nil
-	case *BoolLit:
-		return x == nil
-	case *NullLit:
-		return x == nil
-	case *StrLit:
-		return x == nil
-	case *Unary:
-		return x == nil
-	case *Postfix:
-		return x == nil
-	case *Binary:
-		return x == nil
-	case *Assign:
-		return x == nil
-	case *Cond:
-		return x == nil
-	case *Call:
-		return x == nil
-	case *Index:
-		return x == nil
-	case *Member:
-		return x == nil
-	case *Cast:
-		return x == nil
-	case *Paren:
-		return x == nil
+// Reachable returns fn followed by every function of p it transitively
+// calls, each once, in the order the calls are met. Calls to names p does not
+// define (builtins) are ignored.
+func (p *Program) Reachable(fn *FuncDecl) []*FuncDecl {
+	seen := map[string]bool{fn.Name: true}
+	order := []*FuncDecl{fn}
+	for i := 0; i < len(order); i++ {
+		Inspect(order[i], func(n Node) bool {
+			if c, ok := n.(*Call); ok && !seen[c.Fun] {
+				seen[c.Fun] = true
+				if callee := p.Func(c.Fun); callee != nil {
+					order = append(order, callee)
+				}
+			}
+			return true
+		})
 	}
-	return false
+	return order
 }
 
 // CloneProgram deep-copies a program so transforms never alias the input.
 func CloneProgram(p *Program) *Program {
-	out := &Program{}
-	for _, f := range p.Funcs {
-		out.Funcs = append(out.Funcs, CloneFunc(f))
+	out := &Program{Funcs: make([]*FuncDecl, len(p.Funcs))}
+	for i, f := range p.Funcs {
+		nf := *f
+		nf.Params = make([]*Param, len(f.Params))
+		for j, par := range f.Params {
+			cp := *par
+			nf.Params[j] = &cp
+		}
+		if f.Body != nil {
+			nf.Body = RewriteStmt(f.Body, nil, nil).(*Block)
+		}
+		out.Funcs[i] = &nf
 	}
 	return out
 }
 
-// CloneFunc deep-copies a function declaration.
-func CloneFunc(f *FuncDecl) *FuncDecl {
-	if f == nil {
-		return nil
-	}
-	nf := &FuncDecl{Qual: f.Qual, Ret: f.Ret, Name: f.Name, Pos: f.Pos}
-	for _, p := range f.Params {
-		cp := *p
-		nf.Params = append(nf.Params, &cp)
-	}
-	nf.Body = CloneStmt(f.Body).(*Block)
-	return nf
+// RewriteStmt deep-copies the statement tree at s, children first. Each
+// copied node is offered to the hook for its class (expr for expressions,
+// stmt for statements), and whatever a hook returns takes the node's place
+// in the copy; a hook that returns nil, or a nil hook, keeps the node. With
+// both hooks nil it is a plain deep copy. This is the one traversal that
+// assigns child links: Clone and both FLEP rewrites are calls to it.
+func RewriteStmt(s Stmt, expr func(Expr) Expr, stmt func(Stmt) Stmt) Stmt {
+	return rewriter{expr, stmt}.stmt(s)
 }
 
-// CloneStmt deep-copies a statement. Cloning nil returns nil.
-func CloneStmt(s Stmt) Stmt {
+// RewriteExpr is RewriteStmt for a bare expression.
+func RewriteExpr(e Expr, expr func(Expr) Expr) Expr {
+	return rewriter{onExpr: expr}.expr(e)
+}
+
+type rewriter struct {
+	onExpr func(Expr) Expr
+	onStmt func(Stmt) Stmt
+}
+
+func (r rewriter) stmt(s Stmt) Stmt {
+	var c Stmt
 	switch x := s.(type) {
 	case nil:
 		return nil
 	case *Block:
-		if x == nil {
-			return (*Block)(nil)
+		n := *x
+		n.Stmts = make([]Stmt, len(x.Stmts))
+		for i, st := range x.Stmts {
+			n.Stmts[i] = r.stmt(st)
 		}
-		nb := &Block{Pos: x.Pos}
-		for _, st := range x.Stmts {
-			nb.Stmts = append(nb.Stmts, CloneStmt(st))
-		}
-		return nb
+		c = &n
 	case *DeclStmt:
-		nd := &DeclStmt{Shared: x.Shared, Type: x.Type, Pos: x.Pos}
-		for _, d := range x.Decls {
-			nd.Decls = append(nd.Decls, &Declarator{
-				Name: d.Name, ArrayLen: CloneExpr(d.ArrayLen),
-				Init: CloneExpr(d.Init), Pos: d.Pos,
-			})
+		n := *x
+		n.Decls = make([]*Declarator, len(x.Decls))
+		for i, d := range x.Decls {
+			n.Decls[i] = &Declarator{Name: d.Name, ArrayLen: r.expr(d.ArrayLen), Init: r.expr(d.Init), Pos: d.Pos}
 		}
-		return nd
+		c = &n
 	case *ExprStmt:
-		return &ExprStmt{X: CloneExpr(x.X), Pos: x.Pos}
+		c = &ExprStmt{X: r.expr(x.X), Pos: x.Pos}
 	case *IfStmt:
-		return &IfStmt{Cond: CloneExpr(x.Cond), Then: CloneStmt(x.Then), Else: CloneStmt(x.Else), Pos: x.Pos}
+		c = &IfStmt{Cond: r.expr(x.Cond), Then: r.stmt(x.Then), Else: r.stmt(x.Else), Pos: x.Pos}
 	case *ForStmt:
-		return &ForStmt{Init: CloneStmt(x.Init), Cond: CloneExpr(x.Cond), Post: CloneExpr(x.Post), Body: CloneStmt(x.Body), Pos: x.Pos}
+		c = &ForStmt{Init: r.stmt(x.Init), Cond: r.expr(x.Cond), Post: r.expr(x.Post), Body: r.stmt(x.Body), Pos: x.Pos}
 	case *WhileStmt:
-		return &WhileStmt{Cond: CloneExpr(x.Cond), Body: CloneStmt(x.Body), Pos: x.Pos}
+		c = &WhileStmt{Cond: r.expr(x.Cond), Body: r.stmt(x.Body), Pos: x.Pos}
 	case *ReturnStmt:
-		return &ReturnStmt{X: CloneExpr(x.X), Pos: x.Pos}
+		c = &ReturnStmt{X: r.expr(x.X), Pos: x.Pos}
 	case *BreakStmt:
-		return &BreakStmt{Pos: x.Pos}
+		c = &BreakStmt{Pos: x.Pos}
 	case *ContinueStmt:
-		return &ContinueStmt{Pos: x.Pos}
+		c = &ContinueStmt{Pos: x.Pos}
 	case *LaunchStmt:
-		nl := &LaunchStmt{Kernel: x.Kernel, Grid: CloneExpr(x.Grid), Block: CloneExpr(x.Block), Shmem: CloneExpr(x.Shmem), Pos: x.Pos}
-		for _, a := range x.Args {
-			nl.Args = append(nl.Args, CloneExpr(a))
-		}
-		return nl
+		c = &LaunchStmt{Kernel: x.Kernel, Grid: r.expr(x.Grid), Block: r.expr(x.Block), Shmem: r.expr(x.Shmem), Args: r.exprs(x.Args), Pos: x.Pos}
+	default:
+		panic("cudalite: unknown statement type in RewriteStmt")
 	}
-	panic("cudalite: unknown statement type in CloneStmt")
+	if r.onStmt != nil {
+		if repl := r.onStmt(c); repl != nil {
+			return repl
+		}
+	}
+	return c
 }
 
-// CloneExpr deep-copies an expression. Cloning nil returns nil.
-func CloneExpr(e Expr) Expr {
+func (r rewriter) exprs(es []Expr) []Expr {
+	out := make([]Expr, len(es))
+	for i, e := range es {
+		out[i] = r.expr(e)
+	}
+	return out
+}
+
+func (r rewriter) expr(e Expr) Expr {
+	var c Expr
 	switch x := e.(type) {
 	case nil:
 		return nil
 	case *Ident:
-		return &Ident{Name: x.Name, Pos: x.Pos}
+		c = &Ident{Name: x.Name, Pos: x.Pos}
 	case *IntLit:
-		return &IntLit{Val: x.Val, Pos: x.Pos}
+		c = &IntLit{Val: x.Val, Pos: x.Pos}
 	case *FloatLit:
-		return &FloatLit{Val: x.Val, Pos: x.Pos}
+		c = &FloatLit{Val: x.Val, Pos: x.Pos}
 	case *BoolLit:
-		return &BoolLit{Val: x.Val, Pos: x.Pos}
+		c = &BoolLit{Val: x.Val, Pos: x.Pos}
 	case *NullLit:
-		return &NullLit{Pos: x.Pos}
+		c = &NullLit{Pos: x.Pos}
 	case *StrLit:
-		return &StrLit{Val: x.Val, Pos: x.Pos}
+		c = &StrLit{Val: x.Val, Pos: x.Pos}
 	case *Unary:
-		return &Unary{Op: x.Op, X: CloneExpr(x.X), Pos: x.Pos}
+		c = &Unary{Op: x.Op, X: r.expr(x.X), Pos: x.Pos}
 	case *Postfix:
-		return &Postfix{Op: x.Op, X: CloneExpr(x.X), Pos: x.Pos}
+		c = &Postfix{Op: x.Op, X: r.expr(x.X), Pos: x.Pos}
 	case *Binary:
-		return &Binary{Op: x.Op, L: CloneExpr(x.L), R: CloneExpr(x.R), Pos: x.Pos}
+		c = &Binary{Op: x.Op, L: r.expr(x.L), R: r.expr(x.R), Pos: x.Pos}
 	case *Assign:
-		return &Assign{Op: x.Op, L: CloneExpr(x.L), R: CloneExpr(x.R), Pos: x.Pos}
+		c = &Assign{Op: x.Op, L: r.expr(x.L), R: r.expr(x.R), Pos: x.Pos}
 	case *Cond:
-		return &Cond{C: CloneExpr(x.C), T: CloneExpr(x.T), E: CloneExpr(x.E), Pos: x.Pos}
+		c = &Cond{C: r.expr(x.C), T: r.expr(x.T), E: r.expr(x.E), Pos: x.Pos}
 	case *Call:
-		nc := &Call{Fun: x.Fun, Pos: x.Pos}
-		for _, a := range x.Args {
-			nc.Args = append(nc.Args, CloneExpr(a))
-		}
-		return nc
+		c = &Call{Fun: x.Fun, Args: r.exprs(x.Args), Pos: x.Pos}
 	case *Index:
-		return &Index{X: CloneExpr(x.X), Idx: CloneExpr(x.Idx), Pos: x.Pos}
+		c = &Index{X: r.expr(x.X), Idx: r.expr(x.Idx), Pos: x.Pos}
 	case *Member:
-		return &Member{X: CloneExpr(x.X), Name: x.Name, Pos: x.Pos}
+		c = &Member{X: r.expr(x.X), Name: x.Name, Pos: x.Pos}
 	case *Cast:
-		return &Cast{Type: x.Type, X: CloneExpr(x.X), Pos: x.Pos}
+		c = &Cast{Type: x.Type, X: r.expr(x.X), Pos: x.Pos}
 	case *Paren:
-		return &Paren{X: CloneExpr(x.X), Pos: x.Pos}
+		c = &Paren{X: r.expr(x.X), Pos: x.Pos}
+	default:
+		panic("cudalite: unknown expression type in RewriteExpr")
 	}
-	panic("cudalite: unknown expression type in CloneExpr")
+	if r.onExpr != nil {
+		if repl := r.onExpr(c); repl != nil {
+			return repl
+		}
+	}
+	return c
 }

@@ -65,23 +65,11 @@ func EstimateTaskCost(prog *cl.Program, kernel *cl.FuncDecl, threadsPerCTA int, 
 // accesses through them get shared-memory costs.
 func sharedNames(prog *cl.Program, kernel *cl.FuncDecl) map[string]bool {
 	shared := map[string]bool{}
-	seen := map[string]bool{kernel.Name: true}
-	work := []*cl.FuncDecl{kernel}
-	for i := 0; i < len(work); i++ {
-		cl.Inspect(work[i].Body, func(n cl.Node) bool {
-			switch x := n.(type) {
-			case *cl.DeclStmt:
-				if x.Shared {
-					for _, d := range x.Decls {
-						shared[d.Name] = true
-					}
-				}
-			case *cl.Call:
-				if !seen[x.Fun] {
-					seen[x.Fun] = true
-					if callee := prog.Func(x.Fun); callee != nil {
-						work = append(work, callee)
-					}
+	for _, fn := range prog.Reachable(kernel) {
+		cl.Inspect(fn, func(n cl.Node) bool {
+			if ds, ok := n.(*cl.DeclStmt); ok && ds.Shared {
+				for _, d := range ds.Decls {
+					shared[d.Name] = true
 				}
 			}
 			return true

@@ -21,46 +21,21 @@ const InterceptFunc = "flep_intercept"
 // all launches. It returns the number of launch sites rewritten.
 func TransformHost(prog *cl.Program, kernels map[string]*KernelInfo) int {
 	n := 0
+	intercept := func(s cl.Stmt) cl.Stmt {
+		ls, ok := s.(*cl.LaunchStmt)
+		if !ok {
+			return nil
+		}
+		if _, listed := kernels[ls.Kernel]; kernels != nil && !listed {
+			return nil
+		}
+		n++
+		return launchToIntercept(ls)
+	}
 	for _, fn := range prog.Funcs {
-		if fn.Qual != cl.QualHost {
-			continue
+		if fn.Qual == cl.QualHost {
+			fn.Body = cl.RewriteStmt(fn.Body, nil, intercept).(*cl.Block)
 		}
-		n += rewriteLaunches(fn.Body, kernels)
-	}
-	return n
-}
-
-func rewriteLaunches(b *cl.Block, kernels map[string]*KernelInfo) int {
-	n := 0
-	var fix func(s cl.Stmt) cl.Stmt
-	fix = func(s cl.Stmt) cl.Stmt {
-		switch x := s.(type) {
-		case *cl.Block:
-			for i, st := range x.Stmts {
-				x.Stmts[i] = fix(st)
-			}
-		case *cl.IfStmt:
-			x.Then = fix(x.Then)
-			if x.Else != nil {
-				x.Else = fix(x.Else)
-			}
-		case *cl.ForStmt:
-			x.Body = fix(x.Body)
-		case *cl.WhileStmt:
-			x.Body = fix(x.Body)
-		case *cl.LaunchStmt:
-			if kernels != nil {
-				if _, ok := kernels[x.Kernel]; !ok {
-					return s
-				}
-			}
-			n++
-			return launchToIntercept(x)
-		}
-		return s
-	}
-	for i, st := range b.Stmts {
-		b.Stmts[i] = fix(st)
 	}
 	return n
 }

@@ -168,152 +168,28 @@ func buildTaskFunc(orig *cl.FuncDecl, info *KernelInfo) *cl.FuncDecl {
 		&cl.Param{Type: intType(), Name: ParamGridX},
 		&cl.Param{Type: intType(), Name: ParamGridY},
 	)
-	body := cl.CloneStmt(orig.Body).(*cl.Block)
-	rewriteBlockRefs(body)
-	fn.Body = body
+	fn.Body = cl.RewriteStmt(orig.Body, taskCoordinate, nil).(*cl.Block)
 	return fn
 }
 
-// rewriteBlockRefs replaces blockIdx.x/y and gridDim.x/y with the task
-// coordinates and grid-size parameters.
-func rewriteBlockRefs(body *cl.Block) {
-	cl.Inspect(body, func(n cl.Node) bool {
-		m, ok := n.(*cl.Member)
-		if !ok {
-			return true
-		}
-		id, ok := m.X.(*cl.Ident)
-		if !ok {
-			return true
-		}
-		var repl string
-		switch {
-		case id.Name == "blockIdx" && m.Name == "x":
-			repl = "flep_bx"
-		case id.Name == "blockIdx" && m.Name == "y":
-			repl = "flep_by"
-		case id.Name == "gridDim" && m.Name == "x":
-			repl = ParamGridX
-		case id.Name == "gridDim" && m.Name == "y":
-			repl = ParamGridY
-		default:
-			return true
-		}
-		// A Member node cannot become an Ident in place (the parent
-		// holds the interface value), so rename the base and mark the
-		// member with a sentinel; replaceSentinelMembers rewrites the
-		// parent links in a second pass.
-		id.Name = repl
-		m.Name = flepMemberSentinel
-		return true
-	})
-	replaceSentinelMembers(body)
+// taskCoords maps the builtins that name a CTA's place in the original grid
+// to the task function's parameters that carry it instead.
+var taskCoords = map[string]string{
+	"blockIdx.x": "flep_bx", "blockIdx.y": "flep_by",
+	"gridDim.x": ParamGridX, "gridDim.y": ParamGridY,
 }
 
-// flepMemberSentinel marks a Member node whose base Ident is already the
-// final replacement; replaceSentinelMembers collapses such nodes.
-const flepMemberSentinel = "__flep_collapsed__"
-
-// replaceSentinelMembers rewrites every expression tree, collapsing
-// Member{Ident(x), sentinel} into Ident(x). It walks all statement slots
-// that can hold expressions.
-func replaceSentinelMembers(n cl.Node) {
-	fix := func(e cl.Expr) cl.Expr { return collapse(e) }
-	rewriteExprs(n, fix)
-}
-
-func collapse(e cl.Expr) cl.Expr {
-	m, ok := e.(*cl.Member)
-	if ok && m.Name == flepMemberSentinel {
-		return m.X
-	}
-	return e
-}
-
-// rewriteExprs applies f bottom-up to every expression under n, rewriting
-// child links so replacements take effect.
-func rewriteExprs(n cl.Node, f func(cl.Expr) cl.Expr) {
-	var fixE func(e cl.Expr) cl.Expr
-	fixE = func(e cl.Expr) cl.Expr {
-		switch x := e.(type) {
-		case nil:
-			return nil
-		case *cl.Unary:
-			x.X = fixE(x.X)
-		case *cl.Postfix:
-			x.X = fixE(x.X)
-		case *cl.Binary:
-			x.L = fixE(x.L)
-			x.R = fixE(x.R)
-		case *cl.Assign:
-			x.L = fixE(x.L)
-			x.R = fixE(x.R)
-		case *cl.Cond:
-			x.C = fixE(x.C)
-			x.T = fixE(x.T)
-			x.E = fixE(x.E)
-		case *cl.Call:
-			for i := range x.Args {
-				x.Args[i] = fixE(x.Args[i])
-			}
-		case *cl.Index:
-			x.X = fixE(x.X)
-			x.Idx = fixE(x.Idx)
-		case *cl.Member:
-			x.X = fixE(x.X)
-		case *cl.Cast:
-			x.X = fixE(x.X)
-		case *cl.Paren:
-			x.X = fixE(x.X)
-		}
-		return f(e)
-	}
-	var fixS func(s cl.Stmt)
-	fixS = func(s cl.Stmt) {
-		switch x := s.(type) {
-		case nil:
-		case *cl.Block:
-			for _, st := range x.Stmts {
-				fixS(st)
-			}
-		case *cl.DeclStmt:
-			for _, d := range x.Decls {
-				d.ArrayLen = fixE(d.ArrayLen)
-				d.Init = fixE(d.Init)
-			}
-		case *cl.ExprStmt:
-			x.X = fixE(x.X)
-		case *cl.IfStmt:
-			x.Cond = fixE(x.Cond)
-			fixS(x.Then)
-			fixS(x.Else)
-		case *cl.ForStmt:
-			fixS(x.Init)
-			x.Cond = fixE(x.Cond)
-			x.Post = fixE(x.Post)
-			fixS(x.Body)
-		case *cl.WhileStmt:
-			x.Cond = fixE(x.Cond)
-			fixS(x.Body)
-		case *cl.ReturnStmt:
-			x.X = fixE(x.X)
-		case *cl.LaunchStmt:
-			x.Grid = fixE(x.Grid)
-			x.Block = fixE(x.Block)
-			x.Shmem = fixE(x.Shmem)
-			for i := range x.Args {
-				x.Args[i] = fixE(x.Args[i])
+// taskCoordinate is the expression hook that puts the parameter's Ident in
+// the place of such a Member.
+func taskCoordinate(e cl.Expr) cl.Expr {
+	if m, ok := e.(*cl.Member); ok {
+		if id, ok := m.X.(*cl.Ident); ok {
+			if name, ok := taskCoords[id.Name+"."+m.Name]; ok {
+				return &cl.Ident{Name: name, Pos: id.Pos}
 			}
 		}
 	}
-	switch x := n.(type) {
-	case *cl.FuncDecl:
-		fixS(x.Body)
-	case cl.Stmt:
-		fixS(x)
-	case cl.Expr:
-		fixE(x)
-	}
+	return nil
 }
 
 // buildPersistentKernel generates the __global__ wrapper of Figure 4.

@@ -34,10 +34,7 @@ const regCap = 32
 // are rejected, mirroring CUDA's static shared memory rules.
 func EstimateResources(prog *cudalite.Program, kernel *cudalite.FuncDecl) (Resources, error) {
 	var res Resources
-	seen := map[string]bool{kernel.Name: true}
-	work := []*cudalite.FuncDecl{kernel}
-	for i := 0; i < len(work); i++ {
-		fn := work[i]
+	for _, fn := range prog.Reachable(kernel) {
 		regs, sharedBytes, err := scanFunc(fn)
 		if err != nil {
 			return Resources{}, err
@@ -46,15 +43,6 @@ func EstimateResources(prog *cudalite.Program, kernel *cudalite.FuncDecl) (Resou
 		if regs > res.RegsPerThread {
 			res.RegsPerThread = regs
 		}
-		cudalite.Inspect(fn.Body, func(n cudalite.Node) bool {
-			if c, ok := n.(*cudalite.Call); ok && !seen[c.Fun] {
-				seen[c.Fun] = true
-				if callee := prog.Func(c.Fun); callee != nil {
-					work = append(work, callee)
-				}
-			}
-			return true
-		})
 	}
 	// FLEP compiles with a register cap of 32 per thread (spilling the
 	// excess), the standard occupancy-targeted build on Kepler: it keeps
