@@ -32,7 +32,7 @@ func NewLexer(src string) *Lexer {
 // Lex tokenizes the entire source, excluding the trailing EOF token.
 func Lex(src string) ([]Token, error) {
 	lx := NewLexer(src)
-	var toks []Token
+	toks := make([]Token, 0, len(src)/4) // about one token per four bytes of source
 	for {
 		t, err := lx.Next()
 		if err != nil {

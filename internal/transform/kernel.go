@@ -94,9 +94,11 @@ func TransformKernel(prog *cl.Program, name string, mode Mode) (*cl.Program, *Ke
 		return nil, nil, fmt.Errorf("transform: kernel %q appears to be already transformed", name)
 	}
 
-	task := buildTaskFunc(orig, info)
-	wrapper := buildPersistentKernel(orig, info, mode)
-	out.Funcs = append(out.Funcs, task, wrapper)
+	wrapper, err := buildPersistentKernel(orig, mode)
+	if err != nil {
+		return nil, nil, fmt.Errorf("transform: kernel %s: %w", name, err)
+	}
+	out.Funcs = append(out.Funcs, buildTaskFunc(orig, info), wrapper)
 	return out, info, nil
 }
 
@@ -162,12 +164,9 @@ func buildTaskFunc(orig *cl.FuncDecl, info *KernelInfo) *cl.FuncDecl {
 		cp := *p
 		fn.Params = append(fn.Params, &cp)
 	}
-	fn.Params = append(fn.Params,
-		&cl.Param{Type: intType(), Name: "flep_bx"},
-		&cl.Param{Type: intType(), Name: "flep_by"},
-		&cl.Param{Type: intType(), Name: ParamGridX},
-		&cl.Param{Type: intType(), Name: ParamGridY},
-	)
+	for _, name := range []string{"flep_bx", "flep_by", ParamGridX, ParamGridY} {
+		fn.Params = append(fn.Params, &cl.Param{Type: cl.Type{Base: cl.TInt}, Name: name})
+	}
 	fn.Body = cl.RewriteStmt(orig.Body, taskCoordinate, nil).(*cl.Block)
 	return fn
 }
@@ -192,144 +191,65 @@ func taskCoordinate(e cl.Expr) cl.Expr {
 	return nil
 }
 
-// buildPersistentKernel generates the __global__ wrapper of Figure 4.
-func buildPersistentKernel(orig *cl.FuncDecl, info *KernelInfo, mode Mode) *cl.FuncDecl {
-	fn := &cl.FuncDecl{
-		Qual: cl.QualGlobal,
-		Ret:  cl.Type{Base: cl.TVoid},
-		Name: info.Preemptable,
-		Pos:  orig.Pos,
-	}
+// figure4 is the persistent-thread kernel of the paper's Figure 4 as
+// MiniCUDA with four holes: KERNEL is the original kernel's name, PARAMS its
+// parameter list, ARGS the same names as arguments, and YIELD the test of the
+// preemption flag. The CTA's leader polls the flag once per round and
+// broadcasts the verdict through shared memory (the paper's single-reader
+// optimization); every thread then returns or goes on to PULL. The flep_
+// names are the Param* constants: ExtraParams tells the host what to pass.
+const figure4 = `
+__global__ void KERNEL_flep(PARAMS, volatile unsigned int* flep_preempt, int* flep_next_task, int flep_num_tasks, int flep_grid_x, int flep_grid_y, int flep_L) {
+    __shared__ int flep_task;
+    __shared__ int flep_stop;
+    while (1) {
+        if (threadIdx.x == 0 && threadIdx.y == 0) {
+            if (YIELD) {
+                flep_stop = 1;
+            } else {
+                flep_stop = 0;
+            }
+        }
+        __syncthreads();
+        if (flep_stop == 1) {
+            return;
+        }
+        PULL
+    }
+}`
+
+// figure4Pull is the figure's pull_task / process step: the leader claims the
+// next task, and the CTA runs it at its coordinates in the original grid.
+const figure4Pull = `
+        if (threadIdx.x == 0 && threadIdx.y == 0) {
+            flep_task = atomicAdd(flep_next_task, 1);
+        }
+        __syncthreads();
+        if (flep_task >= flep_num_tasks) {
+            return;
+        }
+        KERNEL_flep_task(ARGS, flep_task % flep_grid_x, flep_task / flep_grid_x, flep_grid_x, flep_grid_y);
+        __syncthreads();`
+
+// buildPersistentKernel fills Figure 4 in for one kernel and one of its
+// three forms and parses the result.
+func buildPersistentKernel(orig *cl.FuncDecl, mode Mode) (*cl.FuncDecl, error) {
+	var params, args string // each ends in the comma its hole is written with
 	for _, p := range orig.Params {
-		cp := *p
-		fn.Params = append(fn.Params, &cp)
+		params += p.Type.String() + " " + p.Name + ","
+		args += p.Name + ","
 	}
-	fn.Params = append(fn.Params,
-		&cl.Param{Type: cl.Type{Base: cl.TUInt, Ptr: 1, Volatile: true}, Name: ParamPreempt},
-		&cl.Param{Type: cl.Type{Base: cl.TInt, Ptr: 1}, Name: ParamNextTask},
-		&cl.Param{Type: intType(), Name: ParamNumTasks},
-		&cl.Param{Type: intType(), Name: ParamGridX},
-		&cl.Param{Type: intType(), Name: ParamGridY},
-	)
-	if mode != ModeTemporalNaive {
-		fn.Params = append(fn.Params, &cl.Param{Type: intType(), Name: ParamL})
+	yield := "*flep_preempt != 0" // forms (a), (b): the whole GPU yields
+	if mode == ModeSpatial {
+		yield = "__smid() < (int)*flep_preempt" // form (c): only the SMs below the flag's value
 	}
-
-	body := &cl.Block{}
-	// __shared__ int flep_task; __shared__ int flep_stop;
-	body.Stmts = append(body.Stmts,
-		sharedIntDecl("flep_task"),
-		sharedIntDecl("flep_stop"),
-	)
-
-	// The preemption check: leader polls the flag once per round and
-	// broadcasts via shared memory (the paper's single-reader
-	// optimization), then every thread conditionally returns.
-	var cond cl.Expr
-	switch mode {
-	case ModeSpatial:
-		// __smid() < (int)*flep_preempt
-		cond = bin(cl.OpLt,
-			&cl.Call{Fun: "__smid"},
-			&cl.Cast{Type: intType(), X: deref(ParamPreempt)},
-		)
-	default:
-		// *flep_preempt != 0
-		cond = bin(cl.OpNe, deref(ParamPreempt), intLit(0))
+	src, pull := figure4, figure4Pull
+	if mode == ModeTemporalNaive { // form (a): poll before every task, so no flep_L
+		src = strings.Replace(src, ", int flep_L", "", 1)
+	} else { // forms (b), (c): poll once per flep_L tasks
+		pull = "for (int flep_i = 0; flep_i < flep_L; ++flep_i) {" + pull + "}"
 	}
-	checkStmts := []cl.Stmt{
-		leaderOnly(&cl.IfStmt{
-			Cond: cond,
-			Then: block(exprStmt(assign("flep_stop", intLit(1)))),
-			Else: block(exprStmt(assign("flep_stop", intLit(0)))),
-		}),
-		syncthreads(),
-		&cl.IfStmt{
-			Cond: bin(cl.OpEq, ident("flep_stop"), intLit(1)),
-			Then: block(&cl.ReturnStmt{}),
-		},
-	}
-
-	// The task pull + execute sequence (pull_task / process in Fig. 4).
-	pullStmts := []cl.Stmt{
-		leaderOnly(exprStmt(assign("flep_task",
-			&cl.Call{Fun: "atomicAdd", Args: []cl.Expr{
-				ident(ParamNextTask), intLit(1),
-			}}))),
-		syncthreads(),
-		&cl.IfStmt{
-			Cond: bin(cl.OpGe, ident("flep_task"), ident(ParamNumTasks)),
-			Then: block(&cl.ReturnStmt{}),
-		},
-		exprStmt(taskCall(orig, info)),
-		syncthreads(),
-	}
-
-	loop := &cl.WhileStmt{Cond: intLit(1)}
-	switch mode {
-	case ModeTemporalNaive:
-		loop.Body = block(append(checkStmts, pullStmts...)...)
-	default:
-		inner := &cl.ForStmt{
-			Init: &cl.DeclStmt{Type: intType(), Decls: []*cl.Declarator{{Name: "flep_i", Init: intLit(0)}}},
-			Cond: bin(cl.OpLt, ident("flep_i"), ident(ParamL)),
-			Post: &cl.Unary{Op: cl.OpPreInc, X: ident("flep_i")},
-			Body: block(pullStmts...),
-		}
-		loop.Body = block(append(checkStmts, inner)...)
-	}
-	body.Stmts = append(body.Stmts, loop)
-	fn.Body = body
-	return fn
-}
-
-// taskCall builds k_flep_task(origArgs..., task%gx, task/gx, gx, gy).
-func taskCall(orig *cl.FuncDecl, info *KernelInfo) cl.Expr {
-	c := &cl.Call{Fun: info.TaskFunc}
-	for _, p := range orig.Params {
-		c.Args = append(c.Args, ident(p.Name))
-	}
-	c.Args = append(c.Args,
-		bin(cl.OpRem, ident("flep_task"), ident(ParamGridX)),
-		bin(cl.OpDiv, ident("flep_task"), ident(ParamGridX)),
-		ident(ParamGridX),
-		ident(ParamGridY),
-	)
-	return c
-}
-
-// ---- small AST constructors ----
-
-func intType() cl.Type           { return cl.Type{Base: cl.TInt} }
-func ident(n string) *cl.Ident   { return &cl.Ident{Name: n} }
-func intLit(v int64) *cl.IntLit  { return &cl.IntLit{Val: v} }
-func exprStmt(e cl.Expr) cl.Stmt { return &cl.ExprStmt{X: e} }
-func block(ss ...cl.Stmt) *cl.Block {
-	return &cl.Block{Stmts: ss}
-}
-
-func bin(op cl.Op, l, r cl.Expr) cl.Expr { return &cl.Binary{Op: op, L: l, R: r} }
-
-func deref(name string) cl.Expr { return &cl.Unary{Op: cl.OpDeref, X: ident(name)} }
-
-func assign(name string, v cl.Expr) cl.Expr {
-	return &cl.Assign{Op: cl.OpAssign, L: ident(name), R: v}
-}
-
-func sharedIntDecl(name string) cl.Stmt {
-	return &cl.DeclStmt{Shared: true, Type: intType(), Decls: []*cl.Declarator{{Name: name}}}
-}
-
-func syncthreads() cl.Stmt { return exprStmt(&cl.Call{Fun: "__syncthreads"}) }
-
-// leaderOnly wraps s in "if (threadIdx.x == 0 && threadIdx.y == 0) { s }".
-func leaderOnly(s cl.Stmt) cl.Stmt {
-	tx := &cl.Member{X: ident("threadIdx"), Name: "x"}
-	ty := &cl.Member{X: ident("threadIdx"), Name: "y"}
-	return &cl.IfStmt{
-		Cond: bin(cl.OpAnd,
-			bin(cl.OpEq, tx, intLit(0)),
-			bin(cl.OpEq, ty, intLit(0))),
-		Then: block(s),
-	}
+	src = strings.Replace(src, "PULL", pull, 1)
+	src = strings.NewReplacer("KERNEL", orig.Name, "PARAMS,", params, "ARGS,", args, "YIELD", yield).Replace(src)
+	return cl.ParseKernel(src)
 }
