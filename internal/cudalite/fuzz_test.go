@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzParse checks the parser never panics and that any program it accepts
-// survives a print/re-parse round trip. The seed corpus covers every
+// survives a print/re-parse round trip with its grouping intact. The seed corpus covers every
 // construct; `go test -fuzz=FuzzParse ./internal/cudalite` explores beyond.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
@@ -26,6 +26,10 @@ func FuzzParse(f *testing.F) {
 		"void f() { ; ; ; }",
 		"__global__ void 0bad() { }",
 		"void f() { \"string with \\\" escape\"; }",
+		"void f(int y) { y = - -y; }",
+		"void f(int* p) { p = & &p; }",
+		"void A(){while(0){0%0%.2%.0%& &000%00;}}",
+		"void A(){for(;;)(0);}",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -48,6 +52,11 @@ func FuzzParse(f *testing.F) {
 		}
 		if out2 := Format(prog2); out != out2 {
 			t.Fatalf("printing not a fixed point for %q", src)
+		}
+		for i, fn := range prog.Funcs {
+			if want, got := shape(fn), shape(prog2.Funcs[i]); got != want {
+				t.Fatalf("printed program groups differently from the parsed one\ninput: %q\nprinted:\n%s--- parsed\n%s\n--- re-parsed\n%s", src, out, want, got)
+			}
 		}
 	})
 }

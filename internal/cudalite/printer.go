@@ -248,7 +248,11 @@ func (p *printer) expr(e Expr, prec int) string {
 	case *StrLit:
 		return strconv.Quote(x.Val)
 	case *Unary:
-		return parenIf(prec > precUnary, x.Op.String()+p.expr(x.X, precUnary))
+		op, inner := x.Op.String(), p.expr(x.X, precUnary)
+		if strings.HasPrefix(inner, op[len(op)-1:]) {
+			op += " " // "- -y" is not "--y", and "& &p" is not "&&p"
+		}
+		return parenIf(prec > precUnary, op+inner)
 	case *Postfix:
 		return parenIf(prec > precPostfix, p.expr(x.X, precPostfix)+x.Op.String())
 	case *Binary:
