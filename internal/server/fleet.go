@@ -46,6 +46,9 @@ type Fleet struct {
 	// to different shards.
 	mu       sync.Mutex
 	affinity map[string]int
+	// trying holds the clients whose pin no accepted launch has confirmed
+	// yet, with how many of their launches a shard is still deciding on.
+	trying map[string]int
 
 	// rr rotates the tie-break start of pickShard. Load is only visible
 	// once a launch is enqueued, so a burst of concurrent placements all
@@ -75,6 +78,7 @@ func NewFleetWithSystem(sys *core.System, cfg FleetConfig) (*Fleet, error) {
 	f := &Fleet{
 		cfg:       cfg,
 		affinity:  map[string]int{},
+		trying:    map[string]int{},
 		startReal: time.Now(),
 	}
 	for i := 0; i < cfg.Devices; i++ {
@@ -175,21 +179,49 @@ func (f *Fleet) pickShard(req LaunchRequest) int {
 // when affinity is off: the pending-dependency state of a client's
 // graphs lives on one shard, so every stage of every graph the client
 // submits must land there or prerequisites would never be observed.
-func (f *Fleet) route(req LaunchRequest, client string) *Server {
+// tentative reports that the launch went through a pin no accepted launch
+// has confirmed yet; the caller owes settle the shard's verdict.
+func (f *Fleet) route(req LaunchRequest, client string) (s *Server, tentative bool) {
 	if len(f.shards) == 1 {
-		return f.shards[0]
+		return f.shards[0], false
 	}
 	if !f.cfg.Affinity && req.Graph == "" {
-		return f.shards[f.pickShard(req)]
+		return f.shards[f.pickShard(req)], false
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	i, ok := f.affinity[client]
 	if !ok {
 		i = f.pickShard(req)
-		f.affinity[client] = i
+		f.affinity[client], f.trying[client] = i, 0
 	}
-	return f.shards[i]
+	n, tentative := f.trying[client]
+	if tentative {
+		f.trying[client] = n + 1
+	}
+	return f.shards[i], tentative
+}
+
+// settle ends one tentative launch. An acceptance makes the pin permanent.
+// A refusal (400, 429, 503, 409) that leaves no launch undecided drops it:
+// refused requests carry attacker-controlled names, and a pin per garbage
+// name is the unbounded state countLocked refuses to keep. Concurrent first
+// launches of one client share the pin while any of them is undecided, so
+// they still agree on one shard.
+func (f *Fleet) settle(client string, accepted bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n, tentative := f.trying[client]
+	switch {
+	case !tentative: // a concurrent launch was accepted first
+	case accepted:
+		delete(f.trying, client)
+	case n > 1:
+		f.trying[client] = n - 1
+	default:
+		delete(f.trying, client)
+		delete(f.affinity, client)
+	}
 }
 
 // AffinityFor reports the shard a client is pinned to (tests). A
@@ -317,7 +349,10 @@ func (f *Fleet) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		f.shards[0].refuse(w, outRejectedInvalid, "", fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	f.route(req, client).serveLaunch(w, r, req, client)
+	s, tentative := f.route(req, client)
+	if accepted := s.serveLaunch(w, r, req, client); tentative {
+		f.settle(client, accepted)
+	}
 }
 
 func (f *Fleet) catalog() []BenchmarkInfo { return f.shards[0].info }

@@ -157,6 +157,94 @@ func TestFleetSessionAffinityPinsClients(t *testing.T) {
 	}
 }
 
+// TestFleetAffinityHoldsNoPinForRefusedClients checks that the affinity table
+// keeps an entry only for clients a shard has accepted work from: launches
+// refused for a bad benchmark or bounced off a full queue, each from a fresh
+// client name, must leave no pin behind, and an accepted launch must.
+func TestFleetAffinityHoldsNoPinForRefusedClients(t *testing.T) {
+	const devices, fresh = 2, 100
+	f, ts := newTestFleet(t, FleetConfig{Config: Config{QueueDepth: 1}, Devices: devices, Affinity: true})
+	pins := func() int {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return len(f.affinity)
+	}
+
+	for i := 0; i < fresh; i++ {
+		code, _ := launch(t, ts.URL, LaunchRequest{Client: fmt.Sprintf("bad%d", i), Benchmark: "NOPE"})
+		if code != http.StatusBadRequest {
+			t.Fatalf("invalid launch: code = %d, want 400", code)
+		}
+	}
+	if n := pins(); n != 0 {
+		t.Fatalf("%d invalid launches from fresh clients left %d pins, want 0", fresh, n)
+	}
+
+	// Park the loops and fill each shard's one-slot queue, so every further
+	// valid launch is refused with 429 wherever it is placed.
+	if err := f.Pause(); err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan int, devices)
+	for i := 0; i < devices; i++ {
+		client := fmt.Sprintf("holder%d", i)
+		go func() {
+			code, _ := launch(t, ts.URL, LaunchRequest{Client: client, Benchmark: "VA", Class: "trivial"})
+			held <- code
+		}()
+		waitFor(t, client+" queued", func() bool { return getStatus(t, ts.URL).QueueLen == i+1 })
+	}
+	for i := 0; i < fresh; i++ {
+		code, _ := launch(t, ts.URL, LaunchRequest{Client: fmt.Sprintf("full%d", i), Benchmark: "VA", Class: "trivial"})
+		if code != http.StatusTooManyRequests {
+			t.Fatalf("launch at a full queue: code = %d, want 429", code)
+		}
+	}
+	if n := pins(); n != devices {
+		t.Fatalf("%d bounced launches from fresh clients left %d pins, want the %d holders' only", fresh, n, devices)
+	}
+
+	if err := f.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < devices; i++ {
+		if code := <-held; code != http.StatusOK {
+			t.Fatalf("held launch: code = %d, want 200", code)
+		}
+	}
+	for i := 0; i < devices; i++ {
+		if _, ok := f.AffinityFor(fmt.Sprintf("holder%d", i)); !ok {
+			t.Fatalf("holder%d ran a launch but is not pinned", i)
+		}
+	}
+	if n := pins(); n != devices {
+		t.Fatalf("%d pins at rest, want %d", n, devices)
+	}
+
+	// Concurrent first launches of one client, some of them bounced off the
+	// one-slot queues, still agree on one shard.
+	const burst = 16
+	ran := make(chan int, burst)
+	var wg sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if code, res := launch(t, ts.URL, LaunchRequest{Client: "burst", Benchmark: "VA", Class: "trivial"}); code == http.StatusOK {
+				ran <- res.Device
+			}
+		}()
+	}
+	wg.Wait()
+	close(ran)
+	pin, ok := f.AffinityFor("burst")
+	for dev := range ran {
+		if !ok || dev != pin {
+			t.Fatalf("a launch of the burst ran on device %d; pin = %d (ok=%v)", dev, pin, ok)
+		}
+	}
+}
+
 // TestFleetMetricsReconcileWithStatus drives load across 4 shards and
 // checks the exposition end to end: every sample carries a device label,
 // per-device launch counters match that shard's /v1/status numbers, and

@@ -278,12 +278,13 @@ func (s *Server) refuse(w http.ResponseWriter, o outcome, client string, err err
 // serveLaunch admits one parsed launch on this shard, awaits its result
 // and answers. The fleet router calls it directly after placement, so
 // every outcome — including validation rejects — is accounted on the
-// shard that handled it.
-func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchRequest, client string) {
+// shard that handled it. It reports whether the launch was accepted (became
+// this shard's work) rather than refused.
+func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchRequest, client string) (accepted bool) {
 	q, o, err := s.admitLaunch(&req, client)
 	if err != nil {
 		s.refuse(w, o, client, err)
-		return
+		return false
 	}
 
 	timeout := s.cfg.RequestTimeout
@@ -321,6 +322,7 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 		// the abandonment so /v1/sessions can tell it from a live waiter.
 		s.count(outCanceled, client)
 	}
+	return true
 }
 
 // admitLaunch validates one parsed launch, consults the dependency table
