@@ -162,15 +162,14 @@ func main() {
 	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("flepd: http shutdown: %v", err)
 	}
-	c := srv.Counters()
+	c := srv.Status().Counters
 	log.Printf("flepd: fleet enqueued=%d completed=%d submit_errors=%d rejected_full=%d timed_out=%d",
-		c["enqueued"], c["completed"], c["submit_errors"], c["rejected_queue_full"], c["timed_out"])
-	if c["completed"]+c["submit_errors"] != c["enqueued"] {
+		c.Enqueued, c.Completed, c.SubmitErrors, c.RejectedFull, c.TimedOut)
+	if c.InFlight() != 0 {
 		log.Fatalf("flepd: fleet exactly-once invariant violated at exit")
 	}
 	for i := 0; i < srv.Devices(); i++ {
-		sc := srv.Shard(i).Counters()
-		if sc["completed"]+sc["submit_errors"] != sc["enqueued"] {
+		if srv.Shard(i).Status().Counters.InFlight() != 0 {
 			log.Fatalf("flepd: device %d exactly-once invariant violated at exit", i)
 		}
 	}

@@ -755,7 +755,7 @@ func verifyExactlyOnce(addr string, st *stats, reconcile bool) error {
 		if err != nil {
 			return fmt.Errorf("status: %w", err)
 		}
-		if sb.Counters.Completed+sb.Counters.SubmitErrors == sb.Counters.Enqueued {
+		if sb.Counters.InFlight() == 0 {
 			break
 		}
 		if time.Now().After(deadline) {

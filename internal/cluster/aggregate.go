@@ -128,7 +128,8 @@ func (g *Gateway) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace merges the nodes' trace streams into one global
-// (Time, Node, Device)-ordered stream, each entry stamped with its node.
+// (Time, Node, Device)-ordered stream, each entry stamped with its node, and
+// answers it the way a node answers its own (limit, format).
 func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 	path := "/v1/trace"
 	if kind := r.URL.Query().Get("kind"); kind != "" {
@@ -144,7 +145,7 @@ func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 			entries[j].Node = from[i].id
 		}
 	}
-	server.WriteJSON(w, http.StatusOK, trace.Merge(streams))
+	server.WriteTrace(w, r, trace.Merge(streams))
 }
 
 func (g *Gateway) handleNodes(w http.ResponseWriter, r *http.Request) {

@@ -423,8 +423,7 @@ func (g *Gateway) waitDrain(id string) {
 		n := g.byID[id]
 		quiescent := n.inflight == 0
 		if quiescent && n.ready && n.haveStatus {
-			c := n.status.Counters
-			quiescent = n.status.QueueLen == 0 && c.Enqueued == c.Completed+c.SubmitErrors
+			quiescent = n.status.QueueLen == 0 && n.status.Counters.InFlight() == 0
 		}
 		if quiescent {
 			n.removed = true

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -19,6 +20,7 @@ import (
 	"flep/internal/obs"
 	"flep/internal/replay"
 	"flep/internal/server"
+	"flep/internal/trace"
 )
 
 // One shared system: the offline phase is deterministic and expensive,
@@ -898,5 +900,51 @@ func TestNormalizeAddr(t *testing.T) {
 	}
 	if _, err := normalizeAddr("  "); err == nil {
 		t.Fatal("empty address accepted")
+	}
+}
+
+// TestTraceThroughGatewayHonoursLimitAndFormat checks the gateway answers
+// /v1/trace with flepd's query surface: ?format=text&limit=3 is the last
+// three merged entries as Entry.WriteText lines, and an unknown format is a
+// 400 rather than a JSON 200.
+func TestTraceThroughGatewayHonoursLimitAndFormat(t *testing.T) {
+	_, n0, _ := startNode(t, server.Config{Trace: true})
+	_, n1, _ := startNode(t, server.Config{Trace: true})
+	_, gw := startGateway(t, Config{Nodes: []string{n0.URL, n1.URL}})
+	for i := 0; i < 6; i++ {
+		if code, _, _ := launchVia(t, gw.URL, server.LaunchRequest{Client: fmt.Sprintf("t%d", i), Benchmark: "VA"}); code != http.StatusOK {
+			t.Fatalf("launch %d: code %d", i, code)
+		}
+	}
+	get := func(query string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(gw.URL + "/v1/trace" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+
+	_, all := get("")
+	var entries []trace.Entry
+	if err := json.Unmarshal(all, &entries); err != nil || len(entries) < 3 {
+		t.Fatalf("merged trace: %d entries, %v", len(entries), err)
+	}
+	var want bytes.Buffer
+	for _, e := range entries[len(entries)-3:] {
+		if err := e.WriteText(&want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if code, got := get("?format=text&limit=3"); code != http.StatusOK || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("?format=text&limit=3 answered %d:\n%s\nwant the last three entries as text:\n%s", code, got, want.Bytes())
+	}
+	if code, body := get("?format=bogus"); code != http.StatusBadRequest {
+		t.Fatalf("?format=bogus answered %d (%s), want 400", code, body)
 	}
 }

@@ -80,8 +80,7 @@ func (g *Gateway) candidates(client string, req server.LaunchRequest) []candidat
 		}
 		score := server.Placement{Fits: true, Load: nd.inflight, Rot: (i - start + n) % n}
 		if nd.haveStatus {
-			c := nd.status.Counters
-			score.Load += int64(nd.status.QueueLen) + (c.Enqueued - c.Completed - c.SubmitErrors)
+			score.Load += int64(nd.status.QueueLen) + nd.status.Counters.InFlight()
 			if need > 0 && nd.status.MemoryFreeBytes > 0 && nd.status.MemoryFreeBytes < need {
 				score.Fits = false
 			}

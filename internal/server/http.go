@@ -454,7 +454,7 @@ func (s *Server) Status() Status {
 		Counters:        s.c,
 		// In-flight work keeps the invariant an inequality; at rest
 		// (drained or idle) it must hold with equality.
-		ExactlyOnceOK: s.c.Completed+s.c.SubmitErrors <= s.c.Enqueued,
+		ExactlyOnceOK: s.c.InFlight() >= 0,
 		SLO: SLOStatus{
 			Attained:       s.c.SLOAttained,
 			Missed:         s.c.SLOMissed,
@@ -494,6 +494,14 @@ func handleTrace(d daemon, w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusNotFound, APIError{"trace disabled; start flepd with -trace"})
 		return
 	}
+	WriteTrace(w, r, entries)
+}
+
+// WriteTrace answers GET /v1/trace with entries: the last ?limit=N of them,
+// as JSON or, with ?format=text, one Entry.WriteText line each; any other
+// format is a 400. The gateway renders its merged stream through it too, so
+// both tiers serve one query surface.
+func WriteTrace(w http.ResponseWriter, r *http.Request, entries []trace.Entry) {
 	if n, err := strconv.Atoi(r.URL.Query().Get("limit")); err == nil && n > 0 && n < len(entries) {
 		entries = entries[len(entries)-n:]
 	}

@@ -170,6 +170,11 @@ type counters struct {
 	RejectedDepFull int64 `json:"rejected_dep_table_full"`
 }
 
+// InFlight is the accepted work that has not reached a terminal event yet:
+// positive while launches run, zero at rest, and never negative unless a
+// launch was delivered twice.
+func (c counters) InFlight() int64 { return c.Enqueued - c.Completed - c.SubmitErrors }
+
 // outcome names one launch-accounting family: the ledger's terminal
 // families plus the timed_out/canceled annotations on a waiter that gave
 // up. The zero value is not an outcome, so a path that forgets to name
@@ -625,7 +630,7 @@ func (s *Server) Steps() int64 { return s.steps.Load() }
 // reads are safe from any goroutine.
 func (s *Server) Load() int64 {
 	s.mu.Lock()
-	inFlight := s.c.Enqueued - s.c.Completed - s.c.SubmitErrors
+	inFlight := s.c.InFlight()
 	s.mu.Unlock()
 	return int64(len(s.submitCh)) + inFlight
 }

@@ -1,5 +1,5 @@
 // Package trace records device and runtime events from a simulation run
-// and exports them as human-readable logs, CSV, JSON, or Gantt rows for
+// and exports them as human-readable logs, JSON, or Gantt rows for
 // inspection and debugging.
 package trace
 
