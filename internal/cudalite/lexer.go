@@ -231,13 +231,11 @@ func (l *Lexer) lexString(pos Pos) (Token, error) {
 // lexOperator matches the longest punctuation token at the cursor.
 func (l *Lexer) lexOperator(pos Pos) (Token, error) {
 	rest := l.src[l.off:]
-	if c := rest[0]; c < byte(len(punct)) {
-		for _, k := range punct[c] {
-			if s := kindNames[k]; strings.HasPrefix(rest, s) {
-				l.off += len(s) // punctuation holds no newline
-				l.col += len(s)
-				return Token{Kind: k, Text: s, Pos: pos}, nil
-			}
+	for _, k := range punct[rest[0]] {
+		if s := kindNames[k]; strings.HasPrefix(rest, s) {
+			l.off += len(s) // punctuation holds no newline
+			l.col += len(s)
+			return Token{Kind: k, Text: s, Pos: pos}, nil
 		}
 	}
 	return Token{}, &SyntaxError{pos, fmt.Sprintf("unexpected character %q", rest[0])}

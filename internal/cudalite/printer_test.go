@@ -199,3 +199,25 @@ func TestInspectSkipsChildrenOnFalse(t *testing.T) {
 		t.Fatal("Inspect descended into pruned subtree")
 	}
 }
+
+// A rewrite hook sees each copied node after its children, what it returns
+// takes the node's place, nil keeps the copy, and the input is untouched.
+func TestRewriteExprReplacesWhatTheHookReturns(t *testing.T) {
+	f, err := ParseKernel("void f(int a, int b) { a = (a + 1) * -(a + b); }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := f.Body.Stmts[0].(*ExprStmt).X
+	out := RewriteExpr(in, func(e Expr) Expr {
+		if id, ok := e.(*Ident); ok && id.Name == "a" {
+			return &Index{X: &Ident{Name: "v"}, Idx: &IntLit{Val: 0}}
+		}
+		return nil
+	})
+	if got, want := FormatExpr(out), "v[0] = (v[0] + 1) * -(v[0] + b)"; got != want {
+		t.Errorf("rewritten = %q, want %q", got, want)
+	}
+	if got, want := FormatExpr(in), "a = (a + 1) * -(a + b)"; got != want {
+		t.Errorf("input changed to %q", got)
+	}
+}

@@ -126,12 +126,12 @@ func (k Kind) String() string {
 // keywords maps each keyword's spelling to its kind; punct lists, by first
 // byte, the punctuation kinds that begin with it, longest spelling first, so
 // the first prefix match is the longest token.
-var keywords, punct = func() (map[string]Kind, [128][]Kind) {
+var keywords, punct = func() (map[string]Kind, [256][]Kind) {
 	kw := map[string]Kind{}
 	for k := KwGlobal; k <= KwNull; k++ {
 		kw[kindNames[k]] = k
 	}
-	var pn [128][]Kind
+	var pn [256][]Kind
 	for k := LParen; k <= LaunchClose; k++ {
 		c := kindNames[k][0]
 		pn[c] = append(pn[c], k)
