@@ -62,12 +62,18 @@ func (r *refEngine) pop() *refEvent {
 	return ev
 }
 
+// pending reports whether the handle's event is still queued.
+func pending(ev *Event) bool { return ev.index >= 0 }
+
 // TestEngineMatchesSortedSliceModel drives the engine and the reference
 // with one seeded operation sequence — At, Schedule, Cancel (of queued,
 // fired and already-cancelled events), Step and RunUntil, same-timestamp
 // ties, and callbacks that schedule and cancel from inside a firing — and
 // requires the same firing order, clock and Pending() after every
-// operation.
+// operation. Handles are kept forever and used long after their event
+// fired or was cancelled: Cancel, When and pending-ness through any of
+// them must agree with the reference, and a Cancel through a spent one must
+// leave every live event alone.
 func TestEngineMatchesSortedSliceModel(t *testing.T) {
 	seed := time.Now().UnixNano()
 	rng := rand.New(rand.NewSource(seed))
@@ -86,6 +92,7 @@ func TestEngineMatchesSortedSliceModel(t *testing.T) {
 	var handles []pair
 	var fired, refFired []int
 	nextID := 0
+	spentCancels := 0 // Cancel calls through a handle whose event had fired or been cancelled
 
 	// schedule adds the same event to both sides. One in four callbacks
 	// schedules a follow-up and cancels a random earlier handle when it
@@ -136,10 +143,18 @@ func TestEngineMatchesSortedSliceModel(t *testing.T) {
 		case k < 6: // Cancel: queued, fired or cancelled, whichever it hits
 			if len(handles) > 0 {
 				h := handles[rng.Intn(len(handles))]
+				wasQueued := h.ref.queued
+				before := eng.Pending()
 				h.ev.Cancel()
 				ref.cancel(h.ref)
-				if !h.ev.Canceled() {
-					fail(op, "Canceled() false after Cancel")
+				if pending(h.ev) {
+					fail(op, "handle pending after Cancel")
+				}
+				if !wasQueued {
+					spentCancels++
+					if eng.Pending() != before {
+						fail(op, "Cancel through a spent handle took Pending from %d to %d", before, eng.Pending())
+					}
 				}
 			}
 		case k < 9: // Step: the reference pops first, the callback then
@@ -163,6 +178,17 @@ func TestEngineMatchesSortedSliceModel(t *testing.T) {
 				ref.now = deadline
 			}
 		}
+		// Look through a few handles of any age: what they report is the
+		// reference's view of their own event, whoever holds the record now.
+		for i := 0; i < 4 && len(handles) > 0; i++ {
+			h := handles[rng.Intn(len(handles))]
+			if got := pending(h.ev); got != h.ref.queued {
+				fail(op, "event %d: pending = %v, reference %v", h.ref.id, got, h.ref.queued)
+			}
+			if got := h.ev.When(); got != h.ref.when {
+				fail(op, "event %d: When = %v, reference %v", h.ref.id, got, h.ref.when)
+			}
+		}
 		if eng.Now() != ref.now {
 			fail(op, "Now = %v, reference %v", eng.Now(), ref.now)
 		}
@@ -183,6 +209,40 @@ func TestEngineMatchesSortedSliceModel(t *testing.T) {
 	}
 	if len(fired) < 2000 {
 		t.Fatalf("seed %d: only %d events fired; the sequence is not exercising the engine", seed, len(fired))
+	}
+	if spentCancels < 1000 {
+		t.Fatalf("seed %d: only %d cancels through spent handles; the sequence is not exercising them", seed, spentCancels)
+	}
+}
+
+// TestEngineSteadyStateAllocatesNothing pins what scheduling costs the
+// allocator once the queue is at depth: one Schedule+Step and one
+// Schedule+Cancel against 1,024 queued events, with the callback hoisted so
+// only the engine's own allocations count.
+func TestEngineSteadyStateAllocatesNothing(t *testing.T) {
+	const depth = 1024
+	const want = 1 // the *Event
+	nop := func() {}
+	eng := New()
+	for i := 0; i < depth; i++ {
+		eng.Schedule(time.Duration(i+1)*time.Microsecond, nop)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"Schedule+Step", func() {
+			eng.Schedule(depth*time.Microsecond, nop)
+			eng.Step()
+		}},
+		{"Schedule+Cancel", func() { eng.Schedule(time.Hour, nop).Cancel() }},
+	} {
+		if got := testing.AllocsPerRun(1000, tc.run); got != want {
+			t.Errorf("%s: %v allocations, want %d", tc.name, got, want)
+		}
+	}
+	if eng.Pending() != depth {
+		t.Fatalf("Pending = %d, want the queue still %d deep", eng.Pending(), depth)
 	}
 }
 
