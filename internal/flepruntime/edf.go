@@ -28,7 +28,7 @@ type EDF struct {
 	// earliest queued deadline; riskSeq invalidates superseded timers
 	// (the FFS epoch-timer pattern, so dead events never accrete in the
 	// engine and never fire stale).
-	riskTimer *sim.Event
+	riskTimer sim.Timer
 	riskSeq   int
 }
 
@@ -92,10 +92,10 @@ func firstDeadline(r *Runtime) *Invocation {
 func (e *EDF) rearm(r *Runtime) {
 	e.riskSeq++
 	now := r.Device().Now()
-	if e.riskTimer != nil && !e.riskTimer.Canceled() && e.riskTimer.When() > now {
+	if e.riskTimer.Pending() && e.riskTimer.When() > now {
 		e.riskTimer.Cancel()
 	}
-	e.riskTimer = nil
+	e.riskTimer = sim.Timer{}
 	head := firstDeadline(r)
 	if head == nil {
 		return
@@ -121,7 +121,7 @@ func (e *EDF) onRisk(r *Runtime, seq int) {
 	if seq != e.riskSeq {
 		return
 	}
-	e.riskTimer = nil
+	e.riskTimer = sim.Timer{}
 	if head := firstDeadline(r); head != nil && r.cfg.Log != nil {
 		r.log("edf-risk", head.Kernel,
 			fmt.Sprintf("id=%d deadline=%v at risk", head.ID, head.Deadline))

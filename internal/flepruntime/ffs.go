@@ -43,7 +43,7 @@ type FFS struct {
 	// leaves every superseded timer queued in the engine until its
 	// (possibly far-future) deadline, so a busy daemon accretes dead
 	// events and its idleness signal (Engine.Pending) never clears.
-	epochTimer *sim.Event
+	epochTimer sim.Timer
 	// lastEpochLen is the most recently computed epoch length (tests use
 	// it to assert the length returns to baseline after a tenant departs).
 	lastEpochLen time.Duration
@@ -169,7 +169,7 @@ func (f *FFS) OnDispatch(r *Runtime, v *Invocation) {
 	// remain than workers, and the kernel rotates on them forever. A real
 	// persistent CTA finishes its task before it polls the flag (§4).
 	epoch := max(time.Duration(float64(f.baseEpoch())*weight), t.overhead+v.TaskCost)
-	if f.epochTimer != nil && !f.epochTimer.Canceled() && f.epochTimer.When() > now {
+	if f.epochTimer.Pending() && f.epochTimer.When() > now {
 		// The previous epoch's timer is superseded; cancel it so it never
 		// sits dead in the event queue.
 		f.epochTimer.Cancel()
@@ -245,7 +245,7 @@ func (f *FFS) OnCompletion(r *Runtime, v *Invocation) {
 		// instead of inheriting the dead owner's preference window.
 		f.curKernel = ""
 		f.epochSeq++ // invalidate the armed timer
-		if f.epochTimer != nil && !f.epochTimer.Canceled() &&
+		if f.epochTimer.Pending() &&
 			f.epochTimer.When() > r.Device().Now() {
 			f.epochTimer.Cancel()
 			r.met.TimersCanceled.Inc()

@@ -59,9 +59,9 @@ type Device struct {
 	Observer func(Event)
 
 	execs    []*Exec
-	wake     *sim.Event // earliest completion/deadline event
-	onWakeFn func()     // d.onWake, bound once: reschedule re-arms it on every state change
-	reserved int64      // device memory currently reserved
+	wake     sim.Timer // earliest completion/deadline event
+	onWakeFn func()    // d.onWake, bound once: reschedule re-arms it on every state change
+	reserved int64     // device memory currently reserved
 	met      DeviceMetrics
 }
 
@@ -194,8 +194,8 @@ type Exec struct {
 
 	draining   bool
 	drainYield int // SMs to free, counted from smLo
-	drainEv    *sim.Event
-	launchEv   *sim.Event
+	drainEv    sim.Timer
+	launchEv   sim.Timer
 }
 
 // Start launches an execution. The configured launch latency elapses before
@@ -388,10 +388,8 @@ func (d *Device) globalFactors() (pressure, mix float64) {
 // reschedule cancels and re-arms the wake event for the earliest pending
 // completion.
 func (d *Device) reschedule() {
-	if d.wake != nil {
-		d.wake.Cancel()
-		d.wake = nil
-	}
+	d.wake.Cancel()
+	d.wake = sim.Timer{}
 	soonest := time.Duration(math.MaxInt64)
 	found := false
 	for _, e := range d.execs {
@@ -417,7 +415,7 @@ func (d *Device) reschedule() {
 // onWake fires at a predicted completion time: finish anything done and
 // re-arm.
 func (d *Device) onWake() {
-	d.wake = nil
+	d.wake = sim.Timer{}
 	d.sync()
 	for _, e := range d.execs {
 		if e.state == StateRunning && float64(e.cfg.TotalTasks)-e.done < 0.5 {
@@ -438,10 +436,8 @@ func (d *Device) finish(e *Exec) {
 	d.emit(Event{Time: d.eng.Now(), Kind: EvComplete, Kernel: e.cfg.Profile.Name, SMLo: e.smLo, SMHi: e.smHi})
 	if e.draining {
 		e.draining = false
-		if e.drainEv != nil {
-			e.drainEv.Cancel()
-			e.drainEv = nil
-		}
+		e.drainEv.Cancel()
+		e.drainEv = sim.Timer{}
 		if e.cfg.OnDrained != nil {
 			cb := e.cfg.OnDrained
 			d.eng.Schedule(0, func() { cb(0) })
@@ -542,7 +538,7 @@ func (d *Device) finishDrain(e *Exec) {
 	}
 	d.sync()
 	e.draining = false
-	e.drainEv = nil
+	e.drainEv = sim.Timer{}
 	yield := e.drainYield
 	remaining := e.Remaining()
 	d.met.Drains.Inc()

@@ -12,48 +12,72 @@ import (
 	"time"
 )
 
-// Event is a callback scheduled to run at a virtual time.
-type Event struct {
-	when     time.Duration
-	seq      uint64
-	fn       func()
-	eng      *Engine
-	canceled bool
-	index    int // position in eng.queue; -1 when not queued
+// Handler receives typed events: AtFire queues (h, kind, arg) and the engine
+// calls h.Fire(kind, arg) when the time comes. A pointer that implements
+// Handler goes into the record without allocating, which a closure over the
+// same pointer cannot.
+type Handler interface {
+	Fire(kind, arg int)
 }
 
-// Cancel prevents the event from firing and takes it out of the queue at
-// once, so a superseded far-future timer costs nobody a deeper sift.
-// Canceling an already-fired or already-canceled event is a no-op.
-func (e *Event) Cancel() {
-	if e == nil || e.canceled {
-		return
-	}
-	e.canceled = true
-	if e.index >= 0 {
-		e.eng.remove(e.index)
-	}
+// event is one queued record. The engine owns its records: one returns to
+// the free list when it fires or is cancelled and is handed out again by a
+// later At, so steady-state scheduling allocates nothing.
+type event struct {
+	when  time.Duration
+	seq   uint64 // 0 while on the free list
+	fn    func() // either fn, or h with kind and arg
+	h     Handler
+	kind  int
+	arg   int
+	eng   *Engine
+	index int    // position in eng.queue
+	next  *event // free-list link
 }
-
-// Canceled reports whether Cancel has been called on the event.
-func (e *Event) Canceled() bool { return e != nil && e.canceled }
-
-// When returns the virtual time the event is scheduled for.
-func (e *Event) When() time.Duration { return e.when }
 
 // before is the firing order: time, then scheduling sequence. seq is unique,
 // so the order is total and the heap's pop order does not depend on how it
 // arranges its interior.
-func (e *Event) before(o *Event) bool {
+func (e *event) before(o *event) bool {
 	return e.when < o.when || (e.when == o.when && e.seq < o.seq)
 }
+
+// Timer is the handle At and Schedule return: the record and the sequence
+// number it was issued under. Records are recycled, so a Timer kept past its
+// event's firing or cancellation may point at a later event's record; the
+// sequence number tells them apart and such a Timer is inert. The zero value
+// is "no timer".
+type Timer struct {
+	ev   *event
+	seq  uint64
+	when time.Duration
+}
+
+// Pending reports whether the event is still queued: not yet fired, not
+// cancelled.
+func (t Timer) Pending() bool { return t.ev != nil && t.ev.seq == t.seq }
+
+// Cancel prevents the event from firing and takes it out of the queue at
+// once, so a superseded far-future timer costs nobody a deeper sift.
+// Cancelling an already-fired or already-cancelled event is a no-op.
+func (t Timer) Cancel() {
+	if t.Pending() {
+		eng := t.ev.eng
+		eng.remove(t.ev.index)
+		eng.release(t.ev)
+	}
+}
+
+// When returns the virtual time the event was scheduled for.
+func (t Timer) When() time.Duration { return t.when }
 
 // Engine is a single-threaded discrete-event simulator.
 // The zero value is ready to use.
 type Engine struct {
 	now     time.Duration
 	seq     uint64
-	queue   []*Event // binary min-heap under Event.before
+	queue   []*event // binary min-heap under event.before
+	free    *event   // records waiting for reuse, linked through next
 	running bool
 }
 
@@ -65,30 +89,78 @@ func (e *Engine) Now() time.Duration { return e.now }
 
 // Schedule runs fn after delay of virtual time. A negative delay is an
 // error in the caller; Schedule panics to surface it immediately.
-func (e *Engine) Schedule(delay time.Duration, fn func()) *Event {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", delay))
-	}
-	return e.At(e.now+delay, fn)
+func (e *Engine) Schedule(delay time.Duration, fn func()) Timer {
+	return e.At(e.after(delay), fn)
 }
 
 // At runs fn at absolute virtual time when, which must not be in the past.
-func (e *Engine) At(when time.Duration, fn func()) *Event {
-	if when < e.now {
-		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", when, e.now))
-	}
+func (e *Engine) At(when time.Duration, fn func()) Timer {
 	if fn == nil {
 		panic("sim: nil event func")
 	}
-	e.seq++
-	ev := &Event{when: when, seq: e.seq, fn: fn, eng: e}
-	e.queue = append(e.queue, nil)
-	e.up(len(e.queue)-1, ev)
+	ev := e.acquire(when)
+	ev.fn = fn
+	return e.enqueue(ev)
+}
+
+// ScheduleFire calls h.Fire(kind, arg) after delay of virtual time: Schedule
+// for callers hot enough that a closure per event shows.
+func (e *Engine) ScheduleFire(delay time.Duration, h Handler, kind, arg int) Timer {
+	return e.AtFire(e.after(delay), h, kind, arg)
+}
+
+// AtFire calls h.Fire(kind, arg) at absolute virtual time when.
+func (e *Engine) AtFire(when time.Duration, h Handler, kind, arg int) Timer {
+	if h == nil {
+		panic("sim: nil event handler")
+	}
+	ev := e.acquire(when)
+	ev.h, ev.kind, ev.arg = h, kind, arg
+	return e.enqueue(ev)
+}
+
+func (e *Engine) after(delay time.Duration) time.Duration {
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", delay))
+	}
+	return e.now + delay
+}
+
+// acquire takes a record off the free list, or makes one, for an event at
+// when.
+func (e *Engine) acquire(when time.Duration) *event {
+	if when < e.now {
+		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", when, e.now))
+	}
+	ev := e.free
+	if ev == nil {
+		ev = &event{eng: e}
+	} else {
+		e.free, ev.next = ev.next, nil
+	}
+	ev.when = when
 	return ev
 }
 
+// enqueue gives the filled record the next sequence number and queues it.
+func (e *Engine) enqueue(ev *event) Timer {
+	e.seq++
+	ev.seq = e.seq
+	e.queue = append(e.queue, nil)
+	e.up(len(e.queue)-1, ev)
+	return Timer{ev: ev, seq: ev.seq, when: ev.when}
+}
+
+// release returns a record that left the queue to the free list. Clearing
+// seq is what makes every Timer issued for it inert; clearing the callback
+// keeps a spent record from pinning whatever the callback captured.
+func (e *Engine) release(ev *event) {
+	ev.seq, ev.fn, ev.h = 0, nil, nil
+	ev.next, e.free = e.free, ev
+}
+
 // up places ev at or above hole i, moving later parents down into the hole.
-func (e *Engine) up(i int, ev *Event) {
+func (e *Engine) up(i int, ev *event) {
 	q := e.queue
 	for i > 0 {
 		p := (i - 1) / 2
@@ -104,7 +176,7 @@ func (e *Engine) up(i int, ev *Event) {
 }
 
 // down places ev at or below hole i, moving earlier children up.
-func (e *Engine) down(i int, ev *Event) {
+func (e *Engine) down(i int, ev *event) {
 	q := e.queue
 	for {
 		c := 2*i + 1
@@ -129,7 +201,6 @@ func (e *Engine) down(i int, ev *Event) {
 func (e *Engine) remove(i int) {
 	q := e.queue
 	n := len(q) - 1
-	q[i].index = -1
 	last := q[n]
 	q[n] = nil
 	e.queue = q[:n]
@@ -157,7 +228,15 @@ func (e *Engine) Step() bool {
 	ev := e.queue[0]
 	e.remove(0)
 	e.now = ev.when
-	ev.fn()
+	// The record goes back before the callback runs, so whatever the
+	// callback schedules first reuses it.
+	fn, h, kind, arg := ev.fn, ev.h, ev.kind, ev.arg
+	e.release(ev)
+	if fn != nil {
+		fn()
+	} else {
+		h.Fire(kind, arg)
+	}
 	return true
 }
 

@@ -53,8 +53,8 @@ func TestCancel(t *testing.T) {
 	fired := false
 	ev := e.Schedule(5, func() { fired = true })
 	ev.Cancel()
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if ev.Pending() {
+		t.Fatal("Pending() = true after Cancel")
 	}
 	e.Run()
 	if fired {
@@ -208,7 +208,7 @@ func TestPropertyOrderAndExactlyOnce(t *testing.T) {
 		var last time.Duration = -1
 		ok := true
 		canceled := make([]bool, count)
-		events := make([]*Event, count)
+		events := make([]Timer, count)
 		for i := 0; i < count; i++ {
 			i := i
 			d := time.Duration(rng.Intn(1000))

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -62,9 +63,6 @@ func (r *refEngine) pop() *refEvent {
 	return ev
 }
 
-// pending reports whether the handle's event is still queued.
-func pending(ev *Event) bool { return ev.index >= 0 }
-
 // TestEngineMatchesSortedSliceModel drives the engine and the reference
 // with one seeded operation sequence — At, Schedule, Cancel (of queued,
 // fired and already-cancelled events), Step and RunUntil, same-timestamp
@@ -73,7 +71,8 @@ func pending(ev *Event) bool { return ev.index >= 0 }
 // operation. Handles are kept forever and used long after their event
 // fired or was cancelled: Cancel, When and pending-ness through any of
 // them must agree with the reference, and a Cancel through a spent one must
-// leave every live event alone.
+// leave every live event alone — including the later event that now
+// occupies the spent handle's record.
 func TestEngineMatchesSortedSliceModel(t *testing.T) {
 	seed := time.Now().UnixNano()
 	rng := rand.New(rand.NewSource(seed))
@@ -86,13 +85,15 @@ func TestEngineMatchesSortedSliceModel(t *testing.T) {
 	eng := New()
 	ref := &refEngine{}
 	type pair struct {
-		ev  *Event
+		ev  Timer
 		ref *refEvent
 	}
 	var handles []pair
 	var fired, refFired []int
 	nextID := 0
-	spentCancels := 0 // Cancel calls through a handle whose event had fired or been cancelled
+	// Cancel calls through a handle whose event had fired or been cancelled,
+	// and those of them whose record had been re-issued by then.
+	spentCancels, reissuedCancels := 0, 0
 
 	// schedule adds the same event to both sides. One in four callbacks
 	// schedules a follow-up and cancels a random earlier handle when it
@@ -147,11 +148,14 @@ func TestEngineMatchesSortedSliceModel(t *testing.T) {
 				before := eng.Pending()
 				h.ev.Cancel()
 				ref.cancel(h.ref)
-				if pending(h.ev) {
+				if h.ev.Pending() {
 					fail(op, "handle pending after Cancel")
 				}
 				if !wasQueued {
 					spentCancels++
+					if h.ev.ev.seq != 0 {
+						reissuedCancels++ // the record is queued again, for a later event
+					}
 					if eng.Pending() != before {
 						fail(op, "Cancel through a spent handle took Pending from %d to %d", before, eng.Pending())
 					}
@@ -182,7 +186,7 @@ func TestEngineMatchesSortedSliceModel(t *testing.T) {
 		// reference's view of their own event, whoever holds the record now.
 		for i := 0; i < 4 && len(handles) > 0; i++ {
 			h := handles[rng.Intn(len(handles))]
-			if got := pending(h.ev); got != h.ref.queued {
+			if got := h.ev.Pending(); got != h.ref.queued {
 				fail(op, "event %d: pending = %v, reference %v", h.ref.id, got, h.ref.queued)
 			}
 			if got := h.ev.When(); got != h.ref.when {
@@ -210,19 +214,20 @@ func TestEngineMatchesSortedSliceModel(t *testing.T) {
 	if len(fired) < 2000 {
 		t.Fatalf("seed %d: only %d events fired; the sequence is not exercising the engine", seed, len(fired))
 	}
-	if spentCancels < 1000 {
-		t.Fatalf("seed %d: only %d cancels through spent handles; the sequence is not exercising them", seed, spentCancels)
+	if spentCancels < 1000 || reissuedCancels < 100 {
+		t.Fatalf("seed %d: only %d cancels through spent handles, %d onto a re-issued record; the sequence is not exercising them",
+			seed, spentCancels, reissuedCancels)
 	}
 }
 
 // TestEngineSteadyStateAllocatesNothing pins what scheduling costs the
 // allocator once the queue is at depth: one Schedule+Step and one
 // Schedule+Cancel against 1,024 queued events, with the callback hoisted so
-// only the engine's own allocations count.
+// (or the event typed) so only the engine's own allocations count.
 func TestEngineSteadyStateAllocatesNothing(t *testing.T) {
 	const depth = 1024
-	const want = 1 // the *Event
 	nop := func() {}
+	h := new(countingHandler)
 	eng := New()
 	for i := 0; i < depth; i++ {
 		eng.Schedule(time.Duration(i+1)*time.Microsecond, nop)
@@ -236,13 +241,91 @@ func TestEngineSteadyStateAllocatesNothing(t *testing.T) {
 			eng.Step()
 		}},
 		{"Schedule+Cancel", func() { eng.Schedule(time.Hour, nop).Cancel() }},
+		{"ScheduleFire+Step", func() {
+			eng.ScheduleFire(depth*time.Microsecond, h, 1, 2)
+			eng.Step()
+		}},
+		{"ScheduleFire+Cancel", func() { eng.ScheduleFire(time.Hour, h, 1, 2).Cancel() }},
 	} {
-		if got := testing.AllocsPerRun(1000, tc.run); got != want {
-			t.Errorf("%s: %v allocations, want %d", tc.name, got, want)
+		if got := testing.AllocsPerRun(1000, tc.run); got != 0 {
+			t.Errorf("%s: %v allocations, want 0", tc.name, got)
 		}
 	}
 	if eng.Pending() != depth {
 		t.Fatalf("Pending = %d, want the queue still %d deep", eng.Pending(), depth)
+	}
+}
+
+// countingHandler records what Fire was last called with.
+type countingHandler struct{ fires, kind, arg int }
+
+func (h *countingHandler) Fire(kind, arg int) { h.fires, h.kind, h.arg = h.fires+1, kind, arg }
+
+// TestTypedEventsShareTheOrder: AtFire events take their sequence numbers
+// from the same counter as At events, so the two kinds interleave in
+// scheduling order at one timestamp, and Fire receives what was queued.
+func TestTypedEventsShareTheOrder(t *testing.T) {
+	eng := New()
+	var order []int
+	h := orderHandler{&order}
+	for i := 0; i < 6; i++ {
+		if i%2 == 0 {
+			eng.AtFire(5, h, i, 10*i)
+		} else {
+			eng.Schedule(5, func() { order = append(order, i, 10*i) })
+		}
+	}
+	eng.Run()
+	want := []int{0, 0, 1, 10, 2, 20, 3, 30, 4, 40, 5, 50}
+	if !slices.Equal(order, want) {
+		t.Fatalf("fired (kind, arg) pairs %v, want %v", order, want)
+	}
+}
+
+type orderHandler struct{ order *[]int }
+
+func (h orderHandler) Fire(kind, arg int) { *h.order = append(*h.order, kind, arg) }
+
+// TestSpentRecordKeepsNoCallback: a record on the free list references
+// neither the func nor the handler it last carried, and the Timer that
+// scheduled it reads as spent without touching the record's next tenant.
+func TestSpentRecordKeepsNoCallback(t *testing.T) {
+	eng := New()
+	fired := eng.Schedule(1, func() {})
+	eng.Step()
+	cancelled := eng.ScheduleFire(1, new(countingHandler), 0, 0)
+	cancelled.Cancel()
+	n := 0
+	for ev := eng.free; ev != nil; ev = ev.next {
+		n++
+		if ev.fn != nil || ev.h != nil || ev.seq != 0 {
+			t.Fatalf("free record keeps fn=%v h=%v seq=%d", ev.fn != nil, ev.h, ev.seq)
+		}
+	}
+	if n != 1 {
+		t.Fatalf("%d records on the free list, want the one record used twice", n)
+	}
+	h := new(countingHandler)
+	live := eng.ScheduleFire(3, h, 7, 9) // re-issues the record both spent timers point at
+	if fired.ev != live.ev || cancelled.ev != live.ev {
+		t.Fatal("the record was not re-issued")
+	}
+	fired.Cancel()
+	cancelled.Cancel()
+	if fired.Pending() || cancelled.Pending() || !live.Pending() {
+		t.Fatalf("pending: fired %v cancelled %v live %v", fired.Pending(), cancelled.Pending(), live.Pending())
+	}
+	if fired.When() != 1 || cancelled.When() != 2 || live.When() != 4 {
+		t.Fatalf("When: fired %v cancelled %v live %v", fired.When(), cancelled.When(), live.When())
+	}
+	var none Timer
+	none.Cancel()
+	if none.Pending() || none.When() != 0 {
+		t.Fatal("the zero Timer is not inert")
+	}
+	eng.Run()
+	if *h != (countingHandler{fires: 1, kind: 7, arg: 9}) {
+		t.Fatalf("live event fired as %+v", *h)
 	}
 }
 
