@@ -35,3 +35,54 @@ func BenchmarkPreemptResumeCycle(b *testing.B) {
 		eng.Run()
 	}
 }
+
+// TestPreemptResumeAllocationBudget is the device's share of the rotation
+// budget (flepruntime's TestRotationAllocationBudget): one Start → Preempt →
+// drained → cold Start → complete cycle on a long-lived device, callbacks
+// hoisted so only the device's own allocations count. Those are the two
+// Execs, whose handles the caller keeps; the seven events it schedules (one
+// a wake the preempt cancels) are typed records the engine recycles. With an
+// Event per At and a closure at four of the sites this read 13.
+func TestPreemptResumeAllocationBudget(t *testing.T) {
+	eng, dev := newDev()
+	const tasks = 12000
+	cfg := ExecConfig{
+		Profile: testProfile("k", 0.5, 0.8), TotalTasks: tasks, TaskCost: us(10),
+		Persistent: true, L: 4, SMLo: 0, SMHi: dev.NumSMs(),
+		OnComplete: func() {},
+	}
+	resume := cfg
+	resume.ColdStart = true
+	cfg.OnDrained = func(remaining int) {
+		resume.DoneTasks = tasks - remaining
+		if _, err := dev.Start(resume); err != nil {
+			t.Fatal(err)
+		}
+	}
+	steps := 0
+	cycle := func() {
+		exec, err := dev.Start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.RunUntil(eng.Now() + us(500))
+		if err := exec.Preempt(dev.NumSMs()); err != nil {
+			t.Fatal(err)
+		}
+		for eng.Step() {
+			steps++
+		}
+	}
+	cycle() // grow the engine's records and the device's exec list
+	steps = 0
+	const ceiling = 2
+	if got := testing.AllocsPerRun(200, cycle); got > ceiling {
+		t.Errorf("one preempt-resume cycle allocates %v times, ceiling %d", got, ceiling)
+	}
+	// AllocsPerRun runs one warm-up cycle of its own. RunUntil fires the
+	// first residency; drain end, drained, cold residency, wake and complete
+	// are counted here.
+	if want := 201 * 5; steps != want {
+		t.Errorf("%d engine steps after the preempt over 201 cycles, want %d", steps, want)
+	}
+}

@@ -60,9 +60,11 @@ type Device struct {
 
 	execs    []*Exec
 	wake     sim.Timer // earliest completion/deadline event
-	onWakeFn func()    // d.onWake, bound once: reschedule re-arms it on every state change
 	reserved int64     // device memory currently reserved
 	met      DeviceMetrics
+
+	// par's per-task latencies in seconds, converted once for every Start.
+	atomicSecs, pinnedSecs float64
 }
 
 // Reserve claims bytes of device memory (a kernel's working set). It fails
@@ -104,9 +106,11 @@ func New(eng *sim.Engine, par Params) *Device {
 	if par.Limits.NumSMs <= 0 {
 		panic("gpu: params without device limits")
 	}
-	d := &Device{eng: eng, par: par}
-	d.onWakeFn = d.onWake
-	return d
+	return &Device{
+		eng: eng, par: par,
+		atomicSecs: par.TaskAtomicLatency.Seconds(),
+		pinnedSecs: par.PinnedReadLatency.Seconds(),
+	}
 }
 
 // Params returns the device's calibration constants.
@@ -189,8 +193,8 @@ type Exec struct {
 	smHi     int
 	// Placement (see place): resident CTAs in total, and per SM — the first
 	// extra SMs of the range hold perSM+1, the rest perSM.
-	resident, perSM, extra         int
-	taskSecs, atomicSecs, pollSecs float64 // perTask's constants, converted once at Start
+	resident, perSM, extra int
+	taskSecs, pollSecs     float64 // perTask's constants, converted once at Start
 
 	draining   bool
 	drainYield int // SMs to free, counted from smLo
@@ -225,15 +229,14 @@ func (d *Device) Start(cfg ExecConfig) (*Exec, error) {
 		}
 	}
 	e := &Exec{
-		dev:        d,
-		cfg:        cfg,
-		state:      StateLaunching,
-		done:       float64(cfg.DoneTasks),
-		smLo:       cfg.SMLo,
-		smHi:       cfg.SMHi,
-		taskSecs:   cfg.TaskCost.Seconds(),
-		atomicSecs: d.par.TaskAtomicLatency.Seconds(),
-		pollSecs:   d.par.PinnedReadLatency.Seconds() / float64(cfg.L),
+		dev:      d,
+		cfg:      cfg,
+		state:    StateLaunching,
+		done:     float64(cfg.DoneTasks),
+		smLo:     cfg.SMLo,
+		smHi:     cfg.SMHi,
+		taskSecs: cfg.TaskCost.Seconds(),
+		pollSecs: d.pinnedSecs / float64(cfg.L),
 	}
 	// Register immediately so overlap checks see launching executions too.
 	d.execs = append(d.execs, e)
@@ -244,8 +247,39 @@ func (d *Device) Start(cfg ExecConfig) (*Exec, error) {
 	if cfg.ColdStart {
 		delay += d.par.ColdRestart
 	}
-	e.launchEv = d.eng.Schedule(delay, func() { d.becomeResident(e) })
+	e.launchEv = d.eng.ScheduleFire(delay, e, execResident, 0)
 	return e, nil
+}
+
+// The engine events of one execution (Exec.Fire's kind).
+const (
+	execResident = iota // launch latency over: the CTAs land
+	execDrainEnd        // the yielding CTAs have left their SMs
+	execDrained         // zero-delay hop to OnDrained(arg)
+	execComplete        // zero-delay hop to OnComplete
+)
+
+// Fire implements sim.Handler. The execution is its own event record's
+// handler, so scheduling any of these allocates nothing.
+func (e *Exec) Fire(kind, arg int) {
+	switch kind {
+	case execResident:
+		e.dev.becomeResident(e)
+	case execDrainEnd:
+		e.dev.finishDrain(e)
+	case execDrained:
+		e.cfg.OnDrained(arg)
+	case execComplete:
+		e.cfg.OnComplete()
+	}
+}
+
+// notifyDrained queues OnDrained(remaining) as the next event at this
+// instant.
+func (e *Exec) notifyDrained(remaining int) {
+	if e.cfg.OnDrained != nil {
+		e.dev.eng.ScheduleFire(0, e, execDrained, remaining)
+	}
 }
 
 // becomeResident places the execution's CTAs after launch latency.
@@ -298,7 +332,7 @@ func (e *Exec) SMRange() (lo, hi int) { return e.smLo, e.smHi }
 func (e *Exec) perTask(k int, pressure, mix float64) float64 {
 	base := e.taskSecs * e.cfg.Profile.speedFactor(k) * pressure * mix
 	if e.cfg.Persistent {
-		base += e.atomicSecs
+		base += e.dev.atomicSecs
 		base += e.pollSecs
 	}
 	return base
@@ -408,13 +442,13 @@ func (d *Device) reschedule() {
 		}
 	}
 	if found {
-		d.wake = d.eng.At(soonest, d.onWakeFn)
+		d.wake = d.eng.AtFire(soonest, d, 0, 0)
 	}
 }
 
-// onWake fires at a predicted completion time: finish anything done and
-// re-arm.
-func (d *Device) onWake() {
+// Fire implements sim.Handler for the device's one event, the wake at a
+// predicted completion time: finish anything done and re-arm.
+func (d *Device) Fire(int, int) {
 	d.wake = sim.Timer{}
 	d.sync()
 	for _, e := range d.execs {
@@ -438,13 +472,10 @@ func (d *Device) finish(e *Exec) {
 		e.draining = false
 		e.drainEv.Cancel()
 		e.drainEv = sim.Timer{}
-		if e.cfg.OnDrained != nil {
-			cb := e.cfg.OnDrained
-			d.eng.Schedule(0, func() { cb(0) })
-		}
+		e.notifyDrained(0)
 	}
 	if e.cfg.OnComplete != nil {
-		d.eng.Schedule(0, e.cfg.OnComplete)
+		d.eng.ScheduleFire(0, e, execComplete, 0)
 	}
 	d.recomputeRates()
 	d.reschedule()
@@ -483,11 +514,7 @@ func (e *Exec) Preempt(yieldSMs int) error {
 		d.remove(e)
 		d.met.Drains.Inc()
 		d.updateGauges()
-		if e.cfg.OnDrained != nil {
-			cb := e.cfg.OnDrained
-			rem := e.Remaining()
-			d.eng.Schedule(0, func() { cb(rem) })
-		}
+		e.notifyDrained(e.Remaining())
 		return nil
 	}
 	if yieldSMs <= 0 {
@@ -507,7 +534,7 @@ func (e *Exec) Preempt(yieldSMs int) error {
 	}
 	e.draining = true
 	e.drainYield = yieldSMs
-	e.drainEv = d.eng.Schedule(e.drainTime(), func() { d.finishDrain(e) })
+	e.drainEv = d.eng.ScheduleFire(e.drainTime(), e, execDrainEnd, 0)
 	return nil
 }
 
@@ -547,19 +574,13 @@ func (d *Device) finishDrain(e *Exec) {
 		e.state = StateStopped
 		d.remove(e)
 		d.emit(Event{Time: d.eng.Now(), Kind: EvDrained, Kernel: e.cfg.Profile.Name, SMLo: e.smLo, SMHi: e.smHi, Remaining: remaining})
-		if e.cfg.OnDrained != nil {
-			cb := e.cfg.OnDrained
-			d.eng.Schedule(0, func() { cb(remaining) })
-		}
+		e.notifyDrained(remaining)
 	} else {
 		// Spatial: keep running on the high SMs.
 		e.smLo += yield
 		e.place()
 		d.emit(Event{Time: d.eng.Now(), Kind: EvDrained, Kernel: e.cfg.Profile.Name, SMLo: e.smLo - yield, SMHi: e.smLo, Remaining: remaining})
-		if e.cfg.OnDrained != nil {
-			cb := e.cfg.OnDrained
-			d.eng.Schedule(0, func() { cb(remaining) })
-		}
+		e.notifyDrained(remaining)
 	}
 	d.recomputeRates()
 	d.updateGauges()
