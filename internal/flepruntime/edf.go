@@ -27,9 +27,11 @@ type EDF struct {
 	// riskTimer is the armed latest-safe-preemption event for the
 	// earliest queued deadline; riskSeq invalidates superseded timers
 	// (the FFS epoch-timer pattern, so dead events never accrete in the
-	// engine and never fire stale).
+	// engine and never fire stale). The policy is the timer's handler
+	// (Fire) with riskSeq as its argument; rt is the runtime it was armed on.
 	riskTimer sim.Timer
 	riskSeq   int
+	rt        *Runtime
 }
 
 // NewEDF returns the earliest-deadline-first policy.
@@ -108,19 +110,20 @@ func (e *EDF) rearm(r *Runtime) {
 	if at < now {
 		at = now
 	}
-	seq := e.riskSeq
-	e.riskTimer = r.Device().Engine().At(at, func() { e.onRisk(r, seq) })
+	e.rt = r
+	e.riskTimer = r.Device().Engine().AtFire(at, e, 0, e.riskSeq)
 }
 
-// onRisk fires at the latest safe preemption instant: re-enter the
-// reconcile loop so ShouldPreempt decides with the deadline now at
-// risk. It does not re-arm itself — every state change that could
-// matter (enqueue, dequeue, dispatch) re-arms, so a no-op firing (e.g.
-// mid-drain) cannot spin at one timestamp.
-func (e *EDF) onRisk(r *Runtime, seq int) {
+// Fire implements sim.Handler for the risk timer, at the latest safe
+// preemption instant: re-enter the reconcile loop so ShouldPreempt decides
+// with the deadline now at risk. It does not re-arm itself — every state
+// change that could matter (enqueue, dequeue, dispatch) re-arms, so a
+// no-op firing (e.g. mid-drain) cannot spin at one timestamp.
+func (e *EDF) Fire(_, seq int) {
 	if seq != e.riskSeq {
 		return
 	}
+	r := e.rt
 	e.riskTimer = sim.Timer{}
 	if head := firstDeadline(r); head != nil && r.cfg.Log != nil {
 		r.log("edf-risk", head.Kernel,

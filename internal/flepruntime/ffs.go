@@ -42,8 +42,11 @@ type FFS struct {
 	// previous epoch's timer outright: relying on the epochSeq no-op alone
 	// leaves every superseded timer queued in the engine until its
 	// (possibly far-future) deadline, so a busy daemon accretes dead
-	// events and its idleness signal (Engine.Pending) never clears.
+	// events and its idleness signal (Engine.Pending) never clears. The
+	// policy is the timer's handler (Fire) with epochSeq as its argument; rt
+	// is the runtime it was armed on.
 	epochTimer sim.Timer
+	rt         *Runtime
 	// lastEpochLen is the most recently computed epoch length (tests use
 	// it to assert the length returns to baseline after a tenant departs).
 	lastEpochLen time.Duration
@@ -183,17 +186,19 @@ func (f *FFS) OnDispatch(r *Runtime, v *Invocation) {
 	f.curKernel = v.Kernel
 	f.epochEnd = now + epoch
 	f.epochSeq++
-	seq := f.epochSeq
-	f.epochTimer = r.Device().Engine().At(f.epochEnd, func() { f.onEpochEnd(r, seq) })
+	f.rt = r
+	f.epochTimer = r.Device().Engine().AtFire(f.epochEnd, f, 0, f.epochSeq)
 	r.met.EpochLength.Observe(epoch.Seconds())
 	f.lastEpochLen = epoch
 }
 
-// onEpochEnd rotates the GPU to the next client when the epoch expires.
-func (f *FFS) onEpochEnd(r *Runtime, seq int) {
+// Fire implements sim.Handler for the epoch timer: it rotates the GPU to the
+// next client when the epoch armed as seq expires.
+func (f *FFS) Fire(_, seq int) {
 	if seq != f.epochSeq {
 		return // a newer epoch superseded this timer
 	}
+	r := f.rt
 	owner := f.curKernel
 	running := r.Running()
 	if running == nil || running.Kernel != owner || running.State() != InvRunning {
