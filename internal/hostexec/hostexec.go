@@ -198,6 +198,9 @@ func Run(p *Program, opt Options, procs ...HostProc) (*Report, error) {
 		if p.Original.Func(proc.Func) == nil {
 			return nil, fmt.Errorf("hostexec: no host function %q", proc.Func)
 		}
+		if proc.At < 0 {
+			return nil, fmt.Errorf("hostexec: host process %q starts at negative time %v", proc.Name, proc.At)
+		}
 		ps := &procState{HostProc: proc, wake: make(chan struct{}, 1)}
 		s.procs = append(s.procs, ps)
 		s.eng.Schedule(proc.At, func() { s.start(ps) })
@@ -296,6 +299,9 @@ func (s *session) interpretHost(ps *procState) error {
 		case "flep_sleep":
 			if len(args) != 1 {
 				return cl.Value{}, true, fmt.Errorf("flep_sleep wants (microseconds)")
+			}
+			if us := args[0].Int(); us < 0 {
+				return cl.Value{}, true, fmt.Errorf("negative duration (%d microseconds)", us)
 			}
 			s.cmds <- command{
 				kind: cmdSleep, proc: ps,

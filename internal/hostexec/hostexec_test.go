@@ -221,6 +221,23 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(p, Options{Policy: "bogus"}, HostProc{Func: "run_saxpy"}); err == nil {
 		t.Fatal("bogus policy accepted")
 	}
+	// Times the user supplies are input: a negative one is an error from
+	// Run, not the engine's negative-delay panic.
+	_, err = Run(p, Options{}, HostProc{Func: "run_saxpy", At: -5 * time.Microsecond})
+	if err == nil || !strings.Contains(err.Error(), "negative time") {
+		t.Fatalf("negative start time: err = %v", err)
+	}
+	sleeper, err := Compile(saxpyProgram+"\nvoid nap(int us) { flep_sleep(us); }\n", gpu.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(sleeper, Options{}, HostProc{Func: "nap", Args: []cl.Value{cl.IntValue(0 - 5)}})
+	if err == nil || !strings.Contains(err.Error(), "flep_sleep: negative duration") {
+		t.Fatalf("flep_sleep(-5): err = %v", err)
+	}
+	if _, err := Run(sleeper, Options{}, HostProc{Func: "nap", Args: []cl.Value{cl.IntValue(5)}}); err != nil {
+		t.Fatalf("flep_sleep(5): %v", err)
+	}
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
