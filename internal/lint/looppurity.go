@@ -16,6 +16,8 @@ import (
 // Roots (per package):
 //   - function literals passed to (sim.Engine).Schedule / At — the
 //     discrete events themselves;
+//   - the Fire method of any value passed as the handler to
+//     (sim.Engine).ScheduleFire / AtFire — the same events, typed;
 //   - function values assigned to callback fields named On* (OnFinish,
 //     OnComplete, OnPreemptDrained, ...) — the runtime's hooks, which
 //     all fire inside an engine step;
@@ -128,12 +130,18 @@ func runLoopPurity(pass *analysis.Pass) (any, error) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				// fn arguments of Engine.Schedule/At.
+				// fn arguments of Engine.Schedule/At, and the Fire method
+				// of the handler argument of Engine.ScheduleFire/AtFire.
 				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
 					if fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok && isEngineScheduler(fn) {
 						for _, arg := range n.Args {
-							if _, ok := pass.TypesInfo.TypeOf(arg).(*types.Signature); ok {
+							t := pass.TypesInfo.TypeOf(arg)
+							if _, ok := t.(*types.Signature); ok {
 								addValueRoot(arg, "event scheduled on the engine")
+							} else if fire, _, _ := types.LookupFieldOrMethod(t, true, nil, "Fire"); fire != nil {
+								if obj, ok := fire.(*types.Func); ok && obj.Pkg() == pass.Pkg {
+									addFuncRoot(obj)
+								}
 							}
 						}
 					}
@@ -204,10 +212,13 @@ func runLoopPurity(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// isEngineScheduler matches (sim.Engine) Schedule/At in the real tree
-// and in fixtures (any package whose path ends in internal/sim).
+// isEngineScheduler matches (sim.Engine) Schedule/At and their typed
+// twins ScheduleFire/AtFire in the real tree and in fixtures (any package
+// whose path ends in internal/sim).
 func isEngineScheduler(fn *types.Func) bool {
-	if fn.Name() != "Schedule" && fn.Name() != "At" {
+	switch fn.Name() {
+	case "Schedule", "At", "ScheduleFire", "AtFire":
+	default:
 		return false
 	}
 	sig, ok := fn.Type().(*types.Signature)

@@ -1,6 +1,7 @@
 // Package fixtureloop exercises the looppurity analyzer's engine
-// roots: function literals handed to Engine.Schedule/At and callbacks
-// assigned to On* hook fields.
+// roots: function literals handed to Engine.Schedule/At, the Fire method of
+// handlers handed to Engine.ScheduleFire/AtFire, and callbacks assigned to
+// On* hook fields.
 package fixtureloop
 
 import (
@@ -41,6 +42,31 @@ func helper(ch chan int) {
 // ScheduleIndirect exercises the same-package call-graph closure.
 func ScheduleIndirect(e *sim.Engine, ch chan int) {
 	e.At(5, func() { helper(ch) })
+}
+
+// timer is a typed-event handler: the engine calls its Fire, so Fire and
+// what it reaches run on the loop.
+type timer struct{ ch chan int }
+
+func (t *timer) Fire(kind, arg int) {
+	if kind == 1 {
+		t.expire()
+	}
+}
+
+func (t *timer) expire() {
+	time.Sleep(time.Millisecond) // want `block time\.Sleep`
+}
+
+// quiet has a Fire too, but nothing ever schedules it.
+type quiet struct{}
+
+func (quiet) Fire(kind, arg int) { time.Sleep(time.Millisecond) }
+
+// ScheduleTyped roots timer.Fire through both typed scheduling calls.
+func ScheduleTyped(e *sim.Engine, t *timer) {
+	e.ScheduleFire(10, t, 1, 0)
+	e.AtFire(20, t, 0, 0)
 }
 
 // HookBad installs a blocking callback on an On* field.
