@@ -61,10 +61,16 @@ type Gauge struct {
 	bits atomic.Uint64
 }
 
-// Set replaces the gauge's value.
+// Set replaces the gauge's value. A load is an ordinary read where a store
+// is an exchange, and the event loop re-sets gauges that rarely move (the
+// device's occupancy gauges on every placement change), so an unchanged
+// value is left alone.
 func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
+	if g == nil {
+		return
+	}
+	if bits := math.Float64bits(v); g.bits.Load() != bits {
+		g.bits.Store(bits)
 	}
 }
 

@@ -48,6 +48,15 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if g.Value() != 1.5 {
 		t.Fatalf("gauge = %g", g.Value())
 	}
+	// Set skips the store when the value is unchanged; every sequence of
+	// repeats and changes still reads back the last value set, zero and its
+	// negative (equal as floats, different bits) included.
+	for _, v := range []float64{1.5, 1.5, 0, 0, math.Copysign(0, -1), 7, 7, 1.5} {
+		g.Set(v)
+		if got := g.Value(); got != v || math.Signbit(got) != math.Signbit(v) {
+			t.Fatalf("gauge = %g after Set(%g)", got, v)
+		}
+	}
 }
 
 func TestLabeledFamilies(t *testing.T) {
