@@ -98,9 +98,7 @@ func (e *Engine) At(when time.Duration, fn func()) Timer {
 	if fn == nil {
 		panic("sim: nil event func")
 	}
-	ev := e.acquire(when)
-	ev.fn = fn
-	return e.enqueue(ev)
+	return e.add(when, fn, nil, 0, 0)
 }
 
 // ScheduleFire calls h.Fire(kind, arg) after delay of virtual time: Schedule
@@ -114,9 +112,7 @@ func (e *Engine) AtFire(when time.Duration, h Handler, kind, arg int) Timer {
 	if h == nil {
 		panic("sim: nil event handler")
 	}
-	ev := e.acquire(when)
-	ev.h, ev.kind, ev.arg = h, kind, arg
-	return e.enqueue(ev)
+	return e.add(when, nil, h, kind, arg)
 }
 
 func (e *Engine) after(delay time.Duration) time.Duration {
@@ -126,9 +122,9 @@ func (e *Engine) after(delay time.Duration) time.Duration {
 	return e.now + delay
 }
 
-// acquire takes a record off the free list, or makes one, for an event at
-// when.
-func (e *Engine) acquire(when time.Duration) *event {
+// add queues an event under the next sequence number, in a record off the
+// free list if there is one.
+func (e *Engine) add(when time.Duration, fn func(), h Handler, kind, arg int) Timer {
 	if when < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", when, e.now))
 	}
@@ -138,17 +134,11 @@ func (e *Engine) acquire(when time.Duration) *event {
 	} else {
 		e.free, ev.next = ev.next, nil
 	}
-	ev.when = when
-	return ev
-}
-
-// enqueue gives the filled record the next sequence number and queues it.
-func (e *Engine) enqueue(ev *event) Timer {
 	e.seq++
-	ev.seq = e.seq
+	ev.when, ev.seq, ev.fn, ev.h, ev.kind, ev.arg = when, e.seq, fn, h, kind, arg
 	e.queue = append(e.queue, nil)
 	e.up(len(e.queue)-1, ev)
-	return Timer{ev: ev, seq: ev.seq, when: ev.when}
+	return Timer{ev: ev, seq: ev.seq, when: when}
 }
 
 // release returns a record that left the queue to the free list. Clearing
