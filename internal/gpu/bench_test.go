@@ -41,8 +41,8 @@ func BenchmarkPreemptResumeCycle(b *testing.B) {
 // drained → cold Start → complete cycle on a long-lived device, callbacks
 // hoisted so only the device's own allocations count. Those are the two
 // Execs, whose handles the caller keeps; the seven events it schedules (one
-// a wake the preempt cancels) are typed records the engine recycles. With an
-// Event per At and a closure at four of the sites this read 13.
+// a wake the preempt cancels) are typed records the engine recycles. An
+// event scheduled as a closure again costs one allocation here.
 func TestPreemptResumeAllocationBudget(t *testing.T) {
 	eng, dev := newDev()
 	const tasks = 12000

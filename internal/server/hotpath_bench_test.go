@@ -115,8 +115,8 @@ func raceEnabled() bool {
 // flat, and a pooled object that stops coming back shows up here and
 // nowhere else: a launchReq that is not returned costs 3 allocations per
 // launch, an encoder 10. The ceilings are the measured steady state; the
-// trivial launch's three engine events are recycled typed records (an Event
-// each and the residency closure made these 31 and 9).
+// trivial launch's three engine events are recycled typed records and
+// contribute nothing, so an event scheduled as a closure shows up too.
 func TestAllocationBudget(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("race instrumentation allocates")
