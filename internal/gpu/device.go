@@ -59,7 +59,7 @@ type Device struct {
 	Observer func(Event)
 
 	execs    []*Exec
-	wake     sim.Timer // earliest completion/deadline event
+	wake     sim.Timer // earliest completion/deadline event; inert once fired or cancelled
 	reserved int64     // device memory currently reserved
 	met      DeviceMetrics
 
@@ -423,7 +423,6 @@ func (d *Device) globalFactors() (pressure, mix float64) {
 // completion.
 func (d *Device) reschedule() {
 	d.wake.Cancel()
-	d.wake = sim.Timer{}
 	soonest := time.Duration(math.MaxInt64)
 	found := false
 	for _, e := range d.execs {
@@ -449,7 +448,6 @@ func (d *Device) reschedule() {
 // Fire implements sim.Handler for the device's one event, the wake at a
 // predicted completion time: finish anything done and re-arm.
 func (d *Device) Fire(int, int) {
-	d.wake = sim.Timer{}
 	d.sync()
 	for _, e := range d.execs {
 		if e.state == StateRunning && float64(e.cfg.TotalTasks)-e.done < 0.5 {
@@ -471,7 +469,6 @@ func (d *Device) finish(e *Exec) {
 	if e.draining {
 		e.draining = false
 		e.drainEv.Cancel()
-		e.drainEv = sim.Timer{}
 		e.notifyDrained(0)
 	}
 	if e.cfg.OnComplete != nil {
@@ -565,7 +562,6 @@ func (d *Device) finishDrain(e *Exec) {
 	}
 	d.sync()
 	e.draining = false
-	e.drainEv = sim.Timer{}
 	yield := e.drainYield
 	remaining := e.Remaining()
 	d.met.Drains.Inc()

@@ -115,6 +115,7 @@ func (e *Engine) AtFire(when time.Duration, h Handler, kind, arg int) Timer {
 	return e.add(when, nil, h, kind, arg)
 }
 
+// after is the absolute time of a delay from now.
 func (e *Engine) after(delay time.Duration) time.Duration {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
