@@ -55,19 +55,18 @@ func BenchmarkFFSRotation4Tenants(b *testing.B) {
 }
 
 // TestRotationAllocationBudget pins what one FFS rotation allocates with no
-// trace log attached: the gpu.Exec the redispatch starts, whose handle the
-// runtime keeps. The five engine events it schedules (epoch timer, drain,
+// trace log attached: nothing. The redispatch starts into the gpu.Exec the
+// invocation owns; the five engine events it schedules (epoch timer, drain,
 // drained hop, relaunch, device wake) are typed records the engine recycles,
-// handled by the policy, the execution and the device themselves
-// (gpu's TestPreemptResumeAllocationBudget is the device's share). The
-// ceiling is the measured value; a closure scheduled per event, a trace line
+// handled by the policy, the execution and the device themselves (gpu's
+// TestPreemptResumeAllocationBudget is the device's share). An Exec
+// allocated per dispatch, a closure scheduled per event, a trace line
 // formatted for a nil log or a callback rebound per redispatch shows up
 // here.
 func TestRotationAllocationBudget(t *testing.T) {
 	fx := newRotationFixture(t)
-	const ceiling = 1
-	if got := testing.AllocsPerRun(500, func() { fx.rotate(t) }); got > ceiling {
-		t.Errorf("one FFS rotation allocates %v times, ceiling %d", got, ceiling)
+	if got := testing.AllocsPerRun(500, func() { fx.rotate(t) }); got > 0 {
+		t.Errorf("one FFS rotation allocates %v times, want none", got)
 	}
 }
 

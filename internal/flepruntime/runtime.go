@@ -378,7 +378,7 @@ func (r *Runtime) dispatch(v *Invocation, smLo, smHi int, asGuest bool) {
 		v.onComplete = func() { r.onComplete(v) }
 		v.onDrained = func(rem int) { r.onDrained(v, rem) }
 	}
-	exec, err := r.dev.Start(gpu.ExecConfig{
+	err := r.dev.StartIn(&v.exec, &gpu.ExecConfig{
 		Profile:    v.Profile,
 		TotalTasks: v.Tasks,
 		DoneTasks:  v.doneTasks,
@@ -394,7 +394,6 @@ func (r *Runtime) dispatch(v *Invocation, smLo, smHi int, asGuest bool) {
 	if err != nil {
 		panic(fmt.Sprintf("flepruntime: dispatch %s: %v", v.Kernel, err))
 	}
-	v.exec = exec
 	if asGuest {
 		r.guest = v
 		r.met.GuestDispatches.Inc()
@@ -431,7 +430,7 @@ func (r *Runtime) onComplete(v *Invocation) {
 	if r.cfg.Log != nil {
 		r.log("complete", v.Kernel, fmt.Sprintf("id=%d turnaround=%v Tw=%v", v.ID, v.Turnaround(), v.Tw))
 	}
-	if wasGuest && !r.draining && r.running != nil && r.running.exec != nil {
+	if wasGuest && !r.draining && r.running != nil {
 		// Reclaim the guest's SMs for the shrunk victim. Skipped while the
 		// primary itself is draining: a temporal drain tears the execution
 		// down (it redispatches at full width later), and a spatial drain
@@ -495,7 +494,6 @@ func (r *Runtime) onDrained(v *Invocation, remaining int) {
 	// Temporal: the victim stopped entirely; it goes back to the queue.
 	r.met.TemporalPreempts.Inc()
 	v.beginWait(now)
-	v.exec = nil
 	if r.running == v {
 		r.running = nil
 	}

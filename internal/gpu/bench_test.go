@@ -39,50 +39,61 @@ func BenchmarkPreemptResumeCycle(b *testing.B) {
 // TestPreemptResumeAllocationBudget is the device's share of the rotation
 // budget (flepruntime's TestRotationAllocationBudget): one Start → Preempt →
 // drained → cold Start → complete cycle on a long-lived device, callbacks
-// hoisted so only the device's own allocations count. Those are the two
-// Execs, whose handles the caller keeps; the seven events it schedules (one
-// a wake the preempt cancels) are typed records the engine recycles. An
-// event scheduled as a closure again costs one allocation here.
+// hoisted so only the device's own allocations count. Through Start those
+// are the two Execs, whose handles the caller keeps and the device therefore
+// never reuses; through StartIn, into storage the caller owns, there are
+// none. The seven events a cycle schedules (one a wake the preempt cancels)
+// are typed records the engine recycles either way. An event scheduled as a
+// closure again costs one allocation in both cases.
 func TestPreemptResumeAllocationBudget(t *testing.T) {
-	eng, dev := newDev()
-	const tasks = 12000
-	cfg := ExecConfig{
-		Profile: testProfile("k", 0.5, 0.8), TotalTasks: tasks, TaskCost: us(10),
-		Persistent: true, L: 4, SMLo: 0, SMHi: dev.NumSMs(),
-		OnComplete: func() {},
-	}
-	resume := cfg
-	resume.ColdStart = true
-	cfg.OnDrained = func(remaining int) {
-		resume.DoneTasks = tasks - remaining
-		if _, err := dev.Start(resume); err != nil {
-			t.Fatal(err)
+	var storage Exec
+	for _, tc := range []struct {
+		name    string
+		start   func(dev *Device, cfg *ExecConfig) (*Exec, error)
+		ceiling float64
+	}{
+		{"Start", func(dev *Device, cfg *ExecConfig) (*Exec, error) { return dev.Start(*cfg) }, 2},
+		{"StartIn", func(dev *Device, cfg *ExecConfig) (*Exec, error) { return &storage, dev.StartIn(&storage, cfg) }, 0},
+	} {
+		eng, dev := newDev()
+		const tasks = 12000
+		cfg := ExecConfig{
+			Profile: testProfile("k", 0.5, 0.8), TotalTasks: tasks, TaskCost: us(10),
+			Persistent: true, L: 4, SMLo: 0, SMHi: dev.NumSMs(),
+			OnComplete: func() {},
 		}
-	}
-	steps := 0
-	cycle := func() {
-		exec, err := dev.Start(cfg)
-		if err != nil {
-			t.Fatal(err)
+		resume := cfg
+		resume.ColdStart = true
+		cfg.OnDrained = func(remaining int) {
+			resume.DoneTasks = tasks - remaining
+			if _, err := tc.start(dev, &resume); err != nil {
+				t.Fatal(err)
+			}
 		}
-		eng.RunUntil(eng.Now() + us(500))
-		if err := exec.Preempt(dev.NumSMs()); err != nil {
-			t.Fatal(err)
+		steps := 0
+		cycle := func() {
+			exec, err := tc.start(dev, &cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.RunUntil(eng.Now() + us(500))
+			if err := exec.Preempt(dev.NumSMs()); err != nil {
+				t.Fatal(err)
+			}
+			for eng.Step() {
+				steps++
+			}
 		}
-		for eng.Step() {
-			steps++
+		cycle() // grow the engine's records and the device's exec list
+		steps = 0
+		if got := testing.AllocsPerRun(200, cycle); got > tc.ceiling {
+			t.Errorf("%s: one preempt-resume cycle allocates %v times, ceiling %v", tc.name, got, tc.ceiling)
 		}
-	}
-	cycle() // grow the engine's records and the device's exec list
-	steps = 0
-	const ceiling = 2
-	if got := testing.AllocsPerRun(200, cycle); got > ceiling {
-		t.Errorf("one preempt-resume cycle allocates %v times, ceiling %d", got, ceiling)
-	}
-	// AllocsPerRun runs one warm-up cycle of its own. RunUntil fires the
-	// first residency; drain end, drained, cold residency, wake and complete
-	// are counted here.
-	if want := 201 * 5; steps != want {
-		t.Errorf("%d engine steps after the preempt over 201 cycles, want %d", steps, want)
+		// AllocsPerRun runs one warm-up cycle of its own. RunUntil fires the
+		// first residency; drain end, drained, cold residency, wake and
+		// complete are counted here.
+		if want := 201 * 5; steps != want {
+			t.Errorf("%s: %d engine steps after the preempt over 201 cycles, want %d", tc.name, steps, want)
+		}
 	}
 }

@@ -180,10 +180,21 @@ type ExecConfig struct {
 	OnDrained func(remaining int)
 }
 
-// Exec is a handle to a started execution.
+// Exec is one execution: the handle its starter drives it by, and the
+// storage it runs in. Start allocates that storage and never reuses it, so
+// its handle stays valid — and inert once the execution is over — for as
+// long as the caller keeps it. StartIn runs in storage the caller owns and
+// may start into again once the run is over; a pointer kept across that is
+// a handle to the new run, which is the caller's business, and the one event
+// the device schedules far enough ahead to outlive a run (Expand's relaunch)
+// carries the run's number and fires inert into a later one. An Exec must
+// not be copied once started: it is its own event handler.
 type Exec struct {
 	dev *Device
 	cfg ExecConfig
+	// run counts the Starts into this storage; hops the zero-delay OnDrained
+	// and OnComplete events queued and not yet delivered.
+	run, hops int
 
 	state    ExecState
 	done     float64 // fluid completed-task count
@@ -202,42 +213,58 @@ type Exec struct {
 	launchEv   sim.Timer
 }
 
-// Start launches an execution. The configured launch latency elapses before
-// CTAs become resident. Placement must stay within the device and not
-// overlap other executions' SM ranges; overlap is the caller's scheduling
-// bug and is reported as an error.
+// Start launches an execution in storage of its own and returns the handle.
 func (d *Device) Start(cfg ExecConfig) (*Exec, error) {
+	e := new(Exec)
+	if err := d.StartIn(e, &cfg); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// StartIn launches an execution in e, which the caller owns: the zero Exec,
+// or one whose last run is stopped or done with every callback delivered.
+// The configured launch latency elapses before CTAs become resident.
+// Placement must stay within the device and not overlap other executions'
+// SM ranges; overlap, like starting into storage that is still in use, is
+// the caller's scheduling bug and is reported as an error. cfg is copied.
+func (d *Device) StartIn(e *Exec, cfg *ExecConfig) error {
 	if cfg.Profile == nil {
-		return nil, fmt.Errorf("gpu: Start without profile")
+		return fmt.Errorf("gpu: Start without profile")
 	}
 	if cfg.SMLo < 0 || cfg.SMHi > d.par.Limits.NumSMs || cfg.SMLo >= cfg.SMHi {
-		return nil, fmt.Errorf("gpu: bad SM range [%d,%d)", cfg.SMLo, cfg.SMHi)
+		return fmt.Errorf("gpu: bad SM range [%d,%d)", cfg.SMLo, cfg.SMHi)
 	}
 	if cfg.TotalTasks < 0 || cfg.DoneTasks < 0 || cfg.DoneTasks > cfg.TotalTasks {
-		return nil, fmt.Errorf("gpu: bad task counts total=%d done=%d", cfg.TotalTasks, cfg.DoneTasks)
+		return fmt.Errorf("gpu: bad task counts total=%d done=%d", cfg.TotalTasks, cfg.DoneTasks)
 	}
 	if cfg.TaskCost <= 0 && cfg.TotalTasks > cfg.DoneTasks {
-		return nil, fmt.Errorf("gpu: non-positive task cost")
+		return fmt.Errorf("gpu: non-positive task cost")
 	}
-	if cfg.Persistent && cfg.L <= 0 {
-		cfg.L = 1
+	if e.run > 0 && (e.state == StateLaunching || e.state == StateRunning || e.hops > 0) {
+		return fmt.Errorf("gpu: Start into the storage of %s, which is %s with %d callbacks to deliver",
+			e.cfg.Profile.Name, e.state, e.hops)
 	}
 	for _, other := range d.execs {
 		if other.smLo < cfg.SMHi && cfg.SMLo < other.smHi {
-			return nil, fmt.Errorf("gpu: SM range [%d,%d) overlaps running %s [%d,%d)",
+			return fmt.Errorf("gpu: SM range [%d,%d) overlaps running %s [%d,%d)",
 				cfg.SMLo, cfg.SMHi, other.cfg.Profile.Name, other.smLo, other.smHi)
 		}
 	}
-	e := &Exec{
-		dev:      d,
-		cfg:      cfg,
-		state:    StateLaunching,
-		done:     float64(cfg.DoneTasks),
-		smLo:     cfg.SMLo,
-		smHi:     cfg.SMHi,
-		taskSecs: cfg.TaskCost.Seconds(),
-		pollSecs: d.pinnedSecs / float64(cfg.L),
+	*e = Exec{
+		dev:   d,
+		cfg:   *cfg,
+		run:   e.run + 1,
+		state: StateLaunching,
+		done:  float64(cfg.DoneTasks),
+		smLo:  cfg.SMLo,
+		smHi:  cfg.SMHi,
 	}
+	if cfg.Persistent && cfg.L <= 0 {
+		e.cfg.L = 1
+	}
+	e.taskSecs = cfg.TaskCost.Seconds()
+	e.pollSecs = d.pinnedSecs / float64(e.cfg.L)
 	// Register immediately so overlap checks see launching executions too.
 	d.execs = append(d.execs, e)
 	d.met.Launches.Inc()
@@ -248,7 +275,7 @@ func (d *Device) Start(cfg ExecConfig) (*Exec, error) {
 		delay += d.par.ColdRestart
 	}
 	e.launchEv = d.eng.ScheduleFire(delay, e, execResident, 0)
-	return e, nil
+	return nil
 }
 
 // The engine events of one execution (Exec.Fire's kind).
@@ -257,6 +284,9 @@ const (
 	execDrainEnd        // the yielding CTAs have left their SMs
 	execDrained         // zero-delay hop to OnDrained(arg)
 	execComplete        // zero-delay hop to OnComplete
+	// execExpand+lo: the relaunch Expand(lo) ordered has landed; arg is the
+	// run that ordered it.
+	execExpand
 )
 
 // Fire implements sim.Handler. The execution is its own event record's
@@ -268,9 +298,15 @@ func (e *Exec) Fire(kind, arg int) {
 	case execDrainEnd:
 		e.dev.finishDrain(e)
 	case execDrained:
+		e.hops--
 		e.cfg.OnDrained(arg)
 	case execComplete:
+		e.hops--
 		e.cfg.OnComplete()
+	default:
+		if arg == e.run {
+			e.dev.expanded(e, kind-execExpand)
+		}
 	}
 }
 
@@ -278,6 +314,7 @@ func (e *Exec) Fire(kind, arg int) {
 // instant.
 func (e *Exec) notifyDrained(remaining int) {
 	if e.cfg.OnDrained != nil {
+		e.hops++
 		e.dev.eng.ScheduleFire(0, e, execDrained, remaining)
 	}
 }
@@ -472,6 +509,7 @@ func (d *Device) finish(e *Exec) {
 		e.notifyDrained(0)
 	}
 	if e.cfg.OnComplete != nil {
+		e.hops++
 		d.eng.ScheduleFire(0, e, execComplete, 0)
 	}
 	d.recomputeRates()
@@ -616,34 +654,37 @@ func (e *Exec) Expand(lo int) error {
 	freed := e.smLo - lo
 	delay := d.par.LaunchLatency +
 		time.Duration(float64(d.par.ColdRestart)*float64(freed)/float64(d.par.Limits.NumSMs))
-	d.eng.Schedule(delay, func() {
-		// Re-check draining too: a preemption that started while the
-		// relaunch was in flight caps its yield at the pre-expand span, so
-		// applying the expansion now would outlive the drain.
-		if e.state != StateRunning || e.draining || lo >= e.smLo {
+	d.eng.ScheduleFire(delay, e, execExpand+lo, e.run)
+	return nil
+}
+
+// expanded applies an Expand(lo) whose relaunch latency is over.
+func (d *Device) expanded(e *Exec, lo int) {
+	// Re-check draining too: a preemption that started while the relaunch
+	// was in flight caps its yield at the pre-expand span, so applying the
+	// expansion now would outlive the drain.
+	if e.state != StateRunning || e.draining || lo >= e.smLo {
+		return
+	}
+	// Re-validate: another execution may have taken the SMs while the
+	// relaunch was in flight.
+	for _, other := range d.execs {
+		if other != e && other.smLo < e.smLo && lo < other.smHi {
 			return
 		}
-		// Re-validate: another execution may have taken the SMs while the
-		// relaunch was in flight.
-		for _, other := range d.execs {
-			if other != e && other.smLo < e.smLo && lo < other.smHi {
-				return
-			}
-		}
-		d.sync()
-		before := e.resident
-		e.smLo = lo
-		e.place()
-		if grown := e.resident - before; grown > 0 {
-			d.met.CTAsPlaced.Add(int64(grown))
-		}
-		d.met.Residencies.Inc()
-		d.emit(Event{Time: d.eng.Now(), Kind: EvResident, Kernel: e.cfg.Profile.Name, SMLo: e.smLo, SMHi: e.smHi, Remaining: e.Remaining()})
-		d.recomputeRates()
-		d.updateGauges()
-		d.reschedule()
-	})
-	return nil
+	}
+	d.sync()
+	before := e.resident
+	e.smLo = lo
+	e.place()
+	if grown := e.resident - before; grown > 0 {
+		d.met.CTAsPlaced.Add(int64(grown))
+	}
+	d.met.Residencies.Inc()
+	d.emit(Event{Time: d.eng.Now(), Kind: EvResident, Kernel: e.cfg.Profile.Name, SMLo: e.smLo, SMHi: e.smHi, Remaining: e.Remaining()})
+	d.recomputeRates()
+	d.updateGauges()
+	d.reschedule()
 }
 
 // Busy reports whether any execution is resident or launching.

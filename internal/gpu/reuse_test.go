@@ -241,8 +241,8 @@ func reuseDigest(seed int64, start func(dev *Device, slot int, cfg ExecConfig) (
 // finish inside a drain, a restart from inside OnDrained and OnComplete —
 // when every execution is a fresh Exec from Device.Start. The file was
 // generated from that code before executions could run in storage their
-// caller owns; whatever else can start an execution must reproduce every
-// line. `go test ./internal/gpu -run TestReusedStorageMatchesFreshExec
+// caller owns; StartIn into one Exec per tenant, restarted in place up to
+// dozens of times a seed, must reproduce every line. `go test ./internal/gpu -run TestReusedStorageMatchesFreshExec
 // -update` rewrites the file.
 func TestReusedStorageMatchesFreshExec(t *testing.T) {
 	path := filepath.Join("testdata", "reuse_digests.txt")
@@ -265,6 +265,116 @@ func TestReusedStorageMatchesFreshExec(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareReuseDigests(t, "Device.Start", got.Bytes(), want)
+
+	got.Reset()
+	for seed := int64(1); seed <= reuseSeeds; seed++ {
+		var storage [2]Exec
+		reused := func(dev *Device, slot int, cfg ExecConfig) (*Exec, error) {
+			return &storage[slot], dev.StartIn(&storage[slot], &cfg)
+		}
+		fmt.Fprintf(&got, "seed=%d %s\n", seed, reuseDigest(seed, reused))
+	}
+	compareReuseDigests(t, "Device.StartIn", got.Bytes(), want)
+}
+
+// TestStaleExpandIsInert orders an Expand and, inside its relaunch latency,
+// drains the primary and restarts it shrunk in the same storage. The
+// relaunch then lands on a run that is resident, not draining and above the
+// SMs it would reclaim — everything the landing checks except that it is
+// not the run that ordered it.
+func TestStaleExpandIsInert(t *testing.T) {
+	eng, dev := newDev()
+	var primary Exec
+	cfg := ExecConfig{
+		Profile: testProfile("p", 0.5, 0.8), TotalTasks: 120000, TaskCost: us(10),
+		Persistent: true, L: 1, SMLo: 5, SMHi: 15,
+	}
+	cfg.OnDrained = func(remaining int) {
+		resume := cfg
+		resume.DoneTasks, resume.OnDrained = cfg.TotalTasks-remaining, nil
+		if err := dev.StartIn(&primary, &resume); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dev.StartIn(&primary, &cfg); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(us(100))
+	// Five of fifteen SMs relaunch: 6 µs launch + 5 µs of cold restart. The
+	// L=1 drain takes 2.2 µs and the warm restart 6 µs, so the second run is
+	// resident at 108.2 µs and the first run's relaunch lands at 111 µs.
+	if err := primary.Expand(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.Preempt(dev.NumSMs()); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(us(110))
+	if primary.State() != StateRunning || primary.run != 2 {
+		t.Fatalf("second run is %v (run %d) at 110us, want it resident", primary.State(), primary.run)
+	}
+	eng.RunUntil(us(200))
+	if lo, hi := primary.SMRange(); lo != 5 || hi != 15 {
+		t.Fatalf("the first run's Expand grew the second run to [%d,%d), want [5,15)", lo, hi)
+	}
+	// The second run's own Expand still lands.
+	if err := primary.Expand(0); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(us(300))
+	if lo, _ := primary.SMRange(); lo != 0 {
+		t.Fatalf("the second run's own Expand left it at SM %d", lo)
+	}
+}
+
+// TestStartIntoLiveStorageIsAnError covers every way storage can still be
+// in use: launching, running, draining, and finished inside a drain with
+// the completion callback not yet delivered.
+func TestStartIntoLiveStorageIsAnError(t *testing.T) {
+	eng, dev := newDev()
+	var e Exec
+	completed := false
+	cfg := ExecConfig{
+		Profile: testProfile("k", 0.5, 0.8), TotalTasks: 1200, TaskCost: us(100),
+		Persistent: true, L: 4, SMLo: 0, SMHi: 10,
+		OnComplete: func() { completed = true },
+	}
+	elsewhere := cfg
+	elsewhere.SMLo, elsewhere.SMHi, elsewhere.OnDrained = 10, 15, nil
+	refused := func(when string) {
+		t.Helper()
+		if err := dev.StartIn(&e, &elsewhere); err == nil {
+			t.Fatalf("Start into %s storage accepted", when)
+		}
+		if dev.Busy() != (e.State() == StateLaunching || e.State() == StateRunning) {
+			t.Fatalf("refused Start into %s storage changed the device", when)
+		}
+	}
+	cfg.OnDrained = func(remaining int) {
+		if remaining != 0 {
+			t.Fatalf("drained with %d remaining, want the finish to win", remaining)
+		}
+		refused("finished-but-undelivered")
+	}
+	if err := dev.StartIn(&e, &cfg); err != nil {
+		t.Fatal(err)
+	}
+	refused("launching")
+	eng.RunUntil(us(50))
+	refused("running")
+	// 1200 tasks on 80 slots: done at about 1.5 ms. Preempt 1 µs before.
+	eng.RunUntil(e.lastSync + time.Duration((1200-e.done)/e.rate*float64(time.Second)) - us(1))
+	if err := e.Preempt(dev.NumSMs()); err != nil {
+		t.Fatal(err)
+	}
+	refused("draining")
+	eng.Run()
+	if !completed || e.State() != StateDone {
+		t.Fatalf("completed=%v state=%v", completed, e.State())
+	}
+	if err := dev.StartIn(&e, &elsewhere); err != nil {
+		t.Fatalf("Start into finished storage: %v", err)
+	}
 }
 
 func compareReuseDigests(t *testing.T, how string, got, want []byte) {
