@@ -79,33 +79,39 @@ func (r *RunResult) ResultFor(kernel string) *KernelResult {
 	return nil
 }
 
-// runScenario is the one scenario loop under every executor: it schedules
-// each item's arrival on eng, hands every (re)submission to launch — which
-// must call done exactly once when that launch completes, with the
-// timings filled in — resubmits closed-loop items until the horizon, and
-// runs the engine to the horizon (or to drain when there is none).
-func runScenario(eng *sim.Engine, sc workload.Scenario, launch func(item workload.Item, done func(KernelResult))) *RunResult {
+// runScenario is the one scenario loop under every executor. bind is called
+// once per item and returns the item's submit function, which launches the
+// item and must see that done is called exactly once when that launch
+// completes, with the timings filled in. runScenario schedules each item's
+// arrival on eng, resubmits closed-loop items until the horizon, and runs
+// the engine to the horizon (or to drain when there is none). Nothing here
+// is built per launch: a relaunch costs what submit itself allocates.
+func runScenario(eng *sim.Engine, sc workload.Scenario, bind func(item workload.Item, done func(KernelResult)) (submit func())) *RunResult {
 	res := &RunResult{Scenario: sc.Name, Completions: map[string]int{}}
-	for _, item := range sc.Items {
-		item := item
+	completions := make([]int, len(sc.Items))
+	for i, item := range sc.Items {
+		i, item := i, item
 		var submit func()
-		submit = func() {
-			launch(item, func(r KernelResult) {
-				r.Kernel, r.Bench, r.Class = item.Bench.Name, item.Bench, item.Class
-				r.TasksOverride, r.Priority = item.TasksOverride, item.Priority
-				res.Completions[item.Bench.Name]++
-				res.Results = append(res.Results, r)
-				if item.Loop && (sc.Horizon == 0 || eng.Now() < sc.Horizon) {
-					submit()
-				}
-			})
-		}
+		submit = bind(item, func(r KernelResult) {
+			r.Kernel, r.Bench, r.Class = item.Bench.Name, item.Bench, item.Class
+			r.TasksOverride, r.Priority = item.TasksOverride, item.Priority
+			completions[i]++
+			res.Results = append(res.Results, r)
+			if item.Loop && (sc.Horizon == 0 || eng.Now() < sc.Horizon) {
+				submit()
+			}
+		})
 		eng.Schedule(item.At, submit)
 	}
 	if sc.Horizon > 0 {
 		eng.RunUntil(sc.Horizon)
 	} else {
 		eng.Run()
+	}
+	for i, item := range sc.Items {
+		if completions[i] > 0 {
+			res.Completions[item.Bench.Name] += completions[i]
+		}
 	}
 	res.Makespan = eng.Now()
 	return res
@@ -142,22 +148,26 @@ func (s *System) RunFLEP(sc workload.Scenario, opt Options) (*RunResult, error) 
 			}
 		}
 	}
-	res := runScenario(st.Eng, sc, func(item workload.Item, done func(KernelResult)) {
-		v, err := st.NewInvocation(Launch{
+	res := runScenario(st.Eng, sc, func(item workload.Item, done func(KernelResult)) func() {
+		l := Launch{
 			Bench: item.Bench, Class: item.Class,
 			TasksOverride: item.TasksOverride, Priority: item.Priority,
-		})
-		if err == nil {
-			v.OnFinish = func(fv *flepruntime.Invocation) {
-				done(KernelResult{
-					SubmittedAt: fv.SubmittedAt(), FinishedAt: fv.FinishedAt(),
-					Waiting: fv.Tw, Preemptions: fv.Preemptions,
-				})
-			}
-			err = st.RT.Submit(v)
 		}
-		if err != nil {
-			panic(fmt.Sprintf("core: submit %s: %v", item.Bench.Name, err))
+		onFinish := func(fv *flepruntime.Invocation) {
+			done(KernelResult{
+				SubmittedAt: fv.SubmittedAt(), FinishedAt: fv.FinishedAt(),
+				Waiting: fv.Tw, Preemptions: fv.Preemptions,
+			})
+		}
+		return func() {
+			v, err := st.NewInvocation(l)
+			if err == nil {
+				v.OnFinish = onFinish
+				err = st.RT.Submit(v)
+			}
+			if err != nil {
+				panic(fmt.Sprintf("core: submit %s: %v", item.Bench.Name, err))
+			}
 		}
 	})
 	if acc != nil {
@@ -199,21 +209,25 @@ func (s *System) runBaseline(sc workload.Scenario, newExec func(*gpu.Device) *ba
 		}
 		profiles[item.Bench.Name] = profile
 	}
-	return runScenario(eng, sc, func(item workload.Item, done func(KernelResult)) {
+	return runScenario(eng, sc, func(item workload.Item, done func(KernelResult)) func() {
 		in := item.Bench.LaunchInput(item.Class, item.TasksOverride)
+		profile := profiles[item.Bench.Name]
 		// Zero before Offline: the baselines run without artifacts.
 		predicted, _ := s.Predict(item.Bench, in)
-		exec.Submit(&baselines.Job{
-			Kernel: item.Bench.Name, Priority: item.Priority,
-			Profile: profiles[item.Bench.Name], Tasks: in.Tasks, TaskCost: in.TaskCost,
-			Predicted: predicted,
-			OnFinish: func(fj *baselines.Job) {
-				done(KernelResult{
-					SubmittedAt: fj.SubmittedAt(), FinishedAt: fj.FinishedAt(),
-					Waiting: fj.Waiting(),
-				})
-			},
-		})
+		onFinish := func(fj *baselines.Job) {
+			done(KernelResult{
+				SubmittedAt: fj.SubmittedAt(), FinishedAt: fj.FinishedAt(),
+				Waiting: fj.Waiting(),
+			})
+		}
+		return func() {
+			exec.Submit(&baselines.Job{
+				Kernel: item.Bench.Name, Priority: item.Priority,
+				Profile: profile, Tasks: in.Tasks, TaskCost: in.TaskCost,
+				Predicted: predicted,
+				OnFinish:  onFinish,
+			})
+		}
 	}), nil
 }
 

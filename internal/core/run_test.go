@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -194,5 +195,51 @@ func TestFFSEveryTenantCompletes(t *testing.T) {
 		if res.Completions[name] == 0 {
 			t.Errorf("%s completed no launch in 300 ms of NN_CFD_MD at weights 3:2:1 (all: %v)", name, res.Completions)
 		}
+	}
+}
+
+// mallocs counts the heap objects f allocates.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestClosedLoopRelaunchAllocationBudget pins what RunFLEP's driver pays to
+// carry a closed-loop client over one completion: the difference between a
+// 100 ms and a 300 ms run of Figure 13's VA_NN pair, divided by the launches
+// the longer run completed beyond the shorter. What is left is the relaunch's
+// Invocation and the two device callbacks the runtime binds to it at first
+// dispatch. The FFS rotations in between — five a launch here — redispatch
+// into the Exec the invocation owns and allocate nothing, and the item's
+// done, submit and finish closures are built once per run. Results doubling
+// its backing array rounds down to nothing at this length.
+func TestClosedLoopRelaunchAllocationBudget(t *testing.T) {
+	s := testSystem(t)
+	va, _ := kernels.ByName("VA")
+	nn, _ := kernels.ByName("NN")
+	opt := Options{Policy: "ffs", MaxOverhead: 0.10, Weights: map[int]float64{2: 2, 1: 1}}
+	run := func(horizon time.Duration) (allocs uint64, launches int) {
+		allocs = mallocs(func() {
+			res, err := s.RunFLEP(workload.FairPair(va, nn, horizon), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			launches = len(res.Results)
+		})
+		return allocs, launches
+	}
+	run(10 * time.Millisecond) // solo baselines and the model's lazy state
+	a1, n1 := run(100 * time.Millisecond)
+	a2, n2 := run(300 * time.Millisecond)
+	if n2-n1 < 100 {
+		t.Fatalf("%d launches in 100 ms and %d in 300 ms: too few to divide by", n1, n2)
+	}
+	const ceiling = 3
+	if got := (a2 - a1) / uint64(n2-n1); got > ceiling {
+		t.Errorf("a closed-loop relaunch allocates %d times (%d allocations over %d launches), ceiling %d",
+			got, a2-a1, n2-n1, ceiling)
 	}
 }
