@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -459,4 +460,42 @@ func TestExtFFSTriplet(t *testing.T) {
 			t.Errorf("%s: share sum %.1f%% implausible", row[0], sum)
 		}
 	}
+}
+
+// regenAllocs counts the heap objects and bytes one regeneration of a table
+// allocates, after a first one has filled the system's solo-time cache.
+func regenAllocs(t *testing.T, gen func() (*Table, error)) (objects, bytes uint64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	for i := 0; i < 2; i++ {
+		runtime.ReadMemStats(&before)
+		if _, err := gen(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+	}
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestFigure13AllocationBudget holds one regeneration of Figure 13 — 28
+// closed-loop pairs, 400 ms of virtual time each, a rotation every ~200 µs —
+// under 60,000 allocations; it made 130,827 when every dispatch allocated
+// its gpu.Exec and every relaunch five closures. What is left is per launch
+// (the Invocation and its two device callbacks, some 13,000 launches), per
+// share sample, and per run (a stack, its engine's records, the results
+// slice as it doubles). Together with Figure 14, which is the same 28 runs
+// without the share sampler, the paper's FFS study stays under 100,000
+// allocations and 24 MB.
+func TestFigure13AllocationBudget(t *testing.T) {
+	s := testSuite(t)
+	o13, b13 := regenAllocs(t, s.Figure13)
+	if o13 > 60_000 {
+		t.Errorf("Figure 13 allocates %d objects per regeneration, ceiling 60,000", o13)
+	}
+	o14, b14 := regenAllocs(t, s.Figure14)
+	if o13+o14 > 100_000 || b13+b14 > 24<<20 {
+		t.Errorf("Figures 13 and 14 allocate %d objects and %d bytes per regeneration, ceilings 100,000 and 24 MB",
+			o13+o14, b13+b14)
+	}
+	t.Logf("fig13 %d objects %d bytes, fig14 %d objects %d bytes", o13, b13, o14, b14)
 }

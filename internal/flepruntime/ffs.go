@@ -188,7 +188,7 @@ func (f *FFS) OnDispatch(r *Runtime, v *Invocation) {
 	f.epochSeq++
 	f.rt = r
 	f.epochTimer = r.Device().Engine().AtFire(f.epochEnd, f, 0, f.epochSeq)
-	r.met.EpochLength.Observe(epoch.Seconds())
+	r.met.EpochLength.ObserveDuration(epoch)
 	f.lastEpochLen = epoch
 }
 

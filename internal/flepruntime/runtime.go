@@ -363,7 +363,7 @@ func (r *Runtime) preemptFor(best *Invocation) {
 func (r *Runtime) dispatch(v *Invocation, smLo, smHi int, asGuest bool) {
 	now := r.dev.Now()
 	if v.state == InvWaiting {
-		r.met.QueueWait.Observe((now - v.waitingSince).Seconds())
+		r.met.QueueWait.ObserveDuration(now - v.waitingSince)
 	}
 	if !v.reserved && v.WorkingSet > 0 {
 		if err := r.dev.Reserve(v.WorkingSet); err != nil {
@@ -470,15 +470,11 @@ func (r *Runtime) onDrained(v *Invocation, remaining int) {
 	v.doneTasks = v.Tasks - remaining
 	v.Preemptions++
 	drain := now - v.preemptAt
-	r.met.DrainLatency.Observe(drain.Seconds())
+	r.met.DrainLatency.ObserveDuration(drain)
 	if r.cfg.OnPreemptDrained != nil {
 		r.cfg.OnPreemptDrained(v, drain)
 	}
-	if predErr := (v.preemptPredicted - drain).Seconds(); predErr >= 0 {
-		r.met.OverheadError.Observe(predErr)
-	} else {
-		r.met.OverheadError.Observe(-predErr)
-	}
+	r.met.OverheadError.ObserveDuration((v.preemptPredicted - drain).Abs())
 	if g := r.pendingGuest; g != nil {
 		// Spatial: victim keeps running on its remaining SMs; the guest
 		// takes the freed low SMs.

@@ -251,20 +251,20 @@ func (d *Device) StartIn(e *Exec, cfg *ExecConfig) error {
 				cfg.SMLo, cfg.SMHi, other.cfg.Profile.Name, other.smLo, other.smHi)
 		}
 	}
-	*e = Exec{
-		dev:   d,
-		cfg:   *cfg,
-		run:   e.run + 1,
-		state: StateLaunching,
-		done:  float64(cfg.DoneTasks),
-		smLo:  cfg.SMLo,
-		smHi:  cfg.SMHi,
+	// What reused storage keeps: its run count, and the task cost in seconds
+	// when the cost is the one it last ran (a rotated kernel's always is).
+	run, taskSecs := e.run+1, e.taskSecs
+	if cfg.TaskCost != e.cfg.TaskCost {
+		taskSecs = cfg.TaskCost.Seconds()
 	}
+	*e = Exec{}
+	e.dev, e.cfg, e.run = d, *cfg, run
 	if cfg.Persistent && cfg.L <= 0 {
 		e.cfg.L = 1
 	}
-	e.taskSecs = cfg.TaskCost.Seconds()
-	e.pollSecs = d.pinnedSecs / float64(e.cfg.L)
+	e.done = float64(cfg.DoneTasks)
+	e.smLo, e.smHi = cfg.SMLo, cfg.SMHi
+	e.taskSecs, e.pollSecs = taskSecs, d.pinnedSecs/float64(e.cfg.L)
 	// Register immediately so overlap checks see launching executions too.
 	d.execs = append(d.execs, e)
 	d.met.Launches.Inc()
@@ -383,14 +383,13 @@ func (d *Device) sync() {
 		if e.state != StateRunning {
 			continue
 		}
-		dt := (now - e.lastSync).Seconds()
-		if dt > 0 {
-			e.done += e.rate * dt
+		if now > e.lastSync { // most syncs follow another at the same instant
+			e.done += e.rate * (now - e.lastSync).Seconds()
 			if e.done > float64(e.cfg.TotalTasks) {
 				e.done = float64(e.cfg.TotalTasks)
 			}
+			e.lastSync = now
 		}
-		e.lastSync = now
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestNilInstrumentsAreNoOps(t *testing.T) {
@@ -17,6 +18,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	g.Set(1)
 	g.Add(2)
 	h.Observe(3)
+	h.ObserveDuration(3 * time.Second)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil instruments must read zero")
 	}
@@ -37,6 +39,12 @@ func TestCounterGaugeBasics(t *testing.T) {
 	c.Add(4)
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d", c.Value())
+	}
+	// A duration is observed as its seconds.
+	hd := r.Histogram("flep_test_seconds", "test histogram", nil)
+	hd.ObserveDuration(1500 * time.Millisecond)
+	if hd.Count() != 1 || hd.Sum() != 1.5 {
+		t.Fatalf("histogram = %d observations summing to %g", hd.Count(), hd.Sum())
 	}
 	// Idempotent registration returns the same instrument.
 	if r.Counter("flep_test_total", "test counter") != c {
