@@ -165,13 +165,13 @@ type ExecConfig struct {
 	// Persistent marks a FLEP-transformed execution: it pays poll and
 	// atomic overheads and supports Preempt.
 	Persistent bool
+	// ColdStart marks a resume after preemption: the launch additionally
+	// pays the device's ColdRestart warm-up penalty.
+	ColdStart bool
 	// L is the amortizing factor (ignored unless Persistent).
 	L int
 	// SMLo, SMHi place the execution on SMs [SMLo, SMHi).
 	SMLo, SMHi int
-	// ColdStart marks a resume after preemption: the launch additionally
-	// pays the device's ColdRestart warm-up penalty.
-	ColdStart bool
 	// OnComplete fires when the last task finishes.
 	OnComplete func()
 	// OnDrained fires exactly once per Preempt call, when the requested

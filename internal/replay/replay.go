@@ -50,6 +50,12 @@ type Replayer struct {
 	trace   *Trace
 	sys     *core.System
 	benches map[string]*kernels.Benchmark
+	// The two orders a run walks the trace in, as indices into
+	// trace.Records, which nothing modifies once the replayer exists:
+	// timed is by (At, Seq), exact[d] is recorded device d's admissions by
+	// Seq (a record without a device counts as device 0's).
+	timed []int
+	exact [][]int
 }
 
 // NewReplayer builds the offline artifacts for every benchmark the trace
@@ -86,6 +92,26 @@ func NewReplayer(t *Trace, opts ReplayerOptions) (*Replayer, error) {
 			opts.Logf("offline %-5s (%v)", name, time.Since(start).Round(time.Millisecond)) //flepvet:allow wallclock -- progress log timing only; never enters the Summary
 		}
 		rp.benches[name] = b
+	}
+	recs := t.Records
+	rp.timed = make([]int, len(recs))
+	for i := range recs {
+		rp.timed[i] = i
+		dv := max(recs[i].Device, 0)
+		for dv >= len(rp.exact) {
+			rp.exact = append(rp.exact, nil)
+		}
+		rp.exact[dv] = append(rp.exact[dv], i)
+	}
+	sort.SliceStable(rp.timed, func(a, b int) bool {
+		ra, rb := &recs[rp.timed[a]], &recs[rp.timed[b]]
+		if ra.At != rb.At {
+			return ra.At < rb.At
+		}
+		return ra.Seq < rb.Seq
+	})
+	for _, order := range rp.exact {
+		sort.SliceStable(order, func(a, b int) bool { return recs[order[a]].Seq < recs[order[b]].Seq })
 	}
 	return rp, nil
 }
@@ -169,18 +195,8 @@ func (rp *Replayer) matchesRecorded(cfg ReplayConfig) bool {
 		*cfg.Spatial == h.Spatial &&
 		cfg.SpatialSMs == h.SpatialSMs &&
 		cfg.L == 0 &&
-		cfg.Devices >= rp.maxRecordedDevice()+1 &&
+		cfg.Devices >= len(rp.exact) &&
 		(h.Devices == 0 || cfg.Devices == h.Devices)
-}
-
-func (rp *Replayer) maxRecordedDevice() int {
-	max := 0
-	for _, r := range rp.trace.Records {
-		if r.Device > max {
-			max = r.Device
-		}
-	}
-	return max
 }
 
 // devRun is one replayed device shard: its launch stack and the
@@ -190,11 +206,20 @@ type devRun struct {
 	stepped  int64
 	inFlight int
 	drains   []time.Duration
+	// launched[id-1] is the outcome of the invocation this device's runtime
+	// numbered id: it numbers the launches it accepts from 1, and the replay
+	// is the only one submitting. finish is every one of those invocations'
+	// OnFinish.
+	launched []*outcome
+	finish   func(*flepruntime.Invocation)
 }
 
-// outcome is one finished replayed launch joined with its trace record.
+// outcome is one replayed launch: its trace record, what it was submitted
+// as, and once it has finished, how it ran.
 type outcome struct {
-	rec        Record
+	rec        *Record // in the replayer's trace
+	bench      *kernels.Benchmark
+	class      kernels.InputClass
 	run        metrics.KernelRun
 	finishedAt time.Duration
 }
@@ -213,7 +238,10 @@ func (rp *Replayer) Run(cfg ReplayConfig) (*Summary, error) {
 
 	devs := make([]*devRun, eff.Devices)
 	var divTe, divStep, divPlacement, divDependency, submitErrors int64
-	var outcomes []*outcome
+	// One outcome per record, in one slab; outcomes lists the finished ones
+	// in completion order, which is the order the summary adds them up in.
+	slab := make([]outcome, 0, len(rp.trace.Records))
+	outcomes := make([]*outcome, 0, len(rp.trace.Records))
 	// Model-graph bookkeeping: which recorded stages have finished in the
 	// replay and which shard each landed on, so timed mode can hold a
 	// dependent stage until its prerequisites complete (the live daemon's
@@ -232,12 +260,22 @@ func (rp *Replayer) Run(cfg ReplayConfig) (*Summary, error) {
 		if err != nil {
 			return nil, fmt.Errorf("replay: %w", err)
 		}
+		d.finish = func(fv *flepruntime.Invocation) {
+			o := d.launched[fv.ID-1]
+			o.run = d.Finished(core.Launch{Bench: o.bench, Class: o.class, TasksOverride: o.rec.TasksOverride}, fv)
+			o.finishedAt = fv.FinishedAt()
+			d.inFlight--
+			if o.rec.GraphID != "" && o.rec.Stage != "" {
+				stageDone[stageKey{o.rec.Client, o.rec.GraphID, o.rec.Stage}] = true
+			}
+			outcomes = append(outcomes, o)
+		}
 		devs[i] = d
 	}
 
 	// submit puts one record through the launch path the recording daemon
 	// admitted it on (core.Stack.NewInvocation), on one replayed device.
-	submit := func(d *devRun, devIdx int, rec Record) error {
+	submit := func(d *devRun, devIdx int, rec *Record) error {
 		b := rp.benches[rec.Bench]
 		if b == nil {
 			return fmt.Errorf("replay: record %d references unknown benchmark %q", rec.Seq, rec.Bench)
@@ -250,35 +288,29 @@ func (rp *Replayer) Run(cfg ReplayConfig) (*Summary, error) {
 		// submission instant: the deadline is a virtual-time budget from
 		// admission, not an absolute timestamp, so it survives timing
 		// divergence.
-		launch := core.Launch{
+		v, err := d.NewInvocation(core.Launch{
 			Bench: b, Class: class, TasksOverride: rec.TasksOverride,
 			Priority: rec.Priority, Weight: rec.Weight,
 			Budget: time.Duration(rec.DeadlineNS), Dependent: rec.GraphID != "",
 			L: eff.L,
-		}
-		v, err := d.NewInvocation(launch)
+		})
 		if err != nil {
 			return err
 		}
 		if rec.Te > 0 && int64(v.Te) != rec.Te {
 			divTe++
 		}
-		// The closure reads the record through o: capturing rec itself
-		// would move a second copy of every record to the heap.
-		o := &outcome{rec: rec}
-		v.OnFinish = func(fv *flepruntime.Invocation) {
-			o.run, o.finishedAt = d.Finished(launch, fv), fv.FinishedAt()
-			d.inFlight--
-			if o.rec.GraphID != "" && o.rec.Stage != "" {
-				stageDone[stageKey{o.rec.Client, o.rec.GraphID, o.rec.Stage}] = true
-			}
-			outcomes = append(outcomes, o)
-		}
+		v.OnFinish = d.finish
 		if err := d.RT.Submit(v); err != nil {
 			// The live daemon records only successful admissions, so a
 			// replay rejection is itself a divergence worth counting.
 			submitErrors++
 			return nil
+		}
+		slab = append(slab, outcome{rec: rec, bench: b, class: class})
+		d.launched = append(d.launched, &slab[len(slab)-1])
+		if v.ID != len(d.launched) {
+			return fmt.Errorf("replay: record %d is its device's launch %d, the runtime numbered it %d", rec.Seq, len(d.launched), v.ID)
 		}
 		d.inFlight++
 		if rec.GraphID != "" && rec.Stage != "" {
@@ -293,7 +325,7 @@ func (rp *Replayer) Run(cfg ReplayConfig) (*Summary, error) {
 	// prerequisite that never completes — not in the trace, or stuck — is
 	// a dependency divergence: the live daemon only admitted this stage
 	// because its prerequisites completed there.
-	awaitPrereqs := func(rec Record) {
+	awaitPrereqs := func(rec *Record) {
 		for _, pre := range rec.After {
 			k := stageKey{rec.Client, rec.GraphID, pre}
 			if stageDone[k] {
@@ -316,19 +348,12 @@ func (rp *Replayer) Run(cfg ReplayConfig) (*Summary, error) {
 	case ModeExact:
 		// Replay each shard independently: records in admission order,
 		// engine stepped to each record's captured step index first —
-		// exactly the interleaving the live loop produced.
-		perDev := make([][]Record, eff.Devices)
-		for _, rec := range rp.trace.Records {
-			dv := rec.Device
-			if dv < 0 || dv >= eff.Devices {
-				dv = 0
-			}
-			perDev[dv] = append(perDev[dv], rec)
-		}
-		for i, recs := range perDev {
+		// exactly the interleaving the live loop produced. (Exact mode
+		// means at least as many devices as were recorded.)
+		for i, order := range rp.exact {
 			d := devs[i]
-			sort.SliceStable(recs, func(a, b int) bool { return recs[a].Seq < recs[b].Seq })
-			for _, rec := range recs {
+			for _, ri := range order {
+				rec := &rp.trace.Records[ri]
 				for d.stepped < rec.Step {
 					if !d.Eng.Step() {
 						divStep++
@@ -345,16 +370,10 @@ func (rp *Replayer) Run(cfg ReplayConfig) (*Summary, error) {
 		// One global timeline: records sorted by arrival offset, each
 		// submitted at its offset, placed on the recorded device when it
 		// exists or routed least-loaded with a seeded rotating tie-break.
-		recs := append([]Record(nil), rp.trace.Records...)
-		sort.SliceStable(recs, func(a, b int) bool {
-			if recs[a].At != recs[b].At {
-				return recs[a].At < recs[b].At
-			}
-			return recs[a].Seq < recs[b].Seq
-		})
-		route := eff.Devices > 1 && (eff.Devices != rp.trace.Header.Devices || rp.maxRecordedDevice() >= eff.Devices)
+		route := eff.Devices > 1 && (eff.Devices != rp.trace.Header.Devices || len(rp.exact) > eff.Devices)
 		rng := rand.New(rand.NewSource(eff.Seed))
-		for _, rec := range recs {
+		for _, ri := range rp.timed {
+			rec := &rp.trace.Records[ri]
 			at := time.Duration(rec.At)
 			var target int
 			if !route && rec.Device >= 0 && rec.Device < eff.Devices {

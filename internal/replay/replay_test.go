@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -436,5 +437,47 @@ func TestReplayMatchesRunFLEPOnPriorityPair(t *testing.T) {
 	}
 	if time.Duration(sum.MakespanNS) != res.Makespan {
 		t.Errorf("makespan: replay %v, RunFLEP %v", time.Duration(sum.MakespanNS), res.Makespan)
+	}
+}
+
+// TestReplayAllocationBudget holds one replay of the 1,020-record what-if
+// mix under FFS on one device to 3.2 allocations and 700 bytes per record
+// (6.75 and 1,486 when every record was copied and sorted per run, every
+// dispatch allocated its gpu.Exec and every outcome was its own object with
+// its own OnFinish closure). The three are the launch itself: the
+// Invocation, which owns its Exec, and the two device callbacks the runtime
+// binds at its first dispatch. The outcomes are one slab pointing into the
+// trace, found again through the invocation's ID by one OnFinish per device,
+// and the order the records are walked in was sorted when the replayer was
+// built. The fraction is per run rather than per record: the stack, the
+// slab, the drain samples and the summary, some eighty allocations.
+func TestReplayAllocationBudget(t *testing.T) {
+	tr, err := SynthesizeMix(whatIfMix(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := NewReplayer(tr, ReplayerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := rp.Run(ReplayConfig{Policy: "ffs", Devices: 1, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 20
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	records := float64(runs * len(tr.Records))
+	allocs := float64(after.Mallocs-before.Mallocs) / records
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / records
+	if len(tr.Records) != 1020 || allocs > 3.2 || bytes > 700 {
+		t.Errorf("%d records replay at %.2f allocations and %.0f bytes each, ceilings 3.2 and 700 on 1,020",
+			len(tr.Records), allocs, bytes)
 	}
 }

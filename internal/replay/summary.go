@@ -320,7 +320,7 @@ func (rp *Replayer) modelRows(outcomes []*outcome) []ModelSummary {
 		if o.rec.GraphID == "" || !o.run.Tracked {
 			continue
 		}
-		row := rows[modelName(&o.rec)]
+		row := rows[modelName(o.rec)]
 		if row == nil {
 			continue
 		}
