@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -27,54 +28,75 @@ import (
 	"flep/internal/workload"
 )
 
-func main() {
-	pair := flag.String("pair", "", "two benchmarks A,B (A = high priority / short)")
-	triplet := flag.String("triplet", "", "three benchmarks A,B,C (A large, B/C small)")
-	equal := flag.Bool("equal", false, "equal priority (SRT scheduling) instead of priorities")
-	spatial := flag.Bool("spatial", false, "spatial-preemption pair (A trivial input)")
-	ffs := flag.Bool("ffs", false, "FFS fairness policy with closed-loop clients")
-	horizon := flag.Duration("horizon", 200*time.Millisecond, "FFS run horizon")
-	traceOut := flag.Bool("trace", false, "print the device/runtime event trace")
-	gantt := flag.Bool("gantt", false, "print kernel residency spans")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: 0 on success, 1 when the run fails, 2 with the usage
+// text when the arguments cannot describe a run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("flepsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	pair := fs.String("pair", "", "two benchmarks A,B (A = high priority / short)")
+	triplet := fs.String("triplet", "", "three benchmarks A,B,C (A large, B/C small)")
+	equal := fs.Bool("equal", false, "equal priority (SRT scheduling) instead of priorities")
+	spatial := fs.Bool("spatial", false, "spatial-preemption pair (A trivial input)")
+	ffs := fs.Bool("ffs", false, "FFS fairness policy with closed-loop clients")
+	horizon := fs.Duration("horizon", 200*time.Millisecond, "FFS run horizon (positive: closed-loop clients never finish on their own)")
+	traceOut := fs.Bool("trace", false, "print the device/runtime event trace")
+	gantt := fs.Bool("gantt", false, "print kernel residency spans")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *ffs && *horizon <= 0 {
+		fmt.Fprintf(stderr, "flepsim: -horizon %v: -ffs needs a positive horizon\n", *horizon)
+		fs.Usage()
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "flepsim: "+format+"\n", args...)
+		return 1
+	}
 
 	sc, opt, err := buildScenario(*pair, *triplet, *equal, *spatial, *ffs, *horizon)
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 	opt.Trace = *traceOut || *gantt
 
 	sys := core.NewSystem(gpu.DefaultParams())
-	fmt.Fprintln(os.Stderr, "flepsim: running offline phase (transform, tune, train, profile)...")
+	fmt.Fprintln(stderr, "flepsim: running offline phase (transform, tune, train, profile)...")
 	if err := sys.OfflineAll(); err != nil {
-		fatalf("offline: %v", err)
+		return fail("offline: %v", err)
 	}
 
 	mps, err := sys.RunMPS(sc)
 	if err != nil {
-		fatalf("MPS run: %v", err)
+		return fail("MPS run: %v", err)
 	}
 	res, err := sys.RunFLEP(sc, opt)
 	if err != nil {
-		fatalf("FLEP run: %v", err)
+		return fail("FLEP run: %v", err)
 	}
 
-	fmt.Printf("scenario %s (policy %s)\n\n", sc.Name, policyName(opt))
+	fmt.Fprintf(stdout, "scenario %s (policy %s)\n\n", sc.Name, policyName(opt))
 	if *ffs {
-		printFFS(sc, res)
+		printFFS(stdout, sc, res)
 	} else {
-		printComparison(os.Stdout, sys, sc, mps, res)
+		printComparison(stdout, sys, sc, mps, res)
 	}
 	if *traceOut && res.Log != nil {
-		fmt.Println("\n--- event trace ---")
-		res.Log.WriteText(os.Stdout)
+		fmt.Fprintln(stdout, "\n--- event trace ---")
+		res.Log.WriteText(stdout)
 	}
 	if *gantt && res.Log != nil {
-		fmt.Println("\n--- residency spans ---")
+		fmt.Fprintln(stdout, "\n--- residency spans ---")
 		for _, row := range res.Log.Gantt() {
-			fmt.Printf("%-6s SMs[%2d,%2d) %12v .. %12v\n", row.Kernel, row.SMLo, row.SMHi, row.Start, row.End)
+			fmt.Fprintf(stdout, "%-6s SMs[%2d,%2d) %12v .. %12v\n", row.Kernel, row.SMLo, row.SMHi, row.Start, row.End)
 		}
 	}
+	return 0
 }
 
 func policyName(opt core.Options) string {
@@ -179,24 +201,19 @@ func printComparison(w io.Writer, sys *core.System, sc workload.Scenario, mps, f
 	}
 }
 
-func printFFS(sc workload.Scenario, res *core.RunResult) {
-	fmt.Printf("%-8s %12s %12s\n", "kernel", "completions", "mean share")
+func printFFS(w io.Writer, sc workload.Scenario, res *core.RunResult) {
+	fmt.Fprintf(w, "%-8s %12s %12s\n", "kernel", "completions", "mean share")
 	for _, item := range sc.Items {
 		name := item.Bench.Name
-		fmt.Printf("%-8s %12d %11.1f%%\n", name, res.Completions[name],
+		fmt.Fprintf(w, "%-8s %12d %11.1f%%\n", name, res.Completions[name],
 			metrics.MeanShare(res.Shares, name)*100)
 	}
-	fmt.Println("\nshare over time:")
+	fmt.Fprintln(w, "\nshare over time:")
 	for _, s := range res.Shares {
-		fmt.Printf("  t=%-12v", s.At)
+		fmt.Fprintf(w, "  t=%-12v", s.At)
 		for _, item := range sc.Items {
-			fmt.Printf("  %s=%5.1f%%", item.Bench.Name, s.Share[item.Bench.Name]*100)
+			fmt.Fprintf(w, "  %s=%5.1f%%", item.Bench.Name, s.Share[item.Bench.Name]*100)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "flepsim: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -135,3 +135,31 @@ func TestComparisonOfTheSameKernelTwice(t *testing.T) {
 		t.Errorf("FLEP ANTT %.2f: the small run preempts the large one, so both finish near their solo times", a)
 	}
 }
+
+// -ffs runs closed-loop clients, which finish only at the horizon: -horizon 0
+// used to mean "run to drain" and never returned (12 GB resident after a
+// minute), a negative one printed a one-completion table. Both are usage
+// errors, refused before the offline phase starts.
+func TestFFSRejectsNonPositiveHorizon(t *testing.T) {
+	for _, horizon := range []string{"0", "-5ms"} {
+		var stdout, stderr bytes.Buffer
+		start := time.Now()
+		code := run([]string{"-ffs", "-pair", "VA,NN", "-horizon", horizon}, &stdout, &stderr)
+		if code != 2 {
+			t.Errorf("-horizon %s: exit %d, want 2", horizon, code)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, "-horizon") || !strings.Contains(msg, "Usage of flepsim") {
+			t.Errorf("-horizon %s: stderr names neither the flag nor the usage:\n%s", horizon, msg)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-horizon %s printed a table:\n%s", horizon, stdout.String())
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("-horizon %s took %v to refuse", horizon, d)
+		}
+	}
+	// Without -ffs nothing loops and the horizon is not read.
+	if _, _, err := buildScenario("VA,NN", "", false, false, false, 0); err != nil {
+		t.Error(err)
+	}
+}

@@ -85,8 +85,16 @@ func (r *RunResult) ResultFor(kernel string) *KernelResult {
 // completes, with the timings filled in. runScenario schedules each item's
 // arrival on eng, resubmits closed-loop items until the horizon, and runs
 // the engine to the horizon (or to drain when there is none). Nothing here
-// is built per launch: a relaunch costs what submit itself allocates.
-func runScenario(eng *sim.Engine, sc workload.Scenario, bind func(item workload.Item, done func(KernelResult)) (submit func())) *RunResult {
+// is built per launch: a relaunch costs what submit itself allocates. A
+// closed-loop item without a positive horizon would resubmit forever and is
+// an error.
+func runScenario(eng *sim.Engine, sc workload.Scenario, bind func(item workload.Item, done func(KernelResult)) (submit func())) (*RunResult, error) {
+	for _, item := range sc.Items {
+		if item.Loop && sc.Horizon <= 0 {
+			return nil, fmt.Errorf("core: scenario %s resubmits %s in a closed loop and has horizon %v, want a positive one",
+				sc.Name, item.Bench.Name, sc.Horizon)
+		}
+	}
 	res := &RunResult{Scenario: sc.Name, Completions: map[string]int{}}
 	completions := make([]int, len(sc.Items))
 	for i, item := range sc.Items {
@@ -97,7 +105,7 @@ func runScenario(eng *sim.Engine, sc workload.Scenario, bind func(item workload.
 			r.TasksOverride, r.Priority = item.TasksOverride, item.Priority
 			completions[i]++
 			res.Results = append(res.Results, r)
-			if item.Loop && (sc.Horizon == 0 || eng.Now() < sc.Horizon) {
+			if item.Loop && eng.Now() < sc.Horizon {
 				submit()
 			}
 		})
@@ -114,7 +122,7 @@ func runScenario(eng *sim.Engine, sc workload.Scenario, bind func(item workload.
 		}
 	}
 	res.Makespan = eng.Now()
-	return res
+	return res, nil
 }
 
 // RunFLEP executes a scenario under the FLEP runtime engine.
@@ -148,7 +156,7 @@ func (s *System) RunFLEP(sc workload.Scenario, opt Options) (*RunResult, error) 
 			}
 		}
 	}
-	res := runScenario(st.Eng, sc, func(item workload.Item, done func(KernelResult)) func() {
+	res, err := runScenario(st.Eng, sc, func(item workload.Item, done func(KernelResult)) func() {
 		l := Launch{
 			Bench: item.Bench, Class: item.Class,
 			TasksOverride: item.TasksOverride, Priority: item.Priority,
@@ -170,6 +178,9 @@ func (s *System) RunFLEP(sc workload.Scenario, opt Options) (*RunResult, error) 
 			}
 		}
 	})
+	if err != nil {
+		return nil, err
+	}
 	if acc != nil {
 		res.Shares = acc.Samples(st.Eng.Now())
 	}
@@ -228,7 +239,7 @@ func (s *System) runBaseline(sc workload.Scenario, newExec func(*gpu.Device) *ba
 				OnFinish:  onFinish,
 			})
 		}
-	}), nil
+	})
 }
 
 // Runs normalizes a scenario result into the results record, one per

@@ -243,3 +243,30 @@ func TestClosedLoopRelaunchAllocationBudget(t *testing.T) {
 			got, a2-a1, n2-n1, ceiling)
 	}
 }
+
+// A closed-loop item resubmits until the horizon, so without a positive one
+// the run never ends: horizon 0 used to mean "run to drain" and grew without
+// bound, a negative one ran each item once and reported it as a result.
+// Every driver refuses both before it schedules anything.
+func TestLoopWithoutPositiveHorizonIsAnError(t *testing.T) {
+	s := testSystem(t)
+	va, _ := kernels.ByName("VA")
+	nn, _ := kernels.ByName("NN")
+	for _, horizon := range []time.Duration{0, -5 * time.Millisecond} {
+		sc := workload.FairPair(va, nn, horizon)
+		for name, run := range map[string]func() (*RunResult, error){
+			"RunFLEP":    func() (*RunResult, error) { return s.RunFLEP(sc, Options{Policy: "ffs"}) },
+			"RunMPS":     func() (*RunResult, error) { return s.RunMPS(sc) },
+			"RunReorder": func() (*RunResult, error) { return s.RunReorder(sc) },
+			"RunSliced":  func() (*RunResult, error) { return s.RunSliced(sc, 0) },
+		} {
+			if res, err := run(); err == nil {
+				t.Errorf("%s ran a closed-loop pair with horizon %v: %d results", name, horizon, len(res.Results))
+			}
+		}
+	}
+	// An open-loop scenario still runs to drain with no horizon.
+	if _, err := s.RunFLEP(workload.EqualPair(va, nn), Options{}); err != nil {
+		t.Errorf("open-loop pair without a horizon: %v", err)
+	}
+}

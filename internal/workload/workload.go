@@ -29,7 +29,8 @@ type Item struct {
 type Scenario struct {
 	Name  string
 	Items []Item
-	// Horizon stops a closed-loop scenario; zero means run to drain.
+	// Horizon stops a closed-loop scenario, which needs a positive one; zero
+	// means run to drain.
 	Horizon time.Duration
 }
 
