@@ -16,60 +16,93 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"flep/internal/experiments"
 )
 
-func main() {
-	only := flag.String("only", "", "comma-separated artifact IDs (default: all)")
-	out := flag.String("out", "", "output file (default: stdout)")
-	list := flag.Bool("list", false, "list artifact IDs and exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	gens := experiments.Generators()
+// run is the command: 0 on success, 1 when regeneration fails, 2 when the
+// arguments name nothing it can regenerate.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("flepbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	only := fs.String("only", "", "comma-separated artifact IDs (default: all)")
+	out := fs.String("out", "", "output file (default: stdout)")
+	list := fs.Bool("list", false, "list artifact IDs and exit")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp { // returned bare
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, format string, args ...any) int {
+		fmt.Fprintf(stderr, "flepbench: "+format+"\n", args...)
+		return code
+	}
 	if *list {
-		for _, g := range gens {
-			fmt.Println(g.ID)
+		for _, g := range experiments.Generators() {
+			fmt.Fprintln(stdout, g.ID)
 		}
-		return
+		return 0
 	}
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
+	// Before -out is created: a typo must not truncate the last good file.
+	want, err := parseOnly(*only)
+	if err != nil {
+		return fail(2, "%v", err)
 	}
-
-	var w io.Writer = os.Stdout
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatalf("%v", err)
+			return fail(1, "%v", err)
 		}
 		defer f.Close()
 		w = f
 	}
 
-	fmt.Fprintln(os.Stderr, "flepbench: offline phase (transform, tune, train, profile all kernels)...")
+	fmt.Fprintln(stderr, "flepbench: offline phase (transform, tune, train, profile all kernels)...")
 	start := time.Now()
 	suite, err := experiments.NewSuite()
 	if err != nil {
-		fatalf("offline: %v", err)
+		return fail(1, "offline: %v", err)
 	}
-	fmt.Fprintf(os.Stderr, "flepbench: offline done in %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "flepbench: offline done in %v\n", time.Since(start).Round(time.Millisecond))
 
-	if err := writeArtifacts(w, suite, want); err != nil {
-		fatalf("%v", err)
+	if err := writeArtifacts(w, stderr, suite, want); err != nil {
+		return fail(1, "%v", err)
 	}
+	return 0
+}
+
+// parseOnly turns -only's list into the set of artifacts to regenerate (empty:
+// all of them). An ID no generator has is an error naming the ones that exist.
+func parseOnly(only string) (map[string]bool, error) {
+	want := map[string]bool{}
+	if only == "" {
+		return want, nil
+	}
+	var valid []string
+	for _, g := range experiments.Generators() {
+		valid = append(valid, g.ID)
+	}
+	for _, id := range strings.Split(only, ",") {
+		id = strings.TrimSpace(id)
+		if !slices.Contains(valid, id) {
+			return nil, fmt.Errorf("-only %q: no such artifact (-list prints them: %s)", id, strings.Join(valid, ", "))
+		}
+		want[id] = true
+	}
+	return want, nil
 }
 
 // writeArtifacts regenerates the wanted artifacts (all of them when want
 // is empty) onto w in paper order. results/flepbench.txt is this
 // function's output for the whole suite.
-func writeArtifacts(w io.Writer, suite *experiments.Suite, want map[string]bool) error {
+func writeArtifacts(w, progress io.Writer, suite *experiments.Suite, want map[string]bool) error {
 	for _, g := range experiments.Generators() {
 		if len(want) > 0 && !want[g.ID] {
 			continue
@@ -80,12 +113,7 @@ func writeArtifacts(w io.Writer, suite *experiments.Suite, want map[string]bool)
 			return fmt.Errorf("%s: %w", g.ID, err)
 		}
 		fmt.Fprintln(w, tab.Format())
-		fmt.Fprintf(os.Stderr, "flepbench: %s regenerated in %v\n", g.ID, time.Since(t0).Round(time.Millisecond))
+		fmt.Fprintf(progress, "flepbench: %s regenerated in %v\n", g.ID, time.Since(t0).Round(time.Millisecond))
 	}
 	return nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "flepbench: "+format+"\n", args...)
-	os.Exit(1)
 }

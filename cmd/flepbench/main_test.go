@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -26,7 +28,7 @@ func TestCommittedResultsMatchSuite(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	if err := writeArtifacts(&got, suite, nil); err != nil {
+	if err := writeArtifacts(&got, io.Discard, suite, nil); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(got.Bytes(), committed) {
@@ -39,4 +41,34 @@ func TestCommittedResultsMatchSuite(t *testing.T) {
 		}
 	}
 	t.Fatalf("%s is stale: %d lines committed, the suite prints %d", path, len(wantLines), len(gotLines))
+}
+
+// An ID no generator has used to be dropped without a word — `-only fig99`
+// wrote nothing and exited 0, `-only fig99,fig1` printed Figure 1 alone —
+// and -out was truncated before anyone looked. All three are refused before
+// the output file is touched, naming the IDs that exist.
+func TestOnlyRejectsUnknownArtifacts(t *testing.T) {
+	for _, only := range []string{"fig99", "fig99,fig1", "fig1, ,fig8"} {
+		out := filepath.Join(t.TempDir(), "results.txt")
+		if err := os.WriteFile(out, []byte("the last good run\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-only", only, "-out", out}, &stdout, &stderr); code != 2 {
+			t.Errorf("-only %q: exit %d, want 2", only, code)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, "fig13") || !strings.Contains(msg, "ext-ffs-triplet") || !strings.Contains(msg, "-list") {
+			t.Errorf("-only %q: stderr does not name the valid IDs:\n%s", only, msg)
+		}
+		if kept, err := os.ReadFile(out); err != nil || string(kept) != "the last good run\n" {
+			t.Errorf("-only %q: -out now holds %q (%v)", only, kept, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-only %q printed %q", only, stdout.String())
+		}
+	}
+	want, err := parseOnly(" fig8 ,fig15")
+	if err != nil || len(want) != 2 || !want["fig8"] || !want["fig15"] {
+		t.Errorf("parseOnly of two valid IDs = %v, %v", want, err)
+	}
 }

@@ -13,7 +13,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -44,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	traceOut := fs.Bool("trace", false, "print the device/runtime event trace")
 	gantt := fs.Bool("gantt", false, "print kernel residency spans")
 	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
+		if err == flag.ErrHelp { // returned bare
 			return 0
 		}
 		return 2
@@ -58,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "flepsim: "+format+"\n", args...)
 		return 1
 	}
-
 	sc, opt, err := buildScenario(*pair, *triplet, *equal, *spatial, *ffs, *horizon)
 	if err != nil {
 		return fail("%v", err)

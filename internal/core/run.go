@@ -80,25 +80,21 @@ func (r *RunResult) ResultFor(kernel string) *KernelResult {
 }
 
 // runScenario is the one scenario loop under every executor. bind is called
-// once per item and returns the item's submit function, which launches the
-// item and must see that done is called exactly once when that launch
-// completes, with the timings filled in. runScenario schedules each item's
-// arrival on eng, resubmits closed-loop items until the horizon, and runs
-// the engine to the horizon (or to drain when there is none). Nothing here
-// is built per launch: a relaunch costs what submit itself allocates. A
-// closed-loop item without a positive horizon would resubmit forever and is
-// an error.
+// once per item and returns its submit function, which launches the item and
+// must see done called exactly once when that launch completes, timings
+// filled in. runScenario schedules each item's arrival on eng, resubmits
+// closed-loop items until the horizon — they need a positive one — and runs
+// the engine to it (or to drain when there is none). Nothing here is built
+// per launch: a relaunch costs what submit itself allocates.
 func runScenario(eng *sim.Engine, sc workload.Scenario, bind func(item workload.Item, done func(KernelResult)) (submit func())) (*RunResult, error) {
 	for _, item := range sc.Items {
 		if item.Loop && sc.Horizon <= 0 {
-			return nil, fmt.Errorf("core: scenario %s resubmits %s in a closed loop and has horizon %v, want a positive one",
-				sc.Name, item.Bench.Name, sc.Horizon)
+			return nil, fmt.Errorf("core: scenario %s loops %s and has horizon %v, want a positive one", sc.Name, item.Bench.Name, sc.Horizon)
 		}
 	}
 	res := &RunResult{Scenario: sc.Name, Completions: map[string]int{}}
 	completions := make([]int, len(sc.Items))
 	for i, item := range sc.Items {
-		i, item := i, item
 		var submit func()
 		submit = bind(item, func(r KernelResult) {
 			r.Kernel, r.Bench, r.Class = item.Bench.Name, item.Bench, item.Class

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"flep/internal/core"
-	"flep/internal/kernels"
 	"flep/internal/metrics"
 	"flep/internal/workload"
 )
@@ -83,7 +82,7 @@ func (s *Suite) Figure14() (*Table, error) {
 		// Useful work = sum over kernels of completions × solo time.
 		var useful time.Duration
 		for _, item := range sc.Items {
-			solo, err := s.Sys.SoloTime(item.Bench, kernels.Small)
+			solo, err := s.Sys.SoloTime(item.Bench, item.Class)
 			if err != nil {
 				return nil, err
 			}

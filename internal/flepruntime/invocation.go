@@ -98,9 +98,8 @@ type Invocation struct {
 	runStart         time.Duration
 	submittedAt      time.Duration
 	finishedAt       time.Duration
-	// exec is the storage of the invocation's one live execution: every
-	// dispatch starts into it, so a rotation allocates nothing. Meaningful
-	// while the invocation is running.
+	// exec is the storage of the invocation's one live execution (every
+	// dispatch starts into it); meaningful while the invocation is running.
 	exec     gpu.Exec
 	guest    bool // currently running as a spatial guest
 	reserved bool // holds a device-memory reservation

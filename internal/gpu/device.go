@@ -180,15 +180,11 @@ type ExecConfig struct {
 	OnDrained func(remaining int)
 }
 
-// Exec is one execution: the handle its starter drives it by, and the
-// storage it runs in. Start allocates that storage and never reuses it, so
-// its handle stays valid — and inert once the execution is over — for as
-// long as the caller keeps it. StartIn runs in storage the caller owns and
-// may start into again once the run is over; a pointer kept across that is
-// a handle to the new run, which is the caller's business, and the one event
-// the device schedules far enough ahead to outlive a run (Expand's relaunch)
-// carries the run's number and fires inert into a later one. An Exec must
-// not be copied once started: it is its own event handler.
+// Exec is one execution: its starter's handle and the storage it runs in.
+// Start's storage is never reused, so its handle stays valid, and inert once
+// the execution is over; StartIn's is the caller's to start into again, and a
+// pointer kept across that is a handle to the new run (DESIGN.md §3). An Exec
+// is its own event handler and must not be copied once started.
 type Exec struct {
 	dev *Device
 	cfg ExecConfig
@@ -225,9 +221,9 @@ func (d *Device) Start(cfg ExecConfig) (*Exec, error) {
 // StartIn launches an execution in e, which the caller owns: the zero Exec,
 // or one whose last run is stopped or done with every callback delivered.
 // The configured launch latency elapses before CTAs become resident.
-// Placement must stay within the device and not overlap other executions'
-// SM ranges; overlap, like starting into storage that is still in use, is
-// the caller's scheduling bug and is reported as an error. cfg is copied.
+// Placement must stay within the device and clear of other executions' SM
+// ranges; overlap, like storage still in use, is the caller's scheduling bug
+// and is reported as an error. cfg is copied.
 func (d *Device) StartIn(e *Exec, cfg *ExecConfig) error {
 	if cfg.Profile == nil {
 		return fmt.Errorf("gpu: Start without profile")
@@ -242,8 +238,7 @@ func (d *Device) StartIn(e *Exec, cfg *ExecConfig) error {
 		return fmt.Errorf("gpu: non-positive task cost")
 	}
 	if e.run > 0 && (e.state == StateLaunching || e.state == StateRunning || e.hops > 0) {
-		return fmt.Errorf("gpu: Start into the storage of %s, which is %s with %d callbacks to deliver",
-			e.cfg.Profile.Name, e.state, e.hops)
+		return fmt.Errorf("gpu: Start into storage %s still uses: %s, %d callbacks undelivered", e.cfg.Profile.Name, e.state, e.hops)
 	}
 	for _, other := range d.execs {
 		if other.smLo < cfg.SMHi && cfg.SMLo < other.smHi {
@@ -251,12 +246,7 @@ func (d *Device) StartIn(e *Exec, cfg *ExecConfig) error {
 				cfg.SMLo, cfg.SMHi, other.cfg.Profile.Name, other.smLo, other.smHi)
 		}
 	}
-	// What reused storage keeps: its run count, and the task cost in seconds
-	// when the cost is the one it last ran (a rotated kernel's always is).
-	run, taskSecs := e.run+1, e.taskSecs
-	if cfg.TaskCost != e.cfg.TaskCost {
-		taskSecs = cfg.TaskCost.Seconds()
-	}
+	run := e.run + 1 // all that reused storage keeps
 	*e = Exec{}
 	e.dev, e.cfg, e.run = d, *cfg, run
 	if cfg.Persistent && cfg.L <= 0 {
@@ -264,7 +254,7 @@ func (d *Device) StartIn(e *Exec, cfg *ExecConfig) error {
 	}
 	e.done = float64(cfg.DoneTasks)
 	e.smLo, e.smHi = cfg.SMLo, cfg.SMHi
-	e.taskSecs, e.pollSecs = taskSecs, d.pinnedSecs/float64(e.cfg.L)
+	e.taskSecs, e.pollSecs = cfg.TaskCost.Seconds(), d.pinnedSecs/float64(e.cfg.L)
 	// Register immediately so overlap checks see launching executions too.
 	d.execs = append(d.execs, e)
 	d.met.Launches.Inc()

@@ -50,10 +50,9 @@ type Replayer struct {
 	trace   *Trace
 	sys     *core.System
 	benches map[string]*kernels.Benchmark
-	// The two orders a run walks the trace in, as indices into
-	// trace.Records, which nothing modifies once the replayer exists:
-	// timed is by (At, Seq), exact[d] is recorded device d's admissions by
-	// Seq (a record without a device counts as device 0's).
+	// The orders a run walks trace.Records in, as indices (nothing modifies
+	// the trace once the replayer exists): timed by (At, Seq), exact[d] the
+	// admissions of recorded device d, or of none when d is 0, by Seq.
 	timed []int
 	exact [][]int
 }
@@ -206,10 +205,9 @@ type devRun struct {
 	stepped  int64
 	inFlight int
 	drains   []time.Duration
-	// launched[id-1] is the outcome of the invocation this device's runtime
-	// numbered id: it numbers the launches it accepts from 1, and the replay
-	// is the only one submitting. finish is every one of those invocations'
-	// OnFinish.
+	// launched[id-1] is the outcome of the invocation the runtime numbered
+	// id: it counts the launches it accepts from 1, and only the replay
+	// submits. finish is the OnFinish of them all.
 	launched []*outcome
 	finish   func(*flepruntime.Invocation)
 }
@@ -239,7 +237,7 @@ func (rp *Replayer) Run(cfg ReplayConfig) (*Summary, error) {
 	devs := make([]*devRun, eff.Devices)
 	var divTe, divStep, divPlacement, divDependency, submitErrors int64
 	// One outcome per record, in one slab; outcomes lists the finished ones
-	// in completion order, which is the order the summary adds them up in.
+	// in completion order, the order the summary adds them up in.
 	slab := make([]outcome, 0, len(rp.trace.Records))
 	outcomes := make([]*outcome, 0, len(rp.trace.Records))
 	// Model-graph bookkeeping: which recorded stages have finished in the
@@ -348,8 +346,7 @@ func (rp *Replayer) Run(cfg ReplayConfig) (*Summary, error) {
 	case ModeExact:
 		// Replay each shard independently: records in admission order,
 		// engine stepped to each record's captured step index first —
-		// exactly the interleaving the live loop produced. (Exact mode
-		// means at least as many devices as were recorded.)
+		// exactly the interleaving the live loop produced.
 		for i, order := range rp.exact {
 			d := devs[i]
 			for _, ri := range order {
