@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -47,7 +48,7 @@ type reuseScript struct {
 	slots   [2]reuseSlot
 	start   func(slot int, cfg ExecConfig) (*Exec, error)
 	closing bool // the scripted part is over: callbacks stop restarting
-	h       interface{ Write([]byte) (int, error) }
+	h       io.Writer
 }
 
 func (s *reuseScript) put(xs ...int64) {
