@@ -268,7 +268,7 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 // answers it: no refusal reaches the client uncounted.
 func (s *Server) refuse(w http.ResponseWriter, o outcome, client string, err error) {
 	s.count(o, client)
-	status := refusalStatus[o]
+	status := outcomes[o].refusal
 	if status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
 	}
@@ -451,14 +451,14 @@ func (s *Server) Status() Status {
 		MemoryFreeBytes: s.MemoryAvailable(),
 		Paused:          s.paused.Load(),
 		Sessions:        len(s.sessions),
-		Counters:        s.c,
+		Counters:        s.countersLocked(),
 		// In-flight work keeps the invariant an inequality; at rest
 		// (drained or idle) it must hold with equality.
-		ExactlyOnceOK: s.c.InFlight() >= 0,
+		ExactlyOnceOK: s.c.inFlight() >= 0,
 		SLO: SLOStatus{
-			Attained:       s.c.SLOAttained,
-			Missed:         s.c.SLOMissed,
-			BestEffortShed: s.c.RejectedShed,
+			Attained:       s.runs.Attained,
+			Missed:         s.runs.Missed,
+			BestEffortShed: s.c[outRejectedShed],
 			AttainRate:     s.runs.AttainRate(),
 		},
 	}

@@ -15,19 +15,11 @@ import (
 // sessionFamilies keys a session row's outcome counts by the Counters()
 // family names.
 func sessionFamilies(sn SessionSnapshot) map[string]int64 {
-	return map[string]int64{
-		"enqueued":                  sn.Launches,
-		"completed":                 sn.Completed,
-		"submit_errors":             sn.SubmitErrors,
-		"rejected_queue_full":       sn.RejectedFull,
-		"rejected_draining":         sn.RejectedDraining,
-		"rejected_invalid":          sn.RejectedInvalid,
-		"rejected_best_effort_shed": sn.RejectedShed,
-		"timed_out":                 sn.TimedOut,
-		"canceled":                  sn.Canceled,
-		"dep_canceled":              sn.DepCanceled,
-		"rejected_dep_table_full":   sn.RejectedDepFull,
+	m := map[string]int64{}
+	for o := outEnqueued; o < numOutcomes; o++ {
+		m[outcomes[o].key] = *sn.slot(o)
 	}
+	return m
 }
 
 // ledgerViews reads the launch ledger the three ways the daemon serves
@@ -45,10 +37,14 @@ func ledgerViews(t *testing.T, s *Server, url, client string) map[string]map[str
 			continue
 		}
 		label = strings.TrimSuffix(label, `"}`)
-		if label == "submit_error" { // the one family the two views spell differently
-			label = "submit_errors"
+		o := outEnqueued
+		for o < numOutcomes && outcomes[o].label != label {
+			o++
 		}
-		metrics[label] = int64(v)
+		if o == numOutcomes {
+			t.Fatalf("/metrics has an outcome %q the table does not", label)
+		}
+		metrics[outcomes[o].key] = int64(v)
 	}
 	var session map[string]int64
 	for _, sn := range s.SessionSnapshots() {

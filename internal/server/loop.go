@@ -521,7 +521,6 @@ func (s *Server) complete(q *launchReq, fv *flepruntime.Invocation) {
 	s.countEnqueuedLocked(q)
 	sess := s.countLocked(outCompleted, q.client)
 	s.runs.Add(run)
-	s.c.SLOAttained, s.c.SLOMissed = s.runs.Attained, s.runs.Missed
 	if sess != nil {
 		sess.Runs.Add(run)
 		sess.LastFinishVirtual = fv.FinishedAt()

@@ -11,19 +11,11 @@ import "sort"
 
 // add folds another part's request accounting into c.
 func (c *counters) add(o counters) {
-	c.Enqueued += o.Enqueued
-	c.Completed += o.Completed
-	c.SubmitErrors += o.SubmitErrors
-	c.RejectedFull += o.RejectedFull
-	c.RejectedDraining += o.RejectedDraining
-	c.RejectedInvalid += o.RejectedInvalid
-	c.RejectedShed += o.RejectedShed
-	c.TimedOut += o.TimedOut
-	c.Canceled += o.Canceled
+	for f := outEnqueued; f < numOutcomes; f++ {
+		*c.slot(f) += *o.slot(f)
+	}
 	c.SLOAttained += o.SLOAttained
 	c.SLOMissed += o.SLOMissed
-	c.DepCanceled += o.DepCanceled
-	c.RejectedDepFull += o.RejectedDepFull
 }
 
 // weightedMean merges two means that were taken over n0 and n1 samples.
@@ -125,18 +117,10 @@ func (m *SessionSnapshot) Merge(o SessionSnapshot) {
 	m.MeanWaitUS = weightedMean(m.MeanWaitUS, m.Completed, o.MeanWaitUS, o.Completed)
 	m.MeanSLOMarginUS = weightedMean(m.MeanSLOMarginUS, m.SLOAttained+m.SLOMissed,
 		o.MeanSLOMarginUS, o.SLOAttained+o.SLOMissed)
-	m.Launches += o.Launches
+	for f := outEnqueued; f < numOutcomes; f++ {
+		*m.slot(f) += *o.slot(f)
+	}
 	m.InFlight += o.InFlight
-	m.Completed += o.Completed
-	m.SubmitErrors += o.SubmitErrors
-	m.RejectedFull += o.RejectedFull
-	m.RejectedDraining += o.RejectedDraining
-	m.RejectedInvalid += o.RejectedInvalid
-	m.RejectedShed += o.RejectedShed
-	m.TimedOut += o.TimedOut
-	m.Canceled += o.Canceled
-	m.DepCanceled += o.DepCanceled
-	m.RejectedDepFull += o.RejectedDepFull
 	m.SLOAttained += o.SLOAttained
 	m.SLOMissed += o.SLOMissed
 	m.Preemptions += o.Preemptions
@@ -146,7 +130,7 @@ func (m *SessionSnapshot) Merge(o SessionSnapshot) {
 	if o.LastFinishUS > m.LastFinishUS {
 		m.LastFinishUS = o.LastFinishUS
 	}
-	m.HostState = hostStateFor(m.Launches, m.Completed, m.SubmitErrors)
+	m.HostState = hostStateFor(m.InFlight)
 }
 
 // MergeSessions merges the parts' per-client snapshots by ID, sorted by

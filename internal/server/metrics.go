@@ -14,19 +14,10 @@ import (
 // `flep_server_launches_total{outcome=...}` reconciles exactly with
 // /v1/status at rest.
 type serverMetrics struct {
-	// Launch outcomes, one per outcome constant, labeled so one family
-	// tells the whole admission story. Only countLocked increments them.
-	Enqueued         *obs.Counter
-	Completed        *obs.Counter
-	SubmitErrors     *obs.Counter
-	RejectedFull     *obs.Counter
-	RejectedDraining *obs.Counter
-	RejectedInvalid  *obs.Counter
-	RejectedShed     *obs.Counter
-	TimedOut         *obs.Counter
-	Canceled         *obs.Counter
-	DepCanceled      *obs.Counter
-	RejectedDepFull  *obs.Counter
+	// launches is flep_server_launches_total, one series per outcome,
+	// labeled so one family tells the whole admission story. Only
+	// countLocked increments them.
+	launches [numOutcomes]*obs.Counter
 
 	// SLO tier: attained/missed partition deadline-bearing completions;
 	// the margin histogram records (deadline − completion) in virtual
@@ -76,22 +67,7 @@ type serverMetrics struct {
 // newServerMetrics registers the server metric families and the
 // scrape-time gauges that read live daemon state.
 func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
-	launch := func(outcome string) *obs.Counter {
-		return reg.Counter("flep_server_launches_total",
-			"Launch requests by terminal outcome", "outcome", outcome) //flepvet:allow metriclabel -- outcome is one of the five compile-time literals below; cardinality is fixed
-	}
 	m := &serverMetrics{
-		Enqueued:         launch("enqueued"),
-		Completed:        launch("completed"),
-		SubmitErrors:     launch("submit_error"),
-		RejectedFull:     launch("rejected_queue_full"),
-		RejectedDraining: launch("rejected_draining"),
-		RejectedInvalid:  launch("rejected_invalid"),
-		RejectedShed:     launch("rejected_best_effort_shed"),
-		TimedOut:         launch("timed_out"),
-		Canceled:         launch("canceled"),
-		DepCanceled:      launch("dep_canceled"),
-		RejectedDepFull:  launch("rejected_dep_table_full"),
 		SLOAttained: reg.Counter("flep_slo_attained_total",
 			"Deadline-bearing launches that finished at or before their virtual-time deadline"),
 		SLOMissed: reg.Counter("flep_slo_missed_total",
@@ -111,6 +87,10 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		NTT: reg.Histogram("flep_server_ntt",
 			"Solo-normalized turnaround per completed invocation (sum/count = ANTT)",
 			[]float64{1, 1.5, 2, 3, 5, 8, 13, 21, 34, 55, 100}),
+	}
+	for o := outEnqueued; o < numOutcomes; o++ {
+		m.launches[o] = reg.Counter("flep_server_launches_total",
+			"Launch requests by terminal outcome", "outcome", outcomes[o].label) //flepvet:allow metriclabel -- the label is a compile-time literal of the outcomes table; cardinality is fixed
 	}
 	graphs := func(outcome string) *obs.Counter {
 		return reg.Counter("flep_model_graphs_total",

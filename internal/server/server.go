@@ -194,17 +194,61 @@ const (
 	outDepCanceled
 	outTimedOut
 	outCanceled
+	numOutcomes
 )
 
-// refusalStatus is the HTTP status that answers a launch refused with
-// each outcome (zero, which net/http rejects, where nothing is refused).
-var refusalStatus = [outCanceled + 1]int{
-	outRejectedInvalid:  http.StatusBadRequest,
-	outRejectedDraining: http.StatusServiceUnavailable,
-	outDepCanceled:      http.StatusConflict,
-	outRejectedFull:     http.StatusTooManyRequests,
-	outRejectedShed:     http.StatusTooManyRequests,
-	outRejectedDepFull:  http.StatusTooManyRequests,
+// outcomes declares the launch ledger, one row per family: what the family
+// is called in the /v1/status counters (and Counters()) and as the outcome
+// label of flep_server_launches_total, the HTTP status that answers a
+// launch refused with it (zero, which net/http rejects, where nothing is
+// refused), and whether it may open a session. Only accepted work does
+// (enqueued, and timed_out/canceled on its waiter); a refusal is recorded
+// on an existing session only, because refused requests carry
+// attacker-controlled names and state per garbage name is unbounded
+// memory. Everything that handles every family — counting, the metric
+// set, the two wire snapshots, the merge — loops over this table; the two
+// wire structs (counters, SessionSnapshot) bind their fields to it in
+// their slot methods.
+var outcomes = [numOutcomes]struct {
+	key          string
+	label        string
+	refusal      int
+	opensSession bool
+}{
+	outEnqueued:         {key: "enqueued", label: "enqueued", opensSession: true},
+	outCompleted:        {key: "completed", label: "completed"},
+	outSubmitError:      {key: "submit_errors", label: "submit_error"},
+	outRejectedFull:     {key: "rejected_queue_full", label: "rejected_queue_full", refusal: http.StatusTooManyRequests},
+	outRejectedShed:     {key: "rejected_best_effort_shed", label: "rejected_best_effort_shed", refusal: http.StatusTooManyRequests},
+	outRejectedDraining: {key: "rejected_draining", label: "rejected_draining", refusal: http.StatusServiceUnavailable},
+	outRejectedInvalid:  {key: "rejected_invalid", label: "rejected_invalid", refusal: http.StatusBadRequest},
+	outRejectedDepFull:  {key: "rejected_dep_table_full", label: "rejected_dep_table_full", refusal: http.StatusTooManyRequests},
+	outDepCanceled:      {key: "dep_canceled", label: "dep_canceled", refusal: http.StatusConflict},
+	outTimedOut:         {key: "timed_out", label: "timed_out", opensSession: true},
+	outCanceled:         {key: "canceled", label: "canceled", opensSession: true},
+}
+
+// ledger is one count per outcome, indexed by it.
+type ledger [numOutcomes]int64
+
+// inFlight is the accepted work that has not reached a terminal event yet.
+func (l *ledger) inFlight() int64 { return l[outEnqueued] - l[outCompleted] - l[outSubmitError] }
+
+// slot is the wire field that carries outcome o.
+func (c *counters) slot(o outcome) *int64 {
+	return [numOutcomes]*int64{
+		outEnqueued:         &c.Enqueued,
+		outCompleted:        &c.Completed,
+		outSubmitError:      &c.SubmitErrors,
+		outRejectedFull:     &c.RejectedFull,
+		outRejectedShed:     &c.RejectedShed,
+		outRejectedDraining: &c.RejectedDraining,
+		outRejectedInvalid:  &c.RejectedInvalid,
+		outRejectedDepFull:  &c.RejectedDepFull,
+		outDepCanceled:      &c.DepCanceled,
+		outTimedOut:         &c.TimedOut,
+		outCanceled:         &c.Canceled,
+	}[o]
 }
 
 // count applies one launch outcome; see countLocked.
@@ -239,66 +283,20 @@ func (s *Server) countEnqueuedLocked(q *launchReq) {
 // countLocked is the one place a launch outcome is counted: it moves the
 // same family in the /metrics counter, the /v1/status counters and the
 // client's /v1/sessions row, so the three views cannot drift. Callers
-// hold s.mu. Only accepted work materializes a session (enqueued, and
-// timed_out/canceled on its waiter); a refusal is recorded on an existing
-// session only, because refused requests carry attacker-controlled names
-// and state per garbage name is unbounded memory. Returns the session.
+// hold s.mu. Returns the session, nil where the outcome may not open one
+// (see outcomes) and the client has none.
 func (s *Server) countLocked(o outcome, client string) *Session {
+	if o <= outUnset || o >= numOutcomes {
+		panic(fmt.Sprintf("server: counting invalid launch outcome %d", o))
+	}
 	sess := s.sessions[client]
-	if sess == nil && (o == outEnqueued || o == outTimedOut || o == outCanceled) {
+	if sess == nil && outcomes[o].opensSession {
 		sess = s.session(client)
 	}
-	row := sess
-	if row == nil {
-		row = &Session{} // discarded: the family moves in the other two views only
-	}
-	switch o {
-	case outEnqueued:
-		s.met.Enqueued.Inc()
-		s.c.Enqueued++
-		row.Launches++
-	case outCompleted:
-		s.met.Completed.Inc()
-		s.c.Completed++
-		row.Completed++
-	case outSubmitError:
-		s.met.SubmitErrors.Inc()
-		s.c.SubmitErrors++
-		row.SubmitErrors++
-	case outRejectedFull:
-		s.met.RejectedFull.Inc()
-		s.c.RejectedFull++
-		row.RejectedFull++
-	case outRejectedShed:
-		s.met.RejectedShed.Inc()
-		s.c.RejectedShed++
-		row.RejectedShed++
-	case outRejectedDraining:
-		s.met.RejectedDraining.Inc()
-		s.c.RejectedDraining++
-		row.RejectedDraining++
-	case outRejectedInvalid:
-		s.met.RejectedInvalid.Inc()
-		s.c.RejectedInvalid++
-		row.RejectedInvalid++
-	case outRejectedDepFull:
-		s.met.RejectedDepFull.Inc()
-		s.c.RejectedDepFull++
-		row.RejectedDepFull++
-	case outDepCanceled:
-		s.met.DepCanceled.Inc()
-		s.c.DepCanceled++
-		row.DepCanceled++
-	case outTimedOut:
-		s.met.TimedOut.Inc()
-		s.c.TimedOut++
-		row.TimedOut++
-	case outCanceled:
-		s.met.Canceled.Inc()
-		s.c.Canceled++
-		row.Canceled++
-	default:
-		panic(fmt.Sprintf("server: counting invalid launch outcome %d", o))
+	s.met.launches[o].Inc()
+	s.c[o]++
+	if sess != nil {
+		sess.n[o]++
 	}
 	return sess
 }
@@ -376,10 +374,10 @@ type Server struct {
 
 	mu        sync.Mutex
 	startReal time.Time
-	c         counters
+	c         ledger
 	// runs tallies every completion, so /v1/status can report SLO
-	// attainment and the mean margin without a second pass; c's two SLO
-	// counters are copied from it. Guarded by mu like the counters.
+	// attainment and the mean margin without a second pass. Guarded by mu
+	// like the ledger.
 	runs     metrics.Tally
 	sessions map[string]*Session
 }
@@ -630,7 +628,7 @@ func (s *Server) Steps() int64 { return s.steps.Load() }
 // reads are safe from any goroutine.
 func (s *Server) Load() int64 {
 	s.mu.Lock()
-	inFlight := s.c.InFlight()
+	inFlight := s.c.inFlight()
 	s.mu.Unlock()
 	return int64(len(s.submitCh)) + inFlight
 }
@@ -664,25 +662,25 @@ func (s *Server) Pause() error { return s.ctrl(ctrlPause) }
 // Resume unparks a paused event loop.
 func (s *Server) Resume() error { return s.ctrl(ctrlResume) }
 
-// Counters returns a snapshot of the request accounting.
+// Counters returns a snapshot of the request accounting, keyed as the
+// /v1/status counters are.
 func (s *Server) Counters() map[string]int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return map[string]int64{
-		"enqueued":                  s.c.Enqueued,
-		"completed":                 s.c.Completed,
-		"submit_errors":             s.c.SubmitErrors,
-		"rejected_queue_full":       s.c.RejectedFull,
-		"rejected_draining":         s.c.RejectedDraining,
-		"rejected_invalid":          s.c.RejectedInvalid,
-		"rejected_best_effort_shed": s.c.RejectedShed,
-		"timed_out":                 s.c.TimedOut,
-		"canceled":                  s.c.Canceled,
-		"slo_attained":              s.c.SLOAttained,
-		"slo_missed":                s.c.SLOMissed,
-		"dep_canceled":              s.c.DepCanceled,
-		"rejected_dep_table_full":   s.c.RejectedDepFull,
+	m := map[string]int64{"slo_attained": s.runs.Attained, "slo_missed": s.runs.Missed}
+	for o := outEnqueued; o < numOutcomes; o++ {
+		m[outcomes[o].key] = s.c[o]
 	}
+	return m
+}
+
+// countersLocked is the ledger as /v1/status carries it. Callers hold s.mu.
+func (s *Server) countersLocked() counters {
+	c := counters{SLOAttained: s.runs.Attained, SLOMissed: s.runs.Missed}
+	for o := outEnqueued; o < numOutcomes; o++ {
+		*c.slot(o) = s.c[o]
+	}
+	return c
 }
 
 // BenchmarkInfo describes one loaded benchmark for /v1/benchmarks.

@@ -17,17 +17,9 @@ type Session struct {
 	ID        string
 	FirstSeen time.Time
 
-	Launches         int64 // launches accepted into the queue
-	Completed        int64 // invocations finished
-	SubmitErrors     int64 // runtime rejections (oversized working set)
-	RejectedFull     int64 // 429s (queue full)
-	RejectedDraining int64 // 503s (daemon draining)
-	RejectedInvalid  int64 // validation rejects (recorded only on existing sessions)
-	RejectedShed     int64 // 429s (best-effort shed by SLO admission)
-	TimedOut         int64 // handlers that gave up waiting (invocation ran on)
-	Canceled         int64 // clients that went away while waiting (invocation ran on)
-	DepCanceled      int64 // graph stages canceled before admission (prerequisite failed / drain)
-	RejectedDepFull  int64 // 429s (pending-dependency table full)
+	// n counts the client's launches by outcome; only countLocked moves it.
+	// A refusal is counted only once the session exists (see outcomes).
+	n ledger
 
 	// Runs tallies the client's finished invocations: preemptions,
 	// turnaround and waiting sums, and SLO accounting over its
@@ -36,19 +28,13 @@ type Session struct {
 	LastFinishVirtual time.Duration
 }
 
-// hostState maps the session onto Figure 5's host-program states: a
-// client with invocations still in flight is blocked awaiting the GPU
-// (S2/S3 — the daemon cannot distinguish queued from resident without
-// asking the loop, so it reports the conservative S2); an idle client is
-// executing CPU code (S1).
-func (sess *Session) hostState() string {
-	return hostStateFor(sess.Launches, sess.Completed, sess.SubmitErrors)
-}
-
-// hostStateFor derives the Figure 5 host state from launch accounting
-// (shared with the fleet's cross-shard session merge).
-func hostStateFor(launches, completed, submitErrors int64) string {
-	if launches > completed+submitErrors {
+// hostStateFor maps a client onto Figure 5's host-program states by how
+// many of its launches are in flight: with any, it is blocked awaiting the
+// GPU (S2/S3 — the daemon cannot distinguish queued from resident without
+// asking the loop, so it reports the conservative S2); with none, it is
+// executing CPU code (S1). The cross-part session merge shares it.
+func hostStateFor(inFlight int64) string {
+	if inFlight > 0 {
 		return "S2/S3 (awaiting schedule or GPU)"
 	}
 	return "S1 (cpu)"
@@ -83,6 +69,23 @@ type SessionSnapshot struct {
 	MeanSLOMarginUS  float64 `json:"mean_slo_margin_us"`
 }
 
+// slot is the wire field that carries outcome o.
+func (m *SessionSnapshot) slot(o outcome) *int64 {
+	return [numOutcomes]*int64{
+		outEnqueued:         &m.Launches,
+		outCompleted:        &m.Completed,
+		outSubmitError:      &m.SubmitErrors,
+		outRejectedFull:     &m.RejectedFull,
+		outRejectedShed:     &m.RejectedShed,
+		outRejectedDraining: &m.RejectedDraining,
+		outRejectedInvalid:  &m.RejectedInvalid,
+		outRejectedDepFull:  &m.RejectedDepFull,
+		outDepCanceled:      &m.DepCanceled,
+		outTimedOut:         &m.TimedOut,
+		outCanceled:         &m.Canceled,
+	}[o]
+}
+
 // session returns the client's session, creating it on first use.
 // Callers must hold s.mu.
 func (s *Server) session(client string) *Session {
@@ -101,29 +104,23 @@ func (s *Server) SessionSnapshots() []SessionSnapshot {
 	out := make([]SessionSnapshot, 0, len(s.sessions))
 	for _, sess := range s.sessions {
 		snap := SessionSnapshot{
-			ID:               sess.ID,
-			FirstSeenUnix:    sess.FirstSeen.UnixMilli(),
-			HostState:        sess.hostState(),
-			Launches:         sess.Launches,
-			InFlight:         sess.Launches - sess.Completed - sess.SubmitErrors,
-			Completed:        sess.Completed,
-			SubmitErrors:     sess.SubmitErrors,
-			RejectedFull:     sess.RejectedFull,
-			RejectedDraining: sess.RejectedDraining,
-			RejectedInvalid:  sess.RejectedInvalid,
-			RejectedShed:     sess.RejectedShed,
-			TimedOut:         sess.TimedOut,
-			Canceled:         sess.Canceled,
-			DepCanceled:      sess.DepCanceled,
-			RejectedDepFull:  sess.RejectedDepFull,
-			Preemptions:      sess.Runs.Preemptions,
-			LastFinishUS:     float64(sess.LastFinishVirtual) / 1e3,
-			SLOAttained:      sess.Runs.Attained,
-			SLOMissed:        sess.Runs.Missed,
+			ID:            sess.ID,
+			FirstSeenUnix: sess.FirstSeen.UnixMilli(),
+			HostState:     hostStateFor(sess.n.inFlight()),
+			InFlight:      sess.n.inFlight(),
+			Preemptions:   sess.Runs.Preemptions,
+			LastFinishUS:  float64(sess.LastFinishVirtual) / 1e3,
+			SLOAttained:   sess.Runs.Attained,
+			SLOMissed:     sess.Runs.Missed,
 		}
-		if sess.Completed > 0 {
-			snap.MeanTurnUS = float64(sess.Runs.Turnaround) / float64(sess.Completed) / 1e3
-			snap.MeanWaitUS = float64(sess.Runs.Waiting) / float64(sess.Completed) / 1e3
+		for o := outEnqueued; o < numOutcomes; o++ {
+			*snap.slot(o) = sess.n[o]
+		}
+		// Runs has one entry per completion: a completion is counted on a
+		// session its enqueue opened.
+		if done := sess.Runs.Completed; done > 0 {
+			snap.MeanTurnUS = float64(sess.Runs.Turnaround) / float64(done) / 1e3
+			snap.MeanWaitUS = float64(sess.Runs.Waiting) / float64(done) / 1e3
 		}
 		if n := sess.Runs.Attained + sess.Runs.Missed; n > 0 {
 			snap.MeanSLOMarginUS = float64(sess.Runs.Margin) / float64(n) / 1e3

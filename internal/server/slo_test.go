@@ -185,7 +185,7 @@ func TestBestEffortShedProtectsDeadlines(t *testing.T) {
 	if st.Counters.RejectedShed != 1 || st.SLO.BestEffortShed != 1 {
 		t.Fatalf("shed accounting: counters=%+v slo=%+v", st.Counters, st.SLO)
 	}
-	if got := s.met.RejectedShed.Value(); got != 1 {
+	if got := s.met.launches[outRejectedShed].Value(); got != 1 {
 		t.Fatalf("rejected_best_effort_shed metric = %d, want 1", got)
 	}
 	// With no LC outstanding, best-effort admission is back to the full
