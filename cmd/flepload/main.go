@@ -75,12 +75,14 @@ type stats struct {
 	models   map[string]*modelAgg // per-model graph accounting (-model)
 }
 
-// modelAgg accumulates one model's graph outcomes across all clients.
+// modelAgg accumulates one model's graph outcomes across all clients: the
+// graph tally (its stages are the ones that answered 200, its canceled
+// stages the 409s), the stages shed with 429, and the completed graphs'
+// real-time makespans for the percentiles.
 type modelAgg struct {
-	graphs, completed, canceled int64
-	stages                      metrics.Tally // the stages that answered 200
-	stagesCanceled, stagesRej   int64
-	makespans                   []time.Duration // real time, completed graphs only
+	metrics.GraphTally
+	stagesShed int64
+	makespans  []time.Duration
 }
 
 func main() {
@@ -546,32 +548,53 @@ func (st *stats) noteGraph(name string, outs []sample, makespan time.Duration) {
 		agg = &modelAgg{}
 		st.models[name] = agg
 	}
-	agg.graphs++
+	agg.Started++
 	allOK := true
 	for _, o := range outs {
 		if o.status == http.StatusOK {
-			agg.stages.Add(o.KernelRun)
+			agg.Stages.Add(o.KernelRun)
 			st.samples = append(st.samples, o)
 			continue
 		}
 		allOK = false
 		switch o.status {
 		case http.StatusConflict:
-			agg.stagesCanceled++
+			agg.StagesCanceled++
 		case http.StatusTooManyRequests:
-			agg.stagesRej++
+			agg.stagesShed++
 		case http.StatusGatewayTimeout:
 			st.timeouts++
 		default:
 			st.errors++
 		}
 	}
+	agg.Close(allOK, makespan)
 	if allOK {
-		agg.completed++
 		agg.makespans = append(agg.makespans, makespan)
-	} else {
-		agg.canceled++
 	}
+}
+
+// modelLine renders one model's line of the "per model" report: graph
+// completion, stage outcomes, ANTT over the stages with a baseline, SLO
+// attainment on the deadline-bearing ones, and real graph makespan (first
+// POST to last stage done).
+func modelLine(name string, a *modelAgg) string {
+	line := fmt.Sprintf("  model %-10s graphs=%d completed=%d canceled=%d  stages ok=%d canceled=%d shed=%d",
+		name, a.Started, a.Completed, a.Canceled, a.Stages.Completed, a.StagesCanceled, a.stagesShed)
+	if a.Stages.NTTN > 0 {
+		line += fmt.Sprintf("  ANTT %.3f", a.Stages.ANTT())
+	}
+	if tracked := a.Stages.Attained + a.Stages.Missed; tracked > 0 {
+		line += fmt.Sprintf("  slo=%d/%d", a.Stages.Attained, tracked)
+	}
+	if len(a.makespans) > 0 {
+		sorted := append([]time.Duration(nil), a.makespans...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		line += fmt.Sprintf("  makespan p50=%v p99=%v",
+			metrics.Percentile(sorted, 0.50).Round(time.Microsecond),
+			metrics.Percentile(sorted, 0.99).Round(time.Microsecond))
+	}
+	return line
 }
 
 func (st *stats) note(f func()) {
@@ -628,9 +651,7 @@ func report(st *stats, wall time.Duration) {
 			all.Attained, all.Missed, 100*all.AttainRate(), all.MeanMargin().Round(time.Microsecond))
 	}
 
-	// Per-model breakdown when the run submitted kernel DAGs (-model):
-	// graph completion, stage outcomes, SLO attainment on the terminal
-	// stage, and real graph makespan (first POST to last stage done).
+	// Per-model breakdown when the run submitted kernel DAGs (-model).
 	if len(st.models) > 0 {
 		names := make([]string, 0, len(st.models))
 		for name := range st.models {
@@ -639,23 +660,7 @@ func report(st *stats, wall time.Duration) {
 		sort.Strings(names)
 		fmt.Printf("per model:\n")
 		for _, name := range names {
-			a := st.models[name]
-			line := fmt.Sprintf("  model %-10s graphs=%d completed=%d canceled=%d  stages ok=%d canceled=%d shed=%d",
-				name, a.graphs, a.completed, a.canceled, a.stages.Completed, a.stagesCanceled, a.stagesRej)
-			if a.stages.NTTN > 0 {
-				line += fmt.Sprintf("  ANTT %.3f", a.stages.ANTT())
-			}
-			if tracked := a.stages.Attained + a.stages.Missed; tracked > 0 {
-				line += fmt.Sprintf("  slo=%d/%d", a.stages.Attained, tracked)
-			}
-			if len(a.makespans) > 0 {
-				sorted := append([]time.Duration(nil), a.makespans...)
-				sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-				line += fmt.Sprintf("  makespan p50=%v p99=%v",
-					metrics.Percentile(sorted, 0.50).Round(time.Microsecond),
-					metrics.Percentile(sorted, 0.99).Round(time.Microsecond))
-			}
-			fmt.Println(line)
+			fmt.Println(modelLine(name, st.models[name]))
 		}
 	}
 

@@ -88,3 +88,39 @@ func TestWriteGroups(t *testing.T) {
 		}
 	}
 }
+
+// modelLine is the one "per model" line; the table pins its fields and
+// format for each optional part.
+func TestModelLine(t *testing.T) {
+	run := func(ntt time.Duration, margin time.Duration) metrics.KernelRun {
+		return metrics.KernelRun{Alone: time.Microsecond, Turnaround: ntt * time.Microsecond, Margin: margin, Tracked: margin != 0}
+	}
+	full := &modelAgg{stagesShed: 2, makespans: []time.Duration{3 * time.Millisecond, time.Millisecond, 2 * time.Millisecond}}
+	full.Started, full.StagesCanceled = 5, 4
+	for i := 0; i < 3; i++ {
+		full.Close(true, 0)
+	}
+	full.Close(false, 0)
+	full.Close(false, 0)
+	for _, r := range []metrics.KernelRun{run(1, 0), run(2, time.Millisecond), run(3, -time.Millisecond), run(6, 5)} {
+		full.Stages.Add(r)
+	}
+	noBaseline := &modelAgg{}
+	noBaseline.Started = 1
+	noBaseline.Close(false, 0)
+	noBaseline.Stages.Add(metrics.KernelRun{Turnaround: time.Millisecond})
+	for _, tc := range []struct {
+		name string
+		agg  *modelAgg
+		want string
+	}{
+		{"resnet", full, "  model resnet     graphs=5 completed=3 canceled=2  stages ok=4 canceled=4 shed=2" +
+			"  ANTT 3.000  slo=2/3  makespan p50=2ms p99=3ms"},
+		{"a-long-model-name", noBaseline, "  model a-long-model-name graphs=1 completed=0 canceled=1  stages ok=1 canceled=0 shed=0"},
+		{"idle", &modelAgg{}, "  model idle       graphs=0 completed=0 canceled=0  stages ok=0 canceled=0 shed=0"},
+	} {
+		if got := modelLine(tc.name, tc.agg); got != tc.want {
+			t.Errorf("%s:\ngot:  %q\nwant: %q", tc.name, got, tc.want)
+		}
+	}
+}

@@ -245,25 +245,19 @@ func (rp *Replayer) summarize(eff ReplayConfig, policy, mode string, devs []*dev
 }
 
 // modelRows aggregates graph-bearing records and outcomes into per-model
-// rows (nil when the trace has none). A graph instance is keyed by
-// (client, graph id), matching the recording daemon's dependency table.
+// rows (nil when the trace has none), each rendered from a
+// metrics.GraphTally as the recording daemon's models block is. A graph
+// instance is keyed by (client, graph id), matching the daemon's
+// dependency table.
 func (rp *Replayer) modelRows(outcomes []*outcome) []ModelSummary {
 	type graphAgg struct {
-		model     string
-		recorded  int
-		completed int
-		first     time.Duration
-		last      time.Duration
+		tally               *metrics.GraphTally // its model's
+		recorded, completed int
+		first, last         time.Duration
 	}
 	type graphKey struct{ client, graph string }
 	graphs := map[graphKey]*graphAgg{}
-	order := []graphKey{} // deterministic iteration: first-seen order
-	modelName := func(rec *Record) string {
-		if rec.Model != "" {
-			return rec.Model
-		}
-		return "default"
-	}
+	tallies := map[string]*metrics.GraphTally{}
 	for i := range rp.trace.Records {
 		rec := &rp.trace.Records[i]
 		if rec.GraphID == "" {
@@ -272,9 +266,18 @@ func (rp *Replayer) modelRows(outcomes []*outcome) []ModelSummary {
 		k := graphKey{rec.Client, rec.GraphID}
 		g := graphs[k]
 		if g == nil {
-			g = &graphAgg{model: modelName(rec)}
+			model := rec.Model
+			if model == "" {
+				model = "default"
+			}
+			t := tallies[model]
+			if t == nil {
+				t = &metrics.GraphTally{}
+				tallies[model] = t
+			}
+			t.Started++
+			g = &graphAgg{tally: t}
 			graphs[k] = g
-			order = append(order, k)
 		}
 		g.recorded++
 	}
@@ -282,9 +285,6 @@ func (rp *Replayer) modelRows(outcomes []*outcome) []ModelSummary {
 		return nil
 	}
 	for _, o := range outcomes {
-		if o.rec.GraphID == "" {
-			continue
-		}
 		g := graphs[graphKey{o.rec.Client, o.rec.GraphID}]
 		if g == nil {
 			continue
@@ -297,47 +297,26 @@ func (rp *Replayer) modelRows(outcomes []*outcome) []ModelSummary {
 			g.last = o.finishedAt
 		}
 		g.completed++
+		g.tally.Stages.Add(o.run)
 	}
-	rows := map[string]*ModelSummary{}
-	names := []string{}
-	for _, k := range order {
-		g := graphs[k]
-		row := rows[g.model]
-		if row == nil {
-			row = &ModelSummary{Model: g.model}
-			rows[g.model] = row
-			names = append(names, g.model)
-		}
-		row.Graphs++
-		row.StagesCompleted += g.completed
-		row.StagesCanceled += g.recorded - g.completed
-		if g.completed == g.recorded {
-			row.GraphsCompleted++
-			row.MeanMakespanNS += int64(g.last - g.first)
-		}
+	for _, g := range graphs {
+		g.tally.StagesCanceled += int64(g.recorded - g.completed)
+		g.tally.Close(g.completed == g.recorded, g.last-g.first)
 	}
-	for _, o := range outcomes {
-		if o.rec.GraphID == "" || !o.run.Tracked {
-			continue
-		}
-		row := rows[modelName(o.rec)]
-		if row == nil {
-			continue
-		}
-		if o.run.Attained() {
-			row.SLOAttained++
-		} else {
-			row.SLOMissed++
-		}
+	names := make([]string, 0, len(tallies))
+	for n := range tallies {
+		names = append(names, n)
 	}
 	sort.Strings(names)
 	out := make([]ModelSummary, 0, len(names))
 	for _, n := range names {
-		row := rows[n]
-		if row.GraphsCompleted > 0 {
-			row.MeanMakespanNS /= int64(row.GraphsCompleted)
-		}
-		out = append(out, *row)
+		t := tallies[n]
+		out = append(out, ModelSummary{
+			Model: n, Graphs: int(t.Started), GraphsCompleted: int(t.Completed),
+			StagesCompleted: int(t.Stages.Completed), StagesCanceled: int(t.StagesCanceled),
+			SLOAttained: int(t.Stages.Attained), SLOMissed: int(t.Stages.Missed),
+			MeanMakespanNS: int64(t.MeanMakespan()),
+		})
 	}
 	return out
 }

@@ -101,17 +101,56 @@ type depGraph struct {
 	lastFinishNS  int64
 }
 
-// modelStats aggregates per-model accounting across graph instances.
-// Guarded by Server.depMu; incremented at the same sites as the
-// flep_model_* counters, so metrics reconcile exactly with the
-// /v1/status models block.
-type modelStats struct {
-	graphsStarted   int64
-	graphsCompleted int64
-	graphsCanceled  int64
-	stages          metrics.Tally // completed stages and their SLO verdicts
-	stagesCanceled  int64
-	makespanSumNS   int64
+// modelEvent names one family of the model ledger: something that happens
+// to a graph instance or to one of its stages. The zero value is not an
+// event, so a path that forgets to name one panics in countModelLocked.
+type modelEvent int
+
+const (
+	modelGraphStarted modelEvent = iota + 1
+	modelGraphCompleted
+	modelGraphCanceled
+	modelGraphEvicted // counted beside modelGraphCanceled: the eviction series only
+	modelStageCompleted
+	modelStageCanceled
+	modelStageParked   // series only: the row's stages_parked is read live off the table
+	modelStageReleased // series only, likewise
+	numModelEvents
+)
+
+// countModelLocked is the one place the model ledger moves: the event's
+// flep_model_* series and the count of the model's /v1/status row go
+// together, so the two views reconcile exactly. run is the finished run a
+// completed stage carries, nil for every other event; a completed graph's
+// makespan is read off g. Callers hold depMu.
+func (s *Server) countModelLocked(ev modelEvent, g *depGraph, run *metrics.KernelRun) {
+	series := s.met.model[ev]
+	if series == nil {
+		panic(fmt.Sprintf("server: counting invalid model event %d", ev))
+	}
+	series.Inc()
+	row := s.models[g.model]
+	if row == nil {
+		row = &metrics.GraphTally{}
+		s.models[g.model] = row
+	}
+	switch ev {
+	case modelGraphStarted:
+		row.Started++
+	case modelGraphCompleted:
+		row.Close(true, time.Duration(g.lastFinishNS-g.firstSubmitNS))
+	case modelGraphCanceled:
+		row.Close(false, 0)
+	case modelStageCompleted:
+		// The tally judges the SLO verdict; the two series mirror what it
+		// moved.
+		was := row.Stages
+		row.Stages.Add(*run)
+		s.met.ModelSLOAttained.Add(row.Stages.Attained - was.Attained)
+		s.met.ModelSLOMissed.Add(row.Stages.Missed - was.Missed)
+	case modelStageCanceled:
+		row.StagesCanceled++
+	}
 }
 
 // validateDepSpec checks the request's graph spec shape before any
@@ -249,9 +288,7 @@ func (s *Server) depAdmit(q *launchReq) (parked bool, refused outcome, err error
 		}
 		s.depSeq++
 		s.depGraphs[key] = g
-		ms := s.modelStatsLocked(g.model)
-		ms.graphsStarted++
-		s.met.ModelGraphsStarted.Inc()
+		s.countModelLocked(modelGraphStarted, g, nil)
 	}
 	// The folded model name is what recording and accounting share, so a
 	// replayed trace aggregates under exactly the live rows.
@@ -266,9 +303,7 @@ func (s *Server) depAdmit(q *launchReq) (parked bool, refused outcome, err error
 		st.state = depCanceled
 		g.terminal++
 		g.failed = true
-		ms := s.modelStatsLocked(g.model)
-		ms.stagesCanceled++
-		s.met.ModelStagesCanceled.Inc()
+		s.countModelLocked(modelStageCanceled, g, nil)
 		s.depCloseIfDoneLocked(g)
 		return false, outDepCanceled, fmt.Errorf("canceled: prerequisite %q of stage %q did not complete", badDep, q.stage)
 	case allDone:
@@ -280,7 +315,7 @@ func (s *Server) depAdmit(q *launchReq) (parked bool, refused outcome, err error
 		st.q = q
 		g.parked++
 		s.depParked++
-		s.met.ModelStagesParked.Inc()
+		s.countModelLocked(modelStageParked, g, nil)
 		return true, outUnset, nil
 	}
 }
@@ -328,17 +363,6 @@ func (s *Server) foldModelLocked(name string) string {
 	return name
 }
 
-// modelStatsLocked returns the model's aggregate row, creating it on
-// first use. Callers hold depMu and must pass a folded name.
-func (s *Server) modelStatsLocked(name string) *modelStats {
-	ms := s.models[name]
-	if ms == nil {
-		ms = &modelStats{}
-		s.models[name] = ms
-	}
-	return ms
-}
-
 // depEvictStalledLocked frees one graph slot by evicting the oldest
 // stalled graph: no parked stages, nothing in flight, and not yet
 // complete — the shape left behind by a client that stopped submitting
@@ -357,10 +381,8 @@ func (s *Server) depEvictStalledLocked() bool {
 	if victim == nil {
 		return false
 	}
-	ms := s.modelStatsLocked(victim.model)
-	ms.graphsCanceled++
-	s.met.ModelGraphsCanceled.Inc()
-	s.met.ModelEvictions.Inc()
+	s.countModelLocked(modelGraphCanceled, victim, nil)
+	s.countModelLocked(modelGraphEvicted, victim, nil)
 	delete(s.depGraphs, depKey{victim.client, victim.id})
 	return true
 }
@@ -391,14 +413,7 @@ func (s *Server) depStageDone(q *launchReq, res *LaunchResult, run metrics.Kerne
 	if res.FinishedVirtualNS > g.lastFinishNS {
 		g.lastFinishNS = res.FinishedVirtualNS
 	}
-	ms := s.modelStatsLocked(g.model)
-	ms.stages.Add(run)
-	s.met.ModelStagesCompleted.Inc()
-	if run.Attained() {
-		s.met.ModelSLOAttained.Inc()
-	} else if run.Tracked {
-		s.met.ModelSLOMissed.Inc()
-	}
+	s.countModelLocked(modelStageCompleted, g, &run)
 	// Release every parked dependent whose prerequisites are now all
 	// done, in registration order — the deterministic path through the
 	// DAG, so a replayed trace sees the same release sequence.
@@ -424,7 +439,7 @@ func (s *Server) depStageDone(q *launchReq, res *LaunchResult, run metrics.Kerne
 		g.parked--
 		s.depParked--
 		g.inflight++
-		s.met.ModelStagesReleased.Inc()
+		s.countModelLocked(modelStageReleased, g, nil)
 		s.depReady = append(s.depReady, rq)
 	}
 	s.depCloseIfDoneLocked(g)
@@ -451,9 +466,7 @@ func (s *Server) depStageFailed(q *launchReq) {
 	g.inflight--
 	g.terminal++
 	g.failed = true
-	ms := s.modelStatsLocked(g.model)
-	ms.stagesCanceled++
-	s.met.ModelStagesCanceled.Inc()
+	s.countModelLocked(modelStageCanceled, g, nil)
 	cancels := s.depCascadeLocked(g)
 	s.depCloseIfDoneLocked(g)
 	s.depMu.Unlock()
@@ -484,19 +497,25 @@ func (s *Server) depCascadeLocked(g *depGraph) []*launchReq {
 			if !doomed {
 				continue
 			}
-			cancels = append(cancels, d.q)
-			d.q = nil
-			d.state = depCanceled
-			g.parked--
-			s.depParked--
-			g.terminal++
-			ms := s.modelStatsLocked(g.model)
-			ms.stagesCanceled++
-			s.met.ModelStagesCanceled.Inc()
+			cancels = append(cancels, s.cancelParkedLocked(g, d))
 			changed = true
 		}
 	}
 	return cancels
+}
+
+// cancelParkedLocked is the one way a parked stage is canceled — a
+// prerequisite failed, or the daemon drained it away. It returns the
+// stage's request, which the caller answers once depMu is released.
+// Callers hold depMu.
+func (s *Server) cancelParkedLocked(g *depGraph, d *depStage) *launchReq {
+	q := d.q
+	d.q, d.state = nil, depCanceled
+	g.parked--
+	s.depParked--
+	g.terminal++
+	s.countModelLocked(modelStageCanceled, g, nil)
+	return q
 }
 
 // depCloseIfDoneLocked retires a graph whose declared stages are all
@@ -507,14 +526,10 @@ func (s *Server) depCloseIfDoneLocked(g *depGraph) {
 	if g.terminal < g.declared {
 		return
 	}
-	ms := s.modelStatsLocked(g.model)
 	if g.failed || g.done < g.declared {
-		ms.graphsCanceled++
-		s.met.ModelGraphsCanceled.Inc()
+		s.countModelLocked(modelGraphCanceled, g, nil)
 	} else {
-		ms.graphsCompleted++
-		s.met.ModelGraphsCompleted.Inc()
-		ms.makespanSumNS += g.lastFinishNS - g.firstSubmitNS
+		s.countModelLocked(modelGraphCompleted, g, nil)
 	}
 	delete(s.depGraphs, depKey{g.client, g.id})
 }
@@ -551,22 +566,11 @@ func (s *Server) depDrainCancel() {
 	for _, g := range graphs {
 		for _, name := range g.order {
 			d := g.stages[name]
-			if d.state != depParked {
-				continue
+			if d.state == depParked {
+				cancels = append(cancels, s.cancelParkedLocked(g, d))
 			}
-			cancels = append(cancels, d.q)
-			d.q = nil
-			d.state = depCanceled
-			g.parked--
-			s.depParked--
-			g.terminal++
-			ms := s.modelStatsLocked(g.model)
-			ms.stagesCanceled++
-			s.met.ModelStagesCanceled.Inc()
 		}
-		ms := s.modelStatsLocked(g.model)
-		ms.graphsCanceled++
-		s.met.ModelGraphsCanceled.Inc()
+		s.countModelLocked(modelGraphCanceled, g, nil)
 		delete(s.depGraphs, depKey{g.client, g.id})
 	}
 	s.depMu.Unlock()
@@ -598,9 +602,10 @@ func (s *Server) admitReleased() {
 	s.depReady = s.depReady[:0]
 }
 
-// ModelStatus is one model's row in the /v1/status models block. Counts
-// reconcile exactly with the flep_model_* metric families: both are
-// incremented at the same depMu-guarded sites.
+// ModelStatus is one model's row in the /v1/status models block: its
+// metrics.GraphTally on the wire, plus the stages parked right now. Counts
+// reconcile exactly with the flep_model_* metric families: countModelLocked
+// moves both.
 type ModelStatus struct {
 	Model           string  `json:"model"`
 	GraphsStarted   int64   `json:"graphs_started"`
@@ -633,21 +638,21 @@ func (s *Server) modelStatuses() []ModelStatus {
 	sort.Strings(names)
 	out := make([]ModelStatus, 0, len(names))
 	for _, name := range names {
-		ms := s.models[name]
+		t := s.models[name]
 		row := ModelStatus{
 			Model:           name,
-			GraphsStarted:   ms.graphsStarted,
-			GraphsCompleted: ms.graphsCompleted,
-			GraphsCanceled:  ms.graphsCanceled,
-			StagesCompleted: ms.stages.Completed,
-			StagesCanceled:  ms.stagesCanceled,
+			GraphsStarted:   t.Started,
+			GraphsCompleted: t.Completed,
+			GraphsCanceled:  t.Canceled,
+			StagesCompleted: t.Stages.Completed,
+			StagesCanceled:  t.StagesCanceled,
 			StagesParked:    parked[name],
-			SLOAttained:     ms.stages.Attained,
-			SLOMissed:       ms.stages.Missed,
-			AttainRate:      ms.stages.AttainRate(),
+			SLOAttained:     t.Stages.Attained,
+			SLOMissed:       t.Stages.Missed,
+			AttainRate:      t.Stages.AttainRate(),
 		}
-		if ms.graphsCompleted > 0 {
-			row.MeanMakespanUS = float64(ms.makespanSumNS) / float64(ms.graphsCompleted) / 1e3
+		if t.Completed > 0 {
+			row.MeanMakespanUS = float64(t.Makespan) / float64(t.Completed) / 1e3
 		}
 		out = append(out, row)
 	}

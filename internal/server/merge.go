@@ -1,6 +1,10 @@
 package server
 
-import "sort"
+import (
+	"sort"
+
+	"flep/internal/metrics"
+)
 
 // merge.go is the one place the serving tier's aggregation rules live. A
 // fleet merges its shards' snapshots in process and a cluster gateway
@@ -64,9 +68,7 @@ func MergeStatus(parts []Status) Status {
 			agg.VirtualNowUS = p.VirtualNowUS
 		}
 	}
-	if n := agg.SLO.Attained + agg.SLO.Missed; n > 0 {
-		agg.SLO.AttainRate = float64(agg.SLO.Attained) / float64(n)
-	}
+	agg.SLO.AttainRate = (&metrics.Tally{Attained: agg.SLO.Attained, Missed: agg.SLO.Missed}).AttainRate()
 	return agg
 }
 
@@ -98,9 +100,7 @@ func mergeModelRows(agg, rows []ModelStatus) []ModelStatus {
 		m.StagesParked += r.StagesParked
 		m.SLOAttained += r.SLOAttained
 		m.SLOMissed += r.SLOMissed
-		if n := m.SLOAttained + m.SLOMissed; n > 0 {
-			m.AttainRate = float64(m.SLOAttained) / float64(n)
-		}
+		m.AttainRate = (&metrics.Tally{Attained: m.SLOAttained, Missed: m.SLOMissed}).AttainRate()
 	}
 	sort.Slice(agg, func(i, j int) bool { return agg[i].Model < agg[j].Model })
 	return agg

@@ -47,21 +47,15 @@ type serverMetrics struct {
 	// breakdown) can derive ANTT from metrics deltas alone.
 	NTT *obs.Histogram
 
-	// Model-graph accounting (see deps.go). Incremented at the same
-	// depMu-guarded sites as the modelStats aggregates, so the families
-	// reconcile exactly with the /v1/status models block. Labels are
-	// compile-time literals; the per-model-name breakdown lives only in
-	// the bounded JSON models block.
-	ModelGraphsStarted   *obs.Counter
-	ModelGraphsCompleted *obs.Counter
-	ModelGraphsCanceled  *obs.Counter
-	ModelStagesCompleted *obs.Counter
-	ModelStagesCanceled  *obs.Counter
-	ModelStagesParked    *obs.Counter
-	ModelStagesReleased  *obs.Counter
-	ModelEvictions       *obs.Counter
-	ModelSLOAttained     *obs.Counter
-	ModelSLOMissed       *obs.Counter
+	// model is the model ledger (see deps.go), one series per modelEvent;
+	// ModelSLOAttained/ModelSLOMissed mirror the verdicts of the completed
+	// stages. Only countModelLocked moves them, with the model's
+	// /v1/status row, so the families reconcile exactly with the models
+	// block. Labels are compile-time literals; the per-model-name breakdown
+	// lives only in the bounded JSON models block.
+	model            [numModelEvents]*obs.Counter
+	ModelSLOAttained *obs.Counter
+	ModelSLOMissed   *obs.Counter
 }
 
 // newServerMetrics registers the server metric families and the
@@ -100,16 +94,16 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		return reg.Counter("flep_model_stages_total",
 			"Model graph stages by terminal outcome", "outcome", outcome) //flepvet:allow metriclabel -- outcome is one of the two compile-time literals below; cardinality is fixed
 	}
-	m.ModelGraphsStarted = graphs("started")
-	m.ModelGraphsCompleted = graphs("completed")
-	m.ModelGraphsCanceled = graphs("canceled")
-	m.ModelStagesCompleted = stages("completed")
-	m.ModelStagesCanceled = stages("canceled")
-	m.ModelStagesParked = reg.Counter("flep_model_stages_parked_total",
+	m.model[modelGraphStarted] = graphs("started")
+	m.model[modelGraphCompleted] = graphs("completed")
+	m.model[modelGraphCanceled] = graphs("canceled")
+	m.model[modelStageCompleted] = stages("completed")
+	m.model[modelStageCanceled] = stages("canceled")
+	m.model[modelStageParked] = reg.Counter("flep_model_stages_parked_total",
 		"Graph stages held in the pending-dependency table awaiting prerequisites")
-	m.ModelStagesReleased = reg.Counter("flep_model_stages_released_total",
+	m.model[modelStageReleased] = reg.Counter("flep_model_stages_released_total",
 		"Parked graph stages admitted after their prerequisites completed")
-	m.ModelEvictions = reg.Counter("flep_model_evictions_total",
+	m.model[modelGraphEvicted] = reg.Counter("flep_model_evictions_total",
 		"Stalled graphs evicted from the bounded pending-dependency table")
 	m.ModelSLOAttained = reg.Counter("flep_model_slo_attained_total",
 		"Deadline-bearing graph stages that finished within their budget")

@@ -369,7 +369,7 @@ type Server struct {
 	depGraphs map[depKey]*depGraph
 	depSeq    int64
 	depParked int
-	models    map[string]*modelStats
+	models    map[string]*metrics.GraphTally
 	depReady  []*launchReq
 
 	mu        sync.Mutex
@@ -435,7 +435,7 @@ func NewWithSystem(sys *core.System, cfg Config) (*Server, error) {
 		sessions: map[string]*Session{},
 
 		depGraphs: map[depKey]*depGraph{},
-		models:    map[string]*modelStats{},
+		models:    map[string]*metrics.GraphTally{},
 	}
 	for _, b := range benchs {
 		if sys.Artifacts(b.Name) == nil {
