@@ -27,9 +27,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -39,35 +40,75 @@ import (
 	"flep/internal/replay"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("flepreplay: ")
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// errUsage is a subcommand's answer to arguments that cannot describe a
+// run; it has already said why and printed its flags.
+var errUsage = errors.New("usage")
+
+// run is the command: 0 on success, 1 when the run fails, 2 with the usage
+// text when the arguments cannot describe a run.
+func run(args []string, stdout, stderr io.Writer) int {
+	cmds := map[string]func(c *command) error{"record": cmdRecord, "replay": cmdReplay, "whatif": cmdWhatIf}
+	name := ""
+	if len(args) > 0 {
+		name = args[0]
 	}
-	var err error
-	switch os.Args[1] {
-	case "record":
-		err = cmdRecord(os.Args[2:])
-	case "replay":
-		err = cmdReplay(os.Args[2:])
-	case "whatif":
-		err = cmdWhatIf(os.Args[2:])
+	switch name {
 	case "-h", "-help", "--help", "help":
-		usage()
-		return
-	default:
-		usage()
-		log.Fatalf("unknown subcommand %q", os.Args[1])
+		fmt.Fprint(stderr, usageText)
+		return 0
 	}
-	if err != nil {
-		log.Fatal(err)
+	if cmds[name] == nil {
+		if name != "" {
+			fmt.Fprintf(stderr, "flepreplay: unknown subcommand %q\n", name)
+		}
+		fmt.Fprint(stderr, usageText)
+		return 2
+	}
+	c := &command{FlagSet: flag.NewFlagSet("flepreplay "+name, flag.ContinueOnError), args: args[1:], stdout: stdout, stderr: stderr}
+	c.SetOutput(stderr)
+	switch err := cmds[name](c); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		return 2
+	default:
+		fmt.Fprintf(stderr, "flepreplay: %v\n", err)
+		return 1
 	}
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: flepreplay <subcommand> [flags]
+// command is one subcommand invocation: its flag set, the arguments to
+// parse and where to write.
+type command struct {
+	*flag.FlagSet
+	args           []string
+	stdout, stderr io.Writer
+}
+
+// parse parses the flags the subcommand has declared; a flag error has
+// been reported by the flag set.
+func (c *command) parse() error {
+	err := c.Parse(c.args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return errUsage
+	}
+	return err
+}
+
+// usagef reports arguments that parsed but cannot describe a run.
+func (c *command) usagef(format string, args ...any) error {
+	fmt.Fprintf(c.stderr, c.Name()+": "+format+"\n", args...)
+	c.Usage()
+	return errUsage
+}
+
+func (c *command) logf(format string, args ...any) {
+	fmt.Fprintf(c.stderr, "flepreplay: "+format+"\n", args...)
+}
+
+const usageText = `usage: flepreplay <subcommand> [flags]
 
 subcommands:
   record   synthesize a deterministic multi-tenant trace (no daemon needed)
@@ -75,20 +116,20 @@ subcommands:
   whatif   fan a trace across a config matrix and rank the outcomes
 
 run "flepreplay <subcommand> -h" for per-subcommand flags
-`)
-}
+`
 
 // cmdRecord synthesizes an open-loop multi-tenant trace. Live traces
 // come from flepd -record (daemon-side, step-exact) or flepload -record
 // (client-side, timed); this subcommand covers the no-daemon path.
-func cmdRecord(args []string) error {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
+func cmdRecord(fs *command) error {
 	var (
 		out  = fs.String("o", "mix.trace", "output trace path")
 		mix  = fs.String("mix", "", "tenant specs CLIENT:BENCH:CLASS:PRIO[:WEIGHT]:PERIOD:COUNT[:DEADLINE], comma-separated (empty = two-tenant demo)")
 		seed = fs.Int64("seed", 1, "arrival-jitter seed")
 	)
-	fs.Parse(args)
+	if err := fs.parse(); err != nil {
+		return err
+	}
 
 	tenants, err := parseMixSpecs(*mix)
 	if err != nil {
@@ -111,7 +152,7 @@ func cmdRecord(args []string) error {
 	if err := t.WriteFile(*out); err != nil {
 		return err
 	}
-	fmt.Printf("flepreplay: wrote %d records (%d tenants, seed %d) to %s\n",
+	fmt.Fprintf(fs.stdout, "flepreplay: wrote %d records (%d tenants, seed %d) to %s\n",
 		len(t.Records), len(tenants), *seed, *out)
 	return nil
 }
@@ -171,8 +212,7 @@ func parseMixSpecs(s string) ([]replay.MixTenant, error) {
 	return out, nil
 }
 
-func cmdReplay(args []string) error {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
+func cmdReplay(fs *command) error {
 	var (
 		tracePath  = fs.String("trace", "", "trace path (rotated segments path.N are merged in)")
 		policy     = fs.String("policy", "", "override policy: "+flepruntime.PolicyList()+" (empty = as recorded)")
@@ -186,12 +226,14 @@ func cmdReplay(args []string) error {
 		saveModels = fs.String("save-models", "", "export the trained duration predictors to this path after the offline phase")
 		quiet      = fs.Bool("q", false, "suppress offline-phase progress")
 	)
-	fs.Parse(args)
+	if err := fs.parse(); err != nil {
+		return err
+	}
 	if *tracePath == "" {
-		return fmt.Errorf("replay: -trace is required")
+		return fs.usagef("-trace is required")
 	}
 
-	rp, err := buildReplayer(*tracePath, *models, *quiet)
+	rp, err := buildReplayer(fs, *tracePath, *models, *quiet)
 	if err != nil {
 		return err
 	}
@@ -200,7 +242,7 @@ func cmdReplay(args []string) error {
 			return err
 		}
 		if !*quiet {
-			log.Printf("exported predictors to %s", *saveModels)
+			fs.logf("exported predictors to %s", *saveModels)
 		}
 	}
 
@@ -208,29 +250,19 @@ func cmdReplay(args []string) error {
 		Policy: *policy, Devices: *devices, L: *lOverride,
 		MaxOverhead: *maxOver, Seed: *seed,
 	}
-	switch {
-	case *spa > 0:
-		on := true
-		cfg.Spatial = &on
-		cfg.SpatialSMs = *spa
-	case *spa < 0:
-		off := false
-		cfg.Spatial = &off
-		cfg.SpatialSMs = -1
-	}
+	cfg.SetSpatial(*spa)
 	sum, err := rp.Run(cfg)
 	if err != nil {
 		return err
 	}
 	if *jsonOut {
-		return writeJSON(sum)
+		return writeJSON(fs.stdout, sum)
 	}
-	sum.RenderText(os.Stdout)
+	sum.RenderText(fs.stdout)
 	return nil
 }
 
-func cmdWhatIf(args []string) error {
-	fs := flag.NewFlagSet("whatif", flag.ExitOnError)
+func cmdWhatIf(fs *command) error {
 	var (
 		tracePath = fs.String("trace", "", "trace path (rotated segments path.N are merged in)")
 		policies  = fs.String("policies", "", "policies axis, comma-separated (empty = hpf,ffs,fifo, plus edf when the trace carries deadlines)")
@@ -242,25 +274,29 @@ func cmdWhatIf(args []string) error {
 		models    = fs.String("models", "", "warm-start duration predictors from this export")
 		quiet     = fs.Bool("q", false, "suppress offline-phase progress")
 	)
-	fs.Parse(args)
+	if err := fs.parse(); err != nil {
+		return err
+	}
 	if *tracePath == "" {
-		return fmt.Errorf("whatif: -trace is required")
+		return fs.usagef("-trace is required")
 	}
 
-	m := replay.Matrix{Seed: *seed}
-	m.Policies = splitCSV(*policies)
+	m := replay.Matrix{Seed: *seed, Policies: splitCSV(*policies)}
 	var err error
 	if m.Devices, err = parseInts(*devices); err != nil {
-		return fmt.Errorf("whatif: -devices: %w", err)
+		return fs.usagef("-devices: %v", err)
 	}
 	if m.Ls, err = parseInts(*ls); err != nil {
-		return fmt.Errorf("whatif: -L: %w", err)
+		return fs.usagef("-L: %v", err)
 	}
 	if m.SpatialSMs, err = parseInts(*spas); err != nil {
-		return fmt.Errorf("whatif: -spa: %w", err)
+		return fs.usagef("-spa: %v", err)
+	}
+	if err := m.Validate(); err != nil {
+		return fs.usagef("%v", err)
 	}
 
-	rp, err := buildReplayer(*tracePath, *models, *quiet)
+	rp, err := buildReplayer(fs, *tracePath, *models, *quiet)
 	if err != nil {
 		return err
 	}
@@ -269,22 +305,22 @@ func cmdWhatIf(args []string) error {
 		return err
 	}
 	if *jsonOut {
-		return writeJSON(cmp)
+		return writeJSON(fs.stdout, cmp)
 	}
-	cmp.RenderText(os.Stdout)
+	cmp.RenderText(fs.stdout)
 	return nil
 }
 
 // buildReplayer loads the trace (merging rotated segments) and runs the
 // offline phase, optionally warm-starting the predictors from an export.
-func buildReplayer(tracePath, modelsPath string, quiet bool) (*replay.Replayer, error) {
+func buildReplayer(c *command, tracePath, modelsPath string, quiet bool) (*replay.Replayer, error) {
 	t, err := replay.Load(tracePath)
 	if err != nil {
 		return nil, err
 	}
 	opts := replay.ReplayerOptions{}
 	if !quiet {
-		opts.Logf = log.Printf
+		opts.Logf = c.logf
 	}
 	if modelsPath != "" {
 		if opts.Models, err = replay.LoadModels(modelsPath); err != nil {
@@ -294,8 +330,8 @@ func buildReplayer(tracePath, modelsPath string, quiet bool) (*replay.Replayer, 
 	return replay.NewReplayer(t, opts)
 }
 
-func writeJSON(v any) error {
-	enc := json.NewEncoder(os.Stdout)
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(v)
 }

@@ -182,6 +182,26 @@ func (rp *Replayer) effective(cfg ReplayConfig) ReplayConfig {
 	return cfg
 }
 
+// SetSpatial applies one value of the spatial axis (the CLI's -spa): a
+// positive one enables spatial preemption yielding that many SMs, a
+// negative one forces it off, zero keeps the recorded setting.
+func (cfg *ReplayConfig) SetSpatial(spa int) {
+	if spa == 0 {
+		return
+	}
+	on := spa > 0
+	cfg.Spatial = &on
+	cfg.SpatialSMs = max(spa, -1) // -1 also suppresses the header's width
+}
+
+// options is the effective configuration as the launch stack takes it.
+func (cfg ReplayConfig) options() core.Options {
+	return core.Options{
+		Policy: cfg.Policy, Spatial: *cfg.Spatial, SpatialSMs: cfg.SpatialSMs,
+		MaxOverhead: cfg.MaxOverhead, Weights: cfg.Weights,
+	}
+}
+
 // matchesRecorded reports whether the effective config reproduces the
 // recording one, which is what step-exact replay requires.
 func (rp *Replayer) matchesRecorded(cfg ReplayConfig) bool {
@@ -249,10 +269,7 @@ func (rp *Replayer) Run(cfg ReplayConfig) (*Summary, error) {
 	for i := range devs {
 		d := &devRun{}
 		var err error
-		d.Stack, err = rp.sys.Clone().NewStack(core.Options{
-			Policy: eff.Policy, Spatial: *eff.Spatial, SpatialSMs: eff.SpatialSMs,
-			MaxOverhead: eff.MaxOverhead, Weights: eff.Weights,
-		}, nil, nil, func(_ *flepruntime.Invocation, latency time.Duration) {
+		d.Stack, err = rp.sys.Clone().NewStack(eff.options(), nil, nil, func(_ *flepruntime.Invocation, latency time.Duration) {
 			d.drains = append(d.drains, latency)
 		})
 		if err != nil {

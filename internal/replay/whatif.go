@@ -27,7 +27,27 @@ type Matrix struct {
 	Seed int64
 }
 
-func (m Matrix) withDefaults(t *Trace) Matrix {
+// Validate rejects axis values that name no configuration: a negative
+// device count or amortizing factor. (A negative SpatialSMs is "off".)
+func (m Matrix) Validate() error {
+	for _, d := range m.Devices {
+		if d < 0 {
+			return fmt.Errorf("replay: what-if device count %d is negative (0 = as recorded)", d)
+		}
+	}
+	for _, l := range m.Ls {
+		if l < 0 {
+			return fmt.Errorf("replay: what-if amortizing factor L=%d is negative (0 = tuned)", l)
+		}
+	}
+	return nil
+}
+
+// resolved settles every axis to the configurations it names, each once
+// and in first-mention order: empty axes take their defaults, a device
+// count of 0 becomes the trace's recorded count, and every negative
+// SpatialSMs is -1.
+func (m Matrix) resolved(t *Trace) Matrix {
 	if len(m.Policies) == 0 {
 		m.Policies = []string{"hpf", "ffs", "fifo"}
 		// A trace carrying SLO deadlines makes EDF a serious contender;
@@ -36,20 +56,40 @@ func (m Matrix) withDefaults(t *Trace) Matrix {
 			m.Policies = append([]string{"edf"}, m.Policies...)
 		}
 	}
-	if len(m.Devices) == 0 {
-		d := t.Header.Devices
-		if d <= 0 {
-			d = 1
+	// An empty axis is the one point 0, "as recorded".
+	axis := func(vals []int, settle func(int) int) []int {
+		if len(vals) == 0 {
+			vals = []int{0}
 		}
-		m.Devices = []int{d}
+		out := make([]int, len(vals))
+		for i, v := range vals {
+			out[i] = settle(v)
+		}
+		return uniq(out)
 	}
-	if len(m.Ls) == 0 {
-		m.Ls = []int{0}
-	}
-	if len(m.SpatialSMs) == 0 {
-		m.SpatialSMs = []int{0}
-	}
+	m.Policies = uniq(m.Policies)
+	m.Devices = axis(m.Devices, func(d int) int {
+		if d == 0 {
+			return max(t.Header.Devices, 1)
+		}
+		return d
+	})
+	m.Ls = axis(m.Ls, func(l int) int { return l })
+	m.SpatialSMs = axis(m.SpatialSMs, func(spa int) int { return max(spa, -1) })
 	return m
+}
+
+// uniq returns the distinct values of s in first-seen order.
+func uniq[T comparable](s []T) []T {
+	seen := map[T]bool{}
+	var out []T
+	for _, v := range s {
+		if !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // Cell is one evaluated what-if configuration.
@@ -92,36 +132,35 @@ func cellName(policy string, devices, l, spa int) string {
 // The offline artifacts are built once (by NewReplayer) and shared, so
 // an N-cell matrix costs N replays, not N offline phases.
 func (rp *Replayer) WhatIf(m Matrix) (*Comparison, error) {
-	m = m.withDefaults(rp.trace)
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	m = m.resolved(rp.trace)
 	var cells []Cell
+	var cfgs []ReplayConfig
 	for _, policy := range m.Policies {
 		for _, nd := range m.Devices {
 			for _, l := range m.Ls {
 				for _, spa := range m.SpatialSMs {
-					cfg := ReplayConfig{
-						Policy: policy, Devices: nd, L: l, Seed: m.Seed,
+					cfg := ReplayConfig{Policy: policy, Devices: nd, L: l, Seed: m.Seed}
+					cfg.SetSpatial(spa)
+					cell := Cell{Name: cellName(policy, nd, l, spa), Policy: policy, Devices: nd, L: l, Spatial: spa}
+					// Every cell must be able to start before any runs: a
+					// misspelt last policy should not cost the others' replays.
+					if _, err := rp.sys.NewStack(rp.effective(cfg).options(), nil, nil, nil); err != nil {
+						return nil, fmt.Errorf("replay: what-if cell %s: %w", cell.Name, err)
 					}
-					if spa > 0 {
-						on := true
-						cfg.Spatial = &on
-						cfg.SpatialSMs = spa
-					} else if spa < 0 {
-						off := false
-						cfg.Spatial = &off
-						cfg.SpatialSMs = -1 // sentinel: suppress header inheritance
-					}
-					sum, err := rp.Run(cfg)
-					if err != nil {
-						return nil, fmt.Errorf("replay: what-if cell %s: %w",
-							cellName(policy, nd, l, spa), err)
-					}
-					cells = append(cells, Cell{
-						Name: cellName(policy, nd, l, spa), Policy: policy,
-						Devices: nd, L: l, Spatial: spa, Summary: sum,
-					})
+					cells, cfgs = append(cells, cell), append(cfgs, cfg)
 				}
 			}
 		}
+	}
+	for i := range cells {
+		sum, err := rp.Run(cfgs[i])
+		if err != nil {
+			return nil, fmt.Errorf("replay: what-if cell %s: %w", cells[i].Name, err)
+		}
+		cells[i].Summary = sum
 	}
 
 	score(cells)
