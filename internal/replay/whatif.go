@@ -30,23 +30,17 @@ type Matrix struct {
 // Validate rejects axis values that name no configuration: a negative
 // device count or amortizing factor. (A negative SpatialSMs is "off".)
 func (m Matrix) Validate() error {
-	for _, d := range m.Devices {
-		if d < 0 {
-			return fmt.Errorf("replay: what-if device count %d is negative (0 = as recorded)", d)
-		}
-	}
-	for _, l := range m.Ls {
-		if l < 0 {
-			return fmt.Errorf("replay: what-if amortizing factor L=%d is negative (0 = tuned)", l)
+	for _, v := range append(append([]int(nil), m.Devices...), m.Ls...) {
+		if v < 0 {
+			return fmt.Errorf("replay: what-if axis value %d: a device count or L cannot be negative (0 = as recorded, tuned)", v)
 		}
 	}
 	return nil
 }
 
-// resolved settles every axis to the configurations it names, each once
-// and in first-mention order: empty axes take their defaults, a device
-// count of 0 becomes the trace's recorded count, and every negative
-// SpatialSMs is -1.
+// resolved settles every axis value to the configuration it names: empty
+// axes take their defaults, a device count of 0 becomes the trace's
+// recorded count, and every negative SpatialSMs is -1.
 func (m Matrix) resolved(t *Trace) Matrix {
 	if len(m.Policies) == 0 {
 		m.Policies = []string{"hpf", "ffs", "fifo"}
@@ -58,16 +52,15 @@ func (m Matrix) resolved(t *Trace) Matrix {
 	}
 	// An empty axis is the one point 0, "as recorded".
 	axis := func(vals []int, settle func(int) int) []int {
-		if len(vals) == 0 {
-			vals = []int{0}
+		out := []int{0}
+		if len(vals) > 0 {
+			out = append([]int(nil), vals...)
 		}
-		out := make([]int, len(vals))
-		for i, v := range vals {
+		for i, v := range out {
 			out[i] = settle(v)
 		}
-		return uniq(out)
+		return out
 	}
-	m.Policies = uniq(m.Policies)
 	m.Devices = axis(m.Devices, func(d int) int {
 		if d == 0 {
 			return max(t.Header.Devices, 1)
@@ -77,19 +70,6 @@ func (m Matrix) resolved(t *Trace) Matrix {
 	m.Ls = axis(m.Ls, func(l int) int { return l })
 	m.SpatialSMs = axis(m.SpatialSMs, func(spa int) int { return max(spa, -1) })
 	return m
-}
-
-// uniq returns the distinct values of s in first-seen order.
-func uniq[T comparable](s []T) []T {
-	seen := map[T]bool{}
-	var out []T
-	for _, v := range s {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // Cell is one evaluated what-if configuration.
@@ -138,13 +118,18 @@ func (rp *Replayer) WhatIf(m Matrix) (*Comparison, error) {
 	m = m.resolved(rp.trace)
 	var cells []Cell
 	var cfgs []ReplayConfig
+	named := map[string]bool{}
 	for _, policy := range m.Policies {
 		for _, nd := range m.Devices {
 			for _, l := range m.Ls {
 				for _, spa := range m.SpatialSMs {
+					cell := Cell{Name: cellName(policy, nd, l, spa), Policy: policy, Devices: nd, L: l, Spatial: spa}
+					if named[cell.Name] {
+						continue // two axis points that resolved to one configuration
+					}
+					named[cell.Name] = true
 					cfg := ReplayConfig{Policy: policy, Devices: nd, L: l, Seed: m.Seed}
 					cfg.SetSpatial(spa)
-					cell := Cell{Name: cellName(policy, nd, l, spa), Policy: policy, Devices: nd, L: l, Spatial: spa}
 					// Every cell must be able to start before any runs: a
 					// misspelt last policy should not cost the others' replays.
 					if _, err := rp.sys.NewStack(rp.effective(cfg).options(), nil, nil, nil); err != nil {
