@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"net/http"
 	"net/url"
 	"sync"
@@ -178,29 +179,31 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte("ready\n"))
 }
 
-// handleMetrics writes the gateway's own families, then each node's
-// exposition with a node label injected into every sample — one scrape
-// answers both "how is the gateway routing?" and "what is each node
-// doing?", and label-subset sums (obs.SumMatching without the node key)
-// recover cluster-wide totals.
+// handleMetrics answers one exposition (obs.Exposition): the gateway's own
+// families, then each node's with a node label injected into every sample
+// — one scrape answers both "how is the gateway routing?" and "what is
+// each node doing?", and label-subset sums (obs.SumMatching without the
+// node key) recover cluster-wide totals. A node that does not answer is
+// left out.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if err := g.reg.WritePrometheus(w); err != nil {
-		return
-	}
+	var expo obs.Exposition
+	var own bytes.Buffer
+	_ = g.reg.WritePrometheus(&own) // a bytes.Buffer takes every write
+	_ = expo.Add(&own, "", "")
 	for _, tgt := range g.fetchTargets() {
 		resp, err := g.cfg.Client.Get(tgt.addr + "/metrics")
 		if err != nil {
 			continue
 		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			continue
+		if resp.StatusCode == http.StatusOK {
+			err = expo.Add(resp.Body, "node", tgt.id)
 		}
-		err = obs.RelabelText(w, resp.Body, "node", tgt.id)
 		resp.Body.Close()
 		if err != nil {
+			http.Error(w, "node "+tgt.id+": "+err.Error(), http.StatusBadGateway)
 			return
 		}
 	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	_ = expo.Write(w) // a failed write is the scraper hanging up
 }

@@ -48,9 +48,12 @@ func TestWritePrometheusGolden(t *testing.T) {
 	orders := [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {2, 0, 3, 1}}
 	var rendered [][]byte
 	for _, order := range orders {
-		var b bytes.Buffer
-		if err := populate(order).WritePrometheus(&b, "device", "0"); err != nil {
+		var plain, b bytes.Buffer
+		if err := populate(order).WritePrometheus(&plain); err != nil {
 			t.Fatalf("WritePrometheus: %v", err)
+		}
+		if err := RelabelText(&b, &plain, "device", "0"); err != nil {
+			t.Fatalf("RelabelText: %v", err)
 		}
 		rendered = append(rendered, b.Bytes())
 	}

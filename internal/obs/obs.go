@@ -347,14 +347,12 @@ func formatFloat(v float64) string {
 
 // WritePrometheus renders every registered metric in the Prometheus text
 // exposition format (version 0.0.4), grouped by family with one
-// HELP/TYPE header each. Optional extra label pairs ("device", "3", ...)
-// are injected into every emitted sample, so several registries can be
-// rendered into one exposition distinguished by a shard label.
-func (r *Registry) WritePrometheus(w io.Writer, extraLabels ...string) error {
+// HELP/TYPE header each. Several registries go into one exposition, told
+// apart by a label, through an Exposition.
+func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	extra := innerLabels(renderLabels(extraLabels))
 	r.mu.Lock()
 	metrics := make([]*metric, len(r.metrics))
 	copy(metrics, r.metrics)
@@ -376,17 +374,16 @@ func (r *Registry) WritePrometheus(w io.Writer, extraLabels ...string) error {
 			}
 			lastFamily = m.name
 		}
-		labels := mergeLabels(m.labels, extra)
 		var err error
 		switch m.kind {
 		case kindCounter:
-			_, err = fmt.Fprintf(w, "%s%s %d\n", m.name, labels, m.counter.Value())
+			_, err = fmt.Fprintf(w, "%s%s %d\n", m.name, m.labels, m.counter.Value())
 		case kindGauge:
-			_, err = fmt.Fprintf(w, "%s%s %s\n", m.name, labels, formatFloat(m.gauge.Value()))
+			_, err = fmt.Fprintf(w, "%s%s %s\n", m.name, m.labels, formatFloat(m.gauge.Value()))
 		case kindGaugeFunc:
-			_, err = fmt.Fprintf(w, "%s%s %s\n", m.name, labels, formatFloat(m.gaugeFunc()))
+			_, err = fmt.Fprintf(w, "%s%s %s\n", m.name, m.labels, formatFloat(m.gaugeFunc()))
 		case kindHistogram:
-			err = writeHistogram(w, m, labels)
+			err = writeHistogram(w, m)
 		}
 		if err != nil {
 			return err
@@ -395,47 +392,25 @@ func (r *Registry) WritePrometheus(w io.Writer, extraLabels ...string) error {
 	return nil
 }
 
-// innerLabels strips the braces off a rendered label set.
-func innerLabels(rendered string) string {
-	return strings.TrimSuffix(strings.TrimPrefix(rendered, "{"), "}")
-}
-
-// mergeLabels injects extra (braceless) pairs into a rendered label set.
-func mergeLabels(rendered, extra string) string {
-	if extra == "" {
-		return rendered
-	}
-	if inner := innerLabels(rendered); inner != "" {
-		return "{" + extra + "," + inner + "}"
-	}
-	return "{" + extra + "}"
-}
-
-// writeHistogram renders one histogram's bucket/sum/count series under the
-// already-merged label set.
-func writeHistogram(w io.Writer, m *metric, labels string) error {
+// writeHistogram renders one histogram's bucket/sum/count series, the le
+// label after the histogram's own.
+func writeHistogram(w io.Writer, m *metric) error {
 	bounds, cumulative, sum, count := m.hist.snapshot()
-	// Merge the le label into any existing label set.
-	inner := innerLabels(labels)
+	inner := strings.TrimSuffix(strings.TrimPrefix(m.labels, "{"), "}")
+	if inner != "" {
+		inner += ","
+	}
 	for i, b := range bounds {
-		ls := fmt.Sprintf(`le="%s"`, formatFloat(b))
-		if inner != "" {
-			ls = inner + "," + ls
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d\n", m.name, ls, cumulative[i]); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{%sle=\"%s\"} %d\n", m.name, inner, formatFloat(b), cumulative[i]); err != nil {
 			return err
 		}
 	}
-	ls := `le="+Inf"`
-	if inner != "" {
-		ls = inner + "," + ls
-	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d\n", m.name, ls, count); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", m.name, inner, count); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %g\n", m.name, labels, sum); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_sum%s %g\n", m.name, m.labels, sum); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", m.name, labels, count)
+	_, err := fmt.Fprintf(w, "%s_count%s %d\n", m.name, m.labels, count)
 	return err
 }

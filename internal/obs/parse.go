@@ -87,19 +87,55 @@ func Delta(before, after Snapshot, key string) float64 {
 }
 
 // ParseText parses Prometheus text exposition (the subset WritePrometheus
-// emits: HELP/TYPE comments and simple sample lines) into a Snapshot.
-// Malformed sample lines are an error; comments and blanks are skipped.
+// emits: HELP/TYPE comments and simple sample lines) into a Snapshot. It
+// is as strict as the reference parser about families: a second HELP or
+// TYPE line for a name, or a line of a declared family after another
+// family began, is an error, as is a malformed sample line. Other
+// comments and blanks are skipped.
 func ParseText(r io.Reader) (Snapshot, error) {
 	out := Snapshot{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	cur := ""                       // the family whose lines are being read
+	declared := map[string]string{} // family → the header kinds seen for it
+	// enter moves to the family a line belongs to.
+	enter := func(fam string) error {
+		if fam != cur && declared[fam] != "" {
+			return fmt.Errorf("obs: family %s resumes after %s began", fam, cur)
+		}
+		cur = fam
+		return nil
+	}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		if line == "" {
+			continue
+		}
+		if line[0] == '#' {
+			if f := strings.Fields(line); len(f) >= 3 && (f[1] == "HELP" || f[1] == "TYPE") {
+				if strings.Contains(declared[f[2]], f[1]) {
+					return nil, fmt.Errorf("obs: second %s line for metric name %s", f[1], f[2])
+				}
+				if err := enter(f[2]); err != nil {
+					return nil, err
+				}
+				declared[f[2]] += f[1]
+			}
 			continue
 		}
 		sample, err := parseLine(line)
 		if err != nil {
+			return nil, err
+		}
+		// A histogram's series carry suffixes; an undeclared name is a
+		// family of its own, which nothing here holds to an order.
+		fam := sample.Name
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(fam, suffix); ok && declared[fam] == "" && declared[base] != "" {
+				fam = base
+			}
+		}
+		if err := enter(fam); err != nil {
 			return nil, err
 		}
 		out[sample.Key()] = sample.Value

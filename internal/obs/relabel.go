@@ -7,40 +7,108 @@ import (
 	"strings"
 )
 
-// RelabelText streams a Prometheus text exposition from r to w, adding
-// one label pair to every sample line. Comment (# HELP/# TYPE) and blank
-// lines pass through unchanged — parsers skip repeated family headers —
-// so expositions from several sources can be concatenated into one
-// stream distinguished by the injected label. The injected pair is
-// prepended as the first label; SumMatching-style label-subset queries
-// are order-independent, so placement does not matter.
-//
-// This is the gateway-side counterpart of Registry.WritePrometheus's
-// extraLabels: the fleet injects a device label where the registry is in
-// hand, the cluster gateway injects a node label where only the rendered
-// text is.
-func RelabelText(w io.Writer, r io.Reader, key, value string) error {
-	bw := bufio.NewWriter(w)
+// Exposition assembles one valid text exposition out of several (a
+// fleet's shards, a cluster's nodes): the format allows a family one HELP
+// and one TYPE line and wants its samples in one group, so concatenating
+// sources is not an exposition. Each family is written once, in
+// first-seen order, under the first header seen for it, with every
+// source's samples beneath. The zero value is empty.
+type Exposition struct {
+	order  []*family
+	byName map[string]*family
+}
+
+type family struct {
+	name, help, typ string
+	samples         []string
+}
+
+func (e *Exposition) family(name string) *family {
+	f := e.byName[name]
+	if f == nil {
+		if e.byName == nil {
+			e.byName = map[string]*family{}
+		}
+		f = &family{name: name}
+		e.byName[name], e.order = f, append(e.order, f)
+	}
+	return f
+}
+
+// Add files one source's lines under their families, giving every sample
+// the label pair key="value" as its first label (none when key is empty):
+// what tells the sources' series apart. SumMatching-style label-subset
+// queries are order-independent, so the placement does not matter.
+func (e *Exposition) Add(r io.Reader, key, value string) error {
+	pair := ""
+	if key != "" {
+		pair = key + `="` + escapeLabelValue(value) + `"`
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	pair := key + `="` + escapeLabelValue(value) + `"`
+	var cur *family
 	for sc.Scan() {
-		line := sc.Text()
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" || strings.HasPrefix(trimmed, "#") {
-			if _, err := bw.WriteString(line + "\n"); err != nil {
-				return err
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		if line[0] == '#' {
+			// Other comments have no family to travel with.
+			if f := strings.Fields(line); len(f) >= 3 && f[1] == "HELP" {
+				if cur = e.family(f[2]); cur.help == "" {
+					cur.help = line
+				}
+			} else if len(f) >= 3 && f[1] == "TYPE" {
+				if cur = e.family(f[2]); cur.typ == "" {
+					cur.typ = line
+				}
 			}
 			continue
 		}
-		if _, err := bw.WriteString(injectLabel(trimmed, pair) + "\n"); err != nil {
-			return err
+		// A sample belongs to the header above it (a histogram's series
+		// carry suffixes), or with none to a family of its own name.
+		name := line
+		if i := strings.IndexAny(line, "{ "); i >= 0 {
+			name = line[:i]
+		}
+		if cur == nil || name != cur.name && !strings.HasPrefix(name, cur.name+"_") {
+			cur = e.family(name)
+		}
+		if pair != "" {
+			line = injectLabel(line, pair)
+		}
+		cur.samples = append(cur.samples, line)
+	}
+	return sc.Err()
+}
+
+// Write renders the assembled exposition.
+func (e *Exposition) Write(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	put := func(line string) {
+		if line != "" {
+			bw.WriteString(line) // a write error sticks and Flush returns it
+			bw.WriteByte('\n')
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return err
+	for _, f := range e.order {
+		put(f.help)
+		put(f.typ)
+		for _, line := range f.samples {
+			put(line)
+		}
 	}
 	return bw.Flush()
+}
+
+// RelabelText copies the exposition r to w with one label pair added to
+// every sample: an Exposition of a single source.
+func RelabelText(w io.Writer, r io.Reader, key, value string) error {
+	var e Exposition
+	if err := e.Add(r, key, value); err != nil {
+		return err
+	}
+	return e.Write(w)
 }
 
 // injectLabel splices a rendered `key="value"` pair into one sample

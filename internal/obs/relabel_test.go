@@ -73,3 +73,83 @@ func TestSnapshotLabelValues(t *testing.T) {
 		t.Fatalf("unknown key yielded %v", vals)
 	}
 }
+
+// twoSources is what a fleet's two shards (or a gateway's two nodes)
+// render: the same families, each under its own header.
+var twoSources = []string{
+	"# HELP flep_x_total Things\n# TYPE flep_x_total counter\nflep_x_total{kind=\"a\"} 1\nflep_x_total{kind=\"b\"} 2\n" +
+		"# HELP flep_h_seconds Waits\n# TYPE flep_h_seconds histogram\nflep_h_seconds_bucket{le=\"+Inf\"} 3\nflep_h_seconds_sum 0.5\nflep_h_seconds_count 3\n",
+	"# HELP flep_x_total Things\n# TYPE flep_x_total counter\nflep_x_total{kind=\"a\"} 4\n" +
+		"# HELP flep_h_seconds Waits\n# TYPE flep_h_seconds histogram\nflep_h_seconds_bucket{le=\"+Inf\"} 1\nflep_h_seconds_sum 2\nflep_h_seconds_count 1\n" +
+		"# HELP flep_only_here Extra\n# TYPE flep_only_here gauge\nflep_only_here 7\n",
+}
+
+// ParseText is the strict checker: it refuses what the reference parser
+// refuses — a second HELP or TYPE line for a name, and a family whose
+// lines resume after another family began — which is exactly what
+// concatenating two sources produces.
+func TestParseTextIsStrictAboutFamilies(t *testing.T) {
+	for _, tc := range []struct {
+		name, text, want string
+	}{
+		{"two sources concatenated", twoSources[0] + twoSources[1], "second HELP line for metric name flep_x_total"},
+		{"second TYPE line", "# TYPE flep_a counter\n# TYPE flep_a counter\nflep_a 1\n", "second TYPE line for metric name flep_a"},
+		{"second HELP line", "# HELP flep_a A\n# TYPE flep_a counter\n# HELP flep_a A\n", "second HELP line for metric name flep_a"},
+		{"samples resume", "# TYPE flep_a counter\nflep_a{k=\"1\"} 1\n# TYPE flep_b counter\nflep_b 1\nflep_a{k=\"2\"} 1\n", "family flep_a resumes after flep_b began"},
+		{"histogram series resume", "# TYPE flep_h histogram\nflep_h_sum 1\n# TYPE flep_b counter\nflep_b 1\nflep_h_count 1\n", "family flep_h resumes after flep_b began"},
+		{"header resumes", "# HELP flep_a A\nflep_a 1\n# TYPE flep_b counter\nflep_b 1\n# TYPE flep_a counter\n", "family flep_a resumes after flep_b began"},
+	} {
+		if _, err := ParseText(strings.NewReader(tc.text)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	for _, src := range twoSources {
+		if _, err := ParseText(strings.NewReader(src)); err != nil {
+			t.Errorf("one source alone is valid: %v", err)
+		}
+	}
+}
+
+// An Exposition of the two sources is one valid exposition: each family's
+// header once, every source's samples under it, told apart by the label.
+func TestExpositionGroupsFamiliesAcrossSources(t *testing.T) {
+	var e Exposition
+	for i, src := range twoSources {
+		if err := e.Add(strings.NewReader(src), "device", []string{"0", "1"}[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out strings.Builder
+	if err := e.Write(&out); err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Join([]string{
+		`# HELP flep_x_total Things`,
+		`# TYPE flep_x_total counter`,
+		`flep_x_total{device="0",kind="a"} 1`,
+		`flep_x_total{device="0",kind="b"} 2`,
+		`flep_x_total{device="1",kind="a"} 4`,
+		`# HELP flep_h_seconds Waits`,
+		`# TYPE flep_h_seconds histogram`,
+		`flep_h_seconds_bucket{device="0",le="+Inf"} 3`,
+		`flep_h_seconds_sum{device="0"} 0.5`,
+		`flep_h_seconds_count{device="0"} 3`,
+		`flep_h_seconds_bucket{device="1",le="+Inf"} 1`,
+		`flep_h_seconds_sum{device="1"} 2`,
+		`flep_h_seconds_count{device="1"} 1`,
+		`# HELP flep_only_here Extra`,
+		`# TYPE flep_only_here gauge`,
+		`flep_only_here{device="1"} 7`,
+		``,
+	}, "\n")
+	if out.String() != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", out.String(), want)
+	}
+	snap, err := ParseText(strings.NewReader(out.String()))
+	if err != nil {
+		t.Fatalf("the assembled exposition does not parse strictly: %v", err)
+	}
+	if v := snap.SumMatching("flep_x_total", "kind", "a"); v != 5 {
+		t.Fatalf("kind=a across sources = %v, want 5", v)
+	}
+}

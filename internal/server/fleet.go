@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 
 	"flep/internal/core"
 	"flep/internal/kernels"
+	"flep/internal/obs"
 	"flep/internal/trace"
 )
 
@@ -368,14 +370,19 @@ func (f *Fleet) Draining() bool {
 }
 
 // writeMetrics renders every shard's registry into one exposition, each
-// sample labeled with its device index. Families repeat their HELP/TYPE
-// header once per shard; obs.ParseText (and Prometheus' text parser)
-// skip comment lines, so the samples merge cleanly.
+// sample labeled with its device index and each family's samples together
+// under one header (obs.Exposition).
 func (f *Fleet) writeMetrics(w io.Writer) error {
+	var expo obs.Exposition
+	var buf bytes.Buffer
 	for i, s := range f.shards {
-		if err := s.Registry().WritePrometheus(w, "device", strconv.Itoa(i)); err != nil {
+		buf.Reset()
+		if err := s.writeMetrics(&buf); err != nil {
+			return err
+		}
+		if err := expo.Add(&buf, "device", strconv.Itoa(i)); err != nil {
 			return err
 		}
 	}
-	return nil
+	return expo.Write(w)
 }
