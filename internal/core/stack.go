@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"flep/internal/flepruntime"
@@ -40,6 +41,11 @@ func (s *System) NewStack(opt Options, log *trace.Log, reg *obs.Registry,
 	policy, err := flepruntime.NewPolicy(opt.Policy, opt.MaxOverhead, opt.Weights)
 	if err != nil {
 		return nil, err
+	}
+	// A spatial preemption leaves the victim at least one SM; a wider
+	// yield would silently never happen.
+	if n := s.Par.Limits.NumSMs; opt.Spatial && opt.SpatialSMs >= n {
+		return nil, fmt.Errorf("spatial preemption cannot yield %d SMs of a %d-SM device (want at most %d)", opt.SpatialSMs, n, n-1)
 	}
 	st := &Stack{Eng: sim.New(), sys: s}
 	st.Dev = gpu.New(st.Eng, s.Par)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -125,5 +126,70 @@ func TestEveryPolicyRunsThroughEveryDriver(t *testing.T) {
 			!strings.Contains(err.Error(), flepruntime.PolicyList()) {
 			t.Errorf("%s under a bogus policy: err = %v, want the accepted names %q", d.name, err, flepruntime.PolicyList())
 		}
+	}
+}
+
+// Every driver builds its stack through core.System.NewStack, so each
+// refuses a spatial width the device cannot yield — 15 of 15 SMs is
+// already one too many, the victim keeps at least one — with the same
+// text, and each accepts every width below that.
+func TestSpatialWidthIsValidatedByEveryDriver(t *testing.T) {
+	va, _ := kernels.ByName("VA")
+	mm, _ := kernels.ByName("MM")
+	sys := testSystem(t).Clone()
+	rp, err := replay.NewReplayer(&replay.Trace{
+		Header:  replay.Header{Magic: true, TraceVersion: replay.Version, Source: replay.SourceScenario, Benchmarks: []string{"VA"}},
+		Records: []replay.Record{{Seq: 1, Device: -1, Client: "c", Bench: "VA", Class: "small", Priority: 1}},
+	}, replay.ReplayerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drivers := []struct {
+		name string
+		run  func(sms int) error
+	}{
+		{"core.RunFLEP", func(sms int) error {
+			_, err := sys.RunFLEP(workload.PriorityPair(va, mm, 0), core.Options{Spatial: true, SpatialSMs: sms})
+			return err
+		}},
+		{"server.Server", func(sms int) error {
+			s, err := NewWithSystem(testSystem(t), Config{Spatial: true, SpatialSMs: sms, Benchmarks: []string{"VA", "MM"}})
+			if err == nil {
+				err = s.Shutdown(context.Background())
+			}
+			return err
+		}},
+		{"replay.Run", func(sms int) error {
+			var cfg replay.ReplayConfig
+			cfg.SetSpatial(sms)
+			_, err := rp.Run(cfg)
+			return err
+		}},
+		{"replay.WhatIf", func(sms int) error {
+			_, err := rp.WhatIf(replay.Matrix{Policies: []string{"hpf"}, SpatialSMs: []int{1, sms}})
+			return err
+		}},
+	}
+	numSMs := gpu.DefaultParams().Limits.NumSMs
+	for _, d := range drivers {
+		for _, sms := range []int{1, 4, numSMs - 1} {
+			if err := d.run(sms); err != nil {
+				t.Errorf("%s with a %d-SM spatial width: %v", d.name, sms, err)
+			}
+		}
+		for _, sms := range []int{numSMs, 99} {
+			err := d.run(sms)
+			want := fmt.Sprintf("spatial preemption cannot yield %d SMs of a %d-SM device", sms, numSMs)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s with a %d-SM spatial width: err = %v, want %q", d.name, sms, err, want)
+			}
+		}
+	}
+	// Negative is the replayer's "forced off": spatial stays false and the
+	// width is not read.
+	var off replay.ReplayConfig
+	off.SetSpatial(-1)
+	if sum, err := rp.Run(off); err != nil || sum.Spatial {
+		t.Errorf("forced off: spatial %v, err %v", sum != nil && sum.Spatial, err)
 	}
 }
