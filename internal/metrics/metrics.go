@@ -113,22 +113,20 @@ func (t *Tally) MeanMargin() time.Duration {
 }
 
 // GraphTally accumulates model-graph instances under one key (a model
-// name): how many started, ran to completion or were given up, what became
-// of their stages, and how long the completed ones took. It is the
-// graph-level results vocabulary of flepd's models block, a replay
-// summary's models rows and flepload's per-model lines. The zero value is
-// empty.
+// name): the graph-level results vocabulary of flepd's models block, a
+// replay summary's models rows and flepload's per-model lines. The zero
+// value is empty.
 type GraphTally struct {
 	// Started counts graph instances; Completed those whose every stage
-	// finished, Canceled those that cannot (a stage failed, was shed or was
-	// never admitted, or the graph was evicted or drained away).
+	// finished, Canceled those given up (a stage failed, was shed or never
+	// admitted; the graph was evicted or drained away).
 	Started, Completed, Canceled int64
 	// Stages tallies the stages that finished, with their SLO verdicts;
 	// StagesCanceled counts the ones that never will.
 	Stages         Tally
 	StagesCanceled int64
-	// Makespan sums, over the completed graphs, the time from a graph's
-	// first stage submission to its last stage completion.
+	// Makespan sums, over the completed graphs, first stage submission to
+	// last stage completion.
 	Makespan time.Duration
 }
 

@@ -9,30 +9,15 @@ import (
 
 // Exposition assembles one valid text exposition out of several (a
 // fleet's shards, a cluster's nodes): the format allows a family one HELP
-// and one TYPE line and wants its samples in one group, so concatenating
-// sources is not an exposition. Each family is written once, in
+// and one TYPE line and wants its samples in one group, so concatenated
+// sources are not an exposition. Each family is written once, in
 // first-seen order, under the first header seen for it, with every
 // source's samples beneath. The zero value is empty.
 type Exposition struct {
-	order  []*family
-	byName map[string]*family
-}
-
-type family struct {
-	name, help, typ string
-	samples         []string
-}
-
-func (e *Exposition) family(name string) *family {
-	f := e.byName[name]
-	if f == nil {
-		if e.byName == nil {
-			e.byName = map[string]*family{}
-		}
-		f = &family{name: name}
-		e.byName[name], e.order = f, append(e.order, f)
-	}
-	return f
+	names []string
+	// lines holds, per family, its HELP line, its TYPE line (either may be
+	// missing: ""), then its samples.
+	lines map[string][]string
 }
 
 // Add files one source's lines under their families, giving every sample
@@ -44,9 +29,17 @@ func (e *Exposition) Add(r io.Reader, key, value string) error {
 	if key != "" {
 		pair = key + `="` + escapeLabelValue(value) + `"`
 	}
+	if e.lines == nil {
+		e.lines = map[string][]string{}
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var cur *family
+	cur := "" // the family of the header last read
+	enter := func(name string) {
+		if cur = name; e.lines[name] == nil {
+			e.lines[name], e.names = make([]string, 2), append(e.names, name)
+		}
+	}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
@@ -54,13 +47,14 @@ func (e *Exposition) Add(r io.Reader, key, value string) error {
 		}
 		if line[0] == '#' {
 			// Other comments have no family to travel with.
-			if f := strings.Fields(line); len(f) >= 3 && f[1] == "HELP" {
-				if cur = e.family(f[2]); cur.help == "" {
-					cur.help = line
+			if f := strings.Fields(line); len(f) >= 3 && (f[1] == "HELP" || f[1] == "TYPE") {
+				enter(f[2])
+				kind := 0
+				if f[1] == "TYPE" {
+					kind = 1
 				}
-			} else if len(f) >= 3 && f[1] == "TYPE" {
-				if cur = e.family(f[2]); cur.typ == "" {
-					cur.typ = line
+				if e.lines[cur][kind] == "" {
+					e.lines[cur][kind] = line
 				}
 			}
 			continue
@@ -71,13 +65,13 @@ func (e *Exposition) Add(r io.Reader, key, value string) error {
 		if i := strings.IndexAny(line, "{ "); i >= 0 {
 			name = line[:i]
 		}
-		if cur == nil || name != cur.name && !strings.HasPrefix(name, cur.name+"_") {
-			cur = e.family(name)
+		if cur == "" || name != cur && !strings.HasPrefix(name, cur+"_") {
+			enter(name)
 		}
 		if pair != "" {
 			line = injectLabel(line, pair)
 		}
-		cur.samples = append(cur.samples, line)
+		e.lines[cur] = append(e.lines[cur], line)
 	}
 	return sc.Err()
 }
@@ -85,17 +79,12 @@ func (e *Exposition) Add(r io.Reader, key, value string) error {
 // Write renders the assembled exposition.
 func (e *Exposition) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	put := func(line string) {
-		if line != "" {
-			bw.WriteString(line) // a write error sticks and Flush returns it
-			bw.WriteByte('\n')
-		}
-	}
-	for _, f := range e.order {
-		put(f.help)
-		put(f.typ)
-		for _, line := range f.samples {
-			put(line)
+	for _, name := range e.names {
+		for _, line := range e.lines[name] {
+			if line != "" {
+				bw.WriteString(line) // a write error sticks and Flush returns it
+				bw.WriteByte('\n')
+			}
 		}
 	}
 	return bw.Flush()

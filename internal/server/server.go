@@ -197,18 +197,15 @@ const (
 	numOutcomes
 )
 
-// outcomes declares the launch ledger, one row per family: what the family
-// is called in the /v1/status counters (and Counters()) and as the outcome
-// label of flep_server_launches_total, the HTTP status that answers a
-// launch refused with it (zero, which net/http rejects, where nothing is
-// refused), and whether it may open a session. Only accepted work does
-// (enqueued, and timed_out/canceled on its waiter); a refusal is recorded
-// on an existing session only, because refused requests carry
-// attacker-controlled names and state per garbage name is unbounded
-// memory. Everything that handles every family — counting, the metric
-// set, the two wire snapshots, the merge — loops over this table; the two
-// wire structs (counters, SessionSnapshot) bind their fields to it in
-// their slot methods.
+// outcomes declares the launch ledger, one row per family: its key in the
+// /v1/status counters and Counters(), its outcome label on
+// flep_server_launches_total, the HTTP status that answers a launch refused
+// with it (zero, which net/http rejects, where nothing is refused), and
+// whether it may open a session. Only accepted work does — a refusal is
+// recorded on an existing session only, because refused requests carry
+// attacker-controlled names and state per garbage name is unbounded memory.
+// Whatever handles every family loops over this table; the two wire
+// structs (counters, SessionSnapshot) bind their fields to it in slot.
 var outcomes = [numOutcomes]struct {
 	key          string
 	label        string
