@@ -87,9 +87,9 @@ type command struct {
 	stdout, stderr io.Writer
 }
 
-// parse parses the flags the subcommand has declared; a flag error has
+// parseArgs parses the flags the subcommand has declared; a flag error has
 // been reported by the flag set.
-func (c *command) parse() error {
+func (c *command) parseArgs() error {
 	err := c.Parse(c.args)
 	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		return errUsage
@@ -127,7 +127,7 @@ func cmdRecord(fs *command) error {
 		mix  = fs.String("mix", "", "tenant specs CLIENT:BENCH:CLASS:PRIO[:WEIGHT]:PERIOD:COUNT[:DEADLINE], comma-separated (empty = two-tenant demo)")
 		seed = fs.Int64("seed", 1, "arrival-jitter seed")
 	)
-	if err := fs.parse(); err != nil {
+	if err := fs.parseArgs(); err != nil {
 		return err
 	}
 
@@ -226,7 +226,7 @@ func cmdReplay(fs *command) error {
 		saveModels = fs.String("save-models", "", "export the trained duration predictors to this path after the offline phase")
 		quiet      = fs.Bool("q", false, "suppress offline-phase progress")
 	)
-	if err := fs.parse(); err != nil {
+	if err := fs.parseArgs(); err != nil {
 		return err
 	}
 	if *tracePath == "" {
@@ -274,7 +274,7 @@ func cmdWhatIf(fs *command) error {
 		models    = fs.String("models", "", "warm-start duration predictors from this export")
 		quiet     = fs.Bool("q", false, "suppress offline-phase progress")
 	)
-	if err := fs.parse(); err != nil {
+	if err := fs.parseArgs(); err != nil {
 		return err
 	}
 	if *tracePath == "" {
