@@ -130,9 +130,12 @@ func ParseText(r io.Reader) (Snapshot, error) {
 		// A histogram's series carry suffixes; an undeclared name is a
 		// family of its own, which nothing here holds to an order.
 		fam := sample.Name
-		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-			if base, ok := strings.CutSuffix(fam, suffix); ok && declared[fam] == "" && declared[base] != "" {
-				fam = base
+		if declared[fam] == "" {
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if base, ok := strings.CutSuffix(fam, suffix); ok && declared[base] != "" {
+					fam = base
+					break
+				}
 			}
 		}
 		if err := enter(fam); err != nil {

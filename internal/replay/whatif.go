@@ -50,25 +50,22 @@ func (m Matrix) resolved(t *Trace) Matrix {
 			m.Policies = append([]string{"edf"}, m.Policies...)
 		}
 	}
-	// An empty axis is the one point 0, "as recorded".
-	axis := func(vals []int, settle func(int) int) []int {
-		out := []int{0}
-		if len(vals) > 0 {
-			out = append([]int(nil), vals...)
+	for _, axis := range []*[]int{&m.Devices, &m.Ls, &m.SpatialSMs} {
+		// An empty axis is the one point 0, "as recorded"; the caller's
+		// slice is not written to.
+		*axis = append([]int{}, *axis...)
+		if len(*axis) == 0 {
+			*axis = []int{0}
 		}
-		for i, v := range out {
-			out[i] = settle(v)
-		}
-		return out
 	}
-	m.Devices = axis(m.Devices, func(d int) int {
+	for i, d := range m.Devices {
 		if d == 0 {
-			return max(t.Header.Devices, 1)
+			m.Devices[i] = max(t.Header.Devices, 1)
 		}
-		return d
-	})
-	m.Ls = axis(m.Ls, func(l int) int { return l })
-	m.SpatialSMs = axis(m.SpatialSMs, func(spa int) int { return max(spa, -1) })
+	}
+	for i, spa := range m.SpatialSMs {
+		m.SpatialSMs[i] = max(spa, -1)
+	}
 	return m
 }
 

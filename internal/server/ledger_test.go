@@ -17,7 +17,7 @@ import (
 func sessionFamilies(sn SessionSnapshot) map[string]int64 {
 	m := map[string]int64{}
 	for o := outEnqueued; o < numOutcomes; o++ {
-		m[outcomes[o].key] = *sn.slot(o)
+		m[outcomes[o].key] = *sn.slots()[o]
 	}
 	return m
 }

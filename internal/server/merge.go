@@ -15,8 +15,9 @@ import (
 
 // add folds another part's request accounting into c.
 func (c *counters) add(o counters) {
+	into, from := c.slots(), o.slots()
 	for f := outEnqueued; f < numOutcomes; f++ {
-		*c.slot(f) += *o.slot(f)
+		*into[f] += *from[f]
 	}
 	c.SLOAttained += o.SLOAttained
 	c.SLOMissed += o.SLOMissed
@@ -117,8 +118,9 @@ func (m *SessionSnapshot) Merge(o SessionSnapshot) {
 	m.MeanWaitUS = weightedMean(m.MeanWaitUS, m.Completed, o.MeanWaitUS, o.Completed)
 	m.MeanSLOMarginUS = weightedMean(m.MeanSLOMarginUS, m.SLOAttained+m.SLOMissed,
 		o.MeanSLOMarginUS, o.SLOAttained+o.SLOMissed)
+	into, from := m.slots(), o.slots()
 	for f := outEnqueued; f < numOutcomes; f++ {
-		*m.slot(f) += *o.slot(f)
+		*into[f] += *from[f]
 	}
 	m.InFlight += o.InFlight
 	m.SLOAttained += o.SLOAttained

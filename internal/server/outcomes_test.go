@@ -56,18 +56,18 @@ func TestOutcomeTableIsConsistent(t *testing.T) {
 		}
 
 		var c counters
-		*c.slot(o) = 1
+		*c.slots()[o] = 1
 		if got := wireKeyOf(t, c); got != row.key {
-			t.Errorf("counters.slot(%s) is the field %q", row.key, got)
+			t.Errorf("counters.slots()[%s] is the field %q", row.key, got)
 		}
 		var sn SessionSnapshot
-		*sn.slot(o) = 1
+		*sn.slots()[o] = 1
 		want := row.key
 		if o == outEnqueued {
 			want = "launches" // what a session calls its accepted launches
 		}
 		if got := wireKeyOf(t, sn); got != want {
-			t.Errorf("SessionSnapshot.slot(%s) is the field %q, want %q", row.key, got, want)
+			t.Errorf("SessionSnapshot.slots()[%s] is the field %q, want %q", row.key, got, want)
 		}
 	}
 	if outcomes[outUnset].key != "" {

@@ -205,7 +205,7 @@ const (
 // recorded on an existing session only, because refused requests carry
 // attacker-controlled names and state per garbage name is unbounded memory.
 // Whatever handles every family loops over this table; the two wire
-// structs (counters, SessionSnapshot) bind their fields to it in slot.
+// structs (counters, SessionSnapshot) bind their fields to it in slots.
 var outcomes = [numOutcomes]struct {
 	key          string
 	label        string
@@ -231,8 +231,8 @@ type ledger [numOutcomes]int64
 // inFlight is the accepted work that has not reached a terminal event yet.
 func (l *ledger) inFlight() int64 { return l[outEnqueued] - l[outCompleted] - l[outSubmitError] }
 
-// slot is the wire field that carries outcome o.
-func (c *counters) slot(o outcome) *int64 {
+// slots are the wire fields, indexed by the outcome each carries.
+func (c *counters) slots() [numOutcomes]*int64 {
 	return [numOutcomes]*int64{
 		outEnqueued:         &c.Enqueued,
 		outCompleted:        &c.Completed,
@@ -245,7 +245,7 @@ func (c *counters) slot(o outcome) *int64 {
 		outDepCanceled:      &c.DepCanceled,
 		outTimedOut:         &c.TimedOut,
 		outCanceled:         &c.Canceled,
-	}[o]
+	}
 }
 
 // count applies one launch outcome; see countLocked.
@@ -674,8 +674,9 @@ func (s *Server) Counters() map[string]int64 {
 // countersLocked is the ledger as /v1/status carries it. Callers hold s.mu.
 func (s *Server) countersLocked() counters {
 	c := counters{SLOAttained: s.runs.Attained, SLOMissed: s.runs.Missed}
+	fields := c.slots()
 	for o := outEnqueued; o < numOutcomes; o++ {
-		*c.slot(o) = s.c[o]
+		*fields[o] = s.c[o]
 	}
 	return c
 }

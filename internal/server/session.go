@@ -69,8 +69,8 @@ type SessionSnapshot struct {
 	MeanSLOMarginUS  float64 `json:"mean_slo_margin_us"`
 }
 
-// slot is the wire field that carries outcome o.
-func (m *SessionSnapshot) slot(o outcome) *int64 {
+// slots are the wire fields, indexed by the outcome each carries.
+func (m *SessionSnapshot) slots() [numOutcomes]*int64 {
 	return [numOutcomes]*int64{
 		outEnqueued:         &m.Launches,
 		outCompleted:        &m.Completed,
@@ -83,7 +83,7 @@ func (m *SessionSnapshot) slot(o outcome) *int64 {
 		outDepCanceled:      &m.DepCanceled,
 		outTimedOut:         &m.TimedOut,
 		outCanceled:         &m.Canceled,
-	}[o]
+	}
 }
 
 // session returns the client's session, creating it on first use.
@@ -113,8 +113,9 @@ func (s *Server) SessionSnapshots() []SessionSnapshot {
 			SLOAttained:   sess.Runs.Attained,
 			SLOMissed:     sess.Runs.Missed,
 		}
+		fields := snap.slots()
 		for o := outEnqueued; o < numOutcomes; o++ {
-			*snap.slot(o) = sess.n[o]
+			*fields[o] = sess.n[o]
 		}
 		// Runs has one entry per completion: a completion is counted on a
 		// session its enqueue opened.
