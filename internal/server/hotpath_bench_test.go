@@ -88,13 +88,25 @@ var benchResult = &LaunchResult{
 }
 
 // BenchmarkWriteJSONLaunchResult measures serializing the hot response
-// body on the pooled encoder path.
+// body into the pooled buffer.
 func BenchmarkWriteJSONLaunchResult(b *testing.B) {
 	w := &discardResponseWriter{h: http.Header{}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		WriteJSON(w, http.StatusOK, benchResult)
+	}
+}
+
+// BenchmarkWriteJSONAPIError measures the refusal every retried 429 of an
+// overloaded daemon answers with.
+func BenchmarkWriteJSONAPIError(b *testing.B) {
+	w := &discardResponseWriter{h: http.Header{}}
+	refusal := APIError{ErrQueueFull.Error()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		WriteJSON(w, http.StatusTooManyRequests, refusal)
 	}
 }
 
@@ -118,8 +130,8 @@ func raceEnabled() bool {
 // admission's four are the Invocation (which owns the gpu.Exec its one
 // dispatch starts into), the two device callbacks the runtime binds to it,
 // and the loop's OnFinish closure; the handler adds net/http's request and
-// the JSON decode of its body on top, and WriteJSON's one is the encoder's
-// output. The trivial launch's three engine events are recycled typed
+// the JSON decode of its body on top, and WriteJSON's one is the
+// Content-Type header's value slice. The trivial launch's three engine events are recycled typed
 // records and contribute nothing, so an event scheduled as a closure, or an
 // Exec allocated per dispatch again, shows up here too.
 func TestAllocationBudget(t *testing.T) {

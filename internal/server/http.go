@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -129,6 +130,96 @@ type APIError struct {
 	Error string `json:"error"`
 }
 
+// jsonAppender is a terminal answer that renders itself: appendJSON appends
+// exactly the bytes an indenting json.Encoder writes for the value, or
+// returns nil to leave the value (and its refusal) to encoding/json.
+// TestAppendJSONMatchesEncodingJSON holds each one to that, field by field.
+type jsonAppender interface {
+	appendJSON(b []byte) []byte
+}
+
+func (e APIError) appendJSON(b []byte) []byte {
+	b = appendJSONString(append(b, "{\n  \"error\": "...), e.Error)
+	return append(b, "\n}\n"...)
+}
+
+func (r *LaunchResult) appendJSON(b []byte) []byte {
+	if math.IsNaN(r.NTT) || math.IsInf(r.NTT, 0) {
+		return nil
+	}
+	b = strconv.AppendInt(append(b, "{\n  \"id\": "...), int64(r.ID), 10)
+	b = appendJSONString(appendJSONKey(b, "client"), r.Client)
+	b = appendJSONString(appendJSONKey(b, "kernel"), r.Kernel)
+	b = appendJSONString(appendJSONKey(b, "class"), r.Class)
+	b = strconv.AppendInt(appendJSONKey(b, "priority"), int64(r.Priority), 10)
+	b = strconv.AppendInt(appendJSONKey(b, "device"), int64(r.Device), 10)
+	b = strconv.AppendInt(appendJSONKey(b, "submitted_virtual_ns"), r.SubmittedVirtualNS, 10)
+	b = strconv.AppendInt(appendJSONKey(b, "finished_virtual_ns"), r.FinishedVirtualNS, 10)
+	b = strconv.AppendInt(appendJSONKey(b, "turnaround_ns"), r.TurnaroundNS, 10)
+	b = strconv.AppendInt(appendJSONKey(b, "waiting_ns"), r.WaitingNS, 10)
+	b = strconv.AppendInt(appendJSONKey(b, "execution_ns"), r.ExecutionNS, 10)
+	if r.NTT != 0 {
+		b = appendJSONFloat(appendJSONKey(b, "ntt"), r.NTT)
+	}
+	b = strconv.AppendInt(appendJSONKey(b, "preemptions"), int64(r.Preemptions), 10)
+	b = strconv.AppendInt(appendJSONKey(b, "preempt_overhead_estimate_ns"), r.PreemptEstimateNS, 10)
+	b = strconv.AppendInt(appendJSONKey(b, "overhead_ns"), r.OverheadNS, 10)
+	b = strconv.AppendInt(appendJSONKey(b, "queue_wait_real_ns"), r.QueueWaitRealNS, 10)
+	if r.DeadlineVirtualNS != 0 {
+		b = strconv.AppendInt(appendJSONKey(b, "deadline_virtual_ns"), r.DeadlineVirtualNS, 10)
+	}
+	if r.SLO != "" {
+		b = appendJSONString(appendJSONKey(b, "slo"), r.SLO)
+	}
+	if r.SLOMarginNS != 0 {
+		b = strconv.AppendInt(appendJSONKey(b, "slo_margin_ns"), r.SLOMarginNS, 10)
+	}
+	if r.Canceled != "" {
+		b = appendJSONString(appendJSONKey(b, "canceled"), r.Canceled)
+	}
+	if r.Err != "" {
+		b = appendJSONString(appendJSONKey(b, "error"), r.Err)
+	}
+	return append(b, "\n}\n"...)
+}
+
+// appendJSONKey opens an object's second or later member.
+func appendJSONKey(b []byte, key string) []byte {
+	b = append(b, ",\n  \""...)
+	b = append(b, key...)
+	return append(b, "\": "...)
+}
+
+// appendJSONString copies a string encoding/json would copy (printable
+// ASCII, none of its five escapes) between quotes and hands any other to
+// encoding/json itself, so there is one escaper.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(b, quoted...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendJSONFloat is encoding/json's floatEncoder for a finite float64:
+// ES6 number formatting, exponent form below 1e-6 and from 1e21.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 is written e-7
+		b = b[:n-1]
+	}
+	return b
+}
+
 // jsonEnc pairs a reusable buffer with an encoder bound to it, so hot
 // handlers (launch results, status polls) serialize each response with
 // zero per-call encoder/buffer allocations.
@@ -150,11 +241,22 @@ var jsonEncPool = sync.Pool{New: func() any {
 const jsonEncKeepBytes = 64 << 10
 
 // WriteJSON answers with v rendered the way every endpoint of the serving
-// tier renders JSON (two-space indent, trailing newline).
+// tier renders JSON (two-space indent, trailing newline): appended into
+// the pooled buffer by the value itself when it is a jsonAppender (the
+// launch path's two answers), by encoding/json otherwise.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	e := jsonEncPool.Get().(*jsonEnc)
 	e.buf.Reset()
-	err := e.enc.Encode(v)
+	var body []byte
+	if a, ok := v.(jsonAppender); ok {
+		body = a.appendJSON(e.buf.AvailableBuffer())
+	}
+	var err error
+	if body != nil {
+		e.buf.Write(body)
+	} else {
+		err = e.enc.Encode(v)
+	}
 	w.Header().Set("Content-Type", "application/json")
 	if err != nil {
 		jsonEncPool.Put(e)
