@@ -130,8 +130,9 @@ func raceEnabled() bool {
 // admission's four are the Invocation (which owns the gpu.Exec its one
 // dispatch starts into), the two device callbacks the runtime binds to it,
 // and the loop's OnFinish closure; the handler adds net/http's request and
-// the JSON decode of its body on top, and WriteJSON's one is the
-// Content-Type header's value slice. The trivial launch's three engine events are recycled typed
+// the JSON decode of its body on top, and WriteJSON adds nothing: the result
+// appends itself into the pooled buffer and the Content-Type value is one
+// shared slice. The trivial launch's three engine events are recycled typed
 // records and contribute nothing, so an event scheduled as a closure, or an
 // Exec allocated per dispatch again, shows up here too.
 func TestAllocationBudget(t *testing.T) {
@@ -148,7 +149,7 @@ func TestAllocationBudget(t *testing.T) {
 		ceiling float64
 		run     func()
 	}{
-		{"POST /v1/launch through the handler", 26, func() {
+		{"POST /v1/launch through the handler", 25, func() {
 			r, err := http.NewRequest(http.MethodPost, "/v1/launch", strings.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
@@ -156,7 +157,7 @@ func TestAllocationBudget(t *testing.T) {
 			h.ServeHTTP(w, r)
 		}},
 		{"admission round trip", 4, func() { launchRoundTrip(t, s, bench) }},
-		{"WriteJSON launch result", 1, func() { WriteJSON(w, http.StatusOK, benchResult) }},
+		{"WriteJSON launch result", 0, func() { WriteJSON(w, http.StatusOK, benchResult) }},
 	} {
 		for i := 0; i < 50; i++ {
 			tc.run() // fill the pools

@@ -240,6 +240,11 @@ var jsonEncPool = sync.Pool{New: func() any {
 // pool forever.
 const jsonEncKeepBytes = 64 << 10
 
+// jsonContentType is every JSON answer's Content-Type value, assigned
+// rather than Set so an answer does not allocate a slice for it. Its
+// length is its capacity: a later Header.Add reallocates.
+var jsonContentType = []string{"application/json"}
+
 // WriteJSON answers with v rendered the way every endpoint of the serving
 // tier renders JSON (two-space indent, trailing newline): appended into
 // the pooled buffer by the value itself when it is a jsonAppender (the
@@ -257,7 +262,7 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	} else {
 		err = e.enc.Encode(v)
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	if err != nil {
 		jsonEncPool.Put(e)
 		w.WriteHeader(http.StatusInternalServerError)
