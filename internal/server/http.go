@@ -432,6 +432,10 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 	return true
 }
 
+// maxDurationMS is the most milliseconds a time.Duration holds: a larger
+// timeout_ms or deadline_ms wraps when it is multiplied out.
+const maxDurationMS = math.MaxInt64 / int64(time.Millisecond)
+
 // admitLaunch validates one parsed launch, consults the dependency table
 // and hands the launch to the event loop. It returns the request the
 // loop (or, for a parked stage, the table) now owns, or the outcome that
@@ -452,6 +456,11 @@ func (s *Server) admitLaunch(req *LaunchRequest, client string) (*launchReq, out
 	}
 	if prio < 0 || req.TasksOverride < 0 || req.Weight < 0 {
 		return nil, outRejectedInvalid, errors.New("priority, weight and tasks_override must be non-negative")
+	}
+	for _, ms := range [...]int{req.TimeoutMS, req.DeadlineMS} {
+		if ms < 0 || int64(ms) > maxDurationMS {
+			return nil, outRejectedInvalid, fmt.Errorf("timeout_ms and deadline_ms must be between 0 and %d", maxDurationMS)
+		}
 	}
 	deadline, err := parseSLO(req.SLOClass, req.DeadlineMS)
 	if err != nil {
@@ -513,13 +522,10 @@ func (s *Server) admitLaunch(req *LaunchRequest, client string) (*launchReq, out
 	return nil, outRejectedDraining, err
 }
 
-// parseSLO resolves the request's SLO class and deadline into the
-// virtual-time budget the admitted invocation will carry (zero =
-// best-effort).
+// parseSLO resolves the request's SLO class and deadline (range-checked by
+// admitLaunch) into the virtual-time budget the admitted invocation will
+// carry (zero = best-effort).
 func parseSLO(class string, deadlineMS int) (time.Duration, error) {
-	if deadlineMS < 0 {
-		return 0, fmt.Errorf("deadline_ms must be non-negative")
-	}
 	d := time.Duration(deadlineMS) * time.Millisecond
 	switch class {
 	case "":

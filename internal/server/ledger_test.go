@@ -158,6 +158,36 @@ func TestEveryOutcomeMovesOneFamilyInAllViews(t *testing.T) {
 			want: map[string]int64{"rejected_invalid": 1},
 		},
 		{
+			// One past the most milliseconds a Duration holds: the budget
+			// used to wrap negative and the launch ran, 200, untracked.
+			name: "400 deadline_ms wraps",
+			drive: func(t *testing.T, s *Server, url string) {
+				req := trivial
+				req.SLOClass, req.DeadlineMS = "latency", int(maxDurationMS+1)
+				expect(t, url, req, http.StatusBadRequest)
+			},
+			want: map[string]int64{"rejected_invalid": 1},
+		},
+		{
+			// Used to wrap into an expired timer: 504 at once, launch running.
+			name: "400 timeout_ms wraps",
+			drive: func(t *testing.T, s *Server, url string) {
+				req := trivial
+				req.TimeoutMS = int(maxDurationMS + 1)
+				expect(t, url, req, http.StatusBadRequest)
+			},
+			want: map[string]int64{"rejected_invalid": 1},
+		},
+		{
+			name: "400 timeout_ms negative",
+			drive: func(t *testing.T, s *Server, url string) {
+				req := trivial
+				req.TimeoutMS = -5
+				expect(t, url, req, http.StatusBadRequest)
+			},
+			want: map[string]int64{"rejected_invalid": 1},
+		},
+		{
 			name: "429 dep table full",
 			cfg:  Config{DepPending: 1},
 			setup: func(t *testing.T, s *Server, url string) {

@@ -276,11 +276,23 @@ func TestRetryAfterScalesWithQueueDepth(t *testing.T) {
 
 func TestValidationRejectsDoNotMaterializeSessions(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	for i := 0; i < 8; i++ {
-		req := LaunchRequest{Client: fmt.Sprintf("garbage-%d", i), Benchmark: "NOPE"}
-		if code, _ := launch(t, ts.URL, req); code != http.StatusBadRequest {
-			t.Fatalf("code = %d, want 400", code)
+	for i, req := range []LaunchRequest{
+		{Benchmark: "NOPE"},
+		{Benchmark: "VA", Class: "huge"},
+		{Benchmark: "VA", Priority: -1},
+		{Benchmark: "VA", DeadlineMS: -1},
+		{Benchmark: "VA", TimeoutMS: -5},
+		{Benchmark: "VA", TimeoutMS: int(maxDurationMS + 1)},
+		{Benchmark: "VA", SLOClass: "latency", DeadlineMS: int(maxDurationMS + 1)},
+		{Benchmark: "VA", SLOClass: "best_effort", DeadlineMS: 5},
+	} {
+		req.Client = fmt.Sprintf("garbage-%d", i)
+		if code, res := launch(t, ts.URL, req); code != http.StatusBadRequest {
+			t.Fatalf("%+v: code = %d, want 400 (%+v)", req, code, res)
 		}
+	}
+	if st := s.Status(); st.Counters.RejectedInvalid != 8 || st.Counters.Enqueued != 0 || st.SLO != (SLOStatus{}) {
+		t.Fatalf("after 8 invalid launches: counters %+v, slo %+v", st.Counters, st.SLO)
 	}
 	if n := len(s.SessionSnapshots()); n != 0 {
 		t.Fatalf("validation rejects created %d sessions, want 0", n)
