@@ -128,6 +128,9 @@ func launchVia(t *testing.T, gwURL string, req server.LaunchRequest) (int, serve
 		t.Fatalf("POST /v1/launch: %v", err)
 	}
 	defer resp.Body.Close()
+	if ct := resp.Header.Values("Content-Type"); len(ct) != 1 || ct[0] != "application/json" {
+		t.Fatalf("launch answered (code %d) with Content-Type %q", resp.StatusCode, ct)
+	}
 	var res server.LaunchResult
 	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
 		t.Fatalf("decode launch response (code %d): %v", resp.StatusCode, err)

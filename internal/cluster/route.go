@@ -235,8 +235,10 @@ func (g *Gateway) record(nodeID, client string, req server.LaunchRequest, respBo
 
 // relay writes a node's terminal response through to the client.
 func relay(w http.ResponseWriter, code int, hdr http.Header, body []byte, nodeID string) {
-	if ct := hdr.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
+	// The node's own value slice is handed through (cut to one value, so a
+	// later Add reallocates): Set would allocate one per relayed answer.
+	if ct := hdr["Content-Type"]; len(ct) > 0 && ct[0] != "" {
+		w.Header()["Content-Type"] = ct[:1:1]
 	} else {
 		w.Header().Set("Content-Type", "application/json")
 	}
