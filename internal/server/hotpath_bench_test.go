@@ -126,7 +126,7 @@ func raceEnabled() bool {
 // hot path. The launchReq and encoder pools are what keep these figures
 // flat, and a pooled object that stops coming back shows up here and
 // nowhere else: a launchReq that is not returned costs 3 allocations per
-// launch, an encoder 10. The ceilings are the measured steady state. An
+// launch, an encoder 9. The ceilings are the measured steady state. An
 // admission's four are the Invocation (which owns the gpu.Exec its one
 // dispatch starts into), the two device callbacks the runtime binds to it,
 // and the loop's OnFinish closure; the handler adds net/http's request and
