@@ -214,8 +214,7 @@ func appendJSONFloat(b []byte, f float64) []byte {
 	}
 	b = strconv.AppendFloat(b, f, format, -1, 64)
 	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1] // e-07 is written e-7
-		b = b[:n-1]
+		return append(b[:n-2], b[n-1]) // e-07 is written e-7
 	}
 	return b
 }
@@ -252,14 +251,11 @@ var jsonContentType = []string{"application/json"}
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	e := jsonEncPool.Get().(*jsonEnc)
 	e.buf.Reset()
-	var body []byte
-	if a, ok := v.(jsonAppender); ok {
-		body = a.appendJSON(e.buf.AvailableBuffer())
-	}
 	var err error
-	if body != nil {
-		e.buf.Write(body)
-	} else {
+	if a, ok := v.(jsonAppender); ok {
+		e.buf.Write(a.appendJSON(e.buf.AvailableBuffer()))
+	}
+	if e.buf.Len() == 0 { // not an appender, or it declined
 		err = e.enc.Encode(v)
 	}
 	w.Header()["Content-Type"] = jsonContentType
@@ -457,10 +453,8 @@ func (s *Server) admitLaunch(req *LaunchRequest, client string) (*launchReq, out
 	if prio < 0 || req.TasksOverride < 0 || req.Weight < 0 {
 		return nil, outRejectedInvalid, errors.New("priority, weight and tasks_override must be non-negative")
 	}
-	for _, ms := range [...]int{req.TimeoutMS, req.DeadlineMS} {
-		if ms < 0 || int64(ms) > maxDurationMS {
-			return nil, outRejectedInvalid, fmt.Errorf("timeout_ms and deadline_ms must be between 0 and %d", maxDurationMS)
-		}
+	if t, d := int64(req.TimeoutMS), int64(req.DeadlineMS); t < 0 || d < 0 || t > maxDurationMS || d > maxDurationMS {
+		return nil, outRejectedInvalid, fmt.Errorf("timeout_ms and deadline_ms must be between 0 and %d", maxDurationMS)
 	}
 	deadline, err := parseSLO(req.SLOClass, req.DeadlineMS)
 	if err != nil {
