@@ -1,20 +1,16 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"testing"
 )
 
-// encodeIndented is the reference an appendJSON is held to: the encoder
-// WriteJSON uses for every other value.
+// encodeIndented is the reference an appendJSON is held to: a fresh one of
+// the encoders WriteJSON uses for every other value.
 func encodeIndented(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	err := enc.Encode(v)
-	return buf.Bytes(), err
+	e := jsonEncPool.New().(*jsonEnc)
+	err := e.enc.Encode(v)
+	return e.buf.Bytes(), err
 }
 
 // requireSameJSON fails unless v appends the reference's bytes after what

@@ -276,7 +276,7 @@ func TestRetryAfterScalesWithQueueDepth(t *testing.T) {
 
 func TestValidationRejectsDoNotMaterializeSessions(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	for i, req := range []LaunchRequest{
+	garbage := []LaunchRequest{
 		{Benchmark: "NOPE"},
 		{Benchmark: "VA", Class: "huge"},
 		{Benchmark: "VA", Priority: -1},
@@ -285,14 +285,15 @@ func TestValidationRejectsDoNotMaterializeSessions(t *testing.T) {
 		{Benchmark: "VA", TimeoutMS: int(maxDurationMS + 1)},
 		{Benchmark: "VA", SLOClass: "latency", DeadlineMS: int(maxDurationMS + 1)},
 		{Benchmark: "VA", SLOClass: "best_effort", DeadlineMS: 5},
-	} {
+	}
+	for i, req := range garbage {
 		req.Client = fmt.Sprintf("garbage-%d", i)
 		if code, res := launch(t, ts.URL, req); code != http.StatusBadRequest {
 			t.Fatalf("%+v: code = %d, want 400 (%+v)", req, code, res)
 		}
 	}
-	if st := s.Status(); st.Counters.RejectedInvalid != 8 || st.Counters.Enqueued != 0 || st.SLO != (SLOStatus{}) {
-		t.Fatalf("after 8 invalid launches: counters %+v, slo %+v", st.Counters, st.SLO)
+	if st := s.Status(); st.Counters.RejectedInvalid != int64(len(garbage)) || st.Counters.Enqueued != 0 || st.SLO != (SLOStatus{}) {
+		t.Fatalf("after %d invalid launches: counters %+v, slo %+v", len(garbage), st.Counters, st.SLO)
 	}
 	if n := len(s.SessionSnapshots()); n != 0 {
 		t.Fatalf("validation rejects created %d sessions, want 0", n)
