@@ -1,8 +1,8 @@
 // Package metrics exercises the metrichygiene analyzer against the
-// real obs API (resolved from the module via export data).
+// registration surface of obs (a stub of the real package).
 package metrics
 
-import "flep/internal/obs"
+import "obs"
 
 // Register exercises naming and label rules.
 func Register(r *obs.Registry, session string) {
