@@ -24,10 +24,10 @@ var deterministicPkgs = []string{
 	"flep/internal/replay",
 }
 
-// inDeterministicScope matches a package or any package beneath it, so
-// fixture packages under e.g. flep/internal/sim/... are exercised too.
-func inDeterministicScope(path string) bool {
-	for _, p := range deterministicPkgs {
+// inScope reports whether path is one of pkgs or a package beneath one,
+// so fixture packages under e.g. flep/internal/sim/... are exercised too.
+func inScope(path string, pkgs ...string) bool {
+	for _, p := range pkgs {
 		if path == p || strings.HasPrefix(path, p+"/") {
 			return true
 		}
@@ -77,7 +77,7 @@ var DeterminismAnalyzer = &analysis.Analyzer{
 }
 
 func runDeterminism(pass *analysis.Pass) (any, error) {
-	if !inDeterministicScope(pass.Pkg.Path()) {
+	if !inScope(pass.Pkg.Path(), deterministicPkgs...) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {

@@ -28,57 +28,26 @@ func runLockDiscipline(pass *analysis.Pass) (any, error) {
 				if fn.Body != nil {
 					checkLockedRegions(pass, fn.Body)
 				}
-			case *ast.FuncLit:
-				// Walked as its own scope; keep descending so literals
-				// nested inside it are also picked up here.
+			case *ast.FuncLit: // outside any function, e.g. a package var's initializer
 				checkLockedRegions(pass, fn.Body)
+			default:
+				return true
 			}
-			return true
+			return false
 		})
 	}
 	return nil, nil
 }
 
-// checkLockedRegions walks one function body in source order keeping a
-// set of held mutexes (keyed by the rendered receiver expression, e.g.
-// "r.mu"). An explicit Unlock statement releases; a deferred Unlock
-// does not (it runs at return, so everything after the Lock is a
-// critical section). The walk is linear rather than path-sensitive —
-// good enough for the straight-line lock/copy/unlock idiom this
-// codebase uses, and deliberately conservative elsewhere.
+// checkLockedRegions reports, inside one function body, every blocking
+// or re-entrant act done while lockRegions says a mutex is held.
 func checkLockedRegions(pass *analysis.Pass, body *ast.BlockStmt) {
-	held := map[string]bool{}
-	heldCount := 0
-	ast.Inspect(body, func(n ast.Node) bool {
+	lockRegions(pass.TypesInfo, body, func(n ast.Node, held map[string]string) {
+		if len(held) == 0 {
+			return
+		}
 		switch n := n.(type) {
-		case *ast.FuncLit:
-			if n.Body != body {
-				return false // separate scope, walked by the caller
-			}
-		case *ast.DeferStmt:
-			// A deferred Unlock keeps the region open; nothing to do.
-			// But a deferred callback while holding is still a risk only
-			// at return time — out of scope for a linear walk.
-			return false
 		case *ast.CallExpr:
-			if key, kind := mutexLockCall(pass, n); key != "" {
-				switch kind {
-				case "Lock", "RLock":
-					if !held[key] {
-						held[key] = true
-						heldCount++
-					}
-				case "Unlock", "RUnlock":
-					if held[key] {
-						delete(held, key)
-						heldCount--
-					}
-				}
-				return true
-			}
-			if heldCount == 0 {
-				return true
-			}
 			if reason := blockingWhileLocked(pass, n); reason != "" {
 				pass.Reportf(n.Pos(), "lockheld",
 					"%s while holding %s; release the lock first (lock, copy, unlock, then act)",
@@ -87,13 +56,95 @@ func checkLockedRegions(pass *analysis.Pass, body *ast.BlockStmt) {
 		case *ast.SendStmt:
 			// A send guarded by select-with-default cannot block, so it
 			// cannot extend the critical section.
-			if heldCount > 0 && !sendInSelectWithDefault(pass, body, n) {
+			if !sendInSelectWithDefault(pass, body, n) {
 				pass.Reportf(n.Pos(), "lockheld",
 					"channel send while holding %s can deadlock against the receiver; release the lock first",
 					anyHeld(held))
 			}
+		}
+	})
+}
+
+// lockOp classifies a call as a sync mutex operation: the method (Lock,
+// RLock, Unlock or RUnlock; "" for any other call), the mutex's
+// canonical identity ("pkgpath.Type.field" for a struct field,
+// "pkgpath.var" for a package variable, "" for a local) and its
+// spelling ("s.mu").
+func lockOp(info *types.Info, call *ast.CallExpr) (method, id, expr string) {
+	sel, ok := stripParens(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return "", "", ""
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		return "", "", ""
+	}
+	switch fn.Name() {
+	case "Lock", "RLock", "Unlock", "RUnlock":
+		return fn.Name(), canonicalLockID(info, sel.X), types.ExprString(sel.X)
+	}
+	return "", "", ""
+}
+
+// canonicalLockID renders a mutex operand to its cross-function
+// identity, or "" for a local.
+func canonicalLockID(info *types.Info, x ast.Expr) string {
+	var id *ast.Ident
+	switch x := stripParens(x).(type) {
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[x]; ok {
+			if _, isField := sel.Obj().(*types.Var); isField && namedKey(sel.Recv()) != "" {
+				return namedKey(sel.Recv()) + "." + sel.Obj().Name()
+			}
+			return ""
+		}
+		id = x.Sel // qualified package var: pkg.Mu
+	case *ast.Ident:
+		id = x
+	default:
+		return ""
+	}
+	if v, ok := info.Uses[id].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+		return v.Pkg().Path() + "." + v.Name()
+	}
+	return ""
+}
+
+// lockRegions is the one held-lock walk under lockdiscipline and
+// lockorder. It visits every node of body in source order with the
+// mutexes held there, keyed by spelling and valued by canonical
+// identity (lockOp); a Lock or RLock joins the set after its own visit.
+// An Unlock statement releases; a deferred Unlock keeps its region open
+// to the end of the body. Other deferred calls are visited under the
+// locks held at the defer statement: the walk is linear, with no paths,
+// and that set stands in for the one held at return. Function literals
+// and the call of a go statement run elsewhere and are walked with
+// nothing held. visit must not keep the map.
+func lockRegions(info *types.Info, body ast.Node, visit func(n ast.Node, held map[string]string)) {
+	held := map[string]string{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case nil:
+			return false
+		case *ast.FuncLit:
+			lockRegions(info, n.Body, visit)
+			return false
 		case *ast.GoStmt:
-			return false // the goroutine body runs without our locks
+			lockRegions(info, n.Call, visit)
+			return false
+		case *ast.DeferStmt:
+			if m, _, _ := lockOp(info, n.Call); m == "Unlock" || m == "RUnlock" {
+				return false
+			}
+		}
+		visit(n, held)
+		if call, ok := n.(*ast.CallExpr); ok {
+			switch m, id, x := lockOp(info, call); m {
+			case "Lock", "RLock":
+				held[x] = id
+			case "Unlock", "RUnlock":
+				delete(held, x)
+			}
 		}
 		return true
 	})
@@ -101,7 +152,7 @@ func checkLockedRegions(pass *analysis.Pass, body *ast.BlockStmt) {
 
 // anyHeld names one held mutex for the message (deterministically:
 // lexicographically smallest key).
-func anyHeld(held map[string]bool) string {
+func anyHeld(held map[string]string) string {
 	best := ""
 	for k := range held {
 		if best == "" || k < best {
@@ -140,26 +191,11 @@ func blockingWhileLocked(pass *analysis.Pass, call *ast.CallExpr) string {
 			}
 			// Writes on an http.ResponseWriter render to the client
 			// while locked.
-			if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
-				if isResponseWriter(pass.TypesInfo.TypeOf(fun.X)) &&
-					(obj.Name() == "Write" || obj.Name() == "WriteHeader" || obj.Name() == "WriteString") {
-					return "writing the HTTP response"
-				}
+			if namedKey(pass.TypesInfo.TypeOf(fun.X)) == "net/http.ResponseWriter" &&
+				(obj.Name() == "Write" || obj.Name() == "WriteHeader" || obj.Name() == "WriteString") {
+				return "writing the HTTP response"
 			}
 		}
 	}
 	return ""
-}
-
-func isResponseWriter(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil &&
-		obj.Pkg().Path() == "net/http" && obj.Name() == "ResponseWriter"
 }

@@ -5,16 +5,13 @@ package lint
 // repo's documented lock-nesting contracts even when today's code
 // cannot deadlock yet.
 //
-// Per package (Run), every function gets a defer-aware linear walk in
-// the style of lockdiscipline: a held-lock set tracks
-// Lock/RLock/Unlock/RUnlock on canonical lock identities
+// Per package (Run), every function gets lockdiscipline's walk
+// (lockRegions), which records each acquisition and each static call
+// together with the canonical identities held at that point
 // ("pkgpath.Type.field" for struct mutexes, "pkgpath.var" for package
-// ones; locals are skipped), and the walk records each acquisition and
-// each static call together with the set held at that point. Deferred
-// Unlocks keep their region open; function literals are separate
-// anonymous scopes (their internal acquisitions still count, but they
-// do not inherit the enclosing held set, since the closure usually runs
-// elsewhere).
+// ones; locals are skipped). A function literal's acquisitions count
+// for its enclosing function, but without the enclosing held set, since
+// the closure usually runs elsewhere.
 //
 // Finish merges all packages, closes each function's may-acquire set
 // over the call graph, and materializes order edges: held H at an
@@ -43,6 +40,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
@@ -139,132 +137,37 @@ func runLockOrder(pass *analysis.Pass) (any, error) {
 				continue
 			}
 			ff := &lockFuncFacts{}
-			walkLockRegions(pass.TypesInfo, pass.Pkg, fd.Body, map[string]bool{}, ff)
+			lockRegions(pass.TypesInfo, fd.Body, func(n ast.Node, held map[string]string) {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return
+				}
+				if method, id, _ := lockOp(pass.TypesInfo, call); method != "" {
+					// A local mutex (id "") is invisible across functions.
+					if id != "" && (method == "Lock" || method == "RLock") {
+						ff.Acqs = append(ff.Acqs, lockAcq{Lock: id, Held: heldIDs(held), Pos: call.Pos()})
+					}
+				} else if callee := staticCalleeFunc(pass.TypesInfo, call); callee != nil {
+					ff.Calls = append(ff.Calls, lockCallSite{Callee: funcIDOf(callee), Held: heldIDs(held), Pos: call.Pos()})
+				}
+			})
 			facts.Funcs[funcIDOf(fn)] = ff
 		}
 	}
 	return facts, nil
 }
 
-// canonicalLockID renders the mutex operand of a Lock/Unlock call to a
-// cross-function identity, or "" for locals.
-func canonicalLockID(info *types.Info, pkg *types.Package, x ast.Expr) string {
-	switch x := stripParens(x).(type) {
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[x]; ok {
-			fld, ok := sel.Obj().(*types.Var)
-			if !ok {
-				return ""
-			}
-			recv := sel.Recv()
-			if p, ok := recv.(*types.Pointer); ok {
-				recv = p.Elem()
-			}
-			if key := namedKey(recv); key != "" {
-				return key + "." + fld.Name()
-			}
-			return ""
+// heldIDs lists the canonical identities of the held mutexes, sorted,
+// once each; locals are left out.
+func heldIDs(held map[string]string) []string {
+	var out []string
+	for _, id := range held {
+		if id != "" && !slices.Contains(out, id) {
+			out = append(out, id)
 		}
-		// Qualified package var: pkg.Mu.
-		if obj, ok := info.Uses[x.Sel].(*types.Var); ok && obj.Pkg() != nil &&
-			obj.Parent() == obj.Pkg().Scope() {
-			return obj.Pkg().Path() + "." + obj.Name()
-		}
-	case *ast.Ident:
-		obj, ok := info.Uses[x].(*types.Var)
-		if !ok || obj.Pkg() == nil {
-			return ""
-		}
-		if obj.Parent() == obj.Pkg().Scope() {
-			return obj.Pkg().Path() + "." + obj.Name()
-		}
-	}
-	return ""
-}
-
-// lockOpOf classifies a call as a mutex operation, returning the
-// canonical lock ID and the method name.
-func lockOpOf(info *types.Info, pkg *types.Package, call *ast.CallExpr) (string, string) {
-	sel, ok := stripParens(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", ""
-	}
-	switch fn.Name() {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-		return canonicalLockID(info, pkg, sel.X), fn.Name()
-	}
-	return "", ""
-}
-
-func heldSnapshot(held map[string]bool) []string {
-	out := make([]string, 0, len(held))
-	for k := range held {
-		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out
-}
-
-// walkLockRegions performs the defer-aware linear held-set walk over
-// one body, recording acquisitions and static calls into ff. Function
-// literals recurse with a fresh empty held set.
-func walkLockRegions(info *types.Info, pkg *types.Package, body *ast.BlockStmt, held map[string]bool, ff *lockFuncFacts) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			walkLockRegions(info, pkg, n.Body, map[string]bool{}, ff)
-			return false
-		case *ast.GoStmt:
-			// The goroutine runs without our held set; its function
-			// literal (the common shape) is handled above when visited —
-			// record a direct `go f()` as an unheld call.
-			if fn := staticCalleeFunc(info, n.Call); fn != nil {
-				ff.Calls = append(ff.Calls, lockCallSite{Callee: funcIDOf(fn), Pos: n.Call.Pos()})
-			}
-			// `go func(){...}()` carries the literal in Fun, not Args.
-			for _, sub := range append([]ast.Expr{n.Call.Fun}, n.Call.Args...) {
-				ast.Inspect(sub, func(m ast.Node) bool {
-					if lit, ok := m.(*ast.FuncLit); ok {
-						walkLockRegions(info, pkg, lit.Body, map[string]bool{}, ff)
-						return false
-					}
-					return true
-				})
-			}
-			return false
-		case *ast.DeferStmt:
-			// A deferred Unlock keeps the region open. Other deferred
-			// calls run at exit under whatever is held then; recording
-			// them under the current held set is the linear-walk
-			// approximation (documented caveat).
-			if id, kind := lockOpOf(info, pkg, n.Call); id != "" && (kind == "Unlock" || kind == "RUnlock") {
-				return false
-			}
-			return true
-		case *ast.CallExpr:
-			if id, kind := lockOpOf(info, pkg, n); kind != "" {
-				if id == "" {
-					return true // local mutex: invisible cross-function
-				}
-				switch kind {
-				case "Lock", "RLock":
-					ff.Acqs = append(ff.Acqs, lockAcq{Lock: id, Held: heldSnapshot(held), Pos: n.Pos()})
-					held[id] = true
-				case "Unlock", "RUnlock":
-					delete(held, id)
-				}
-				return true
-			}
-			if fn := staticCalleeFunc(info, n); fn != nil {
-				ff.Calls = append(ff.Calls, lockCallSite{Callee: funcIDOf(fn), Held: heldSnapshot(held), Pos: n.Pos()})
-			}
-		}
-		return true
-	})
 }
 
 // ------------------------------------------------------------ finish
@@ -532,8 +435,12 @@ func staticCalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// namedKey renders "pkgpath.Type" for a named type, "" otherwise.
+// namedKey renders "pkgpath.Type" for a named type or a pointer to
+// one, "" otherwise.
 func namedKey(t types.Type) string {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
 	n, ok := t.(*types.Named)
 	if !ok || n.Obj().Pkg() == nil {
 		return ""

@@ -53,15 +53,6 @@ var loopPurityPkgs = []string{
 // marks them.
 var serverLoopMethods = map[string]bool{"loop": true, "admit": true, "complete": true}
 
-func inLoopPurityScope(path string) bool {
-	for _, p := range loopPurityPkgs {
-		if path == p || strings.HasPrefix(path, p+"/") {
-			return true
-		}
-	}
-	return false
-}
-
 // funcUnit is one analyzable body: a declared function/method or a
 // rooted function literal.
 type funcUnit struct {
@@ -70,11 +61,10 @@ type funcUnit struct {
 }
 
 func runLoopPurity(pass *analysis.Pass) (any, error) {
-	path := pass.Pkg.Path()
-	if !inLoopPurityScope(path) {
+	if !inScope(pass.Pkg.Path(), loopPurityPkgs...) {
 		return nil, nil
 	}
-	isServer := path == "flep/internal/server" || strings.Contains(path, "internal/server/")
+	isServer := inScope(pass.Pkg.Path(), "flep/internal/server")
 
 	// Index declared functions by object for call-graph edges.
 	decls := map[*types.Func]*funcUnit{}
@@ -274,7 +264,7 @@ func collectLockSites(pass *analysis.Pass) []lockSite {
 			case *ast.FuncLit:
 				stack = append(stack, n.Body)
 			case *ast.CallExpr:
-				if key, kind := mutexLockCall(pass, n); kind == "Lock" || kind == "RLock" {
+				if method, _, key := lockOp(pass.TypesInfo, n); method == "Lock" || method == "RLock" {
 					if len(stack) > 0 {
 						sites = append(sites, lockSite{key: key, body: stack[len(stack)-1]})
 					}
@@ -290,28 +280,18 @@ func collectLockSites(pass *analysis.Pass) []lockSite {
 	return sites
 }
 
-// mutexLockCall classifies X.Lock/RLock/Unlock/RUnlock on sync mutex
-// types, returning the rendered X and the method name.
-func mutexLockCall(pass *analysis.Pass, call *ast.CallExpr) (string, string) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
-	}
-	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", ""
-	}
-	switch fn.Name() {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-		return types.ExprString(sel.X), fn.Name()
-	}
-	return "", ""
-}
-
 func checkLoopBody(pass *analysis.Pass, body *ast.BlockStmt, name string, reachable map[*ast.BlockStmt]string, lockSites []lockSite) {
 	walkBodyShallow(body, func(n ast.Node) {
 		switch n := n.(type) {
 		case *ast.CallExpr:
+			if method, _, key := lockOp(pass.TypesInfo, n); method == "Lock" || method == "RLock" {
+				if lockedOutsideLoop(key, reachable, lockSites) {
+					pass.Reportf(n.Pos(), "sharedlock",
+						"%s.%s in %s locks a mutex that non-loop code also takes; the loop can stall behind a handler (keep the critical section bounded and annotate, or move the state to the loop)",
+						key, method, name)
+				}
+				return
+			}
 			sel, ok := n.Fun.(*ast.SelectorExpr)
 			if !ok {
 				return
@@ -330,15 +310,6 @@ func checkLoopBody(pass *analysis.Pass, body *ast.BlockStmt, name string, reacha
 				pass.Reportf(n.Pos(), "block",
 					"%s.%s in %s performs network I/O on the event loop; hand it to a worker goroutine",
 					fn.Pkg().Name(), fn.Name(), name)
-			case "sync":
-				if fn.Name() == "Lock" || fn.Name() == "RLock" {
-					key := types.ExprString(sel.X)
-					if lockedOutsideLoop(key, reachable, lockSites) {
-						pass.Reportf(n.Pos(), "sharedlock",
-							"%s.%s in %s locks a mutex that non-loop code also takes; the loop can stall behind a handler (keep the critical section bounded and annotate, or move the state to the loop)",
-							key, fn.Name(), name)
-					}
-				}
 			}
 		case *ast.SendStmt:
 			if !sendInSelectWithDefault(pass, body, n) {

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"regexp"
 	"sort"
 	"strconv"
@@ -76,8 +75,10 @@ func runMetricHygiene(pass *analysis.Pass) (any, error) {
 			if !ok {
 				return true
 			}
+			// *obs.Registry, matched by package name so a fixture's stub
+			// obs package counts too.
 			labelStart, ok := registryMethods[sel.Sel.Name]
-			if !ok || !isObsRegistry(pass.TypesInfo.TypeOf(sel.X)) {
+			if !ok || !strings.HasSuffix("/"+namedKey(pass.TypesInfo.TypeOf(sel.X)), "/obs.Registry") {
 				return true
 			}
 			if len(call.Args) < labelStart {
@@ -141,24 +142,6 @@ func runMetricHygiene(pass *analysis.Pass) (any, error) {
 		return nil, nil
 	}
 	return regs, nil
-}
-
-// isObsRegistry matches *obs.Registry (by package name + type name, so
-// the fixture stub obs package is matched too).
-func isObsRegistry(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil &&
-		obj.Pkg().Name() == "obs" && obj.Name() == "Registry"
 }
 
 // stringLit resolves a string constant expression (literals and
