@@ -26,33 +26,31 @@ var allowRE = regexp.MustCompile(`^//flepvet:allow\s+([a-z][a-z0-9_,]*)\s*(?:--\
 // allowEntry is one parsed annotation.
 type allowEntry struct {
 	categories map[string]bool
-	line       int
-	file       string
+	pos        token.Position
+	used       bool // it suppressed a finding, or was itself diagnosed
 }
 
-// allowIndex locates annotations by (file, line).
+// allowIndex holds every annotation of the packages analyzed.
 type allowIndex struct {
-	entries []allowEntry
+	entries []*allowEntry
 }
 
 // suppressed reports whether a finding at pos with the category is
-// covered by an annotation on its line or the line above.
+// covered by an annotation on its line or the line above, and marks
+// that annotation used.
 func (ai *allowIndex) suppressed(pos token.Position, category string) bool {
 	for _, e := range ai.entries {
-		if e.file != pos.Filename {
-			continue
-		}
-		if (e.line == pos.Line || e.line == pos.Line-1) && e.categories[category] {
+		if e.pos.Filename == pos.Filename && (e.pos.Line == pos.Line || e.pos.Line == pos.Line-1) && e.categories[category] {
+			e.used = true
 			return true
 		}
 	}
 	return false
 }
 
-// collectAllows parses every flepvet:allow annotation in the files and
+// collect parses every flepvet:allow annotation in the files and
 // diagnoses malformed ones (missing reason, unknown category).
-func collectAllows(fset *token.FileSet, files []*ast.File, known map[string]bool) (*allowIndex, []analysis.Diagnostic) {
-	idx := &allowIndex{}
+func (ai *allowIndex) collect(fset *token.FileSet, files []*ast.File, known map[string]bool) []analysis.Diagnostic {
 	var diags []analysis.Diagnostic
 	for _, f := range files {
 		for _, cg := range f.Comments {
@@ -76,9 +74,8 @@ func collectAllows(fset *token.FileSet, files []*ast.File, known map[string]bool
 					})
 					continue
 				}
-				cats := map[string]bool{}
+				e := &allowEntry{categories: map[string]bool{}, pos: fset.Position(c.Pos())}
 				for _, cat := range strings.Split(m[1], ",") {
-					cat = strings.TrimSpace(cat)
 					if cat == "" {
 						continue
 					}
@@ -87,16 +84,27 @@ func collectAllows(fset *token.FileSet, files []*ast.File, known map[string]bool
 							Pos: c.Pos(), Category: "allowform",
 							Message: "flepvet:allow names unknown category " + cat,
 						})
+						e.used = true
 						continue
 					}
-					cats[cat] = true
+					e.categories[cat] = true
 				}
-				pos := fset.Position(c.Pos())
-				idx.entries = append(idx.entries, allowEntry{
-					categories: cats, line: pos.Line, file: pos.Filename,
-				})
+				ai.entries = append(ai.entries, e)
 			}
 		}
 	}
-	return idx, diags
+	return diags
+}
+
+// unused reports every well-formed annotation that suppressed nothing:
+// a stale allow would hide the next finding on its line unseen.
+func (ai *allowIndex) unused() []Finding {
+	var out []Finding
+	for _, e := range ai.entries {
+		if !e.used {
+			out = append(out, Finding{Pos: e.pos, Analyzer: "flepvet", Category: "allowform",
+				Message: "flepvet:allow " + strings.Join(sortedKeys(e.categories), ",") + " suppresses no finding; delete it"})
+		}
+	}
+	return out
 }

@@ -71,21 +71,22 @@ func RunPackages(fset *token.FileSet, pkgs []*loader.Package, analyzers []*analy
 	known := knownCategories()
 	var findings []Finding
 	results := map[*analysis.Analyzer][]analysis.Result{}
-	allAllows := &allowIndex{}
+	allows := &allowIndex{}
+	report := func(analyzer string, d analysis.Diagnostic) {
+		if pos := fset.Position(d.Pos); !allows.suppressed(pos, d.Category) {
+			findings = append(findings, Finding{Pos: pos, Analyzer: analyzer, Category: d.Category, Message: d.Message})
+		}
+	}
 
 	for _, pkg := range pkgs {
-		allows, allowDiags := collectAllows(fset, pkg.Files, known)
-		allAllows.entries = append(allAllows.entries, allows.entries...)
-		for _, d := range allowDiags {
-			findings = append(findings, Finding{
-				Pos: fset.Position(d.Pos), Analyzer: "flepvet",
-				Category: d.Category, Message: d.Message,
-			})
+		// allowform is no analyzer's category, so no annotation
+		// suppresses these.
+		for _, d := range allows.collect(fset, pkg.Files, known) {
+			report("flepvet", d)
 		}
 		for _, a := range analyzers {
-			var diags []analysis.Diagnostic
 			pass := analysis.NewPass(a, fset, pkg.Files, pkg.Types, pkg.Info,
-				func(d analysis.Diagnostic) { diags = append(diags, d) })
+				func(d analysis.Diagnostic) { report(a.Name, d) })
 			val, err := a.Run(pass)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.PkgPath, err)
@@ -93,34 +94,16 @@ func RunPackages(fset *token.FileSet, pkgs []*loader.Package, analyzers []*analy
 			if val != nil {
 				results[a] = append(results[a], analysis.Result{PkgPath: pkg.PkgPath, Value: val})
 			}
-			for _, d := range diags {
-				pos := fset.Position(d.Pos)
-				if allows.suppressed(pos, d.Category) {
-					continue
-				}
-				findings = append(findings, Finding{
-					Pos: pos, Analyzer: a.Name, Category: d.Category, Message: d.Message,
-				})
-			}
 		}
 	}
 
 	// Cross-package rules (metric families registered in several places).
 	for _, a := range analyzers {
-		if a.Finish == nil {
-			continue
+		if a.Finish != nil {
+			a.Finish(results[a], func(d analysis.Diagnostic) { report(a.Name, d) })
 		}
-		a.Finish(results[a], func(d analysis.Diagnostic) {
-			pos := fset.Position(d.Pos)
-			if allAllows.suppressed(pos, d.Category) {
-				return
-			}
-			findings = append(findings, Finding{
-				Pos: pos, Analyzer: a.Name,
-				Category: d.Category, Message: d.Message,
-			})
-		})
 	}
+	findings = append(findings, allows.unused()...)
 
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
