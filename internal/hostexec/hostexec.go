@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"time"
 
+	"flep/internal/core"
 	cl "flep/internal/cudalite"
 	"flep/internal/flepruntime"
 	"flep/internal/gpu"
@@ -164,32 +165,23 @@ func (r *Report) For(kernel string) *InvocationRecord {
 	return nil
 }
 
-// Run executes the host processes against a fresh device and runtime.
+// Run executes the host processes against a fresh core.Stack. The stack
+// has no offline artifacts, so the runtime estimates preemption overhead
+// from its drain model; the invocations are hostexec's own, since a
+// compiled kernel has no kernels.Benchmark to predict from.
 func Run(p *Program, opt Options, procs ...HostProc) (*Report, error) {
 	if opt.MaxFunctionalTasks <= 0 {
 		opt.MaxFunctionalTasks = 4096
 	}
-	s := &session{
-		p:      p,
-		opt:    opt,
-		eng:    sim.New(),
-		cmds:   make(chan command),
-		report: &Report{},
+	s := &session{p: p, opt: opt, cmds: make(chan command), report: &Report{}}
+	if opt.Trace {
+		s.report.Log = &trace.Log{}
 	}
-	s.dev = gpu.New(s.eng, p.par)
-	policy, err := flepruntime.NewPolicy(opt.Policy, 0, nil)
+	st, err := core.NewSystem(p.par).NewStack(core.Options{Policy: opt.Policy, Spatial: opt.Spatial}, s.report.Log, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("hostexec: %w", err)
 	}
-	if opt.Trace {
-		s.report.Log = &trace.Log{}
-		s.dev.Observer = s.report.Log.DeviceObserver()
-	}
-	s.rt = flepruntime.New(s.dev, flepruntime.Config{
-		Policy:        policy,
-		EnableSpatial: opt.Spatial,
-		Log:           s.report.Log,
-	})
+	s.eng, s.dev, s.rt = st.Eng, st.Dev, st.RT
 	for i := range procs {
 		proc := procs[i]
 		if proc.Name == "" {
