@@ -10,8 +10,8 @@ import (
 // the same code path as `flepvet ./...` — and fails on any finding.
 // This is what makes the contracts self-enforcing: a new wall-clock
 // read in a deterministic package, an unsorted map iteration feeding
-// output, or a reasonless //flepvet:allow breaks `go test ./...`
-// locally, before CI.
+// output, a reasonless //flepvet:allow, or an allow whose finding has
+// gone breaks `go test ./...` locally, before CI.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and typechecks the whole module")
@@ -29,6 +29,6 @@ func TestRepoIsClean(t *testing.T) {
 		t.Errorf("%s", f)
 	}
 	if len(findings) > 0 {
-		t.Logf("fix the code or add `//flepvet:allow <category> -- <reason>` where the pattern is deliberate (see DESIGN.md §11)")
+		t.Logf("fix the code, add `//flepvet:allow <category> -- <reason>` where the pattern is deliberate, or delete an allow that suppresses nothing (see DESIGN.md §11)")
 	}
 }
