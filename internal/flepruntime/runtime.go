@@ -181,15 +181,19 @@ func (r *Runtime) log(kind, kernel, detail string) {
 
 // Submit intercepts a kernel invocation (the transformed host program's
 // flep_intercept call) and enters it into scheduling. Invocations whose
-// working set exceeds the device memory can never run and are rejected.
+// working set exceeds the device memory can never run and are rejected, as
+// is one a runtime still holds: each submission finishes exactly once.
 func (r *Runtime) Submit(v *Invocation) error {
+	if err := v.held(); err != nil {
+		return err
+	}
 	if v.WorkingSet > 0 && r.dev.Params().MemoryBytes > 0 &&
 		v.WorkingSet > r.dev.Params().MemoryBytes {
 		return fmt.Errorf("flepruntime: %s working set %d exceeds device memory %d",
 			v.Kernel, v.WorkingSet, r.dev.Params().MemoryBytes)
 	}
 	r.nextID++
-	v.ID = r.nextID
+	v.ID, v.rt = r.nextID, r
 	v.submittedAt = r.dev.Now()
 	if v.Tr == 0 {
 		v.Tr = v.Te
@@ -197,8 +201,7 @@ func (r *Runtime) Submit(v *Invocation) error {
 	if v.L <= 0 {
 		v.L = 1
 	}
-	// Estimated, and bound to this runtime, on first use.
-	v.overhead, v.onComplete, v.onDrained = 0, nil, nil
+	v.overhead = 0 // estimated by this runtime on first use
 	v.beginWait(r.dev.Now())
 	r.enqueue(v)
 	r.met.Submits.Inc()
@@ -308,7 +311,6 @@ func (r *Runtime) PreemptRunning() {
 	victim := r.running
 	r.draining = true
 	victim.preemptAt = r.dev.Now()
-	victim.preemptPredicted = r.OverheadFor(victim)
 	r.log("preempt", victim.Kernel, "epoch expired")
 	if err := victim.exec.Preempt(r.dev.NumSMs()); err != nil {
 		r.draining = false
@@ -343,7 +345,6 @@ func (r *Runtime) preemptFor(best *Invocation) {
 		r.dequeue(best)
 	}
 	victim.preemptAt = r.dev.Now()
-	victim.preemptPredicted = r.OverheadFor(victim)
 	if r.cfg.Log != nil {
 		r.log("preempt", victim.Kernel, fmt.Sprintf("for=%s sms=%d spatial=%v", best.Kernel, need, spatial))
 	}
@@ -374,9 +375,10 @@ func (r *Runtime) dispatch(v *Invocation, smLo, smHi int, asGuest bool) {
 	v.beginRun(now)
 	v.guest = asGuest
 	if v.onComplete == nil {
-		// Bound once: a rotated kernel is redispatched dozens of times.
-		v.onComplete = func() { r.onComplete(v) }
-		v.onDrained = func(rem int) { r.onDrained(v, rem) }
+		// Bound once per storage: a rotated kernel is redispatched dozens of
+		// times, and recycled storage launches again on any runtime.
+		v.onComplete = func() { v.rt.onComplete(v) }
+		v.onDrained = func(rem int) { v.rt.onDrained(v, rem) }
 	}
 	err := r.dev.StartIn(&v.exec, &gpu.ExecConfig{
 		Profile:    v.Profile,
@@ -451,6 +453,9 @@ func (r *Runtime) onComplete(v *Invocation) {
 		r.onCompletion.OnCompletion(r, v)
 	}
 	r.schedule()
+	// The completion is the execution's last callback: the storage is the
+	// driver's again.
+	v.rt = nil
 }
 
 // onDrained handles the device reporting that a preemption drain finished.
@@ -474,7 +479,7 @@ func (r *Runtime) onDrained(v *Invocation, remaining int) {
 	if r.cfg.OnPreemptDrained != nil {
 		r.cfg.OnPreemptDrained(v, drain)
 	}
-	r.met.OverheadError.ObserveDuration((v.preemptPredicted - drain).Abs())
+	r.met.OverheadError.ObserveDuration((r.OverheadFor(v) - drain).Abs())
 	if g := r.pendingGuest; g != nil {
 		// Spatial: victim keeps running on its remaining SMs; the guest
 		// takes the freed low SMs.
