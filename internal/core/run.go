@@ -163,8 +163,16 @@ func (s *System) RunFLEP(sc workload.Scenario, opt Options) (*RunResult, error) 
 				Waiting: fv.Tw, Preemptions: fv.Preemptions,
 			})
 		}
+		// A closed-loop relaunch is submitted from inside the finishing
+		// invocation's OnFinish, and the runtime holds that storage until its
+		// onComplete returns, so an item's launches alternate between two.
+		var v, spare *flepruntime.Invocation
 		return func() {
-			v, err := st.NewInvocation(l)
+			if spare == nil {
+				spare = new(flepruntime.Invocation)
+			}
+			v, spare = spare, v
+			err := st.NewInvocationIn(v, l)
 			if err == nil {
 				v.OnFinish = onFinish
 				err = st.RT.Submit(v)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"flep/internal/flepruntime"
 	"flep/internal/kernels"
 	"flep/internal/workload"
 )
@@ -210,10 +211,11 @@ func mallocs(f func()) uint64 {
 // TestClosedLoopRelaunchAllocationBudget pins what RunFLEP's driver pays to
 // carry a closed-loop client over one completion: the difference between a
 // 100 ms and a 300 ms run of Figure 13's VA_NN pair, divided by the launches
-// the longer run completed beyond the shorter. What is left is the relaunch's
-// Invocation and the two device callbacks the runtime binds to it at first
-// dispatch. The FFS rotations in between — five a launch here — redispatch
-// into the Exec the invocation owns and allocate nothing, and the item's
+// the longer run completed beyond the shorter. Nothing is left: it was three,
+// the relaunch's Invocation and the two device callbacks bound to it, until
+// an item's launches alternated between two invocations recycled in place,
+// with their callbacks bound once. The FFS rotations in between — five a
+// launch here — redispatch into the Exec the invocation owns, and the item's
 // done, submit and finish closures are built once per run. Results doubling
 // its backing array rounds down to nothing at this length.
 func TestClosedLoopRelaunchAllocationBudget(t *testing.T) {
@@ -237,10 +239,57 @@ func TestClosedLoopRelaunchAllocationBudget(t *testing.T) {
 	if n2-n1 < 100 {
 		t.Fatalf("%d launches in 100 ms and %d in 300 ms: too few to divide by", n1, n2)
 	}
-	const ceiling = 3
+	const ceiling = 0
 	if got := (a2 - a1) / uint64(n2-n1); got > ceiling {
 		t.Errorf("a closed-loop relaunch allocates %d times (%d allocations over %d launches), ceiling %d",
 			got, a2-a1, n2-n1, ceiling)
+	}
+}
+
+// TestNewInvocationInRecycles holds NewInvocationIn to NewInvocation: storage
+// the runtime has released, recycled for a launch without a budget or an L
+// override, carries exactly what fresh storage would, and storage the runtime
+// still holds is refused without being touched.
+func TestNewInvocationInRecycles(t *testing.T) {
+	st, err := testSystem(t).NewStack(Options{}, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	va, _ := kernels.ByName("VA")
+	nn, _ := kernels.ByName("NN")
+	first := Launch{Bench: va, Class: kernels.Large, Priority: 2, Budget: time.Millisecond, Dependent: true, L: 3}
+	next := Launch{Bench: nn, Class: kernels.Small, Priority: 1}
+	var v flepruntime.Invocation
+	if err := st.NewInvocationIn(&v, first); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.RT.Submit(&v); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.NewInvocationIn(&v, next); err == nil || v.Kernel != "VA" || v.ID != 1 {
+		t.Fatalf("recycling a running invocation: err %v, kernel %s, id %d", err, v.Kernel, v.ID)
+	}
+	st.Eng.Run()
+	if err := st.NewInvocationIn(&v, next); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := st.NewInvocation(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type launchFields struct {
+		ID, Priority, Tasks, L, Preemptions int
+		Kernel                              string
+		TaskCost, Deadline, Te, Tw, Tr      time.Duration
+		WorkingSet                          int64
+		Dependent, Finish                   bool
+	}
+	fields := func(v *flepruntime.Invocation) launchFields {
+		return launchFields{v.ID, v.Priority, v.Tasks, v.L, v.Preemptions, v.Kernel,
+			v.TaskCost, v.Deadline, v.Te, v.Tw, v.Tr, v.WorkingSet, v.Dependent, v.OnFinish != nil}
+	}
+	if got, want := fields(&v), fields(fresh); got != want || v.Profile != fresh.Profile || v.State() != fresh.State() {
+		t.Errorf("recycled %+v (%v), fresh %+v (%v)", got, v.State(), want, fresh.State())
 	}
 }
 

@@ -101,10 +101,24 @@ type Launch struct {
 // The caller sets OnFinish and submits. It fails only for a benchmark the
 // offline phase has not processed.
 func (st *Stack) NewInvocation(l Launch) (*flepruntime.Invocation, error) {
+	v := new(flepruntime.Invocation)
+	if err := st.NewInvocationIn(v, l); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// NewInvocationIn is NewInvocation into storage the caller owns: the zero
+// Invocation, or one the runtime has released (its onComplete returned),
+// recycled in place. Storage a runtime still holds is refused untouched.
+func (st *Stack) NewInvocationIn(v *flepruntime.Invocation, l Launch) error {
 	in := l.Bench.LaunchInput(l.Class, l.TasksOverride)
 	te, err := st.sys.Predict(l.Bench, in)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if err := v.Recycle(); err != nil {
+		return err
 	}
 	a := st.sys.arts[l.Bench.Name]
 	if st.ffs != nil && l.Weight > 0 {
@@ -115,24 +129,16 @@ func (st *Stack) NewInvocation(l Launch) (*flepruntime.Invocation, error) {
 		// overhead record when the tenant departs (FFS.OnCompletion).
 		st.ffs.SetKernelWeight(l.Bench.Name, l.Weight)
 	}
-	v := &flepruntime.Invocation{
-		Kernel:     l.Bench.Name,
-		Priority:   l.Priority,
-		Profile:    a.Profile,
-		Tasks:      in.Tasks,
-		TaskCost:   in.TaskCost,
-		L:          a.L,
-		WorkingSet: in.WorkingSet(),
-		Te:         te,
-		Dependent:  l.Dependent,
-	}
+	v.Kernel, v.Priority, v.Profile = l.Bench.Name, l.Priority, a.Profile
+	v.Tasks, v.TaskCost, v.L, v.WorkingSet = in.Tasks, in.TaskCost, a.L, in.WorkingSet()
+	v.Te, v.Dependent, v.Deadline = te, l.Dependent, 0
 	if l.L > 0 {
 		v.L = l.L
 	}
 	if l.Budget > 0 {
 		v.Deadline = st.Eng.Now() + l.Budget
 	}
-	return v, nil
+	return nil
 }
 
 // Finished is the one way out of the runtime: it turns a finished
