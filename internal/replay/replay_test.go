@@ -441,16 +441,17 @@ func TestReplayMatchesRunFLEPOnPriorityPair(t *testing.T) {
 }
 
 // TestReplayAllocationBudget holds one replay of the 1,020-record what-if
-// mix under FFS on one device to 3.2 allocations and 700 bytes per record
+// mix under FFS on one device to 0.1 allocations and 200 bytes per record
 // (6.75 and 1,486 when every record was copied and sorted per run, every
 // dispatch allocated its gpu.Exec and every outcome was its own object with
-// its own OnFinish closure). The three are the launch itself: the
-// Invocation, which owns its Exec, and the two device callbacks the runtime
-// binds at its first dispatch. The outcomes are one slab pointing into the
-// trace, found again through the invocation's ID by one OnFinish per device,
-// and the order the records are walked in was sorted when the replayer was
-// built. The fraction is per run rather than per record: the stack, the
-// slab, the drain samples and the summary, some eighty allocations.
+// its own OnFinish closure; 3.08 and 680 while every launch allocated its
+// Invocation and the two device callbacks bound to it). The invocations are
+// the replayer's, one per record, recycled run after run with their
+// callbacks bound once. The outcomes are one slab pointing into the trace,
+// found again through the invocation's ID by one OnFinish per device, and
+// the order the records are walked in was sorted when the replayer was
+// built. What is left is per run: the stack, the outcome slab, the drain
+// samples and the summary, some seventy allocations.
 func TestReplayAllocationBudget(t *testing.T) {
 	tr, err := SynthesizeMix(whatIfMix(), 1)
 	if err != nil {
@@ -476,8 +477,8 @@ func TestReplayAllocationBudget(t *testing.T) {
 	records := float64(runs * len(tr.Records))
 	allocs := float64(after.Mallocs-before.Mallocs) / records
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / records
-	if len(tr.Records) != 1020 || allocs > 3.2 || bytes > 700 {
-		t.Errorf("%d records replay at %.2f allocations and %.0f bytes each, ceilings 3.2 and 700 on 1,020",
+	if len(tr.Records) != 1020 || allocs > 0.1 || bytes > 200 {
+		t.Errorf("%d records replay at %.2f allocations and %.0f bytes each, ceilings 0.1 and 200 on 1,020",
 			len(tr.Records), allocs, bytes)
 	}
 }
