@@ -479,22 +479,23 @@ func regenAllocs(t *testing.T, gen func() (*Table, error)) (objects, bytes uint6
 
 // TestFigure13AllocationBudget holds one regeneration of Figure 13 — 28
 // closed-loop pairs, 400 ms of virtual time each, a rotation every ~200 µs —
-// under 60,000 allocations; it made 130,827 when every dispatch allocated
-// its gpu.Exec and every relaunch five closures. What is left is per launch
-// (the Invocation and its two device callbacks, some 13,000 launches), per
-// share sample, and per run (a stack, its engine's records, the results
-// slice as it doubles). Together with Figure 14, which is the same 28 runs
-// without the share sampler, the paper's FFS study stays under 100,000
-// allocations and 24 MB.
+// under 10,000 allocations; it made 130,827 when every dispatch allocated
+// its gpu.Exec and every relaunch five closures, and 46,602 while every
+// launch of some 13,000 allocated its Invocation and two device callbacks.
+// An item's launches now alternate between two recycled invocations, so
+// what is left is per share sample and per run (a stack, its engine's
+// records, the results slice as it doubles). Together with Figure 14, which
+// is the same 28 runs without the share sampler, the paper's FFS study stays
+// under 12,000 allocations and 8 MB.
 func TestFigure13AllocationBudget(t *testing.T) {
 	s := testSuite(t)
 	o13, b13 := regenAllocs(t, s.Figure13)
-	if o13 > 60_000 {
-		t.Errorf("Figure 13 allocates %d objects per regeneration, ceiling 60,000", o13)
+	if o13 > 10_000 {
+		t.Errorf("Figure 13 allocates %d objects per regeneration, ceiling 10,000", o13)
 	}
 	o14, b14 := regenAllocs(t, s.Figure14)
-	if o13+o14 > 100_000 || b13+b14 > 24<<20 {
-		t.Errorf("Figures 13 and 14 allocate %d objects and %d bytes per regeneration, ceilings 100,000 and 24 MB",
+	if o13+o14 > 12_000 || b13+b14 > 8<<20 {
+		t.Errorf("Figures 13 and 14 allocate %d objects and %d bytes per regeneration, ceilings 12,000 and 8 MB",
 			o13+o14, b13+b14)
 	}
 	t.Logf("fig13 %d objects %d bytes, fig14 %d objects %d bytes", o13, b13, o14, b14)
