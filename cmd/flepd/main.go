@@ -7,9 +7,11 @@
 // when a deadline is at risk; admission control sheds best-effort
 // launches (429) while the queue threatens outstanding deadlines.
 // With -devices N it runs a fleet of N device shards behind one front
-// door: each shard owns its own simulated K40 and event loop, a
-// memory-aware least-loaded router places every admitted launch, and the
-// read endpoints aggregate across shards with a device label.
+// door: each shard owns its own simulated K40 and event loop, a named
+// client (or an anonymous client's graph) is pinned to the shard its key
+// hashes to on the gateway's consistent-hash ring, any other launch goes
+// to the memory-aware least-loaded shard, and the read endpoints
+// aggregate across shards with a device label.
 //
 // Usage:
 //
@@ -73,7 +75,6 @@ func main() {
 		pace         = flag.Duration("pace", 0, "real-time sleep per simulated event (0 = full speed)")
 		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "graceful-shutdown drain bound")
 		devices      = flag.Int("devices", 1, "number of device shards in the fleet")
-		affinity     = flag.Bool("affinity", true, "pin each client to the shard of its first launch")
 		recordPath   = flag.String("record", "", "append every admitted launch to a replay trace (JSONL) at this path")
 		recordRotate = flag.Int64("record-rotate", 0, "rotate the trace once a segment exceeds this many bytes (0 = never)")
 		debugAddr    = flag.String("debug-addr", "", "optional net/http/pprof listen address (e.g. localhost:6060); empty disables")
@@ -101,8 +102,7 @@ func main() {
 			Pace:           *pace,
 			Logf:           log.Printf,
 		},
-		Devices:  *devices,
-		Affinity: *affinity,
+		Devices: *devices,
 	}
 	var recorder *replay.Recorder
 	if *recordPath != "" {

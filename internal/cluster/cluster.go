@@ -1,9 +1,18 @@
+// Package cluster is the flepgw gateway: one HTTP front door over N
+// independent flepd nodes, presenting the same /v1 surface a single
+// daemon does. The gateway owns routing (consistent-hash session
+// affinity, memory/load-aware placement for unaffinitized launches),
+// node health, drain/rebalance, and fleet-wide aggregation of status,
+// sessions, traces, and metrics. Nodes stay mutually unaware — flepd
+// gains no cluster code — so a node can be killed, drained, or added
+// behind the gateway without touching the data plane it serves.
 package cluster
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -112,14 +121,13 @@ type Gateway struct {
 	cfg       Config
 	reg       *obs.Registry
 	rec       *replay.Recorder
-	ring      *ring
+	ring      *server.Ring // over the node addresses; part i is nodes[i]
 	startReal time.Time
 
-	mu     sync.Mutex
-	nodes  []*node
-	byAddr map[string]*node
-	byID   map[string]*node
-	rr     int64 // rotating tie-break for placement bursts
+	mu    sync.Mutex
+	nodes []*node
+	byID  map[string]*node
+	rr    int64 // rotating tie-break for placement bursts
 
 	met *gwMetrics
 
@@ -140,7 +148,6 @@ func New(cfg Config) (*Gateway, error) {
 		reg:        obs.NewRegistry(),
 		rec:        cfg.Recorder,
 		startReal:  time.Now(),
-		byAddr:     map[string]*node{},
 		byID:       map[string]*node{},
 		stopCh:     make(chan struct{}),
 		healthDone: make(chan struct{}),
@@ -151,19 +158,18 @@ func New(cfg Config) (*Gateway, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, dup := g.byAddr[addr]; dup {
+		if slices.Contains(addrs, addr) {
 			return nil, fmt.Errorf("cluster: duplicate node address %s", addr)
 		}
 		n := &node{id: fmt.Sprintf("n%d", i), addr: addr}
 		g.nodes = append(g.nodes, n)
-		g.byAddr[addr] = n
 		g.byID[n.id] = n
 		addrs = append(addrs, addr)
 	}
 	// The ring hashes addresses, not positional IDs: re-listing the same
 	// cluster with one node added leaves existing sessions' home nodes
 	// unchanged even though positional IDs shift.
-	g.ring = newRing(addrs)
+	g.ring = server.NewRing(addrs)
 	g.met = newGWMetrics(g.reg, g)
 	for _, n := range g.nodes {
 		//flepvet:allow metriclabel -- node IDs are fixed at startup from -nodes, bounded cardinality

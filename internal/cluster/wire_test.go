@@ -70,7 +70,7 @@ func wireGateway(t *testing.T, cfg server.Config) wireTier {
 	dial := map[string]string{}
 	var nodes []string
 	for _, name := range []string{"wire-n0", "wire-n1"} {
-		f, err := server.NewFleetWithSystem(testSystem(t), server.FleetConfig{Config: cfg, Devices: 1, Affinity: true})
+		f, err := server.NewFleetWithSystem(testSystem(t), server.FleetConfig{Config: cfg, Devices: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,7 @@ package lint
 //   lockinvert — a two-lock component with a dominant direction; the
 //     minority edges are reported (the likely bug is the rare path);
 //   lockpair   — the edge violates a declared contract from
-//     lockOrderContracts (never-both pairs and one-way orders), the
+//     lockOrderContracts (pairs never held together), the
 //     machine-checked form of the comments in internal/server/deps.go
 //     and internal/cluster.
 //
@@ -55,21 +55,14 @@ var LockOrderAnalyzer = &analysis.Analyzer{
 	Finish:     finishLockOrder,
 }
 
-// lockPairKind distinguishes contract flavors.
-type lockPairKind int
-
-const (
-	pairNeverBoth lockPairKind = iota // neither may be held while acquiring the other
-	pairOrder                         // a before b; acquiring a while holding b is the violation
-)
-
 type lockRef struct {
 	pkgSub string // substring of the lock's package path
 	tail   string // "Type.field" or package var name
 }
 
+// lockContract is a pair of locks neither of which may be held while
+// acquiring the other.
 type lockContract struct {
-	kind lockPairKind
 	a, b lockRef
 	why  string
 }
@@ -77,17 +70,11 @@ type lockContract struct {
 // lockOrderContracts is the machine-checked form of the repo's
 // documented nesting rules.
 var lockOrderContracts = []lockContract{
-	{pairNeverBoth,
-		lockRef{"internal/server", "Server.mu"}, lockRef{"internal/server", "Server.depMu"},
+	{lockRef{"internal/server", "Server.mu"}, lockRef{"internal/server", "Server.depMu"},
 		"deps.go contract: the dep-table mutex is never held together with the loop mu"},
-	{pairOrder,
-		lockRef{"internal/server", "Fleet.mu"}, lockRef{"internal/server", "Server.mu"},
-		"fleet contract: shard locks nest inside the fleet lock (route→pickShard→Load), never the reverse"},
-	{pairNeverBoth,
-		lockRef{"internal/replay", "Recorder.mu"}, lockRef{"internal/obs", "Registry.mu"},
+	{lockRef{"internal/replay", "Recorder.mu"}, lockRef{"internal/obs", "Registry.mu"},
 		"replay contract: the recorder mu must not be held across registry calls — scrape closures take it"},
-	{pairNeverBoth,
-		lockRef{"internal/cluster", "Gateway.mu"}, lockRef{"internal/server", "Server.mu"},
+	{lockRef{"internal/cluster", "Gateway.mu"}, lockRef{"internal/server", "Server.mu"},
 		"cluster contract: the gateway node lock and an in-process shard lock must never nest"},
 }
 
@@ -240,18 +227,10 @@ func finishLockOrder(results []analysis.Result, report func(analysis.Diagnostic)
 	// Contract violations.
 	for _, e := range edges {
 		for _, ct := range lockOrderContracts {
-			switch ct.kind {
-			case pairNeverBoth:
-				if (ct.a.matches(e.From) && ct.b.matches(e.To)) ||
-					(ct.b.matches(e.From) && ct.a.matches(e.To)) {
-					report(analysis.Diagnostic{Pos: e.Pos, Category: "lockpair",
-						Message: fmt.Sprintf("acquires %s while holding %s — %s", shortLock(e.To), shortLock(e.From), ct.why)})
-				}
-			case pairOrder:
-				if ct.b.matches(e.From) && ct.a.matches(e.To) {
-					report(analysis.Diagnostic{Pos: e.Pos, Category: "lockpair",
-						Message: fmt.Sprintf("acquires %s while holding %s — %s", shortLock(e.To), shortLock(e.From), ct.why)})
-				}
+			if (ct.a.matches(e.From) && ct.b.matches(e.To)) ||
+				(ct.b.matches(e.From) && ct.a.matches(e.To)) {
+				report(analysis.Diagnostic{Pos: e.Pos, Category: "lockpair",
+					Message: fmt.Sprintf("acquires %s while holding %s — %s", shortLock(e.To), shortLock(e.From), ct.why)})
 			}
 		}
 	}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"flep/internal/core"
-	"flep/internal/kernels"
 	"flep/internal/obs"
 	"flep/internal/trace"
 )
@@ -26,11 +25,6 @@ type FleetConfig struct {
 	// its own core.System, simulated device, and event-loop goroutine, so
 	// shards simulate concurrently on separate cores.
 	Devices int
-	// Affinity pins each client to the shard chosen for its first launch,
-	// so a tenant's kernels contend (and preempt) on one device like the
-	// paper's co-run scenarios. Off, every launch is placed independently
-	// by memory-aware least-loaded scoring.
-	Affinity bool
 }
 
 // Fleet fronts N device shards with a placement router and aggregated
@@ -39,18 +33,9 @@ type FleetConfig struct {
 // engine per device and adds the layer the paper leaves to the cluster —
 // deciding which device each intercepted launch lands on.
 type Fleet struct {
-	cfg       FleetConfig
 	shards    []*Server
+	ring      *Ring // over the shard indices, for pinned launches
 	startReal time.Time
-
-	// mu guards the affinity table. Placement decisions run under it too,
-	// so two concurrent first-launches of one client cannot pin the client
-	// to different shards.
-	mu       sync.Mutex
-	affinity map[string]int
-	// trying holds the clients whose pin no accepted launch has confirmed
-	// yet, with how many of their launches a shard is still deciding on.
-	trying map[string]int
 
 	// rr rotates the tie-break start of pickShard. Load is only visible
 	// once a launch is enqueued, so a burst of concurrent placements all
@@ -77,13 +62,10 @@ func NewFleetWithSystem(sys *core.System, cfg FleetConfig) (*Fleet, error) {
 	if cfg.Devices <= 0 {
 		cfg.Devices = 1
 	}
-	f := &Fleet{
-		cfg:       cfg,
-		affinity:  map[string]int{},
-		trying:    map[string]int{},
-		startReal: time.Now(),
-	}
-	for i := 0; i < cfg.Devices; i++ {
+	f := &Fleet{startReal: time.Now()}
+	ids := make([]string, cfg.Devices)
+	for i := range ids {
+		ids[i] = strconv.Itoa(i)
 		shardCfg := cfg.Config
 		shardCfg.Device = i
 		shardCfg.FleetShards = cfg.Devices
@@ -96,7 +78,8 @@ func NewFleetWithSystem(sys *core.System, cfg FleetConfig) (*Fleet, error) {
 		}
 		f.shards = append(f.shards, s)
 	}
-	cfg.Logf("fleet: %d device shard(s), affinity=%v", cfg.Devices, cfg.Affinity)
+	f.ring = NewRing(ids)
+	cfg.Logf("fleet: %d device shard(s)", cfg.Devices)
 	return f, nil
 }
 
@@ -105,59 +88,6 @@ func (f *Fleet) Devices() int { return len(f.shards) }
 
 // Shard returns the i-th device shard (tests and embedders).
 func (f *Fleet) Shard(i int) *Server { return f.shards[i] }
-
-// WorkingSet computes a launch's resident footprint for placement — the
-// figure the serving shard's admission will reserve — or 0 when the
-// request is not placeable by memory (a benchmark the daemon's
-// /v1/benchmarks catalog does not list, or an unknown class; the serving
-// shard's own validation rejects it).
-func WorkingSet(catalog []BenchmarkInfo, req LaunchRequest) int64 {
-	for _, bi := range catalog {
-		if bi.Name != req.Benchmark {
-			continue
-		}
-		b, err := kernels.ByName(bi.Name)
-		if err != nil {
-			return 0
-		}
-		class, err := kernels.ParseClass(req.Class)
-		if err != nil {
-			return 0
-		}
-		return b.LaunchInput(class, req.TasksOverride).WorkingSet()
-	}
-	return 0
-}
-
-// Placement scores one candidate (a fleet's shard, a cluster's node) for
-// one launch.
-type Placement struct {
-	// Fits reports that the candidate's free device memory covers the
-	// launch's working set.
-	Fits bool
-	// Load is the candidate's queue depth plus admitted-but-unfinished
-	// launches.
-	Load int64
-	// Rot is the candidate's distance from the rotating start index.
-	Rot int
-}
-
-// Before is the serving tier's one placement order: candidates that fit
-// the working set first, then the least loaded; a launch no candidate
-// fits goes to the least loaded overall, where the runtime's own memory
-// admission queues it until space frees up. Load is only visible once a
-// launch is enqueued, so a burst of concurrent placements all read equal
-// (stale) loads; ties break toward the rotating start so the burst still
-// spreads round-robin instead of herding onto candidate 0.
-func (p Placement) Before(q Placement) bool {
-	if p.Fits != q.Fits {
-		return p.Fits
-	}
-	if p.Load != q.Load {
-		return p.Load < q.Load
-	}
-	return p.Rot < q.Rot
-}
 
 // pickShard returns the shard that comes first in placement order.
 func (f *Fleet) pickShard(req LaunchRequest) int {
@@ -176,66 +106,18 @@ func (f *Fleet) pickShard(req LaunchRequest) int {
 	return best
 }
 
-// route places one launch, honoring session affinity when enabled.
-// Graph-bearing requests always pin through the affinity table, even
-// when affinity is off: the pending-dependency state of a client's
-// graphs lives on one shard, so every stage of every graph the client
-// submits must land there or prerequisites would never be observed.
-// tentative reports that the launch went through a pin no accepted launch
-// has confirmed yet; the caller owes settle the shard's verdict.
-func (f *Fleet) route(req LaunchRequest, client string) (s *Server, tentative bool) {
+// route places one launch: a pinned one (PinKey) on its ring home among
+// the shards, as the gateway places it among nodes, and any other on the
+// shard first in placement order. Routing keeps no state, so it takes no
+// lock.
+func (f *Fleet) route(req LaunchRequest, client string) *Server {
 	if len(f.shards) == 1 {
-		return f.shards[0], false
+		return f.shards[0]
 	}
-	if !f.cfg.Affinity && req.Graph == "" {
-		return f.shards[f.pickShard(req)], false
+	if key, ok := PinKey(client, req); ok {
+		return f.shards[f.ring.Home(key)]
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	i, ok := f.affinity[client]
-	if !ok {
-		i = f.pickShard(req)
-		f.affinity[client], f.trying[client] = i, 0
-	}
-	n, tentative := f.trying[client]
-	if tentative {
-		f.trying[client] = n + 1
-	}
-	return f.shards[i], tentative
-}
-
-// settle ends one tentative launch. An acceptance makes the pin permanent.
-// A refusal (400, 429, 503, 409) that leaves no launch undecided drops it:
-// refused requests carry attacker-controlled names, and a pin per garbage
-// name is the unbounded state countLocked refuses to keep. Concurrent first
-// launches of one client share the pin while any of them is undecided, so
-// they still agree on one shard.
-func (f *Fleet) settle(client string, accepted bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n, tentative := f.trying[client]
-	switch {
-	case !tentative: // a concurrent launch was accepted first
-	case accepted:
-		delete(f.trying, client)
-	case n > 1:
-		f.trying[client] = n - 1
-	default:
-		delete(f.trying, client)
-		delete(f.affinity, client)
-	}
-}
-
-// AffinityFor reports the shard a client is pinned to (tests). A
-// one-shard fleet pins every client to shard 0 without a table entry.
-func (f *Fleet) AffinityFor(client string) (int, bool) {
-	if len(f.shards) == 1 {
-		return 0, true
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	i, ok := f.affinity[client]
-	return i, ok
+	return f.shards[f.pickShard(req)]
 }
 
 // Shutdown drains every shard concurrently and returns the first error.
@@ -304,8 +186,8 @@ func (f *Fleet) Status() Status {
 }
 
 // SessionSnapshots merges the shards' per-client sessions by ID; Devices
-// lists every shard the client's launches touched (exactly one under
-// affinity).
+// lists every shard the client's launches touched (exactly one for a named
+// client, which is pinned).
 func (f *Fleet) SessionSnapshots() []SessionSnapshot {
 	parts := make([][]SessionSnapshot, len(f.shards))
 	for i, s := range f.shards {
@@ -351,10 +233,7 @@ func (f *Fleet) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		f.shards[0].refuse(w, outRejectedInvalid, "", fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	s, tentative := f.route(req, client)
-	if accepted := s.serveLaunch(w, r, req, client); tentative {
-		f.settle(client, accepted)
-	}
+	f.route(req, client).serveLaunch(w, r, req, client)
 }
 
 func (f *Fleet) catalog() []BenchmarkInfo { return f.shards[0].info }

@@ -336,8 +336,11 @@ func newHandler(d daemon) http.Handler {
 	return mux
 }
 
+// anonymous is the session of a launch that names no client.
+const anonymous = "anonymous"
+
 // ResolveClient names the session a launch belongs to: the X-Flep-Client
-// header over the body's client field over "anonymous".
+// header over the body's client field over anonymous.
 func ResolveClient(r *http.Request, bodyClient string) string {
 	if client := r.Header.Get("X-Flep-Client"); client != "" {
 		return client
@@ -345,7 +348,7 @@ func ResolveClient(r *http.Request, bodyClient string) string {
 	if bodyClient != "" {
 		return bodyClient
 	}
-	return "anonymous"
+	return anonymous
 }
 
 // decodeLaunch parses the request body and resolves the client identity.
@@ -381,13 +384,12 @@ func (s *Server) refuse(w http.ResponseWriter, o outcome, client string, err err
 // serveLaunch admits one parsed launch on this shard, awaits its result
 // and answers. The fleet router calls it directly after placement, so
 // every outcome — including validation rejects — is accounted on the
-// shard that handled it. It reports whether the launch was accepted (became
-// this shard's work) rather than refused.
-func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchRequest, client string) (accepted bool) {
+// shard that handled it.
+func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchRequest, client string) {
 	q, o, err := s.admitLaunch(&req, client)
 	if err != nil {
 		s.refuse(w, o, client, err)
-		return false
+		return
 	}
 
 	timeout := s.cfg.RequestTimeout
@@ -425,7 +427,6 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 		// the abandonment so /v1/sessions can tell it from a live waiter.
 		s.count(outCanceled, client)
 	}
-	return true
 }
 
 // maxDurationMS is the most milliseconds a time.Duration holds: a larger
