@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"flep/internal/cudalite"
@@ -89,14 +90,35 @@ func (s *System) Clone() *System {
 // Offline runs the complete offline phase for the benchmarks: program
 // transformation, amortizing-factor tuning (threshold 4%), performance
 // model training (100 random inputs), and preemption-overhead profiling
-// (50 runs).
+// (50 runs). Each benchmark's phase is independent of the others', so each
+// builds on its own goroutine; nothing writes the system's tables until
+// all have joined, and then the results merge in input order. An error
+// names the first benchmark in input order that failed, and the ones
+// before it are merged, as if they had been built one after another.
 func (s *System) Offline(benchs []*kernels.Benchmark) error {
-	for _, b := range benchs {
-		a, err := s.buildArtifacts(b)
-		if err != nil {
-			return fmt.Errorf("core: offline %s: %w", b.Name, err)
+	type built struct {
+		a    *Artifacts
+		solo []time.Duration
+		err  error
+	}
+	out := make([]built, len(benchs))
+	var wg sync.WaitGroup
+	for i, b := range benchs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i].a, out[i].solo, out[i].err = buildArtifacts(s.Par, b)
+		}()
+	}
+	wg.Wait()
+	for i, b := range benchs {
+		if out[i].err != nil {
+			return fmt.Errorf("core: offline %s: %w", b.Name, out[i].err)
 		}
-		s.arts[b.Name] = a
+		s.arts[b.Name] = out[i].a
+		for _, c := range kernels.Classes() {
+			s.solo[soloKey{b.Name, c}] = out[i].solo[c]
+		}
 	}
 	return nil
 }
@@ -104,60 +126,50 @@ func (s *System) Offline(benchs []*kernels.Benchmark) error {
 // OfflineAll runs Offline for the full benchmark suite.
 func (s *System) OfflineAll() error { return s.Offline(kernels.All()) }
 
-func (s *System) buildArtifacts(b *kernels.Benchmark) (*Artifacts, error) {
+// buildArtifacts runs the offline phase for b on a device with parameters
+// par. It returns the artifacts and b's solo baselines (the ANTT/STP
+// denominators), indexed by input class: they are offline
+// artifacts too, so for a processed benchmark SoloTime never simulates,
+// on the system or on a Clone of it.
+func buildArtifacts(par gpu.Params, b *kernels.Benchmark) (*Artifacts, []time.Duration, error) {
 	prog, err := b.Parse()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	transformed, info, err := transform.TransformKernel(prog, b.KernelName, transform.ModeSpatial)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res, err := transform.EstimateResources(prog, prog.Kernel(b.KernelName))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	profile, err := s.profile(b)
+	profile, err := b.Profile(par.Limits)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	a := &Artifacts{
 		Bench: b, Profile: profile,
 		Program: prog, Transformed: transformed, Info: info,
 		Resources: res,
 	}
-
-	// The solo baselines (the ANTT/STP denominators) are offline artifacts
-	// too: for a processed benchmark SoloTime never simulates, on this
-	// system or on a Clone of it.
+	solo := make([]time.Duration, len(kernels.Classes()))
 	for _, c := range kernels.Classes() {
-		s.solo[soloKey{b.Name, c}] = s.simSolo(profile, b.Input(c), 0)
+		solo[c] = simSolo(par, profile, b.Input(c), 0)
 	}
 
 	// Offline tuning: smallest L with single-run overhead under 4%,
 	// measured on the large input (§4.1).
 	large := b.Input(kernels.Large)
-	orig := s.solo[soloKey{b.Name, kernels.Large}]
+	orig := solo[kernels.Large]
 	a.L, a.TunedOverhead, a.TuneOK = transform.Autotune(func(L int) float64 {
-		t := s.simSolo(profile, large, L)
+		t := simSolo(par, profile, large, L)
 		return (t - orig).Seconds() / orig.Seconds()
 	}, transform.DefaultOverheadThreshold, transform.DefaultMaxAmortize)
 
-	// Performance model: 100 random inputs, linear regression with L2
-	// penalty (§4.2).
-	var samples []perfmodel.Sample
-	for i := 0; i < 100; i++ {
-		scale := float64(i%100+1) / 100
-		in := b.ScaledInput(scale, int64(i))
-		dur := s.simSolo(profile, in, 0)
-		samples = append(samples, perfmodel.Sample{
-			F:        s.features(b, in),
-			Duration: dur,
-		})
-	}
-	model, err := perfmodel.Train(samples, perfmodel.DefaultLambda)
+	model, err := perfmodel.Train(trainingSamples(par, a), perfmodel.DefaultLambda)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	a.Model = model
 
@@ -167,8 +179,8 @@ func (s *System) buildArtifacts(b *kernels.Benchmark) (*Artifacts, error) {
 	for i := 0; i < perfmodel.DefaultOverheadRuns; i++ {
 		frac := float64(i+1) / float64(perfmodel.DefaultOverheadRuns+1)
 		in := b.ScaledInput(0.05+0.1*frac, int64(1000+i))
-		solo := s.simSolo(profile, in, a.L)
-		total := s.simPreemptResume(profile, in.Tasks, in.TaskCost, a.L, time.Duration(frac*float64(solo)))
+		solo := simSolo(par, profile, in, a.L)
+		total := simPreemptResume(par, profile, in.Tasks, in.TaskCost, a.L, time.Duration(frac*float64(solo)))
 		if total > solo {
 			prof.Add(total - solo)
 		} else {
@@ -176,21 +188,31 @@ func (s *System) buildArtifacts(b *kernels.Benchmark) (*Artifacts, error) {
 		}
 	}
 	a.PreemptOverhead = prof.Mean()
-	return a, nil
+	return a, solo, nil
 }
 
-// features builds the model features for an input.
-func (s *System) features(b *kernels.Benchmark, in kernels.Input) perfmodel.Features {
-	a := s.arts[b.Name]
-	shared := 0
-	if a != nil {
-		shared = a.Resources.StaticSharedBytes
+// trainingSamples simulates the performance model's training set: 100
+// random inputs (§4.2), described by the features Predict will see.
+func trainingSamples(par gpu.Params, a *Artifacts) []perfmodel.Sample {
+	samples := make([]perfmodel.Sample, 0, 100)
+	for i := 0; i < 100; i++ {
+		scale := float64(i%100+1) / 100
+		in := a.Bench.ScaledInput(scale, int64(i))
+		samples = append(samples, perfmodel.Sample{
+			F:        a.features(in),
+			Duration: simSolo(par, a.Profile, in, 0),
+		})
 	}
+	return samples
+}
+
+// features builds the model features for an input to a's kernel.
+func (a *Artifacts) features(in kernels.Input) perfmodel.Features {
 	return perfmodel.Features{
 		GridSize:    float64(in.Tasks),
-		CTASize:     float64(b.ThreadsPerCTA),
+		CTASize:     float64(a.Bench.ThreadsPerCTA),
 		InputBytes:  float64(in.Bytes),
-		SharedBytes: float64(shared),
+		SharedBytes: float64(a.Resources.StaticSharedBytes),
 	}
 }
 
@@ -200,7 +222,7 @@ func (s *System) Predict(b *kernels.Benchmark, in kernels.Input) (time.Duration,
 	if a == nil {
 		return 0, fmt.Errorf("core: no artifacts for %s (run Offline first)", b.Name)
 	}
-	return a.Model.Predict(s.features(b, in)), nil
+	return a.Model.Predict(a.features(in)), nil
 }
 
 // SoloRun measures one kernel configuration's solo runtime on a fresh
@@ -223,10 +245,10 @@ func SoloRun(par gpu.Params, profile *gpu.KernelProfile, in kernels.Input, L int
 	return done, nil
 }
 
-// simSolo is SoloRun on the system's device for inputs the offline phase
-// generates itself, where a refused start is a bug.
-func (s *System) simSolo(profile *gpu.KernelProfile, in kernels.Input, L int) time.Duration {
-	d, err := SoloRun(s.Par, profile, in, L)
+// simSolo is SoloRun for inputs the offline phase generates itself, where
+// a refused start is a bug.
+func simSolo(par gpu.Params, profile *gpu.KernelProfile, in kernels.Input, L int) time.Duration {
+	d, err := SoloRun(par, profile, in, L)
 	if err != nil {
 		panic(fmt.Sprintf("core: simSolo: %v", err))
 	}
@@ -235,9 +257,9 @@ func (s *System) simSolo(profile *gpu.KernelProfile, in kernels.Input, L int) ti
 
 // simPreemptResume measures the elapsed time of a persistent run that is
 // temporally preempted at `at` and resumed as soon as the drain completes.
-func (s *System) simPreemptResume(profile *gpu.KernelProfile, tasks int, cost time.Duration, L int, at time.Duration) time.Duration {
+func simPreemptResume(par gpu.Params, profile *gpu.KernelProfile, tasks int, cost time.Duration, L int, at time.Duration) time.Duration {
 	eng := sim.New()
-	dev := gpu.New(eng, s.Par)
+	dev := gpu.New(eng, par)
 	var done time.Duration
 	start := func(doneTasks int, onDrained func(int)) *gpu.Exec {
 		e, err := dev.Start(gpu.ExecConfig{
