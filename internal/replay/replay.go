@@ -80,23 +80,28 @@ func NewReplayer(t *Trace, opts ReplayerOptions) (*Replayer, error) {
 		sys:     core.NewSystem(opts.Params),
 		benches: map[string]*kernels.Benchmark{},
 	}
+	var benchs []*kernels.Benchmark
 	for _, name := range t.Benchmarks() {
 		b, err := kernels.ByName(name)
 		if err != nil {
 			return nil, fmt.Errorf("replay: trace references %s: %w", name, err)
 		}
-		start := time.Now() //flepvet:allow wallclock -- measures real offline-phase duration for progress logs only; never enters the Summary
-		if err := rp.sys.Offline([]*kernels.Benchmark{b}); err != nil {
-			return nil, fmt.Errorf("replay: offline %s: %w", name, err)
-		}
-		if m := opts.Models[name]; m != nil {
-			rp.sys.Artifacts(name).Model = m
-			opts.Logf("offline %-5s (%v) [warm predictor]", name, time.Since(start).Round(time.Millisecond)) //flepvet:allow wallclock -- progress log timing only; never enters the Summary
-		} else {
-			opts.Logf("offline %-5s (%v)", name, time.Since(start).Round(time.Millisecond)) //flepvet:allow wallclock -- progress log timing only; never enters the Summary
-		}
+		benchs = append(benchs, b)
 		rp.benches[name] = b
 	}
+	start := time.Now() //flepvet:allow wallclock -- measures real offline-phase duration for progress logs only; never enters the Summary
+	if err := rp.sys.Offline(benchs); err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
+	}
+	for _, b := range benchs {
+		if m := opts.Models[b.Name]; m != nil {
+			rp.sys.Artifacts(b.Name).Model = m
+			opts.Logf("offline %-5s [warm predictor]", b.Name)
+		} else {
+			opts.Logf("offline %-5s", b.Name)
+		}
+	}
+	opts.Logf("offline phase: %d benchmarks in %v", len(benchs), time.Since(start).Round(time.Millisecond)) //flepvet:allow wallclock -- progress log timing only; never enters the Summary
 	recs := t.Records
 	rp.timed = make([]int, len(recs))
 	for i := range recs {

@@ -398,16 +398,16 @@ func offlineSystem(cfg *Config) (*core.System, error) {
 		return nil, err
 	}
 	sys := core.NewSystem(cfg.Params)
-	for _, b := range benchs {
-		start := time.Now()
-		if err := sys.Offline([]*kernels.Benchmark{b}); err != nil {
-			return nil, fmt.Errorf("server: offline %s: %w", b.Name, err)
-		}
-		a := sys.Artifacts(b.Name)
-		cfg.Logf("offline %-5s L=%-4d overhead=%.2f%% preempt=%v (%v)",
-			b.Name, a.L, a.TunedOverhead*100, a.PreemptOverhead.Round(time.Microsecond),
-			time.Since(start).Round(time.Millisecond))
+	start := time.Now()
+	if err := sys.Offline(benchs); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
+	for _, b := range benchs {
+		a := sys.Artifacts(b.Name)
+		cfg.Logf("offline %-5s L=%-4d overhead=%.2f%% preempt=%v",
+			b.Name, a.L, a.TunedOverhead*100, a.PreemptOverhead.Round(time.Microsecond))
+	}
+	cfg.Logf("offline phase: %d benchmarks in %v", len(benchs), time.Since(start).Round(time.Millisecond))
 	return sys, nil
 }
 
