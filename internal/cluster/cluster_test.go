@@ -900,6 +900,66 @@ func TestGraphStageRefusedAtHomeStaysHome(t *testing.T) {
 	}
 }
 
+// TestClientCancelIsNotANodeFailure: a client that hangs up while its
+// launch waits in a paused node's queue fails the proxied request with it.
+// That says nothing about the node, so the gateway marks no node down and
+// walks to no other node on the client's behalf.
+func TestClientCancelIsNotANodeFailure(t *testing.T) {
+	f0, n0, _ := startNode(t, server.Config{})
+	f1, n1, _ := startNode(t, server.Config{})
+	g, err := New(Config{Nodes: []string{n0.URL, n1.URL}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Start()
+	// The handler's own return, not the client's, ends the walk under test.
+	handled := make(chan struct{}, 1)
+	gw := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		g.Handler().ServeHTTP(w, r)
+		if r.URL.Path == "/v1/launch" {
+			handled <- struct{}{}
+		}
+	}))
+	t.Cleanup(func() {
+		gw.Close()
+		g.Close()
+	})
+	waitFor(t, "both nodes ready", func() bool { return g.ReadyNodes() == 2 })
+	for _, f := range []*server.Fleet{f0, f1} {
+		if err := f.Pause(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retries := metricsSnapshot(t, gw.URL).SumMatching("flep_gateway_retries_total")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	body, _ := json.Marshal(server.LaunchRequest{Client: "gone", Benchmark: "VA", Class: "trivial"})
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, gw.URL+"/v1/launch", bytes.NewReader(body))
+	sent := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		sent <- err
+	}()
+	waitFor(t, "the launch queued at its home", func() bool { return f0.Status().QueueLen+f1.Status().QueueLen == 1 })
+	cancel()
+	if err := <-sent; err == nil {
+		t.Fatal("the canceled launch was answered")
+	}
+	<-handled
+
+	for _, n := range getNodes(t, gw.URL) {
+		if n.State != "ready" || n.LastErr != "" {
+			t.Errorf("node %s is %q (last error %q) after a client hung up, want ready with no error", n.ID, n.State, n.LastErr)
+		}
+	}
+	if got := metricsSnapshot(t, gw.URL).SumMatching("flep_gateway_retries_total"); got != retries {
+		t.Errorf("flep_gateway_retries_total went %v -> %v: the walk went on for a client that was gone", retries, got)
+	}
+}
+
 func TestGatewayReadyzFollowsNodeHealth(t *testing.T) {
 	// A gateway over one address nobody listens on is unready, not dead.
 	g, gw := startGatewayUnchecked(t, Config{Nodes: []string{"127.0.0.1:1"}, HealthInterval: 10 * time.Millisecond})

@@ -111,7 +111,8 @@ func (g *Gateway) countTerminal(id string, code int) {
 }
 
 // handleLaunch proxies one launch with retry-with-exclusion: walk the
-// candidate list; transport failures mark the node down and move on, a
+// candidate list; transport failures mark the node down and move on (unless
+// the client hung up, which ends the walk with nothing marked), a
 // node's 429 is remembered (so an all-saturated cluster answers 429 with
 // the largest backend Retry-After rather than lying with a generic
 // retry hint) unless the launch is a graph stage, whose 429 is relayed,
@@ -146,6 +147,12 @@ func (g *Gateway) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		}
 		code, hdr, respBody, err := g.proxyLaunch(r, cand, client, body)
 		if err != nil {
+			if r.Context().Err() != nil {
+				// The client hung up, which failed the proxied request too:
+				// the node is not at fault, and no node can answer a client
+				// that is gone.
+				return
+			}
 			g.markDown(cand.id, err)
 			continue
 		}
