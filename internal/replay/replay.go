@@ -98,7 +98,7 @@ func NewReplayer(t *Trace, opts ReplayerOptions) (*Replayer, error) {
 			rp.sys.Artifacts(b.Name).Model = m
 			opts.Logf("offline %-5s [warm predictor]", b.Name)
 		} else {
-			opts.Logf("offline %-5s", b.Name)
+			opts.Logf("offline %s", b.Name)
 		}
 	}
 	opts.Logf("offline phase: %d benchmarks in %v", len(benchs), time.Since(start).Round(time.Millisecond)) //flepvet:allow wallclock -- progress log timing only; never enters the Summary

@@ -390,7 +390,9 @@ func New(cfg Config) (*Server, error) {
 }
 
 // offlineSystem applies cfg's defaults and runs the offline phase for
-// cfg.Benchmarks on a fresh system, logging each kernel's artifacts.
+// cfg.Benchmarks on a fresh system, logging each kernel's artifacts once
+// the phase is done (its benchmarks build concurrently, so only the whole
+// phase has a wall time; flepd logs it).
 func offlineSystem(cfg *Config) (*core.System, error) {
 	cfg.applyDefaults()
 	benchs, err := resolveBenchmarks(cfg.Benchmarks)
@@ -398,7 +400,6 @@ func offlineSystem(cfg *Config) (*core.System, error) {
 		return nil, err
 	}
 	sys := core.NewSystem(cfg.Params)
-	start := time.Now()
 	if err := sys.Offline(benchs); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
@@ -407,7 +408,6 @@ func offlineSystem(cfg *Config) (*core.System, error) {
 		cfg.Logf("offline %-5s L=%-4d overhead=%.2f%% preempt=%v",
 			b.Name, a.L, a.TunedOverhead*100, a.PreemptOverhead.Round(time.Microsecond))
 	}
-	cfg.Logf("offline phase: %d benchmarks in %v", len(benchs), time.Since(start).Round(time.Millisecond))
 	return sys, nil
 }
 
