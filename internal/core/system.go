@@ -97,9 +97,9 @@ func (s *System) Clone() *System {
 // before it are merged, as if they had been built one after another.
 func (s *System) Offline(benchs []*kernels.Benchmark) error {
 	type built struct {
-		a    *Artifacts
-		solo []time.Duration
-		err  error
+		a     *Artifacts
+		solos []time.Duration
+		err   error
 	}
 	out := make([]built, len(benchs))
 	var wg sync.WaitGroup
@@ -107,7 +107,7 @@ func (s *System) Offline(benchs []*kernels.Benchmark) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out[i].a, out[i].solo, out[i].err = buildArtifacts(s.Par, b)
+			out[i].a, out[i].solos, out[i].err = buildArtifacts(s.Par, b)
 		}()
 	}
 	wg.Wait()
@@ -117,7 +117,7 @@ func (s *System) Offline(benchs []*kernels.Benchmark) error {
 		}
 		s.arts[b.Name] = out[i].a
 		for _, c := range kernels.Classes() {
-			s.solo[soloKey{b.Name, c}] = out[i].solo[c]
+			s.solo[soloKey{b.Name, c}] = out[i].solos[c]
 		}
 	}
 	return nil
@@ -128,9 +128,9 @@ func (s *System) OfflineAll() error { return s.Offline(kernels.All()) }
 
 // buildArtifacts runs the offline phase for b on a device with parameters
 // par. It returns the artifacts and b's solo baselines (the ANTT/STP
-// denominators), indexed by input class: they are offline
-// artifacts too, so for a processed benchmark SoloTime never simulates,
-// on the system or on a Clone of it.
+// denominators), indexed by input class: they are offline artifacts too,
+// so for a processed benchmark SoloTime never simulates, on the system or
+// on a Clone of it.
 func buildArtifacts(par gpu.Params, b *kernels.Benchmark) (*Artifacts, []time.Duration, error) {
 	prog, err := b.Parse()
 	if err != nil {
@@ -153,15 +153,15 @@ func buildArtifacts(par gpu.Params, b *kernels.Benchmark) (*Artifacts, []time.Du
 		Program: prog, Transformed: transformed, Info: info,
 		Resources: res,
 	}
-	solo := make([]time.Duration, len(kernels.Classes()))
+	solos := make([]time.Duration, len(kernels.Classes()))
 	for _, c := range kernels.Classes() {
-		solo[c] = simSolo(par, profile, b.Input(c), 0)
+		solos[c] = simSolo(par, profile, b.Input(c), 0)
 	}
 
 	// Offline tuning: smallest L with single-run overhead under 4%,
 	// measured on the large input (§4.1).
 	large := b.Input(kernels.Large)
-	orig := solo[kernels.Large]
+	orig := solos[kernels.Large]
 	a.L, a.TunedOverhead, a.TuneOK = transform.Autotune(func(L int) float64 {
 		t := simSolo(par, profile, large, L)
 		return (t - orig).Seconds() / orig.Seconds()
@@ -188,7 +188,7 @@ func buildArtifacts(par gpu.Params, b *kernels.Benchmark) (*Artifacts, []time.Du
 		}
 	}
 	a.PreemptOverhead = prof.Mean()
-	return a, solo, nil
+	return a, solos, nil
 }
 
 // trainingSamples simulates the performance model's training set: 100
