@@ -144,7 +144,7 @@ func buildArtifacts(par gpu.Params, b *kernels.Benchmark) (*Artifacts, []time.Du
 	if err != nil {
 		return nil, nil, err
 	}
-	profile, err := b.Profile(par.Limits)
+	profile, err := b.ProfileOf(res, par.Limits)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -35,15 +35,9 @@ func (s *Suite) AblationNVLink() (*Table, error) {
 		par := s.Sys.Par
 		par.PinnedReadLatency = link.poll
 		for _, name := range benches {
-			b, err := kernels.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			prof, err := b.Profile(par.Limits)
-			if err != nil {
-				return nil, err
-			}
-			in := b.Input(kernels.Large)
+			// The poll latency leaves occupancy, and so the profile, alone.
+			a := s.Sys.Artifacts(name)
+			prof, in := a.Profile, a.Bench.Input(kernels.Large)
 			orig, err := core.SoloRun(par, prof, in, 0)
 			if err != nil {
 				return nil, err

@@ -210,3 +210,53 @@ func TestMaxStagesAndMaxAfterEnforced(t *testing.T) {
 		t.Fatalf("over-wide stage accepted: %v", err)
 	}
 }
+
+// FuzzModelParse checks that a graph Parse accepts has a topological order
+// of every stage, each after its prerequisites, and that its encoding
+// parses again to a graph with the same encoding.
+func FuzzModelParse(f *testing.F) {
+	for _, g := range Presets() {
+		for _, deadline := range []int{0, 50} {
+			g.DeadlineMS = deadline
+			data, err := json.Marshal(g)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := Parse(data)
+		if err != nil {
+			return
+		}
+		order, err := g.TopoOrder()
+		if err != nil || len(order) != len(g.Stages) {
+			t.Fatalf("accepted graph: TopoOrder = %v, %v for %d stages", order, err, len(g.Stages))
+		}
+		placed := map[string]bool{}
+		for _, i := range order {
+			st := g.Stages[i]
+			if placed[st.Name] {
+				t.Fatalf("stage %q ordered twice", st.Name)
+			}
+			for _, dep := range st.After {
+				if !placed[dep] {
+					t.Fatalf("stage %q ordered before its prerequisite %q", st.Name, dep)
+				}
+			}
+			placed[st.Name] = true
+		}
+		again, err := json.Marshal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g2, err := Parse(again)
+		if err != nil {
+			t.Fatalf("re-parse of %s: %v", again, err)
+		}
+		if third, _ := json.Marshal(g2); string(third) != string(again) {
+			t.Fatalf("re-parse changed the graph:\n%s\nvs\n%s", again, third)
+		}
+	})
+}

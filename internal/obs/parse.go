@@ -90,8 +90,9 @@ func Delta(before, after Snapshot, key string) float64 {
 // emits: HELP/TYPE comments and simple sample lines) into a Snapshot. It
 // is as strict as the reference parser about families: a second HELP or
 // TYPE line for a name, or a line of a declared family after another
-// family began, is an error, as is a malformed sample line. Other
-// comments and blanks are skipped.
+// family began, is an error, as is a second sample of one series (a name
+// and a label set) or a malformed sample line. Other comments and blanks
+// are skipped.
 func ParseText(r io.Reader) (Snapshot, error) {
 	out := Snapshot{}
 	sc := bufio.NewScanner(r)
@@ -141,7 +142,11 @@ func ParseText(r io.Reader) (Snapshot, error) {
 		if err := enter(fam); err != nil {
 			return nil, err
 		}
-		out[sample.Key()] = sample.Value
+		key := sample.Key()
+		if _, dup := out[key]; dup {
+			return nil, fmt.Errorf("obs: second sample for series %s", key)
+		}
+		out[key] = sample.Value
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -162,7 +167,14 @@ func parseLine(line string) (Sample, error) {
 		if end < 0 {
 			return Sample{}, fmt.Errorf("obs: unterminated labels in %q", line)
 		}
-		s.Labels = rest[:end+1]
+		// `{}` is no label set and a trailing comma no label, so a series
+		// has one key however it is written.
+		switch inner := strings.TrimRight(rest[1:end], ","); {
+		case len(inner) == end-1 && inner != "":
+			s.Labels = rest[:end+1]
+		case inner != "":
+			s.Labels = "{" + inner + "}"
+		}
 		rest = rest[end+1:]
 	}
 	rest = strings.TrimSpace(rest)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -108,6 +109,59 @@ func TestParseTextIsStrictAboutFamilies(t *testing.T) {
 			t.Errorf("one source alone is valid: %v", err)
 		}
 	}
+}
+
+// A series is a name and a label set, however the set is written: `{}` is
+// no label set and a trailing comma is no label. A second sample of one
+// series is an error, as the reference parser has it.
+func TestParseTextRejectsASeriesTwice(t *testing.T) {
+	for _, text := range []string{
+		"t 0\nt 1\n",
+		"t{} 0\nt 1\n",
+		"t{a=\"b\",} 0\nt{a=\"b\"} 1\n",
+		"# TYPE h histogram\nh_sum 1\nh_count 1\nh_sum{} 2\n",
+	} {
+		if _, err := ParseText(strings.NewReader(text)); err == nil || !strings.Contains(err.Error(), "second sample for series") {
+			t.Errorf("%q: err = %v, want a second sample refused", text, err)
+		}
+	}
+	snap, err := ParseText(strings.NewReader("t{} 1\nu{a=\"b\",} 2\nu 3\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap["t"] != 1 || snap[`u{a="b"}`] != 2 || snap["u"] != 3 || len(snap) != 3 {
+		t.Errorf("snapshot %v, want t, u{a=\"b\"} and u", snap)
+	}
+}
+
+// FuzzParseText checks that an exposition ParseText accepts still parses
+// after a relabel, with one series for each it had: the relabel may not
+// merge two series or split one family.
+func FuzzParseText(f *testing.F) {
+	golden, err := os.ReadFile("testdata/exposition.golden")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range append([]string{string(golden), "t 1\n", "t{a=\"b\"} 1\nt 2\n"}, twoSources...) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		before, err := ParseText(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		var out strings.Builder
+		if err := RelabelText(&out, strings.NewReader(text), "node", "n0"); err != nil {
+			t.Fatalf("relabel: %v", err)
+		}
+		after, err := ParseText(strings.NewReader(out.String()))
+		if err != nil {
+			t.Fatalf("relabeled exposition no longer parses: %v\n%s", err, out.String())
+		}
+		if len(after) != len(before) {
+			t.Fatalf("%d series became %d:\n%s", len(before), len(after), out.String())
+		}
+	})
 }
 
 // An Exposition of the two sources is one valid exposition: each family's
