@@ -71,7 +71,6 @@ func main() {
 		depGraphs    = flag.Int("dep-graphs", 256, "max live model-graph instances tracked (per shard)")
 		reqTimeout   = flag.Duration("timeout", 30*time.Second, "per-request completion wait bound")
 		traceOn      = flag.Bool("trace", false, "keep a runtime+device event log at /v1/trace")
-		traceLimit   = flag.Int("trace-limit", 65536, "max retained trace entries")
 		pace         = flag.Duration("pace", 0, "real-time sleep per simulated event (0 = full speed)")
 		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "graceful-shutdown drain bound")
 		devices      = flag.Int("devices", 1, "number of device shards in the fleet")
@@ -98,7 +97,6 @@ func main() {
 			DepGraphs:      *depGraphs,
 			RequestTimeout: *reqTimeout,
 			Trace:          *traceOn,
-			TraceLimit:     *traceLimit,
 			Pace:           *pace,
 			Logf:           log.Printf,
 		},

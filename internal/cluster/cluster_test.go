@@ -227,7 +227,7 @@ func TestStatusSessionsAndNodesAggregation(t *testing.T) {
 	}
 
 	cs := getClusterStatus(t, gw.URL)
-	want := f0.Counters()["enqueued"] + f1.Counters()["enqueued"]
+	want := f0.Status().Counters.Enqueued + f1.Status().Counters.Enqueued
 	if cs.Counters.Enqueued != want {
 		t.Fatalf("aggregated enqueued = %d, want %d", cs.Counters.Enqueued, want)
 	}
@@ -734,7 +734,7 @@ func TestMetricsCarryNodeLabelAndSumAcrossNodes(t *testing.T) {
 		t.Fatalf("node label values = %v, want two", nodes)
 	}
 	total := snap.SumMatching("flep_server_launches_total", "outcome", "enqueued")
-	want := float64(f0.Counters()["enqueued"] + f1.Counters()["enqueued"])
+	want := float64(f0.Status().Counters.Enqueued + f1.Status().Counters.Enqueued)
 	if total != want {
 		t.Fatalf("summed enqueued across nodes = %v, want %v", total, want)
 	}
@@ -892,8 +892,8 @@ func TestGraphStageRefusedAtHomeStaysHome(t *testing.T) {
 	if node := resp.Header.Get("X-Flep-Node"); node != home {
 		t.Fatalf("stage b answered by %q, want its home %s", node, home)
 	}
-	if c := other.Counters(); c["enqueued"] != 0 {
-		t.Fatalf("the node that is not the graph's home enqueued %d launches, want 0", c["enqueued"])
+	if c := other.Status().Counters; c.Enqueued != 0 {
+		t.Fatalf("the node that is not the graph's home enqueued %d launches, want 0", c.Enqueued)
 	}
 	if st := other.Status(); len(st.Models) != 0 {
 		t.Fatalf("the node that is not the graph's home saw graph stages: %+v", st.Models)

@@ -544,7 +544,7 @@ func (s *Server) deliverDepCancels(cancels []*launchReq, reason string) {
 		//flepvet:allow blockingsend -- cq.done is per-request with capacity 1 (http.go) and sees exactly one send
 		cq.done <- LaunchResult{
 			Client: cq.client, Kernel: cq.Bench.Name, Class: cq.Class.String(),
-			Priority: cq.Priority, Device: s.cfg.Device, Canceled: reason,
+			Priority: cq.Priority, Device: s.device, Canceled: reason,
 		}
 	}
 }

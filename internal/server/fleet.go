@@ -66,10 +66,7 @@ func NewFleetWithSystem(sys *core.System, cfg FleetConfig) (*Fleet, error) {
 	ids := make([]string, cfg.Devices)
 	for i := range ids {
 		ids[i] = strconv.Itoa(i)
-		shardCfg := cfg.Config
-		shardCfg.Device = i
-		shardCfg.FleetShards = cfg.Devices
-		s, err := NewWithSystem(sys.Clone(), shardCfg)
+		s, err := newShard(sys.Clone(), cfg.Config, i, cfg.Devices)
 		if err != nil {
 			for _, prev := range f.shards {
 				_ = prev.Shutdown(context.Background())
@@ -153,20 +150,6 @@ func (f *Fleet) Resume() error {
 		}
 	}
 	return nil
-}
-
-// Counters sums the shards' request accounting. The fleet-wide
-// exactly-once invariant is enqueued == completed + submit_errors at
-// rest, same as a single shard: placement never duplicates or drops a
-// launch, it only chooses which shard's queue it enters.
-func (f *Fleet) Counters() map[string]int64 {
-	total := map[string]int64{}
-	for _, s := range f.shards {
-		for k, v := range s.Counters() {
-			total[k] += v
-		}
-	}
-	return total
 }
 
 // Status aggregates the shards: MergeStatus of their snapshots at the top

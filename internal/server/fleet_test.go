@@ -344,12 +344,12 @@ func TestFleetEndToEndDrainExactlyOnce(t *testing.T) {
 			t.Fatalf("invocation %+v delivered %d results", id, n)
 		}
 	}
-	c := f.Counters()
-	if c["completed"]+c["submit_errors"] != c["enqueued"] {
-		t.Fatalf("fleet exactly-once violated at rest: %v", c)
+	c := f.Status().Counters
+	if c.Completed+c.SubmitErrors != c.Enqueued {
+		t.Fatalf("fleet exactly-once violated at rest: %+v", c)
 	}
-	if c["completed"] != int64(accepted) {
-		t.Fatalf("fleet completed %d != client-observed %d (rejected %d)", c["completed"], accepted, rejected)
+	if c.Completed != int64(accepted) {
+		t.Fatalf("fleet completed %d != client-observed %d (rejected %d)", c.Completed, accepted, rejected)
 	}
 	for i := 0; i < devices; i++ {
 		sc := f.Shard(i).Counters()

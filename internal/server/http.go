@@ -550,7 +550,7 @@ func (s *Server) Status() Status {
 	st := Status{
 		Policy:          s.cfg.Policy,
 		Spatial:         s.cfg.Spatial,
-		Device:          s.cfg.Device,
+		Device:          s.device,
 		Benchmarks:      names,
 		UptimeMS:        time.Since(s.startReal).Milliseconds(),
 		VirtualNowUS:    float64(s.vnow.Load()) / 1e3,

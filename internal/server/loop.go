@@ -422,7 +422,7 @@ func (s *Server) admit(q *launchReq) {
 		//flepvet:allow blockingsend -- q.done is per-request with capacity 1 (http.go) and sees exactly one send
 		q.done <- LaunchResult{
 			Client: q.client, Kernel: q.Bench.Name, Class: q.Class.String(),
-			Priority: q.Priority, Device: s.cfg.Device, Err: err.Error(),
+			Priority: q.Priority, Device: s.device, Err: err.Error(),
 		}
 		return
 	}
@@ -433,7 +433,7 @@ func (s *Server) admit(q *launchReq) {
 		rec.Record(replay.Record{
 			At:            int64(atVirtual),
 			Step:          atStep,
-			Device:        s.cfg.Device,
+			Device:        s.device,
 			Client:        q.client,
 			Bench:         q.Bench.Name,
 			Class:         q.Class.String(),
@@ -475,7 +475,7 @@ func (s *Server) complete(q *launchReq, fv *flepruntime.Invocation) {
 		ID:     fv.ID,
 		Client: q.client, Kernel: fv.Kernel, Class: q.Class.String(),
 		Priority:           fv.Priority,
-		Device:             s.cfg.Device,
+		Device:             s.device,
 		SubmittedVirtualNS: int64(fv.SubmittedAt()),
 		FinishedVirtualNS:  int64(fv.FinishedAt()),
 		TurnaroundNS:       int64(run.Turnaround),

@@ -72,22 +72,11 @@ type Config struct {
 	RequestTimeout time.Duration
 	// Trace keeps a bounded runtime+device event log served at /v1/trace.
 	Trace bool
-	// TraceLimit bounds the retained trace entries (default 65536).
-	TraceLimit int
 	// Pace, when positive, sleeps this long of real time per simulated
 	// event, so virtual time advances at a human-observable rate and
 	// clients can genuinely race the simulation (default 0: run the
 	// simulator as fast as the host allows).
 	Pace time.Duration
-	// Device is this instance's shard index within a fleet (0 for a
-	// standalone daemon). It is stamped onto launch results so clients can
-	// attribute work to a device.
-	Device int
-	// FleetShards is how many device shards drain work concurrently in
-	// the fleet this shard belongs to (1 for a standalone daemon). It
-	// scales the Retry-After estimate: a rejected client's wait is priced
-	// at the whole fleet's drain rate, not one shard's.
-	FleetShards int
 	// Recorder, when set, captures every admitted launch into a replay
 	// trace (see internal/replay). A fleet's shards share one recorder; it
 	// is flushed when the event loop drains, so a SIGTERM'd daemon leaves
@@ -95,9 +84,10 @@ type Config struct {
 	Recorder *replay.Recorder
 	// Logf, when set, receives startup progress lines.
 	Logf func(format string, args ...any)
-	// Params overrides the device model (zero value = the paper's K40).
-	Params gpu.Params
 }
+
+// traceLimit bounds the retained trace entries of a Config.Trace log.
+const traceLimit = 65536
 
 func (c *Config) applyDefaults() {
 	if c.Policy == "" {
@@ -115,17 +105,8 @@ func (c *Config) applyDefaults() {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
-	if c.TraceLimit <= 0 {
-		c.TraceLimit = 65536
-	}
-	if c.FleetShards <= 0 {
-		c.FleetShards = 1
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
-	}
-	if c.Params.Limits.NumSMs == 0 {
-		c.Params = gpu.DefaultParams()
 	}
 }
 
@@ -301,8 +282,9 @@ func (s *Server) countLocked(o outcome, client string) *Session {
 // Server is one flepd instance. Create it with New or NewWithSystem; it
 // serves HTTP through Handler and stops through Shutdown.
 type Server struct {
-	cfg Config
-	sys *core.System
+	cfg            Config
+	device, shards int // this shard's index in its fleet, and the fleet's width
+	sys            *core.System
 	// stack is the engine, device and runtime the loop goroutine owns;
 	// only stack.DevMetrics (atomic instruments) is read cross-goroutine.
 	stack   *core.Stack
@@ -399,7 +381,7 @@ func offlineSystem(cfg *Config) (*core.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys := core.NewSystem(cfg.Params)
+	sys := core.NewSystem(gpu.DefaultParams())
 	if err := sys.Offline(benchs); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
@@ -415,14 +397,23 @@ func offlineSystem(cfg *Config) (*core.System, error) {
 // phase must already cover cfg.Benchmarks). The system must not be used
 // concurrently by anyone else afterwards: the event loop owns it.
 func NewWithSystem(sys *core.System, cfg Config) (*Server, error) {
+	return newShard(sys, cfg, 0, 1)
+}
+
+// newShard starts shard device of a fleet of shards over sys. The
+// device index is stamped onto launch results so clients can attribute
+// work to a device; shards prices Retry-After at the whole fleet's drain
+// rate, not one shard's.
+func newShard(sys *core.System, cfg Config, device, shards int) (*Server, error) {
 	cfg.applyDefaults()
-	cfg.Params = sys.Par // the device served is the one the artifacts were profiled on
 	benchs, err := resolveBenchmarks(cfg.Benchmarks)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		cfg:      cfg,
+		device:   device,
+		shards:   shards,
 		sys:      sys,
 		benches:  map[string]*kernels.Benchmark{},
 		submitCh: make(chan *launchReq, cfg.QueueDepth),
@@ -448,7 +439,7 @@ func NewWithSystem(sys *core.System, cfg Config) (*Server, error) {
 	s.reg = obs.NewRegistry()
 	s.met = newServerMetrics(s.reg, s)
 	if cfg.Trace {
-		s.tlog = &trace.Log{Limit: cfg.TraceLimit}
+		s.tlog = &trace.Log{Limit: traceLimit}
 	}
 	s.stack, err = sys.NewStack(core.Options{
 		Policy: cfg.Policy, Spatial: cfg.Spatial, SpatialSMs: cfg.SpatialSMs,
@@ -457,7 +448,7 @@ func NewWithSystem(sys *core.System, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	if cfg.Recorder != nil && cfg.Device == 0 {
+	if cfg.Recorder != nil && device == 0 {
 		// One shard (by convention the first) owns the shared recorder's
 		// instrumentation, so fleet expositions carry it exactly once.
 		cfg.Recorder.Bind(s.reg)
@@ -512,7 +503,7 @@ func (s *Server) serviceEstimate() time.Duration {
 // try again: the current queue depth priced at the observed
 // per-completion drain rate across the fleet's active shards.
 func (s *Server) retryAfter() int {
-	return retryAfterFor(len(s.submitCh), s.serviceEstimate(), s.cfg.FleetShards)
+	return retryAfterFor(len(s.submitCh), s.serviceEstimate(), s.shards)
 }
 
 // retryAfterFor converts a queue depth and a per-launch service-time
@@ -635,10 +626,10 @@ func (s *Server) Load() int64 {
 // itself). Zero-capacity devices report MaxInt64 (admission never blocks
 // on memory).
 func (s *Server) MemoryAvailable() int64 {
-	if s.cfg.Params.MemoryBytes <= 0 {
+	if s.sys.Par.MemoryBytes <= 0 {
 		return int64(^uint64(0) >> 1)
 	}
-	free := s.cfg.Params.MemoryBytes - int64(s.stack.DevMetrics.MemoryReserved.Value())
+	free := s.sys.Par.MemoryBytes - int64(s.stack.DevMetrics.MemoryReserved.Value())
 	if free < 0 {
 		return 0
 	}
