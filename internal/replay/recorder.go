@@ -12,15 +12,16 @@ import (
 	"flep/internal/obs"
 )
 
+// bufferBytes sizes a Recorder's write buffer. Records are buffered, not
+// fsync'd: Flush pushes them to the OS, Close finalizes.
+const bufferBytes = 64 << 10
+
 // RecorderOptions tune a Recorder.
 type RecorderOptions struct {
 	// RotateBytes rotates the trace file once a segment exceeds this many
 	// bytes: the current file is renamed to `path.N` and a fresh segment
 	// (with its own header) opens at path. 0 disables rotation.
 	RotateBytes int64
-	// BufferBytes sizes the write buffer (default 64 KiB). Records are
-	// buffered, not fsync'd: Flush pushes them to the OS, Close finalizes.
-	BufferBytes int
 	// WallClock supplies real time for the header's CreatedUnixMS stamp
 	// and the per-record Wall offsets. The replay package itself never
 	// reads the wall clock — that would break the byte-identical trace
@@ -71,9 +72,6 @@ type Recorder struct {
 // header. The header's Magic and TraceVersion are filled in;
 // CreatedUnixMS is stamped only when opts.WallClock is set.
 func NewRecorder(path string, hdr Header, opts RecorderOptions) (*Recorder, error) {
-	if opts.BufferBytes <= 0 {
-		opts.BufferBytes = 64 << 10
-	}
 	hdr.Magic = true
 	hdr.TraceVersion = Version
 	r := &Recorder{path: path, opts: opts, hdr: hdr}
@@ -120,7 +118,7 @@ func (r *Recorder) openSegment() error {
 	if err != nil {
 		return fmt.Errorf("replay: open trace %s: %w", r.path, err)
 	}
-	w := bufio.NewWriterSize(f, r.opts.BufferBytes)
+	w := bufio.NewWriterSize(f, bufferBytes)
 	line, err := json.Marshal(r.hdr)
 	if err != nil {
 		f.Close()

@@ -13,7 +13,6 @@ import (
 	"flep/internal/gpu"
 	"flep/internal/kernels"
 	"flep/internal/metrics"
-	"flep/internal/obs"
 	"flep/internal/perfmodel"
 )
 
@@ -33,8 +32,6 @@ const (
 // ReplayerOptions tune the offline phase a Replayer performs once and
 // shares across all of its runs.
 type ReplayerOptions struct {
-	// Params overrides the device model (zero value = the paper's K40).
-	Params gpu.Params
 	// Models warm-starts the duration predictors: artifacts for these
 	// kernels use the supplied (e.g. live-exported) ridge state instead
 	// of the freshly trained one. See SaveModels/LoadModels.
@@ -69,15 +66,12 @@ func NewReplayer(t *Trace, opts ReplayerOptions) (*Replayer, error) {
 	if len(t.Records) == 0 {
 		return nil, fmt.Errorf("replay: trace has no records")
 	}
-	if opts.Params.Limits.NumSMs == 0 {
-		opts.Params = gpu.DefaultParams()
-	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
 	rp := &Replayer{
 		trace:   t,
-		sys:     core.NewSystem(opts.Params),
+		sys:     core.NewSystem(gpu.DefaultParams()),
 		benches: map[string]*kernels.Benchmark{},
 	}
 	var benchs []*kernels.Benchmark
@@ -152,8 +146,6 @@ type ReplayConfig struct {
 	// Seed drives the placement router's tie-break rotation. Replaying
 	// the same trace with the same seed is fully deterministic.
 	Seed int64
-	// Registry, when set, receives replay divergence counters.
-	Registry *obs.Registry
 }
 
 // effective resolves a run configuration against the trace header.
@@ -257,6 +249,9 @@ type outcome struct {
 // configuration, and seed always produce a byte-identical summary.
 func (rp *Replayer) Run(cfg ReplayConfig) (*Summary, error) {
 	eff := rp.effective(cfg)
+	if eff.Devices > maxDevices {
+		return nil, fmt.Errorf("replay: %d devices exceeds the limit of %d", eff.Devices, maxDevices)
+	}
 	policyName := eff.Policy
 
 	mode := ModeTimed
@@ -450,22 +445,7 @@ func (rp *Replayer) Run(cfg ReplayConfig) (*Summary, error) {
 		rp.invs.Store(invs)
 	}
 
-	sum := rp.summarize(eff, policyName, mode, devs, outcomes, divTe, divStep, divPlacement, divDependency, submitErrors)
-	if eff.Registry != nil {
-		reg := eff.Registry
-		reg.Counter("flep_replay_records_total", "Trace records replayed").Add(int64(len(rp.trace.Records)))
-		reg.Counter("flep_replay_completed_total", "Replayed launches that completed").Add(int64(sum.Completed))
-		div := func(kind string) *obs.Counter {
-			return reg.Counter("flep_replay_divergence_total",
-				"Replay divergences from the recorded run", "kind", kind) //flepvet:allow metriclabel -- kind is one of five compile-time literals below; cardinality is fixed
-		}
-		div("te_prediction").Add(divTe)
-		div("step_shortfall").Add(divStep)
-		div("placement").Add(divPlacement)
-		div("dependency").Add(divDependency)
-		div("submit_error").Add(submitErrors)
-	}
-	return sum, nil
+	return rp.summarize(eff, policyName, mode, devs, outcomes, divTe, divStep, divPlacement, divDependency, submitErrors), nil
 }
 
 // stageKey identifies one graph stage across the replay: the recording

@@ -239,6 +239,14 @@ func TestReplayRejectsUnknownPolicy(t *testing.T) {
 	}
 }
 
+func TestReplayRejectsTooManyDevices(t *testing.T) {
+	_, rp := mixReplayer(t)
+	_, err := rp.Run(ReplayConfig{Devices: maxDevices + 1})
+	if err == nil || !strings.Contains(err.Error(), "exceeds the limit") {
+		t.Fatalf("err = %v", err)
+	}
+}
+
 // WriteFile persists a synthesized trace that loads back identically —
 // the flepreplay record → replay path.
 func TestTraceWriteFileRoundTrip(t *testing.T) {

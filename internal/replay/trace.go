@@ -211,6 +211,11 @@ func (t *Trace) Benchmarks() []string {
 	return out
 }
 
+// maxDevices bounds a trace's device count and record device indices,
+// and a replay's device count: each device costs the replayer a cloned
+// system, so a count read from a trace must not be able to exhaust memory.
+const maxDevices = 1024
+
 // parseHeader validates the first line of a trace file.
 func parseHeader(line []byte) (Header, error) {
 	// Distinguish "not a trace" from "a trace we cannot read": the magic
@@ -232,6 +237,9 @@ func parseHeader(line []byte) (Header, error) {
 	if h.TraceVersion != Version {
 		return Header{}, fmt.Errorf("replay: unsupported trace version %d (this build reads version %d)",
 			h.TraceVersion, Version)
+	}
+	if h.Devices < 0 || h.Devices > maxDevices {
+		return Header{}, fmt.Errorf("replay: trace line 1: devices %d outside [0, %d]", h.Devices, maxDevices)
 	}
 	return h, nil
 }
@@ -266,6 +274,9 @@ func Read(r io.Reader) (*Trace, error) {
 					break // truncated tail: keep everything before it
 				}
 				return nil, fmt.Errorf("replay: trace line %d: %v", lineNo, jerr)
+			}
+			if rec.Device < -1 || rec.Device >= maxDevices {
+				return nil, fmt.Errorf("replay: trace line %d: device %d outside [-1, %d)", lineNo, rec.Device, maxDevices)
 			}
 			t.Records = append(t.Records, rec)
 		}
