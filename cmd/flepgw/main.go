@@ -47,7 +47,6 @@ func main() {
 		listen       = flag.String("listen", ":7440", "gateway listen address")
 		nodesFlag    = flag.String("nodes", "", "comma-separated flepd addresses, e.g. :7450,:7451 (required)")
 		healthEvery  = flag.Duration("health-interval", 200*time.Millisecond, "active node health-check period")
-		probeTimeout = flag.Duration("probe-timeout", 2*time.Second, "health probe round-trip bound")
 		recordPath   = flag.String("record", "", "append every accepted launch to a replay trace (JSONL) at this path")
 		recordRotate = flag.Int64("record-rotate", 0, "rotate the trace once a segment exceeds this many bytes (0 = never)")
 	)
@@ -79,7 +78,6 @@ func main() {
 	gw, err := cluster.New(cluster.Config{
 		Nodes:          nodes,
 		HealthInterval: *healthEvery,
-		ProbeTimeout:   *probeTimeout,
 		Recorder:       recorder,
 		Logf:           log.Printf,
 	})

@@ -88,7 +88,7 @@ type ClusterStatus struct {
 
 func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 	parts, _ := fetchEach[server.Status](g, "/v1/status")
-	cs := ClusterStatus{Status: server.MergeStatus(parts), Nodes: g.nodeStatuses()}
+	cs := ClusterStatus{Status: server.MergeStatus(parts), Nodes: g.Statuses()}
 	cs.Device = -1
 	cs.UptimeMS = g.uptimeMS()
 	server.WriteJSON(w, http.StatusOK, cs)
@@ -150,7 +150,7 @@ func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleNodes(w http.ResponseWriter, r *http.Request) {
-	server.WriteJSON(w, http.StatusOK, g.nodeStatuses())
+	server.WriteJSON(w, http.StatusOK, g.Statuses())
 }
 
 func (g *Gateway) handleDrain(w http.ResponseWriter, r *http.Request) {

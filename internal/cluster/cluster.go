@@ -30,8 +30,6 @@ type Config struct {
 	Nodes []string
 	// HealthInterval is the active health-check period (default 200ms).
 	HealthInterval time.Duration
-	// ProbeTimeout bounds one health probe round-trip (default 2s).
-	ProbeTimeout time.Duration
 	// Client issues proxied launches and aggregation fetches. The default
 	// client has no overall timeout: launches block server-side until the
 	// invocation completes, which is the flepd contract.
@@ -44,12 +42,12 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// probeTimeout bounds one health probe round-trip.
+const probeTimeout = 2 * time.Second
+
 func (c *Config) applyDefaults() {
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 200 * time.Millisecond
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
@@ -242,7 +240,7 @@ func (g *Gateway) probeAll() {
 // probeOne checks one node's readiness and refreshes its cached status
 // snapshot. All HTTP happens before the state update.
 func (g *Gateway) probeOne(tgt probeTarget) {
-	client := &http.Client{Timeout: g.cfg.ProbeTimeout, Transport: g.cfg.Client.Transport}
+	client := &http.Client{Timeout: probeTimeout, Transport: g.cfg.Client.Transport}
 
 	ready, probeErr := probeReady(client, tgt.addr)
 	var st server.Status
@@ -367,10 +365,7 @@ type NodeStatus struct {
 
 // Statuses snapshots every node's gateway-side view (the /v1/nodes body
 // and the exit-time accounting log).
-func (g *Gateway) Statuses() []NodeStatus { return g.nodeStatuses() }
-
-// nodeStatuses snapshots every node under the lock.
-func (g *Gateway) nodeStatuses() []NodeStatus {
+func (g *Gateway) Statuses() []NodeStatus {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	out := make([]NodeStatus, 0, len(g.nodes))
