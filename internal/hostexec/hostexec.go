@@ -120,6 +120,10 @@ type HostProc struct {
 	Async bool
 }
 
+// maxFunctionalTasks caps functional (interpreted) execution: grids
+// beyond it run timing-only.
+const maxFunctionalTasks = 4096
+
 // Options configure a session.
 type Options struct {
 	// Policy names the scheduling policy (see flepruntime.NewPolicy;
@@ -127,9 +131,6 @@ type Options struct {
 	Policy string
 	// Spatial enables spatial preemption.
 	Spatial bool
-	// MaxFunctionalTasks caps functional (interpreted) execution: grids
-	// beyond it run timing-only. Default 4096.
-	MaxFunctionalTasks int
 	// Trace collects the event log.
 	Trace bool
 }
@@ -170,9 +171,6 @@ func (r *Report) For(kernel string) *InvocationRecord {
 // from its drain model; the invocations are hostexec's own, since a
 // compiled kernel has no kernels.Benchmark to predict from.
 func Run(p *Program, opt Options, procs ...HostProc) (*Report, error) {
-	if opt.MaxFunctionalTasks <= 0 {
-		opt.MaxFunctionalTasks = 4096
-	}
 	s := &session{p: p, opt: opt, cmds: make(chan command), report: &Report{}}
 	if opt.Trace {
 		s.report.Log = &trace.Log{}
@@ -382,7 +380,7 @@ func (s *session) launch(c command) error {
 	rec := InvocationRecord{
 		Proc: c.proc.Name, Kernel: c.name, Priority: c.proc.Priority,
 		Grid: c.grid, Block: c.block,
-		Functional: tasks <= s.opt.MaxFunctionalTasks,
+		Functional: tasks <= maxFunctionalTasks,
 	}
 	active := s.dev.NumSMs() * profile.CTAsPerSM
 	te := time.Duration(float64(tasks) / float64(active) * float64(ck.TaskCost))
