@@ -41,9 +41,11 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"flep/internal/metrics"
@@ -66,10 +68,17 @@ type sample struct {
 	realLatency time.Duration
 }
 
+// requestTimeout is each launch's completion wait, and maxRetries how
+// many 429s a plain launch absorbs before the last one is its answer.
+const (
+	requestTimeout = 2 * time.Minute
+	maxRetries     = 200
+)
+
 type stats struct {
+	retries  atomic.Int64 // 429s absorbed
 	mu       sync.Mutex
 	samples  []sample // the 200s
-	retries  int64    // 429s absorbed
 	timeouts int64    // 504s
 	errors   int64
 	models   map[string]*modelAgg // per-model graph accounting (-model)
@@ -94,11 +103,9 @@ func main() {
 		benchCSV  = flag.String("bench", "", "benchmarks to launch (empty = discover from daemon)")
 		class     = flag.String("class", "small", "input class: large, small, trivial")
 		prioMix   = flag.String("prio", "1=0.5,2=0.5", "priority mix, e.g. 1=0.7,2=0.3")
-		timeout   = flag.Duration("timeout", 2*time.Minute, "per-request completion wait")
 		seed      = flag.Int64("seed", 1, "workload-mix random seed")
 		deadline  = flag.Duration("deadline", 0, "SLO budget per latency-critical launch in virtual time (0 = best-effort)")
 		dlShare   = flag.Float64("deadline-share", 1.0, "fraction of launches that carry the -deadline budget (rest stay best-effort)")
-		maxRetry  = flag.Int("max-retries", 200, "max 429 retries per launch")
 		modelCSV  = flag.String("model", "", "model-graph workload: comma-separated NAME[:DEADLINE] specs, where NAME is a preset graph (resnet, bert, diamond), or a path to a JSON graph file, and DEADLINE an SLO budget for the graph's terminal stage. Clients are dealt specs round-robin and submit whole kernel DAGs; deadline-bearing models run latency-critical (priority 2), the rest best-effort (priority 1)")
 		record    = flag.String("record", "", "write a client-side replay trace (JSONL) to this path")
 		verifySrv = flag.Bool("verify-status", true, "reconcile server /v1/status counters after the run (disable when a cluster node is killed mid-run: the dead node's completions leave the gateway's summed view)")
@@ -143,7 +150,7 @@ func main() {
 			*clients, *perC, strings.Join(benches, ","), *class, *prioMix, rateString(*rate))
 	}
 
-	httpc := &http.Client{Timeout: *timeout + 10*time.Second}
+	httpc := &http.Client{Timeout: requestTimeout + 10*time.Second}
 	st := &stats{models: map[string]*modelAgg{}}
 	var recorder *replay.Recorder
 	if *record != "" {
@@ -152,7 +159,7 @@ func main() {
 			sorted = append(sorted, sp.graph.Benchmarks()...)
 		}
 		sort.Strings(sorted)
-		sorted = dedupSorted(sorted)
+		sorted = slices.Compact(sorted)
 		recorder, err = replay.NewRecorder(*record, replay.Header{
 			Source:     replay.SourceFlepload,
 			Benchmarks: sorted,
@@ -175,8 +182,7 @@ func main() {
 			cc := clientConfig{
 				addr: *addr, id: fmt.Sprintf("load-%04d", c),
 				benches: benches, class: *class, mix: mix,
-				n: *perC, rate: *rate, timeout: *timeout,
-				maxRetry: *maxRetry,
+				n: *perC, rate: *rate,
 				deadline: *deadline, dlShare: *dlShare,
 				rng: rand.New(rand.NewSource(*seed + int64(c))),
 				rec: recorder, runStart: start,
@@ -322,8 +328,6 @@ type clientConfig struct {
 	mix      []prioShare
 	n        int
 	rate     float64
-	timeout  time.Duration
-	maxRetry int
 	deadline time.Duration // SLO budget; zero = best-effort
 	dlShare  float64       // fraction of launches carrying the budget
 	rng      *rand.Rand
@@ -347,7 +351,7 @@ func runClient(httpc *http.Client, st *stats, cc clientConfig) {
 			Benchmark: cc.benches[cc.rng.Intn(len(cc.benches))],
 			Class:     cc.class,
 			Priority:  pickPriority(cc.mix, cc.rng.Float64()),
-			TimeoutMS: int(cc.timeout / time.Millisecond),
+			TimeoutMS: int(requestTimeout / time.Millisecond),
 		}
 		if cc.deadline > 0 && cc.rng.Float64() < cc.dlShare {
 			req.DeadlineMS = int(cc.deadline / time.Millisecond)
@@ -359,17 +363,23 @@ func runClient(httpc *http.Client, st *stats, cc clientConfig) {
 // launchOnce submits one plain launch, absorbing 429 backpressure, and
 // files its terminal answer.
 func launchOnce(httpc *http.Client, st *stats, cc clientConfig, req server.LaunchRequest) {
-	s := post(httpc, st, cc, req, cc.maxRetry)
-	st.note(func() {
-		switch s.status {
-		case http.StatusOK:
-			st.samples = append(st.samples, s)
-		case http.StatusGatewayTimeout:
-			st.timeouts++
-		default:
-			st.errors++
-		}
-	})
+	s := post(httpc, st, cc, req, maxRetries)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.fileLocked(s)
+}
+
+// fileLocked files one terminal answer: a 200's sample, a 504 as a
+// timeout, anything else as an error. The caller holds st.mu.
+func (st *stats) fileLocked(s sample) {
+	switch s.status {
+	case http.StatusOK:
+		st.samples = append(st.samples, s)
+	case http.StatusGatewayTimeout:
+		st.timeouts++
+	default:
+		st.errors++
+	}
 }
 
 // post is the one way a launch reaches the daemon: marshal, POST, decode
@@ -396,7 +406,7 @@ func post(httpc *http.Client, st *stats, cc clientConfig, req server.LaunchReque
 		}
 		switch {
 		case s.status == http.StatusTooManyRequests && attempt < maxRetry:
-			st.note(func() { st.retries++ })
+			st.retries.Add(1)
 			time.Sleep(retryAfter(resp))
 			continue
 		case s.status == http.StatusOK && decErr != nil:
@@ -472,17 +482,6 @@ func parseModelSpecs(s string) ([]modelSpec, error) {
 	return out, nil
 }
 
-// dedupSorted removes adjacent duplicates from a sorted slice.
-func dedupSorted(s []string) []string {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // submitGraph posts every stage of one graph instance concurrently — the
 // daemon's pending-dependency table enforces ordering — and returns when
 // all stages are terminal. Graph stages are never retried: a 429 or 409
@@ -504,7 +503,7 @@ func submitGraph(httpc *http.Client, st *stats, cc clientConfig, sp modelSpec, g
 			stg := &g.Stages[i]
 			req := server.LaunchRequest{
 				Client: cc.id, Benchmark: stg.Bench, Class: stg.Class,
-				Priority: prio, TimeoutMS: int(cc.timeout / time.Millisecond),
+				Priority: prio, TimeoutMS: int(requestTimeout / time.Millisecond),
 				Model: sp.name, Graph: graphID, Stage: stg.Name,
 				After: stg.After, Stages: len(g.Stages),
 			}
@@ -551,22 +550,18 @@ func (st *stats) noteGraph(name string, outs []sample, makespan time.Duration) {
 	agg.Started++
 	allOK := true
 	for _, o := range outs {
-		if o.status == http.StatusOK {
-			agg.Stages.Add(o.KernelRun)
-			st.samples = append(st.samples, o)
-			continue
-		}
-		allOK = false
+		allOK = allOK && o.status == http.StatusOK
 		switch o.status {
+		case http.StatusOK:
+			agg.Stages.Add(o.KernelRun)
 		case http.StatusConflict:
 			agg.StagesCanceled++
+			continue
 		case http.StatusTooManyRequests:
 			agg.stagesShed++
-		case http.StatusGatewayTimeout:
-			st.timeouts++
-		default:
-			st.errors++
+			continue
 		}
+		st.fileLocked(o)
 	}
 	agg.Close(allOK, makespan)
 	if allOK {
@@ -597,13 +592,6 @@ func modelLine(name string, a *modelAgg) string {
 	return line
 }
 
-func (st *stats) note(f func()) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	//flepvet:allow lockheld -- note's contract is to run a tiny stat-mutation closure under the lock; callers pass field updates only
-	f()
-}
-
 func retryAfter(resp *http.Response) time.Duration {
 	if s := resp.Header.Get("Retry-After"); s != "" {
 		var secs float64
@@ -621,7 +609,7 @@ func report(st *stats, wall time.Duration) {
 	defer st.mu.Unlock()
 	n := len(st.samples)
 	fmt.Printf("\nrequests:      ok=%d timeouts=%d errors=%d backpressure-429s=%d\n",
-		n, st.timeouts, st.errors, st.retries)
+		n, st.timeouts, st.errors, st.retries.Load())
 	fmt.Printf("wall time:     %v   throughput %.1f launches/s\n",
 		wall.Round(time.Millisecond), float64(n)/wall.Seconds())
 	if n == 0 {

@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"flep/internal/metrics"
+	"flep/internal/model"
 )
 
 func TestParseMixNormalizes(t *testing.T) {
@@ -122,5 +126,56 @@ func TestModelLine(t *testing.T) {
 		if got := modelLine(tc.name, tc.agg); got != tc.want {
 			t.Errorf("%s:\ngot:  %q\nwant: %q", tc.name, got, tc.want)
 		}
+	}
+}
+
+// Every answer is filed in one place: a plain launch and a graph's stages
+// count a 200 as ok, a 504 as a timeout and a transport or decode failure
+// (status 0) as an error. A graph's stages count a 409 as canceled and a
+// 429 as shed; to a plain launch both are errors, the 429 once its
+// retries run out.
+func TestAnswersAreFiledOnce(t *testing.T) {
+	diamond, err := model.ByName("diamond")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages := int64(len(diamond.Stages))
+	type tally struct{ ok, timeouts, errors, shed, canceled, retries int64 }
+	for _, tc := range []struct {
+		status       int // 0: a 200 whose body does not decode
+		plain, graph tally
+	}{
+		{http.StatusOK, tally{ok: 1}, tally{ok: stages}},
+		{http.StatusConflict, tally{errors: 1}, tally{canceled: stages}},
+		{http.StatusTooManyRequests, tally{errors: 1, retries: maxRetries}, tally{shed: stages}},
+		{http.StatusGatewayTimeout, tally{timeouts: 1}, tally{timeouts: stages}},
+		{0, tally{errors: 1}, tally{errors: stages}},
+	} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if tc.status == 0 {
+				fmt.Fprint(w, "{")
+				return
+			}
+			w.Header().Set("Retry-After", "0.00001")
+			w.WriteHeader(tc.status)
+			fmt.Fprint(w, `{"id":1}`)
+		}))
+		cc := clientConfig{addr: ts.URL, id: "c", benches: []string{"VA"}, n: 1, mix: []prioShare{{1, 1}}, rng: rand.New(rand.NewSource(1))}
+		for _, graph := range []bool{false, true} {
+			st := &stats{models: map[string]*modelAgg{}}
+			want, agg := tc.plain, &modelAgg{}
+			if graph {
+				want = tc.graph
+				runGraphClient(ts.Client(), st, cc, modelSpec{name: "diamond", graph: diamond})
+				agg = st.models["diamond"]
+			} else {
+				runClient(ts.Client(), st, cc)
+			}
+			got := tally{int64(len(st.samples)), st.timeouts, st.errors, agg.stagesShed, agg.StagesCanceled, st.retries.Load()}
+			if got != want {
+				t.Errorf("status %d, graph %v: filed %+v, want %+v", tc.status, graph, got, want)
+			}
+		}
+		ts.Close()
 	}
 }
