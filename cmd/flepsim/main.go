@@ -82,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *ffs {
 		printFFS(stdout, sc, res)
 	} else {
-		printComparison(stdout, sys, sc, mps, res)
+		printComparison(stdout, sc, mps, res)
 	}
 	if *traceOut && res.Log != nil {
 		fmt.Fprintln(stdout, "\n--- event trace ---")
@@ -169,34 +169,30 @@ func three(names []string) (a, b, c *kernels.Benchmark, err error) {
 	return
 }
 
-func printComparison(w io.Writer, sys *core.System, sc workload.Scenario, mps, flep *core.RunResult) {
-	// Rows match on (kernel, class): a pair may run one kernel on two inputs.
-	find := func(res *core.RunResult, item workload.Item) *core.KernelResult {
-		for i := range res.Results {
-			if r := &res.Results[i]; r.Kernel == item.Bench.Name && r.Class == item.Class {
-				return r
+func printComparison(w io.Writer, sc workload.Scenario, mps, flep *core.RunResult) {
+	// Rows are scenario items: a pair may run one kernel on two inputs.
+	find := func(res *core.RunResult, item int) *metrics.KernelRun {
+		for i, k := range res.Items {
+			if k == item {
+				return &res.Results[i]
 			}
 		}
 		return nil
 	}
 	fmt.Fprintf(w, "%-8s %-8s %14s %14s %9s\n", "kernel", "input", "MPS(us)", "FLEP(us)", "speedup")
-	for _, item := range sc.Items {
-		m, f := find(mps, item), find(flep, item)
+	for k, item := range sc.Items {
+		m, f := find(mps, k), find(flep, k)
 		if m == nil || f == nil {
 			continue
 		}
 		fmt.Fprintf(w, "%-8s %-8s %14.1f %14.1f %8.2fx\n",
 			item.Bench.Name, item.Class,
-			float64(m.Turnaround())/float64(time.Microsecond),
-			float64(f.Turnaround())/float64(time.Microsecond),
-			metrics.Speedup(m.Turnaround(), f.Turnaround()))
+			float64(m.Turnaround)/float64(time.Microsecond),
+			float64(f.Turnaround)/float64(time.Microsecond),
+			metrics.Speedup(m.Turnaround, f.Turnaround))
 	}
-	mRuns, err1 := sys.Runs(mps)
-	fRuns, err2 := sys.Runs(flep)
-	if err1 == nil && err2 == nil {
-		fmt.Fprintf(w, "\nANTT: MPS %.2f → FLEP %.2f (%.1fx better)\n",
-			metrics.ANTT(mRuns), metrics.ANTT(fRuns), metrics.ANTT(mRuns)/metrics.ANTT(fRuns))
-	}
+	am, af := metrics.ANTT(mps.Results), metrics.ANTT(flep.Results)
+	fmt.Fprintf(w, "\nANTT: MPS %.2f → FLEP %.2f (%.1fx better)\n", am, af, am/af)
 }
 
 func printFFS(w io.Writer, sc workload.Scenario, res *core.RunResult) {

@@ -107,7 +107,7 @@ func TestComparisonOfTheSameKernelTwice(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	printComparison(&out, sys, sc, mps, flep)
+	printComparison(&out, sc, mps, flep)
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 	if len(lines) != 5 {
 		t.Fatalf("want a header, two rows, a blank and the ANTT line:\n%s", out.String())
@@ -119,14 +119,7 @@ func TestComparisonOfTheSameKernelTwice(t *testing.T) {
 	if large[2] == small[2] || large[3] == small[3] {
 		t.Errorf("both rows print one run's figures:\n%s\n%s", lines[1], lines[2])
 	}
-	mRuns, err := sys.Runs(mps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fRuns, err := sys.Runs(flep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mRuns, fRuns := mps.Results, flep.Results
 	want := fmt.Sprintf("ANTT: MPS %.2f → FLEP %.2f ", metrics.ANTT(mRuns), metrics.ANTT(fRuns))
 	if !strings.HasPrefix(lines[4], want) {
 		t.Errorf("printed %q, want it to start %q", lines[4], want)

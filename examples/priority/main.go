@@ -38,8 +38,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		blocked := mps.ResultFor("SPMV").Turnaround()
-		preempted := hpf.ResultFor("SPMV").Turnaround()
+		blocked := mps.ResultFor("SPMV").Turnaround
+		preempted := hpf.ResultFor("SPMV").Turnaround
 		fmt.Printf("%-22s %14.1f %14.1f %9.1fx\n",
 			name+" (large)",
 			float64(blocked)/float64(time.Microsecond),

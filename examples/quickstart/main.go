@@ -59,8 +59,8 @@ func main() {
 	}
 
 	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-	m := mps.ResultFor("SPMV").Turnaround()
-	f := preempted.ResultFor("SPMV").Turnaround()
+	m := mps.ResultFor("SPMV").Turnaround
+	f := preempted.ResultFor("SPMV").Turnaround
 	fmt.Println("--- high-priority SPMV turnaround ---")
 	fmt.Printf("MPS (no preemption): %10.1f us\n", us(m))
 	fmt.Printf("FLEP (HPF policy):   %10.1f us\n", us(f))

@@ -41,7 +41,7 @@ func main() {
 		overhead := (res.Makespan - baseline.Makespan).Seconds() / baseline.Makespan.Seconds()
 		fmt.Printf("=== %s ===\n", mode.name)
 		fmt.Printf("guest NN turnaround: %v, total makespan: %v, preemption overhead: %.2f%%\n",
-			res.ResultFor("NN").Turnaround().Round(time.Microsecond),
+			res.ResultFor("NN").Turnaround.Round(time.Microsecond),
 			res.Makespan.Round(time.Microsecond), overhead*100)
 		fmt.Println("residency spans:")
 		for _, row := range res.Log.Gantt() {

@@ -14,7 +14,9 @@
 //   - The runtime engine: NewSystem + System.Offline build per-kernel
 //     artifacts (tuned amortizing factor, duration model, preemption
 //     overhead estimate); System.RunFLEP schedules co-run scenarios under
-//     the HPF or FFS policy, against a calibrated K40 device model.
+//     the HPF or FFS policy, against a calibrated K40 device model, and
+//     RunMPS runs them without preemption. Either returns one KernelRun
+//     per finished launch, normalized by its own input's solo time.
 //
 //   - The evaluation: the workload constructors reproduce the paper's
 //     co-run scenarios, and internal/experiments regenerates every table
@@ -33,6 +35,7 @@ import (
 	"flep/internal/gpu"
 	"flep/internal/hostexec"
 	"flep/internal/kernels"
+	"flep/internal/metrics"
 	"flep/internal/server"
 	"flep/internal/transform"
 	"flep/internal/workload"
@@ -47,8 +50,10 @@ type Options = core.Options
 // RunResult aggregates one scenario execution.
 type RunResult = core.RunResult
 
-// KernelResult is one completed invocation's timing.
-type KernelResult = core.KernelResult
+// KernelRun is the record of one finished launch: its turnaround, waiting
+// time and preemptions beside the solo time of its own input, from which
+// NTT, ANTT and STP are computed.
+type KernelRun = metrics.KernelRun
 
 // Artifacts is the offline-phase output for one kernel.
 type Artifacts = core.Artifacts

@@ -95,7 +95,7 @@ func TestPublicEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flep.ResultFor("SPMV").Turnaround() >= mps.ResultFor("SPMV").Turnaround() {
+	if flep.ResultFor("SPMV").Turnaround >= mps.ResultFor("SPMV").Turnaround {
 		t.Fatal("FLEP did not improve the high-priority kernel")
 	}
 }

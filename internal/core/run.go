@@ -7,7 +7,6 @@ import (
 	"flep/internal/baselines"
 	"flep/internal/flepruntime"
 	"flep/internal/gpu"
-	"flep/internal/kernels"
 	"flep/internal/metrics"
 	"flep/internal/sim"
 	"flep/internal/trace"
@@ -34,31 +33,13 @@ type Options struct {
 	Trace bool
 }
 
-// KernelResult is one completed invocation's timing.
-type KernelResult struct {
-	Kernel string
-	// Bench, Class and TasksOverride name the input the invocation ran,
-	// which is what Runs normalizes it by.
-	Bench         *kernels.Benchmark
-	Class         kernels.InputClass
-	TasksOverride int
-	Priority      int
-	SubmittedAt   time.Duration
-	FinishedAt    time.Duration
-	Waiting       time.Duration
-	// Preemptions counts realized preemptions (FLEP runs only; baselines
-	// never preempt).
-	Preemptions int
-}
-
-// Turnaround returns waiting plus execution time.
-func (r KernelResult) Turnaround() time.Duration { return r.FinishedAt - r.SubmittedAt }
-
 // RunResult aggregates one scenario execution.
 type RunResult struct {
 	Scenario string
-	// Results holds one entry per completed invocation, completion order.
-	Results []KernelResult
+	// Results holds the record of every completed invocation, in completion
+	// order, and Items the index of the scenario item each one ran.
+	Results []metrics.KernelRun
+	Items   []int
 	// Completions counts finished invocations per kernel (loop clients).
 	Completions map[string]int
 	// Makespan is the time the last invocation finished (or the horizon).
@@ -70,9 +51,9 @@ type RunResult struct {
 }
 
 // ResultFor returns the first completed invocation of the kernel, or nil.
-func (r *RunResult) ResultFor(kernel string) *KernelResult {
+func (r *RunResult) ResultFor(kernel string) *metrics.KernelRun {
 	for i := range r.Results {
-		if r.Results[i].Kernel == kernel {
+		if r.Results[i].Name == kernel {
 			return &r.Results[i]
 		}
 	}
@@ -81,12 +62,12 @@ func (r *RunResult) ResultFor(kernel string) *KernelResult {
 
 // runScenario is the one scenario loop under every executor. bind is called
 // once per item and returns its submit function, which launches the item and
-// must see done called exactly once when that launch completes, timings
-// filled in. runScenario schedules each item's arrival on eng, resubmits
-// closed-loop items until the horizon — they need a positive one — and runs
-// the engine to it (or to drain when there is none). Nothing here is built
-// per launch: a relaunch costs what submit itself allocates.
-func runScenario(eng *sim.Engine, sc workload.Scenario, bind func(item workload.Item, done func(KernelResult)) (submit func())) (*RunResult, error) {
+// must see done called exactly once with that launch's record. runScenario
+// schedules each item's arrival on eng, resubmits closed-loop items until
+// the horizon — they need a positive one — and runs the engine to it (or to
+// drain when there is none). Nothing here is built per launch: a relaunch
+// costs what submit itself allocates.
+func runScenario(eng *sim.Engine, sc workload.Scenario, bind func(item workload.Item, done func(metrics.KernelRun)) (submit func())) (*RunResult, error) {
 	for _, item := range sc.Items {
 		if item.Loop && sc.Horizon <= 0 {
 			return nil, fmt.Errorf("core: scenario %s loops %s and has horizon %v, want a positive one", sc.Name, item.Bench.Name, sc.Horizon)
@@ -96,11 +77,10 @@ func runScenario(eng *sim.Engine, sc workload.Scenario, bind func(item workload.
 	completions := make([]int, len(sc.Items))
 	for i, item := range sc.Items {
 		var submit func()
-		submit = bind(item, func(r KernelResult) {
-			r.Kernel, r.Bench, r.Class = item.Bench.Name, item.Bench, item.Class
-			r.TasksOverride, r.Priority = item.TasksOverride, item.Priority
+		submit = bind(item, func(r metrics.KernelRun) {
 			completions[i]++
 			res.Results = append(res.Results, r)
+			res.Items = append(res.Items, i)
 			if item.Loop && eng.Now() < sc.Horizon {
 				submit()
 			}
@@ -152,17 +132,9 @@ func (s *System) RunFLEP(sc workload.Scenario, opt Options) (*RunResult, error) 
 			}
 		}
 	}
-	res, err := runScenario(st.Eng, sc, func(item workload.Item, done func(KernelResult)) func() {
-		l := Launch{
-			Bench: item.Bench, Class: item.Class,
-			TasksOverride: item.TasksOverride, Priority: item.Priority,
-		}
-		onFinish := func(fv *flepruntime.Invocation) {
-			done(KernelResult{
-				SubmittedAt: fv.SubmittedAt(), FinishedAt: fv.FinishedAt(),
-				Waiting: fv.Tw, Preemptions: fv.Preemptions,
-			})
-		}
+	res, err := runScenario(st.Eng, sc, func(item workload.Item, done func(metrics.KernelRun)) func() {
+		l := itemLaunch(item)
+		onFinish := func(fv *flepruntime.Invocation) { done(st.Finished(l, fv)) }
 		// A closed-loop relaunch is submitted from inside the finishing
 		// invocation's OnFinish, and the runtime holds that storage until its
 		// onComplete returns, so an item's launches alternate between two.
@@ -224,17 +196,13 @@ func (s *System) runBaseline(sc workload.Scenario, newExec func(*gpu.Device) *ba
 		}
 		profiles[item.Bench.Name] = profile
 	}
-	return runScenario(eng, sc, func(item workload.Item, done func(KernelResult)) func() {
+	return runScenario(eng, sc, func(item workload.Item, done func(metrics.KernelRun)) func() {
+		l := itemLaunch(item)
 		in := item.Bench.LaunchInput(item.Class, item.TasksOverride)
 		profile := profiles[item.Bench.Name]
 		// Zero before Offline: the baselines run without artifacts.
 		predicted, _ := s.Predict(item.Bench, in)
-		onFinish := func(fj *baselines.Job) {
-			done(KernelResult{
-				SubmittedAt: fj.SubmittedAt(), FinishedAt: fj.FinishedAt(),
-				Waiting: fj.Waiting(),
-			})
-		}
+		onFinish := func(fj *baselines.Job) { done(s.record(l, fj.Turnaround(), fj.Waiting(), 0)) }
 		return func() {
 			exec.Submit(&baselines.Job{
 				Kernel: item.Bench.Name, Priority: item.Priority,
@@ -246,21 +214,10 @@ func (s *System) runBaseline(sc workload.Scenario, newExec func(*gpu.Device) *ba
 	})
 }
 
-// Runs normalizes a scenario result into the results record, one per
-// completed invocation in completion order, each by the solo time of its
-// own (kernel, class) — so a scenario that runs one kernel on two inputs
-// is normalized by two baselines.
-func (s *System) Runs(res *RunResult) ([]metrics.KernelRun, error) {
-	out := make([]metrics.KernelRun, 0, len(res.Results))
-	for _, r := range res.Results {
-		alone, err := s.baseline(r.Bench, r.Class, r.TasksOverride)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, metrics.KernelRun{
-			Name: r.Kernel, Alone: alone, Turnaround: r.Turnaround(),
-			Waiting: r.Waiting, Preemptions: r.Preemptions,
-		})
+// itemLaunch is the launch a scenario item makes.
+func itemLaunch(item workload.Item) Launch {
+	return Launch{
+		Bench: item.Bench, Class: item.Class,
+		TasksOverride: item.TasksOverride, Priority: item.Priority,
 	}
-	return out, nil
 }

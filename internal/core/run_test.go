@@ -19,14 +19,10 @@ func TestKernelRunsNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, err := s.Runs(res)
-	if err != nil {
-		t.Fatal(err)
+	if len(res.Results) != 2 {
+		t.Fatalf("runs = %d", len(res.Results))
 	}
-	if len(runs) != 2 {
-		t.Fatalf("runs = %d", len(runs))
-	}
-	for _, r := range runs {
+	for _, r := range res.Results {
 		if r.Alone <= 0 || r.Turnaround < r.Alone {
 			t.Fatalf("run %+v: turnaround below solo time", r)
 		}
@@ -36,7 +32,7 @@ func TestKernelRunsNormalization(t *testing.T) {
 // A scenario that runs one kernel on two inputs is normalized by two
 // baselines: looking the class up by kernel name gave both runs the same
 // one, and the pair an ANTT some twenty times too large.
-func TestRunsNormalizesEachResultByItsOwnClass(t *testing.T) {
+func TestResultsNormalizeEachByItsOwnClass(t *testing.T) {
 	s := testSystem(t)
 	va, _ := kernels.ByName("VA")
 	sc := workload.PriorityPair(va, va, 0) // VA small at high priority over VA large
@@ -44,39 +40,34 @@ func TestRunsNormalizesEachResultByItsOwnClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, err := s.Runs(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 2 {
-		t.Fatalf("runs = %d", len(runs))
+	if len(res.Results) != 2 || len(res.Items) != 2 {
+		t.Fatalf("results = %d, items = %d", len(res.Results), len(res.Items))
 	}
 	for i, r := range res.Results {
-		want, err := s.SoloTime(va, r.Class)
+		item := sc.Items[res.Items[i]]
+		want, err := s.SoloTime(va, item.Class)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if runs[i].Alone != want {
-			t.Errorf("VA %s normalized by %v, want its own solo time %v", r.Class, runs[i].Alone, want)
+		if r.Alone != want {
+			t.Errorf("VA %s normalized by %v, want its own solo time %v", item.Class, r.Alone, want)
 		}
-		if runs[i].Turnaround != r.Turnaround() || runs[i].Waiting != r.Waiting || runs[i].Preemptions != r.Preemptions {
-			t.Errorf("VA %s: run %+v does not carry result %+v", r.Class, runs[i], r)
+		if r.Name != item.Bench.Name || r.Turnaround < r.Waiting {
+			t.Errorf("VA %s: record %+v does not carry its launch", item.Class, r)
 		}
 	}
-	if res.Results[0].Class == res.Results[1].Class {
-		t.Fatal("both results have one class; the test would be vacuous")
+	if res.Items[0] == res.Items[1] {
+		t.Fatal("both results ran one item; the test would be vacuous")
 	}
 	// An overridden task count has no calibrated baseline.
 	sc.Items[0].TasksOverride = 16
 	if res, err = s.RunFLEP(sc, Options{Policy: "hpf"}); err != nil {
 		t.Fatal(err)
 	}
-	if runs, err = s.Runs(res); err != nil {
-		t.Fatal(err)
-	}
 	for i, r := range res.Results {
-		if overridden := r.TasksOverride != 0; overridden != (runs[i].Alone == 0) {
-			t.Errorf("VA %s (override %d) normalized by %v", r.Class, r.TasksOverride, runs[i].Alone)
+		item := sc.Items[res.Items[i]]
+		if overridden := item.TasksOverride != 0; overridden != (r.Alone == 0) {
+			t.Errorf("VA %s (override %d) normalized by %v", item.Class, item.TasksOverride, r.Alone)
 		}
 	}
 }
@@ -143,7 +134,7 @@ func TestFigure9StyleDelayBeyondCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := mps.ResultFor("SPMV").Turnaround().Seconds() / flep.ResultFor("SPMV").Turnaround().Seconds()
+	ratio := mps.ResultFor("SPMV").Turnaround.Seconds() / flep.ResultFor("SPMV").Turnaround.Seconds()
 	if ratio < 0.9 || ratio > 1.15 {
 		t.Fatalf("speedup with idle GPU = %.2f, want ≈1", ratio)
 	}

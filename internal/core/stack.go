@@ -143,17 +143,30 @@ func (st *Stack) NewInvocationIn(v *flepruntime.Invocation, l Launch) error {
 
 // Finished is the one way out of the runtime: it turns a finished
 // invocation of launch l into the results record every driver tallies —
-// the timings the runtime measured, the solo baseline of l's own input
-// (none when that cannot be had), and for a deadline-bearing launch the
-// margin it finished with, which decides the SLO verdict.
+// the timings the runtime measured, the solo baseline of l's own input,
+// and for a deadline-bearing launch the margin it finished with, which
+// decides the SLO verdict.
 func (st *Stack) Finished(l Launch, fv *flepruntime.Invocation) metrics.KernelRun {
-	r := metrics.KernelRun{
-		Name: fv.Kernel, Turnaround: fv.Turnaround(),
-		Waiting: fv.Tw, Preemptions: fv.Preemptions,
-	}
-	r.Alone, _ = st.sys.baseline(l.Bench, l.Class, l.TasksOverride) // an error leaves no baseline
+	r := st.sys.record(l, fv.Turnaround(), fv.Tw, fv.Preemptions)
 	if fv.Deadline > 0 {
 		r.Tracked, r.Margin = true, fv.Deadline-fv.FinishedAt()
 	}
 	return r
+}
+
+// record is the one place core writes a finished launch's record, for
+// flepd, the replayer and every scenario driver alike: launch l's timings
+// beside the solo time of its own (kernel, class), so a scenario that runs
+// one kernel on two inputs is normalized by two baselines. An overridden
+// task count was never calibrated, and it — like a baseline that cannot be
+// had — leaves the record without one.
+func (s *System) record(l Launch, turnaround, waiting time.Duration, preemptions int) metrics.KernelRun {
+	var alone time.Duration
+	if l.TasksOverride == 0 {
+		alone, _ = s.SoloTime(l.Bench, l.Class) // an error leaves no baseline
+	}
+	return metrics.KernelRun{
+		Name: l.Bench.Name, Alone: alone, Turnaround: turnaround,
+		Waiting: waiting, Preemptions: preemptions,
+	}
 }

@@ -40,7 +40,7 @@ type Artifacts struct {
 
 // System is a FLEP deployment: device parameters plus per-kernel offline
 // artifacts, and the one table of solo baselines every driver normalizes
-// a finished launch by (SoloTime, Stack.Finished, Runs).
+// a finished launch by (SoloTime, Stack.Finished).
 type System struct {
 	Par  gpu.Params
 	arts map[string]*Artifacts
@@ -329,16 +329,6 @@ func (s *System) SoloTime(b *kernels.Benchmark, c kernels.InputClass) (time.Dura
 	}
 	s.solo[key] = d
 	return d, nil
-}
-
-// baseline returns the solo time a launch of b is normalized by: that of
-// its own input class, or zero — no baseline — when the task count was
-// overridden, since no solo run was calibrated for that input.
-func (s *System) baseline(b *kernels.Benchmark, c kernels.InputClass, tasksOverride int) (time.Duration, error) {
-	if tasksOverride != 0 {
-		return 0, nil
-	}
-	return s.SoloTime(b, c)
 }
 
 // SoloPersistentTime measures the FLEP-transformed kernel's solo runtime at

@@ -122,7 +122,7 @@ func TestFLEPPriorityPairBeatsMPS(t *testing.T) {
 	if mpsHi == nil || flepHi == nil {
 		t.Fatal("missing results")
 	}
-	speedup := metrics.Speedup(mpsHi.Turnaround(), flepHi.Turnaround())
+	speedup := metrics.Speedup(mpsHi.Turnaround, flepHi.Turnaround)
 	// Paper: up to 24.2x for SPMV_NN.
 	if speedup < 15 || speedup > 35 {
 		t.Fatalf("SPMV_NN speedup = %.1fx, paper reports ≈24x", speedup)
@@ -131,7 +131,7 @@ func TestFLEPPriorityPairBeatsMPS(t *testing.T) {
 	if flep.ResultFor("NN") == nil {
 		t.Fatal("NN never finished under FLEP")
 	}
-	t.Logf("SPMV_NN: MPS %v → FLEP %v (%.1fx)", mpsHi.Turnaround(), flepHi.Turnaround(), speedup)
+	t.Logf("SPMV_NN: MPS %v → FLEP %v (%.1fx)", mpsHi.Turnaround, flepHi.Turnaround, speedup)
 }
 
 func TestFLEPEqualPairImprovesANTT(t *testing.T) {
@@ -148,14 +148,7 @@ func TestFLEPEqualPairImprovesANTT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpsRuns, err := s.Runs(mps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flepRuns, err := s.Runs(flep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mpsRuns, flepRuns := mps.Results, flep.Results
 	anttMPS := metrics.ANTT(mpsRuns)
 	anttFLEP := metrics.ANTT(flepRuns)
 	if anttFLEP >= anttMPS {
@@ -241,12 +234,13 @@ func TestRunSlicedAndReorder(t *testing.T) {
 		t.Fatal("baseline runs incomplete")
 	}
 	// Slicing preempts at slice boundaries: high-priority MM should finish
-	// before NN (long) despite arriving second.
-	if sliced.ResultFor("MM").FinishedAt > sliced.ResultFor("NN").FinishedAt {
+	// before NN (long) despite arriving second. Results are in completion
+	// order.
+	if sliced.Results[0].Name != "MM" {
 		t.Fatal("slicing did not let the high-priority kernel run first")
 	}
 	// Reordering cannot preempt the already-running NN.
-	if reorder.ResultFor("MM").FinishedAt < reorder.ResultFor("NN").FinishedAt {
+	if reorder.Results[0].Name != "NN" {
 		t.Fatal("reordering preempted a running kernel")
 	}
 }

@@ -153,7 +153,8 @@ func (s *Suite) AblationSpatialSize() (*Table, error) {
 			if sms == 0 {
 				label = 5
 			}
-			t.AddRow(sc.Name, label, res.ResultFor(c[0]).Turnaround(), res.ResultFor(c[1]).FinishedAt)
+			// The victim is submitted at 0: its turnaround is its finish.
+			t.AddRow(sc.Name, label, res.ResultFor(c[0]).Turnaround, res.ResultFor(c[1]).Turnaround)
 		}
 	}
 	t.Note("FLEP exposes the yield size so deployments can trade guest speed against victim degradation (§6.4)")

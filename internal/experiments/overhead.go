@@ -61,5 +61,5 @@ func (s *Suite) soloSlicedTime(b *kernels.Benchmark, sliceTasks int) (time.Durat
 	}
 	r := res.ResultFor(b.Name)
 	slices := (b.Input(kernels.Large).Tasks + sliceTasks - 1) / sliceTasks
-	return r.Turnaround(), slices, nil
+	return r.Turnaround, slices, nil
 }

@@ -117,5 +117,5 @@ func (s *Suite) spatialGuestExecTime(high, low *kernels.Benchmark, sms int) (tim
 	if r == nil {
 		return 0, fmt.Errorf("experiments: %s never completed", high.Name)
 	}
-	return r.Turnaround() - r.Waiting, nil
+	return r.Turnaround - r.Waiting, nil
 }

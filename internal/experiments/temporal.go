@@ -31,7 +31,7 @@ func (s *Suite) Figure8() (*Table, error) {
 			return nil, err
 		}
 		high := sc.Items[1].Bench.Name
-		sp := metrics.Speedup(mps.ResultFor(high).Turnaround(), flep.ResultFor(high).Turnaround())
+		sp := metrics.Speedup(mps.ResultFor(high).Turnaround, flep.ResultFor(high).Turnaround)
 		sum += sp
 		if sp > maxV {
 			maxV = sp
@@ -39,7 +39,7 @@ func (s *Suite) Figure8() (*Table, error) {
 		if sp < minV {
 			minV = sp
 		}
-		t.AddRow(sc.Name, mps.ResultFor(high).Turnaround(), flep.ResultFor(high).Turnaround(), x(sp))
+		t.AddRow(sc.Name, mps.ResultFor(high).Turnaround, flep.ResultFor(high).Turnaround, x(sp))
 	}
 	t.Note("mean %.1fx, max %.1fx, min %.1fx over %d pairs (paper: mean 10.1x, max 24.2x, min 4.1x)",
 		sum/float64(len(pairs)), maxV, minV, len(pairs))
@@ -75,7 +75,7 @@ func (s *Suite) Figure9() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			sp := metrics.Speedup(mps.ResultFor(c[0]).Turnaround(), flep.ResultFor(c[0]).Turnaround())
+			sp := metrics.Speedup(mps.ResultFor(c[0]).Turnaround, flep.ResultFor(c[0]).Turnaround)
 			t.AddRow(sc.Name, delay, x(sp))
 		}
 	}
@@ -96,17 +96,9 @@ func (s *Suite) equalPairMetrics(sc workload.Scenario) (anttM, anttF, stpM, stpF
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	tRuns, err := s.Sys.Runs(mps)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	fRuns, err := s.Sys.Runs(flep)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	anttM, anttF = metrics.ANTT(tRuns), metrics.ANTT(fRuns)
-	stpM = metrics.STP(execOnly(tRuns))
-	stpF = metrics.STP(execOnly(fRuns))
+	anttM, anttF = metrics.ANTT(mps.Results), metrics.ANTT(flep.Results)
+	stpM = metrics.STP(execOnly(mps.Results))
+	stpF = metrics.STP(execOnly(flep.Results))
 	return anttM, anttF, stpM, stpF, nil
 }
 
@@ -189,19 +181,7 @@ func (s *Suite) Figure12() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mRuns, err := s.Sys.Runs(mps)
-		if err != nil {
-			return nil, err
-		}
-		fRuns, err := s.Sys.Runs(flep)
-		if err != nil {
-			return nil, err
-		}
-		rRuns, err := s.Sys.Runs(reorder)
-		if err != nil {
-			return nil, err
-		}
-		am, af, ar := metrics.ANTT(mRuns), metrics.ANTT(fRuns), metrics.ANTT(rRuns)
+		am, af, ar := metrics.ANTT(mps.Results), metrics.ANTT(flep.Results), metrics.ANTT(reorder.Results)
 		impF, impR := am/af, am/ar
 		sumF += impF
 		sumR += impR

@@ -98,12 +98,22 @@ func recycledScenarios() []workload.Scenario {
 	return append(scs, mix)
 }
 
-// runDigest is the sha256 of everything a RunFLEP result reports.
-func runDigest(res *core.RunResult) string {
+// runDigest is the sha256 of everything a RunFLEP result of sc reports:
+// each record with its item's launch, and the instants it was submitted and
+// finished — its item's arrival, or for a closed-loop relaunch its previous
+// launch's finish, plus the record's turnaround.
+func runDigest(sc workload.Scenario, res *core.RunResult) string {
 	h := sha256.New()
-	for _, r := range res.Results {
-		fmt.Fprintf(h, "%s %v %d %d %d %d %d %d\n", r.Kernel, r.Class, r.TasksOverride, r.Priority,
-			r.SubmittedAt, r.FinishedAt, r.Waiting, r.Preemptions)
+	next := make([]time.Duration, len(sc.Items))
+	for k, item := range sc.Items {
+		next[k] = item.At
+	}
+	for i, r := range res.Results {
+		k := res.Items[i]
+		item, submitted := sc.Items[k], next[k]
+		next[k] = submitted + r.Turnaround
+		fmt.Fprintf(h, "%s %v %d %d %d %d %d %d\n", r.Name, item.Class, item.TasksOverride, item.Priority,
+			submitted, next[k], r.Waiting, r.Preemptions)
 	}
 	names := make([]string, 0, len(res.Completions))
 	for name := range res.Completions {
@@ -164,7 +174,7 @@ func TestRecycledInvocationsMatchFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lines = append(lines, fmt.Sprintf("runflep policy=%s scenario=%s results=%d %s", p, sc.Name, len(res.Results), runDigest(res)))
+			lines = append(lines, fmt.Sprintf("runflep policy=%s scenario=%s results=%d %s", p, sc.Name, len(res.Results), runDigest(sc, res)))
 		}
 	}
 	var got bytes.Buffer
