@@ -184,7 +184,7 @@ func main() {
 				benches: benches, class: *class, mix: mix,
 				n: *perC, rate: *rate,
 				deadline: *deadline, dlShare: *dlShare,
-				rng: rand.New(rand.NewSource(*seed + int64(c))),
+				rng: rand.New(rand.NewSource(*seed + int64(c))), jitter: jitterSource(*seed, c),
 				rec: recorder, runStart: start,
 			}
 			if len(specs) > 0 {
@@ -331,6 +331,7 @@ type clientConfig struct {
 	deadline time.Duration // SLO budget; zero = best-effort
 	dlShare  float64       // fraction of launches carrying the budget
 	rng      *rand.Rand
+	jitter   *rand.Rand       // retry delays only, so 429s leave the launch mix alone
 	rec      *replay.Recorder // nil unless -record
 	runStart time.Time        // shared zero point for trace arrival offsets
 }
@@ -407,7 +408,7 @@ func post(httpc *http.Client, st *stats, cc clientConfig, req server.LaunchReque
 		switch {
 		case s.status == http.StatusTooManyRequests && attempt < maxRetry:
 			st.retries.Add(1)
-			time.Sleep(retryAfter(resp))
+			time.Sleep(retryAfter(resp, cc.jitter))
 			continue
 		case s.status == http.StatusOK && decErr != nil:
 			s.status = 0
@@ -592,17 +593,25 @@ func modelLine(name string, a *modelAgg) string {
 	return line
 }
 
-func retryAfter(resp *http.Response) time.Duration {
+// retryAfter is how long a refused client waits before resubmitting: a
+// twentieth of the server's Retry-After hint (an upper bound for a lone
+// client), or 50 ms without one, scaled by a factor in [0.5, 1.5) from the
+// client's jitter source, so the clients refused in one admission batch do
+// not all come back at one instant.
+func retryAfter(resp *http.Response, jitter *rand.Rand) time.Duration {
+	d := 50 * time.Millisecond
 	if s := resp.Header.Get("Retry-After"); s != "" {
 		var secs float64
 		if _, err := fmt.Sscanf(s, "%g", &secs); err == nil && secs > 0 {
-			// The hint is an upper bound for a lone client; jittered
-			// fraction avoids thundering-herd resubmission.
-			return time.Duration(secs * float64(time.Second) / 20)
+			d = time.Duration(secs * float64(time.Second) / 20)
 		}
 	}
-	return 50 * time.Millisecond
+	return time.Duration((0.5 + jitter.Float64()) * float64(d))
 }
+
+// jitterSource is client c's retry-delay source under -seed: seeded apart
+// from the client's launch-mix source (seed+c), by complement.
+func jitterSource(seed int64, c int) *rand.Rand { return rand.New(rand.NewSource(^(seed + int64(c)))) }
 
 func report(st *stats, wall time.Duration) {
 	st.mu.Lock()

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -160,7 +161,7 @@ func TestAnswersAreFiledOnce(t *testing.T) {
 			w.WriteHeader(tc.status)
 			fmt.Fprint(w, `{"id":1}`)
 		}))
-		cc := clientConfig{addr: ts.URL, id: "c", benches: []string{"VA"}, n: 1, mix: []prioShare{{1, 1}}, rng: rand.New(rand.NewSource(1))}
+		cc := clientConfig{addr: ts.URL, id: "c", benches: []string{"VA"}, n: 1, mix: []prioShare{{1, 1}}, rng: rand.New(rand.NewSource(1)), jitter: jitterSource(1, 0)}
 		for _, graph := range []bool{false, true} {
 			st := &stats{models: map[string]*modelAgg{}}
 			want, agg := tc.plain, &modelAgg{}
@@ -177,5 +178,34 @@ func TestAnswersAreFiledOnce(t *testing.T) {
 			}
 		}
 		ts.Close()
+	}
+}
+
+// A refused client's retry delay is jittered from its own seeded source:
+// one seed repeats its delays, two seeds differ, and every delay stays
+// within half to one and a half of a twentieth of the server's hint. A
+// fixed fraction sent every client of one refused batch back at once.
+func TestRetryJitterIsSeeded(t *testing.T) {
+	resp := &http.Response{Header: http.Header{"Retry-After": {"2"}}}
+	delays := func(seed int64) []time.Duration {
+		jitter := jitterSource(seed, 3)
+		out := make([]time.Duration, 8)
+		for i := range out {
+			out[i] = retryAfter(resp, jitter)
+			if out[i] < 50*time.Millisecond || out[i] >= 150*time.Millisecond {
+				t.Fatalf("seed %d: delay %v outside [50ms, 150ms) for a 2 s hint", seed, out[i])
+			}
+		}
+		return out
+	}
+	a, again, b := delays(1), delays(1), delays(2)
+	if !slices.Equal(a, again) {
+		t.Errorf("seed 1 gave %v, then %v", a, again)
+	}
+	if slices.Equal(a, b) {
+		t.Errorf("seeds 1 and 2 both gave %v", a)
+	}
+	if slices.Min(a) == slices.Max(a) {
+		t.Errorf("seed 1 gave one delay eight times: %v", a)
 	}
 }

@@ -10,6 +10,7 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -109,12 +110,17 @@ func (b *Benchmark) Input(c InputClass) Input { return b.inputs[c] }
 
 // LaunchInput resolves one launch to its workload: the class's calibrated
 // input, or, when tasksOverride is positive, that input at the overridden
-// grid size with the input-size feature rescaled to match.
+// grid size with the input-size feature rescaled to match. The size
+// saturates instead of wrapping, so no grid's working set fits a device
+// by overflowing.
 func (b *Benchmark) LaunchInput(c InputClass, tasksOverride int) Input {
 	in := b.inputs[c]
 	if tasksOverride > 0 {
 		in.Tasks = tasksOverride
-		in.Bytes = int64(in.Tasks) * b.BytesPerTask
+		in.Bytes = math.MaxInt64
+		if int64(in.Tasks) <= math.MaxInt64/b.BytesPerTask {
+			in.Bytes = int64(in.Tasks) * b.BytesPerTask
+		}
 	}
 	return in
 }

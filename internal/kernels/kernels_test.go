@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -171,6 +172,25 @@ func TestScaledInput(t *testing.T) {
 	}
 	if b.ScaledInput(-1, 1).Tasks <= 0 || b.ScaledInput(2, 1).Tasks != b.Input(Large).Tasks {
 		t.Fatal("scale clamping broken")
+	}
+}
+
+// An overridden grid's size feature saturates: tasks_override
+// 9223372036854775807 wrapped VA's working set to -384 bytes, which fit the
+// device's memory, and the launch then held flepd's event loop for good.
+func TestLaunchInputSizeSaturates(t *testing.T) {
+	for _, b := range All() {
+		fits := b.LaunchInput(Small, 1<<20)
+		if fits.Bytes != (1<<20)*b.BytesPerTask {
+			t.Errorf("%s: %d bytes for 2^20 tasks, want %d", b.Name, fits.Bytes, (1<<20)*b.BytesPerTask)
+		}
+		for _, tasks := range []int{math.MaxInt64, int(math.MaxInt64/b.BytesPerTask) + 1} {
+			in := b.LaunchInput(Small, tasks)
+			if in.Tasks != tasks || in.Bytes < fits.Bytes || in.WorkingSet() < fits.WorkingSet() {
+				t.Errorf("%s at %d tasks: %d bytes, working set %d; %d tasks need %d",
+					b.Name, tasks, in.Bytes, in.WorkingSet(), fits.Tasks, fits.WorkingSet())
+			}
+		}
 	}
 }
 
