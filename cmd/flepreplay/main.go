@@ -246,12 +246,10 @@ func cmdReplay(fs *command) error {
 		}
 	}
 
-	cfg := replay.ReplayConfig{
-		Policy: *policy, Devices: *devices, L: *lOverride,
-		MaxOverhead: *maxOver, Seed: *seed,
-	}
-	cfg.SetSpatial(*spa)
-	sum, err := rp.Run(cfg)
+	sum, err := rp.Run(replay.ReplayConfig{
+		Policy: *policy, Spa: *spa, MaxOverhead: *maxOver,
+		Devices: *devices, L: *lOverride, Seed: *seed,
+	})
 	if err != nil {
 		return err
 	}

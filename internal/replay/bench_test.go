@@ -3,6 +3,8 @@ package replay
 import (
 	"path/filepath"
 	"testing"
+
+	"flep/internal/core"
 )
 
 // BenchmarkRecorderRecord measures the per-admission trace append on the
@@ -11,7 +13,7 @@ import (
 // -record is on.
 func BenchmarkRecorderRecord(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "bench.trace")
-	r, err := NewRecorder(path, Header{Source: SourceFlepd, Policy: "hpf"}, RecorderOptions{})
+	r, err := NewRecorder(path, Header{Source: SourceFlepd, Options: core.Options{Policy: "hpf"}}, RecorderOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -63,9 +63,8 @@ func TestSummaryGoldens(t *testing.T) {
 	}
 
 	_, twoTenant := mixReplayer(t)
-	spatial := true
 	cases = append(cases, goldenCase{"mix-hpf-spatial-L8", twoTenant,
-		ReplayConfig{Policy: "hpf", Spatial: &spatial, SpatialSMs: 4, L: 8, Seed: 7}})
+		ReplayConfig{Policy: "hpf", Spa: 4, L: 8, Seed: 7}})
 
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -67,9 +67,7 @@ func recycledConfigs() []ReplayConfig {
 		for _, d := range []int{1, 2, 3} {
 			for _, spa := range []int{-1, 4} {
 				for _, l := range []int{0, 8} {
-					cfg := ReplayConfig{Policy: p, Devices: d, L: l, Seed: int64(len(cfgs))}
-					cfg.SetSpatial(spa)
-					cfgs = append(cfgs, cfg)
+					cfgs = append(cfgs, ReplayConfig{Policy: p, Spa: spa, Devices: d, L: l, Seed: int64(len(cfgs))})
 				}
 			}
 		}
@@ -151,8 +149,7 @@ func TestRecycledInvocationsMatchFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spa := *rp.effective(cfg).Spatial
-		return fmt.Sprintf("replay policy=%s devices=%d spatial=%v L=%d seed=%d mode=%s %x", cfg.Policy, cfg.Devices, spa, cfg.L, cfg.Seed, sum.Mode, sha256.Sum256(js))
+		return fmt.Sprintf("replay policy=%s devices=%d spatial=%v L=%d seed=%d mode=%s %x", cfg.Policy, cfg.Devices, sum.Spatial, cfg.L, cfg.Seed, sum.Mode, sha256.Sum256(js))
 	}
 	lines := make([]string, len(cfgs))
 	for i, cfg := range cfgs {

@@ -277,7 +277,7 @@ func TestTraceWriteFileRoundTrip(t *testing.T) {
 func modelTrace() *Trace {
 	tr := &Trace{Header: Header{
 		Magic: true, TraceVersion: Version, Source: SourceFlepload,
-		Policy: "edf", Benchmarks: []string{"MM", "VA"}, Seed: 11,
+		Options: core.Options{Policy: "edf"}, Benchmarks: []string{"MM", "VA"}, Seed: 11,
 	}}
 	ms := int64(time.Millisecond)
 	seq := int64(0)
@@ -419,18 +419,14 @@ func TestReplayMatchesRunFLEPOnPriorityPair(t *testing.T) {
 	if res.ResultFor("MM").Preemptions == 0 {
 		t.Fatal("the pair did not preempt; the comparison would be vacuous")
 	}
-	antt := map[string]float64{} // one launch per kernel
-	for _, r := range res.Results {
-		antt[r.Name] = metrics.ANTT([]metrics.KernelRun{r})
-	}
 	for _, ten := range sum.Tenants { // one tenant per kernel, one launch each
 		want := res.ResultFor(ten.Client)
 		if want == nil {
 			t.Fatalf("RunFLEP has no result for %s", ten.Client)
 		}
 		// Both drivers normalize through core, so not a bit may differ.
-		if ten.MeanNTT != antt[ten.Client] || ten.MeanNTT < 1 {
-			t.Errorf("%s: replay mean NTT %v, RunFLEP %v", ten.Client, ten.MeanNTT, antt[ten.Client])
+		if ntt := metrics.ANTT([]metrics.KernelRun{*want}); ten.MeanNTT != ntt || ten.MeanNTT < 1 {
+			t.Errorf("%s: replay mean NTT %v, RunFLEP %v", ten.Client, ten.MeanNTT, ntt)
 		}
 		turnaround := time.Duration(ten.MeanTurnaroundNS)
 		if turnaround != want.Turnaround || time.Duration(ten.MeanWaitNS) != want.Waiting || ten.Preemptions != want.Preemptions {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"flep/internal/core"
 	"flep/internal/metrics"
 )
 
@@ -134,12 +135,12 @@ type Divergence struct {
 	SubmitErrors int64 `json:"submit_errors"`
 }
 
-func (rp *Replayer) summarize(eff ReplayConfig, policy, mode string, devs []*devRun,
+func (rp *Replayer) summarize(cfg ReplayConfig, opt core.Options, mode string, devs []*devRun,
 	outcomes []*outcome, divTe, divStep, divPlacement, divDependency, submitErrors int64) *Summary {
 	sum := &Summary{
-		Mode: mode, Policy: policy, Devices: eff.Devices,
-		Spatial: *eff.Spatial, SpatialSMs: eff.SpatialSMs,
-		LOverride: eff.L, Seed: eff.Seed,
+		Mode: mode, Policy: opt.Policy, Devices: len(devs),
+		Spatial: opt.Spatial, SpatialSMs: opt.SpatialSMs,
+		LOverride: cfg.L, Seed: cfg.Seed,
 		Records: len(rp.trace.Records), Completed: len(outcomes),
 		SubmitErrors: submitErrors,
 		Divergence: Divergence{

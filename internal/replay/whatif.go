@@ -125,11 +125,11 @@ func (rp *Replayer) WhatIf(m Matrix) (*Comparison, error) {
 						continue // two axis points that resolved to one configuration
 					}
 					named[cell.Name] = true
-					cfg := ReplayConfig{Policy: policy, Devices: nd, L: l, Seed: m.Seed}
-					cfg.SetSpatial(spa)
+					cfg := ReplayConfig{Policy: policy, Spa: spa, Devices: nd, L: l, Seed: m.Seed}
 					// Every cell must be able to start before any runs: a
 					// misspelt last policy should not cost the others' replays.
-					if _, err := rp.sys.NewStack(rp.effective(cfg).options(), nil, nil, nil); err != nil {
+					opt, _ := rp.effective(cfg)
+					if _, err := rp.sys.NewStack(opt, nil, nil, nil); err != nil {
 						return nil, fmt.Errorf("replay: what-if cell %s: %w", cell.Name, err)
 					}
 					cells, cfgs = append(cells, cell), append(cfgs, cfg)

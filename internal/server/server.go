@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -441,10 +440,7 @@ func newShard(sys *core.System, cfg Config, device, shards int) (*Server, error)
 	if cfg.Trace {
 		s.tlog = &trace.Log{Limit: traceLimit}
 	}
-	s.stack, err = sys.NewStack(core.Options{
-		Policy: cfg.Policy, Spatial: cfg.Spatial, SpatialSMs: cfg.SpatialSMs,
-		MaxOverhead: cfg.MaxOverhead, Weights: cfg.Weights,
-	}, s.tlog, s.reg, nil)
+	s.stack, err = sys.NewStack(cfg.options(), s.tlog, s.reg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
@@ -530,25 +526,21 @@ func retryAfterFor(depth int, perLaunch time.Duration, shards int) int {
 	return secs
 }
 
+// options is the scheduler every shard of this configuration runs, and the
+// one a recording of it names in its trace header.
+func (c Config) options() core.Options {
+	return core.Options{
+		Policy: c.Policy, Spatial: c.Spatial, SpatialSMs: c.SpatialSMs,
+		MaxOverhead: c.MaxOverhead, Weights: c.Weights,
+	}
+}
+
 // RecorderHeader builds the replay trace header describing this
 // configuration, so a recording daemon stamps its trace with everything
 // a replay needs to default to "as recorded".
 func (c Config) RecorderHeader(devices int) replay.Header {
 	c.applyDefaults()
-	h := replay.Header{
-		Source:      replay.SourceFlepd,
-		Policy:      c.Policy,
-		Spatial:     c.Spatial,
-		SpatialSMs:  c.SpatialSMs,
-		MaxOverhead: c.MaxOverhead,
-		Devices:     devices,
-	}
-	if len(c.Weights) > 0 {
-		h.Weights = map[string]float64{}
-		for p, w := range c.Weights {
-			h.Weights[strconv.Itoa(p)] = w
-		}
-	}
+	h := replay.Header{Source: replay.SourceFlepd, Options: c.options(), Devices: devices}
 	if len(c.Benchmarks) == 0 {
 		for _, b := range kernels.All() {
 			h.Benchmarks = append(h.Benchmarks, b.Name)
