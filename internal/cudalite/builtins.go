@@ -10,11 +10,11 @@ func (tc *threadCtx) evalCall(x *Call) (Value, error) {
 		if len(x.Args) != 0 {
 			return Value{}, rtErr(x.Pos, "__syncthreads takes no arguments")
 		}
-		if tc.bar == nil {
+		if tc.sync == nil {
 			return Value{}, rtErr(x.Pos, "__syncthreads outside kernel execution")
 		}
-		if err := tc.bar.wait(); err != nil {
-			return Value{}, rtErr(x.Pos, "%v", err)
+		if !tc.sync() {
+			return Value{}, rtErr(x.Pos, "thread abandoned at the barrier")
 		}
 		return Value{}, nil
 	case "__smid":
@@ -76,7 +76,7 @@ func (tc *threadCtx) evalCall(x *Call) (Value, error) {
 	// User-defined __device__ (or host helper) function.
 	callee := tc.m.prog.Func(x.Fun)
 	if callee == nil {
-		if tc.m.HostCall != nil && tc.bar == nil {
+		if tc.m.HostCall != nil && tc.sync == nil {
 			v, handled, err := tc.m.HostCall(x.Fun, args)
 			if handled {
 				if err != nil {
@@ -104,8 +104,9 @@ func (tc *threadCtx) evalCall(x *Call) (Value, error) {
 }
 
 // evalAtomic implements read-modify-write builtins: first arg is a pointer
-// expression, second the operand. The whole RMW runs under the machine's
-// atomic lock and returns the old value, matching CUDA semantics.
+// expression, second the operand. It returns the old value, matching CUDA
+// semantics; it is atomic because no other thread runs until this one
+// reaches a barrier or returns.
 func (tc *threadCtx) evalAtomic(x *Call, op func(old, d Value) Value) (Value, error) {
 	if len(x.Args) != 2 {
 		return Value{}, rtErr(x.Pos, "%s wants 2 args", x.Fun)
@@ -121,13 +122,10 @@ func (tc *threadCtx) evalAtomic(x *Call, op func(old, d Value) Value) (Value, er
 	if err != nil {
 		return Value{}, err
 	}
-	tc.m.atomicMu.Lock()
-	defer tc.m.atomicMu.Unlock()
 	old, err := ptr.P.Buf.Load(ptr.P.Off)
 	if err != nil {
 		return Value{}, rtErr(x.Pos, "%v", err)
 	}
-	//flepvet:allow lockheld -- op is a pure arithmetic combine; running it under atomicMu IS the simulated atomicity
 	if err := ptr.P.Buf.Store(ptr.P.Off, op(old, d)); err != nil {
 		return Value{}, rtErr(x.Pos, "%v", err)
 	}

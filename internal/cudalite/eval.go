@@ -97,7 +97,7 @@ func (tc *threadCtx) eval(e Expr) (Value, error) {
 	case *NullLit:
 		return NullValue(), nil
 	case *StrLit:
-		if tc.bar != nil {
+		if tc.sync != nil {
 			return Value{}, rtErr(x.Pos, "string literals are not valid in device code")
 		}
 		return StrValue(x.Val), nil

@@ -2,7 +2,8 @@ package cudalite
 
 import (
 	"fmt"
-	"sync"
+	"iter"
+	"slices"
 )
 
 // RuntimeError is an error raised while interpreting a kernel.
@@ -19,8 +20,10 @@ func rtErr(pos Pos, format string, args ...any) error {
 }
 
 // Machine interprets MiniCUDA kernels with SIMT semantics: CTAs execute
-// sequentially (hardware interleaving is the gpu package's concern); the
-// threads of one CTA run concurrently with a real __syncthreads barrier.
+// sequentially (hardware interleaving is the gpu package's concern), and
+// the threads of one CTA interleave at __syncthreads barriers. One thread
+// runs at a time, so a run's interleaving, and with it every result, is a
+// function of the program and its inputs.
 type Machine struct {
 	prog *Program
 
@@ -39,8 +42,6 @@ type Machine struct {
 	// Returning handled=false falls through to an undefined-function
 	// error. Device code never consults it.
 	HostCall func(name string, args []Value) (v Value, handled bool, err error)
-
-	atomicMu sync.Mutex
 }
 
 const defaultStepBudget = 50_000_000
@@ -106,13 +107,22 @@ func (m *Machine) Launch(name string, cfg LaunchConfig) error {
 	if smid == nil {
 		smid = func(cta int) int { return cta % 15 }
 	}
+	barriers := false
+	for _, f := range m.prog.Reachable(fn) {
+		Inspect(f, func(n Node) bool {
+			if c, ok := n.(*Call); ok && c.Fun == "__syncthreads" {
+				barriers = true
+			}
+			return !barriers
+		})
+	}
 
 	cta := 0
 	for bz := 0; bz < grid.Z; bz++ {
 		for by := 0; by < grid.Y; by++ {
 			for bx := 0; bx < grid.X; bx++ {
 				bid := Dim3{X: bx, Y: by, Z: bz}
-				if err := m.runCTA(fn, cfg.Args, bid, grid, block, smid(cta)); err != nil {
+				if err := m.runCTA(fn, cfg.Args, bid, grid, block, smid(cta), barriers, cta%2 == 1); err != nil {
 					return err
 				}
 				if cfg.OnCTADone != nil {
@@ -125,48 +135,67 @@ func (m *Machine) Launch(name string, cfg LaunchConfig) error {
 	return nil
 }
 
-// runCTA executes one CTA: all threads concurrently, sharing shared memory
-// and a barrier.
-func (m *Machine) runCTA(fn *FuncDecl, args []Value, bid, grid, block Dim3, smid int) error {
+// runCTA executes one CTA, sharing shared memory among its threads. A round
+// resumes every live thread until it reaches __syncthreads or returns, and
+// the barrier releases when every thread still running has arrived. Rounds
+// alternate between ascending and descending thread order, the first one
+// descending if reversed (odd CTAs), so a program that leans on an order
+// the hardware does not promise (a missing barrier) sees both from a CTA's
+// first barrier on. With barriers set each thread is a coroutine; without,
+// a thread never yields, and a plain call is its whole first round. The
+// first error in resume order abandons the CTA.
+func (m *Machine) runCTA(fn *FuncDecl, args []Value, bid, grid, block Dim3, smid int, barriers, reversed bool) error {
 	shared, err := m.allocShared(fn, args, grid, block)
 	if err != nil {
 		return err
 	}
-	bar := newBarrier(block.Count())
-	var (
-		errOnce sync.Once
-		ctaErr  error
-		wg      sync.WaitGroup
-	)
-	fail := func(e error) {
-		errOnce.Do(func() {
-			ctaErr = e
-			bar.abort()
-		})
-	}
+	var live []func() (error, bool)
 	for tz := 0; tz < block.Z; tz++ {
 		for ty := 0; ty < block.Y; ty++ {
 			for tx := 0; tx < block.X; tx++ {
-				tid := Dim3{X: tx, Y: ty, Z: tz}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer bar.leave()
-					tc := &threadCtx{
-						m: m, tid: tid, bid: bid, bdim: block, gdim: grid,
-						shared: shared, bar: bar, smid: smid,
-						budget: m.stepBudget(),
-					}
+				tc := &threadCtx{
+					m: m, tid: Dim3{X: tx, Y: ty, Z: tz}, bid: bid, bdim: block, gdim: grid,
+					shared: shared, sync: noBarrier, smid: smid,
+					budget: m.stepBudget(),
+				}
+				if !barriers {
+					live = append(live, func() (error, bool) { return tc.callFunc(fn, args), false })
+					continue
+				}
+				next, stop := iter.Pull(func(yield func(error) bool) {
+					tc.sync = func() bool { return yield(nil) }
 					if err := tc.callFunc(fn, args); err != nil {
-						fail(err)
+						yield(err)
 					}
-				}()
+				})
+				defer stop()
+				live = append(live, next)
 			}
 		}
 	}
-	wg.Wait()
-	return ctaErr
+	if reversed {
+		slices.Reverse(live)
+	}
+	for len(live) > 0 {
+		waiting := live[:0]
+		for _, next := range live {
+			err, running := next()
+			if err != nil {
+				return err
+			}
+			if running {
+				waiting = append(waiting, next)
+			}
+		}
+		slices.Reverse(waiting)
+		live = waiting
+	}
+	return nil
 }
+
+// noBarrier is the sync of a thread whose kernel reaches no __syncthreads:
+// it is never called.
+func noBarrier() bool { return true }
 
 func (m *Machine) stepBudget() int64 {
 	if m.StepBudget > 0 {
@@ -232,67 +261,6 @@ func (m *Machine) allocSharedIn(in, kernel *FuncDecl, args []Value, grid, block 
 	})
 }
 
-// barrier implements __syncthreads with support for threads leaving early
-// (returned threads stop participating) and abort on error.
-type barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	parties int
-	waiting int
-	gen     int
-	aborted bool
-}
-
-func newBarrier(n int) *barrier {
-	b := &barrier{parties: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-var errBarrierAborted = fmt.Errorf("cudalite: barrier aborted")
-
-func (b *barrier) wait() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.aborted {
-		return errBarrierAborted
-	}
-	b.waiting++
-	if b.waiting == b.parties {
-		b.waiting = 0
-		b.gen++
-		b.cond.Broadcast()
-		return nil
-	}
-	gen := b.gen
-	for b.gen == gen && !b.aborted {
-		b.cond.Wait()
-	}
-	if b.aborted {
-		return errBarrierAborted
-	}
-	return nil
-}
-
-// leave removes a finished thread from the barrier's party count.
-func (b *barrier) leave() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.parties--
-	if b.waiting > 0 && b.waiting == b.parties {
-		b.waiting = 0
-		b.gen++
-		b.cond.Broadcast()
-	}
-}
-
-func (b *barrier) abort() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.aborted = true
-	b.cond.Broadcast()
-}
-
 // cell is one named variable slot in a scope.
 type cell struct {
 	typ Type
@@ -318,7 +286,7 @@ type threadCtx struct {
 	bdim   Dim3
 	gdim   Dim3
 	shared map[string]*Buffer
-	bar    *barrier
+	sync   func() bool // __syncthreads: false when the CTA abandons the thread; nil in host code
 	smid   int
 
 	scopes []map[string]*cell

@@ -1,9 +1,6 @@
 package cudalite
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // VKind tags a runtime Value.
 type VKind int
@@ -22,10 +19,9 @@ const (
 // shared array, or a thread-local array. Exactly one of F or I is used,
 // chosen by Kind.
 //
-// Element access is word-atomic, like GPU global memory: threads of an
-// interpreted kernel run as real goroutines, and a MiniCUDA program with a
-// data race must produce an unordered result, not crash the simulator (or
-// trip its race detector).
+// A Buffer is not safe for concurrent use: the interpreter runs one
+// simulated thread at a time, and a caller sharing a Buffer across
+// goroutines must order its accesses itself.
 type Buffer struct {
 	Name string
 	Kind BaseType // TFloat or TInt/TUInt/TBool
@@ -36,8 +32,6 @@ type Buffer struct {
 	// invoke Machine.OnVolatileRead, letting a harness mutate the flag at
 	// realistic poll points.
 	Volatile bool
-
-	mu sync.Mutex
 }
 
 // NewFloatBuffer allocates a float buffer of n elements.
@@ -63,8 +57,6 @@ func (b *Buffer) Load(i int) (Value, error) {
 	if i < 0 || i >= b.Len() {
 		return Value{}, fmt.Errorf("cudalite: out-of-bounds read %s[%d] (len %d)", b.Name, i, b.Len())
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.Kind == TFloat {
 		return FloatValue(b.F[i]), nil
 	}
@@ -76,8 +68,6 @@ func (b *Buffer) Store(i int, v Value) error {
 	if i < 0 || i >= b.Len() {
 		return fmt.Errorf("cudalite: out-of-bounds write %s[%d] (len %d)", b.Name, i, b.Len())
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.Kind == TFloat {
 		b.F[i] = v.Float()
 	} else {

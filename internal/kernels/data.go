@@ -50,7 +50,7 @@ func (d *DeviceData) Clone() *DeviceData {
 
 // MakeData builds a deterministic problem instance of roughly n elements
 // for interpreter-level validation. n should stay small (hundreds): the
-// interpreter runs real SIMT threads.
+// interpreter runs every simulated thread, one at a time.
 func (b *Benchmark) MakeData(n int, seed int64) (*DeviceData, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("kernels: MakeData with n=%d", n)
