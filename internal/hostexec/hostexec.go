@@ -5,14 +5,18 @@
 // while the kernels also execute functionally through the interpreter so
 // host code observes real results.
 //
-// Host programs run as goroutines in lockstep with the discrete-event
+// Host programs run as coroutines in lockstep with the discrete-event
 // engine: a host is either executing CPU code (instantaneous in virtual
-// time) or blocked in flep_intercept / flep_sleep; the session wakes hosts
-// one at a time, so runs are deterministic.
+// time) or suspended in flep_intercept / flep_sync / flep_sleep, and the
+// session resumes one host at a time, in wake order. Only one host, kernel
+// thread or engine event runs at a time, so a run, its makespan and the
+// data its kernels leave behind are deterministic.
 package hostexec
 
 import (
+	"errors"
 	"fmt"
+	"iter"
 	"time"
 
 	"flep/internal/core"
@@ -171,7 +175,7 @@ func (r *Report) For(kernel string) *InvocationRecord {
 // from its drain model; the invocations are hostexec's own, since a
 // compiled kernel has no kernels.Benchmark to predict from.
 func Run(p *Program, opt Options, procs ...HostProc) (*Report, error) {
-	s := &session{p: p, opt: opt, cmds: make(chan command), report: &Report{}}
+	s := &session{p: p, opt: opt, report: &Report{}}
 	if opt.Trace {
 		s.report.Log = &trace.Log{}
 	}
@@ -191,7 +195,7 @@ func Run(p *Program, opt Options, procs ...HostProc) (*Report, error) {
 		if proc.At < 0 {
 			return nil, fmt.Errorf("hostexec: host process %q starts at negative time %v", proc.Name, proc.At)
 		}
-		ps := &procState{HostProc: proc, wake: make(chan struct{}, 1)}
+		ps := &procState{HostProc: proc}
 		s.procs = append(s.procs, ps)
 		s.eng.Schedule(proc.At, func() { s.start(ps) })
 	}
@@ -202,33 +206,14 @@ func Run(p *Program, opt Options, procs ...HostProc) (*Report, error) {
 	return s.report, nil
 }
 
-type cmdKind int
-
-const (
-	cmdLaunch cmdKind = iota
-	cmdSleep
-	cmdSync
-	cmdDone
-)
-
-type command struct {
-	kind  cmdKind
-	proc  *procState
-	err   error
-	name  string
-	grid  cl.Dim3
-	block cl.Dim3
-	args  []cl.Value
-	sleep time.Duration
-}
-
 type procState struct {
 	HostProc
-	wake        chan struct{}
-	started     bool
-	done        bool
+	// resume runs the host until it suspends (true) or returns (false,
+	// with the host's error); stop unwinds a suspended host.
+	resume      func() (error, bool)
+	stop        func()
 	outstanding int  // async launches not yet completed
-	syncing     bool // blocked in flep_sync (or implicit final sync)
+	syncing     bool // suspended in flep_sync
 }
 
 type session struct {
@@ -238,29 +223,33 @@ type session struct {
 	dev *gpu.Device
 	rt  *flepruntime.Runtime
 
-	procs    []*procState
-	cmds     chan command
-	awaiting int // hosts currently executing CPU code
-	wakeQ    []*procState
-	live     int
-	failure  error
-	report   *Report
+	procs   []*procState
+	wakeQ   []*procState
+	live    int
+	failure error
+	report  *Report
 }
 
-// start launches the host goroutine for a process (fires at proc.At).
+// errStopped unwinds a host the session abandoned while it was suspended.
+var errStopped = errors.New("hostexec: session stopped")
+
+// start makes the coroutine for a process and queues its first resume
+// (fires at proc.At).
 func (s *session) start(ps *procState) {
-	ps.started = true
 	s.live++
 	s.wakeQ = append(s.wakeQ, ps)
-	go func() {
-		<-ps.wake
-		err := s.interpretHost(ps)
-		s.cmds <- command{kind: cmdDone, proc: ps, err: err}
-	}()
+	ps.resume, ps.stop = iter.Pull(func(yield func(error) bool) {
+		if err := s.interpretHost(ps, yield); err != nil {
+			yield(err)
+		}
+	})
 }
 
 // interpretHost runs the transformed host function with the runtime hooks.
-func (s *session) interpretHost(ps *procState) error {
+// A hook acts on the session and then suspends the host until something
+// wakes it: a synchronous launch's completion, an async launch's
+// submission, flep_sync's last outstanding completion, the sleep's end.
+func (s *session) interpretHost(ps *procState, yield func(error) bool) error {
 	m := cl.NewMachine(s.p.Transformed)
 	m.HostCall = func(name string, args []cl.Value) (cl.Value, bool, error) {
 		switch name {
@@ -268,59 +257,61 @@ func (s *session) interpretHost(ps *procState) error {
 			if len(args) < 4 {
 				return cl.Value{}, true, fmt.Errorf("flep_intercept wants (name, grid, block, shmem, args...)")
 			}
-			s.cmds <- command{
-				kind: cmdLaunch, proc: ps,
-				name:  args[0].Str(),
-				grid:  cl.UnpackDim3(args[1]),
-				block: cl.UnpackDim3(args[2]),
-				args:  args[4:],
+			if err := s.launch(ps, args[0].Str(), cl.UnpackDim3(args[1]), cl.UnpackDim3(args[2]), args[4:]); err != nil {
+				return cl.Value{}, true, err
 			}
-			// Synchronous hosts block until completion; async hosts are
-			// woken right after submission.
-			<-ps.wake
-			return cl.Value{}, true, nil
 		case "flep_sync":
 			if !ps.Async {
 				return cl.Value{}, true, nil // synchronous hosts are always synced
 			}
-			s.cmds <- command{kind: cmdSync, proc: ps}
-			<-ps.wake
-			return cl.Value{}, true, nil
+			if ps.outstanding == 0 {
+				s.wakeQ = append(s.wakeQ, ps)
+			} else {
+				ps.syncing = true
+			}
 		case "flep_sleep":
 			if len(args) != 1 {
 				return cl.Value{}, true, fmt.Errorf("flep_sleep wants (microseconds)")
 			}
-			if us := args[0].Int(); us < 0 {
+			us := args[0].Int()
+			if us < 0 {
 				return cl.Value{}, true, fmt.Errorf("negative duration (%d microseconds)", us)
 			}
-			s.cmds <- command{
-				kind: cmdSleep, proc: ps,
-				sleep: time.Duration(args[0].Int()) * time.Microsecond,
-			}
-			<-ps.wake
-			return cl.Value{}, true, nil
+			s.eng.Schedule(time.Duration(us)*time.Microsecond, func() { s.wakeQ = append(s.wakeQ, ps) })
+		default:
+			return cl.Value{}, false, nil
 		}
-		return cl.Value{}, false, nil
+		if !yield(nil) {
+			return cl.Value{}, true, errStopped
+		}
+		return cl.Value{}, true, nil
 	}
 	return m.CallHost(ps.Func, ps.Args)
 }
 
 // loop is the co-simulation driver: strictly alternates between host CPU
-// execution (draining commands) and device time (engine steps).
+// execution (resuming woken hosts until none is runnable) and device time
+// (engine steps). However it returns, no host is left suspended.
 func (s *session) loop() error {
-	for {
-		for s.awaiting > 0 || len(s.wakeQ) > 0 {
-			if s.awaiting == 0 {
-				next := s.wakeQ[0]
-				s.wakeQ = s.wakeQ[1:]
-				s.awaiting = 1
-				next.wake <- struct{}{}
-				continue
+	defer func() {
+		for _, ps := range s.procs {
+			if ps.stop != nil {
+				ps.stop()
 			}
-			c := <-s.cmds
-			s.awaiting--
-			if err := s.handle(c); err != nil {
+		}
+	}()
+	for {
+		for len(s.wakeQ) > 0 {
+			ps := s.wakeQ[0]
+			s.wakeQ = s.wakeQ[1:]
+			err, suspended := ps.resume()
+			if err != nil {
 				return err
+			}
+			if !suspended {
+				// Returned. Outstanding async launches are an implicit
+				// final sync: their completions are already scheduled.
+				s.live--
 			}
 		}
 		if s.failure != nil {
@@ -336,58 +327,28 @@ func (s *session) loop() error {
 	return s.failure
 }
 
-func (s *session) handle(c command) error {
-	switch c.kind {
-	case cmdDone:
-		c.proc.done = true
-		if c.proc.outstanding > 0 {
-			// Implicit final sync: the report's makespan must cover the
-			// process's outstanding async work; completions are already
-			// scheduled, nothing to do here.
-			c.proc.syncing = false
-		}
-		s.live--
-		return c.err
-	case cmdSync:
-		if c.proc.outstanding == 0 {
-			s.wakeQ = append(s.wakeQ, c.proc)
-		} else {
-			c.proc.syncing = true
-		}
-		return nil
-	case cmdSleep:
-		ps := c.proc
-		s.eng.Schedule(c.sleep, func() { s.wakeQ = append(s.wakeQ, ps) })
-		return nil
-	case cmdLaunch:
-		return s.launch(c)
-	}
-	return fmt.Errorf("hostexec: unknown command")
-}
-
 // launch submits one intercepted kernel invocation to the FLEP runtime.
-func (s *session) launch(c command) error {
-	ck := s.p.Kernels[c.name]
+func (s *session) launch(ps *procState, name string, grid, block cl.Dim3, args []cl.Value) error {
+	ck := s.p.Kernels[name]
 	if ck == nil {
-		return fmt.Errorf("hostexec: launch of unknown kernel %q", c.name)
+		return fmt.Errorf("hostexec: launch of unknown kernel %q", name)
 	}
-	tasks := c.grid.Count()
+	tasks := grid.Count()
 	if tasks <= 0 {
-		return fmt.Errorf("hostexec: %s launched with empty grid", c.name)
+		return fmt.Errorf("hostexec: %s launched with empty grid", name)
 	}
 	profile := *ck.Profile
-	profile.ThreadsPerCTA = c.block.Count()
+	profile.ThreadsPerCTA = block.Count()
 	rec := InvocationRecord{
-		Proc: c.proc.Name, Kernel: c.name, Priority: c.proc.Priority,
-		Grid: c.grid, Block: c.block,
+		Proc: ps.Name, Kernel: name, Priority: ps.Priority,
+		Grid: grid, Block: block,
 		Functional: tasks <= maxFunctionalTasks,
 	}
 	active := s.dev.NumSMs() * profile.CTAsPerSM
 	te := time.Duration(float64(tasks) / float64(active) * float64(ck.TaskCost))
-	ps := c.proc
 	inv := &flepruntime.Invocation{
-		Kernel:   c.name,
-		Priority: c.proc.Priority,
+		Kernel:   name,
+		Priority: ps.Priority,
 		Profile:  &profile,
 		Tasks:    tasks,
 		TaskCost: ck.TaskCost,
@@ -397,7 +358,10 @@ func (s *session) launch(c command) error {
 			rec.SubmittedAt = v.SubmittedAt()
 			rec.FinishedAt = v.FinishedAt()
 			if rec.Functional {
-				if err := s.runFunctional(c); err != nil && s.failure == nil {
+				// Interpret the original kernel, so host code observes the
+				// launch's real data effects.
+				m := cl.NewMachine(s.p.Original)
+				if err := m.Launch(name, cl.LaunchConfig{Grid: grid, Block: block, Args: args}); err != nil && s.failure == nil {
 					s.failure = err
 				}
 			}
@@ -421,11 +385,4 @@ func (s *session) launch(c command) error {
 		s.wakeQ = append(s.wakeQ, ps) // continue host code immediately
 	}
 	return nil
-}
-
-// runFunctional interprets the original kernel so host code observes the
-// launch's real data effects.
-func (s *session) runFunctional(c command) error {
-	m := cl.NewMachine(s.p.Original)
-	return m.Launch(c.name, cl.LaunchConfig{Grid: c.grid, Block: c.block, Args: c.args})
 }

@@ -1,6 +1,8 @@
 package hostexec
 
 import (
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -240,28 +242,77 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// reduceProgram sums x with float atomics; float addition does not
+// commute, so the sum's bits record the order the threads ran in.
+const reduceProgram = `
+__global__ void reduce(float* x, float* sum, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) {
+        atomicAdd(sum, x[i]);
+    }
+}
+
+void run_reduce(float* x, float* sum, int n) {
+    reduce<<<(n + 255) / 256, 256>>>(x, sum, n);
+}
+`
+
+// A session is a function of its inputs: the makespan and the data its
+// kernels leave behind repeat bit for bit.
 func TestDeterministicAcrossRuns(t *testing.T) {
-	p, err := Compile(twoProcProgram, gpu.DefaultParams())
+	p, err := Compile(twoProcProgram+reduceProgram, gpu.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() time.Duration {
+	x := cl.NewFloatBuffer("x", 1024)
+	for i := range x.F {
+		x.F[i] = math.Pow(10, float64(i%12)) / float64(i+1)
+	}
+	run := func() (time.Duration, float64) {
 		a := cl.NewFloatBuffer("a", 16)
 		b := cl.NewFloatBuffer("b", 256)
+		sum := cl.NewFloatBuffer("sum", 1)
 		rep, err := Run(p, Options{},
 			HostProc{Func: "run_long", Priority: 1, Args: []cl.Value{cl.PtrValue(a, 0), cl.IntValue(2000000)}},
 			HostProc{Func: "run_short", Priority: 2, At: 20 * time.Microsecond, Args: []cl.Value{cl.PtrValue(b, 0), cl.IntValue(256)}},
+			HostProc{Func: "run_reduce", Priority: 2, At: 30 * time.Microsecond, Args: []cl.Value{cl.PtrValue(x, 0), cl.PtrValue(sum, 0), cl.IntValue(int64(x.Len()))}},
 		)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep.Makespan
+		return rep.Makespan, sum.F[0]
 	}
-	m1 := run()
-	for i := 0; i < 5; i++ {
-		if m := run(); m != m1 {
+	m1, s1 := run()
+	for i := 0; i < 20; i++ {
+		m, s := run()
+		if m != m1 {
 			t.Fatalf("nondeterministic makespan: %v vs %v", m, m1)
 		}
+		if math.Float64bits(s) != math.Float64bits(s1) {
+			t.Fatalf("run %d: nondeterministic reduction: %v vs %v", i, s, s1)
+		}
+	}
+}
+
+// A failing host must not strand the others: the session unwinds every
+// host still suspended, so ten failed sessions leave no goroutine behind.
+func TestFailedRunLeavesNoHostBehind(t *testing.T) {
+	p, err := Compile(saxpyProgram+"\nvoid nap(int us) { flep_sleep(us); }\n", gpu.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		_, err := Run(p, Options{},
+			HostProc{Name: "sleeper", Func: "nap", Args: []cl.Value{cl.IntValue(1000)}},
+			HostProc{Name: "failer", Func: "nap", Args: []cl.Value{cl.IntValue(0 - 5)}},
+		)
+		if err == nil || !strings.Contains(err.Error(), "negative duration") {
+			t.Fatalf("session %d: err = %v, want flep_sleep's negative duration", i, err)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("goroutines %d → %d after 10 failed sessions", base, n)
 	}
 }
 
