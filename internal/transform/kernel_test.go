@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -331,19 +332,29 @@ func TestTransformedTiledMMEquivalent(t *testing.T) {
 }
 
 // Preempting mid-run and resuming must execute every task exactly once.
-func TestTransformedPreemptResumeExactlyOnce(t *testing.T) {
-	prog := mustParse(t, `
+const markSrc = `
 __global__ void mark(int* hits, int n) {
     int i = blockIdx.x * blockDim.x + threadIdx.x;
     if (i < n) {
         atomicAdd(&hits[i], 1);
     }
 }
-`)
-	out, info, err := TransformKernel(prog, "mark", ModeTemporal)
+`
+
+func TestTransformedPreemptResumeExactlyOnce(t *testing.T) {
+	out, info, err := TransformKernel(mustParse(t, markSrc), "mark", ModeTemporal)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := preemptResumeExactlyOnce(out, info); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// preemptResumeExactlyOnce runs markSrc's persistent kernel, preempts it
+// partway through, resumes it, and reports the first task element that did
+// not execute exactly once.
+func preemptResumeExactlyOnce(out *cl.Program, info *KernelInfo) error {
 	n := 64 * 32
 	hits := cl.NewIntBuffer("hits", n)
 	flag := cl.NewIntBuffer("flag", 1)
@@ -369,21 +380,69 @@ __global__ void mark(int* hits, int n) {
 		return m.Launch(info.Preemptable, cl.LaunchConfig{Grid: cl.D1(4), Block: cl.D1(32), Args: args})
 	}
 	if err := launch(); err != nil {
-		t.Fatal(err)
+		return err
 	}
 	if counter.I[0] >= int64(grid.Count()) {
-		t.Fatalf("kernel finished before preemption (counter=%d); test needs a mid-run yield", counter.I[0])
+		return fmt.Errorf("kernel finished before preemption (counter=%d); test needs a mid-run yield", counter.I[0])
 	}
 	// Resume: clear the flag, relaunch; the device-resident counter keeps
 	// its value so no task repeats.
 	flag.I[0] = 0
 	m.OnVolatileRead = nil
 	if err := launch(); err != nil {
-		t.Fatal(err)
+		return err
 	}
 	for i, h := range hits.I {
 		if h != 1 {
-			t.Fatalf("task element %d executed %d times, want exactly 1", i, h)
+			return fmt.Errorf("task element %d executed %d times, want exactly 1", i, h)
+		}
+	}
+	return nil
+}
+
+// Each of Figure 4's three __syncthreads() is needed: with any one of them
+// deleted, the preempt/resume run above misses or repeats a task.
+func TestPreemptResumeDetectsEachMissingBarrier(t *testing.T) {
+	out, info, err := TransformKernel(mustParse(t, markSrc), "mark", ModeTemporal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isBarrier := func(s cl.Stmt) bool {
+		es, ok := s.(*cl.ExprStmt)
+		if !ok {
+			return false
+		}
+		c, ok := es.X.(*cl.Call)
+		return ok && c.Fun == "__syncthreads"
+	}
+	kernel := out.Func(info.Preemptable)
+	barriers := 0
+	cl.Inspect(kernel, func(n cl.Node) bool {
+		if s, ok := n.(cl.Stmt); ok && isBarrier(s) {
+			barriers++
+		}
+		return true
+	})
+	if barriers != 3 {
+		t.Fatalf("persistent kernel has %d __syncthreads, want Figure 4's 3", barriers)
+	}
+	for drop := 0; drop < barriers; drop++ {
+		seen := -1
+		body := cl.RewriteStmt(kernel.Body, nil, func(s cl.Stmt) cl.Stmt {
+			if !isBarrier(s) {
+				return nil
+			}
+			if seen++; seen != drop {
+				return nil
+			}
+			return &cl.Block{Pos: s.NodePos()} // an empty statement in its place
+		})
+		mutant := cl.CloneProgram(out)
+		mutant.Func(info.Preemptable).Body = body.(*cl.Block)
+		if err := preemptResumeExactlyOnce(mutant, info); err == nil {
+			t.Errorf("__syncthreads #%d deleted: the preempt/resume run still executes every task exactly once", drop+1)
+		} else {
+			t.Logf("__syncthreads #%d deleted: %v", drop+1, err)
 		}
 	}
 }
