@@ -80,10 +80,14 @@ func BenchmarkFigure11(b *testing.B) { benchArtifact(b, (*experiments.Suite).Fig
 // BenchmarkFigure12 regenerates Figure 12 (triplet ANTT + reordering).
 func BenchmarkFigure12(b *testing.B) { benchArtifact(b, (*experiments.Suite).Figure12) }
 
-// BenchmarkFigure13 regenerates Figure 13 (FFS GPU shares).
+// BenchmarkFigure13 regenerates Figure 13 (FFS GPU shares): the 28 pairs
+// of the FFS study, with the share sampler.
 func BenchmarkFigure13(b *testing.B) { benchArtifact(b, (*experiments.Suite).Figure13) }
 
-// BenchmarkFigure14 regenerates Figure 14 (FFS throughput degradation).
+// BenchmarkFigure14 regenerates Figure 14 (FFS throughput degradation)
+// standalone: with no Figure 13 before it, each regeneration runs the 28
+// pairs itself. In paper order it reads Figure 13's runs and costs almost
+// nothing.
 func BenchmarkFigure14(b *testing.B) { benchArtifact(b, (*experiments.Suite).Figure14) }
 
 // BenchmarkFigure15 regenerates Figure 15 (spatial preemption overhead

@@ -43,6 +43,35 @@ func TestCommittedResultsMatchSuite(t *testing.T) {
 	t.Fatalf("%s is stale: %d lines committed, the suite prints %d", path, len(wantLines), len(gotLines))
 }
 
+// TestEachArtifactAloneMatchesSuite regenerates every artifact by itself,
+// on a fresh suite, and holds it to its block of results/flepbench.txt: no
+// generator may depend on what ran before it, and Figure 14, which in paper
+// order reads Figure 13's runs, must print the same table when it runs them
+// itself.
+func TestEachArtifactAloneMatchesSuite(t *testing.T) {
+	committed, err := os.ReadFile("../../results/flepbench.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := map[string]string{}
+	for _, b := range strings.SplitAfter(string(committed), "\n\n") {
+		if id, _, ok := strings.Cut(strings.TrimPrefix(b, "== "), ":"); ok {
+			blocks[id] = b
+		}
+	}
+	for _, g := range experiments.Generators() {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-only", g.ID}, &stdout, &stderr); code != 0 {
+			t.Fatalf("-only %s: exit %d\n%s", g.ID, code, stderr.String())
+		}
+		if want, ok := blocks[g.ID]; !ok {
+			t.Errorf("results/flepbench.txt has no %s block", g.ID)
+		} else if got := stdout.String(); got != want {
+			t.Errorf("-only %s prints a different table than the committed suite:\n%s\ncommitted:\n%s", g.ID, got, want)
+		}
+	}
+}
+
 // An ID no generator has used to be dropped without a word — `-only fig99`
 // wrote nothing and exited 0, `-only fig99,fig1` printed Figure 1 alone —
 // and -out was truncated before anyone looked. All three are refused before

@@ -86,9 +86,13 @@ func (t *Table) Format() string {
 	return sb.String()
 }
 
-// Suite runs the full evaluation against one FLEP system instance.
+// Suite runs the full evaluation against one FLEP system instance. It is
+// not safe for concurrent use: Figure13 hands its runs to the Figure14
+// called next, as a regeneration in paper order does.
 type Suite struct {
 	Sys *core.System
+	// fair is the FFS study Figure13 ran, until one Figure14 reads it.
+	fair []fairRun
 }
 
 // NewSuite builds a system, runs the offline phase for all benchmarks, and
@@ -130,19 +134,6 @@ func Generators() []Generator {
 		{"ablation-nvlink", (*Suite).AblationNVLink},
 		{"ext-ffs-triplet", (*Suite).ExtFFSTriplet},
 	}
-}
-
-// All regenerates every artifact in order.
-func (s *Suite) All() ([]*Table, error) {
-	var out []*Table
-	for _, g := range Generators() {
-		t, err := g.Run(s)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", g.ID, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }
 
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }

@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"flep/internal/workload"
 )
 
 var (
@@ -462,19 +466,26 @@ func TestExtFFSTriplet(t *testing.T) {
 	}
 }
 
+// allocs counts the heap objects and bytes one call of gen allocates.
+func allocs(t *testing.T, gen func() (*Table, error)) (objects, bytes uint64, tab *Table) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tab, err := gen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, tab
+}
+
 // regenAllocs counts the heap objects and bytes one regeneration of a table
 // allocates, after a first one has filled the system's solo-time cache.
 func regenAllocs(t *testing.T, gen func() (*Table, error)) (objects, bytes uint64) {
 	t.Helper()
-	var before, after runtime.MemStats
-	for i := 0; i < 2; i++ {
-		runtime.ReadMemStats(&before)
-		if _, err := gen(); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-	}
-	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	allocs(t, gen)
+	objects, bytes, _ = allocs(t, gen)
+	return objects, bytes
 }
 
 // TestFigure13AllocationBudget holds one regeneration of Figure 13 — 28
@@ -484,9 +495,12 @@ func regenAllocs(t *testing.T, gen func() (*Table, error)) (objects, bytes uint6
 // launch of some 13,000 allocated its Invocation and two device callbacks.
 // An item's launches now alternate between two recycled invocations, so
 // what is left is per share sample and per run (a stack, its engine's
-// records, the results slice as it doubles). Together with Figure 14, which
-// is the same 28 runs without the share sampler, the paper's FFS study stays
-// under 12,000 allocations and 8 MB.
+// records, the results slice as it doubles). A standalone Figure 14 runs
+// the same 28 pairs without the share sampler; with it, the paper's FFS
+// study stays under 12,000 allocations and 8 MB. A Figure 14 right after a
+// Figure 13 runs nothing: it reads the runs Figure 13 left (it made 2,474
+// objects and 2.75 MB when it ran them again), prints the same table, and
+// drops them, so the Figure 14 after it runs the study again.
 func TestFigure13AllocationBudget(t *testing.T) {
 	s := testSuite(t)
 	o13, b13 := regenAllocs(t, s.Figure13)
@@ -499,4 +513,47 @@ func TestFigure13AllocationBudget(t *testing.T) {
 			o13+o14, b13+b14)
 	}
 	t.Logf("fig13 %d objects %d bytes, fig14 %d objects %d bytes", o13, b13, o14, b14)
+
+	if _, err := s.Figure13(); err != nil {
+		t.Fatal(err)
+	}
+	oRead, bRead, read := allocs(t, s.Figure14)
+	if oRead > 500 || bRead > 64<<10 {
+		t.Errorf("Figure 14 after Figure 13 allocates %d objects and %d bytes, ceilings 500 and 64 KB: it ran the study again",
+			oRead, bRead)
+	}
+	oAlone, bAlone, alone := allocs(t, s.Figure14)
+	if oAlone <= 500 || bAlone <= 64<<10 {
+		t.Errorf("a second Figure 14 in a row allocates %d objects and %d bytes: it read a study it should have run", oAlone, bAlone)
+	}
+	if read.Format() != alone.Format() {
+		t.Errorf("Figure 14 read from Figure 13's runs differs from a standalone one:\n%s\nstandalone:\n%s", read.Format(), alone.Format())
+	}
+	t.Logf("fig14 after fig13 %d objects %d bytes, standalone %d objects %d bytes", oRead, bRead, oAlone, bAlone)
+}
+
+// TestShareSamplerIsObservationOnly is why Figure 14 may read Figure 13's
+// runs: for every FFS pair, the share sampler changes no record, no
+// completion count and no makespan.
+func TestShareSamplerIsObservationOnly(t *testing.T) {
+	s := testSuite(t)
+	for _, sc := range workload.FairPairs(ffsHorizon) {
+		sampled, err := s.Sys.RunFLEP(sc, ffsOptions(10*time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := s.Sys.RunFLEP(sc, ffsOptions(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sampled.Shares) == 0 {
+			t.Fatalf("%s: the 10 ms sampler took no samples", sc.Name)
+		}
+		if !reflect.DeepEqual(sampled.Results, plain.Results) || !reflect.DeepEqual(sampled.Items, plain.Items) ||
+			!reflect.DeepEqual(sampled.Completions, plain.Completions) || sampled.Makespan != plain.Makespan {
+			t.Errorf("%s: the share sampler changed the run: completions %v vs %v, makespan %v vs %v, %d vs %d records",
+				sc.Name, sampled.Completions, plain.Completions, sampled.Makespan, plain.Makespan,
+				len(sampled.Results), len(plain.Results))
+		}
+	}
 }
