@@ -89,7 +89,14 @@ func loadExpectations(t *testing.T, dir string) []*expectation {
 	return exps
 }
 
-// runFixture loads and analyzes one fixture package.
+// fixtureCallees names the fixture packages a fixture calls into that
+// must be analyzed beside it: lockorder closes acquisitions over calls
+// only between packages it has seen.
+var fixtureCallees = map[string][]string{
+	"flep/internal/cluster/fixturelockpair": {"flep/internal/server/fixtureshard"},
+}
+
+// runFixture loads and analyzes one fixture package, with its callees.
 func runFixture(t *testing.T, importPath string, analyzers ...*analysis.Analyzer) ([]Finding, string) {
 	t.Helper()
 	root, err := filepath.Abs("testdata")
@@ -97,15 +104,19 @@ func runFixture(t *testing.T, importPath string, analyzers ...*analysis.Analyzer
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
-	pkg, err := loader.LoadFixture(fset, root, importPath, analysis.NewInfo)
-	if err != nil {
-		t.Fatalf("load fixture %s: %v", importPath, err)
+	var pkgs []*loader.Package
+	for _, path := range append([]string{importPath}, fixtureCallees[importPath]...) {
+		pkg, err := loader.LoadFixture(fset, root, path, analysis.NewInfo)
+		if err != nil {
+			t.Fatalf("load fixture %s: %v", path, err)
+		}
+		pkgs = append(pkgs, pkg)
 	}
-	findings, err := RunPackages(fset, []*loader.Package{pkg}, analyzers)
+	findings, err := RunPackages(fset, pkgs, analyzers)
 	if err != nil {
 		t.Fatalf("analyze fixture %s: %v", importPath, err)
 	}
-	return findings, pkg.Dir
+	return findings, pkgs[0].Dir
 }
 
 // checkFixture runs the analyzers over the fixture and reconciles
@@ -226,8 +237,9 @@ func TestLockOrderFixture(t *testing.T) {
 	checkFixture(t, "fixtures/lockorder", LockOrderAnalyzer)
 }
 
-// TestLockOrderContractFixture proves the declared internal/server
-// contract pair fires inside that package subtree and only there.
+// TestLockOrderContractFixture proves the declared gateway/shard
+// contract pair fires across the internal/cluster and internal/server
+// subtrees, including through a helper.
 func TestLockOrderContractFixture(t *testing.T) {
-	checkFixture(t, "flep/internal/server/fixturelockpair", LockOrderAnalyzer)
+	checkFixture(t, "flep/internal/cluster/fixturelockpair", LockOrderAnalyzer)
 }

@@ -26,8 +26,8 @@ package lint
 //     minority edges are reported (the likely bug is the rare path);
 //   lockpair   — the edge violates a declared contract from
 //     lockOrderContracts (pairs never held together), the
-//     machine-checked form of the comments in internal/server/deps.go
-//     and internal/cluster.
+//     machine-checked form of the comments in internal/replay and
+//     internal/cluster.
 //
 // Soundness caveats (DESIGN.md §11): lock identity is per-field, not
 // per-instance — two distinct Server values' mu fields are one node —
@@ -70,8 +70,6 @@ type lockContract struct {
 // lockOrderContracts is the machine-checked form of the repo's
 // documented nesting rules.
 var lockOrderContracts = []lockContract{
-	{lockRef{"internal/server", "Server.mu"}, lockRef{"internal/server", "Server.depMu"},
-		"deps.go contract: the dep-table mutex is never held together with the loop mu"},
 	{lockRef{"internal/replay", "Recorder.mu"}, lockRef{"internal/obs", "Registry.mu"},
 		"replay contract: the recorder mu must not be held across registry calls — scrape closures take it"},
 	{lockRef{"internal/cluster", "Gateway.mu"}, lockRef{"internal/server", "Server.mu"},

@@ -22,7 +22,8 @@ import (
 //     OnComplete, OnPreemptDrained, ...) — the runtime's hooks, which
 //     all fire inside an engine step;
 //   - in internal/server: the loop-goroutine methods loop, admit, and
-//     complete.
+//     complete, and every function value passed to the ctrl or onLoop
+//     methods, which run it on the loop for a handler.
 //
 // From those roots the analyzer closes over same-package static calls
 // and flags, inside the reachable set: time.Sleep, calls into net /
@@ -52,6 +53,10 @@ var loopPurityPkgs = []string{
 // reachability in the daemon package, where no sim callback literal
 // marks them.
 var serverLoopMethods = map[string]bool{"loop": true, "admit": true, "complete": true}
+
+// serverLoopRunners are the internal/server methods that hand a function
+// value to the loop goroutine: their func-typed arguments are roots.
+var serverLoopRunners = map[string]bool{"ctrl": true, "onLoop": true}
 
 // funcUnit is one analyzable body: a declared function/method or a
 // rooted function literal.
@@ -120,18 +125,30 @@ func runLoopPurity(pass *analysis.Pass) (any, error) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				// fn arguments of Engine.Schedule/At, and the Fire method
-				// of the handler argument of Engine.ScheduleFire/AtFire.
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-					if fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok && isEngineScheduler(fn) {
-						for _, arg := range n.Args {
-							t := pass.TypesInfo.TypeOf(arg)
-							if _, ok := t.(*types.Signature); ok {
-								addValueRoot(arg, "event scheduled on the engine")
-							} else if fire, _, _ := types.LookupFieldOrMethod(t, true, nil, "Fire"); fire != nil {
-								if obj, ok := fire.(*types.Func); ok && obj.Pkg() == pass.Pkg {
-									addFuncRoot(obj)
-								}
+				// fn arguments of Engine.Schedule/At, the Fire method of
+				// the handler argument of Engine.ScheduleFire/AtFire, and
+				// the work a server handler passes to ctrl/onLoop.
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok {
+					break
+				}
+				fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+				if !ok {
+					break
+				}
+				if isServer && fn.Pkg() == pass.Pkg && serverLoopRunners[fn.Name()] {
+					for _, arg := range n.Args {
+						addValueRoot(arg, "work passed to "+fn.Name())
+					}
+				}
+				if isEngineScheduler(fn) {
+					for _, arg := range n.Args {
+						t := pass.TypesInfo.TypeOf(arg)
+						if _, ok := t.(*types.Signature); ok {
+							addValueRoot(arg, "event scheduled on the engine")
+						} else if fire, _, _ := types.LookupFieldOrMethod(t, true, nil, "Fire"); fire != nil {
+							if obj, ok := fire.(*types.Func); ok && obj.Pkg() == pass.Pkg {
+								addFuncRoot(obj)
 							}
 						}
 					}

@@ -13,11 +13,10 @@ package server
 // dedicated dep_canceled outcome instead, so the ledger's invariant
 // Enqueued == Completed + SubmitErrors still closes at rest.
 //
-// Locking: depMu guards the table and the per-model aggregates. It is
-// never held across a channel send (cancellations are collected under
-// the lock and delivered after release) and never acquired while
-// holding Server.mu; depAdmit nests it inside acceptMu.RLock only, the
-// same way tryEnqueue publishes the draining decision.
+// Ownership: the table and the per-model aggregates belong to the loop
+// goroutine, like the engine. Handlers reach them only through ctrl
+// (depAdmit, depStageFailed) and onLoop (the reads), so no lock guards
+// them and a canceled stage is answered where it is canceled.
 
 import (
 	"errors"
@@ -76,13 +75,13 @@ type depStage struct {
 	q     *launchReq // non-nil only while parked
 }
 
-// depGraph is one live graph instance. Guarded by Server.depMu; deleted
+// depGraph is one live graph instance, owned by the loop; deleted
 // from the table the moment every declared stage is terminal (its
 // accounting then lives on in the per-model aggregates).
 type depGraph struct {
 	client   string
 	id       string
-	model    string // folded model name (see foldModelLocked)
+	model    string // folded model name (see foldModel)
 	declared int    // stage count the client committed to
 	seq      int64  // arrival order, the eviction tie-break
 
@@ -103,7 +102,7 @@ type depGraph struct {
 
 // modelEvent names one family of the model ledger: something that happens
 // to a graph instance or to one of its stages. The zero value is not an
-// event, so a path that forgets to name one panics in countModelLocked.
+// event, so a path that forgets to name one panics in countModel.
 type modelEvent int
 
 const (
@@ -118,12 +117,12 @@ const (
 	numModelEvents
 )
 
-// countModelLocked is the one place the model ledger moves: the event's
+// countModel is the one place the model ledger moves: the event's
 // flep_model_* series and the count of the model's /v1/status row go
 // together, so the two views reconcile exactly. run is the finished run a
 // completed stage carries, nil for every other event; a completed graph's
-// makespan is read off g. Callers hold depMu.
-func (s *Server) countModelLocked(ev modelEvent, g *depGraph, run *metrics.KernelRun) {
+// makespan is read off g.
+func (s *Server) countModel(ev modelEvent, g *depGraph, run *metrics.KernelRun) {
 	series := s.met.model[ev]
 	if series == nil {
 		panic(fmt.Sprintf("server: counting invalid model event %d", ev))
@@ -195,17 +194,13 @@ func validateDepSpec(req *LaunchRequest) error {
 // its path: ready (admit through the queue now), parked (the handler
 // waits on q.done), or refused with the outcome to count — dep_canceled
 // (a prerequisite already failed) or rejected (invalid spec / table
-// full / draining). The acceptMu read lock pairs with Shutdown's write
-// lock exactly like tryEnqueue: once draining is set, no new stage can
-// slip into the table behind the loop's final parked-stage sweep.
-func (s *Server) depAdmit(q *launchReq) (parked bool, refused outcome, err error) {
-	s.acceptMu.RLock()
-	defer s.acceptMu.RUnlock()
-	if s.draining {
+// full / draining). Runs on the loop goroutine (the handler sends it
+// through ctrl), so once the loop is draining no new stage can slip into
+// the table behind its final parked-stage sweep.
+func (s *Server) depAdmit(q *launchReq, st *loopState) (parked bool, refused outcome, err error) {
+	if st.draining {
 		return false, outRejectedDraining, ErrDraining
 	}
-	s.depMu.Lock()
-	defer s.depMu.Unlock()
 
 	key := depKey{q.client, q.graph}
 	g := s.depGraphs[key]
@@ -220,7 +215,7 @@ func (s *Server) depAdmit(q *launchReq) (parked bool, refused outcome, err error
 		if len(g.stages) >= g.declared {
 			return false, outRejectedInvalid, fmt.Errorf("graph %q already has all %d declared stages", q.graph, g.declared)
 		}
-		if cyc := g.cycleThroughLocked(q.stage, q.after); cyc != "" {
+		if cyc := g.cycleThrough(q.stage, q.after); cyc != "" {
 			return false, outRejectedInvalid, fmt.Errorf("stage %q would close a dependency cycle through %q", q.stage, cyc)
 		}
 	}
@@ -275,57 +270,56 @@ func (s *Server) depAdmit(q *launchReq) (parked bool, refused outcome, err error
 		return false, outRejectedDepFull, ErrDepTableFull
 	}
 	if g == nil {
-		if len(s.depGraphs) >= s.cfg.DepGraphs && !s.depEvictStalledLocked() {
+		if len(s.depGraphs) >= s.cfg.DepGraphs && !s.depEvictStalled() {
 			return false, outRejectedDepFull, ErrDepTableFull
 		}
 		g = &depGraph{
 			client:   q.client,
 			id:       q.graph,
-			model:    s.foldModelLocked(q.model),
+			model:    s.foldModel(q.model),
 			declared: q.stages,
 			seq:      s.depSeq,
 			stages:   map[string]*depStage{},
 		}
 		s.depSeq++
 		s.depGraphs[key] = g
-		s.countModelLocked(modelGraphStarted, g, nil)
+		s.countModel(modelGraphStarted, g, nil)
 	}
 	// The folded model name is what recording and accounting share, so a
 	// replayed trace aggregates under exactly the live rows.
 	q.model = g.model
 
-	st := &depStage{after: q.after}
-	g.stages[q.stage] = st
+	d := &depStage{after: q.after}
+	g.stages[q.stage] = d
 	g.order = append(g.order, q.stage)
 
 	switch {
 	case anyBad:
-		st.state = depCanceled
+		d.state = depCanceled
 		g.terminal++
 		g.failed = true
-		s.countModelLocked(modelStageCanceled, g, nil)
-		s.depCloseIfDoneLocked(g)
+		s.countModel(modelStageCanceled, g, nil)
+		s.depCloseIfDone(g)
 		return false, outDepCanceled, fmt.Errorf("canceled: prerequisite %q of stage %q did not complete", badDep, q.stage)
 	case allDone:
-		st.state = depLive
+		d.state = depLive
 		g.inflight++
 		return false, outUnset, nil
 	default:
-		st.state = depParked
-		st.q = q
+		d.state = depParked
+		d.q = q
 		g.parked++
 		s.depParked++
-		s.countModelLocked(modelStageParked, g, nil)
+		s.countModel(modelStageParked, g, nil)
 		return true, outUnset, nil
 	}
 }
 
-// cycleThroughLocked reports (by returning the reached stage name)
-// whether adding a stage with the given prerequisites would close a
-// dependency cycle: an already-registered chain leading from one of the
-// new stage's prerequisites back to the new stage itself. Callers hold
-// depMu.
-func (g *depGraph) cycleThroughLocked(stage string, after []string) string {
+// cycleThrough reports (by returning the reached stage name) whether
+// adding a stage with the given prerequisites would close a dependency
+// cycle: an already-registered chain leading from one of the new stage's
+// prerequisites back to the new stage itself.
+func (g *depGraph) cycleThrough(stage string, after []string) string {
 	visited := map[string]bool{}
 	stack := append([]string(nil), after...)
 	for len(stack) > 0 {
@@ -345,12 +339,11 @@ func (g *depGraph) cycleThroughLocked(stage string, after []string) string {
 	return ""
 }
 
-// foldModelLocked resolves the accounting row for a model name: the
-// name itself while the distinct-row budget lasts, the overflow row
+// foldModel resolves the accounting row for a model name: the name
+// itself while the distinct-row budget lasts, the overflow row
 // afterwards. Empty means the client sent bare graph coordinates;
-// "default" keeps those visible without a per-graph row. Callers hold
-// depMu.
-func (s *Server) foldModelLocked(name string) string {
+// "default" keeps those visible without a per-graph row.
+func (s *Server) foldModel(name string) string {
 	if name == "" {
 		name = "default"
 	}
@@ -363,12 +356,11 @@ func (s *Server) foldModelLocked(name string) string {
 	return name
 }
 
-// depEvictStalledLocked frees one graph slot by evicting the oldest
-// stalled graph: no parked stages, nothing in flight, and not yet
-// complete — the shape left behind by a client that stopped submitting
-// mid-graph. Returns false when every tracked graph is still active.
-// Callers hold depMu.
-func (s *Server) depEvictStalledLocked() bool {
+// depEvictStalled frees one graph slot by evicting the oldest stalled
+// graph: no parked stages, nothing in flight, and not yet complete — the
+// shape left behind by a client that stopped submitting mid-graph.
+// Returns false when every tracked graph is still active.
+func (s *Server) depEvictStalled() bool {
 	var victim *depGraph
 	for _, g := range s.depGraphs {
 		if g.parked > 0 || g.inflight > 0 {
@@ -381,20 +373,17 @@ func (s *Server) depEvictStalledLocked() bool {
 	if victim == nil {
 		return false
 	}
-	s.countModelLocked(modelGraphCanceled, victim, nil)
-	s.countModelLocked(modelGraphEvicted, victim, nil)
+	s.countModel(modelGraphCanceled, victim, nil)
+	s.countModel(modelGraphEvicted, victim, nil)
 	delete(s.depGraphs, depKey{victim.client, victim.id})
 	return true
 }
 
 // depStageDone folds a completed stage into its graph and collects the
 // parked dependents it unblocks into s.depReady, which the loop drains
-// right after its arrival batch. Runs only on the loop goroutine (from
-// complete), so appending to the loop-owned depReady slice is safe.
+// right after its arrival batch. Runs on the loop goroutine (from
+// complete).
 func (s *Server) depStageDone(q *launchReq, res *LaunchResult, run metrics.KernelRun) {
-	//flepvet:allow sharedlock -- bounded table update; handlers hold depMu only for bounded map edits, never block
-	s.depMu.Lock()
-	defer s.depMu.Unlock()
 	g := s.depGraphs[depKey{q.client, q.graph}]
 	if g == nil {
 		return
@@ -413,7 +402,7 @@ func (s *Server) depStageDone(q *launchReq, res *LaunchResult, run metrics.Kerne
 	if res.FinishedVirtualNS > g.lastFinishNS {
 		g.lastFinishNS = res.FinishedVirtualNS
 	}
-	s.countModelLocked(modelStageCompleted, g, &run)
+	s.countModel(modelStageCompleted, g, &run)
 	// Release every parked dependent whose prerequisites are now all
 	// done, in registration order — the deterministic path through the
 	// DAG, so a replayed trace sees the same release sequence.
@@ -439,47 +428,34 @@ func (s *Server) depStageDone(q *launchReq, res *LaunchResult, run metrics.Kerne
 		g.parked--
 		s.depParked--
 		g.inflight++
-		s.countModelLocked(modelStageReleased, g, nil)
+		s.countModel(modelStageReleased, g, nil)
 		s.depReady = append(s.depReady, rq)
 	}
-	s.depCloseIfDoneLocked(g)
+	s.depCloseIfDone(g)
 }
 
 // depStageFailed marks a stage that reached admission but was rejected
-// (shed, queue full, draining, or a runtime submit error) and cascades
-// cancellation to its parked descendants. Safe from any goroutine; the
-// collected cancels are delivered after depMu is released.
+// (shed, queue full, draining, or a runtime submit error) and cancels
+// every parked stage that transitively depends on a failed or canceled
+// one. Passes over the registration-order slice repeat until a
+// fixpoint, so deep chains cancel in one call regardless of declaration
+// order. Runs on the loop goroutine: from admit, or through ctrl when
+// the handler's enqueue failed.
 func (s *Server) depStageFailed(q *launchReq) {
-	//flepvet:allow sharedlock -- bounded table update; handlers hold depMu only for bounded map edits, never block
-	s.depMu.Lock()
 	g := s.depGraphs[depKey{q.client, q.graph}]
 	if g == nil {
-		s.depMu.Unlock()
 		return
 	}
 	st := g.stages[q.stage]
 	if st == nil || st.state != depLive {
-		s.depMu.Unlock()
 		return
 	}
 	st.state = depFailed
 	g.inflight--
 	g.terminal++
 	g.failed = true
-	s.countModelLocked(modelStageCanceled, g, nil)
-	cancels := s.depCascadeLocked(g)
-	s.depCloseIfDoneLocked(g)
-	s.depMu.Unlock()
-	s.deliverDepCancels(cancels, fmt.Sprintf("prerequisite %q failed", q.stage))
-}
-
-// depCascadeLocked cancels every parked stage that transitively depends
-// on a failed or canceled stage, returning their requests for delivery
-// outside the lock. Passes over the registration-order slice repeat
-// until a fixpoint, so deep chains cancel in one call regardless of
-// declaration order. Callers hold depMu.
-func (s *Server) depCascadeLocked(g *depGraph) []*launchReq {
-	var cancels []*launchReq
+	s.countModel(modelStageCanceled, g, nil)
+	reason := fmt.Sprintf("prerequisite %q failed", q.stage)
 	for changed := true; changed; {
 		changed = false
 		for _, name := range g.order {
@@ -487,66 +463,49 @@ func (s *Server) depCascadeLocked(g *depGraph) []*launchReq {
 			if d.state != depParked {
 				continue
 			}
-			doomed := false
 			for _, dep := range d.after {
 				if p := g.stages[dep]; p != nil && (p.state == depFailed || p.state == depCanceled) {
-					doomed = true
+					s.cancelParked(g, d, reason)
+					changed = true
 					break
 				}
 			}
-			if !doomed {
-				continue
-			}
-			cancels = append(cancels, s.cancelParkedLocked(g, d))
-			changed = true
 		}
 	}
-	return cancels
+	s.depCloseIfDone(g)
 }
 
-// cancelParkedLocked is the one way a parked stage is canceled — a
-// prerequisite failed, or the daemon drained it away. It returns the
-// stage's request, which the caller answers once depMu is released.
-// Callers hold depMu.
-func (s *Server) cancelParkedLocked(g *depGraph, d *depStage) *launchReq {
+// cancelParked is the one way a parked stage is canceled — a
+// prerequisite failed, or the daemon drained it away. The stage leaves
+// the table, counts as dep_canceled and is answered with reason.
+func (s *Server) cancelParked(g *depGraph, d *depStage, reason string) {
 	q := d.q
 	d.q, d.state = nil, depCanceled
 	g.parked--
 	s.depParked--
 	g.terminal++
-	s.countModelLocked(modelStageCanceled, g, nil)
-	return q
+	s.countModel(modelStageCanceled, g, nil)
+	s.count(outDepCanceled, q.client)
+	//flepvet:allow blockingsend -- q.done is per-request with capacity 1 (http.go) and sees exactly one send
+	q.done <- LaunchResult{
+		Client: q.client, Kernel: q.Bench.Name, Class: q.Class.String(),
+		Priority: q.Priority, Device: s.device, Canceled: reason,
+	}
 }
 
-// depCloseIfDoneLocked retires a graph whose declared stages are all
-// terminal: its outcome folds into the per-model aggregates and the
-// table entry is deleted, so the table only ever holds live graphs.
-// Callers hold depMu.
-func (s *Server) depCloseIfDoneLocked(g *depGraph) {
+// depCloseIfDone retires a graph whose declared stages are all terminal:
+// its outcome folds into the per-model aggregates and the table entry is
+// deleted, so the table only ever holds live graphs.
+func (s *Server) depCloseIfDone(g *depGraph) {
 	if g.terminal < g.declared {
 		return
 	}
 	if g.failed || g.done < g.declared {
-		s.countModelLocked(modelGraphCanceled, g, nil)
+		s.countModel(modelGraphCanceled, g, nil)
 	} else {
-		s.countModelLocked(modelGraphCompleted, g, nil)
+		s.countModel(modelGraphCompleted, g, nil)
 	}
 	delete(s.depGraphs, depKey{g.client, g.id})
-}
-
-// deliverDepCancels accounts and answers canceled parked stages. Each
-// request sees exactly one terminal event: the canceling goroutine
-// removed it from the table under depMu, so it holds exclusive
-// ownership here.
-func (s *Server) deliverDepCancels(cancels []*launchReq, reason string) {
-	for _, cq := range cancels {
-		s.count(outDepCanceled, cq.client)
-		//flepvet:allow blockingsend -- cq.done is per-request with capacity 1 (http.go) and sees exactly one send
-		cq.done <- LaunchResult{
-			Client: cq.client, Kernel: cq.Bench.Name, Class: cq.Class.String(),
-			Priority: cq.Priority, Device: s.device, Canceled: reason,
-		}
-	}
 }
 
 // depDrainCancel sweeps the table at drain time: with the engine idle
@@ -555,9 +514,6 @@ func (s *Server) deliverDepCancels(cancels []*launchReq, reason string) {
 // instead of leaving handlers to time out. Runs on the loop goroutine
 // just before it exits.
 func (s *Server) depDrainCancel() {
-	var cancels []*launchReq
-	//flepvet:allow sharedlock -- bounded table sweep at loop exit; handlers hold depMu only for bounded map edits
-	s.depMu.Lock()
 	graphs := make([]*depGraph, 0, len(s.depGraphs))
 	for _, g := range s.depGraphs {
 		graphs = append(graphs, g)
@@ -567,14 +523,12 @@ func (s *Server) depDrainCancel() {
 		for _, name := range g.order {
 			d := g.stages[name]
 			if d.state == depParked {
-				cancels = append(cancels, s.cancelParkedLocked(g, d))
+				s.cancelParked(g, d, "daemon draining")
 			}
 		}
-		s.countModelLocked(modelGraphCanceled, g, nil)
+		s.countModel(modelGraphCanceled, g, nil)
 		delete(s.depGraphs, depKey{g.client, g.id})
 	}
-	s.depMu.Unlock()
-	s.deliverDepCancels(cancels, "daemon draining")
 }
 
 // admitReleased enqueues every stage the last simulation step unblocked.
@@ -604,7 +558,7 @@ func (s *Server) admitReleased() {
 
 // ModelStatus is one model's row in the /v1/status models block: its
 // metrics.GraphTally on the wire, plus the stages parked right now. Counts
-// reconcile exactly with the flep_model_* metric families: countModelLocked
+// reconcile exactly with the flep_model_* metric families: countModel
 // moves both.
 type ModelStatus struct {
 	Model           string  `json:"model"`
@@ -620,10 +574,9 @@ type ModelStatus struct {
 	MeanMakespanUS  float64 `json:"mean_makespan_us,omitempty"`
 }
 
-// modelStatuses snapshots the per-model aggregates, sorted by name.
+// modelStatuses snapshots the per-model aggregates, sorted by name. Runs
+// on the loop goroutine (Status reads it through onLoop).
 func (s *Server) modelStatuses() []ModelStatus {
-	s.depMu.Lock()
-	defer s.depMu.Unlock()
 	if len(s.models) == 0 {
 		return nil
 	}
@@ -661,16 +614,14 @@ func (s *Server) modelStatuses() []ModelStatus {
 
 // depParkedCount reports how many stages are held in the table (the
 // flep_model_stages_held gauge).
-func (s *Server) depParkedCount() int {
-	s.depMu.Lock()
-	defer s.depMu.Unlock()
-	return s.depParked
+func (s *Server) depParkedCount() (n int) {
+	s.onLoop(func() { n = s.depParked })
+	return n
 }
 
 // depGraphCount reports how many live graphs the table tracks (the
 // flep_model_graphs_tracked gauge).
-func (s *Server) depGraphCount() int {
-	s.depMu.Lock()
-	defer s.depMu.Unlock()
-	return len(s.depGraphs)
+func (s *Server) depGraphCount() (n int) {
+	s.onLoop(func() { n = len(s.depGraphs) })
+	return n
 }

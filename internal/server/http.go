@@ -476,7 +476,9 @@ func (s *Server) admitLaunch(req *LaunchRequest, client string) (*launchReq, out
 	q.enqueuedReal = time.Now()
 
 	if q.graph != "" {
-		parked, refused, err := s.depAdmit(q)
+		// The answer stays 503 draining if the loop has already exited.
+		parked, refused, err := false, outRejectedDraining, ErrDraining
+		_ = s.ctrl(func(st *loopState) { parked, refused, err = s.depAdmit(q, st) })
 		if err != nil {
 			// A dep_canceled stage stays registered as canceled; like the
 			// rejects it never becomes queue work or enters the ledger.
@@ -504,8 +506,9 @@ func (s *Server) admitLaunch(req *LaunchRequest, client string) (*launchReq, out
 	if q.graph != "" {
 		// The failure also dooms the stage's descendants; the cascade runs
 		// before q is recycled because depStageFailed reads q's graph
-		// coordinates.
-		s.depStageFailed(q)
+		// coordinates. ErrStopped needs nothing: the exited loop's final
+		// sweep (depDrainCancel) closed every graph.
+		_ = s.ctrl(func(*loopState) { s.depStageFailed(q) })
 	}
 	putLaunchReq(q) // the loop never saw it; safe to recycle now
 	switch {
@@ -575,9 +578,9 @@ func (s *Server) Status() Status {
 	}
 	s.mu.Unlock()
 	st.Draining = s.Draining()
-	// Models snapshots under depMu, taken after mu is released (depMu is
-	// never acquired while holding mu).
-	st.Models = s.modelStatuses()
+	// Outside mu: the loop takes mu to count, so waiting on it under mu
+	// could deadlock.
+	s.onLoop(func() { st.Models = s.modelStatuses() })
 	if s.tlog != nil {
 		st.TraceEntries = s.tlog.Len()
 		st.TraceDropped = s.tlog.Dropped()

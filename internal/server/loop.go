@@ -129,19 +129,29 @@ func (r *LaunchResult) Run() metrics.KernelRun {
 	return run
 }
 
-type ctrlKind int
+// ctrlKind is work a handler runs on the loop goroutine: a pause or a
+// resume, or an edit or read of loop-owned state such as the dependency
+// table (deps.go).
+type ctrlKind func(st *loopState)
 
-const (
-	ctrlPause ctrlKind = iota
-	ctrlResume
-)
+func ctrlPause(st *loopState) {
+	if !st.draining { // a draining daemon must keep making progress
+		st.paused = true
+	}
+}
+
+func ctrlResume(st *loopState) { st.paused = false }
 
 type ctrlMsg struct {
 	kind ctrlKind
 	ack  chan struct{}
 }
 
-// ctrl sends a control message to the loop and waits for acknowledgement.
+// ctrl runs kind on the loop goroutine and returns once it has run. It
+// runs exactly once when ctrl returns nil and never when it returns
+// ErrStopped: ctrlCh is unbuffered, so a send that succeeds has handed m
+// to the loop, and every receive runs it (handleCtrl) before the loop
+// looks at anything else.
 func (s *Server) ctrl(kind ctrlKind) error {
 	m := ctrlMsg{kind: kind, ack: make(chan struct{})}
 	s.signals.Add(1) // before the send: see Server.signals
@@ -150,11 +160,16 @@ func (s *Server) ctrl(kind ctrlKind) error {
 	case <-s.loopDone:
 		return ErrStopped
 	}
-	select {
-	case <-m.ack:
-		return nil
-	case <-s.loopDone:
-		return ErrStopped
+	<-m.ack
+	return nil
+}
+
+// onLoop runs f on the loop goroutine, or here once the loop has exited:
+// by then nothing else touches loop-owned state, and the dependency table
+// is empty (depDrainCancel).
+func (s *Server) onLoop(f func()) {
+	if s.ctrl(func(*loopState) { f() }) != nil {
+		f()
 	}
 }
 
@@ -213,10 +228,11 @@ type loopState struct {
 }
 
 // loop is the daemon's scheduling thread. It is the only goroutine that
-// touches the engine, device, runtime, policy, and core.System after
-// startup; everything reaches it through submitCh/ctrlCh. Each iteration
-// first absorbs every pending arrival (stamping them onto the virtual
-// clock in arrival order), then advances the simulation by one event.
+// touches the engine, device, runtime, policy, core.System and the
+// pending-dependency table after startup; everything reaches it through
+// submitCh/ctrlCh. Each iteration first absorbs every pending arrival
+// (stamping them onto the virtual clock in arrival order), then advances
+// the simulation by one event.
 func (s *Server) loop() {
 	defer close(s.loopDone)
 	if s.cfg.Recorder != nil {
@@ -357,14 +373,7 @@ func (s *Server) beginDrain(st *loopState) {
 
 func (s *Server) handleCtrl(m ctrlMsg, st *loopState) {
 	s.signals.Add(-1)
-	switch m.kind {
-	case ctrlPause:
-		if !st.draining { // a draining daemon must keep making progress
-			st.paused = true
-		}
-	case ctrlResume:
-		st.paused = false
-	}
+	m.kind(st)
 	s.paused.Store(st.paused)
 	close(m.ack)
 }

@@ -338,12 +338,9 @@ type Server struct {
 	// per launch. Only the loop goroutine touches it.
 	batch []*launchReq
 
-	// Pending-dependency table (see deps.go). depMu guards the table and
-	// the per-model aggregates; it is never held across a channel send
-	// and never acquired while holding mu. depReady is loop-owned: only
-	// depStageDone (running on the loop, from complete) appends to it and
-	// only admitReleased drains it.
-	depMu     sync.Mutex
+	// Pending-dependency table and per-model aggregates (see deps.go),
+	// owned by the loop goroutine. depReady holds the stages depStageDone
+	// released until admitReleased admits them.
 	depGraphs map[depKey]*depGraph
 	depSeq    int64
 	depParked int
@@ -627,9 +624,6 @@ func (s *Server) MemoryAvailable() int64 {
 	}
 	return free
 }
-
-// TraceLog returns the daemon's event log (nil unless Config.Trace).
-func (s *Server) TraceLog() *trace.Log { return s.tlog }
 
 // Paused reports whether the scheduler is paused.
 func (s *Server) Paused() bool { return s.paused.Load() }
