@@ -48,3 +48,26 @@ func TestRingHomesAreStable(t *testing.T) {
 		}
 	}
 }
+
+// TestPlacementCountsAQueuedLaunchOnce: a node's ledger counts a queued
+// launch as in flight, so the node holding one queued launch is less
+// loaded than the node running two, whichever way the rotation starts.
+// Adding status.QueueLen on top tied the two.
+func TestPlacementCountsAQueuedLaunchOnce(t *testing.T) {
+	g, err := New(Config{Nodes: []string{"http://queued", "http://running"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.mu.Lock()
+	for _, n := range g.nodes {
+		n.ready, n.haveStatus = true, true
+	}
+	g.nodes[0].status.QueueLen, g.nodes[0].status.Counters.Enqueued = 1, 1
+	g.nodes[1].status.Counters.Enqueued = 2
+	g.mu.Unlock()
+	for i := 0; i < 2; i++ { // both rotation starts
+		if c := g.candidates("", server.LaunchRequest{Benchmark: "VA"}); c[0].addr != "http://queued" {
+			t.Fatalf("placement %d preferred %s, want the node with one queued launch over the one running two", i, c[0].addr)
+		}
+	}
+}

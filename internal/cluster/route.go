@@ -32,8 +32,9 @@ type candidate struct {
 // Other anonymous launches have no session to preserve, so they go
 // wherever capacity is, in the fleet's placement order (server.Placement):
 // memory fit is judged against the node's last-known free device memory,
-// and load is queued + in-flight at the node plus the gateway's own
-// not-yet-visible in-flight count.
+// and load is the node's in-flight count (its ledger's, which holds the
+// launches still queued) plus the gateway's own not-yet-visible in-flight
+// count.
 func (g *Gateway) candidates(client string, req server.LaunchRequest) []candidate {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -71,7 +72,7 @@ func (g *Gateway) candidates(client string, req server.LaunchRequest) []candidat
 		}
 		score := server.Placement{Fits: true, Load: nd.inflight, Rot: (i - start + n) % n}
 		if nd.haveStatus {
-			score.Load += int64(nd.status.QueueLen) + nd.status.Counters.InFlight()
+			score.Load += nd.status.Counters.InFlight()
 			if need > 0 && nd.status.MemoryFreeBytes > 0 && nd.status.MemoryFreeBytes < need {
 				score.Fits = false
 			}

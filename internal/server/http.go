@@ -580,23 +580,26 @@ func (s *Server) Status() Status {
 	st.Draining = s.Draining()
 	// Outside mu: the loop takes mu to count, so waiting on it under mu
 	// could deadlock.
-	s.onLoop(func() { st.Models = s.modelStatuses() })
-	if s.tlog != nil {
-		st.TraceEntries = s.tlog.Len()
-		st.TraceDropped = s.tlog.Dropped()
-	}
+	s.onLoop(func() {
+		st.Models = s.modelStatuses()
+		if s.tlog != nil {
+			st.TraceEntries = s.tlog.Len()
+			st.TraceDropped = s.tlog.Dropped()
+		}
+	})
 	return st
 }
 
 func (s *Server) catalog() []BenchmarkInfo { return s.info }
 
-// TraceEntries returns the shard's (kind-filtered) event log; ok is false
-// when tracing is off.
+// TraceEntries returns the shard's (kind-filtered) event log, copied on
+// the loop that owns it; ok is false when tracing is off.
 func (s *Server) TraceEntries(kind string) (entries []trace.Entry, ok bool) {
 	if s.tlog == nil {
 		return nil, false
 	}
-	return s.tlog.Filter(kind), true
+	s.onLoop(func() { entries = s.tlog.Filter(kind) })
+	return entries, true
 }
 
 func handleTrace(d daemon, w http.ResponseWriter, r *http.Request) {

@@ -221,18 +221,23 @@ func (s *Server) tryEnqueue(q *launchReq) error {
 	}
 }
 
-// loopState is the event loop's own view of pause and drain.
+// loopState is the event loop's own view of pause, drain and pacing.
 type loopState struct {
 	paused, draining bool
 	stop             <-chan struct{} // nil once draining
+	// paceLeft is the unserved remainder of the current pace interval. A
+	// Pause freezes it and it is served after Resume, so a pause/resume
+	// storm cannot advance virtual time faster than the pace floor.
+	paceLeft time.Duration
 }
 
 // loop is the daemon's scheduling thread. It is the only goroutine that
-// touches the engine, device, runtime, policy, core.System and the
-// pending-dependency table after startup; everything reaches it through
-// submitCh/ctrlCh. Each iteration first absorbs every pending arrival
-// (stamping them onto the virtual clock in arrival order), then advances
-// the simulation by one event.
+// touches the engine, device, runtime, policy, core.System, the
+// pending-dependency table and the trace log after startup; everything
+// reaches it through submitCh/ctrlCh. Each iteration first absorbs every
+// pending arrival (stamping them onto the virtual clock in arrival order),
+// then advances the simulation by one event, unless it is paused or owes
+// pace time; then, as when the simulator is idle, it blocks in wait.
 func (s *Server) loop() {
 	defer close(s.loopDone)
 	if s.cfg.Recorder != nil {
@@ -242,22 +247,16 @@ func (s *Server) loop() {
 	}
 	st := &loopState{stop: s.stopCh}
 
-	// paceDebt is the unserved remainder of the current pace interval: a
-	// pause arriving mid-sleep parks the loop, and the owed balance is
-	// slept off after Resume instead of being forgotten (which would let a
-	// pause/resume storm advance virtual time faster than the pace floor).
-	var paceDebt time.Duration
-
 	for {
 		// Absorb everything already pending, without blocking — and without
 		// a select per step when nothing can be: every sender registers in
 		// queued or signals before it sends. One that registers just after
-		// the look is seen a step later, and wherever the loop blocks it
-		// selects on the channels themselves, so no wake-up is lost.
-		// Arrivals drain into the reusable batch and are admitted in one
-		// pass — submitCh is FIFO, so batch order is arrival order and the
-		// virtual-clock stamping (hence the replay trace) is byte-identical
-		// to one-at-a-time admission.
+		// the look is seen a step later, and wait selects on the channels
+		// themselves, so no wake-up is lost. Arrivals drain into the
+		// reusable batch and are admitted in one pass — submitCh is FIFO,
+		// so batch order is arrival order and the virtual-clock stamping
+		// (hence the replay trace) is byte-identical to one-at-a-time
+		// admission.
 	absorb:
 		for s.queued.Load() > 0 || s.signals.Load() > 0 {
 			submitCh := s.submitCh
@@ -281,31 +280,14 @@ func (s *Server) loop() {
 		s.admitAll()
 		s.admitReleased()
 
-		if st.paused {
-			// Parked: arrivals pile up in submitCh (backpressure) until
-			// Resume or Shutdown.
-			select {
-			case m := <-s.ctrlCh:
-				s.handleCtrl(m, st)
-			case <-st.stop:
-				s.beginDrain(st)
-			}
+		if st.paused || st.paceLeft > 0 {
+			s.wait(st)
 			continue
 		}
-
-		if paceDebt > 0 {
-			paceDebt = s.sleepAbsorb(paceDebt, st)
-			if paceDebt > 0 {
-				continue // paused again mid-interval; settle after Resume
-			}
-		}
-
 		if s.stack.Eng.Step() {
 			s.vnow.Store(int64(s.stack.Eng.Now()))
 			s.steps.Add(1)
-			if s.cfg.Pace > 0 {
-				paceDebt = s.sleepAbsorb(s.cfg.Pace, st)
-			}
+			st.paceLeft = s.cfg.Pace
 			continue
 		}
 
@@ -317,57 +299,50 @@ func (s *Server) loop() {
 			s.depDrainCancel()
 			return
 		}
-		select {
-		case q := <-s.submitCh:
-			s.admit(q)
-		case m := <-s.ctrlCh:
-			s.handleCtrl(m, st)
-		case <-st.stop:
-			s.beginDrain(st)
-		}
+		s.wait(st)
 	}
 }
 
-// sleepAbsorb waits out one pace interval while still admitting arrivals
-// and control messages, so paced operation keeps the admission latency
-// low. Control messages that leave the loop running (Resume, a redundant
-// ctrl) are drained without abandoning the interval: the single timer
-// keeps ticking toward the original deadline. A Pause parks the loop
-// promptly and the unserved remainder is returned so the caller can
-// settle the debt after Resume; a timer expiry or a Shutdown returns 0
-// (drain runs the remaining work without further pacing of this
-// interval).
-func (s *Server) sleepAbsorb(d time.Duration, st *loopState) time.Duration {
-	deadline := time.Now().Add(d)
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	for {
-		select {
-		case <-timer.C:
-			return 0
-		case q := <-s.submitCh:
-			s.admit(q)
-		case m := <-s.ctrlCh:
-			s.handleCtrl(m, st)
-			if st.paused {
-				// Park promptly; the loop owes the rest of the interval.
-				if rem := time.Until(deadline); rem > 0 {
-					return rem
-				}
-				return 0
-			}
-		case <-st.stop:
-			s.beginDrain(st)
-			return 0
-		}
+// wait is the loop's one blocking point: it serves one launch, control
+// message or stop request, or the end of the pace interval, and returns.
+// While paused, arrivals pile up in submitCh (backpressure) and no pace
+// time passes; otherwise a launch is admitted at once, so paced operation
+// keeps the admission latency low. The elapsed time is taken off paceLeft
+// whatever woke the loop, so a control message that leaves it running
+// does not cut the interval short.
+func (s *Server) wait(st *loopState) {
+	submitCh := s.submitCh
+	var paceEnd <-chan time.Time
+	var timer *time.Timer
+	var start time.Time
+	if st.paused {
+		submitCh = nil
+	} else if st.paceLeft > 0 {
+		start = time.Now()
+		timer = time.NewTimer(st.paceLeft)
+		paceEnd = timer.C
+	}
+	select {
+	case q := <-submitCh:
+		s.admit(q)
+	case m := <-s.ctrlCh:
+		s.handleCtrl(m, st)
+	case <-st.stop:
+		s.beginDrain(st)
+	case <-paceEnd:
+	}
+	if timer != nil {
+		timer.Stop()
+		st.paceLeft = max(0, st.paceLeft-time.Since(start))
 	}
 }
 
-// beginDrain takes the stop request, unparking the loop if it was paused.
+// beginDrain takes the stop request, unparking the loop if it was paused
+// and forgiving the current pace interval.
 func (s *Server) beginDrain(st *loopState) {
 	s.signals.Add(-1)
 	st.draining, st.stop = true, nil
-	st.paused = false
+	st.paused, st.paceLeft = false, 0
 	s.paused.Store(false)
 }
 

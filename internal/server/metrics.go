@@ -49,7 +49,7 @@ type serverMetrics struct {
 
 	// model is the model ledger (see deps.go), one series per modelEvent;
 	// ModelSLOAttained/ModelSLOMissed mirror the verdicts of the completed
-	// stages. Only countModelLocked moves them, with the model's
+	// stages. Only countModel moves them, with the model's
 	// /v1/status row, so the families reconcile exactly with the models
 	// block. Labels are compile-time literals; the per-model-name breakdown
 	// lives only in the bounded JSON models block.

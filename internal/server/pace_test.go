@@ -4,26 +4,28 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"flep/internal/kernels"
 )
 
-// TestSleepAbsorbPauseReturnsRemainder pins the pace-debt contract: a
-// Pause landing mid-interval parks the loop promptly, and the unserved
-// part of the interval comes back to the caller instead of being
-// forgotten.
-func TestSleepAbsorbPauseReturnsRemainder(t *testing.T) {
+// TestWaitPauseFreezesRemainder pins the pace-debt contract: a Pause
+// landing mid-interval parks the loop promptly, and the unserved part of
+// the interval stays owed instead of being forgotten.
+func TestWaitPauseFreezesRemainder(t *testing.T) {
 	s := &Server{ctrlCh: make(chan ctrlMsg, 1)}
-	st := &loopState{}
-
 	const interval = 200 * time.Millisecond
 	const pauseAt = 20 * time.Millisecond
+	st := &loopState{paceLeft: interval}
+
 	go func() {
 		time.Sleep(pauseAt)
 		s.signals.Add(1)
 		s.ctrlCh <- ctrlMsg{kind: ctrlPause, ack: make(chan struct{})}
 	}()
 	start := time.Now()
-	rem := s.sleepAbsorb(interval, st)
+	s.wait(st)
 	served := time.Since(start)
+	rem := st.paceLeft
 	if !st.paused {
 		t.Fatal("pause was not applied")
 	}
@@ -40,24 +42,26 @@ func TestSleepAbsorbPauseReturnsRemainder(t *testing.T) {
 	}
 }
 
-// TestSleepAbsorbKeepsIntervalAcrossCtrl feeds the sleeping loop control
-// messages that leave it running (redundant Resumes): the single timer
-// must keep ticking toward the original deadline rather than treating any
-// ctrl arrival as the end of the interval.
-func TestSleepAbsorbKeepsIntervalAcrossCtrl(t *testing.T) {
+// TestWaitKeepsIntervalAcrossCtrl feeds the pacing loop control messages
+// that leave it running (redundant Resumes): each wakes wait, but the
+// interval must still be served in full rather than treating any ctrl
+// arrival as its end.
+func TestWaitKeepsIntervalAcrossCtrl(t *testing.T) {
 	s := &Server{ctrlCh: make(chan ctrlMsg, 4)}
-	st := &loopState{}
-
 	const interval = 60 * time.Millisecond
+	st := &loopState{paceLeft: interval}
+
 	for i := 0; i < 4; i++ {
 		s.signals.Add(1)
 		s.ctrlCh <- ctrlMsg{kind: ctrlResume, ack: make(chan struct{})}
 	}
 	start := time.Now()
-	rem := s.sleepAbsorb(interval, st)
+	for st.paceLeft > 0 && !st.paused {
+		s.wait(st)
+	}
 	elapsed := time.Since(start)
-	if rem != 0 {
-		t.Fatalf("remainder = %v after full interval, want 0", rem)
+	if st.paceLeft != 0 {
+		t.Fatalf("remainder = %v after full interval, want 0", st.paceLeft)
 	}
 	if st.paused {
 		t.Fatal("resume-only ctrl stream left the loop paused")
@@ -67,22 +71,22 @@ func TestSleepAbsorbKeepsIntervalAcrossCtrl(t *testing.T) {
 	}
 }
 
-// TestSleepAbsorbStopEndsPacing: a Shutdown arriving mid-interval begins
-// the drain immediately and owes nothing.
-func TestSleepAbsorbStopEndsPacing(t *testing.T) {
+// TestWaitStopEndsPacing: a Shutdown arriving mid-interval begins the
+// drain immediately and owes nothing.
+func TestWaitStopEndsPacing(t *testing.T) {
 	s := &Server{}
 	stopCh := make(chan struct{})
 	s.signals.Add(1)
 	close(stopCh)
-	st := &loopState{stop: stopCh}
+	st := &loopState{stop: stopCh, paceLeft: time.Second}
 
 	start := time.Now()
-	rem := s.sleepAbsorb(time.Second, st)
+	s.wait(st)
 	if time.Since(start) > 500*time.Millisecond {
 		t.Fatal("stop did not interrupt the sleep promptly")
 	}
-	if rem != 0 {
-		t.Fatalf("remainder = %v on shutdown, want 0", rem)
+	if st.paceLeft != 0 {
+		t.Fatalf("remainder = %v on shutdown, want 0", st.paceLeft)
 	}
 	if !st.draining || st.stop != nil {
 		t.Fatalf("stop not latched: draining=%v stop=%v", st.draining, st.stop)
@@ -135,5 +139,40 @@ func TestPaceFloorSurvivesPauseResumeStorm(t *testing.T) {
 	floor := time.Duration(steps-1) * pace
 	if elapsed < floor {
 		t.Fatalf("virtual clock outpaced the floor: %d steps in %v (< %v)", steps, elapsed, floor)
+	}
+}
+
+// TestPacedLoopAdmitsMidInterval: a paced loop owes wall time after every
+// step, but a launch that arrives during the interval is admitted at once
+// rather than when the interval ends.
+func TestPacedLoopAdmitsMidInterval(t *testing.T) {
+	const pace = 200 * time.Millisecond
+	s, _ := newTestServer(t, Config{Pace: pace})
+	enqueue := func(client, bench string, class kernels.InputClass) *launchReq {
+		t.Helper()
+		q := mkLaunchReq(s, client, 0)
+		q.Bench, q.Class = s.benches[bench], class
+		if err := s.tryEnqueue(q); err != nil {
+			t.Fatalf("enqueue %s: %v", client, err)
+		}
+		s.countEnqueued(q)
+		return q
+	}
+
+	big := enqueue("big", "MM", kernels.Large)
+	waitFor(t, "the large launch to step", func() bool { return s.Steps() > 0 })
+	n := s.Steps()
+	waitFor(t, "the next step", func() bool { return s.Steps() > n })
+	small := enqueue("small", "VA", kernels.Trivial)
+
+	for _, q := range []*launchReq{big, small} {
+		if res := <-q.done; res.Err != "" {
+			t.Fatalf("%s: %s", q.client, res.Err)
+		}
+	}
+	if wait := small.admitReal.Sub(small.enqueuedReal); wait > pace/4 {
+		t.Fatalf("launch sent mid-interval admitted after %v, want ≤ %v of a %v interval", wait, pace/4, pace)
+	} else {
+		t.Logf("admitted %v into a %v interval", wait, pace)
 	}
 }

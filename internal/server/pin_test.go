@@ -80,3 +80,30 @@ func TestFleetNamedClientStaysOnOneShard(t *testing.T) {
 		t.Fatalf("the burst's accepted launches ran on devices %v, want exactly one", devs)
 	}
 }
+
+// TestLoadCountsAQueuedLaunchOnce: the ledger counts a launch as enqueued
+// before the loop receives it, so a paused shard holding one queued launch
+// has a load of one.
+func TestLoadCountsAQueuedLaunchOnce(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	if err := s.Pause(); err != nil {
+		t.Fatal(err)
+	}
+	q := mkLaunchReq(s, "c", 0)
+	if err := s.tryEnqueue(q); err != nil {
+		t.Fatal(err)
+	}
+	s.countEnqueued(q)
+	if got := s.Load(); got != 1 {
+		t.Fatalf("Load() = %d with one launch queued, want 1", got)
+	}
+	if err := s.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	if res := <-q.done; res.Err != "" {
+		t.Fatal(res.Err)
+	}
+	if got := s.Load(); got != 0 {
+		t.Fatalf("Load() = %d at rest, want 0", got)
+	}
+}

@@ -37,8 +37,8 @@ type Placement struct {
 	// Fits reports that the candidate's free device memory covers the
 	// launch's working set.
 	Fits bool
-	// Load is the candidate's queue depth plus admitted-but-unfinished
-	// launches.
+	// Load is the candidate's accepted launches that are not yet
+	// terminal, whether still queued or admitted.
 	Load int64
 	// Rot is the candidate's distance from the rotating start index.
 	Rot int

