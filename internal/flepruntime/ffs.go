@@ -20,11 +20,12 @@ import (
 // (kernel), not to one invocation: a client whose invocation completes
 // mid-epoch keeps the GPU for its next invocation until the epoch expires.
 type FFS struct {
-	// MaxOverhead is the user's tolerated throughput loss (e.g. 0.10).
-	MaxOverhead float64
-	// Weights maps priority level to its share weight. Missing levels
-	// weigh their priority value (min 1).
-	Weights map[int]float64
+	// maxOverhead is the user's tolerated throughput loss (e.g. 0.10) and
+	// weights maps priority level to its share weight (missing levels
+	// weigh their priority value, min 1). Both are fixed at construction,
+	// so only the tenant table can move the epoch base.
+	maxOverhead float64
+	weights     map[int]float64
 
 	// tenants holds one entry per distinct kernel, ordered by name: its
 	// requested share weight and, once it has been dispatched, the overhead
@@ -34,6 +35,12 @@ type FFS struct {
 	// sums are taken in name order: float addition in map-iteration order
 	// gave an epoch length that differed in its last bit from run to run.
 	tenants []ffsTenant
+	// base is baseEpoch over the table as it stands. It is recomputed only
+	// when a term of the sum changes: a tenant's first dispatch, a dispatch
+	// whose overhead or weight differs from the stored one, an eviction.
+	// The recompute sums in name order like any other, so every epoch is
+	// the one a fresh baseEpoch per dispatch would give, bit for bit.
+	base time.Duration
 	// curKernel owns the current epoch, which ends at epochEnd.
 	curKernel string
 	epochEnd  time.Duration
@@ -63,12 +70,19 @@ type ffsTenant struct {
 }
 
 // tenant returns the position of kernel's entry in f.tenants, or the
-// position it would be inserted at. The table is a handful of entries.
+// position it would be inserted at. The table is a handful of entries; a
+// present tenant, the common case, is found by equality, which rejects a
+// name of another length without comparing bytes.
 func (f *FFS) tenant(kernel string) (i int, ok bool) {
+	for i := range f.tenants {
+		if f.tenants[i].kernel == kernel {
+			return i, true
+		}
+	}
 	for i < len(f.tenants) && f.tenants[i].kernel < kernel {
 		i++
 	}
-	return i, i < len(f.tenants) && f.tenants[i].kernel == kernel
+	return i, false
 }
 
 // ensureTenant returns kernel's entry, inserting an empty one if needed.
@@ -85,11 +99,11 @@ func NewFFS(maxOverhead float64) *FFS {
 	if maxOverhead <= 0 {
 		maxOverhead = 0.10
 	}
-	return &FFS{MaxOverhead: maxOverhead}
+	return &FFS{maxOverhead: maxOverhead}
 }
 
 // SetKernelWeight records a tenant kernel's share weight. It overrides the
-// priority-level Weights table for that kernel and is dropped automatically
+// priority-level weights table for that kernel and is dropped automatically
 // when the tenant departs.
 func (f *FFS) SetKernelWeight(kernel string, w float64) {
 	if w > 0 {
@@ -97,20 +111,12 @@ func (f *FFS) SetKernelWeight(kernel string, w float64) {
 	}
 }
 
-// KernelWeight reports the per-kernel share weight, if one is set.
-func (f *FFS) KernelWeight(kernel string) (float64, bool) {
-	if i, ok := f.tenant(kernel); ok && f.tenants[i].requested > 0 {
-		return f.tenants[i].requested, true
+// weight returns the share weight of an invocation of tenant t.
+func (f *FFS) weight(t *ffsTenant, v *Invocation) float64 {
+	if t.requested > 0 {
+		return t.requested
 	}
-	return 0, false
-}
-
-// weight returns the share weight of an invocation.
-func (f *FFS) weight(v *Invocation) float64 {
-	if w, ok := f.KernelWeight(v.Kernel); ok {
-		return w
-	}
-	if w, ok := f.Weights[v.Priority]; ok && w > 0 {
+	if w, ok := f.weights[v.Priority]; ok && w > 0 {
 		return w
 	}
 	if v.Priority >= 1 {
@@ -153,15 +159,18 @@ func (f *FFS) baseEpoch() time.Duration {
 	if sumW == 0 {
 		return 0
 	}
-	return time.Duration(float64(sumO) / (f.MaxOverhead * sumW))
+	return time.Duration(float64(sumO) / (f.maxOverhead * sumW))
 }
 
 // OnDispatch opens a new epoch when the GPU changes hands; dispatches of
 // the epoch owner's follow-up invocations inherit the running epoch.
 func (f *FFS) OnDispatch(r *Runtime, v *Invocation) {
-	weight := f.weight(v)
 	t := f.ensureTenant(v.Kernel)
-	t.dispatched, t.overhead, t.weight = true, r.OverheadFor(v), weight
+	weight, overhead := f.weight(t, v), r.OverheadFor(v)
+	if !t.dispatched || t.overhead != overhead || t.weight != weight {
+		t.dispatched, t.overhead, t.weight = true, overhead, weight
+		f.base = f.baseEpoch()
+	}
 	now := r.Device().Now()
 	if v.Kernel == f.curKernel && now < f.epochEnd {
 		return // continuation within the owner's epoch
@@ -171,7 +180,7 @@ func (f *FFS) OnDispatch(r *Runtime, v *Invocation) {
 	// fit a relaunch plus one whole task banks nothing once fewer tasks
 	// remain than workers, and the kernel rotates on them forever. A real
 	// persistent CTA finishes its task before it polls the flag (§4).
-	epoch := max(time.Duration(float64(f.baseEpoch())*weight), t.overhead+v.TaskCost)
+	epoch := max(time.Duration(float64(f.base)*weight), overhead+v.TaskCost)
 	if f.epochTimer.Pending() && f.epochTimer.When() > now {
 		// The previous epoch's timer is superseded; cancel it so it never
 		// sits dead in the event queue.
@@ -243,6 +252,7 @@ func (f *FFS) OnCompletion(r *Runtime, v *Invocation) {
 		}
 	}
 	f.tenants = slices.Delete(f.tenants, i, i+1)
+	f.base = f.baseEpoch()
 	r.met.Evictions.Inc()
 	if f.curKernel == v.Kernel {
 		// The departed tenant owned the open epoch; close it so the next

@@ -49,7 +49,7 @@ func NewPolicy(name string, maxOverhead float64, weights map[int]float64) (Polic
 		return h, nil
 	case "ffs":
 		f := NewFFS(maxOverhead)
-		f.Weights = weights
+		f.weights = weights
 		return f, nil
 	case "fifo":
 		return NewFIFO(), nil

@@ -7,7 +7,7 @@ import (
 	"flep/internal/sim"
 )
 
-// rotationFixture is four weighted FFS tenants, each with one kernel far
+// rotationFixture is n weighted FFS tenants, each with one kernel far
 // longer than any epoch, on a runtime with no trace log: the steady state
 // is one rotation after another. rotate steps the engine through exactly
 // one of them: epoch expiry, preempt, drain, redispatch of the next tenant,
@@ -17,19 +17,20 @@ type rotationFixture struct {
 	drains int
 }
 
-func newRotationFixture(tb testing.TB) *rotationFixture {
+func newRotationFixture(tb testing.TB, n int) *rotationFixture {
 	ffs := NewFFS(0.10)
 	eng, rt := newRT(ffs, false)
 	fx := &rotationFixture{eng: eng}
 	rt.cfg.OnPreemptDrained = func(*Invocation, time.Duration) { fx.drains++ }
-	for i, name := range []string{"a", "b", "c", "d"} {
+	for i := range n {
+		name := string(rune('a' + i))
 		v := inv(name, 1+i%2, 1<<40, us(10), 4)
 		ffs.SetKernelWeight(name, float64(1+i%2))
 		if err := rt.Submit(v); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 2*n; i++ {
 		fx.rotate(tb) // past the first round: every tenant has been seen
 	}
 	return fx
@@ -45,8 +46,17 @@ func (fx *rotationFixture) rotate(tb testing.TB) {
 
 // BenchmarkFFSRotation4Tenants is the cost of one FFS rotation (§5.2.2:
 // one drain plus one relaunch) through runtime, policy, device and engine.
-func BenchmarkFFSRotation4Tenants(b *testing.B) {
-	fx := newRotationFixture(b)
+func BenchmarkFFSRotation4Tenants(b *testing.B) { benchmarkFFSRotation(b, 4) }
+
+// BenchmarkFFSRotation16Tenants is the same rotation among sixteen tenants.
+// FFS recomputes its epoch base only when a term of the sum changes, so its
+// share of a rotation does not grow with the tenant count; what still grows
+// is the runtime's waiting queue (fifteen invocations here, three among
+// four).
+func BenchmarkFFSRotation16Tenants(b *testing.B) { benchmarkFFSRotation(b, 16) }
+
+func benchmarkFFSRotation(b *testing.B, tenants int) {
+	fx := newRotationFixture(b, tenants)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -64,7 +74,7 @@ func BenchmarkFFSRotation4Tenants(b *testing.B) {
 // formatted for a nil log or a callback rebound per redispatch shows up
 // here.
 func TestRotationAllocationBudget(t *testing.T) {
-	fx := newRotationFixture(t)
+	fx := newRotationFixture(t, 4)
 	if got := testing.AllocsPerRun(500, func() { fx.rotate(t) }); got > 0 {
 		t.Errorf("one FFS rotation allocates %v times, want none", got)
 	}

@@ -26,14 +26,14 @@ const (
 )
 
 // seededMix submits one seeded 80-invocation mix to a fresh runtime and
-// returns the engine and the invocations in submission order: a quarter
+// returns the engine, the runtime and the invocations in submission order: a quarter
 // arrive at the previous one's instant, the rest up to 400 µs later; five
 // kernel names; priority 1–3; 8–6,000 tasks of 20–220 µs; L in {1, 2, 8,
 // 64}; 2–16 CTAs per SM; Te off the true time by up to 20 %; a third carry
 // a 1–40 ms deadline, a third a working set of up to 7 GiB, a fifth are
 // model-graph stages. Every draw comes from the seed, so a cell is
 // reproduced by its (policy, spatial, seed) coordinates alone.
-func seededMix(t *testing.T, policy string, spatial bool, seed int64) (*sim.Engine, []*Invocation) {
+func seededMix(t *testing.T, policy string, spatial bool, seed int64) (*sim.Engine, *Runtime, []*Invocation) {
 	pol, err := NewPolicy(policy, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func seededMix(t *testing.T, policy string, spatial bool, seed int64) (*sim.Engi
 			}
 		})
 	}
-	return eng, invs
+	return eng, rt, invs
 }
 
 // seededMixDigest runs one cell to quiescence and names its outcome: the
@@ -95,7 +95,7 @@ func seededMixDigest(t *testing.T, policy string, spatial bool, seed int64) (out
 			out = "panic"
 		}
 	}()
-	eng, invs := seededMix(t, policy, spatial, seed)
+	eng, _, invs := seededMix(t, policy, spatial, seed)
 	steps := 0
 	for eng.Step() {
 		if steps++; steps > seededMixMaxSteps {
