@@ -94,7 +94,7 @@ func main() {
 			r.Turnaround().Round(time.Microsecond), r.Functional)
 	}
 	fmt.Printf("\nmakespan %v, preemptions in trace: %d\n",
-		report.Makespan.Round(time.Microsecond), len(report.Log.Filter("preempt")))
+		report.Makespan.Round(time.Microsecond), len(report.Log.Filter("preempt", 0)))
 
 	// The blur results are real: applied twice, back into src.
 	fmt.Printf("blurred row head: %.3f %.3f %.3f %.3f\n", src.F[0], src.F[1], src.F[2], src.F[3])

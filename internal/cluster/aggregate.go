@@ -130,11 +130,19 @@ func (g *Gateway) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace merges the nodes' trace streams into one global
 // (Time, Node, Device)-ordered stream, each entry stamped with its node, and
-// answers it the way a node answers its own (limit, format).
+// answers it the way a node answers its own (limit, format). kind and limit
+// are forwarded: the merged stream's last N entries are among each node's
+// own last N, so a node sends only those.
 func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
+	q := url.Values{}
+	for _, key := range []string{"kind", "limit"} {
+		if v := r.URL.Query().Get(key); v != "" {
+			q.Set(key, v)
+		}
+	}
 	path := "/v1/trace"
-	if kind := r.URL.Query().Get("kind"); kind != "" {
-		path += "?kind=" + url.QueryEscape(kind)
+	if len(q) > 0 {
+		path += "?" + q.Encode()
 	}
 	streams, from := fetchEach[[]trace.Entry](g, path)
 	if len(streams) == 0 {

@@ -32,7 +32,7 @@ func TestTasksOverrideRespected(t *testing.T) {
 	// With only 16 CTAs (2 SMs at occupancy 8), the spatial drain must
 	// free exactly 2 SMs.
 	saw := false
-	for _, e := range res.Log.Filter("drained") {
+	for _, e := range res.Log.Filter("drained", 0) {
 		if e.Kernel == "CFD" && e.SMHi-e.SMLo == 2 {
 			saw = true
 		}

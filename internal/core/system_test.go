@@ -181,7 +181,7 @@ func TestSpatialRunCompletes(t *testing.T) {
 	}
 	// The drain must have been spatial (victim kept running).
 	sawSpatial := false
-	for _, e := range res.Log.Filter("drained") {
+	for _, e := range res.Log.Filter("drained", 0) {
 		if len(e.Detail) >= 7 && e.Detail[:7] == "spatial" {
 			sawSpatial = true
 		}

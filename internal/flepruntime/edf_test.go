@@ -90,7 +90,7 @@ func TestEDFTightDeadlinePreemptsBestEffort(t *testing.T) {
 		rt.Submit(lc)
 	})
 	eng.Run()
-	if len(log.Filter("preempt")) == 0 {
+	if len(log.Filter("preempt", 0)) == 0 {
 		t.Fatal("EDF should have preempted the best-effort runner")
 	}
 	if lc.FinishedAt() == 0 || lc.FinishedAt() > lc.Deadline {
@@ -116,7 +116,7 @@ func TestEDFAmpleSlackDoesNotPreempt(t *testing.T) {
 		rt.Submit(lc)
 	})
 	eng.Run()
-	if n := len(log.Filter("preempt")); n != 0 {
+	if n := len(log.Filter("preempt", 0)); n != 0 {
 		t.Fatalf("preempted %d times with ample slack", n)
 	}
 	if lc.FinishedAt() > lc.Deadline {
@@ -139,7 +139,7 @@ func TestEDFHopelessDeadlineDoesNotPreempt(t *testing.T) {
 		rt.Submit(lc)
 	})
 	eng.Run()
-	if n := len(log.Filter("preempt")); n != 0 {
+	if n := len(log.Filter("preempt", 0)); n != 0 {
 		t.Fatalf("preempted %d times for an unmeetable deadline", n)
 	}
 	if lc.State() != InvFinished {
@@ -166,7 +166,7 @@ func TestEDFNeverPreemptsEarlierDeadline(t *testing.T) {
 		rt.Submit(b)
 	})
 	eng.Run()
-	if n := len(log.Filter("preempt")); n != 0 {
+	if n := len(log.Filter("preempt", 0)); n != 0 {
 		t.Fatalf("preempted the earlier deadline %d times", n)
 	}
 	if len(order) != 2 || order[0] != "a" {
@@ -191,7 +191,7 @@ func TestEDFBestEffortNeverPreempts(t *testing.T) {
 	rt.Submit(long)
 	eng.Schedule(us(1000), func() { rt.Submit(short) })
 	eng.Run()
-	if n := len(log.Filter("preempt")); n != 0 {
+	if n := len(log.Filter("preempt", 0)); n != 0 {
 		t.Fatalf("best-effort work preempted %d times", n)
 	}
 	if len(order) != 2 || order[0] != "long" {
@@ -216,7 +216,7 @@ func TestEDFRiskTimerFiresOnStalePrediction(t *testing.T) {
 		rt.Submit(lc)
 	})
 	eng.Run()
-	if len(log.Filter("edf-risk")) == 0 {
+	if len(log.Filter("edf-risk", 0)) == 0 {
 		t.Fatal("risk timer never fired despite the stale prediction")
 	}
 	if be.State() != InvFinished || lc.State() != InvFinished {

@@ -152,7 +152,7 @@ func TestOverheadAwareSkipsUnprofitablePreemption(t *testing.T) {
 	// At 1.7ms, long has ~0.3ms left; short needs 1.5ms. 0.3 < 1.5+0.5.
 	eng.Schedule(us(1700), func() { rt.Submit(short) })
 	eng.Run()
-	for _, e := range log.Filter("preempt") {
+	for _, e := range log.Filter("preempt", 0) {
 		_ = e
 		preempts++
 	}
@@ -174,7 +174,7 @@ func TestNaiveSRTPreemptsAnyway(t *testing.T) {
 	rt.Submit(long)
 	eng.Schedule(us(1700), func() { rt.Submit(short) })
 	eng.Run()
-	if len(log.Filter("preempt")) == 0 {
+	if len(log.Filter("preempt", 0)) == 0 {
 		t.Fatal("naive SRT should have preempted")
 	}
 }
@@ -195,13 +195,13 @@ func TestSpatialPreemptionKeepsVictimRunning(t *testing.T) {
 		t.Fatal("kernels did not finish")
 	}
 	// The victim must never have fully stopped: no temporal drain events.
-	for _, e := range log.Filter("drained") {
+	for _, e := range log.Filter("drained", 0) {
 		if e.Kernel == "low" && e.Detail[0:8] == "temporal" {
 			t.Fatalf("victim temporally drained: %v", e.Detail)
 		}
 	}
 	// And the victim should reclaim the SMs afterwards.
-	if len(log.Filter("expand")) == 0 {
+	if len(log.Filter("expand", 0)) == 0 {
 		t.Fatal("victim never expanded back")
 	}
 	// Victim's penalty should be mild: solo is 10ms; spatial co-run with a
@@ -221,7 +221,7 @@ func TestSpatialDisabledFallsBackToTemporal(t *testing.T) {
 	eng.Schedule(us(1000), func() { rt.Submit(tiny) })
 	eng.Run()
 	sawTemporal := false
-	for _, e := range log.Filter("drained") {
+	for _, e := range log.Filter("drained", 0) {
 		if e.Kernel == "low" && len(e.Detail) >= 8 && e.Detail[:8] == "temporal" {
 			sawTemporal = true
 		}
@@ -313,7 +313,7 @@ func TestFFSRespectsOverheadBudget(t *testing.T) {
 		mk("a")()
 		mk("b")()
 		eng.RunUntil(300 * time.Millisecond)
-		return len(log.Filter("epoch"))
+		return len(log.Filter("epoch", 0))
 	}
 	tight := run(0.02)
 	loose := run(0.20)

@@ -156,7 +156,7 @@ func TestTwoProcessesPriorityPreemption(t *testing.T) {
 		t.Fatalf("short finished at %v, long at %v: no preemption", short.FinishedAt, long.FinishedAt)
 	}
 	// The trace must show the preemption.
-	if len(rep.Log.Filter("preempt")) == 0 {
+	if len(rep.Log.Filter("preempt", 0)) == 0 {
 		t.Fatal("no preempt event in trace")
 	}
 	// Functional result for the short kernel.

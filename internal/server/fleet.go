@@ -184,12 +184,15 @@ func (f *Fleet) SessionSnapshots() []SessionSnapshot {
 }
 
 // TraceEntries merges the shards' trace logs into one time-ordered stream,
-// stamping each entry with its device index. ok is false when tracing is
-// off.
-func (f *Fleet) TraceEntries(kind string) (entries []trace.Entry, ok bool) {
+// stamping each entry with its device index, and returns its last limit
+// entries (all of them when limit is not positive). ok is false when
+// tracing is off. Merging keeps each shard's order, so the merged stream's
+// last limit entries are among the shards' own last limit: each shard
+// copies only those.
+func (f *Fleet) TraceEntries(kind string, limit int) (entries []trace.Entry, ok bool) {
 	streams := make([][]trace.Entry, 0, len(f.shards))
 	for i, s := range f.shards {
-		entries, ok := s.TraceEntries(kind)
+		entries, ok := s.TraceEntries(kind, limit)
 		if !ok {
 			return nil, false
 		}
@@ -200,7 +203,11 @@ func (f *Fleet) TraceEntries(kind string) (entries []trace.Entry, ok bool) {
 	}
 	// trace.Merge orders by (Time, Node, Device); shard streams carry no
 	// Node, so the tie-break reduces to the documented (Time, Device).
-	return trace.Merge(streams), true
+	merged := trace.Merge(streams)
+	if limit > 0 && limit < len(merged) {
+		merged = merged[len(merged)-limit:]
+	}
+	return merged, true
 }
 
 // Handler returns the fleet's HTTP API: the same surface as a single

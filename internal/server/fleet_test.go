@@ -359,7 +359,7 @@ func TestFleetEndToEndDrainExactlyOnce(t *testing.T) {
 	}
 
 	// The merged trace is time-ordered and device-stamped.
-	entries, _ := f.TraceEntries("")
+	entries, _ := f.TraceEntries("", 0)
 	if len(entries) == 0 {
 		t.Fatal("fleet trace is empty")
 	}

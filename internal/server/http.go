@@ -282,9 +282,10 @@ type daemon interface {
 	Status() Status
 	SessionSnapshots() []SessionSnapshot
 	catalog() []BenchmarkInfo
-	// TraceEntries returns the (kind-filtered) event log; ok is false
-	// when tracing is off.
-	TraceEntries(kind string) (entries []trace.Entry, ok bool)
+	// TraceEntries returns the last limit entries of the (kind-filtered)
+	// event log, all of them when limit is not positive; ok is false when
+	// tracing is off.
+	TraceEntries(kind string, limit int) (entries []trace.Entry, ok bool)
 	Pause() error
 	Resume() error
 	Draining() bool
@@ -592,18 +593,29 @@ func (s *Server) Status() Status {
 
 func (s *Server) catalog() []BenchmarkInfo { return s.info }
 
-// TraceEntries returns the shard's (kind-filtered) event log, copied on
-// the loop that owns it; ok is false when tracing is off.
-func (s *Server) TraceEntries(kind string) (entries []trace.Entry, ok bool) {
+// TraceEntries returns the last limit entries of the shard's
+// (kind-filtered) event log, all of them when limit is not positive,
+// copied on the loop that owns it; ok is false when tracing is off. Only
+// the answer is copied, so the loop pays for what the caller keeps.
+func (s *Server) TraceEntries(kind string, limit int) (entries []trace.Entry, ok bool) {
 	if s.tlog == nil {
 		return nil, false
 	}
-	s.onLoop(func() { entries = s.tlog.Filter(kind) })
+	s.onLoop(func() { entries = s.tlog.Filter(kind, limit) })
 	return entries, true
 }
 
+// queryLimit is a trace query's ?limit=N, or 0 (no limit) when it is
+// absent, malformed or not positive.
+func queryLimit(r *http.Request) int {
+	if n, err := strconv.Atoi(r.URL.Query().Get("limit")); err == nil && n > 0 {
+		return n
+	}
+	return 0
+}
+
 func handleTrace(d daemon, w http.ResponseWriter, r *http.Request) {
-	entries, ok := d.TraceEntries(r.URL.Query().Get("kind"))
+	entries, ok := d.TraceEntries(r.URL.Query().Get("kind"), queryLimit(r))
 	if !ok {
 		WriteJSON(w, http.StatusNotFound, APIError{"trace disabled; start flepd with -trace"})
 		return
@@ -616,7 +628,7 @@ func handleTrace(d daemon, w http.ResponseWriter, r *http.Request) {
 // format is a 400. The gateway renders its merged stream through it too, so
 // both tiers serve one query surface.
 func WriteTrace(w http.ResponseWriter, r *http.Request, entries []trace.Entry) {
-	if n, err := strconv.Atoi(r.URL.Query().Get("limit")); err == nil && n > 0 && n < len(entries) {
+	if n := queryLimit(r); n > 0 && n < len(entries) {
 		entries = entries[len(entries)-n:]
 	}
 	switch r.URL.Query().Get("format") {

@@ -276,7 +276,7 @@ func TestGracefulShutdownDrainsQueueWithPreemption(t *testing.T) {
 	if low.Preemptions < 1 {
 		t.Fatalf("low-priority kernel was never preempted: %+v", low)
 	}
-	if got, _ := s.TraceEntries("preempt"); len(got) == 0 {
+	if got, _ := s.TraceEntries("preempt", 0); len(got) == 0 {
 		t.Fatal("trace recorded no preempt event")
 	}
 

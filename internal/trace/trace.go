@@ -85,16 +85,33 @@ func (l *Log) Entries() []Entry {
 // Len returns the retained entry count.
 func (l *Log) Len() int { return len(l.entries) }
 
-// Filter returns the entries matching kind ("" matches all).
-func (l *Log) Filter(kind string) []Entry {
-	var out []Entry
-	for _, e := range l.Entries() {
-		if kind == "" || e.Kind == kind {
-			out = append(out, e)
+// Filter returns the last limit entries matching kind ("" matches all),
+// oldest first, or every match when limit is not positive; nil when
+// nothing matches. It walks the ring newest-first to find where its answer
+// starts and copies only the answer, so a bounded read of a full log costs
+// what it returns.
+func (l *Log) Filter(kind string, limit int) []Entry {
+	n, from := 0, len(l.entries)
+	for from > 0 && (limit <= 0 || n < limit) {
+		from--
+		if kind == "" || l.at(from).Kind == kind {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Entry, 0, n)
+	for i := from; len(out) < n; i++ {
+		if e := l.at(i); kind == "" || e.Kind == kind {
+			out = append(out, *e)
 		}
 	}
 	return out
 }
+
+// at returns the i-th retained entry, oldest first.
+func (l *Log) at(i int) *Entry { return &l.entries[(l.head+i)%len(l.entries)] }
 
 // WriteText writes the entry as one line of the human-readable log.
 func (e Entry) WriteText(w io.Writer) error {

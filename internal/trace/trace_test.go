@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -21,11 +22,11 @@ func TestRuntimeAndFilter(t *testing.T) {
 	if l.Len() != 3 {
 		t.Fatalf("len = %d", l.Len())
 	}
-	subs := l.Filter("submit")
+	subs := l.Filter("submit", 0)
 	if len(subs) != 2 || subs[1].Kernel != "k2" {
 		t.Fatalf("filter = %+v", subs)
 	}
-	if len(l.Filter("")) != 3 {
+	if len(l.Filter("", 0)) != 3 {
 		t.Fatal("empty filter should match all")
 	}
 }
@@ -287,6 +288,36 @@ func TestMergeNodeTieBreak(t *testing.T) {
 	for i := range got {
 		if got[i] != got2[i] {
 			t.Fatalf("merge depends on stream order at %d: %+v vs %+v", i, got[i], got2[i])
+		}
+	}
+}
+
+// TestFilterKeepsTheLastMatches: on a log that has wrapped, Filter(kind,
+// limit) is the last limit entries of the whole kind-filtered stream, all
+// of it for a limit that is not positive, and its slice holds only the
+// answer.
+func TestFilterKeepsTheLastMatches(t *testing.T) {
+	l := Log{Limit: 64}
+	for i := 0; i < 150; i++ {
+		l.Runtime(us(float64(i)), []string{"submit", "dispatch", "preempt"}[i%7%3], "k", "")
+	}
+	for _, kind := range []string{"", "submit", "preempt", "nosuch"} {
+		var whole []Entry
+		for _, e := range l.Entries() {
+			if kind == "" || e.Kind == kind {
+				whole = append(whole, e)
+			}
+		}
+		for _, limit := range []int{-1, 0, 1, 5, 20, 64, 100} {
+			want := whole
+			if limit > 0 && limit < len(want) {
+				want = want[len(want)-limit:]
+			}
+			got := l.Filter(kind, limit)
+			if !reflect.DeepEqual(got, want) || cap(got) != len(want) {
+				t.Errorf("Filter(%q, %d): %d entries (cap %d), want the last %d of %d",
+					kind, limit, len(got), cap(got), len(want), len(whole))
+			}
 		}
 	}
 }
