@@ -288,6 +288,14 @@ func Read(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
+// sameHeader reports whether two parsed headers encode alike: an empty
+// map or list and an absent one are the same header.
+func sameHeader(a, b Header) bool {
+	ja, erra := json.Marshal(a)
+	jb, errb := json.Marshal(b)
+	return erra == nil && errb == nil && bytes.Equal(ja, jb)
+}
+
 // LoadFile loads a single trace segment from disk.
 func LoadFile(path string) (*Trace, error) {
 	f, err := os.Open(path)
@@ -305,7 +313,10 @@ func LoadFile(path string) (*Trace, error) {
 // Load loads a trace including any rotated segments: `path.1` (oldest)
 // through `path.N`, then `path` itself (the segment currently being
 // written). Records are concatenated in segment order and re-sorted by
-// Seq, so a trace that rotated mid-burst loads as one stream.
+// Seq, so a trace that rotated mid-burst loads as one stream. The recorder
+// opens every segment with the one header it was made with, so a segment
+// whose header reads differently from the first's belongs to another
+// recording and is refused.
 func Load(path string) (*Trace, error) {
 	var segments []string
 	for i := 1; ; i++ {
@@ -326,6 +337,9 @@ func Load(path string) (*Trace, error) {
 		if merged == nil {
 			merged = t
 			continue
+		}
+		if !sameHeader(t.Header, merged.Header) {
+			return nil, fmt.Errorf("replay: %s: header differs from %s's (segments of one recording share its header)", seg, segments[0])
 		}
 		merged.Records = append(merged.Records, t.Records...)
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -100,6 +102,48 @@ func TestRecorderRotationMidBurst(t *testing.T) {
 		if r.Seq != int64(i+1) {
 			t.Fatalf("merged stream not contiguous at %d: seq %d", i, r.Seq)
 		}
+	}
+}
+
+// TestLoadRefusesSegmentsWithDisagreeingHeaders: every segment of a
+// rotated recording opens with the header it was recorded under, so a
+// segment whose header says another policy or device count comes from
+// another recording. Load stitched it in under the first segment's header.
+func TestLoadRefusesSegmentsWithDisagreeingHeaders(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.trace")
+	rec, err := NewRecorder(path, testHeader(), RecorderOptions{RotateBytes: 512})
+	if err != nil {
+		t.Fatalf("NewRecorder: %v", err)
+	}
+	for i := 0; i < 20; i++ {
+		rec.Record(testRecord(i))
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if _, err := Load(path); err != nil {
+		t.Fatalf("Load of the recording: %v", err)
+	}
+	seg := path + ".2"
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, records, _ := bytes.Cut(data, []byte("\n"))
+	other, err := parseHeader(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.Policy, other.Devices = "edf", 2
+	line, err := json.Marshal(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, append(append(line, '\n'), records...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "header differs") {
+		t.Fatalf("Load with %s recorded under another header: err %v, want the header refused", seg, err)
 	}
 }
 
@@ -354,6 +398,109 @@ func FuzzTraceRead(f *testing.F) {
 		}
 		if again := encodeTrace(t, again); !bytes.Equal(again, enc) {
 			t.Fatalf("re-encoded trace reads back different:\n%s\nvs\n%s", again, enc)
+		}
+	})
+}
+
+// FuzzLoad splits a stream into rotated segments, path.1 … path.N and then
+// path, cutting after record line i when bit i of cuts is set, and opens
+// each segment with the stream's header line, as Recorder.rotate writes
+// them. Load must then answer what Read of the unsplit stream answers (an
+// error, or its records stably sorted by Seq). When alt is not empty it
+// replaces the header line of segment altSeg: among two or more segments,
+// one that does not parse, or parses to another header, must be refused.
+// Nothing may panic.
+func FuzzLoad(f *testing.F) {
+	var whole strings.Builder
+	whole.WriteString(`{"flep_trace":true,"version":1,"source":"flepd","policy":"ffs","weights":{"1":2},"devices":2}` + "\n")
+	for i := 0; i < 6; i++ {
+		line, err := json.Marshal(testRecord(i))
+		if err != nil {
+			f.Fatal(err)
+		}
+		whole.Write(append(line, '\n'))
+	}
+	stream := []byte(whole.String())
+	f.Add(stream, uint64(0), []byte(nil), uint8(0))
+	f.Add(stream, uint64(0b10101), []byte(nil), uint8(0))
+	f.Add(stream[:len(stream)-10], uint64(0b111111), []byte(nil), uint8(0)) // a truncated tail
+	f.Add(stream, uint64(0b11), []byte(`{"flep_trace":true,"version":1,"source":"flepd","policy":"edf","devices":2}`), uint8(1))
+	f.Add(stream, uint64(0b11), []byte(`{"devices":2,"weights":{"1":2},"policy":"ffs","source":"flepd","version":1,"flep_trace":true}`), uint8(2))
+	f.Add(stream, uint64(0b1), []byte(`not a header`), uint8(0))
+	f.Add([]byte(`{"flep_trace":true,"version":1,"source":"flepd"}`+"\n"+`{"seq":2,"device":0}`+"\n"+`{"seq":1,"device":0}`+"\n"), uint64(1), []byte(nil), uint8(0))
+	root := f.TempDir() // one directory per input under it, removed after the input
+	f.Fuzz(func(t *testing.T, stream []byte, cuts uint64, alt []byte, altSeg uint8) {
+		if len(stream) > 1<<16 {
+			return
+		}
+		header, rest := stream, []byte(nil)
+		if i := bytes.IndexByte(stream, '\n'); i >= 0 {
+			header, rest = stream[:i+1], stream[i+1:]
+		}
+		var segments [][]byte
+		var seg []byte
+		for line := 0; len(rest) > 0; line++ {
+			n := bytes.IndexByte(rest, '\n') + 1
+			if n == 0 {
+				n = len(rest)
+			}
+			seg, rest = append(seg, rest[:n]...), rest[n:]
+			if line < 64 && cuts&(1<<line) != 0 && len(rest) > 0 {
+				segments, seg = append(segments, seg), nil
+			}
+		}
+		segments = append(segments, seg)
+		altLine, _, _ := bytes.Cut(alt, []byte("\n"))
+		altAt := int(altSeg) % len(segments)
+		dir, err := os.MkdirTemp(root, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer os.RemoveAll(dir)
+		path := filepath.Join(dir, "t.trace")
+		for i, body := range segments {
+			name := path
+			if i < len(segments)-1 {
+				name = fmt.Sprintf("%s.%d", path, i+1)
+			}
+			head := header
+			if len(alt) > 0 && i == altAt {
+				head = append(append([]byte(nil), altLine...), '\n')
+			}
+			if err := os.WriteFile(name, append(append([]byte(nil), head...), body...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		got, gerr := Load(path)
+		want, werr := Read(bytes.NewReader(stream))
+		if len(alt) > 0 && len(segments) == 1 {
+			return // the only header: nothing for it to disagree with
+		}
+		if len(alt) > 0 && !bytes.Equal(bytes.TrimSpace(altLine), bytes.TrimSpace(header)) {
+			h, herr := parseHeader(bytes.TrimSpace(header))
+			a, aerr := parseHeader(bytes.TrimSpace(altLine))
+			if aerr != nil && gerr == nil {
+				t.Fatalf("segment %d's header %q does not parse (%v), yet Load accepted it", altAt, altLine, aerr)
+			}
+			if herr == nil && aerr == nil && !reflect.DeepEqual(h, a) {
+				ja, _ := json.Marshal(a)
+				jh, _ := json.Marshal(h)
+				if !bytes.Equal(ja, jh) && gerr == nil {
+					t.Fatalf("segment %d's header %s differs from %s, yet Load accepted it", altAt, ja, jh)
+				}
+			}
+			return
+		}
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("Load across %d segments: %v; Read of the unsplit stream: %v", len(segments), gerr, werr)
+		}
+		if werr != nil {
+			return
+		}
+		sort.SliceStable(want.Records, func(i, j int) bool { return want.Records[i].Seq < want.Records[j].Seq })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Load across %d segments differs from Read of the unsplit stream:\n%+v\nvs\n%+v", len(segments), got, want)
 		}
 	})
 }
