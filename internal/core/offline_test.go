@@ -71,7 +71,7 @@ func TestTrainingFeaturesArePredictFeatures(t *testing.T) {
 	shared := 0
 	for _, b := range kernels.All() {
 		a := s.Artifacts(b.Name)
-		samples := trainingSamples(s.Par, a)
+		samples := trainingSamples(newProbe(s.Par), a)
 		for i, smp := range samples {
 			in := b.ScaledInput(float64(i%100+1)/100, int64(i))
 			if want := a.features(in); smp.F != want {
@@ -91,11 +91,14 @@ func TestTrainingFeaturesArePredictFeatures(t *testing.T) {
 	}
 }
 
-// TestOfflineAllocationBudget holds one OfflineAll under 3 MB. It was 8.8 MB
-// while NoiseAt allocated a fresh 5 KB generator for each of its 1,200
-// draws; it reseeds pooled ones now, and what is left is the compiler's
-// programs and the simulations' devices. The race detector drops pooled
-// items on purpose, so it skips there.
+// TestOfflineAllocationBudget holds one OfflineAll under 1 MiB and 8,000
+// objects. It was 8.8 MB while NoiseAt allocated a fresh 5 KB generator for
+// each of its 1,200 draws (it reseeds pooled ones now), and 2.06 MB and
+// 22,880 objects while each of the phase's 1,690 probe simulations built
+// its own engine, device and callbacks (each kernel has one probe now).
+// What is left is the compiler's programs, the training sets and the
+// models. The race detector drops pooled items on purpose, so it skips
+// there.
 func TestOfflineAllocationBudget(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -106,9 +109,12 @@ func TestOfflineAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	const ceiling = 3 << 20
+	const ceiling, objects = 1 << 20, 8000
 	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
 		t.Errorf("OfflineAll allocates %d bytes, ceiling %d", got, ceiling)
+	}
+	if got := after.Mallocs - before.Mallocs; got > objects {
+		t.Errorf("OfflineAll allocates %d objects, ceiling %d", got, objects)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"flep/internal/gpu"
 	"flep/internal/kernels"
 	"flep/internal/perfmodel"
-	"flep/internal/sim"
 	"flep/internal/transform"
 )
 
@@ -130,7 +129,8 @@ func (s *System) OfflineAll() error { return s.Offline(kernels.All()) }
 // par. It returns the artifacts and b's solo baselines (the ANTT/STP
 // denominators), indexed by input class: they are offline artifacts too,
 // so for a processed benchmark SoloTime never simulates, on the system or
-// on a Clone of it.
+// on a Clone of it. Every probe simulation of the phase runs on one probe,
+// one after another.
 func buildArtifacts(par gpu.Params, b *kernels.Benchmark) (*Artifacts, []time.Duration, error) {
 	prog, err := b.Parse()
 	if err != nil {
@@ -153,9 +153,10 @@ func buildArtifacts(par gpu.Params, b *kernels.Benchmark) (*Artifacts, []time.Du
 		Program: prog, Transformed: transformed, Info: info,
 		Resources: res,
 	}
+	p := newProbe(par)
 	solos := make([]time.Duration, len(kernels.Classes()))
 	for _, c := range kernels.Classes() {
-		solos[c] = simSolo(par, profile, b.Input(c), 0)
+		solos[c] = simSolo(p, profile, b.Input(c), 0)
 	}
 
 	// Offline tuning: smallest L with single-run overhead under 4%,
@@ -163,11 +164,11 @@ func buildArtifacts(par gpu.Params, b *kernels.Benchmark) (*Artifacts, []time.Du
 	large := b.Input(kernels.Large)
 	orig := solos[kernels.Large]
 	a.L, a.TunedOverhead, a.TuneOK = transform.Autotune(func(L int) float64 {
-		t := simSolo(par, profile, large, L)
+		t := simSolo(p, profile, large, L)
 		return (t - orig).Seconds() / orig.Seconds()
 	}, transform.DefaultOverheadThreshold, transform.DefaultMaxAmortize)
 
-	model, err := perfmodel.Train(trainingSamples(par, a), perfmodel.DefaultLambda)
+	model, err := perfmodel.Train(trainingSamples(p, a), perfmodel.DefaultLambda)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -179,8 +180,8 @@ func buildArtifacts(par gpu.Params, b *kernels.Benchmark) (*Artifacts, []time.Du
 	for i := 0; i < perfmodel.DefaultOverheadRuns; i++ {
 		frac := float64(i+1) / float64(perfmodel.DefaultOverheadRuns+1)
 		in := b.ScaledInput(0.05+0.1*frac, int64(1000+i))
-		solo := simSolo(par, profile, in, a.L)
-		total := simPreemptResume(par, profile, in.Tasks, in.TaskCost, a.L, time.Duration(frac*float64(solo)))
+		solo := simSolo(p, profile, in, a.L)
+		total := simPreemptResume(p, profile, in.Tasks, in.TaskCost, a.L, time.Duration(frac*float64(solo)))
 		if total > solo {
 			prof.Add(total - solo)
 		} else {
@@ -192,15 +193,16 @@ func buildArtifacts(par gpu.Params, b *kernels.Benchmark) (*Artifacts, []time.Du
 }
 
 // trainingSamples simulates the performance model's training set: 100
-// random inputs (§4.2), described by the features Predict will see.
-func trainingSamples(par gpu.Params, a *Artifacts) []perfmodel.Sample {
+// random inputs (§4.2), described by the features Predict will see, each
+// run on p.
+func trainingSamples(p *probe, a *Artifacts) []perfmodel.Sample {
 	samples := make([]perfmodel.Sample, 0, 100)
 	for i := 0; i < 100; i++ {
 		scale := float64(i%100+1) / 100
 		in := a.Bench.ScaledInput(scale, int64(i))
 		samples = append(samples, perfmodel.Sample{
 			F:        a.features(in),
-			Duration: simSolo(par, a.Profile, in, 0),
+			Duration: simSolo(p, a.Profile, in, 0),
 		})
 	}
 	return samples
@@ -223,74 +225,6 @@ func (s *System) Predict(b *kernels.Benchmark, in kernels.Input) (time.Duration,
 		return 0, fmt.Errorf("core: no artifacts for %s (run Offline first)", b.Name)
 	}
 	return a.Model.Predict(a.features(in)), nil
-}
-
-// SoloRun measures one kernel configuration's solo runtime on a fresh
-// simulated device: the original kernel when L is zero, the
-// FLEP-transformed persistent kernel at amortizing factor L otherwise.
-func SoloRun(par gpu.Params, profile *gpu.KernelProfile, in kernels.Input, L int) (time.Duration, error) {
-	eng := sim.New()
-	dev := gpu.New(eng, par)
-	var done time.Duration
-	_, err := dev.Start(gpu.ExecConfig{
-		Profile: profile, TotalTasks: in.Tasks, TaskCost: in.TaskCost,
-		Persistent: L > 0, L: L,
-		SMLo: 0, SMHi: dev.NumSMs(),
-		OnComplete: func() { done = eng.Now() },
-	})
-	if err != nil {
-		return 0, err
-	}
-	eng.Run()
-	return done, nil
-}
-
-// simSolo is SoloRun for inputs the offline phase generates itself, where
-// a refused start is a bug.
-func simSolo(par gpu.Params, profile *gpu.KernelProfile, in kernels.Input, L int) time.Duration {
-	d, err := SoloRun(par, profile, in, L)
-	if err != nil {
-		panic(fmt.Sprintf("core: simSolo: %v", err))
-	}
-	return d
-}
-
-// simPreemptResume measures the elapsed time of a persistent run that is
-// temporally preempted at `at` and resumed as soon as the drain completes.
-func simPreemptResume(par gpu.Params, profile *gpu.KernelProfile, tasks int, cost time.Duration, L int, at time.Duration) time.Duration {
-	eng := sim.New()
-	dev := gpu.New(eng, par)
-	var done time.Duration
-	start := func(doneTasks int, onDrained func(int)) *gpu.Exec {
-		e, err := dev.Start(gpu.ExecConfig{
-			Profile: profile, TotalTasks: tasks, DoneTasks: doneTasks,
-			TaskCost: cost, Persistent: true, L: L,
-			ColdStart: doneTasks > 0,
-			SMLo:      0, SMHi: dev.NumSMs(),
-			OnComplete: func() { done = eng.Now() },
-			OnDrained:  onDrained,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("core: simPreemptResume: %v", err))
-		}
-		return e
-	}
-	var first *gpu.Exec
-	first = start(0, func(rem int) {
-		if rem == 0 {
-			return
-		}
-		start(tasks-rem, nil)
-	})
-	if at > 0 {
-		eng.Schedule(at, func() {
-			if first.State() == gpu.StateRunning || first.State() == gpu.StateLaunching {
-				_ = first.Preempt(dev.NumSMs())
-			}
-		})
-	}
-	eng.Run()
-	return done
 }
 
 // profile returns b's execution profile: the offline artifact's once b has

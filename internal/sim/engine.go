@@ -205,6 +205,21 @@ func (e *Engine) remove(i int) {
 	}
 }
 
+// Rewind sets an idle engine's clock back to zero, so one engine can run
+// one simulation after another as if each had it fresh. The event records
+// and the sequence counter are kept: sequence numbers keep rising, so a
+// Timer issued before the rewind never matches a later event and stays
+// inert. It panics if events are queued or the engine is running.
+func (e *Engine) Rewind() {
+	if e.running {
+		panic("sim: Rewind of a running engine")
+	}
+	if len(e.queue) > 0 {
+		panic(fmt.Sprintf("sim: Rewind with %d events queued", len(e.queue)))
+	}
+	e.now = 0
+}
+
 // Pending returns the number of queued events. Canceled events leave the
 // queue when they are canceled, so a long-lived daemon can use Pending as
 // its idleness signal.

@@ -144,6 +144,68 @@ func TestAtPastPanics(t *testing.T) {
 	e.At(5, func() {})
 }
 
+// mustPanic fails t unless fn panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("no panic: %s", what)
+		}
+	}()
+	fn()
+}
+
+func TestRewindRefusesBusyEngine(t *testing.T) {
+	e := New()
+	e.Schedule(10, func() {})
+	mustPanic(t, "Rewind with an event queued", e.Rewind)
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d after a refused Rewind, want 1", e.Pending())
+	}
+	e.Run()
+	e.Schedule(5, func() { mustPanic(t, "Rewind inside Run", e.Rewind) })
+	e.Run()
+	e.Schedule(5, func() { mustPanic(t, "Rewind inside RunUntil", e.Rewind) })
+	e.RunUntil(100)
+	if e.Now() != 100 {
+		t.Fatalf("Now = %v after the refused Rewinds, want 100", e.Now())
+	}
+	e.Rewind()
+	if e.Now() != 0 {
+		t.Fatalf("Now = %v after Rewind, want 0", e.Now())
+	}
+}
+
+// TestRewoundTimerIsInert: a Timer issued before a rewind, for an event that
+// fired or was cancelled, is inert after it, even once its record holds an
+// event scheduled after the rewind: its Cancel removes nothing.
+func TestRewoundTimerIsInert(t *testing.T) {
+	e := New()
+	fired := e.Schedule(5, func() {})
+	cancelled := e.Schedule(8, func() {})
+	cancelled.Cancel()
+	e.Run()
+	e.Rewind()
+	var got []int
+	a := e.Schedule(5, func() { got = append(got, 5) })
+	b := e.Schedule(8, func() { got = append(got, 8) })
+	if (a.ev != fired.ev && a.ev != cancelled.ev) || (b.ev != fired.ev && b.ev != cancelled.ev) {
+		t.Fatal("the events after the rewind did not reuse the earlier records")
+	}
+	for _, old := range []Timer{fired, cancelled} {
+		if old.Pending() {
+			t.Fatal("a Timer from before the rewind reads as pending")
+		}
+		old.Cancel()
+	}
+	if !a.Pending() || !b.Pending() || e.Pending() != 2 {
+		t.Fatalf("a stale Cancel removed an event: pending %d", e.Pending())
+	}
+	if end := e.Run(); end != 8 || len(got) != 2 {
+		t.Fatalf("after the rewind fired %v, clock %v; want [5 8] at 8", got, end)
+	}
+}
+
 func TestNilFuncPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
