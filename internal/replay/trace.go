@@ -248,7 +248,7 @@ func parseHeader(line []byte) (Header, error) {
 // dropped. Any other malformed record line is an error (silent skips
 // would bias every downstream report).
 func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := bufio.NewReader(r) // ReadBytes collects a line longer than its buffer
 	headerLine, err := br.ReadBytes('\n')
 	if err == io.EOF && len(bytes.TrimSpace(headerLine)) == 0 {
 		return nil, fmt.Errorf("replay: empty trace")

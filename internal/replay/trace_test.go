@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -271,6 +272,47 @@ func TestTruncatedFinalLineTolerated(t *testing.T) {
 	}
 	if _, err := LoadFile(path); err == nil {
 		t.Fatal("mid-file corruption loaded silently")
+	}
+}
+
+// TestReadAllocatesForTheTraceNotABuffer: reading a two-line trace
+// allocates under 16 KiB (a 1 MiB line buffer once made every Read, and so
+// every rotated segment Load opens, cost a megabyte).
+func TestReadAllocatesForTheTraceNotABuffer(t *testing.T) {
+	line, err := json.Marshal(testRecord(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := `{"flep_trace":true,"version":1,"source":"flepd"}` + "\n" + string(line) + "\n"
+	const reads = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		if tr, err := Read(strings.NewReader(trace)); err != nil || len(tr.Records) != 1 {
+			t.Fatalf("Read = %v, %v; want one record", tr, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / reads; per >= 16<<10 {
+		t.Errorf("a two-line trace reads in %d bytes, want under 16 KiB", per)
+	}
+}
+
+// TestReadTakesALineLongerThanAMebibyte: a record line has no length bound
+// below the reader's input; one over 1 MiB reads whole, between two others.
+func TestReadTakesALineLongerThanAMebibyte(t *testing.T) {
+	long := testRecord(1)
+	long.Client = strings.Repeat("c", 3<<19)
+	h := testHeader()
+	h.Magic, h.TraceVersion = true, Version
+	tr := &Trace{Header: h, Records: []Record{testRecord(0), long, testRecord(2)}}
+	enc := encodeTrace(t, tr)
+	got, err := Read(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	if len(got.Records) != 3 || !reflect.DeepEqual(got.Records, tr.Records) {
+		t.Fatalf("a %d-byte record line read back as %d records", len(enc), len(got.Records))
 	}
 }
 
