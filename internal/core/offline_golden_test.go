@@ -11,6 +11,7 @@ import (
 	"flep/internal/cudalite"
 	"flep/internal/gpu"
 	"flep/internal/kernels"
+	"flep/internal/transform"
 )
 
 // offlineGolden is one sha256 per benchmark over every offline artifact of
@@ -31,8 +32,11 @@ var offlineGolden = map[string]string{
 // artifactDigest hashes everything the offline phase produced for b on s:
 // the profile, the resource estimate, L and the tuner's verdict (overhead
 // bits), the profiled preemption overhead, the model's exported state, the
-// original and transformed sources with the generated-kernel description,
-// and the three solo baselines. The model's state is hashed as it enters a
+// original source, the spatial-mode compilation of it with the
+// generated-kernel description, and the three solo baselines. The offline
+// phase does not compile (no launch runs the compiled kernel), so the
+// compilation is done here, from the artifacts' program, and hashes the
+// bytes the phase once stored. The model's state is hashed as it enters a
 // prediction: Predict skips a feature that was constant in training, so
 // that feature's recorded mean is left out.
 func artifactDigest(t *testing.T, s *System, b *kernels.Benchmark) string {
@@ -55,8 +59,12 @@ func artifactDigest(t *testing.T, s *System, b *kernels.Benchmark) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(h, "model %s\ninfo %+v\n", model, *a.Info)
-	fmt.Fprintf(h, "program\n%s\ntransformed\n%s\n", cudalite.Format(a.Program), cudalite.Format(a.Transformed))
+	out, info, err := transform.TransformKernel(a.Program, b.KernelName, transform.ModeSpatial)
+	if err != nil {
+		t.Fatalf("%s: %v", b.Name, err)
+	}
+	fmt.Fprintf(h, "model %s\ninfo %+v\n", model, *info)
+	fmt.Fprintf(h, "program\n%s\ntransformed\n%s\n", cudalite.Format(a.Program), cudalite.Format(out))
 	for _, c := range kernels.Classes() {
 		d, err := s.SoloTime(b, c)
 		if err != nil {

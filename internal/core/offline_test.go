@@ -63,6 +63,17 @@ func TestOfflineNamesFirstFailureInInputOrder(t *testing.T) {
 	}
 }
 
+// TestOfflineRefusesMissingKernel: a source that parses but declares no
+// __global__ kernel of the benchmark's name fails that benchmark's offline
+// phase with an error naming it, and does not take the process down.
+func TestOfflineRefusesMissingKernel(t *testing.T) {
+	b := &kernels.Benchmark{Name: "nokernel", Source: "__global__ void other() {}", KernelName: "k"}
+	err := NewSystem(gpu.DefaultParams()).Offline([]*kernels.Benchmark{b})
+	if err == nil || !strings.Contains(err.Error(), "offline nokernel:") {
+		t.Fatalf("Offline over a source without kernel k = %v, want an error naming nokernel", err)
+	}
+}
+
 // TestTrainingFeaturesArePredictFeatures: the duration model is trained on
 // the features Predict describes the same input by, static shared memory
 // included (PF and MM declare some; training once saw zero for them).

@@ -7,6 +7,7 @@ import (
 
 	"flep/internal/flepruntime"
 	"flep/internal/kernels"
+	"flep/internal/transform"
 	"flep/internal/workload"
 )
 
@@ -95,14 +96,20 @@ func TestSoloPersistentSlowerThanOriginal(t *testing.T) {
 	}
 }
 
+// TestArtifactTransformedSourceValid compiles every benchmark's program in
+// spatial mode, the form a FLEP launch of it would run, and finds the
+// preemptable kernel in the output.
 func TestArtifactTransformedSourceValid(t *testing.T) {
 	s := testSystem(t)
 	for _, b := range kernels.All() {
-		a := s.Artifacts(b.Name)
-		if a.Info.Mode.String() != "spatial" {
-			t.Errorf("%s: artifacts built in %v mode, want spatial", b.Name, a.Info.Mode)
+		out, info, err := transform.TransformKernel(s.Artifacts(b.Name).Program, b.KernelName, transform.ModeSpatial)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
 		}
-		if a.Transformed.Kernel(a.Info.Preemptable) == nil {
+		if info.Mode != transform.ModeSpatial {
+			t.Errorf("%s: compiled in %v mode, want spatial", b.Name, info.Mode)
+		}
+		if out.Kernel(info.Preemptable) == nil {
 			t.Errorf("%s: preemptable kernel missing from transformed program", b.Name)
 		}
 	}

@@ -39,7 +39,7 @@ func TestOfflineBuildsAllArtifacts(t *testing.T) {
 		if a == nil {
 			t.Fatalf("%s: no artifacts", b.Name)
 		}
-		if a.Model == nil || a.Info == nil || a.Transformed == nil {
+		if a.Model == nil || a.Profile == nil || a.Program == nil {
 			t.Fatalf("%s: incomplete artifacts", b.Name)
 		}
 		if !a.TuneOK {
