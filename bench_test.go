@@ -45,7 +45,7 @@ func benchArtifact(b *testing.B, run func(*experiments.Suite) (*experiments.Tabl
 	}
 }
 
-// BenchmarkOfflinePhase measures the whole offline pipeline: transform,
+// BenchmarkOfflinePhase measures the whole offline pipeline: scan,
 // tune, train, and profile all eight kernels.
 func BenchmarkOfflinePhase(b *testing.B) {
 	for i := 0; i < b.N; i++ {

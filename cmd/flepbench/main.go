@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		w = f
 	}
 
-	fmt.Fprintln(stderr, "flepbench: offline phase (transform, tune, train, profile all kernels)...")
+	fmt.Fprintln(stderr, "flepbench: offline phase (scan, tune, train, profile all kernels)...")
 	start := time.Now()
 	suite, err := experiments.NewSuite()
 	if err != nil {

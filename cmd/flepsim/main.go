@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opt.Trace = *traceOut || *gantt
 
 	sys := core.NewSystem(gpu.DefaultParams())
-	fmt.Fprintln(stderr, "flepsim: running offline phase (transform, tune, train, profile)...")
+	fmt.Fprintln(stderr, "flepsim: running offline phase (scan, tune, train, profile)...")
 	if err := sys.OfflineAll(); err != nil {
 		return fail("offline: %v", err)
 	}

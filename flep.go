@@ -55,7 +55,8 @@ type RunResult = core.RunResult
 // NTT, ANTT and STP are computed.
 type KernelRun = metrics.KernelRun
 
-// Artifacts is the offline-phase output for one kernel.
+// Artifacts is the offline-phase output for one kernel. It holds no
+// compiled form: TransformSource and TransformKernelSource make one.
 type Artifacts = core.Artifacts
 
 // Benchmark is one of the paper's eight applications.

@@ -1,7 +1,8 @@
-// Package core assembles FLEP: the offline phase (compile each kernel to a
-// preemptable form, tune its amortizing factor, train its duration model,
-// profile its preemption overhead) and the online phase (run co-run
-// scenarios under the FLEP runtime or under the baselines).
+// Package core assembles FLEP: the offline phase (scan each kernel's
+// resources, tune its amortizing factor, train its duration model, profile
+// its preemption overhead; the device runs profiles, so nothing compiles)
+// and the online phase (run co-run scenarios under the FLEP runtime or
+// under the baselines).
 package core
 
 import (
@@ -16,16 +17,15 @@ import (
 	"flep/internal/transform"
 )
 
-// Artifacts is the offline-phase output for one benchmark kernel.
+// Artifacts is the offline-phase output for one benchmark kernel. It holds
+// no compiled form: transform.TransformKernel makes one from Program.
 type Artifacts struct {
 	Bench   *kernels.Benchmark
 	Profile *gpu.KernelProfile
-	// Program and Transformed are the original and FLEP-compiled
-	// MiniCUDA translation units; Info describes the generated kernel.
-	Program     *cudalite.Program
-	Transformed *cudalite.Program
-	Info        *transform.KernelInfo
-	Resources   transform.Resources
+	// Program is the parsed MiniCUDA translation unit; Resources is its
+	// kernel's resource scan.
+	Program   *cudalite.Program
+	Resources transform.Resources
 	// L is the tuned amortizing factor; TunedOverhead its measured
 	// single-run overhead; TuneOK whether the 4% constraint was met.
 	L             int
@@ -86,8 +86,8 @@ func (s *System) Clone() *System {
 	return c
 }
 
-// Offline runs the complete offline phase for the benchmarks: program
-// transformation, amortizing-factor tuning (threshold 4%), performance
+// Offline runs the complete offline phase for the benchmarks: resource
+// scan and occupancy, amortizing-factor tuning (threshold 4%), performance
 // model training (100 random inputs), and preemption-overhead profiling
 // (50 runs). Each benchmark's phase is independent of the others', so each
 // builds on its own goroutine; nothing writes the system's tables until
@@ -132,15 +132,7 @@ func (s *System) OfflineAll() error { return s.Offline(kernels.All()) }
 // on a Clone of it. Every probe simulation of the phase runs on one probe,
 // one after another.
 func buildArtifacts(par gpu.Params, b *kernels.Benchmark) (*Artifacts, []time.Duration, error) {
-	prog, err := b.Parse()
-	if err != nil {
-		return nil, nil, err
-	}
-	transformed, info, err := transform.TransformKernel(prog, b.KernelName, transform.ModeSpatial)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := transform.EstimateResources(prog, prog.Kernel(b.KernelName))
+	prog, res, err := b.Scan()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -148,11 +140,7 @@ func buildArtifacts(par gpu.Params, b *kernels.Benchmark) (*Artifacts, []time.Du
 	if err != nil {
 		return nil, nil, err
 	}
-	a := &Artifacts{
-		Bench: b, Profile: profile,
-		Program: prog, Transformed: transformed, Info: info,
-		Resources: res,
-	}
+	a := &Artifacts{Bench: b, Profile: profile, Program: prog, Resources: res}
 	p := newProbe(par)
 	solos := make([]time.Duration, len(kernels.Classes()))
 	for _, c := range kernels.Classes() {

@@ -139,19 +139,25 @@ func (b *Benchmark) Parse() (*cudalite.Program, error) {
 // Profile derives the benchmark's GPU execution profile: occupancy from the
 // compilation engine's resource scan plus the calibrated intensity knobs.
 func (b *Benchmark) Profile(limits transform.DeviceLimits) (*gpu.KernelProfile, error) {
-	prog, err := b.Parse()
+	_, res, err := b.Scan()
 	if err != nil {
 		return nil, fmt.Errorf("kernels: %s: %w", b.Name, err)
 	}
+	return b.ProfileOf(res, limits)
+}
+
+// Scan parses the benchmark's source, finds its __global__ kernel and
+// scans that kernel's resources, for Profile and the offline phase.
+func (b *Benchmark) Scan() (prog *cudalite.Program, res transform.Resources, err error) {
+	if prog, err = b.Parse(); err != nil {
+		return nil, res, err
+	}
 	k := prog.Kernel(b.KernelName)
 	if k == nil {
-		return nil, fmt.Errorf("kernels: %s: kernel %q missing", b.Name, b.KernelName)
+		return nil, res, fmt.Errorf("no __global__ kernel %q", b.KernelName)
 	}
-	res, err := transform.EstimateResources(prog, k)
-	if err != nil {
-		return nil, err
-	}
-	return b.ProfileOf(res, limits)
+	res, err = transform.EstimateResources(prog, k)
+	return prog, res, err
 }
 
 // ProfileOf is Profile from a resource scan the caller already has.

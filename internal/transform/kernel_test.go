@@ -572,6 +572,15 @@ func TestEstimateResourcesRejectsDynamicShared(t *testing.T) {
 	}
 }
 
+// TestEstimateResourcesRefusesNilKernel: prog.Kernel's nil for a name the
+// program lacks is an error, not a nil dereference in Program.Reachable.
+func TestEstimateResourcesRefusesNilKernel(t *testing.T) {
+	prog := mustParse(t, `__global__ void other() {}`)
+	if _, err := EstimateResources(prog, prog.Kernel("k")); err == nil {
+		t.Fatal("expected error for a missing kernel")
+	}
+}
+
 func TestEstimateResourcesFollowsCallees(t *testing.T) {
 	prog := mustParse(t, `
 __device__ void helper() { __shared__ float s[32]; s[0] = 1.0; }

@@ -31,8 +31,12 @@ const regCap = 32
 // EstimateResources scans the kernel (and its transitive callees in prog)
 // and estimates register and shared-memory usage. Shared array sizes must
 // be compile-time constant expressions; sizes depending on runtime values
-// are rejected, mirroring CUDA's static shared memory rules.
+// are rejected, mirroring CUDA's static shared memory rules, and so is a
+// nil kernel (prog.Kernel's answer for a name prog lacks).
 func EstimateResources(prog *cudalite.Program, kernel *cudalite.FuncDecl) (Resources, error) {
+	if kernel == nil {
+		return Resources{}, fmt.Errorf("transform: no kernel to scan")
+	}
 	var res Resources
 	for _, fn := range prog.Reachable(kernel) {
 		regs, sharedBytes, err := scanFunc(fn)
