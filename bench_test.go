@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	cl "flep/internal/cudalite"
 	"flep/internal/experiments"
 )
 
@@ -193,32 +192,6 @@ void run_short(float* c, int n) { shortk<<<(n + 255) / 256, 256>>>(c, n); }
 			HostProc{Func: "run_short", Priority: 2, Args: []Value{Ptr(c, 0), Int(512)}},
 		)
 		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkInterpreterMM measures the SIMT interpreter on a 40x40 tiled
-// matrix multiply (16x16 CTAs with shared-memory tiles and barriers).
-func BenchmarkInterpreterMM(b *testing.B) {
-	mm, err := BenchmarkByName("MM")
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := mm.Parse()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		data, err := mm.MakeData(40, int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		m := cl.NewMachine(prog)
-		if err := m.Launch(mm.KernelName, cl.LaunchConfig{Grid: data.Grid, Block: data.Block, Args: data.Args}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -38,11 +38,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -597,14 +599,12 @@ func modelLine(name string, a *modelAgg) string {
 // twentieth of the server's Retry-After hint (an upper bound for a lone
 // client), or 50 ms without one, scaled by a factor in [0.5, 1.5) from the
 // client's jitter source, so the clients refused in one admission batch do
-// not all come back at one instant.
+// not all come back at one instant. The hint is RFC 9110's delay-seconds,
+// digits only; anything else, or a hint past 2^32-1 s, counts as none.
 func retryAfter(resp *http.Response, jitter *rand.Rand) time.Duration {
 	d := 50 * time.Millisecond
-	if s := resp.Header.Get("Retry-After"); s != "" {
-		var secs float64
-		if _, err := fmt.Sscanf(s, "%g", &secs); err == nil && secs > 0 {
-			d = time.Duration(secs * float64(time.Second) / 20)
-		}
+	if secs, err := strconv.ParseUint(resp.Header.Get("Retry-After"), 10, 32); err == nil && secs > 0 {
+		d = time.Duration(secs) * time.Second / 20
 	}
 	return time.Duration((0.5 + jitter.Float64()) * float64(d))
 }
@@ -788,12 +788,12 @@ func parseMix(s string) ([]prioShare, error) {
 		if !ok {
 			return nil, fmt.Errorf("bad mix element %q (want PRIO=SHARE)", f)
 		}
-		var prio int
-		var share float64
-		if _, err := fmt.Sscanf(k, "%d", &prio); err != nil {
+		prio, err := strconv.Atoi(k)
+		if err != nil {
 			return nil, fmt.Errorf("bad priority %q", k)
 		}
-		if _, err := fmt.Sscanf(v, "%g", &share); err != nil || share < 0 {
+		share, err := strconv.ParseFloat(v, 64)
+		if err != nil || math.IsNaN(share) || math.IsInf(share, 0) || share < 0 {
 			return nil, fmt.Errorf("bad share %q", v)
 		}
 		total += share
@@ -801,6 +801,9 @@ func parseMix(s string) ([]prioShare, error) {
 	}
 	if len(out) == 0 || total <= 0 {
 		return nil, fmt.Errorf("empty priority mix")
+	}
+	if math.IsInf(total, 0) {
+		return nil, fmt.Errorf("priority shares sum past the largest float")
 	}
 	for i := range out {
 		out[i].share /= total

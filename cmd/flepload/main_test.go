@@ -33,6 +33,53 @@ func TestParseMixNormalizes(t *testing.T) {
 	}
 }
 
+// A priority is an integer and a share a finite number >= 0, each the
+// whole of its text. A numeric prefix would pick the wrong priority; a NaN
+// or Inf share makes the normalized shares NaN, and a sum past the largest
+// float makes them all 0, either of which sends every launch to the last
+// priority of the mix.
+func TestParseMixIsStrict(t *testing.T) {
+	for _, bad := range []string{"0x10=1", "1x=1", "1=NaN,2=1", "1=Inf,2=1", "1=-1,2=1", "1=0.5x", "1=1e308,2=1e308"} {
+		if mix, err := parseMix(bad); err == nil {
+			t.Errorf("parseMix(%q) = %v, want an error", bad, mix)
+		}
+	}
+	mix, err := parseMix("1=0,2=1")
+	if err != nil || len(mix) != 2 || mix[0].share != 0 || mix[1].share != 1 {
+		t.Fatalf("parseMix(1=0,2=1) = %v, %v", mix, err)
+	}
+}
+
+// The Retry-After hint is integer seconds; any other text, or a number
+// that would overflow a time.Duration into a negative delay that skips
+// every sleep, leaves the 50 ms default in place.
+func TestRetryAfterParsesDelaySeconds(t *testing.T) {
+	cases := []struct {
+		hint string
+		base time.Duration
+	}{
+		{"2", 100 * time.Millisecond},
+		{"4294967295", 4294967295 * time.Second / 20},
+		{"", 50 * time.Millisecond},
+		{"0", 50 * time.Millisecond},
+		{"Inf", 50 * time.Millisecond},
+		{"1e12", 50 * time.Millisecond},
+		{"4294967296", 50 * time.Millisecond},
+		{"2abc", 50 * time.Millisecond},
+		{"-1", 50 * time.Millisecond},
+		{"+2", 50 * time.Millisecond},
+		{"1.5", 50 * time.Millisecond},
+	}
+	for _, c := range cases {
+		resp := &http.Response{Header: http.Header{"Retry-After": {c.hint}}}
+		got := retryAfter(resp, jitterSource(1, 0))
+		want := time.Duration((0.5 + jitterSource(1, 0).Float64()) * float64(c.base))
+		if got != want {
+			t.Errorf("Retry-After %q: delay %v, want %v", c.hint, got, want)
+		}
+	}
+}
+
 func TestPickPriorityCoversMix(t *testing.T) {
 	mix, _ := parseMix("1=0.5,2=0.5")
 	if p := pickPriority(mix, 0.0); p != 1 {

@@ -58,12 +58,6 @@ func (j *Job) Waiting() time.Duration {
 	return j.startedAt - j.submittedAt
 }
 
-// SubmittedAt returns the submission time.
-func (j *Job) SubmittedAt() time.Duration { return j.submittedAt }
-
-// FinishedAt returns the completion time (zero until finished).
-func (j *Job) FinishedAt() time.Duration { return j.finishedAt }
-
 // Turnaround returns waiting plus execution time.
 func (j *Job) Turnaround() time.Duration { return j.finishedAt - j.submittedAt }
 

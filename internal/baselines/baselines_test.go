@@ -28,7 +28,7 @@ func TestMPSSerializesFIFO(t *testing.T) {
 	m.Submit(long)
 	eng.Schedule(us(100), func() { m.Submit(short) })
 	eng.Run()
-	if short.FinishedAt() < long.FinishedAt() {
+	if short.finishedAt < long.finishedAt {
 		t.Fatal("MPS must be FIFO: short finished first")
 	}
 	// Short's slowdown = (waiting + exec)/exec ≈ 10x+ — the priority
@@ -69,7 +69,7 @@ func TestReorderDoesNotPreempt(t *testing.T) {
 	r.Submit(long)
 	eng.Schedule(us(500), func() { r.Submit(short) })
 	eng.Run()
-	if short.FinishedAt() < long.FinishedAt() {
+	if short.finishedAt < long.finishedAt {
 		t.Fatal("reordering cannot preempt a running kernel")
 	}
 }
@@ -103,7 +103,7 @@ func TestSlicerPreemptsAtSliceBoundary(t *testing.T) {
 	s.Submit(long)
 	eng.Schedule(us(500), func() { s.Submit(high) })
 	eng.Run()
-	if high.FinishedAt() > long.FinishedAt() {
+	if high.finishedAt > long.finishedAt {
 		t.Fatal("high priority should finish first under slicing")
 	}
 	// High should start within ~1 slice (100us) + launch of its arrival.
@@ -137,7 +137,7 @@ func TestMPSBackToBackIdle(t *testing.T) {
 	b := &Job{Kernel: "b", Profile: prof("b"), Tasks: 1200, TaskCost: us(100)}
 	m.Submit(b)
 	eng.Run()
-	if b.FinishedAt() == 0 {
+	if b.finishedAt == 0 {
 		t.Fatal("second job after idle never ran")
 	}
 }

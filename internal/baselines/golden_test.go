@@ -53,10 +53,10 @@ func seededSchedule(t *testing.T, newSubmit func(*gpu.Device) func(*Job), seed i
 	}
 	h := fnv.New64a()
 	for _, j := range jobs {
-		if j.FinishedAt() == 0 {
+		if j.finishedAt == 0 {
 			t.Fatalf("seed %d: %s never finished", seed, j.Kernel)
 		}
-		for _, d := range []time.Duration{j.SubmittedAt(), j.Waiting(), j.FinishedAt()} {
+		for _, d := range []time.Duration{j.submittedAt, j.Waiting(), j.finishedAt} {
 			binary.Write(h, binary.LittleEndian, int64(d))
 		}
 	}

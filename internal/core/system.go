@@ -66,11 +66,12 @@ func NewSystem(par gpu.Params) *System {
 func (s *System) Artifacts(name string) *Artifacts { return s.arts[name] }
 
 // Clone returns a system sharing this one's offline artifacts but with its
-// own cache maps, so independent schedulers (e.g. fleet shards, each on
-// its own goroutine) can call Predict/SoloTime concurrently without
-// racing on the plain-map caches. Artifacts are immutable after Offline,
-// so sharing the values is safe; run the offline phase once and Clone per
-// shard instead of paying it N times.
+// own maps. Predict only reads; the one write is SoloTime storing the solo
+// baseline of a benchmark the offline phase did not process, so with a
+// Clone each, independent schedulers (e.g. fleet shards, each on its own
+// goroutine) never race on that map. Artifacts are immutable after
+// Offline, so sharing the values is safe; run the offline phase once and
+// Clone per shard instead of paying it N times.
 func (s *System) Clone() *System {
 	c := &System{
 		Par:  s.Par,

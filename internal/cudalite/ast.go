@@ -72,9 +72,6 @@ type Type struct {
 // IsPointer reports whether the type is a pointer type.
 func (t Type) IsPointer() bool { return t.Ptr > 0 }
 
-// Elem returns the pointed-to type (one level removed).
-func (t Type) Elem() Type { t.Ptr--; return t }
-
 // String returns the C spelling of the type.
 func (t Type) String() string {
 	s := ""

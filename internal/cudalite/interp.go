@@ -49,9 +49,6 @@ const defaultStepBudget = 50_000_000
 // NewMachine builds an interpreter for prog.
 func NewMachine(prog *Program) *Machine { return &Machine{prog: prog} }
 
-// Program returns the machine's program.
-func (m *Machine) Program() *Program { return m.prog }
-
 // CallHost interprets a host (unqualified) function: a single sequential
 // thread with no CTA context. Calls to undefined functions are routed to
 // the machine's HostCall hook, which is how transformed host programs reach

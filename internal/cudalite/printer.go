@@ -19,26 +19,6 @@ func Format(p *Program) string {
 	return pr.sb.String()
 }
 
-// FormatFunc renders a single function definition.
-func FormatFunc(f *FuncDecl) string {
-	var pr printer
-	pr.printFunc(f)
-	return pr.sb.String()
-}
-
-// FormatStmt renders one statement at zero indentation.
-func FormatStmt(s Stmt) string {
-	var pr printer
-	pr.printStmt(s)
-	return pr.sb.String()
-}
-
-// FormatExpr renders one expression.
-func FormatExpr(e Expr) string {
-	var pr printer
-	return pr.expr(e, 0)
-}
-
 type printer struct {
 	sb     strings.Builder
 	indent int

@@ -9,6 +9,26 @@ import (
 // deterministic, so equal output means equivalent trees.
 func treesEqual(a, b *Program) bool { return Format(a) == Format(b) }
 
+// formatFunc renders a single function definition.
+func formatFunc(f *FuncDecl) string {
+	var pr printer
+	pr.printFunc(f)
+	return pr.sb.String()
+}
+
+// formatStmt renders one statement at zero indentation.
+func formatStmt(s Stmt) string {
+	var pr printer
+	pr.printStmt(s)
+	return pr.sb.String()
+}
+
+// formatExpr renders one expression.
+func formatExpr(e Expr) string {
+	var pr printer
+	return pr.expr(e, 0)
+}
+
 func TestRoundTripVecAdd(t *testing.T) {
 	prog, err := Parse(vaSrc)
 	if err != nil {
@@ -98,7 +118,7 @@ func TestPrinterParenthesization(t *testing.T) {
 			t.Fatalf("%q: %v", c.src, err)
 		}
 		ds := f.Body.Stmts[0].(*DeclStmt)
-		got := FormatExpr(ds.Decls[0].Init)
+		got := formatExpr(ds.Decls[0].Init)
 		if got != c.want {
 			t.Errorf("print(%q) = %q, want %q", c.src, got, c.want)
 		}
@@ -113,13 +133,13 @@ func TestPrinterPreservesSemanticsUnderReparse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	printed := FormatFunc(f)
+	printed := formatFunc(f)
 	f2, err := ParseKernel(printed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if FormatFunc(f) != FormatFunc(f2) {
-		t.Fatalf("reparse mismatch:\n%s\nvs\n%s", FormatFunc(f), FormatFunc(f2))
+	if formatFunc(f) != formatFunc(f2) {
+		t.Fatalf("reparse mismatch:\n%s\nvs\n%s", formatFunc(f), formatFunc(f2))
 	}
 }
 
@@ -128,7 +148,7 @@ func TestFormatStmtLaunch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := strings.TrimSpace(FormatStmt(prog.Funcs[0].Body.Stmts[0]))
+	got := strings.TrimSpace(formatStmt(prog.Funcs[0].Body.Stmts[0]))
 	if got != "k<<<10, 256>>>(1, 2.5);" {
 		t.Fatalf("got %q", got)
 	}
@@ -208,16 +228,16 @@ func TestRewriteExprReplacesWhatTheHookReturns(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := f.Body.Stmts[0].(*ExprStmt).X
-	out := RewriteExpr(in, func(e Expr) Expr {
+	out := rewriter{onExpr: func(e Expr) Expr {
 		if id, ok := e.(*Ident); ok && id.Name == "a" {
 			return &Index{X: &Ident{Name: "v"}, Idx: &IntLit{Val: 0}}
 		}
 		return nil
-	})
-	if got, want := FormatExpr(out), "v[0] = (v[0] + 1) * -(v[0] + b)"; got != want {
+	}}.expr(in)
+	if got, want := formatExpr(out), "v[0] = (v[0] + 1) * -(v[0] + b)"; got != want {
 		t.Errorf("rewritten = %q, want %q", got, want)
 	}
-	if got, want := FormatExpr(in), "a = (a + 1) * -(a + b)"; got != want {
+	if got, want := formatExpr(in), "a = (a + 1) * -(a + b)"; got != want {
 		t.Errorf("input changed to %q", got)
 	}
 }

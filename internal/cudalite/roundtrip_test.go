@@ -239,7 +239,7 @@ func TestEveryOperatorRoundTrips(t *testing.T) {
 		if knownMisprints[want] {
 			continue
 		}
-		text := FormatExpr(e)
+		text := formatExpr(e)
 		f, err := ParseKernel("void f(int a, int b, int c) { " + text + "; }")
 		if err != nil {
 			t.Errorf("%s prints as %q, which does not parse: %v", want, text, err)

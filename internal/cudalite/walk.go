@@ -122,11 +122,6 @@ func RewriteStmt(s Stmt, expr func(Expr) Expr, stmt func(Stmt) Stmt) Stmt {
 	return rewriter{expr, stmt}.stmt(s)
 }
 
-// RewriteExpr is RewriteStmt for a bare expression.
-func RewriteExpr(e Expr, expr func(Expr) Expr) Expr {
-	return rewriter{onExpr: expr}.expr(e)
-}
-
 type rewriter struct {
 	onExpr func(Expr) Expr
 	onStmt func(Stmt) Stmt
@@ -224,7 +219,7 @@ func (r rewriter) expr(e Expr) Expr {
 	case *Paren:
 		c = &Paren{X: r.expr(x.X), Pos: x.Pos}
 	default:
-		panic("cudalite: unknown expression type in RewriteExpr")
+		panic("cudalite: unknown expression type in RewriteStmt")
 	}
 	if r.onExpr != nil {
 		if repl := r.onExpr(c); repl != nil {

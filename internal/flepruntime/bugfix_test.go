@@ -84,7 +84,7 @@ func TestHPFEnqueueMatchesStableSort(t *testing.T) {
 			}
 			want := append([]*Invocation(nil), ref...)
 			sort.SliceStable(want, func(i, j int) bool { return pol.Before(want[i], want[j]) })
-			got := rt.Queued()
+			got := rt.queue
 			if len(got) != len(want) {
 				t.Fatalf("queue length %d, want %d", len(got), len(want))
 			}
@@ -213,9 +213,9 @@ func quiescent(t *testing.T, eng *sim.Engine, rt *Runtime, invs ...*Invocation) 
 			t.Errorf("%s is %v at quiescence", v.Kernel, v.State())
 		}
 	}
-	if rt.Running() != nil || rt.guest != nil || rt.pendingGuest != nil || len(rt.Queued()) != 0 {
+	if rt.Running() != nil || rt.guest != nil || rt.pendingGuest != nil || len(rt.queue) != 0 {
 		t.Errorf("runtime not quiescent: running=%v guest=%v pending=%v queued=%d",
-			rt.Running(), rt.guest, rt.pendingGuest, len(rt.Queued()))
+			rt.Running(), rt.guest, rt.pendingGuest, len(rt.queue))
 	}
 	if got := eng.Pending(); got != 0 {
 		t.Errorf("engine still reports %d pending events at quiescence", got)

@@ -28,7 +28,7 @@ func TestEDFQueueOrder(t *testing.T) {
 		rt.enqueue(v)
 	}
 	want := []string{"lc2", "lc1", "lc3", "be2", "be3", "be1"}
-	got := rt.Queued()
+	got := rt.queue
 	if len(got) != len(want) {
 		t.Fatalf("queued %d, want %d", len(got), len(want))
 	}
@@ -222,7 +222,7 @@ func TestEDFRiskTimerFiresOnStalePrediction(t *testing.T) {
 	if be.State() != InvFinished || lc.State() != InvFinished {
 		t.Fatalf("states be=%v lc=%v, want both finished", be.State(), lc.State())
 	}
-	if n := len(rt.Queued()); n != 0 {
+	if n := len(rt.queue); n != 0 {
 		t.Fatalf("queue not drained: %d pending", n)
 	}
 }

@@ -144,53 +144,6 @@ func (v *Invocation) Recycle() error {
 // State returns the invocation's lifecycle state.
 func (v *Invocation) State() InvState { return v.state }
 
-// HostState is the transformed CPU program's state from the paper's
-// Figure 5: S1 (CPU code execution), S2 (waiting for a scheduling
-// decision), S3 (waiting for GPU execution).
-type HostState int
-
-// Figure 5 states.
-const (
-	// S1: the host runs CPU code (prepares inputs or consumes results).
-	S1 HostState = iota + 1
-	// S2: the host sent the kernel's information to the runtime and
-	// waits for the decision to launch (also entered after the host
-	// preempts its kernel on the runtime's signal).
-	S2
-	// S3: the host launched the kernel and waits for GPU execution.
-	S3
-)
-
-// String names the host state.
-func (h HostState) String() string {
-	switch h {
-	case S1:
-		return "S1(cpu)"
-	case S2:
-		return "S2(await-schedule)"
-	case S3:
-		return "S3(await-gpu)"
-	default:
-		return "?"
-	}
-}
-
-// HostState maps the invocation's runtime state onto Figure 5's machine:
-// a waiting invocation has its host blocked in S2; a running one in S3; a
-// finished one returned control to CPU code (S1). A preemption moves the
-// host S3→S2 (the runtime signalled it to set the flag and relaunch
-// later); a dispatch moves it S2→S3; completion moves S3→S1.
-func (v *Invocation) HostState() HostState {
-	switch v.state {
-	case InvWaiting:
-		return S2
-	case InvRunning:
-		return S3
-	default:
-		return S1
-	}
-}
-
 // SubmittedAt returns the interception time.
 func (v *Invocation) SubmittedAt() time.Duration { return v.submittedAt }
 

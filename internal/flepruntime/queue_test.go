@@ -20,7 +20,7 @@ func TestFFSChoosesEpochOwner(t *testing.T) {
 	if rt.Running() != a || ffs.curKernel != "a" || ffs.epochEnd <= 0 {
 		t.Fatalf("a does not own an open epoch: running=%v owner=%q end=%v", rt.Running(), ffs.curKernel, ffs.epochEnd)
 	}
-	if q := rt.Queued(); len(q) != 2 || q[0] != b || q[1] != a2 {
+	if q := rt.queue; len(q) != 2 || q[0] != b || q[1] != a2 {
 		t.Fatalf("queue is not [b a2] in arrival order: %v", q)
 	}
 	if got := rt.next(); got != a2 {
@@ -66,7 +66,7 @@ func TestDependentQueueGaugeFollowsQueue(t *testing.T) {
 	check := func() {
 		t.Helper()
 		dep := 0
-		for _, q := range rt.Queued() {
+		for _, q := range rt.queue {
 			if q.Dependent {
 				dep++
 			}
@@ -74,8 +74,8 @@ func TestDependentQueueGaugeFollowsQueue(t *testing.T) {
 		if got := rt.met.DependentQueueLength.Value(); got != float64(dep) {
 			t.Fatalf("at %v dependent gauge = %v, queue holds %d stages", eng.Now(), got, dep)
 		}
-		if got := rt.met.QueueLength.Value(); got != float64(len(rt.Queued())) {
-			t.Fatalf("at %v queue gauge = %v, queue holds %d", eng.Now(), got, len(rt.Queued()))
+		if got := rt.met.QueueLength.Value(); got != float64(len(rt.queue)) {
+			t.Fatalf("at %v queue gauge = %v, queue holds %d", eng.Now(), got, len(rt.queue))
 		}
 		maxDep = max(maxDep, float64(dep))
 	}

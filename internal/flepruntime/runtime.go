@@ -116,17 +116,11 @@ func New(dev *gpu.Device, cfg Config) *Runtime {
 	return r
 }
 
-// Metrics returns the runtime's instrument set (never nil).
-func (r *Runtime) Metrics() *Metrics { return r.met }
-
 // Device returns the underlying device.
 func (r *Runtime) Device() *gpu.Device { return r.dev }
 
 // Running returns the primary running invocation, or nil.
 func (r *Runtime) Running() *Invocation { return r.running }
-
-// Queued lists the waiting invocations in policy order.
-func (r *Runtime) Queued() []*Invocation { return r.queue }
 
 // enqueue inserts v after every queued invocation it is not strictly ahead
 // of: a binary search for the slot and one copy of the tail.

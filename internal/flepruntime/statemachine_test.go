@@ -9,7 +9,9 @@ import (
 )
 
 // TestHostStateMachineFollowsFigure5 traces one invocation through the
-// paper's Figure 5: submit → S2 → (scheduled) S3 → (preempted) S2 →
+// paper's Figure 5: its host waits for a decision while the invocation
+// waits (S2), for the GPU while it runs (S3), and runs CPU code again once
+// it finished (S1). Submit → S2 → (scheduled) S3 → (preempted) S2 →
 // (rescheduled) S3 → (finished) S1.
 func TestHostStateMachineFollowsFigure5(t *testing.T) {
 	eng := sim.New()
@@ -19,9 +21,9 @@ func TestHostStateMachineFollowsFigure5(t *testing.T) {
 	long := inv("long", 1, 12000, us(100), 2)
 	high := inv("high", 2, 1200, us(100), 2)
 
-	var observed []HostState
+	var observed []InvState
 	record := func(at time.Duration) {
-		eng.Schedule(at, func() { observed = append(observed, long.HostState()) })
+		eng.Schedule(at, func() { observed = append(observed, long.State()) })
 	}
 	if err := rt.Submit(long); err != nil {
 		t.Fatal(err)
@@ -35,9 +37,9 @@ func TestHostStateMachineFollowsFigure5(t *testing.T) {
 		}
 	})
 	eng.Run()
-	observed = append(observed, long.HostState()) // finished → S1
+	observed = append(observed, long.State()) // finished → S1
 
-	want := []HostState{S3, S2, S3, S1}
+	want := []InvState{InvRunning, InvWaiting, InvRunning, InvFinished}
 	if len(observed) != len(want) {
 		t.Fatalf("observed %v", observed)
 	}
@@ -110,14 +112,5 @@ func TestPriorityCascade(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("order %v, want %v", order, want)
 		}
-	}
-}
-
-func TestHostStateString(t *testing.T) {
-	if S1.String() != "S1(cpu)" || S2.String() != "S2(await-schedule)" || S3.String() != "S3(await-gpu)" {
-		t.Fatal("state names changed")
-	}
-	if HostState(0).String() != "?" {
-		t.Fatal("unknown state should print ?")
 	}
 }

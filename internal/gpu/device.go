@@ -675,6 +675,3 @@ func (d *Device) expanded(e *Exec, lo int) {
 	d.updateGauges()
 	d.reschedule()
 }
-
-// Busy reports whether any execution is resident or launching.
-func (d *Device) Busy() bool { return len(d.execs) > 0 }

@@ -347,7 +347,7 @@ func TestStartIntoLiveStorageIsAnError(t *testing.T) {
 		if err := dev.StartIn(&e, &elsewhere); err == nil {
 			t.Fatalf("Start into %s storage accepted", when)
 		}
-		if dev.Busy() != (e.State() == StateLaunching || e.State() == StateRunning) {
+		if (len(dev.execs) > 0) != (e.State() == StateLaunching || e.State() == StateRunning) {
 			t.Fatalf("refused Start into %s storage changed the device", when)
 		}
 	}

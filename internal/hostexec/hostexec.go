@@ -160,16 +160,6 @@ type Report struct {
 	Log         *trace.Log
 }
 
-// For returns the first invocation record of the kernel, or nil.
-func (r *Report) For(kernel string) *InvocationRecord {
-	for i := range r.Invocations {
-		if r.Invocations[i].Kernel == kernel {
-			return &r.Invocations[i]
-		}
-	}
-	return nil
-}
-
 // Run executes the host processes against a fresh core.Stack. The stack
 // has no offline artifacts, so the runtime estimates preemption overhead
 // from its drain model; the invocations are hostexec's own, since a

@@ -11,6 +11,16 @@ import (
 	"flep/internal/gpu"
 )
 
+// recordFor returns the first invocation record of the kernel, or nil.
+func recordFor(r *Report, kernel string) *InvocationRecord {
+	for i := range r.Invocations {
+		if r.Invocations[i].Kernel == kernel {
+			return &r.Invocations[i]
+		}
+	}
+	return nil
+}
+
 const saxpyProgram = `
 __global__ void saxpy(float* x, float* y, float a, int n) {
     int i = blockIdx.x * blockDim.x + threadIdx.x;
@@ -84,7 +94,7 @@ func TestEndToEndFunctionalResult(t *testing.T) {
 	if len(rep.Invocations) != 1 {
 		t.Fatalf("invocations = %d", len(rep.Invocations))
 	}
-	r := rep.For("saxpy")
+	r := recordFor(rep, "saxpy")
 	if r == nil || !r.Functional || r.Turnaround() <= 0 {
 		t.Fatalf("record %+v", r)
 	}
@@ -140,8 +150,8 @@ func TestTwoProcessesPriorityPreemption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	long := rep.For("longk")
-	short := rep.For("shortk")
+	long := recordFor(rep, "longk")
+	short := recordFor(rep, "shortk")
 	if long == nil || short == nil {
 		t.Fatalf("records %+v", rep.Invocations)
 	}

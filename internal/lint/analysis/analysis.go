@@ -60,9 +60,6 @@ func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Pac
 	return &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info, report: report}
 }
 
-// Report emits a diagnostic.
-func (p *Pass) Report(d Diagnostic) { p.report(d) }
-
 // Reportf emits a formatted diagnostic under the given category.
 func (p *Pass) Reportf(pos token.Pos, category, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Category: category, Message: fmt.Sprintf(format, args...)})

@@ -75,20 +75,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Add shifts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		v := math.Float64frombits(old) + delta
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {

@@ -16,7 +16,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	c.Inc()
 	c.Add(5)
 	g.Set(1)
-	g.Add(2)
 	h.Observe(3)
 	h.ObserveDuration(3 * time.Second)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
@@ -51,8 +50,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatal("re-registration returned a different counter")
 	}
 	g := r.Gauge("flep_test_gauge", "test gauge")
-	g.Set(2.5)
-	g.Add(-1)
+	g.Set(1.5)
 	if g.Value() != 1.5 {
 		t.Fatalf("gauge = %g", g.Value())
 	}
@@ -219,7 +217,7 @@ func TestConcurrentScrapeAndUpdate(t *testing.T) {
 			default:
 			}
 			c.Inc()
-			g.Add(1)
+			g.Set(float64(i))
 			h.Observe(float64(i%10) / 1000)
 		}
 	}()

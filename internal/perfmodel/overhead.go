@@ -19,9 +19,6 @@ func (o *OverheadProfile) Add(d time.Duration) {
 	o.n++
 }
 
-// N returns the number of recorded runs.
-func (o *OverheadProfile) N() int { return o.n }
-
 // Mean returns the average overhead, or zero before any run is recorded.
 func (o *OverheadProfile) Mean() time.Duration {
 	if o.n == 0 {

@@ -234,21 +234,3 @@ func (m *Model) UnmarshalJSON(b []byte) error {
 	*m = *restored
 	return nil
 }
-
-// MAPE returns the mean absolute percentage error of the model over the
-// evaluation samples.
-func (m *Model) MAPE(samples []Sample) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, s := range samples {
-		truth := s.Duration.Seconds()
-		if truth <= 0 {
-			continue
-		}
-		pred := m.Predict(s.F).Seconds()
-		sum += math.Abs(pred-truth) / truth
-	}
-	return sum / float64(len(samples))
-}

@@ -174,20 +174,6 @@ func (t *Trace) Exact() bool {
 	return true
 }
 
-// Clients returns the distinct client IDs in the trace, sorted.
-func (t *Trace) Clients() []string {
-	seen := map[string]bool{}
-	for _, r := range t.Records {
-		seen[r.Client] = true
-	}
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Benchmarks returns the distinct benchmark names in the trace, sorted.
 // It prefers the header's list (which names everything the recording
 // daemon had loaded) and falls back to the records.

@@ -56,7 +56,8 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 
 // NewFleetWithSystem starts a fleet over an existing system (whose Offline
 // phase must already cover cfg.Benchmarks). Each shard receives its own
-// Clone of the system, so the shards' prediction caches never race.
+// Clone of the system, so a shard's SoloTime storing the solo baseline of
+// a benchmark the offline phase did not process never races another's.
 func NewFleetWithSystem(sys *core.System, cfg FleetConfig) (*Fleet, error) {
 	cfg.Config.applyDefaults()
 	if cfg.Devices <= 0 {

@@ -626,9 +626,6 @@ func (s *Server) MemoryAvailable() int64 {
 	return free
 }
 
-// Paused reports whether the scheduler is paused.
-func (s *Server) Paused() bool { return s.paused.Load() }
-
 // Pause parks the event loop: arrivals accumulate in the admission queue
 // (exercising backpressure) and virtual time stands still. It returns
 // once the loop has acknowledged, so the pause is fully in effect.

@@ -94,7 +94,7 @@ func TestSteppingLoopLosesNoWakeup(t *testing.T) {
 	if err := s.Pause(); err != nil {
 		t.Fatal(err)
 	}
-	for s.Paused() {
+	for s.paused.Load() {
 		if time.Since(start) > ackBudget {
 			t.Fatalf("loop still parked %v after Shutdown, want the drain begun within %v", time.Since(start), ackBudget)
 		}

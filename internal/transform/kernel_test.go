@@ -80,13 +80,16 @@ func TestTransformNaiveHasNoL(t *testing.T) {
 	}
 }
 
+// formatFunc renders one function as MiniCUDA source.
+func formatFunc(f *cl.FuncDecl) string { return cl.Format(&cl.Program{Funcs: []*cl.FuncDecl{f}}) }
+
 func TestTransformRewritesBlockIdx(t *testing.T) {
 	prog := mustParse(t, vaSrc)
 	out, info, err := TransformKernel(prog, "vecadd", ModeTemporal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	task := cl.FormatFunc(out.Func(info.TaskFunc))
+	task := formatFunc(out.Func(info.TaskFunc))
 	if strings.Contains(task, "blockIdx") {
 		t.Fatalf("task func still references blockIdx:\n%s", task)
 	}
@@ -101,7 +104,7 @@ func TestTransformSpatialUsesSMID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := cl.FormatFunc(out.Kernel(info.Preemptable))
+	src := formatFunc(out.Kernel(info.Preemptable))
 	if !strings.Contains(src, "__smid()") {
 		t.Fatalf("spatial wrapper lacks __smid():\n%s", src)
 	}
@@ -113,7 +116,7 @@ func TestTransformTemporalPollsFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := cl.FormatFunc(out.Kernel(info.Preemptable))
+	src := formatFunc(out.Kernel(info.Preemptable))
 	if !strings.Contains(src, "*"+ParamPreempt) {
 		t.Fatalf("wrapper does not poll the flag:\n%s", src)
 	}

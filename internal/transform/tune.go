@@ -1,7 +1,5 @@
 package transform
 
-import "fmt"
-
 // DefaultOverheadThreshold is the paper's tuning target: FLEP picks the
 // smallest amortizing factor whose runtime overhead stays below 4%.
 const DefaultOverheadThreshold = 0.04
@@ -69,21 +67,4 @@ func Autotune(measure OverheadFunc, threshold float64, maxL int) (l int, overhea
 		}
 	}
 	return hi, hiOv, true
-}
-
-// TuneResult records one kernel's offline tuning outcome for reporting.
-type TuneResult struct {
-	Kernel    string
-	L         int
-	Overhead  float64
-	Satisfied bool
-}
-
-// String formats the result like the paper's Table 1 column.
-func (t TuneResult) String() string {
-	status := ""
-	if !t.Satisfied {
-		status = " (threshold not met)"
-	}
-	return fmt.Sprintf("%s: L=%d overhead=%.2f%%%s", t.Kernel, t.L, t.Overhead*100, status)
 }
