@@ -12,7 +12,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -20,62 +19,52 @@ import (
 	"strings"
 	"time"
 
+	"flep/internal/cli"
 	"flep/internal/experiments"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is the command: 0 on success, 1 when regeneration fails, 2 when the
-// arguments name nothing it can regenerate.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("flepbench", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	only := fs.String("only", "", "comma-separated artifact IDs (default: all)")
-	out := fs.String("out", "", "output file (default: stdout)")
-	list := fs.Bool("list", false, "list artifact IDs and exit")
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp { // returned bare
-			return 0
-		}
-		return 2
-	}
-	fail := func(code int, format string, args ...any) int {
-		fmt.Fprintf(stderr, "flepbench: "+format+"\n", args...)
-		return code
+	return cli.Run("flepbench", args, stdout, stderr, flepbench)
+}
+
+func flepbench(c *cli.Command) error {
+	only := c.String("only", "", "comma-separated artifact IDs (default: all)")
+	out := c.String("out", "", "output file (default: stdout)")
+	list := c.Bool("list", false, "list artifact IDs and exit")
+	if err := c.ParseArgs(); err != nil {
+		return err
 	}
 	if *list {
 		for _, g := range experiments.Generators() {
-			fmt.Fprintln(stdout, g.ID)
+			fmt.Fprintln(c.Stdout, g.ID)
 		}
-		return 0
+		return nil
 	}
 	// Before -out is created: a typo must not truncate the last good file.
 	want, err := parseOnly(*only)
 	if err != nil {
-		return fail(2, "%v", err)
+		return c.Usagef("%v", err)
 	}
-	w := stdout
+	w := c.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			return fail(1, "%v", err)
+			return err
 		}
 		defer f.Close()
 		w = f
 	}
 
-	fmt.Fprintln(stderr, "flepbench: offline phase (scan, tune, train, profile all kernels)...")
+	fmt.Fprintln(c.Stderr, "flepbench: offline phase (scan, tune, train, profile all kernels)...")
 	start := time.Now()
 	suite, err := experiments.NewSuite()
 	if err != nil {
-		return fail(1, "offline: %v", err)
+		return fmt.Errorf("offline: %w", err)
 	}
-	fmt.Fprintf(stderr, "flepbench: offline done in %v\n", time.Since(start).Round(time.Millisecond))
-
-	if err := writeArtifacts(w, stderr, suite, want); err != nil {
-		return fail(1, "%v", err)
-	}
-	return 0
+	fmt.Fprintf(c.Stderr, "flepbench: offline done in %v\n", time.Since(start).Round(time.Millisecond))
+	return writeArtifacts(w, c.Stderr, suite, want)
 }
 
 // parseOnly turns -only's list into the set of artifacts to regenerate (empty:

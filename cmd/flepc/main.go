@@ -13,40 +13,45 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
 
+	"flep/internal/cli"
 	"flep/internal/cudalite"
 	"flep/internal/kernels"
 	"flep/internal/transform"
 )
 
-func main() {
-	mode := flag.String("mode", "spatial", "transformation mode: naive, temporal, or spatial")
-	kernel := flag.String("kernel", "", "transform only this kernel (default: all)")
-	out := flag.String("o", "", "output file (default: stdout)")
-	bench := flag.String("bench", "", "transform a built-in benchmark kernel (CFD, NN, PF, PL, MD, SPMV, MM, VA)")
-	report := flag.Bool("report", false, "print per-kernel resource usage and occupancy to stderr")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
 
-	var m transform.Mode
-	switch *mode {
-	case "naive":
-		m = transform.ModeTemporalNaive
-	case "temporal":
-		m = transform.ModeTemporal
-	case "spatial":
-		m = transform.ModeSpatial
-	default:
-		fatalf("unknown mode %q (want naive, temporal, or spatial)", *mode)
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	return cli.Run("flepc", args, stdout, stderr, func(c *cli.Command) error { return flepc(c, stdin) })
+}
+
+func flepc(c *cli.Command, stdin io.Reader) error {
+	mode := c.String("mode", "spatial", "transformation mode: naive, temporal, or spatial")
+	kernel := c.String("kernel", "", "transform only this kernel (default: all)")
+	out := c.String("o", "", "output file (default: stdout)")
+	bench := c.String("bench", "", "transform a built-in benchmark kernel (CFD, NN, PF, PL, MD, SPMV, MM, VA)")
+	report := c.Bool("report", false, "print per-kernel resource usage and occupancy to stderr")
+	if err := c.ParseArgs(); err != nil {
+		return err
 	}
 
-	src, name := readSource(*bench, flag.Args())
+	modes := map[string]transform.Mode{"naive": transform.ModeTemporalNaive, "temporal": transform.ModeTemporal, "spatial": transform.ModeSpatial}
+	m, ok := modes[*mode]
+	if !ok {
+		return c.Usagef("unknown mode %q (want naive, temporal, or spatial)", *mode)
+	}
+
+	src, name, err := readSource(*bench, c.Args(), stdin)
+	if err != nil {
+		return err
+	}
 	prog, err := cudalite.Parse(src)
 	if err != nil {
-		fatalf("%s: %v", name, err)
+		return fmt.Errorf("%s: %w", name, err)
 	}
 
 	var transformed *cudalite.Program
@@ -60,46 +65,35 @@ func main() {
 		transformed, _, err = transform.TransformProgram(prog, m)
 	}
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 
 	if *report {
-		printReport(prog)
+		printReport(c.Stderr, prog)
 	}
 
 	output := cudalite.Format(transformed)
 	if *out == "" {
-		fmt.Print(output)
-		return
+		_, err := io.WriteString(c.Stdout, output)
+		return err
 	}
-	if err := os.WriteFile(*out, []byte(output), 0o644); err != nil {
-		fatalf("%v", err)
-	}
+	return os.WriteFile(*out, []byte(output), 0o644)
 }
 
-func readSource(bench string, args []string) (src, name string) {
+// readSource reads the built-in benchmark's kernel, or else the source
+// cli.ReadSource finds.
+func readSource(bench string, args []string, stdin io.Reader) (src, name string, err error) {
 	if bench != "" {
 		b, err := kernels.ByName(bench)
 		if err != nil {
-			fatalf("%v", err)
+			return "", "", err
 		}
-		return b.Source, bench
+		return b.Source, bench, nil
 	}
-	if len(args) == 0 {
-		data, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			fatalf("reading stdin: %v", err)
-		}
-		return string(data), "<stdin>"
-	}
-	data, err := os.ReadFile(args[0])
-	if err != nil {
-		fatalf("%v", err)
-	}
-	return string(data), args[0]
+	return cli.ReadSource(args, stdin)
 }
 
-func printReport(prog *cudalite.Program) {
+func printReport(w io.Writer, prog *cudalite.Program) {
 	limits := transform.K40()
 	for _, fn := range prog.Funcs {
 		if fn.Qual != cudalite.QualGlobal {
@@ -107,20 +101,15 @@ func printReport(prog *cudalite.Program) {
 		}
 		res, err := transform.EstimateResources(prog, fn)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", fn.Name, err)
+			fmt.Fprintf(w, "%s: %v\n", fn.Name, err)
 			continue
 		}
 		occ, err := transform.ComputeOccupancy(limits, res, 256, 0)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", fn.Name, err)
+			fmt.Fprintf(w, "%s: %v\n", fn.Name, err)
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "%s: regs/thread=%d shared=%dB occupancy=%d CTAs/SM (%d active, limiter %s)\n",
+		fmt.Fprintf(w, "%s: regs/thread=%d shared=%dB occupancy=%d CTAs/SM (%d active, limiter %s)\n",
 			fn.Name, res.RegsPerThread, res.StaticSharedBytes, occ.CTAsPerSM, occ.ActiveCTAs, occ.Limiter)
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "flepc: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -11,8 +11,8 @@ import (
 )
 
 func TestReadSourceBench(t *testing.T) {
-	src, name := readSource("VA", nil)
-	if name != "VA" || !strings.Contains(src, "__global__ void va") {
+	src, name, err := readSource("VA", nil, nil)
+	if err != nil || name != "VA" || !strings.Contains(src, "__global__ void va") {
 		t.Fatalf("readSource bench: name=%q", name)
 	}
 }
@@ -23,8 +23,8 @@ func TestReadSourceFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("__global__ void k() { }"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	src, name := readSource("", []string{path})
-	if name != path || src != "__global__ void k() { }" {
+	src, name, err := readSource("", []string{path}, nil)
+	if err != nil || name != path || src != "__global__ void k() { }" {
 		t.Fatalf("readSource file: %q %q", name, src)
 	}
 }
@@ -33,7 +33,10 @@ func TestReadSourceFile(t *testing.T) {
 // and the output re-parses.
 func TestPipelineAllBenchmarksAllModes(t *testing.T) {
 	for _, bench := range []string{"CFD", "NN", "PF", "PL", "MD", "SPMV", "MM", "VA"} {
-		src, _ := readSource(bench, nil)
+		src, _, err := readSource(bench, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, mode := range []transform.Mode{transform.ModeTemporalNaive, transform.ModeTemporal, transform.ModeSpatial} {
 			prog, err := cudalite.Parse(src)
 			if err != nil {

@@ -40,9 +40,10 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // profiling endpoints on the opt-in -debug-addr listener
 	"os"
@@ -52,38 +53,51 @@ import (
 	"syscall"
 	"time"
 
+	"flep/internal/cli"
 	"flep/internal/flepruntime"
 	"flep/internal/replay"
 	"flep/internal/server"
 )
 
 func main() {
-	var (
-		addr         = flag.String("addr", ":7450", "listen address")
-		policy       = flag.String("policy", "hpf", "scheduling policy: "+flepruntime.PolicyList())
-		spatial      = flag.Bool("spatial", false, "enable spatial preemption (HPF only)")
-		spatialSMs   = flag.Int("spatial-sms", 0, "override yielded SM count for spatial preemption")
-		maxOverhead  = flag.Float64("max-overhead", 0.10, "FFS overhead budget")
-		weightsFlag  = flag.String("weights", "", "FFS priority weights, e.g. 1=1,2=2")
-		benchFlag    = flag.String("bench", "all", "benchmarks to load: comma-separated names or all")
-		queueDepth   = flag.Int("queue", 256, "admission queue depth (backpressure bound)")
-		depPending   = flag.Int("dep-pending", 256, "max graph stages parked awaiting prerequisites (per shard)")
-		depGraphs    = flag.Int("dep-graphs", 256, "max live model-graph instances tracked (per shard)")
-		reqTimeout   = flag.Duration("timeout", 30*time.Second, "per-request completion wait bound")
-		traceOn      = flag.Bool("trace", false, "keep a runtime+device event log at /v1/trace")
-		pace         = flag.Duration("pace", 0, "real-time sleep per simulated event (0 = full speed)")
-		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "graceful-shutdown drain bound")
-		devices      = flag.Int("devices", 1, "number of device shards in the fleet")
-		recordPath   = flag.String("record", "", "append every admitted launch to a replay trace (JSONL) at this path")
-		recordRotate = flag.Int64("record-rotate", 0, "rotate the trace once a segment exceeds this many bytes (0 = never)")
-		debugAddr    = flag.String("debug-addr", "", "optional net/http/pprof listen address (e.g. localhost:6060); empty disables")
-	)
-	flag.Parse()
+	ctx, _ := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run serves until ctx is done, then drains.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	return cli.Run("flepd", args, stdout, stderr, func(c *cli.Command) error { return flepd(ctx, c) })
+}
+
+func flepd(ctx context.Context, c *cli.Command) error {
+	var (
+		addr         = c.String("addr", ":7450", "listen address")
+		policy       = c.String("policy", "hpf", "scheduling policy: "+flepruntime.PolicyList())
+		spatial      = c.Bool("spatial", false, "enable spatial preemption (HPF only)")
+		spatialSMs   = c.Int("spatial-sms", 0, "override yielded SM count for spatial preemption")
+		maxOverhead  = c.Float64("max-overhead", 0.10, "FFS overhead budget")
+		weightsFlag  = c.String("weights", "", "FFS priority weights, e.g. 1=1,2=2")
+		benchFlag    = c.String("bench", "all", "benchmarks to load: comma-separated names or all")
+		queueDepth   = c.Int("queue", 256, "admission queue depth (backpressure bound)")
+		depPending   = c.Int("dep-pending", 256, "max graph stages parked awaiting prerequisites (per shard)")
+		depGraphs    = c.Int("dep-graphs", 256, "max live model-graph instances tracked (per shard)")
+		reqTimeout   = c.Duration("timeout", 30*time.Second, "per-request completion wait bound")
+		traceOn      = c.Bool("trace", false, "keep a runtime+device event log at /v1/trace")
+		pace         = c.Duration("pace", 0, "real-time sleep per simulated event (0 = full speed)")
+		drainTimeout = c.Duration("drain-timeout", 60*time.Second, "graceful-shutdown drain bound")
+		devices      = c.Int("devices", 1, "number of device shards in the fleet")
+		recordPath   = c.String("record", "", "append every admitted launch to a replay trace (JSONL) at this path")
+		recordRotate = c.Int64("record-rotate", 0, "rotate the trace once a segment exceeds this many bytes (0 = never)")
+		debugAddr    = c.String("debug-addr", "", "optional net/http/pprof listen address (e.g. localhost:6060); empty disables")
+	)
+	if err := c.ParseArgs(); err != nil {
+		return err
+	}
 	weights, err := parseWeights(*weightsFlag)
 	if err != nil {
-		log.Fatalf("flepd: %v", err)
+		return c.Usagef("%v", err)
 	}
+	logger := log.New(c.Stderr, "", log.LstdFlags)
 	cfg := server.FleetConfig{
 		Config: server.Config{
 			Policy:         *policy,
@@ -98,102 +112,93 @@ func main() {
 			RequestTimeout: *reqTimeout,
 			Trace:          *traceOn,
 			Pace:           *pace,
-			Logf:           log.Printf,
+			Logf:           logger.Printf,
 		},
 		Devices: *devices,
 	}
-	var recorder *replay.Recorder
 	if *recordPath != "" {
-		recorder, err = replay.NewRecorder(*recordPath, cfg.Config.RecorderHeader(*devices),
+		recorder, err := replay.NewRecorder(*recordPath, cfg.Config.RecorderHeader(*devices),
 			replay.RecorderOptions{RotateBytes: *recordRotate, WallClock: time.Now})
 		if err != nil {
-			log.Fatalf("flepd: %v", err)
+			return err
 		}
+		// Deferred first, so it runs after the fleet, whose loops record,
+		// has drained.
+		defer func() {
+			if err := recorder.Close(); err != nil {
+				logger.Printf("flepd: closing trace: %v", err)
+			}
+			logger.Printf("flepd: trace %s: %d launches recorded (replay with: flepreplay replay -trace %s)",
+				recorder.Path(), recorder.Seq(), recorder.Path())
+		}()
 		cfg.Config.Recorder = recorder
-		log.Printf("flepd: recording admitted launches to %s", *recordPath)
+		logger.Printf("flepd: recording admitted launches to %s", *recordPath)
 	}
 
-	log.Printf("flepd: building offline artifacts (policy=%s spatial=%v devices=%d)",
+	logger.Printf("flepd: building offline artifacts (policy=%s spatial=%v devices=%d)",
 		cfg.Policy, cfg.Spatial, cfg.Devices)
 	start := time.Now()
 	srv, err := server.NewFleet(cfg)
 	if err != nil {
-		log.Fatalf("flepd: %v", err)
+		return err
 	}
-	log.Printf("flepd: offline phase done in %v", time.Since(start).Round(time.Millisecond))
+	logger.Printf("flepd: offline phase done in %v", time.Since(start).Round(time.Millisecond))
 
 	if *debugAddr != "" {
 		// pprof registers on http.DefaultServeMux at import; the API below
 		// uses its own mux, so the profiling surface only exists on this
 		// separate opt-in listener (never exposed on the serving address).
+		dbg := &http.Server{Addr: *debugAddr}
+		defer dbg.Close()
 		go func() {
-			log.Printf("flepd: pprof debug listener on %s", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
-				log.Printf("flepd: debug listener: %v", err)
+			logger.Printf("flepd: pprof debug listener on %s", *debugAddr)
+			if err := dbg.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+				logger.Printf("flepd: debug listener: %v", err)
 			}
 		}()
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	log.Printf("flepd: serving on %s", *addr)
-
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case sig := <-sigCh:
-		log.Printf("flepd: %v: draining (bound %v)", sig, *drainTimeout)
-	case err := <-errCh:
-		log.Fatalf("flepd: serve: %v", err)
+	httpSrv := &http.Server{Handler: srv.Handler()}
+	err = cli.Serve(ctx, httpSrv, *addr, func(a net.Addr) { logger.Printf("flepd: serving on %s", a) })
+	if err == nil {
+		logger.Printf("flepd: %v: draining (bound %v)", context.Cause(ctx), *drainTimeout)
 	}
+	return errors.Join(err, drain(logger, srv, httpSrv, *drainTimeout))
+}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+// drain shuts the fleet down within bound, then the HTTP server, logs the
+// fleet's accounting and holds every device, so the fleet, to exactly-once.
+func drain(logger *log.Logger, srv *server.Fleet, httpSrv *http.Server, bound time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), bound)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
-		log.Printf("flepd: drain incomplete: %v", err)
+		logger.Printf("flepd: drain incomplete: %v", err)
 	} else {
 		for i := 0; i < srv.Devices(); i++ {
-			log.Printf("flepd: device %d drained cleanly at virtual %v", i, srv.Shard(i).VirtualNow())
+			logger.Printf("flepd: device %d drained cleanly at virtual %v", i, srv.Shard(i).VirtualNow())
 		}
 	}
 	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("flepd: http shutdown: %v", err)
+		logger.Printf("flepd: http shutdown: %v", err)
 	}
 	c := srv.Status().Counters
-	log.Printf("flepd: fleet enqueued=%d completed=%d submit_errors=%d rejected_full=%d timed_out=%d",
+	logger.Printf("flepd: fleet enqueued=%d completed=%d submit_errors=%d rejected_full=%d timed_out=%d",
 		c.Enqueued, c.Completed, c.SubmitErrors, c.RejectedFull, c.TimedOut)
-	if c.InFlight() != 0 {
-		log.Fatalf("flepd: fleet exactly-once invariant violated at exit")
-	}
 	for i := 0; i < srv.Devices(); i++ {
 		if srv.Shard(i).Status().Counters.InFlight() != 0 {
-			log.Fatalf("flepd: device %d exactly-once invariant violated at exit", i)
+			return fmt.Errorf("device %d exactly-once invariant violated at exit", i)
 		}
 	}
-	if recorder != nil {
-		if err := recorder.Close(); err != nil {
-			log.Printf("flepd: closing trace: %v", err)
-		}
-		log.Printf("flepd: trace %s: %d launches recorded (replay with: flepreplay replay -trace %s)",
-			recorder.Path(), recorder.Seq(), recorder.Path())
-	}
+	return nil
 }
 
 // parseBenchList turns "VA,MM" into a name slice; "all"/"" selects the
 // whole suite (nil).
 func parseBenchList(s string) []string {
-	s = strings.TrimSpace(s)
-	if s == "" || strings.EqualFold(s, "all") {
+	if strings.EqualFold(strings.TrimSpace(s), "all") {
 		return nil
 	}
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
+	return cli.SplitList(s)
 }
 
 // parseWeights parses "1=1,2=2.5" into a priority→weight map.

@@ -28,100 +28,100 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"sort"
-	"strings"
 	"syscall"
 	"time"
 
+	"flep/internal/cli"
 	"flep/internal/cluster"
 	"flep/internal/replay"
 )
 
 func main() {
-	var (
-		listen       = flag.String("listen", ":7440", "gateway listen address")
-		nodesFlag    = flag.String("nodes", "", "comma-separated flepd addresses, e.g. :7450,:7451 (required)")
-		healthEvery  = flag.Duration("health-interval", 200*time.Millisecond, "active node health-check period")
-		recordPath   = flag.String("record", "", "append every accepted launch to a replay trace (JSONL) at this path")
-		recordRotate = flag.Int64("record-rotate", 0, "rotate the trace once a segment exceeds this many bytes (0 = never)")
-	)
-	flag.Parse()
+	ctx, _ := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	var nodes []string
-	for _, a := range strings.Split(*nodesFlag, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			nodes = append(nodes, a)
-		}
+// run serves until ctx is done, then shuts the gateway down.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	return cli.Run("flepgw", args, stdout, stderr, func(c *cli.Command) error { return flepgw(ctx, c) })
+}
+
+func flepgw(ctx context.Context, c *cli.Command) error {
+	var (
+		listen       = c.String("listen", ":7440", "gateway listen address")
+		nodesFlag    = c.String("nodes", "", "comma-separated flepd addresses, e.g. :7450,:7451 (required)")
+		healthEvery  = c.Duration("health-interval", 200*time.Millisecond, "active node health-check period")
+		recordPath   = c.String("record", "", "append every accepted launch to a replay trace (JSONL) at this path")
+		recordRotate = c.Int64("record-rotate", 0, "rotate the trace once a segment exceeds this many bytes (0 = never)")
+	)
+	if err := c.ParseArgs(); err != nil {
+		return err
 	}
+	nodes := cli.SplitList(*nodesFlag)
 	if len(nodes) == 0 {
-		log.Fatalf("flepgw: -nodes is required (comma-separated flepd addresses)")
+		return c.Usagef("-nodes is required (comma-separated flepd addresses)")
 	}
+	logger := log.New(c.Stderr, "", log.LstdFlags)
 
 	var recorder *replay.Recorder
 	if *recordPath != "" {
 		var err error
-		recorder, err = replay.NewRecorder(*recordPath, replay.Header{
-			Source:  replay.SourceFlepgw,
-			Devices: len(nodes),
-		}, replay.RecorderOptions{RotateBytes: *recordRotate, WallClock: time.Now})
+		recorder, err = replay.NewRecorder(*recordPath, replay.Header{Source: replay.SourceFlepgw, Devices: len(nodes)},
+			replay.RecorderOptions{RotateBytes: *recordRotate, WallClock: time.Now})
 		if err != nil {
-			log.Fatalf("flepgw: %v", err)
+			return err
 		}
-		log.Printf("flepgw: recording accepted launches to %s", *recordPath)
+		// Deferred first, so it runs after the gateway, which records, has
+		// closed.
+		defer func() {
+			if err := recorder.Close(); err != nil {
+				logger.Printf("flepgw: closing trace: %v", err)
+			}
+			logger.Printf("flepgw: trace %s: %d launches recorded", recorder.Path(), recorder.Seq())
+		}()
+		logger.Printf("flepgw: recording accepted launches to %s", *recordPath)
 	}
 
 	gw, err := cluster.New(cluster.Config{
 		Nodes:          nodes,
 		HealthInterval: *healthEvery,
 		Recorder:       recorder,
-		Logf:           log.Printf,
+		Logf:           logger.Printf,
 	})
 	if err != nil {
-		log.Fatalf("flepgw: %v", err)
+		return err
 	}
 	gw.Start()
-
-	httpSrv := &http.Server{Addr: *listen, Handler: gw.Handler()}
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	log.Printf("flepgw: serving on %s over %d node(s)", *listen, len(nodes))
-
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case sig := <-sigCh:
-		log.Printf("flepgw: %v: shutting down", sig)
-	case err := <-errCh:
-		log.Fatalf("flepgw: serve: %v", err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("flepgw: http shutdown: %v", err)
-	}
-	gw.Close()
-	logAccounting(gw)
-	if recorder != nil {
-		if err := recorder.Close(); err != nil {
-			log.Printf("flepgw: closing trace: %v", err)
+	defer func() {
+		gw.Close()
+		// The gateway-side ledger per node, which cluster_smoke.sh
+		// reconciles against each node's own counters.
+		statuses := gw.Statuses()
+		sort.Slice(statuses, func(i, j int) bool { return statuses[i].ID < statuses[j].ID })
+		for _, ns := range statuses {
+			logger.Printf("flepgw: node %s (%s) state=%s accepted=%d failed=%d timed_out=%d",
+				ns.ID, ns.Addr, ns.State, ns.Accepted, ns.Failed, ns.TimedOut)
 		}
-		log.Printf("flepgw: trace %s: %d launches recorded", recorder.Path(), recorder.Seq())
-	}
-}
+	}()
 
-// logAccounting prints the gateway-side terminal-response ledger per
-// node, the reconciliation surface for cluster_smoke.sh.
-func logAccounting(gw *cluster.Gateway) {
-	statuses := gw.Statuses()
-	sort.Slice(statuses, func(i, j int) bool { return statuses[i].ID < statuses[j].ID })
-	for _, ns := range statuses {
-		log.Printf("flepgw: node %s (%s) state=%s accepted=%d failed=%d timed_out=%d",
-			ns.ID, ns.Addr, ns.State, ns.Accepted, ns.Failed, ns.TimedOut)
+	httpSrv := &http.Server{Handler: gw.Handler()}
+	err = cli.Serve(ctx, httpSrv, *listen, func(a net.Addr) {
+		logger.Printf("flepgw: serving on %s over %d node(s)", a, len(nodes))
+	})
+	if err == nil {
+		logger.Printf("flepgw: %v: shutting down", context.Cause(ctx))
 	}
+	sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := httpSrv.Shutdown(sctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		logger.Printf("flepgw: http shutdown: %v", err)
+	}
+	return err
 }

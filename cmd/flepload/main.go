@@ -35,9 +35,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"math/rand"
 	"net/http"
@@ -50,6 +51,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"flep/internal/cli"
 	"flep/internal/metrics"
 	"flep/internal/model"
 	"flep/internal/obs"
@@ -96,23 +98,31 @@ type modelAgg struct {
 	makespans  []time.Duration
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	return cli.Run("flepload", args, stdout, stderr, flepload)
+}
+
+func flepload(c *cli.Command) error {
 	var (
-		addr      = flag.String("addr", "http://127.0.0.1:7450", "flepd base URL")
-		clients   = flag.Int("clients", 100, "concurrent client sessions")
-		perC      = flag.Int("n", 10, "launches per client")
-		rate      = flag.Float64("rate", 0, "per-client open-loop launches/sec (0 = closed loop)")
-		benchCSV  = flag.String("bench", "", "benchmarks to launch (empty = discover from daemon)")
-		class     = flag.String("class", "small", "input class: large, small, trivial")
-		prioMix   = flag.String("prio", "1=0.5,2=0.5", "priority mix, e.g. 1=0.7,2=0.3")
-		seed      = flag.Int64("seed", 1, "workload-mix random seed")
-		deadline  = flag.Duration("deadline", 0, "SLO budget per latency-critical launch in virtual time (0 = best-effort)")
-		dlShare   = flag.Float64("deadline-share", 1.0, "fraction of launches that carry the -deadline budget (rest stay best-effort)")
-		modelCSV  = flag.String("model", "", "model-graph workload: comma-separated NAME[:DEADLINE] specs, where NAME is a preset graph (resnet, bert, diamond), or a path to a JSON graph file, and DEADLINE an SLO budget for the graph's terminal stage. Clients are dealt specs round-robin and submit whole kernel DAGs; deadline-bearing models run latency-critical (priority 2), the rest best-effort (priority 1)")
-		record    = flag.String("record", "", "write a client-side replay trace (JSONL) to this path")
-		verifySrv = flag.Bool("verify-status", true, "reconcile server /v1/status counters after the run (disable when a cluster node is killed mid-run: the dead node's completions leave the gateway's summed view)")
+		addr      = c.String("addr", "http://127.0.0.1:7450", "flepd base URL")
+		clients   = c.Int("clients", 100, "concurrent client sessions")
+		perC      = c.Int("n", 10, "launches per client")
+		rate      = c.Float64("rate", 0, "per-client open-loop launches/sec (0 = closed loop)")
+		benchCSV  = c.String("bench", "", "benchmarks to launch (empty = discover from daemon)")
+		class     = c.String("class", "small", "input class: large, small, trivial")
+		prioMix   = c.String("prio", "1=0.5,2=0.5", "priority mix, e.g. 1=0.7,2=0.3")
+		seed      = c.Int64("seed", 1, "workload-mix random seed")
+		deadline  = c.Duration("deadline", 0, "SLO budget per latency-critical launch in virtual time (0 = best-effort)")
+		dlShare   = c.Float64("deadline-share", 1.0, "fraction of launches that carry the -deadline budget (rest stay best-effort)")
+		modelCSV  = c.String("model", "", "model-graph workload: comma-separated NAME[:DEADLINE] specs, where NAME is a preset graph (resnet, bert, diamond), or a path to a JSON graph file, and DEADLINE an SLO budget for the graph's terminal stage. Clients are dealt specs round-robin and submit whole kernel DAGs; deadline-bearing models run latency-critical (priority 2), the rest best-effort (priority 1)")
+		record    = c.String("record", "", "write a client-side replay trace (JSONL) to this path")
+		verifySrv = c.Bool("verify-status", true, "reconcile server /v1/status counters after the run (disable when a cluster node is killed mid-run: the dead node's completions leave the gateway's summed view)")
 	)
-	flag.Parse()
+	if err := c.ParseArgs(); err != nil {
+		return err
+	}
 
 	// Accept a bare host:port the way curl does.
 	if !strings.Contains(*addr, "://") {
@@ -121,34 +131,35 @@ func main() {
 
 	mix, err := parseMix(*prioMix)
 	if err != nil {
-		fatalf("%v", err)
+		return c.Usagef("-prio: %v", err)
 	}
 	specs, err := parseModelSpecs(*modelCSV)
 	if err != nil {
-		fatalf("%v", err)
+		return c.Usagef("-model: %v", err)
 	}
 	var benches []string
 	if len(specs) == 0 {
-		benches = splitCSV(*benchCSV)
+		benches = cli.SplitList(*benchCSV)
 		if len(benches) == 0 {
 			benches, err = discoverBenchmarks(*addr)
 			if err != nil {
-				fatalf("discovering benchmarks: %v", err)
+				return fmt.Errorf("discovering benchmarks: %w", err)
 			}
 		}
 		if len(benches) == 0 {
-			fatalf("no benchmarks to launch")
+			return errors.New("no benchmarks to launch")
 		}
 	}
+	stdout := c.Stdout
 	if len(specs) > 0 {
 		names := make([]string, len(specs))
 		for i, sp := range specs {
 			names[i] = sp.String()
 		}
-		fmt.Printf("flepload: %d clients × %d graphs, models=%s rate=%s\n",
+		fmt.Fprintf(stdout, "flepload: %d clients × %d graphs, models=%s rate=%s\n",
 			*clients, *perC, strings.Join(names, ","), rateString(*rate))
 	} else {
-		fmt.Printf("flepload: %d clients × %d launches, benches=%s class=%s mix=%s rate=%s\n",
+		fmt.Fprintf(stdout, "flepload: %d clients × %d launches, benches=%s class=%s mix=%s rate=%s\n",
 			*clients, *perC, strings.Join(benches, ","), *class, *prioMix, rateString(*rate))
 	}
 
@@ -168,53 +179,53 @@ func main() {
 			Seed:       *seed,
 		}, replay.RecorderOptions{WallClock: time.Now})
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 	}
 	before, merr := scrapeMetrics(*addr)
 	if merr != nil {
-		fmt.Printf("flepload: no /metrics before run (%v); deltas disabled\n", merr)
+		fmt.Fprintf(stdout, "flepload: no /metrics before run (%v); deltas disabled\n", merr)
 	}
 	start := time.Now()
 	var wg sync.WaitGroup
-	for c := 0; c < *clients; c++ {
+	for i := 0; i < *clients; i++ {
 		wg.Add(1)
-		go func(c int) {
+		go func(i int) {
 			defer wg.Done()
 			cc := clientConfig{
-				addr: *addr, id: fmt.Sprintf("load-%04d", c),
+				addr: *addr, id: fmt.Sprintf("load-%04d", i),
 				benches: benches, class: *class, mix: mix,
 				n: *perC, rate: *rate,
 				deadline: *deadline, dlShare: *dlShare,
-				rng: rand.New(rand.NewSource(*seed + int64(c))), jitter: jitterSource(*seed, c),
+				rng: rand.New(rand.NewSource(*seed + int64(i))), jitter: jitterSource(*seed, i),
 				rec: recorder, runStart: start,
 			}
 			if len(specs) > 0 {
-				runGraphClient(httpc, st, cc, specs[c%len(specs)])
+				runGraphClient(httpc, st, cc, specs[i%len(specs)])
 			} else {
 				runClient(httpc, st, cc)
 			}
-		}(c)
+		}(i)
 	}
 	wg.Wait()
 	wall := time.Since(start)
 	if recorder != nil {
 		if err := recorder.Close(); err != nil {
-			fmt.Printf("flepload: closing trace: %v\n", err)
+			fmt.Fprintf(stdout, "flepload: closing trace: %v\n", err)
 		} else {
-			fmt.Printf("flepload: recorded %d launches to %s\n", recorder.Seq(), recorder.Path())
+			fmt.Fprintf(stdout, "flepload: recorded %d launches to %s\n", recorder.Seq(), recorder.Path())
 		}
 	}
 
-	report(st, wall)
+	report(stdout, st, wall)
 	if err := verifyExactlyOnce(*addr, st, *verifySrv); err != nil {
-		fmt.Printf("exactly-once:  FAIL: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stdout, "exactly-once:  FAIL: %v\n", err)
+		return fmt.Errorf("exactly-once: %w", err)
 	}
 	if *verifySrv {
-		fmt.Printf("exactly-once:  OK (no lost or duplicated invocations)\n")
+		fmt.Fprintf(stdout, "exactly-once:  OK (no lost or duplicated invocations)\n")
 	} else {
-		fmt.Printf("exactly-once:  OK client-side (unique invocation per result; server reconcile skipped)\n")
+		fmt.Fprintf(stdout, "exactly-once:  OK client-side (unique invocation per result; server reconcile skipped)\n")
 	}
 
 	// Scrape after the daemon is at rest (verifyExactlyOnce polled for
@@ -222,11 +233,12 @@ func main() {
 	if merr == nil {
 		after, err := scrapeMetrics(*addr)
 		if err != nil {
-			fmt.Printf("flepload: no /metrics after run: %v\n", err)
-			return
+			fmt.Fprintf(stdout, "flepload: no /metrics after run: %v\n", err)
+			return nil
 		}
-		reportMetricsDeltas(before, after, wall)
+		reportMetricsDeltas(stdout, before, after, wall)
 	}
+	return nil
 }
 
 // scrapeMetrics fetches and parses the daemon's Prometheus exposition.
@@ -246,7 +258,7 @@ func scrapeMetrics(addr string) (obs.Snapshot, error) {
 // scheduler, device, and policy did while the clients were hammering it.
 // Everything is an after−before delta, so a long-lived daemon's history
 // does not pollute this run's numbers.
-func reportMetricsDeltas(before, after obs.Snapshot, wall time.Duration) {
+func reportMetricsDeltas(w io.Writer, before, after obs.Snapshot, wall time.Duration) {
 	// SumMatching tolerates the fleet's injected device label: a family
 	// delta sums every shard's series, and a ("kind", "primary") match
 	// still selects the right members whatever other labels ride along.
@@ -261,33 +273,33 @@ func reportMetricsDeltas(before, after obs.Snapshot, wall time.Duration) {
 		return d(name+"_sum") / n, n
 	}
 
-	fmt.Printf("\ndaemon deltas (/metrics, after − before, all devices):\n")
-	fmt.Printf("  runtime:     submits=%.0f dispatches=%.0f (primary=%.0f guest=%.0f)\n",
+	fmt.Fprintf(w, "\ndaemon deltas (/metrics, after − before, all devices):\n")
+	fmt.Fprintf(w, "  runtime:     submits=%.0f dispatches=%.0f (primary=%.0f guest=%.0f)\n",
 		d("flep_runtime_submits_total"),
 		d("flep_runtime_dispatches_total"),
 		d("flep_runtime_dispatches_total", "kind", "primary"),
 		d("flep_runtime_dispatches_total", "kind", "guest"))
-	fmt.Printf("  preemptions: temporal=%.0f spatial=%.0f aborted=%.0f\n",
+	fmt.Fprintf(w, "  preemptions: temporal=%.0f spatial=%.0f aborted=%.0f\n",
 		d("flep_runtime_preemptions_total", "mode", "temporal"),
 		d("flep_runtime_preemptions_total", "mode", "spatial"),
 		d("flep_runtime_preempt_aborts_total"))
 	if m, n := mean("flep_runtime_drain_latency_seconds"); n > 0 {
-		fmt.Printf("  drains:      %.0f, mean latency %v (virtual)\n", n, secs(m))
+		fmt.Fprintf(w, "  drains:      %.0f, mean latency %v (virtual)\n", n, secs(m))
 	}
 	if m, n := mean("flep_runtime_overhead_prediction_error_seconds"); n > 0 {
-		fmt.Printf("  overhead:    mean |predicted − realized| = %v over %.0f drains\n", secs(m), n)
+		fmt.Fprintf(w, "  overhead:    mean |predicted − realized| = %v over %.0f drains\n", secs(m), n)
 	}
 	if rot := d("flep_ffs_epochs_total"); rot > 0 {
-		fmt.Printf("  ffs epochs:  rotations=%.0f extensions=%.0f evictions=%.0f\n",
+		fmt.Fprintf(w, "  ffs epochs:  rotations=%.0f extensions=%.0f evictions=%.0f\n",
 			d("flep_ffs_epochs_total", "kind", "rotation"),
 			d("flep_ffs_epochs_total", "kind", "extension"),
 			d("flep_ffs_evictions_total"))
 	}
-	fmt.Printf("  device:      launches=%.0f ctas=%.0f drains=%.0f completions=%.0f\n",
+	fmt.Fprintf(w, "  device:      launches=%.0f ctas=%.0f drains=%.0f completions=%.0f\n",
 		d("flep_device_launches_total"), d("flep_device_ctas_placed_total"),
 		d("flep_device_drains_total"), d("flep_device_completions_total"))
 	if m, n := mean("flep_server_request_latency_seconds"); n > 0 {
-		fmt.Printf("  server:      %.0f results, mean real latency %v\n", n, secs(m))
+		fmt.Fprintf(w, "  server:      %.0f results, mean real latency %v\n", n, secs(m))
 	}
 	if slo := d("flep_slo_attained_total") + d("flep_slo_missed_total"); slo > 0 {
 		line := fmt.Sprintf("  slo:         attained=%.0f missed=%.0f",
@@ -298,7 +310,7 @@ func reportMetricsDeltas(before, after obs.Snapshot, wall time.Duration) {
 		if shed := d("flep_server_launches_total", "outcome", "rejected_best_effort_shed"); shed > 0 {
 			line += fmt.Sprintf(" best-effort-shed=%.0f", shed)
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 	}
 
 	// When the target is a flepgw gateway its /metrics carries every
@@ -317,7 +329,7 @@ func reportMetricsDeltas(before, after obs.Snapshot, wall time.Duration) {
 			Preemptions: int64(dn("flep_runtime_preemptions_total")),
 		}
 	}
-	writeGroups(os.Stdout, "per node (node-labeled metrics deltas)", groups, wall)
+	writeGroups(w, "per node (node-labeled metrics deltas)", groups, wall)
 }
 
 // secs renders a float seconds value as a duration.
@@ -338,7 +350,9 @@ type clientConfig struct {
 	runStart time.Time        // shared zero point for trace arrival offsets
 }
 
-func runClient(httpc *http.Client, st *stats, cc clientConfig) {
+// paced runs a client's n iterations: back to back in a closed loop, or
+// one per 1/rate seconds open-loop, whether or not the last completed.
+func (cc clientConfig) paced(iteration func(i int)) {
 	var tick <-chan time.Time
 	if cc.rate > 0 {
 		t := time.NewTicker(time.Duration(float64(time.Second) / cc.rate))
@@ -349,6 +363,14 @@ func runClient(httpc *http.Client, st *stats, cc clientConfig) {
 		if tick != nil {
 			<-tick
 		}
+		iteration(i)
+	}
+}
+
+// runClient submits the client's plain launches, each absorbing 429
+// backpressure, and files their terminal answers.
+func runClient(httpc *http.Client, st *stats, cc clientConfig) {
+	cc.paced(func(int) {
 		req := server.LaunchRequest{
 			Client:    cc.id,
 			Benchmark: cc.benches[cc.rng.Intn(len(cc.benches))],
@@ -359,17 +381,11 @@ func runClient(httpc *http.Client, st *stats, cc clientConfig) {
 		if cc.deadline > 0 && cc.rng.Float64() < cc.dlShare {
 			req.DeadlineMS = int(cc.deadline / time.Millisecond)
 		}
-		launchOnce(httpc, st, cc, req)
-	}
-}
-
-// launchOnce submits one plain launch, absorbing 429 backpressure, and
-// files its terminal answer.
-func launchOnce(httpc *http.Client, st *stats, cc clientConfig, req server.LaunchRequest) {
-	s := post(httpc, st, cc, req, maxRetries)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.fileLocked(s)
+		s := post(httpc, st, cc, req, maxRetries)
+		st.mu.Lock()
+		st.fileLocked(s)
+		st.mu.Unlock()
+	})
 }
 
 // fileLocked files one terminal answer: a 200's sample, a 504 as a
@@ -447,30 +463,18 @@ func (sp modelSpec) String() string {
 // looks like a path (contains a separator or dot) loads a JSON graph
 // file; anything else must be a preset.
 func parseModelSpecs(s string) ([]modelSpec, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
 	var out []modelSpec
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
+	for _, f := range cli.SplitList(s) {
 		name, dl, hasDL := strings.Cut(f, ":")
-		sp := modelSpec{}
-		var g *model.Graph
-		var err error
+		load := model.ByName
 		if strings.ContainsAny(name, "/.") {
-			g, err = model.Load(name)
-		} else {
-			g, err = model.ByName(name)
+			load = model.Load
 		}
+		g, err := load(name)
 		if err != nil {
 			return nil, fmt.Errorf("model %q: %v", name, err)
 		}
-		sp.graph = g
-		sp.name = g.Name
+		sp := modelSpec{name: g.Name, graph: g}
 		if hasDL {
 			d, err := time.ParseDuration(dl)
 			if err != nil || d <= 0 {
@@ -524,21 +528,11 @@ func submitGraph(httpc *http.Client, st *stats, cc clientConfig, sp modelSpec, g
 // whole graph instance (closed loop by default; -rate paces iterations
 // open-loop), then folds the outcome into the per-model aggregates.
 func runGraphClient(httpc *http.Client, st *stats, cc clientConfig, sp modelSpec) {
-	var tick <-chan time.Time
-	if cc.rate > 0 {
-		t := time.NewTicker(time.Duration(float64(time.Second) / cc.rate))
-		defer t.Stop()
-		tick = t.C
-	}
-	for i := 0; i < cc.n; i++ {
-		if tick != nil {
-			<-tick
-		}
-		graphID := fmt.Sprintf("%s-g%04d", cc.id, i)
+	cc.paced(func(i int) {
 		begin := time.Now()
-		outs := submitGraph(httpc, st, cc, sp, graphID)
+		outs := submitGraph(httpc, st, cc, sp, fmt.Sprintf("%s-g%04d", cc.id, i))
 		st.noteGraph(sp.name, outs, time.Since(begin))
-	}
+	})
 }
 
 // noteGraph folds one graph instance's stage outcomes into the stats.
@@ -586,8 +580,7 @@ func modelLine(name string, a *modelAgg) string {
 		line += fmt.Sprintf("  slo=%d/%d", a.Stages.Attained, tracked)
 	}
 	if len(a.makespans) > 0 {
-		sorted := append([]time.Duration(nil), a.makespans...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		sorted := slices.Sorted(slices.Values(a.makespans))
 		line += fmt.Sprintf("  makespan p50=%v p99=%v",
 			metrics.Percentile(sorted, 0.50).Round(time.Microsecond),
 			metrics.Percentile(sorted, 0.99).Round(time.Microsecond))
@@ -613,13 +606,13 @@ func retryAfter(resp *http.Response, jitter *rand.Rand) time.Duration {
 // from the client's launch-mix source (seed+c), by complement.
 func jitterSource(seed int64, c int) *rand.Rand { return rand.New(rand.NewSource(^(seed + int64(c)))) }
 
-func report(st *stats, wall time.Duration) {
+func report(w io.Writer, st *stats, wall time.Duration) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	n := len(st.samples)
-	fmt.Printf("\nrequests:      ok=%d timeouts=%d errors=%d backpressure-429s=%d\n",
+	fmt.Fprintf(w, "\nrequests:      ok=%d timeouts=%d errors=%d backpressure-429s=%d\n",
 		n, st.timeouts, st.errors, st.retries.Load())
-	fmt.Printf("wall time:     %v   throughput %.1f launches/s\n",
+	fmt.Fprintf(w, "wall time:     %v   throughput %.1f launches/s\n",
 		wall.Round(time.Millisecond), float64(n)/wall.Seconds())
 	if n == 0 {
 		return
@@ -633,31 +626,26 @@ func report(st *stats, wall time.Duration) {
 	}
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	sort.Slice(turn, func(i, j int) bool { return turn[i] < turn[j] })
-	fmt.Printf("real latency:  p50=%v p90=%v p99=%v max=%v\n",
+	fmt.Fprintf(w, "real latency:  p50=%v p90=%v p99=%v max=%v\n",
 		metrics.Percentile(lat, 0.50).Round(time.Microsecond), metrics.Percentile(lat, 0.90).Round(time.Microsecond),
 		metrics.Percentile(lat, 0.99).Round(time.Microsecond), lat[n-1].Round(time.Microsecond))
-	fmt.Printf("virtual turn:  p50=%v p99=%v mean-wait=%v\n",
+	fmt.Fprintf(w, "virtual turn:  p50=%v p99=%v mean-wait=%v\n",
 		metrics.Percentile(turn, 0.50).Round(time.Microsecond), metrics.Percentile(turn, 0.99).Round(time.Microsecond),
 		(all.Waiting / time.Duration(n)).Round(time.Microsecond))
-	fmt.Printf("ANTT:          %.3f   preemptions=%d\n", all.ANTT(), all.Preemptions)
+	fmt.Fprintf(w, "ANTT:          %.3f   preemptions=%d\n", all.ANTT(), all.Preemptions)
 
 	// SLO attainment over the deadline-bearing completions (absent when
 	// the run was pure best-effort).
 	if tracked := all.Attained + all.Missed; tracked > 0 {
-		fmt.Printf("SLO:           attained=%d missed=%d rate=%.1f%% mean-margin=%v (virtual)\n",
+		fmt.Fprintf(w, "SLO:           attained=%d missed=%d rate=%.1f%% mean-margin=%v (virtual)\n",
 			all.Attained, all.Missed, 100*all.AttainRate(), all.MeanMargin().Round(time.Microsecond))
 	}
 
 	// Per-model breakdown when the run submitted kernel DAGs (-model).
 	if len(st.models) > 0 {
-		names := make([]string, 0, len(st.models))
-		for name := range st.models {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		fmt.Printf("per model:\n")
-		for _, name := range names {
-			fmt.Println(modelLine(name, st.models[name]))
+		fmt.Fprintf(w, "per model:\n")
+		for _, name := range slices.Sorted(maps.Keys(st.models)) {
+			fmt.Fprintln(w, modelLine(name, st.models[name]))
 		}
 	}
 
@@ -665,8 +653,8 @@ func report(st *stats, wall time.Duration) {
 	// the client side via the X-Flep-Node header (the metrics-delta report
 	// adds the server-side view of the same split), and per-shard
 	// breakdown when the daemon is a fleet.
-	writeGroups(os.Stdout, "per node", groupSamples(st.samples, func(s sample) string { return "node " + s.node }), wall)
-	writeGroups(os.Stdout, "per device", groupSamples(st.samples, func(s sample) string { return fmt.Sprintf("device %d", s.device) }), wall)
+	writeGroups(w, "per node", groupSamples(st.samples, func(s sample) string { return "node " + s.node }), wall)
+	writeGroups(w, "per device", groupSamples(st.samples, func(s sample) string { return fmt.Sprintf("device %d", s.device) }), wall)
 }
 
 // groupSamples folds the client-side samples by key.
@@ -748,13 +736,7 @@ func verifyExactlyOnce(addr string, st *stats, reconcile bool) error {
 	var sb server.Status
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		resp, err := http.Get(addr + "/v1/status")
-		if err != nil {
-			return fmt.Errorf("status: %w", err)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&sb)
-		resp.Body.Close()
-		if err != nil {
+		if err := getJSON(addr+"/v1/status", &sb); err != nil {
 			return fmt.Errorf("status: %w", err)
 		}
 		if sb.Counters.InFlight() == 0 {
@@ -823,14 +805,19 @@ func pickPriority(mix []prioShare, u float64) int {
 	return mix[len(mix)-1].prio
 }
 
-func discoverBenchmarks(addr string) ([]string, error) {
-	resp, err := http.Get(addr + "/v1/benchmarks")
+// getJSON decodes the answer to GET url into v.
+func getJSON(url string, v any) error {
+	resp, err := http.Get(url)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
+	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+func discoverBenchmarks(addr string) ([]string, error) {
 	var infos []server.BenchmarkInfo
-	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
+	if err := getJSON(addr+"/v1/benchmarks", &infos); err != nil {
 		return nil, err
 	}
 	out := make([]string, len(infos))
@@ -840,24 +827,9 @@ func discoverBenchmarks(addr string) ([]string, error) {
 	return out, nil
 }
 
-func splitCSV(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 func rateString(r float64) string {
 	if r <= 0 {
 		return "closed-loop"
 	}
 	return fmt.Sprintf("%.1f/s open-loop", r)
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "flepload: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -27,8 +27,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -36,76 +34,37 @@ import (
 	"strings"
 	"time"
 
+	"flep/internal/cli"
 	"flep/internal/flepruntime"
 	"flep/internal/replay"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// errUsage is a subcommand's answer to arguments that cannot describe a
-// run; it has already said why and printed its flags.
-var errUsage = errors.New("usage")
-
-// run is the command: 0 on success, 1 when the run fails, 2 with the usage
-// text when the arguments cannot describe a run.
 func run(args []string, stdout, stderr io.Writer) int {
-	cmds := map[string]func(c *command) error{"record": cmdRecord, "replay": cmdReplay, "whatif": cmdWhatIf}
-	name := ""
-	if len(args) > 0 {
-		name = args[0]
+	return cli.Run("flepreplay", args, stdout, stderr, dispatch)
+}
+
+// dispatch runs the subcommand the arguments name under its own flag set.
+func dispatch(c *cli.Command) error {
+	c.Usage = func() { fmt.Fprint(c.Stderr, usageText) }
+	cmds := map[string]func(c *cli.Command) error{"record": cmdRecord, "replay": cmdReplay, "whatif": cmdWhatIf}
+	if err := c.ParseArgs(); err != nil {
+		return err
 	}
-	switch name {
-	case "-h", "-help", "--help", "help":
-		fmt.Fprint(stderr, usageText)
-		return 0
+	args := c.Args()
+	if len(args) == 0 {
+		return c.Usagef("no subcommand")
 	}
-	if cmds[name] == nil {
-		if name != "" {
-			fmt.Fprintf(stderr, "flepreplay: unknown subcommand %q\n", name)
-		}
-		fmt.Fprint(stderr, usageText)
-		return 2
-	}
-	c := &command{FlagSet: flag.NewFlagSet("flepreplay "+name, flag.ContinueOnError), args: args[1:], stdout: stdout, stderr: stderr}
-	c.SetOutput(stderr)
-	switch err := cmds[name](c); {
-	case err == nil, errors.Is(err, flag.ErrHelp):
-		return 0
-	case errors.Is(err, errUsage):
-		return 2
+	switch name := args[0]; {
+	case name == "help":
+		c.Usage()
+		return nil
+	case cmds[name] == nil:
+		return c.Usagef("unknown subcommand %q", name)
 	default:
-		fmt.Fprintf(stderr, "flepreplay: %v\n", err)
-		return 1
+		return cmds[name](cli.New("flepreplay "+name, args[1:], c.Stdout, c.Stderr))
 	}
-}
-
-// command is one subcommand invocation: its flag set, the arguments to
-// parse and where to write.
-type command struct {
-	*flag.FlagSet
-	args           []string
-	stdout, stderr io.Writer
-}
-
-// parseArgs parses the flags the subcommand has declared; a flag error has
-// been reported by the flag set.
-func (c *command) parseArgs() error {
-	err := c.Parse(c.args)
-	if err != nil && !errors.Is(err, flag.ErrHelp) {
-		return errUsage
-	}
-	return err
-}
-
-// usagef reports arguments that parsed but cannot describe a run.
-func (c *command) usagef(format string, args ...any) error {
-	fmt.Fprintf(c.stderr, c.Name()+": "+format+"\n", args...)
-	c.Usage()
-	return errUsage
-}
-
-func (c *command) logf(format string, args ...any) {
-	fmt.Fprintf(c.stderr, "flepreplay: "+format+"\n", args...)
 }
 
 const usageText = `usage: flepreplay <subcommand> [flags]
@@ -121,13 +80,13 @@ run "flepreplay <subcommand> -h" for per-subcommand flags
 // cmdRecord synthesizes an open-loop multi-tenant trace. Live traces
 // come from flepd -record (daemon-side, step-exact) or flepload -record
 // (client-side, timed); this subcommand covers the no-daemon path.
-func cmdRecord(fs *command) error {
+func cmdRecord(fs *cli.Command) error {
 	var (
 		out  = fs.String("o", "mix.trace", "output trace path")
 		mix  = fs.String("mix", "", "tenant specs CLIENT:BENCH:CLASS:PRIO[:WEIGHT]:PERIOD:COUNT[:DEADLINE], comma-separated (empty = two-tenant demo)")
 		seed = fs.Int64("seed", 1, "arrival-jitter seed")
 	)
-	if err := fs.parseArgs(); err != nil {
+	if err := fs.ParseArgs(); err != nil {
 		return err
 	}
 
@@ -152,7 +111,7 @@ func cmdRecord(fs *command) error {
 	if err := t.WriteFile(*out); err != nil {
 		return err
 	}
-	fmt.Fprintf(fs.stdout, "flepreplay: wrote %d records (%d tenants, seed %d) to %s\n",
+	fmt.Fprintf(fs.Stdout, "flepreplay: wrote %d records (%d tenants, seed %d) to %s\n",
 		len(t.Records), len(tenants), *seed, *out)
 	return nil
 }
@@ -212,7 +171,7 @@ func parseMixSpecs(s string) ([]replay.MixTenant, error) {
 	return out, nil
 }
 
-func cmdReplay(fs *command) error {
+func cmdReplay(fs *cli.Command) error {
 	var (
 		tracePath  = fs.String("trace", "", "trace path (rotated segments path.N are merged in)")
 		policy     = fs.String("policy", "", "override policy: "+flepruntime.PolicyList()+" (empty = as recorded)")
@@ -226,11 +185,11 @@ func cmdReplay(fs *command) error {
 		saveModels = fs.String("save-models", "", "export the trained duration predictors to this path after the offline phase")
 		quiet      = fs.Bool("q", false, "suppress offline-phase progress")
 	)
-	if err := fs.parseArgs(); err != nil {
+	if err := fs.ParseArgs(); err != nil {
 		return err
 	}
 	if *tracePath == "" {
-		return fs.usagef("-trace is required")
+		return fs.Usagef("-trace is required")
 	}
 
 	rp, err := buildReplayer(fs, *tracePath, *models, *quiet)
@@ -242,7 +201,7 @@ func cmdReplay(fs *command) error {
 			return err
 		}
 		if !*quiet {
-			fs.logf("exported predictors to %s", *saveModels)
+			fmt.Fprintf(fs.Stderr, "flepreplay: exported predictors to %s\n", *saveModels)
 		}
 	}
 
@@ -253,14 +212,10 @@ func cmdReplay(fs *command) error {
 	if err != nil {
 		return err
 	}
-	if *jsonOut {
-		return writeJSON(fs.stdout, sum)
-	}
-	sum.RenderText(fs.stdout)
-	return nil
+	return render(fs.Stdout, *jsonOut, sum)
 }
 
-func cmdWhatIf(fs *command) error {
+func cmdWhatIf(fs *cli.Command) error {
 	var (
 		tracePath = fs.String("trace", "", "trace path (rotated segments path.N are merged in)")
 		policies  = fs.String("policies", "", "policies axis, comma-separated (empty = hpf,ffs,fifo, plus edf when the trace carries deadlines)")
@@ -272,26 +227,26 @@ func cmdWhatIf(fs *command) error {
 		models    = fs.String("models", "", "warm-start duration predictors from this export")
 		quiet     = fs.Bool("q", false, "suppress offline-phase progress")
 	)
-	if err := fs.parseArgs(); err != nil {
+	if err := fs.ParseArgs(); err != nil {
 		return err
 	}
 	if *tracePath == "" {
-		return fs.usagef("-trace is required")
+		return fs.Usagef("-trace is required")
 	}
 
-	m := replay.Matrix{Seed: *seed, Policies: splitCSV(*policies)}
+	m := replay.Matrix{Seed: *seed, Policies: cli.SplitList(*policies)}
 	var err error
 	if m.Devices, err = parseInts(*devices); err != nil {
-		return fs.usagef("-devices: %v", err)
+		return fs.Usagef("-devices: %v", err)
 	}
 	if m.Ls, err = parseInts(*ls); err != nil {
-		return fs.usagef("-L: %v", err)
+		return fs.Usagef("-L: %v", err)
 	}
 	if m.SpatialSMs, err = parseInts(*spas); err != nil {
-		return fs.usagef("-spa: %v", err)
+		return fs.Usagef("-spa: %v", err)
 	}
 	if err := m.Validate(); err != nil {
-		return fs.usagef("%v", err)
+		return fs.Usagef("%v", err)
 	}
 
 	rp, err := buildReplayer(fs, *tracePath, *models, *quiet)
@@ -302,23 +257,21 @@ func cmdWhatIf(fs *command) error {
 	if err != nil {
 		return err
 	}
-	if *jsonOut {
-		return writeJSON(fs.stdout, cmp)
-	}
-	cmp.RenderText(fs.stdout)
-	return nil
+	return render(fs.Stdout, *jsonOut, cmp)
 }
 
 // buildReplayer loads the trace (merging rotated segments) and runs the
 // offline phase, optionally warm-starting the predictors from an export.
-func buildReplayer(c *command, tracePath, modelsPath string, quiet bool) (*replay.Replayer, error) {
+func buildReplayer(c *cli.Command, tracePath, modelsPath string, quiet bool) (*replay.Replayer, error) {
 	t, err := replay.Load(tracePath)
 	if err != nil {
 		return nil, err
 	}
 	opts := replay.ReplayerOptions{}
 	if !quiet {
-		opts.Logf = c.logf
+		opts.Logf = func(format string, args ...any) {
+			fmt.Fprintf(c.Stderr, "flepreplay: "+format+"\n", args...)
+		}
 	}
 	if modelsPath != "" {
 		if opts.Models, err = replay.LoadModels(modelsPath); err != nil {
@@ -328,25 +281,20 @@ func buildReplayer(c *command, tracePath, modelsPath string, quiet bool) (*repla
 	return replay.NewReplayer(t, opts)
 }
 
-func writeJSON(w io.Writer, v any) error {
+// render writes v as indented JSON, or else as its text rendering.
+func render(w io.Writer, asJSON bool, v interface{ RenderText(io.Writer) }) error {
+	if !asJSON {
+		v.RenderText(w)
+		return nil
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(v)
 }
 
-func splitCSV(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 func parseInts(s string) ([]int, error) {
 	var out []int
-	for _, f := range splitCSV(s) {
+	for _, f := range cli.SplitList(s) {
 		n, err := strconv.Atoi(f)
 		if err != nil {
 			return nil, fmt.Errorf("bad int %q", f)

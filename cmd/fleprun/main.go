@@ -14,60 +14,65 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
+	"flep/internal/cli"
 	cl "flep/internal/cudalite"
 	"flep/internal/flepruntime"
 	"flep/internal/gpu"
 	"flep/internal/hostexec"
 )
 
-type hostFlag []string
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
 
-func (h *hostFlag) String() string     { return strings.Join(*h, ",") }
-func (h *hostFlag) Set(v string) error { *h = append(*h, v); return nil }
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	return cli.Run("fleprun", args, stdout, stderr, func(c *cli.Command) error { return fleprun(c, stdin) })
+}
 
-func main() {
-	var hosts hostFlag
-	flag.Var(&hosts, "host", "host function to run: FUNC[:PRIORITY[:DELAY_US[:async]]] (repeatable)")
-	n := flag.Int("n", 4096, "synthesized problem size (buffer elements / int args)")
-	spatial := flag.Bool("spatial", false, "enable spatial preemption")
-	policy := flag.String("policy", "hpf", "scheduling policy: "+flepruntime.PolicyList())
-	traceOut := flag.Bool("trace", false, "print the event trace")
-	flag.Parse()
+func fleprun(c *cli.Command, stdin io.Reader) error {
+	var hosts []string
+	c.Func("host", "host function to run: FUNC[:PRIORITY[:DELAY_US[:async]]] (repeatable)", func(v string) error {
+		hosts = append(hosts, v)
+		return nil
+	})
+	n := c.Int("n", 4096, "synthesized problem size (buffer elements / int args)")
+	spatial := c.Bool("spatial", false, "enable spatial preemption")
+	policy := c.String("policy", "hpf", "scheduling policy: "+flepruntime.PolicyList())
+	traceOut := c.Bool("trace", false, "print the event trace")
+	if err := c.ParseArgs(); err != nil {
+		return err
+	}
 
-	src, name := readSource(flag.Args())
+	src, name, err := cli.ReadSource(c.Args(), stdin)
+	if err != nil {
+		return err
+	}
 	prog, err := hostexec.Compile(src, gpu.DefaultParams())
 	if err != nil {
-		fatalf("%s: %v", name, err)
+		return fmt.Errorf("%s: %w", name, err)
 	}
-	fmt.Fprintf(os.Stderr, "fleprun: compiled %d kernel(s):\n", len(prog.Kernels))
-	knames := make([]string, 0, len(prog.Kernels))
-	for kname := range prog.Kernels {
-		knames = append(knames, kname)
-	}
-	sort.Strings(knames)
-	for _, kname := range knames {
+	fmt.Fprintf(c.Stderr, "fleprun: compiled %d kernel(s):\n", len(prog.Kernels))
+	for _, kname := range slices.Sorted(maps.Keys(prog.Kernels)) {
 		k := prog.Kernels[kname]
-		fmt.Fprintf(os.Stderr, "  %-12s occupancy %d CTAs/SM, est. task cost %v, tuned L=%d\n",
+		fmt.Fprintf(c.Stderr, "  %-12s occupancy %d CTAs/SM, est. task cost %v, tuned L=%d\n",
 			kname, k.Profile.CTAsPerSM, k.TaskCost, k.L)
 	}
 	if len(hosts) == 0 {
-		fatalf("no -host given; host functions in %s: %s", name, strings.Join(hostFuncs(prog), ", "))
+		return c.Usagef("no -host given; host functions in %s: %s", name, strings.Join(hostFuncs(prog), ", "))
 	}
 
 	procs := make([]hostexec.HostProc, 0, len(hosts))
 	for _, spec := range hosts {
 		proc, err := parseHost(prog, spec, *n)
 		if err != nil {
-			fatalf("%v", err)
+			return c.Usagef("%v", err)
 		}
 		procs = append(procs, proc)
 	}
@@ -76,22 +81,23 @@ func main() {
 		Policy: *policy, Spatial: *spatial, Trace: *traceOut,
 	}, procs...)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 
-	fmt.Printf("%-14s %-12s %-10s %12s %12s %12s %s\n",
+	fmt.Fprintf(c.Stdout, "%-14s %-12s %-10s %12s %12s %12s %s\n",
 		"proc", "kernel", "grid", "submit", "finish", "turnaround", "functional")
 	for _, r := range rep.Invocations {
-		fmt.Printf("%-14s %-12s %-10s %12v %12v %12v %v\n",
+		fmt.Fprintf(c.Stdout, "%-14s %-12s %-10s %12v %12v %12v %v\n",
 			r.Proc, r.Kernel, fmtDim(r.Grid),
 			r.SubmittedAt.Round(time.Microsecond), r.FinishedAt.Round(time.Microsecond),
 			r.Turnaround().Round(time.Microsecond), r.Functional)
 	}
-	fmt.Printf("\nmakespan %v\n", rep.Makespan.Round(time.Microsecond))
+	fmt.Fprintf(c.Stdout, "\nmakespan %v\n", rep.Makespan.Round(time.Microsecond))
 	if *traceOut && rep.Log != nil {
-		fmt.Println("\n--- event trace ---")
-		rep.Log.WriteText(os.Stdout)
+		fmt.Fprintln(c.Stdout, "\n--- event trace ---")
+		rep.Log.WriteText(c.Stdout)
 	}
+	return nil
 }
 
 func fmtDim(d cl.Dim3) string {
@@ -99,21 +105,6 @@ func fmtDim(d cl.Dim3) string {
 		return fmt.Sprintf("%dx%dx%d", d.X, d.Y, d.Z)
 	}
 	return strconv.Itoa(d.X)
-}
-
-func readSource(args []string) (src, name string) {
-	if len(args) == 0 {
-		data, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			fatalf("reading stdin: %v", err)
-		}
-		return string(data), "<stdin>"
-	}
-	data, err := os.ReadFile(args[0])
-	if err != nil {
-		fatalf("%v", err)
-	}
-	return string(data), args[0]
 }
 
 func hostFuncs(p *hostexec.Program) []string {
@@ -134,38 +125,34 @@ func parseHost(p *hostexec.Program, spec string, n int) (hostexec.HostProc, erro
 	if len(parts) > 1 {
 		prio, err := strconv.Atoi(parts[1])
 		if err != nil {
-			return proc, fmt.Errorf("fleprun: bad priority in %q", spec)
+			return proc, fmt.Errorf("bad priority in %q", spec)
 		}
 		proc.Priority = prio
 	}
 	if len(parts) > 2 {
 		us, err := strconv.Atoi(parts[2])
 		if err != nil {
-			return proc, fmt.Errorf("fleprun: bad delay in %q", spec)
+			return proc, fmt.Errorf("bad delay in %q", spec)
 		}
 		proc.At = time.Duration(us) * time.Microsecond
 	}
 	if len(parts) > 3 {
 		if parts[3] != "async" {
-			return proc, fmt.Errorf("fleprun: bad flag %q in %q", parts[3], spec)
+			return proc, fmt.Errorf("bad flag %q in %q", parts[3], spec)
 		}
 		proc.Async = true
 	}
 	fn := p.Original.Func(proc.Func)
 	if fn == nil || fn.Qual != cl.QualHost {
-		return proc, fmt.Errorf("fleprun: no host function %q (have: %s)", proc.Func, strings.Join(hostFuncs(p), ", "))
+		return proc, fmt.Errorf("no host function %q (have: %s)", proc.Func, strings.Join(hostFuncs(p), ", "))
 	}
-	args, err := synthesizeArgs(fn, n)
-	if err != nil {
-		return proc, err
-	}
-	proc.Args = args
+	proc.Args = synthesizeArgs(fn, n)
 	return proc, nil
 }
 
 // synthesizeArgs builds deterministic arguments matching the function's
 // parameter types.
-func synthesizeArgs(fn *cl.FuncDecl, n int) ([]cl.Value, error) {
+func synthesizeArgs(fn *cl.FuncDecl, n int) []cl.Value {
 	var args []cl.Value
 	for _, par := range fn.Params {
 		switch {
@@ -189,10 +176,5 @@ func synthesizeArgs(fn *cl.FuncDecl, n int) ([]cl.Value, error) {
 			args = append(args, cl.IntValue(int64(n)))
 		}
 	}
-	return args, nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "fleprun: "+format+"\n", args...)
-	os.Exit(1)
+	return args
 }

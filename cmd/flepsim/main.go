@@ -13,13 +13,14 @@
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 	"time"
 
+	"flep/internal/cli"
 	"flep/internal/core"
 	"flep/internal/gpu"
 	"flep/internal/kernels"
@@ -29,55 +30,47 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is the command: 0 on success, 1 when the run fails, 2 with the usage
-// text when the arguments cannot describe a run.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("flepsim", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	pair := fs.String("pair", "", "two benchmarks A,B (A = high priority / short)")
-	triplet := fs.String("triplet", "", "three benchmarks A,B,C (A large, B/C small)")
-	equal := fs.Bool("equal", false, "equal priority (SRT scheduling) instead of priorities")
-	spatial := fs.Bool("spatial", false, "spatial-preemption pair (A trivial input)")
-	ffs := fs.Bool("ffs", false, "FFS fairness policy with closed-loop clients")
-	horizon := fs.Duration("horizon", 200*time.Millisecond, "FFS run horizon (positive: closed-loop clients never finish on their own)")
-	traceOut := fs.Bool("trace", false, "print the device/runtime event trace")
-	gantt := fs.Bool("gantt", false, "print kernel residency spans")
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp { // returned bare
-			return 0
-		}
-		return 2
+	return cli.Run("flepsim", args, stdout, stderr, flepsim)
+}
+
+func flepsim(c *cli.Command) error {
+	pair := c.String("pair", "", "two benchmarks A,B (A = high priority / short)")
+	triplet := c.String("triplet", "", "three benchmarks A,B,C (A large, B/C small)")
+	equal := c.Bool("equal", false, "equal priority (SRT scheduling) instead of priorities")
+	spatial := c.Bool("spatial", false, "spatial-preemption pair (A trivial input)")
+	ffs := c.Bool("ffs", false, "FFS fairness policy with closed-loop clients")
+	horizon := c.Duration("horizon", 200*time.Millisecond, "FFS run horizon (positive: closed-loop clients never finish on their own)")
+	traceOut := c.Bool("trace", false, "print the device/runtime event trace")
+	gantt := c.Bool("gantt", false, "print kernel residency spans")
+	if err := c.ParseArgs(); err != nil {
+		return err
 	}
 	if *ffs && *horizon <= 0 {
-		fmt.Fprintf(stderr, "flepsim: -horizon %v: -ffs needs a positive horizon\n", *horizon)
-		fs.Usage()
-		return 2
-	}
-	fail := func(format string, args ...any) int {
-		fmt.Fprintf(stderr, "flepsim: "+format+"\n", args...)
-		return 1
+		return c.Usagef("-horizon %v: -ffs needs a positive horizon", *horizon)
 	}
 	sc, opt, err := buildScenario(*pair, *triplet, *equal, *spatial, *ffs, *horizon)
 	if err != nil {
-		return fail("%v", err)
+		return err
 	}
 	opt.Trace = *traceOut || *gantt
 
 	sys := core.NewSystem(gpu.DefaultParams())
-	fmt.Fprintln(stderr, "flepsim: running offline phase (scan, tune, train, profile)...")
+	fmt.Fprintln(c.Stderr, "flepsim: running offline phase (scan, tune, train, profile)...")
 	if err := sys.OfflineAll(); err != nil {
-		return fail("offline: %v", err)
+		return fmt.Errorf("offline: %w", err)
 	}
 
 	mps, err := sys.RunMPS(sc)
 	if err != nil {
-		return fail("MPS run: %v", err)
+		return fmt.Errorf("MPS run: %w", err)
 	}
 	res, err := sys.RunFLEP(sc, opt)
 	if err != nil {
-		return fail("FLEP run: %v", err)
+		return fmt.Errorf("FLEP run: %w", err)
 	}
 
+	stdout := c.Stdout
 	fmt.Fprintf(stdout, "scenario %s (policy %s)\n\n", sc.Name, policyName(opt))
 	if *ffs {
 		printFFS(stdout, sc, res)
@@ -94,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-6s SMs[%2d,%2d) %12v .. %12v\n", row.Kernel, row.SMLo, row.SMHi, row.Start, row.End)
 		}
 	}
-	return 0
+	return nil
 }
 
 func policyName(opt core.Options) string {
@@ -109,64 +102,43 @@ func policyName(opt core.Options) string {
 }
 
 func buildScenario(pair, triplet string, equal, spatial, ffs bool, horizon time.Duration) (workload.Scenario, core.Options, error) {
-	var opt core.Options
-	opt.Policy = "hpf"
+	opt := core.Options{Policy: "hpf", Spatial: spatial}
 	if ffs {
 		opt.Policy = "ffs"
 		opt.MaxOverhead = 0.10
 		opt.Weights = map[int]float64{2: 2, 1: 1}
 		opt.ShareWindow = 10 * time.Millisecond
 	}
-	if spatial {
-		opt.Spatial = true
+	list, want, form := pair, 2, "-pair wants A,B"
+	if triplet != "" {
+		list, want, form = triplet, 3, "-triplet wants A,B,C"
+	}
+	if list == "" {
+		return workload.Scenario{}, opt, fmt.Errorf("one of -pair or -triplet is required (benchmarks: %s)", strings.Join(kernels.Names(), ", "))
+	}
+	names := strings.Split(list, ",")
+	if len(names) != want {
+		return workload.Scenario{}, opt, errors.New(form)
+	}
+	b := make([]*kernels.Benchmark, want)
+	for i, name := range names {
+		var err error
+		if b[i], err = kernels.ByName(strings.TrimSpace(name)); err != nil {
+			return workload.Scenario{}, opt, err
+		}
 	}
 	switch {
 	case triplet != "":
-		names := strings.Split(triplet, ",")
-		if len(names) != 3 {
-			return workload.Scenario{}, opt, fmt.Errorf("-triplet wants A,B,C")
-		}
-		a, b, c, err := three(names)
-		if err != nil {
-			return workload.Scenario{}, opt, err
-		}
-		return workload.Triplet(a, b, c), opt, nil
-	case pair != "":
-		names := strings.Split(pair, ",")
-		if len(names) != 2 {
-			return workload.Scenario{}, opt, fmt.Errorf("-pair wants A,B")
-		}
-		a, err := kernels.ByName(strings.TrimSpace(names[0]))
-		if err != nil {
-			return workload.Scenario{}, opt, err
-		}
-		b, err := kernels.ByName(strings.TrimSpace(names[1]))
-		if err != nil {
-			return workload.Scenario{}, opt, err
-		}
-		switch {
-		case ffs:
-			return workload.FairPair(a, b, horizon), opt, nil
-		case spatial:
-			return workload.SpatialPair(a, b), opt, nil
-		case equal:
-			return workload.EqualPair(a, b), opt, nil
-		default:
-			return workload.PriorityPair(a, b, 0), opt, nil
-		}
+		return workload.Triplet(b[0], b[1], b[2]), opt, nil
+	case ffs:
+		return workload.FairPair(b[0], b[1], horizon), opt, nil
+	case spatial:
+		return workload.SpatialPair(b[0], b[1]), opt, nil
+	case equal:
+		return workload.EqualPair(b[0], b[1]), opt, nil
+	default:
+		return workload.PriorityPair(b[0], b[1], 0), opt, nil
 	}
-	return workload.Scenario{}, opt, fmt.Errorf("one of -pair or -triplet is required (benchmarks: %s)", strings.Join(kernels.Names(), ", "))
-}
-
-func three(names []string) (a, b, c *kernels.Benchmark, err error) {
-	if a, err = kernels.ByName(strings.TrimSpace(names[0])); err != nil {
-		return
-	}
-	if b, err = kernels.ByName(strings.TrimSpace(names[1])); err != nil {
-		return
-	}
-	c, err = kernels.ByName(strings.TrimSpace(names[2]))
-	return
 }
 
 func printComparison(w io.Writer, sc workload.Scenario, mps, flep *core.RunResult) {

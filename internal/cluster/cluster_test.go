@@ -900,6 +900,76 @@ func TestGraphStageRefusedAtHomeStaysHome(t *testing.T) {
 	}
 }
 
+// A graph stage is tried on its home alone. The home answering 503 (it
+// began draining after stage a ran there) ends the walk with the
+// gateway's own 503: walking on parked stage b on the other node, which
+// never saw stage a, until its timeout, and that node's 504 broke the
+// gateway ledger (gw_timed_out 1 against 0 enqueued).
+func TestGraphStageIsTriedOnlyOnItsHome(t *testing.T) {
+	f0, n0, _ := startNode(t, server.Config{})
+	f1, n1, _ := startNode(t, server.Config{})
+	// No probe after the first: the gateway learns of the drain from the
+	// home's 503, not from its health loop.
+	gw, ts := startGateway(t, Config{Nodes: []string{n0.URL, n1.URL}, HealthInterval: time.Hour})
+	stage := server.LaunchRequest{Client: "gc", Benchmark: "VA", Class: "trivial", TimeoutMS: 300,
+		Graph: "g", Stages: 2, Stage: "a"}
+	code, res, home := launchVia(t, ts.URL, stage)
+	if code != http.StatusOK {
+		t.Fatalf("stage a: code %d (%+v)", code, res)
+	}
+	homeFleet, other := f0, f1
+	if home == "n1" {
+		homeFleet, other = f1, f0
+	}
+	if err := homeFleet.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	stage.Stage, stage.After = "b", []string{"a"}
+	if code, res, node := launchVia(t, ts.URL, stage); code != http.StatusServiceUnavailable || node != "" {
+		t.Errorf("stage b: code %d from node %q (%+v), want the gateway's own 503", code, node, res)
+	}
+	if st := other.Status(); st.Counters.Enqueued != 0 || len(st.Models) != 0 {
+		t.Errorf("the node that is not the graph's home holds the stage: enqueued %d, models %+v", st.Counters.Enqueued, st.Models)
+	}
+	fleets := map[string]*server.Fleet{"n0": f0, "n1": f1}
+	for _, ns := range gw.Statuses() {
+		if ledger, enq := ns.Accepted+ns.Failed+ns.TimedOut, fleets[ns.ID].Status().Counters.Enqueued; ledger != enq {
+			t.Errorf("node %s: gateway ledger %d (accepted %d failed %d timed out %d) != enqueued %d",
+				ns.ID, ledger, ns.Accepted, ns.Failed, ns.TimedOut, enq)
+		}
+	}
+}
+
+// GET /v1/benchmarks relays the catalog of the first node that answers,
+// and answers 503 once none does.
+func TestGatewayBenchmarksRelaysFirstAnsweringNode(t *testing.T) {
+	_, n0, stop0 := startNode(t, server.Config{})
+	_, n1, stop1 := startNode(t, server.Config{})
+	_, gw := startGateway(t, Config{Nodes: []string{n0.URL, n1.URL}, HealthInterval: time.Hour})
+	var want []server.BenchmarkInfo
+	if err := getJSON(http.DefaultClient, n1.URL+"/v1/benchmarks", &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 2 || want[0].Name != "VA" && want[1].Name != "VA" {
+		t.Fatalf("node catalog %+v, want VA and MM", want)
+	}
+	stop0()
+	var got []server.BenchmarkInfo
+	if err := getJSON(http.DefaultClient, gw.URL+"/v1/benchmarks", &got); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("with n0 gone: catalog %+v (%v), want n1's %+v", got, err, want)
+	}
+	stop1()
+	resp, err := http.Get(gw.URL + "/v1/benchmarks")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("with no node answering: code %d, want 503", resp.StatusCode)
+	}
+}
+
 // TestClientCancelIsNotANodeFailure: a client that hangs up while its
 // launch waits in a paused node's queue fails the proxied request with it.
 // That says nothing about the node, so the gateway marks no node down and

@@ -112,15 +112,15 @@ func (g *Gateway) countTerminal(id string, code int) {
 }
 
 // handleLaunch proxies one launch with retry-with-exclusion: walk the
-// candidate list; transport failures mark the node down and move on (unless
-// the client hung up, which ends the walk with nothing marked), a
-// node's 429 is remembered (so an all-saturated cluster answers 429 with
-// the largest backend Retry-After rather than lying with a generic
-// retry hint) unless the launch is a graph stage, whose 429 is relayed,
-// and a 503 means the node started draining on its own. Any
-// terminal response (200/400/422/504) is relayed as-is plus an
-// X-Flep-Node header naming the serving node, so clients can attribute
-// per-node results and keep (node, device, id) identity unique.
+// candidate list (a graph stage's is its home alone); transport failures mark
+// the node down and move on (unless the client hung up, which ends the walk
+// with nothing marked), a node's 429 is remembered (so an all-saturated
+// cluster answers 429 with the largest backend Retry-After rather than lying
+// with a generic retry hint) unless the launch is a graph stage, whose 429 is
+// relayed, and a 503 means the node started draining on its own. Any terminal
+// response (200/400/422/504) is relayed as-is plus an X-Flep-Node header
+// naming the serving node, so clients can attribute per-node results and keep
+// (node, device, id) identity unique.
 func (g *Gateway) handleLaunch(w http.ResponseWriter, r *http.Request) {
 	g.met.Launches.Inc()
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -138,6 +138,12 @@ func (g *Gateway) handleLaunch(w http.ResponseWriter, r *http.Request) {
 	client := server.ResolveClient(r, req.Client)
 
 	cands := g.candidates(client, req)
+	if req.Graph != "" && len(cands) > 1 {
+		// A graph's stages meet in its home's dependency table, where a
+		// node that never saw the graph would park the stage until it timed
+		// out: the walk ends at the home.
+		cands = cands[:1]
+	}
 	tried := 0
 	sawSaturated := false
 	maxRetryAfter := 0
@@ -160,9 +166,8 @@ func (g *Gateway) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		switch code {
 		case http.StatusTooManyRequests:
 			if req.Graph != "" {
-				// A graph's stages meet in its home's dependency table: the
-				// home's refusal is the answer, since no other node has seen
-				// the graph.
+				// The graph's home refused the stage: its answer, hint
+				// included, is the gateway's.
 				break
 			}
 			sawSaturated = true
