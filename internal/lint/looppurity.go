@@ -52,7 +52,7 @@ var loopPurityPkgs = []string{
 // loop goroutine (documented as such in loop.go); they root the
 // reachability in the daemon package, where no sim callback literal
 // marks them.
-var serverLoopMethods = map[string]bool{"loop": true, "admit": true, "complete": true}
+var serverLoopMethods = map[string]bool{"loop": true, "admit": true, "complete": true, "depReport": true}
 
 // serverLoopRunners are the internal/server methods that hand a function
 // value to the loop goroutine: their func-typed arguments are roots.

@@ -506,10 +506,10 @@ func (s *Server) admitLaunch(req *LaunchRequest, client string) (*launchReq, out
 	}
 	if q.graph != "" {
 		// The failure also dooms the stage's descendants; the cascade runs
-		// before q is recycled because depStageFailed reads q's graph
-		// coordinates. ErrStopped needs nothing: the exited loop's final
-		// sweep (depDrainCancel) closed every graph.
-		_ = s.ctrl(func(*loopState) { s.depStageFailed(q) })
+		// before q is recycled because it reads q's graph coordinates.
+		// ErrStopped needs nothing: the exited loop's final sweep
+		// (Table.Drain) closed every graph.
+		_ = s.ctrl(func(*loopState) { s.deps.Fail(q.key(), q.stage) })
 	}
 	putLaunchReq(q) // the loop never saw it; safe to recycle now
 	switch {

@@ -8,6 +8,7 @@ import (
 	"flep/internal/core"
 	"flep/internal/flepruntime"
 	"flep/internal/metrics"
+	"flep/internal/model"
 	"flep/internal/replay"
 )
 
@@ -166,7 +167,7 @@ func (s *Server) ctrl(kind ctrlKind) error {
 
 // onLoop runs f on the loop goroutine, or here once the loop has exited:
 // by then nothing else touches loop-owned state, and the dependency table
-// is empty (depDrainCancel).
+// is empty (the loop drained it on exit).
 func (s *Server) onLoop(f func()) {
 	if s.ctrl(func(*loopState) { f() }) != nil {
 		f()
@@ -296,7 +297,7 @@ func (s *Server) loop() {
 			// Parked graph stages can never be released now — the engine is
 			// idle, the queue is empty, and admission is closed — so cancel
 			// them deterministically instead of leaving handlers to time out.
-			s.depDrainCancel()
+			s.deps.Drain("daemon draining")
 			return
 		}
 		s.wait(st)
@@ -401,7 +402,7 @@ func (s *Server) admit(q *launchReq) {
 		if q.graph != "" {
 			// A failed stage dooms its descendants: cancel parked dependents
 			// now so the graph's outcome is decided deterministically.
-			s.depStageFailed(q)
+			s.deps.Fail(q.key(), q.stage)
 		}
 		//flepvet:allow blockingsend -- q.done is per-request with capacity 1 (http.go) and sees exactly one send
 		q.done <- LaunchResult{
@@ -514,7 +515,10 @@ func (s *Server) complete(q *launchReq, fv *flepruntime.Invocation) {
 		// Fold the stage into its graph and collect newly-unblocked
 		// dependents before the handler learns the result, so a client that
 		// reacts instantly still observes its dependents as released.
-		s.depStageDone(q, &res, run)
+		sub, fin := time.Duration(res.SubmittedVirtualNS), time.Duration(res.FinishedVirtualNS)
+		if m, ok := s.deps.Done(q.key(), q.stage, sub, fin); ok {
+			s.countModel(depEvent{Kind: model.StageCompleted, Model: m}, &run)
+		}
 	}
 	//flepvet:allow blockingsend -- q.done is per-request with capacity 1 (http.go) and sees exactly one send
 	q.done <- res

@@ -3,6 +3,7 @@ package server
 import (
 	"io"
 
+	"flep/internal/model"
 	"flep/internal/obs"
 )
 
@@ -47,13 +48,13 @@ type serverMetrics struct {
 	// breakdown) can derive ANTT from metrics deltas alone.
 	NTT *obs.Histogram
 
-	// model is the model ledger (see deps.go), one series per modelEvent;
+	// model is the model ledger (see deps.go), one series per model.Kind;
 	// ModelSLOAttained/ModelSLOMissed mirror the verdicts of the completed
 	// stages. Only countModel moves them, with the model's
 	// /v1/status row, so the families reconcile exactly with the models
 	// block. Labels are compile-time literals; the per-model-name breakdown
 	// lives only in the bounded JSON models block.
-	model            [numModelEvents]*obs.Counter
+	model            [model.NumKinds]*obs.Counter
 	ModelSLOAttained *obs.Counter
 	ModelSLOMissed   *obs.Counter
 }
@@ -94,16 +95,16 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		return reg.Counter("flep_model_stages_total",
 			"Model graph stages by terminal outcome", "outcome", outcome) //flepvet:allow metriclabel -- outcome is one of the two compile-time literals below; cardinality is fixed
 	}
-	m.model[modelGraphStarted] = graphs("started")
-	m.model[modelGraphCompleted] = graphs("completed")
-	m.model[modelGraphCanceled] = graphs("canceled")
-	m.model[modelStageCompleted] = stages("completed")
-	m.model[modelStageCanceled] = stages("canceled")
-	m.model[modelStageParked] = reg.Counter("flep_model_stages_parked_total",
+	m.model[model.GraphStarted] = graphs("started")
+	m.model[model.GraphCompleted] = graphs("completed")
+	m.model[model.GraphCanceled] = graphs("canceled")
+	m.model[model.StageCompleted] = stages("completed")
+	m.model[model.StageCanceled] = stages("canceled")
+	m.model[model.StageParked] = reg.Counter("flep_model_stages_parked_total",
 		"Graph stages held in the pending-dependency table awaiting prerequisites")
-	m.model[modelStageReleased] = reg.Counter("flep_model_stages_released_total",
+	m.model[model.StageReleased] = reg.Counter("flep_model_stages_released_total",
 		"Parked graph stages admitted after their prerequisites completed")
-	m.model[modelGraphEvicted] = reg.Counter("flep_model_evictions_total",
+	m.model[model.GraphEvicted] = reg.Counter("flep_model_evictions_total",
 		"Stalled graphs evicted from the bounded pending-dependency table")
 	m.ModelSLOAttained = reg.Counter("flep_model_slo_attained_total",
 		"Deadline-bearing graph stages that finished within their budget")

@@ -29,6 +29,7 @@ import (
 	"flep/internal/gpu"
 	"flep/internal/kernels"
 	"flep/internal/metrics"
+	"flep/internal/model"
 	"flep/internal/obs"
 	"flep/internal/replay"
 	"flep/internal/trace"
@@ -341,13 +342,11 @@ type Server struct {
 	batch []*launchReq
 
 	// Pending-dependency table and per-model aggregates (see deps.go),
-	// owned by the loop goroutine. depReady holds the stages depStageDone
+	// owned by the loop goroutine. depReady holds the stages the table
 	// released until admitReleased admits them.
-	depGraphs map[depKey]*depGraph
-	depSeq    int64
-	depParked int
-	models    map[string]*metrics.GraphTally
-	depReady  []*launchReq
+	deps     *model.Table[*launchReq]
+	models   map[string]*metrics.GraphTally
+	depReady []*launchReq
 
 	mu        sync.Mutex
 	startReal time.Time
@@ -420,9 +419,9 @@ func newShard(sys *core.System, cfg Config, device, shards int) (*Server, error)
 		loopDone: make(chan struct{}),
 		sessions: map[string]*Session{},
 
-		depGraphs: map[depKey]*depGraph{},
-		models:    map[string]*metrics.GraphTally{},
+		models: map[string]*metrics.GraphTally{},
 	}
+	s.deps = model.NewTable(cfg.DepPending, cfg.DepGraphs, s.depReport)
 	for _, b := range benchs {
 		if sys.Artifacts(b.Name) == nil {
 			return nil, fmt.Errorf("server: system lacks offline artifacts for %s", b.Name)
