@@ -3,6 +3,8 @@ package replay
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -104,15 +106,14 @@ type TenantSummary struct {
 // models block.
 type ModelSummary struct {
 	Model string `json:"model"`
-	// Graphs counts distinct graph instances in the trace;
-	// GraphsCompleted those whose every recorded stage finished in the
-	// replay.
+	// Graphs counts the graph instances the replay's dependency table
+	// opened; GraphsCompleted those whose every recorded stage finished.
 	Graphs          int `json:"graphs"`
 	GraphsCompleted int `json:"graphs_completed"`
 	StagesCompleted int `json:"stages_completed"`
-	// StagesCanceled counts recorded stages that did not finish in the
-	// replay (zero on a faithful replay: the live daemon only records
-	// admitted stages, and admitted stages complete).
+	// StagesCanceled counts stages that failed in the replay or were
+	// canceled with a prerequisite (zero on a faithful replay: the live
+	// daemon only records admitted stages, and admitted stages complete).
 	StagesCanceled int `json:"stages_canceled,omitempty"`
 	SLOAttained    int `json:"slo_attained,omitempty"`
 	SLOMissed      int `json:"slo_missed,omitempty"`
@@ -128,26 +129,23 @@ type Divergence struct {
 	TePrediction  int64 `json:"te_prediction"`
 	StepShortfall int64 `json:"step_shortfall"`
 	Placement     int64 `json:"placement"`
-	// Dependency counts graph stages whose prerequisites could not be
-	// brought to completion before submission in timed mode (prerequisite
-	// missing from the trace or stuck).
+	// Dependency counts graph records the replay could not run as
+	// recorded: one naming a prerequisite absent from the trace (it runs
+	// without it), one canceled because a prerequisite failed or never
+	// finished, one the dependency table refused, and a record held behind
+	// a stage that never ran.
 	Dependency   int64 `json:"dependency,omitempty"`
 	SubmitErrors int64 `json:"submit_errors"`
 }
 
 func (rp *Replayer) summarize(cfg ReplayConfig, opt core.Options, mode string, devs []*devRun,
-	outcomes []*outcome, divTe, divStep, divPlacement, divDependency, submitErrors int64) *Summary {
+	outcomes []*outcome, models map[string]*metrics.GraphTally, div Divergence) *Summary {
 	sum := &Summary{
 		Mode: mode, Policy: opt.Policy, Devices: len(devs),
 		Spatial: opt.Spatial, SpatialSMs: opt.SpatialSMs,
 		LOverride: cfg.L, Seed: cfg.Seed,
 		Records: len(rp.trace.Records), Completed: len(outcomes),
-		SubmitErrors: submitErrors,
-		Divergence: Divergence{
-			TePrediction: divTe, StepShortfall: divStep,
-			Placement: divPlacement, Dependency: divDependency,
-			SubmitErrors: submitErrors,
-		},
+		SubmitErrors: div.SubmitErrors, Divergence: div,
 	}
 
 	var all metrics.Tally
@@ -231,7 +229,7 @@ func (rp *Replayer) summarize(cfg ReplayConfig, opt core.Options, mode string, d
 	}
 	sum.Fairness = metrics.Jain(slowdowns)
 
-	sum.Models = rp.modelRows(outcomes)
+	sum.Models = modelRows(models)
 
 	// Drain latencies across all shards, exact percentiles.
 	var drains []time.Duration
@@ -245,73 +243,16 @@ func (rp *Replayer) summarize(cfg ReplayConfig, opt core.Options, mode string, d
 	return sum
 }
 
-// modelRows aggregates graph-bearing records and outcomes into per-model
-// rows (nil when the trace has none), each rendered from a
-// metrics.GraphTally as the recording daemon's models block is. A graph
-// instance is keyed by (client, graph id), matching the daemon's
-// dependency table.
-func (rp *Replayer) modelRows(outcomes []*outcome) []ModelSummary {
-	type graphAgg struct {
-		tally               *metrics.GraphTally // its model's
-		recorded, completed int
-		first, last         time.Duration
-	}
-	type graphKey struct{ client, graph string }
-	graphs := map[graphKey]*graphAgg{}
-	tallies := map[string]*metrics.GraphTally{}
-	for i := range rp.trace.Records {
-		rec := &rp.trace.Records[i]
-		if rec.GraphID == "" {
-			continue
-		}
-		k := graphKey{rec.Client, rec.GraphID}
-		g := graphs[k]
-		if g == nil {
-			model := rec.Model
-			if model == "" {
-				model = "default"
-			}
-			t := tallies[model]
-			if t == nil {
-				t = &metrics.GraphTally{}
-				tallies[model] = t
-			}
-			t.Started++
-			g = &graphAgg{tally: t}
-			graphs[k] = g
-		}
-		g.recorded++
-	}
-	if len(graphs) == 0 {
+// modelRows renders the per-model tallies of a run's dependency table,
+// sorted by name (nil when the trace has no graph records), as the
+// recording daemon's models block renders its own.
+func modelRows(models map[string]*metrics.GraphTally) []ModelSummary {
+	if len(models) == 0 {
 		return nil
 	}
-	for _, o := range outcomes {
-		g := graphs[graphKey{o.rec.Client, o.rec.GraphID}]
-		if g == nil {
-			continue
-		}
-		submitted := o.finishedAt - o.run.Turnaround
-		if g.completed == 0 || submitted < g.first {
-			g.first = submitted
-		}
-		if o.finishedAt > g.last {
-			g.last = o.finishedAt
-		}
-		g.completed++
-		g.tally.Stages.Add(o.run)
-	}
-	for _, g := range graphs {
-		g.tally.StagesCanceled += int64(g.recorded - g.completed)
-		g.tally.Close(g.completed == g.recorded, g.last-g.first)
-	}
-	names := make([]string, 0, len(tallies))
-	for n := range tallies {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]ModelSummary, 0, len(names))
-	for _, n := range names {
-		t := tallies[n]
+	out := make([]ModelSummary, 0, len(models))
+	for _, n := range slices.Sorted(maps.Keys(models)) {
+		t := models[n]
 		out = append(out, ModelSummary{
 			Model: n, Graphs: int(t.Started), GraphsCompleted: int(t.Completed),
 			StagesCompleted: int(t.Stages.Completed), StagesCanceled: int(t.StagesCanceled),

@@ -258,6 +258,12 @@ func (e *Engine) Run() time.Duration {
 	return e.now
 }
 
+// StepUntil fires the earliest pending event if its time is ≤ deadline,
+// reporting whether one fired.
+func (e *Engine) StepUntil(deadline time.Duration) bool {
+	return len(e.queue) > 0 && e.queue[0].when <= deadline && e.Step()
+}
+
 // RunUntil fires events with time ≤ deadline, then sets the clock to
 // deadline (if it is ahead of the last fired event). It returns the clock.
 func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
@@ -266,8 +272,7 @@ func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.queue) > 0 && e.queue[0].when <= deadline {
-		e.Step()
+	for e.StepUntil(deadline) {
 	}
 	if e.now < deadline {
 		e.now = deadline
