@@ -426,7 +426,7 @@ func post(httpc *http.Client, st *stats, cc clientConfig, req server.LaunchReque
 		switch {
 		case s.status == http.StatusTooManyRequests && attempt < maxRetry:
 			st.retries.Add(1)
-			time.Sleep(retryAfter(resp, cc.jitter))
+			sleep(retryAfter(resp, cc.jitter))
 			continue
 		case s.status == http.StatusOK && decErr != nil:
 			s.status = 0
@@ -587,6 +587,10 @@ func modelLine(name string, a *modelAgg) string {
 	}
 	return line
 }
+
+// sleep is how a refused client waits out its retry delay; a test of the
+// retry path swaps it out.
+var sleep = time.Sleep
 
 // retryAfter is how long a refused client waits before resubmitting: a
 // twentieth of the server's Retry-After hint (an upper bound for a lone

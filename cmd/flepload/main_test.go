@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -188,6 +189,11 @@ func TestAnswersAreFiledOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	stages := int64(len(diamond.Stages))
+	// The 429 row's retries wait the 50 ms default each (the stub's hint is
+	// not delay-seconds); count the waits instead of sleeping them.
+	var waits atomic.Int64
+	sleep = func(time.Duration) { waits.Add(1) }
+	t.Cleanup(func() { sleep = time.Sleep })
 	type tally struct{ ok, timeouts, errors, shed, canceled, retries int64 }
 	for _, tc := range []struct {
 		status       int // 0: a 200 whose body does not decode
@@ -212,6 +218,7 @@ func TestAnswersAreFiledOnce(t *testing.T) {
 		for _, graph := range []bool{false, true} {
 			st := &stats{models: map[string]*modelAgg{}}
 			want, agg := tc.plain, &modelAgg{}
+			waits.Store(0)
 			if graph {
 				want = tc.graph
 				runGraphClient(ts.Client(), st, cc, modelSpec{name: "diamond", graph: diamond})
@@ -220,8 +227,8 @@ func TestAnswersAreFiledOnce(t *testing.T) {
 				runClient(ts.Client(), st, cc)
 			}
 			got := tally{int64(len(st.samples)), st.timeouts, st.errors, agg.stagesShed, agg.StagesCanceled, st.retries.Load()}
-			if got != want {
-				t.Errorf("status %d, graph %v: filed %+v, want %+v", tc.status, graph, got, want)
+			if got != want || waits.Load() != want.retries {
+				t.Errorf("status %d, graph %v: filed %+v after %d waits, want %+v", tc.status, graph, got, waits.Load(), want)
 			}
 		}
 		ts.Close()
