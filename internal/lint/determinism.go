@@ -10,16 +10,18 @@ import (
 
 // deterministicPkgs are the packages whose outputs must be a pure
 // function of (trace, config, seed): everything a replay Summary or a
-// what-if cell is computed from, and the interpreter and host sessions
-// whose data tests compare bit for bit. A wall-clock read or a global-rand
-// draw anywhere in here can silently break the byte-identical replay
-// contract, so those calls are banned outright; the server/daemon
-// boundary (cmd/, internal/server) stays free to read real time.
+// what-if cell is computed from, the dependency table included, and the
+// interpreter and host sessions whose data tests compare bit for bit. A
+// wall-clock read or a global-rand draw anywhere in here can silently
+// break the byte-identical replay contract, so those calls are banned
+// outright; the server/daemon boundary (cmd/, internal/server) stays free
+// to read real time.
 var deterministicPkgs = []string{
 	"flep/internal/core",
 	"flep/internal/cudalite",
 	"flep/internal/gpu",
 	"flep/internal/hostexec",
+	"flep/internal/model",
 	"flep/internal/sim",
 	"flep/internal/flepruntime",
 	"flep/internal/perfmodel",
