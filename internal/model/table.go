@@ -203,24 +203,48 @@ func (t *Table[V]) Admit(k Key, sp Spec, v V) (Verdict, error) {
 	st := &stage[V]{after: sp.After}
 	g.stages[sp.Stage] = st
 	g.order = append(g.order, sp.Stage)
+	verdict, err := Ready, error(nil)
 	switch {
 	case anyBad:
 		st.state = canceled
 		g.terminal++
 		g.failed = true
 		t.emit(StageCanceled, g)
-		t.closeIfDone(g)
-		return Canceled, fmt.Errorf("canceled: prerequisite %q of stage %q did not complete", badDep, sp.Stage)
+		verdict, err = Canceled, fmt.Errorf("canceled: prerequisite %q of stage %q did not complete", badDep, sp.Stage)
 	case allDone:
 		st.state = live
 		g.inflight++
-		return Ready, nil
+	default:
+		st.state, st.v = parked, v
+		g.parked++
+		t.parked++
+		t.emit(StageParked, g)
+		verdict = Parked
 	}
-	st.state, st.v = parked, v
-	g.parked++
-	t.parked++
-	t.emit(StageParked, g)
-	return Parked, nil
+	if len(g.stages) == g.declared {
+		t.cancelUnreachable(g)
+	}
+	t.closeIfDone(g)
+	return verdict, err
+}
+
+// cancelUnreachable runs when a graph's last declared slot fills: a parked
+// stage waiting on a name that never registered can never run, so it is
+// canceled, and so is every parked stage that depends on it. The stage
+// that filled the slot may be one of them; Admit still says Parked, and
+// its cancel is reported like any parked stage's.
+func (t *Table[V]) cancelUnreachable(g *graph[V]) {
+	for _, n := range g.order {
+		d := g.stages[n]
+		if d.state != parked {
+			continue
+		}
+		if i := slices.IndexFunc(d.after, func(dep string) bool { return g.stages[dep] == nil }); i >= 0 {
+			t.cancelParked(g, d, fmt.Sprintf("prerequisite %q can never exist: graph %q has all %d declared stages",
+				d.after[i], g.key.Graph, g.declared))
+			t.cascade(g, fmt.Sprintf("prerequisite %q was canceled", n))
+		}
+	}
 }
 
 // cycleThrough returns the stage a new stage with these prerequisites
@@ -310,9 +334,8 @@ next:
 }
 
 // Fail marks a live stage that reached admission but was rejected, and
-// cancels every parked stage depending on a failed or canceled one; passes
-// over the registration order repeat to a fixpoint, so a deep chain
-// cancels in one call whatever its declaration order.
+// cancels every parked stage that depends on it, directly or through a
+// canceled one.
 func (t *Table[V]) Fail(k Key, name string) {
 	g, st := t.live(k, name)
 	if st == nil {
@@ -323,7 +346,15 @@ func (t *Table[V]) Fail(k Key, name string) {
 	g.terminal++
 	g.failed = true
 	t.emit(StageCanceled, g)
-	reason := fmt.Sprintf("prerequisite %q failed", name)
+	t.cascade(g, fmt.Sprintf("prerequisite %q failed", name))
+	t.closeIfDone(g)
+}
+
+// cascade cancels, with reason, every parked stage depending on a failed
+// or canceled one; passes over the registration order repeat to a
+// fixpoint, so a deep chain cancels in one call whatever its declaration
+// order.
+func (t *Table[V]) cascade(g *graph[V], reason string) {
 	for changed := true; changed; {
 		changed = false
 		for _, n := range g.order {
@@ -336,7 +367,6 @@ func (t *Table[V]) Fail(k Key, name string) {
 			}
 		}
 	}
-	t.closeIfDone(g)
 }
 
 // cancelParked is the one way a parked stage is canceled: its value comes

@@ -218,3 +218,46 @@ func TestTableDrain(t *testing.T) {
 		t.Fatalf("ParkedByModel = %v", p)
 	}
 }
+
+// A stage parked on a name that never registers is canceled when the
+// graph's last declared slot fills, and so is every parked stage that
+// depends on it; the graph then closes once its live stages finish.
+func TestTableCancelsStagesParkedOnANameThatNeverArrives(t *testing.T) {
+	lt := newLogTable(8, 8)
+	if v := lt.admit(t, "g", 4, "s1", "zz"); v != Parked {
+		t.Fatalf("s1 after zz: %v, want Parked", v)
+	}
+	lt.admit(t, "g", 4, "s2", "s1")
+	lt.admit(t, "g", 4, "s3")
+	lt.take()
+	if v := lt.admit(t, "g", 4, "s4"); v != Ready {
+		t.Fatalf("s4: %v, want Ready", v)
+	}
+	wantLog(t, "the last slot fills", lt.take(),
+		`stage-canceled m s1: prerequisite "zz" can never exist: graph "g" has all 4 declared stages`,
+		`stage-canceled m s2: prerequisite "s1" was canceled`)
+	if lt.Parked() != 0 || lt.Graphs() != 1 {
+		t.Fatalf("after the last slot filled: parked %d graphs %d, want 0 and 1", lt.Parked(), lt.Graphs())
+	}
+	lt.Done(Key{"c", "g"}, "s3", 0, 1)
+	lt.Done(Key{"c", "g"}, "s4", 0, 1)
+	wantLog(t, "s3 and s4 done", lt.take(), "graph-canceled m")
+	if lt.Graphs() != 0 {
+		t.Fatalf("graphs %d after every stage is terminal", lt.Graphs())
+	}
+
+	// The stage that fills the last slot may itself depend on a doomed
+	// one: Admit parks it, and the same call reports its cancel.
+	lt.admit(t, "h", 2, "a", "zz")
+	lt.take()
+	if v := lt.admit(t, "h", 2, "b", "a"); v != Parked {
+		t.Fatalf("b after a: %v, want Parked", v)
+	}
+	wantLog(t, "b fills h", lt.take(), "stage-parked m",
+		`stage-canceled m a: prerequisite "zz" can never exist: graph "h" has all 2 declared stages`,
+		`stage-canceled m b: prerequisite "a" was canceled`,
+		"graph-canceled m")
+	if lt.Parked() != 0 || lt.Graphs() != 0 {
+		t.Fatalf("after h closed: parked %d graphs %d", lt.Parked(), lt.Graphs())
+	}
+}

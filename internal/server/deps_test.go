@@ -375,3 +375,44 @@ func TestModelDepTableBoundsAndEviction(t *testing.T) {
 		t.Fatalf("rejected_dep_table_full = %v, want 2", got)
 	}
 }
+
+// A stage parked on a prerequisite that never registers is answered 409
+// the moment its graph's last declared slot fills, not left to wait out
+// its timeout (504); the graph then closes as canceled.
+func TestModelGraphStageParkedOnAMissingNameIsCanceled(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+
+	base := LaunchRequest{Client: "dag3", Graph: "g", Stages: 3, Model: "orphan", Benchmark: "VA"}
+	orphan := base
+	orphan.Stage, orphan.After, orphan.TimeoutMS = "s1", []string{"zz"}, 5000
+	orphanCh := postAsync(ts.URL, orphan)
+	waitFor(t, "s1 parked", func() bool { return s.depParkedCount() == 1 })
+	for _, name := range []string{"s2", "s3"} {
+		req := base
+		req.Stage = name
+		if code, res := launch(t, ts.URL, req); code != http.StatusOK {
+			t.Fatalf("%s: code %d, %+v", name, code, res)
+		}
+	}
+	r := <-orphanCh
+	if r.err != nil || r.code != http.StatusConflict {
+		t.Fatalf("s1: code %d err %v (%+v), want 409", r.code, r.err, r.res)
+	}
+	if !strings.Contains(r.res.Canceled, `prerequisite "zz" can never exist`) {
+		t.Fatalf("s1 canceled for the wrong reason: %q", r.res.Canceled)
+	}
+
+	waitFor(t, "graph retired", func() bool { return s.depGraphCount() == 0 })
+	st := getStatus(t, ts.URL)
+	if st.Counters.Enqueued != 2 || st.Counters.Completed != 2 || st.Counters.DepCanceled != 1 || !st.ExactlyOnceOK {
+		t.Fatalf("ledger: %+v", st.Counters)
+	}
+	row, ok := modelRow(st, "orphan")
+	if !ok {
+		t.Fatalf("no orphan row: %+v", st.Models)
+	}
+	if row.GraphsStarted != 1 || row.GraphsCanceled != 1 || row.GraphsCompleted != 0 ||
+		row.StagesCompleted != 2 || row.StagesCanceled != 1 || row.StagesParked != 0 {
+		t.Fatalf("orphan row = %+v", row)
+	}
+}
