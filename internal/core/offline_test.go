@@ -89,7 +89,7 @@ func TestTrainingFeaturesArePredictFeatures(t *testing.T) {
 				t.Fatalf("%s sample %d: trained on %+v, Predict sees %+v", b.Name, i, smp.F, want)
 			}
 		}
-		if mean := a.Model.State().Mean[3]; mean != float64(a.Resources.StaticSharedBytes) {
+		if mean := modelParams(t, a.Model).Mean[3]; mean != float64(a.Resources.StaticSharedBytes) {
 			t.Errorf("%s: model trained on %v shared bytes, the kernel declares %d",
 				b.Name, mean, a.Resources.StaticSharedBytes)
 		}
