@@ -12,7 +12,6 @@
 //	flepreplay record -o slo.trace -mix "lc:VA:small:1::2ms:40:10ms,batch:CFD:large:2::8ms:10"
 //	flepreplay replay -trace run.trace
 //	flepreplay replay -trace run.trace -policy ffs -devices 2 -json
-//	flepreplay replay -trace run.trace -save-models models.json
 //	flepreplay whatif -trace mix.trace -policies hpf,ffs,fifo -L 0,4,16
 //	flepreplay whatif -trace slo.trace -policies edf,hpf
 //
@@ -173,17 +172,15 @@ func parseMixSpecs(s string) ([]replay.MixTenant, error) {
 
 func cmdReplay(fs *cli.Command) error {
 	var (
-		tracePath  = fs.String("trace", "", "trace path (rotated segments path.N are merged in)")
-		policy     = fs.String("policy", "", "override policy: "+flepruntime.PolicyList()+" (empty = as recorded)")
-		devices    = fs.Int("devices", 0, "override device count (0 = as recorded)")
-		lOverride  = fs.Int("L", 0, "override the amortizing factor for every kernel (0 = tuned)")
-		spa        = fs.Int("spa", 0, "spatial preemption: >0 enables with that many yielded SMs, -1 forces off, 0 = as recorded")
-		maxOver    = fs.Float64("max-overhead", 0, "override the FFS overhead budget (0 = as recorded)")
-		seed       = fs.Int64("seed", 1, "placement tie-break seed")
-		jsonOut    = fs.Bool("json", false, "emit the summary as JSON instead of text")
-		models     = fs.String("models", "", "warm-start duration predictors from this export (see -save-models)")
-		saveModels = fs.String("save-models", "", "export the trained duration predictors to this path after the offline phase")
-		quiet      = fs.Bool("q", false, "suppress offline-phase progress")
+		tracePath = fs.String("trace", "", "trace path (rotated segments path.N are merged in)")
+		policy    = fs.String("policy", "", "override policy: "+flepruntime.PolicyList()+" (empty = as recorded)")
+		devices   = fs.Int("devices", 0, "override device count (0 = as recorded)")
+		lOverride = fs.Int("L", 0, "override the amortizing factor for every kernel (0 = tuned)")
+		spa       = fs.Int("spa", 0, "spatial preemption: >0 enables with that many yielded SMs, -1 forces off, 0 = as recorded")
+		maxOver   = fs.Float64("max-overhead", 0, "override the FFS overhead budget (0 = as recorded)")
+		seed      = fs.Int64("seed", 1, "placement tie-break seed")
+		jsonOut   = fs.Bool("json", false, "emit the summary as JSON instead of text")
+		quiet     = fs.Bool("q", false, "suppress offline-phase progress")
 	)
 	if err := fs.ParseArgs(); err != nil {
 		return err
@@ -192,17 +189,9 @@ func cmdReplay(fs *cli.Command) error {
 		return fs.Usagef("-trace is required")
 	}
 
-	rp, err := buildReplayer(fs, *tracePath, *models, *quiet)
+	rp, err := buildReplayer(fs, *tracePath, *quiet)
 	if err != nil {
 		return err
-	}
-	if *saveModels != "" {
-		if err := replay.SaveModels(*saveModels, rp.System(), rp.Trace().Benchmarks()); err != nil {
-			return err
-		}
-		if !*quiet {
-			fmt.Fprintf(fs.Stderr, "flepreplay: exported predictors to %s\n", *saveModels)
-		}
 	}
 
 	sum, err := rp.Run(replay.ReplayConfig{
@@ -224,7 +213,6 @@ func cmdWhatIf(fs *cli.Command) error {
 		spas      = fs.String("spa", "", "spatial axis, comma-separated ints (>0 = yielded SMs, -1 = off, 0 = as recorded)")
 		seed      = fs.Int64("seed", 1, "placement tie-break seed for every cell")
 		jsonOut   = fs.Bool("json", false, "emit the comparison as JSON instead of text")
-		models    = fs.String("models", "", "warm-start duration predictors from this export")
 		quiet     = fs.Bool("q", false, "suppress offline-phase progress")
 	)
 	if err := fs.ParseArgs(); err != nil {
@@ -249,7 +237,7 @@ func cmdWhatIf(fs *cli.Command) error {
 		return fs.Usagef("%v", err)
 	}
 
-	rp, err := buildReplayer(fs, *tracePath, *models, *quiet)
+	rp, err := buildReplayer(fs, *tracePath, *quiet)
 	if err != nil {
 		return err
 	}
@@ -261,8 +249,8 @@ func cmdWhatIf(fs *cli.Command) error {
 }
 
 // buildReplayer loads the trace (merging rotated segments) and runs the
-// offline phase, optionally warm-starting the predictors from an export.
-func buildReplayer(c *cli.Command, tracePath, modelsPath string, quiet bool) (*replay.Replayer, error) {
+// offline phase.
+func buildReplayer(c *cli.Command, tracePath string, quiet bool) (*replay.Replayer, error) {
 	t, err := replay.Load(tracePath)
 	if err != nil {
 		return nil, err
@@ -271,11 +259,6 @@ func buildReplayer(c *cli.Command, tracePath, modelsPath string, quiet bool) (*r
 	if !quiet {
 		opts.Logf = func(format string, args ...any) {
 			fmt.Fprintf(c.Stderr, "flepreplay: "+format+"\n", args...)
-		}
-	}
-	if modelsPath != "" {
-		if opts.Models, err = replay.LoadModels(modelsPath); err != nil {
-			return nil, err
 		}
 	}
 	return replay.NewReplayer(t, opts)

@@ -5,7 +5,6 @@
 package perfmodel
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"time"
@@ -173,64 +172,4 @@ func solve(a [][]float64, b []float64) ([]float64, error) {
 		x[r] = sum / a[r][r]
 	}
 	return x, nil
-}
-
-// State is the serializable form of a trained Model: the standardized
-// weights, intercept, and feature standardization. A Model round-trips
-// exactly through State — FromState(m.State()) predicts bit-identically
-// to m — so a replayer can start from the live system's warmed predictor
-// instead of re-training from scratch.
-type State struct {
-	Weights   []float64 `json:"weights"`
-	Intercept float64   `json:"intercept"`
-	Mean      []float64 `json:"mean"`
-	Std       []float64 `json:"std"`
-}
-
-// State exports the model's parameters.
-func (m *Model) State() State {
-	return State{
-		Weights:   append([]float64(nil), m.weights...),
-		Intercept: m.intercept,
-		Mean:      append([]float64(nil), m.mean...),
-		Std:       append([]float64(nil), m.std...),
-	}
-}
-
-// FromState reconstructs a Model from exported parameters, validating
-// that the dimensions are consistent.
-func FromState(st State) (*Model, error) {
-	d := len(st.Weights)
-	if d == 0 || len(st.Mean) != d || len(st.Std) != d {
-		return nil, fmt.Errorf("perfmodel: inconsistent state dimensions (weights=%d mean=%d std=%d)",
-			len(st.Weights), len(st.Mean), len(st.Std))
-	}
-	for j, s := range st.Std {
-		if s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
-			return nil, fmt.Errorf("perfmodel: bad std[%d] = %v", j, s)
-		}
-	}
-	return &Model{
-		weights:   append([]float64(nil), st.Weights...),
-		intercept: st.Intercept,
-		mean:      append([]float64(nil), st.Mean...),
-		std:       append([]float64(nil), st.Std...),
-	}, nil
-}
-
-// MarshalJSON serializes the model via its State.
-func (m *Model) MarshalJSON() ([]byte, error) { return json.Marshal(m.State()) }
-
-// UnmarshalJSON restores the model from its State form.
-func (m *Model) UnmarshalJSON(b []byte) error {
-	var st State
-	if err := json.Unmarshal(b, &st); err != nil {
-		return err
-	}
-	restored, err := FromState(st)
-	if err != nil {
-		return err
-	}
-	*m = *restored
-	return nil
 }

@@ -1,7 +1,6 @@
 package perfmodel
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -224,77 +223,5 @@ func TestOverheadProfileMean(t *testing.T) {
 	got := o.Mean()
 	if got < 25*time.Microsecond || got > 26*time.Microsecond {
 		t.Fatalf("mean = %v, want ~%v", got, want)
-	}
-}
-
-// A model round-trips through State (and its JSON form) bit-identically:
-// every prediction of the restored model equals the original's exactly.
-// This is what lets a replayer warmed from a live daemon's export
-// reproduce the live Te estimates with zero divergence.
-func TestStateRoundTripBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var samples []Sample
-	for i := 0; i < 60; i++ {
-		g := float64(rng.Intn(500_000) + 64)
-		samples = append(samples, Sample{
-			F:        Features{GridSize: g, CTASize: 128, InputBytes: g * 4096, SharedBytes: float64(rng.Intn(4)) * 1024},
-			Duration: secs(3e-9*g + 2e-6),
-		})
-	}
-	m, err := Train(samples, DefaultLambda)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	back, err := FromState(m.State())
-	if err != nil {
-		t.Fatalf("FromState: %v", err)
-	}
-	b, err := json.Marshal(m)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var viaJSON Model
-	if err := json.Unmarshal(b, &viaJSON); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	for i := 0; i < 200; i++ {
-		f := Features{
-			GridSize:    float64(rng.Intn(2_000_000) + 1),
-			CTASize:     float64(32 * (rng.Intn(32) + 1)),
-			InputBytes:  float64(rng.Intn(1 << 30)),
-			SharedBytes: float64(rng.Intn(48)) * 1024,
-		}
-		want := m.Predict(f)
-		if got := back.Predict(f); got != want {
-			t.Fatalf("FromState prediction differs at %d: %v vs %v", i, got, want)
-		}
-		if got := viaJSON.Predict(f); got != want {
-			t.Fatalf("JSON round-trip prediction differs at %d: %v vs %v", i, got, want)
-		}
-	}
-
-	// State is defensive: mutating the export must not reach the model.
-	st := m.State()
-	st.Weights[0] = math.Inf(1)
-	if got := m.Predict(samples[0].F); got != back.Predict(samples[0].F) {
-		t.Fatal("State shares memory with the model")
-	}
-}
-
-func TestFromStateRejectsBadState(t *testing.T) {
-	valid := State{Weights: []float64{1, 2}, Mean: []float64{0, 0}, Std: []float64{1, 1}}
-	if _, err := FromState(valid); err != nil {
-		t.Fatalf("valid state rejected: %v", err)
-	}
-	for name, st := range map[string]State{
-		"empty":        {},
-		"dim mismatch": {Weights: []float64{1, 2}, Mean: []float64{0}, Std: []float64{1, 1}},
-		"negative std": {Weights: []float64{1}, Mean: []float64{0}, Std: []float64{-1}},
-		"nan std":      {Weights: []float64{1}, Mean: []float64{0}, Std: []float64{math.NaN()}},
-	} {
-		if _, err := FromState(st); err == nil {
-			t.Fatalf("%s state accepted", name)
-		}
 	}
 }

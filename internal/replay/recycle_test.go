@@ -165,7 +165,7 @@ func TestRecycledInvocationsMatchFresh(t *testing.T) {
 		"edf": {Policy: "edf"}, "fifo": {Policy: "fifo"},
 	}
 	for _, p := range []string{"hpf", "ffs", "edf", "fifo"} {
-		sys := rp.System().Clone()
+		sys := rp.sys.Clone()
 		for _, sc := range recycledScenarios() {
 			res, err := sys.RunFLEP(sc, opts[p])
 			if err != nil {

@@ -16,7 +16,6 @@ import (
 	"flep/internal/kernels"
 	"flep/internal/metrics"
 	"flep/internal/model"
-	"flep/internal/perfmodel"
 )
 
 // Replay modes.
@@ -35,10 +34,6 @@ const (
 // ReplayerOptions tune the offline phase a Replayer performs once and
 // shares across all of its runs.
 type ReplayerOptions struct {
-	// Models warm-starts the duration predictors: artifacts for these
-	// kernels use the supplied (e.g. live-exported) ridge state instead
-	// of the freshly trained one. See SaveModels/LoadModels.
-	Models map[string]*perfmodel.Model
 	// Logf, when set, receives offline-phase progress lines.
 	Logf func(format string, args ...any)
 }
@@ -96,12 +91,7 @@ func NewReplayer(t *Trace, opts ReplayerOptions) (*Replayer, error) {
 		return nil, fmt.Errorf("replay: %w", err)
 	}
 	for _, b := range benchs {
-		if m := opts.Models[b.Name]; m != nil {
-			rp.sys.Artifacts(b.Name).Model = m
-			opts.Logf("offline %-5s [warm predictor]", b.Name)
-		} else {
-			opts.Logf("offline %s", b.Name)
-		}
+		opts.Logf("offline %s", b.Name)
 	}
 	opts.Logf("offline phase: %d benchmarks in %v", len(benchs), time.Since(start).Round(time.Millisecond)) //flepvet:allow wallclock -- progress log timing only; never enters the Summary
 	recs := t.Records
@@ -153,9 +143,6 @@ func (r *Record) graph() model.Key { return model.Key{Client: r.Client, Graph: r
 
 // Trace returns the loaded trace.
 func (rp *Replayer) Trace() *Trace { return rp.trace }
-
-// System exposes the replayer's offline artifacts (for model export).
-func (rp *Replayer) System() *core.System { return rp.sys }
 
 // ReplayConfig parameterizes one replay run. The zero value replays "as
 // recorded": the header's scheduler and device count, recorded placement,
