@@ -259,7 +259,7 @@ func (d *Device) StartIn(e *Exec, cfg *ExecConfig) error {
 	d.execs = append(d.execs, e)
 	d.met.Launches.Inc()
 	d.met.Executions.Set(float64(len(d.execs)))
-	d.emit(Event{Time: d.eng.Now(), Kind: EvLaunch, Kernel: cfg.Profile.Name, SMLo: cfg.SMLo, SMHi: cfg.SMHi, Remaining: e.Remaining()})
+	d.emit(EvLaunch, e, e.smLo, e.smHi)
 	delay := d.par.LaunchLatency
 	if cfg.ColdStart {
 		delay += d.par.ColdRestart
@@ -319,7 +319,7 @@ func (d *Device) becomeResident(e *Exec) {
 	d.met.Residencies.Inc()
 	d.met.CTAsPlaced.Add(int64(e.resident))
 	d.updateGauges()
-	d.emit(Event{Time: d.eng.Now(), Kind: EvResident, Kernel: e.cfg.Profile.Name, SMLo: e.smLo, SMHi: e.smHi, Remaining: e.Remaining()})
+	d.emit(EvResident, e, e.smLo, e.smHi)
 	if e.Remaining() == 0 {
 		d.finish(e)
 		return
@@ -491,7 +491,7 @@ func (d *Device) finish(e *Exec) {
 	d.remove(e)
 	d.met.Completions.Inc()
 	d.updateGauges()
-	d.emit(Event{Time: d.eng.Now(), Kind: EvComplete, Kernel: e.cfg.Profile.Name, SMLo: e.smLo, SMHi: e.smHi})
+	d.emit(EvComplete, e, e.smLo, e.smHi)
 	if e.draining {
 		e.draining = false
 		e.drainEv.Cancel()
@@ -514,9 +514,11 @@ func (d *Device) remove(e *Exec) {
 	}
 }
 
-func (d *Device) emit(ev Event) {
+// emit reports an event of e over SMs [lo, hi), built only when an
+// Observer is set. A finished execution has no tasks remaining.
+func (d *Device) emit(kind EventKind, e *Exec, lo, hi int) {
 	if d.Observer != nil {
-		d.Observer(ev)
+		d.Observer(Event{Time: d.eng.Now(), Kind: kind, Kernel: e.cfg.Profile.Name, SMLo: lo, SMHi: hi, Remaining: e.Remaining()})
 	}
 }
 
@@ -549,7 +551,7 @@ func (e *Exec) Preempt(yieldSMs int) error {
 	}
 	d.sync()
 	d.met.PreemptRequests.Inc()
-	d.emit(Event{Time: d.eng.Now(), Kind: EvPreemptRequest, Kernel: e.cfg.Profile.Name, SMLo: e.smLo, SMHi: e.smLo + yieldSMs, Remaining: e.Remaining()})
+	d.emit(EvPreemptRequest, e, e.smLo, e.smLo+yieldSMs)
 	if e.draining {
 		if yieldSMs > e.drainYield {
 			e.drainYield = yieldSMs
@@ -596,13 +598,13 @@ func (d *Device) finishDrain(e *Exec) {
 		// Whole execution yields.
 		e.state = StateStopped
 		d.remove(e)
-		d.emit(Event{Time: d.eng.Now(), Kind: EvDrained, Kernel: e.cfg.Profile.Name, SMLo: e.smLo, SMHi: e.smHi, Remaining: remaining})
+		d.emit(EvDrained, e, e.smLo, e.smHi)
 		e.notifyDrained(remaining)
 	} else {
 		// Spatial: keep running on the high SMs.
 		e.smLo += yield
 		e.place()
-		d.emit(Event{Time: d.eng.Now(), Kind: EvDrained, Kernel: e.cfg.Profile.Name, SMLo: e.smLo - yield, SMHi: e.smLo, Remaining: remaining})
+		d.emit(EvDrained, e, e.smLo-yield, e.smLo)
 		e.notifyDrained(remaining)
 	}
 	d.recomputeRates()
@@ -670,7 +672,7 @@ func (d *Device) expanded(e *Exec, lo int) {
 		d.met.CTAsPlaced.Add(int64(grown))
 	}
 	d.met.Residencies.Inc()
-	d.emit(Event{Time: d.eng.Now(), Kind: EvResident, Kernel: e.cfg.Profile.Name, SMLo: e.smLo, SMHi: e.smHi, Remaining: e.Remaining()})
+	d.emit(EvResident, e, e.smLo, e.smHi)
 	d.recomputeRates()
 	d.updateGauges()
 	d.reschedule()
