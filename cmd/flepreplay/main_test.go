@@ -40,6 +40,8 @@ func TestArgumentsThatDescribeNoRunExitTwoWithUsage(t *testing.T) {
 		{[]string{"replay"}, "-trace is required"},
 		{[]string{"whatif"}, "-trace is required"},
 		{[]string{"replay", "-nope"}, "flag provided but not defined"},
+		{[]string{"replay", "-trace", "x", "-save-models", "m.json"}, "flag provided but not defined"},
+		{[]string{"whatif", "-trace", "x", "-models", "m.json"}, "flag provided but not defined"},
 		{[]string{"whatif", "-trace", "x", "-devices", "two"}, `-devices: bad int "two"`},
 	} {
 		code, stdout, stderr := flepreplay(tc.args...)
