@@ -160,9 +160,12 @@ func runEventOrderScenario(t *testing.T, sys *System, opt Options, launches []ev
 		if err != nil {
 			t.Fatal(err)
 		}
+		sh, err := sys.Resolve(b, l.class, l.tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
 		v, err := st.NewInvocation(Launch{
-			Bench: b, Class: l.class, TasksOverride: l.tasks,
-			Priority: l.prio, Weight: l.weight, Budget: l.budget,
+			Shape: sh, Priority: l.prio, Weight: l.weight, Budget: l.budget,
 		})
 		if err != nil {
 			t.Fatal(err)

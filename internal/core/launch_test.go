@@ -49,9 +49,11 @@ func TestTasksOverrideRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := st.NewInvocation(core.Launch{
-		Bench: item.Bench, Class: item.Class, TasksOverride: item.TasksOverride, Priority: item.Priority,
-	})
+	sh, err := s.Resolve(item.Bench, item.Class, item.TasksOverride)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := st.NewInvocation(core.Launch{Shape: sh, Priority: item.Priority})
 	if err != nil {
 		t.Fatal(err)
 	}

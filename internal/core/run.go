@@ -63,13 +63,14 @@ func (r *RunResult) ResultFor(kernel string) *metrics.KernelRun {
 }
 
 // runScenario is the one scenario loop under every executor. bind is called
-// once per item and returns its submit function, which launches the item and
-// must see done called exactly once with that launch's record. runScenario
+// once per item, with its index, and returns its submit function, which
+// launches the item and must see done called exactly once with that
+// launch's record. runScenario
 // schedules each item's arrival on eng, resubmits closed-loop items until
 // the horizon — they need a positive one — and runs the engine to it (or to
 // drain when there is none). Nothing here is built per launch: a relaunch
 // costs what submit itself allocates.
-func runScenario(eng *sim.Engine, sc workload.Scenario, bind func(item workload.Item, done func(metrics.KernelRun)) (submit func())) (*RunResult, error) {
+func runScenario(eng *sim.Engine, sc workload.Scenario, bind func(i int, item workload.Item, done func(metrics.KernelRun)) (submit func())) (*RunResult, error) {
 	for _, item := range sc.Items {
 		if item.Loop && sc.Horizon <= 0 {
 			return nil, fmt.Errorf("core: scenario %s loops %s and has horizon %v, want a positive one", sc.Name, item.Bench.Name, sc.Horizon)
@@ -79,7 +80,7 @@ func runScenario(eng *sim.Engine, sc workload.Scenario, bind func(item workload.
 	completions := make([]int, len(sc.Items))
 	for i, item := range sc.Items {
 		var submit func()
-		submit = bind(item, func(r metrics.KernelRun) {
+		submit = bind(i, item, func(r metrics.KernelRun) {
 			completions[i]++
 			res.Results = append(res.Results, r)
 			res.Items = append(res.Items, i)
@@ -103,12 +104,16 @@ func runScenario(eng *sim.Engine, sc workload.Scenario, bind func(item workload.
 	return res, nil
 }
 
-// RunFLEP executes a scenario under the FLEP runtime engine.
+// RunFLEP executes a scenario under the FLEP runtime engine. Each item's
+// launch is resolved once, before anything runs.
 func (s *System) RunFLEP(sc workload.Scenario, opt Options) (*RunResult, error) {
-	for _, item := range sc.Items {
-		if s.arts[item.Bench.Name] == nil {
-			return nil, fmt.Errorf("core: no artifacts for %s (run Offline first)", item.Bench.Name)
+	launches := make([]Launch, len(sc.Items))
+	for i, item := range sc.Items {
+		sh, err := s.Resolve(item.Bench, item.Class, item.TasksOverride)
+		if err != nil {
+			return nil, err
 		}
+		launches[i] = Launch{Shape: sh, Priority: item.Priority}
 	}
 	var log *trace.Log
 	if opt.Trace {
@@ -134,9 +139,9 @@ func (s *System) RunFLEP(sc workload.Scenario, opt Options) (*RunResult, error) 
 			}
 		}
 	}
-	res, err := runScenario(st.Eng, sc, func(item workload.Item, done func(metrics.KernelRun)) func() {
-		l := itemLaunch(item)
-		onFinish := func(fv *flepruntime.Invocation) { done(st.Finished(l, fv)) }
+	res, err := runScenario(st.Eng, sc, func(i int, item workload.Item, done func(metrics.KernelRun)) func() {
+		l := &launches[i]
+		onFinish := func(fv *flepruntime.Invocation) { done(st.Finished(&l.Shape, fv)) }
 		// A closed-loop relaunch is submitted from inside the finishing
 		// invocation's OnFinish, and the runtime holds that storage until its
 		// onComplete returns, so an item's launches alternate between two.
@@ -146,7 +151,7 @@ func (s *System) RunFLEP(sc workload.Scenario, opt Options) (*RunResult, error) 
 				spare = new(flepruntime.Invocation)
 			}
 			v, spare = spare, v
-			err := st.NewInvocationIn(v, l)
+			err := st.NewInvocationIn(v, *l)
 			if err == nil {
 				v.OnFinish = onFinish
 				err = st.RT.Submit(v)
@@ -198,13 +203,15 @@ func (s *System) runBaseline(sc workload.Scenario, newExec func(*gpu.Device) *ba
 		}
 		profiles[item.Bench.Name] = profile
 	}
-	return runScenario(eng, sc, func(item workload.Item, done func(metrics.KernelRun)) func() {
-		l := itemLaunch(item)
+	return runScenario(eng, sc, func(_ int, item workload.Item, done func(metrics.KernelRun)) func() {
 		in := item.Bench.LaunchInput(item.Class, item.TasksOverride)
 		profile := profiles[item.Bench.Name]
 		// Zero before Offline: the baselines run without artifacts.
 		predicted, _ := s.Predict(item.Bench, in)
-		onFinish := func(fj *baselines.Job) { done(s.record(l, fj.Turnaround(), fj.Waiting(), 0)) }
+		alone := s.baseline(item.Bench, item.Class, item.TasksOverride)
+		onFinish := func(fj *baselines.Job) {
+			done(metrics.KernelRun{Name: item.Bench.Name, Alone: alone, Turnaround: fj.Turnaround(), Waiting: fj.Waiting()})
+		}
 		return func() {
 			exec.Submit(&baselines.Job{
 				Kernel: item.Bench.Name, Priority: item.Priority,
@@ -214,12 +221,4 @@ func (s *System) runBaseline(sc workload.Scenario, newExec func(*gpu.Device) *ba
 			})
 		}
 	})
-}
-
-// itemLaunch is the launch a scenario item makes.
-func itemLaunch(item workload.Item) Launch {
-	return Launch{
-		Bench: item.Bench, Class: item.Class,
-		TasksOverride: item.TasksOverride, Priority: item.Priority,
-	}
 }

@@ -249,14 +249,23 @@ func TestClosedLoopRelaunchAllocationBudget(t *testing.T) {
 // override, carries exactly what fresh storage would, and storage the runtime
 // still holds is refused without being touched.
 func TestNewInvocationInRecycles(t *testing.T) {
-	st, err := testSystem(t).NewStack(Options{}, nil, nil, nil)
+	sys := testSystem(t)
+	st, err := sys.NewStack(Options{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	va, _ := kernels.ByName("VA")
 	nn, _ := kernels.ByName("NN")
-	first := Launch{Bench: va, Class: kernels.Large, Priority: 2, Budget: time.Millisecond, Dependent: true, L: 3}
-	next := Launch{Bench: nn, Class: kernels.Small, Priority: 1}
+	vaLarge, err := sys.Resolve(va, kernels.Large, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nnSmall, err := sys.Resolve(nn, kernels.Small, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := Launch{Shape: vaLarge, Priority: 2, Budget: time.Millisecond, Dependent: true, L: 3}
+	next := Launch{Shape: nnSmall, Priority: 1}
 	var v flepruntime.Invocation
 	if err := st.NewInvocationIn(&v, first); err != nil {
 		t.Fatal(err)
@@ -315,5 +324,43 @@ func TestLoopWithoutPositiveHorizonIsAnError(t *testing.T) {
 	// An open-loop scenario still runs to drain with no horizon.
 	if _, err := s.RunFLEP(workload.EqualPair(va, nn), Options{}); err != nil {
 		t.Errorf("open-loop pair without a horizon: %v", err)
+	}
+}
+
+// One rule reads a launch's task override, for its input and its baseline
+// alike: only a positive one overrides (kernels.LaunchInput). A negative one
+// used to run the class's calibrated input while the record, which read any
+// nonzero override as one, left it without a baseline.
+func TestNegativeTasksOverrideIsNoOverride(t *testing.T) {
+	s := testSystem(t)
+	va, _ := kernels.ByName("VA")
+	want, err := s.SoloTime(va, kernels.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := workload.Scenario{Name: "negative-override", Items: []workload.Item{{Bench: va, Class: kernels.Small, Priority: 1, TasksOverride: -5}}}
+	runs := map[string]func() (*RunResult, error){
+		"flep": func() (*RunResult, error) { return s.RunFLEP(sc, Options{Policy: "hpf"}) },
+		"mps":  func() (*RunResult, error) { return s.RunMPS(sc) },
+	}
+	for name, run := range runs {
+		res, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Results) != 1 || res.Results[0].Alone != want || want == 0 {
+			t.Errorf("%s: a tasks_override of -5 on VA small recorded %+v, want the class's baseline %v", name, res.Results, want)
+		}
+	}
+	sh, err := s.Resolve(va, kernels.Small, -5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := s.Resolve(va, kernels.Small, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sh.Te() != plain.Te() || sh.Alone() != plain.Alone() {
+		t.Errorf("override -5 resolved to Te %v and baseline %v, no override to %v and %v", sh.Te(), sh.Alone(), plain.Te(), plain.Alone())
 	}
 }

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -35,30 +36,24 @@ type Artifacts struct {
 	Model *perfmodel.Model
 	// PreemptOverhead is the profiled mean preemption overhead (§4.2).
 	PreemptOverhead time.Duration
+	// Solo is the original kernel's solo runtime on each calibrated input,
+	// indexed by class: the baseline every driver normalizes a finished
+	// launch of that input by (SoloTime, Shape).
+	Solo []time.Duration
 }
 
 // System is a FLEP deployment: device parameters plus per-kernel offline
-// artifacts, and the one table of solo baselines every driver normalizes
-// a finished launch by (SoloTime, Stack.Finished).
+// artifacts. Offline is its only writer; a processed system is read-only,
+// so any number of stacks and runs share it.
 type System struct {
 	Par  gpu.Params
 	arts map[string]*Artifacts
-	solo map[soloKey]time.Duration
-}
-
-type soloKey struct {
-	bench string
-	class kernels.InputClass
 }
 
 // NewSystem builds a system with the given device parameters (use
 // gpu.DefaultParams() for the paper's K40 model).
 func NewSystem(par gpu.Params) *System {
-	return &System{
-		Par:  par,
-		arts: map[string]*Artifacts{},
-		solo: map[soloKey]time.Duration{},
-	}
+	return &System{Par: par, arts: map[string]*Artifacts{}}
 }
 
 // Artifacts returns the offline artifacts for a benchmark, or nil before
@@ -66,25 +61,10 @@ func NewSystem(par gpu.Params) *System {
 func (s *System) Artifacts(name string) *Artifacts { return s.arts[name] }
 
 // Clone returns a system sharing this one's offline artifacts but with its
-// own maps. Predict only reads; the one write is SoloTime storing the solo
-// baseline of a benchmark the offline phase did not process, so with a
-// Clone each, independent schedulers (e.g. fleet shards, each on its own
-// goroutine) never race on that map. Artifacts are immutable after
-// Offline, so sharing the values is safe; run the offline phase once and
-// Clone per shard instead of paying it N times.
+// own table of them, so an Offline on the clone leaves this one as it was.
+// Artifacts are immutable after Offline, so sharing the values is safe.
 func (s *System) Clone() *System {
-	c := &System{
-		Par:  s.Par,
-		arts: make(map[string]*Artifacts, len(s.arts)),
-		solo: make(map[soloKey]time.Duration, len(s.solo)),
-	}
-	for k, v := range s.arts {
-		c.arts[k] = v
-	}
-	for k, v := range s.solo {
-		c.solo[k] = v
-	}
-	return c
+	return &System{Par: s.Par, arts: maps.Clone(s.arts)}
 }
 
 // Offline runs the complete offline phase for the benchmarks: resource
@@ -97,9 +77,8 @@ func (s *System) Clone() *System {
 // before it are merged, as if they had been built one after another.
 func (s *System) Offline(benchs []*kernels.Benchmark) error {
 	type built struct {
-		a     *Artifacts
-		solos []time.Duration
-		err   error
+		a   *Artifacts
+		err error
 	}
 	out := make([]built, len(benchs))
 	var wg sync.WaitGroup
@@ -107,7 +86,7 @@ func (s *System) Offline(benchs []*kernels.Benchmark) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out[i].a, out[i].solos, out[i].err = buildArtifacts(s.Par, b)
+			out[i].a, out[i].err = buildArtifacts(s.Par, b)
 		}()
 	}
 	wg.Wait()
@@ -116,9 +95,6 @@ func (s *System) Offline(benchs []*kernels.Benchmark) error {
 			return fmt.Errorf("core: offline %s: %w", b.Name, out[i].err)
 		}
 		s.arts[b.Name] = out[i].a
-		for _, c := range kernels.Classes() {
-			s.solo[soloKey{b.Name, c}] = out[i].solos[c]
-		}
 	}
 	return nil
 }
@@ -127,31 +103,29 @@ func (s *System) Offline(benchs []*kernels.Benchmark) error {
 func (s *System) OfflineAll() error { return s.Offline(kernels.All()) }
 
 // buildArtifacts runs the offline phase for b on a device with parameters
-// par. It returns the artifacts and b's solo baselines (the ANTT/STP
-// denominators), indexed by input class: they are offline artifacts too,
-// so for a processed benchmark SoloTime never simulates, on the system or
-// on a Clone of it. Every probe simulation of the phase runs on one probe,
-// one after another.
-func buildArtifacts(par gpu.Params, b *kernels.Benchmark) (*Artifacts, []time.Duration, error) {
+// par. The artifacts include b's solo baselines (the ANTT/STP
+// denominators), so for a processed benchmark SoloTime never simulates.
+// Every probe simulation of the phase runs on one probe, one after another.
+func buildArtifacts(par gpu.Params, b *kernels.Benchmark) (*Artifacts, error) {
 	prog, res, err := b.Scan()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	profile, err := b.ProfileOf(res, par.Limits)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	a := &Artifacts{Bench: b, Profile: profile, Program: prog, Resources: res}
 	p := newProbe(par)
-	solos := make([]time.Duration, len(kernels.Classes()))
+	a.Solo = make([]time.Duration, len(kernels.Classes()))
 	for _, c := range kernels.Classes() {
-		solos[c] = simSolo(p, profile, b.Input(c), 0)
+		a.Solo[c] = simSolo(p, profile, b.Input(c), 0)
 	}
 
 	// Offline tuning: smallest L with single-run overhead under 4%,
 	// measured on the large input (§4.1).
 	large := b.Input(kernels.Large)
-	orig := solos[kernels.Large]
+	orig := a.Solo[kernels.Large]
 	a.L, a.TunedOverhead, a.TuneOK = transform.Autotune(func(L int) float64 {
 		t := simSolo(p, profile, large, L)
 		return (t - orig).Seconds() / orig.Seconds()
@@ -159,7 +133,7 @@ func buildArtifacts(par gpu.Params, b *kernels.Benchmark) (*Artifacts, []time.Du
 
 	model, err := perfmodel.Train(trainingSamples(p, a), perfmodel.DefaultLambda)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	a.Model = model
 
@@ -178,7 +152,7 @@ func buildArtifacts(par gpu.Params, b *kernels.Benchmark) (*Artifacts, []time.Du
 		}
 	}
 	a.PreemptOverhead = prof.Mean()
-	return a, solos, nil
+	return a, nil
 }
 
 // trainingSamples simulates the performance model's training set: 100
@@ -235,23 +209,18 @@ func (s *System) MeasureSolo(b *kernels.Benchmark, in kernels.Input) (time.Durat
 	return SoloRun(s.Par, profile, in, 0)
 }
 
-// SoloTime returns (cached) the original kernel's solo runtime for a
-// calibrated input class: the normalization base for ANTT/STP.
+// SoloTime returns the original kernel's solo runtime for a calibrated
+// input class: the normalization base for ANTT/STP. For a processed
+// benchmark it is the offline artifact; any other it simulates.
 func (s *System) SoloTime(b *kernels.Benchmark, c kernels.InputClass) (time.Duration, error) {
-	key := soloKey{b.Name, c}
-	if d, ok := s.solo[key]; ok {
-		return d, nil
+	if a := s.arts[b.Name]; a != nil {
+		return a.Solo[c], nil
 	}
-	profile, err := s.profile(b)
+	profile, err := b.Profile(s.Par.Limits)
 	if err != nil {
 		return 0, err
 	}
-	d, err := SoloRun(s.Par, profile, b.Input(c), 0)
-	if err != nil {
-		return 0, err
-	}
-	s.solo[key] = d
-	return d, nil
+	return SoloRun(s.Par, profile, b.Input(c), 0)
 }
 
 // SoloPersistentTime measures the FLEP-transformed kernel's solo runtime at

@@ -74,6 +74,11 @@ type Invocation struct {
 
 	// Te is the predicted duration (never updated after submission).
 	Te time.Duration
+	// Overhead is the kernel's estimated preemption overhead: the profiled
+	// mean (§4.2) when whoever builds the invocation knows it, else filled
+	// in by Runtime.OverheadFor when a policy first asks, and dropped again
+	// at the next Submit.
+	Overhead time.Duration
 	// Tw is the accumulated waiting time.
 	Tw time.Duration
 	// Tr is the predicted remaining execution time.
@@ -114,8 +119,7 @@ type sched struct {
 	finishedAt  time.Duration
 	guest       bool // currently running as a spatial guest
 	reserved    bool // holds a device-memory reservation
-	// Runtime.OverheadFor's cache.
-	overhead time.Duration
+	estimated   bool // Overhead is Runtime.OverheadFor's estimate
 }
 
 // held refuses, with an error, storage a runtime still holds: queued,
@@ -136,7 +140,7 @@ func (v *Invocation) Recycle() error {
 	if err := v.held(); err != nil {
 		return err
 	}
-	v.ID, v.Tw, v.Tr, v.Preemptions, v.OnFinish = 0, 0, 0, 0, nil
+	v.ID, v.Tw, v.Tr, v.Overhead, v.Preemptions, v.OnFinish = 0, 0, 0, 0, 0, nil
 	v.sched = sched{}
 	return nil
 }

@@ -58,8 +58,9 @@ type Config struct {
 	// against preemption overhead.
 	SpatialSMs int
 	// OverheadEstimate returns the estimated preemption overhead for a
-	// kernel (used by HPF's decision rule and FFS's epoch sizing). Nil
-	// falls back to a drain-model estimate.
+	// kernel (used by HPF's decision rule and FFS's epoch sizing) whose
+	// invocation carries no Overhead of its own. Nil falls back to a
+	// drain-model estimate.
 	OverheadEstimate func(kernel string) time.Duration
 	// OnPreemptDrained, if set, observes every realized preemption drain
 	// with its latency (flag raise → drain complete). Replay uses it to
@@ -195,7 +196,10 @@ func (r *Runtime) Submit(v *Invocation) error {
 	if v.L <= 0 {
 		v.L = 1
 	}
-	v.overhead = 0 // estimated by this runtime on first use
+	if v.estimated {
+		// Another runtime's estimate: this one makes its own on first use.
+		v.Overhead, v.estimated = 0, false
+	}
 	v.beginWait(r.dev.Now())
 	r.enqueue(v)
 	r.met.Submits.Inc()
@@ -216,25 +220,27 @@ func (r *Runtime) fits(v *Invocation) bool {
 }
 
 // OverheadFor estimates the preemption overhead of the kernel: the
-// configured profile-based estimate if available, otherwise a drain-model
-// bound (flag propagation + poll + expected residual batch + relaunch).
-// The residual term mirrors gpu.Exec.drainTime: a uniformly-positioned
-// worker owes (L-1)/2 tasks on average before its next flag poll.
-// It depends only on the kernel and on fields fixed at Submit, so it is
-// computed once per invocation; policies ask on every decision.
+// invocation's own Overhead when its builder set one, else the configured
+// profile-based estimate if available, otherwise a drain-model bound (flag
+// propagation + poll + expected residual batch + relaunch). The residual
+// term mirrors gpu.Exec.drainTime: a uniformly-positioned worker owes
+// (L-1)/2 tasks on average before its next flag poll. It depends only on
+// the kernel and on fields fixed at Submit, so it is computed once per
+// invocation of a runtime, into Overhead; policies ask on every decision.
 func (r *Runtime) OverheadFor(v *Invocation) time.Duration {
-	if v.overhead > 0 {
-		return v.overhead
+	if v.Overhead > 0 {
+		return v.Overhead
 	}
 	par := r.dev.Params()
 	batch := time.Duration(float64(v.L-1) / 2 * float64(v.TaskCost))
-	v.overhead = par.FlagPropagation + par.PinnedReadLatency + batch + 2*par.LaunchLatency
+	v.Overhead = par.FlagPropagation + par.PinnedReadLatency + batch + 2*par.LaunchLatency
 	if r.cfg.OverheadEstimate != nil {
 		if d := r.cfg.OverheadEstimate(v.Kernel); d > 0 {
-			v.overhead = d
+			v.Overhead = d
 		}
 	}
-	return v.overhead
+	v.estimated = true
+	return v.Overhead
 }
 
 // smsNeeded computes the spatial footprint of an invocation: just enough

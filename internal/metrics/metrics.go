@@ -65,14 +65,18 @@ type Tally struct {
 }
 
 // Add folds one finished launch into the tally.
-func (t *Tally) Add(r KernelRun) {
+func (t *Tally) Add(r KernelRun) { t.AddNTT(r, r.NTT()) }
+
+// AddNTT is Add of a run whose NTT the caller has computed as ntt, so a
+// run tallied under several keys divides once.
+func (t *Tally) AddNTT(r KernelRun, ntt float64) {
 	t.Completed++
 	if r.Preemptions > 0 {
 		t.Preempted++
 		t.Preemptions += int64(r.Preemptions)
 	}
 	if r.Alone > 0 {
-		t.NTTSum += r.NTT()
+		t.NTTSum += ntt
 		t.NTTN++
 	}
 	t.Turnaround += r.Turnaround

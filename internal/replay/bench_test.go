@@ -31,3 +31,32 @@ func BenchmarkRecorderRecord(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReplayWhatIfRound replays the what-if mix once in each of the
+// eight cells flepperf's replay_whatif workload times (hpf, ffs, edf and
+// fifo on one and two devices) on one Replayer, so an op is one round of
+// 8,160 replayed records.
+func BenchmarkReplayWhatIfRound(b *testing.B) {
+	tr, err := SynthesizeMix(whatIfMix(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rp, err := NewReplayer(tr, ReplayerOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cfgs []ReplayConfig
+	for _, p := range []string{"hpf", "ffs", "edf", "fifo"} {
+		for _, d := range []int{1, 2} {
+			cfgs = append(cfgs, ReplayConfig{Policy: p, Devices: d, Seed: 1})
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, cfg := range cfgs {
+			if _, err := rp.Run(cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

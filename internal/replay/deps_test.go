@@ -42,7 +42,7 @@ func replayInvocations(t *testing.T, tr *Trace, cfg ReplayConfig) (*Summary, []f
 	if sum.Completed != len(tr.Records) {
 		t.Fatalf("completed %d of %d records", sum.Completed, len(tr.Records))
 	}
-	return sum, *rp.invs.Load()
+	return sum, rp.store.Load().invs
 }
 
 const ms = int64(time.Millisecond)

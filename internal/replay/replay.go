@@ -40,12 +40,20 @@ type ReplayerOptions struct {
 
 // Replayer owns a loaded trace plus the offline artifacts needed to
 // re-drive it. Building one is expensive (the full offline phase runs
-// per benchmark); each Run then clones the system and is cheap, so a
-// what-if matrix amortizes the offline cost across all its cells.
+// per benchmark); each Run then only reads the processed system and is
+// cheap, so a what-if matrix amortizes the offline cost across all its
+// cells.
 type Replayer struct {
-	trace   *Trace
-	sys     *core.System
-	benches map[string]*kernels.Benchmark
+	trace *Trace
+	sys   *core.System
+	// shapes holds each distinct launch shape of the trace (benchmark,
+	// class, task override), resolved once, and shapeOf[i] record i's.
+	// tenantOf[i] is record i's client as an index into tenants, which is
+	// sorted.
+	shapes   []shape
+	shapeOf  []int32
+	tenantOf []int32
+	tenants  []string
 	// The orders a run walks trace.Records in, as indices (nothing modifies
 	// the trace once the replayer exists): timed by (At, Seq), exact[d] the
 	// admissions of recorded device d, or of none when d is 0, by Seq.
@@ -56,15 +64,31 @@ type Replayer struct {
 	// graph names, the prerequisites that are in the trace.
 	declared map[model.Key]int
 	present  map[int][]string
-	// invs is the invocation storage the next run submits record i in, at
-	// index i. A run swaps it out, so concurrent runs never share it, and
-	// stores it back once every launch it made has finished.
-	invs atomic.Pointer[[]flepruntime.Invocation]
+	// store is the storage the next run fills. A run swaps it out, so
+	// concurrent runs never share it, and stores it back once it has
+	// summarized and every launch it made has finished.
+	store atomic.Pointer[runStore]
+}
+
+// shape is a record's resolved launch shape, or the reason it has none,
+// which the run reports when it reaches the record.
+type shape struct {
+	core.Shape
+	err error
+}
+
+// runStore is the storage one run fills: invs[i] the invocation record i
+// is submitted in, slab the outcomes in submission order, and outcomes the
+// finished ones in completion order.
+type runStore struct {
+	invs     []flepruntime.Invocation
+	slab     []outcome
+	outcomes []*outcome
 }
 
 // NewReplayer builds the offline artifacts for every benchmark the trace
-// references; the solo baselines (ANTT denominators) come with them, so
-// every run's Clone starts with the table warm.
+// references, and resolves each distinct launch shape of the trace against
+// them once, so a run's launch reads its record's resolved shape.
 func NewReplayer(t *Trace, opts ReplayerOptions) (*Replayer, error) {
 	if len(t.Records) == 0 {
 		return nil, fmt.Errorf("replay: trace has no records")
@@ -72,19 +96,16 @@ func NewReplayer(t *Trace, opts ReplayerOptions) (*Replayer, error) {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	rp := &Replayer{
-		trace:   t,
-		sys:     core.NewSystem(gpu.DefaultParams()),
-		benches: map[string]*kernels.Benchmark{},
-	}
+	rp := &Replayer{trace: t, sys: core.NewSystem(gpu.DefaultParams())}
 	var benchs []*kernels.Benchmark
+	benches := map[string]*kernels.Benchmark{}
 	for _, name := range t.Benchmarks() {
 		b, err := kernels.ByName(name)
 		if err != nil {
 			return nil, fmt.Errorf("replay: trace references %s: %w", name, err)
 		}
 		benchs = append(benchs, b)
-		rp.benches[name] = b
+		benches[name] = b
 	}
 	start := time.Now() //flepvet:allow wallclock -- measures real offline-phase duration for progress logs only; never enters the Summary
 	if err := rp.sys.Offline(benchs); err != nil {
@@ -104,8 +125,37 @@ func NewReplayer(t *Trace, opts ReplayerOptions) (*Replayer, error) {
 	}
 	named := map[stageName]bool{}
 	rp.declared, rp.present = map[model.Key]int{}, map[int][]string{}
+	type shapeKey struct {
+		bench, class  string
+		tasksOverride int
+	}
+	shapeIndex, tenantIndex := map[shapeKey]int32{}, map[string]int32{}
+	rp.shapeOf, rp.tenantOf = make([]int32, len(recs)), make([]int32, len(recs))
+	var last shapeKey
 	for i := range recs {
 		rp.timed[i] = i
+		rec := &recs[i]
+		key := shapeKey{rec.Bench, rec.Class, rec.TasksOverride}
+		// A tenant's launches of one shape often follow one another: such a
+		// record takes its predecessor's indices without a lookup.
+		if i > 0 && key == last && rec.Client == recs[i-1].Client {
+			rp.shapeOf[i], rp.tenantOf[i] = rp.shapeOf[i-1], rp.tenantOf[i-1]
+		} else {
+			k, ok := shapeIndex[key]
+			if !ok {
+				k = int32(len(rp.shapes))
+				shapeIndex[key] = k
+				rp.shapes = append(rp.shapes, rp.resolve(benches, rec))
+			}
+			rp.shapeOf[i] = k
+			if k, ok = tenantIndex[rec.Client]; !ok {
+				k = int32(len(rp.tenants))
+				tenantIndex[rec.Client] = k
+				rp.tenants = append(rp.tenants, rec.Client)
+			}
+			rp.tenantOf[i] = k
+		}
+		last = key
 		dv := max(recs[i].Device, 0)
 		for dv >= len(rp.exact) {
 			rp.exact = append(rp.exact, nil)
@@ -134,7 +184,33 @@ func NewReplayer(t *Trace, opts ReplayerOptions) (*Replayer, error) {
 	for _, order := range rp.exact {
 		sort.SliceStable(order, func(a, b int) bool { return recs[order[a]].Seq < recs[order[b]].Seq })
 	}
+	// Renumber the tenants in name order, the order the summary lists them in.
+	byName := slices.Clone(rp.tenants)
+	slices.Sort(byName)
+	rank := make([]int32, len(byName))
+	for i, n := range byName {
+		rank[tenantIndex[n]] = int32(i)
+	}
+	for i, k := range rp.tenantOf {
+		rp.tenantOf[i] = rank[k]
+	}
+	rp.tenants = byName
 	return rp, nil
+}
+
+// resolve resolves the launch shape of rec, whose benchmark's artifacts are
+// built if benches names it.
+func (rp *Replayer) resolve(benches map[string]*kernels.Benchmark, rec *Record) shape {
+	b := benches[rec.Bench]
+	if b == nil {
+		return shape{err: fmt.Errorf("references unknown benchmark %q", rec.Bench)}
+	}
+	class, err := kernels.ParseClass(rec.Class)
+	if err != nil {
+		return shape{err: err}
+	}
+	sh, err := rp.sys.Resolve(b, class, rec.TasksOverride)
+	return shape{sh, err}
 }
 
 // graph is the record's graph instance, keyed as the recording daemon's
@@ -209,12 +285,12 @@ type devRun struct {
 	finish   func(*flepruntime.Invocation)
 }
 
-// outcome is one replayed launch: its trace record, what it was submitted
-// as, and once it has finished, how it ran.
+// outcome is one replayed launch: its trace record, its tenant's index,
+// the shape it was submitted as, and once it has finished, how it ran.
 type outcome struct {
-	rec        *Record // in the replayer's trace
-	bench      *kernels.Benchmark
-	class      kernels.InputClass
+	rec        *Record     // in the replayer's trace
+	tenant     int32       // in the replayer's tenants
+	shape      *core.Shape // in the replayer's shapes
 	run        metrics.KernelRun
 	finishedAt time.Duration
 }
@@ -244,15 +320,18 @@ func (rp *Replayer) Run(cfg ReplayConfig) (*Summary, error) {
 	recs := rp.trace.Records
 	devs := make([]*devRun, devices)
 	var div Divergence
-	invs := rp.invs.Swap(nil)
-	if invs == nil {
-		s := make([]flepruntime.Invocation, len(recs))
-		invs = &s
+	store := rp.store.Swap(nil)
+	if store == nil {
+		store = &runStore{
+			invs:     make([]flepruntime.Invocation, len(recs)),
+			slab:     make([]outcome, 0, len(recs)),
+			outcomes: make([]*outcome, 0, len(recs)),
+		}
 	}
-	// One outcome per record, in one slab; outcomes lists the finished ones
-	// in completion order, the order the summary adds them up in.
-	slab := make([]outcome, 0, len(recs))
-	outcomes := make([]*outcome, 0, len(recs))
+	// At most one outcome per record, in one slab; outcomes lists the
+	// finished ones in completion order, the order the summary adds them up
+	// in. Neither outgrows its capacity, so the pointers stay valid.
+	invs, slab, outcomes := store.invs, store.slab[:0], store.outcomes[:0]
 	// The table's reports make the per-model rows. woken lists the records
 	// a table call released (ri) or canceled (^ri) while parked, parked
 	// counts each tenant's parked stages, held the records waiting behind
@@ -287,7 +366,7 @@ func (rp *Replayer) Run(cfg ReplayConfig) (*Summary, error) {
 	})
 	for i := range devs {
 		d := &devRun{id: i}
-		d.Stack, err = rp.sys.Clone().NewStack(opt, nil, nil, func(_ *flepruntime.Invocation, latency time.Duration) {
+		d.Stack, err = rp.sys.NewStack(opt, nil, nil, func(_ *flepruntime.Invocation, latency time.Duration) {
 			d.drains = append(d.drains, latency)
 		})
 		if err != nil {
@@ -295,7 +374,7 @@ func (rp *Replayer) Run(cfg ReplayConfig) (*Summary, error) {
 		}
 		d.finish = func(fv *flepruntime.Invocation) {
 			o := d.launched[fv.ID-1]
-			o.run = d.Finished(core.Launch{Bench: o.bench, Class: o.class, TasksOverride: o.rec.TasksOverride}, fv)
+			o.run = d.Finished(o.shape, fv)
 			o.finishedAt = fv.FinishedAt()
 			d.inFlight--
 			if o.rec.GraphID != "" {
@@ -309,26 +388,21 @@ func (rp *Replayer) Run(cfg ReplayConfig) (*Summary, error) {
 	}
 
 	// submit puts record ri through the launch path the recording daemon
-	// admitted it on (core.Stack.NewInvocation), into the record's own
-	// invocation, on one replayed device.
+	// admitted it on (core.Stack.NewInvocation), as its resolved shape,
+	// into the record's own invocation, on one replayed device.
 	submit := func(d *devRun, ri int) error {
 		rec := &recs[ri]
-		b := rp.benches[rec.Bench]
-		if b == nil {
-			return fmt.Errorf("replay: record %d references unknown benchmark %q", rec.Seq, rec.Bench)
-		}
-		class, err := kernels.ParseClass(rec.Class)
-		if err != nil {
-			return fmt.Errorf("replay: record %d: %w", rec.Seq, err)
+		sh := &rp.shapes[rp.shapeOf[ri]]
+		if sh.err != nil {
+			return fmt.Errorf("replay: record %d: %w", rec.Seq, sh.err)
 		}
 		// The recorded SLO budget is re-applied relative to the replayed
 		// submission instant: the deadline is a virtual-time budget from
 		// admission, not an absolute timestamp, so it survives timing
 		// divergence.
-		v := &(*invs)[ri]
+		v := &invs[ri]
 		if err := d.NewInvocationIn(v, core.Launch{
-			Bench: b, Class: class, TasksOverride: rec.TasksOverride,
-			Priority: rec.Priority, Weight: rec.Weight,
+			Shape: sh.Shape, Priority: rec.Priority, Weight: rec.Weight,
 			Budget: time.Duration(rec.DeadlineNS), Dependent: rec.GraphID != "",
 			L: cfg.L,
 		}); err != nil {
@@ -346,7 +420,7 @@ func (rp *Replayer) Run(cfg ReplayConfig) (*Summary, error) {
 			deps.Fail(rec.graph(), rec.Stage)
 			return nil
 		}
-		slab = append(slab, outcome{rec: rec, bench: b, class: class})
+		slab = append(slab, outcome{rec: rec, tenant: rp.tenantOf[ri], shape: &sh.Shape})
 		d.launched = append(d.launched, &slab[len(slab)-1])
 		if v.ID != len(d.launched) {
 			return fmt.Errorf("replay: record %d is its device's launch %d, the runtime numbered it %d", rec.Seq, len(d.launched), v.ID)
@@ -517,12 +591,13 @@ func (rp *Replayer) Run(cfg ReplayConfig) (*Summary, error) {
 	for _, h := range held {
 		div.Dependency += int64(len(h))
 	}
+	sum := rp.summarize(cfg, opt, mode, devs, outcomes, models, div)
 	// The storage goes back only if every launch finished: an unfinished one
 	// is still held by its runtime, which is also why a run that returned
 	// early above dropped it.
 	if len(outcomes) == len(slab) {
-		rp.invs.Store(invs)
+		store.slab, store.outcomes = slab, outcomes
+		rp.store.Store(store)
 	}
-
-	return rp.summarize(cfg, opt, mode, devs, outcomes, models, div), nil
+	return sum, nil
 }

@@ -149,26 +149,22 @@ func (rp *Replayer) summarize(cfg ReplayConfig, opt core.Options, mode string, d
 	}
 
 	var all metrics.Tally
-	tenants := map[string]*metrics.Tally{}
+	tenants := make([]metrics.Tally, len(rp.tenants))
 	prios := map[int]*metrics.Tally{}
 	var makespan time.Duration
 	for _, o := range outcomes {
 		if o.finishedAt > makespan {
 			makespan = o.finishedAt
 		}
-		ta := tenants[o.rec.Client]
-		if ta == nil {
-			ta = &metrics.Tally{}
-			tenants[o.rec.Client] = ta
-		}
 		pa := prios[o.rec.Priority]
 		if pa == nil {
 			pa = &metrics.Tally{}
 			prios[o.rec.Priority] = pa
 		}
-		all.Add(o.run)
-		ta.Add(o.run)
-		pa.Add(o.run)
+		ntt := o.run.NTT()
+		all.AddNTT(o.run, ntt)
+		tenants[o.tenant].AddNTT(o.run, ntt)
+		pa.AddNTT(o.run, ntt)
 	}
 
 	sum.MakespanNS = int64(makespan)
@@ -200,17 +196,15 @@ func (rp *Replayer) summarize(cfg ReplayConfig, opt core.Options, mode string, d
 		sum.HighPrioANTT = sum.PerPriority[n-1].ANTT
 	}
 
-	// Per-tenant rows, by client name; Jain's fairness index over the
-	// tenants that have a normalized slowdown.
-	names := make([]string, 0, len(tenants))
-	for n := range tenants {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	// Per-tenant rows of the tenants that completed a launch, by client
+	// name; Jain's fairness index over those that have a normalized
+	// slowdown.
 	var slowdowns []float64
-	for _, n := range names {
-		a := tenants[n]
-		// Every tallied tenant completed at least one launch.
+	for k, n := range rp.tenants {
+		a := &tenants[k]
+		if a.Completed == 0 {
+			continue
+		}
 		sum.Tenants = append(sum.Tenants, TenantSummary{
 			Client:           n,
 			Completed:        int(a.Completed),

@@ -196,8 +196,9 @@ func (t *Trace) Benchmarks() []string {
 }
 
 // maxDevices bounds a trace's device count and record device indices,
-// and a replay's device count: each device costs the replayer a cloned
-// system, so a count read from a trace must not be able to exhaust memory.
+// and a replay's device count: each device costs the replayer a stack (an
+// engine, a device and a runtime), so a count read from a trace must not
+// be able to exhaust memory.
 const maxDevices = 1024
 
 // parseHeader validates the first line of a trace file.
@@ -261,6 +262,11 @@ func Read(r io.Reader) (*Trace, error) {
 			}
 			if rec.Device < -1 || rec.Device >= maxDevices {
 				return nil, fmt.Errorf("replay: trace line %d: device %d outside [-1, %d)", lineNo, rec.Device, maxDevices)
+			}
+			// flepd refuses such a launch, so no recording admits one.
+			if rec.Priority < 0 || rec.Weight < 0 || rec.TasksOverride < 0 {
+				return nil, fmt.Errorf("replay: trace line %d: priority %d, weight %g and tasks_override %d must be non-negative",
+					lineNo, rec.Priority, rec.Weight, rec.TasksOverride)
 			}
 			t.Records = append(t.Records, rec)
 		}

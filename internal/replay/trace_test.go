@@ -370,6 +370,23 @@ func TestReadBoundsDevices(t *testing.T) {
 	}
 }
 
+// flepd answers a launch with a negative priority, weight or task override
+// 400, so no recording holds one, and Read refuses one, naming the line: a
+// tasks_override of -5 used to replay the class's input with no baseline.
+func TestReadRefusesWhatTheDaemonRefuses(t *testing.T) {
+	const hdr = `{"flep_trace":true,"version":1,"source":"flepd"}` + "\n" + `{"seq":1,"device":0,"client":"a","bench":"VA","priority":1}` + "\n"
+	for _, field := range []string{`"priority":-1`, `"weight":-0.5`, `"tasks_override":-5`} {
+		trace := hdr + `{"seq":2,"device":0,"client":"a","bench":"VA",` + field + `}` + "\n"
+		if _, err := Read(strings.NewReader(trace)); err == nil || !strings.Contains(err.Error(), "trace line 3") {
+			t.Errorf("%s: Read error %v, want one naming trace line 3", field, err)
+		}
+	}
+	ok := hdr + `{"seq":2,"device":0,"client":"a","bench":"VA","priority":0,"weight":0,"tasks_override":0}` + "\n"
+	if _, err := Read(strings.NewReader(ok)); err != nil {
+		t.Fatalf("zero priority, weight and override were refused: %v", err)
+	}
+}
+
 // A weight's key is a priority level. One that is not an integer names no
 // level, so the header is refused rather than replayed without that weight.
 func TestReadRefusesNonIntegerWeightKey(t *testing.T) {

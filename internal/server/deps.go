@@ -187,7 +187,7 @@ func (s *Server) cancelParked(q *launchReq, reason string) {
 	s.count(outDepCanceled, q.client)
 	//flepvet:allow blockingsend -- q.done is per-request with capacity 1 (http.go) and sees exactly one send
 	q.done <- LaunchResult{
-		Client: q.client, Kernel: q.Bench.Name, Class: q.Class.String(),
+		Client: q.client, Kernel: q.Bench().Name, Class: q.Class().String(),
 		Priority: q.Priority, Device: s.device, Canceled: reason,
 	}
 }

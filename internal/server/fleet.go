@@ -44,8 +44,8 @@ type Fleet struct {
 	rr atomic.Int64
 }
 
-// NewFleet builds the offline artifacts once, clones the system per shard,
-// and starts one event loop per device.
+// NewFleet builds the offline artifacts once, shares the system across the
+// shards, and starts one event loop per device.
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	sys, err := offlineSystem(&cfg.Config)
 	if err != nil {
@@ -55,9 +55,8 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 }
 
 // NewFleetWithSystem starts a fleet over an existing system (whose Offline
-// phase must already cover cfg.Benchmarks). Each shard receives its own
-// Clone of the system, so a shard's SoloTime storing the solo baseline of
-// a benchmark the offline phase did not process never races another's.
+// phase must already cover cfg.Benchmarks). The shards share it: a
+// processed system is read-only.
 func NewFleetWithSystem(sys *core.System, cfg FleetConfig) (*Fleet, error) {
 	cfg.Config.applyDefaults()
 	if cfg.Devices <= 0 {
@@ -67,7 +66,7 @@ func NewFleetWithSystem(sys *core.System, cfg FleetConfig) (*Fleet, error) {
 	ids := make([]string, cfg.Devices)
 	for i := range ids {
 		ids[i] = strconv.Itoa(i)
-		s, err := newShard(sys.Clone(), cfg.Config, i, cfg.Devices)
+		s, err := newShard(sys, cfg.Config, i, cfg.Devices)
 		if err != nil {
 			for _, prev := range f.shards {
 				_ = prev.Shutdown(context.Background())

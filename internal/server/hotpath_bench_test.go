@@ -28,11 +28,15 @@ func newBenchServer(b testing.TB) *Server {
 }
 
 // launchRoundTrip is one launch through the admission path without HTTP:
-// pool get, atomic admission gate, channel enqueue, batched loop
-// admission, simulated execution, terminal delivery, pool put.
+// pool get, shape resolution, atomic admission gate, channel enqueue,
+// batched loop admission, simulated execution, terminal delivery, pool put.
 func launchRoundTrip(tb testing.TB, s *Server, bench *kernels.Benchmark) {
 	q := getLaunchReq()
-	q.client, q.Bench, q.Class = "bench", bench, kernels.Trivial
+	shape, err := s.sys.Resolve(bench, kernels.Trivial, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	q.client, q.Shape = "bench", shape
 	q.Priority = 1
 	q.enqueuedReal = time.Now()
 	if err := s.tryEnqueue(q); err != nil {

@@ -15,15 +15,26 @@ import (
 	"testing"
 	"time"
 
+	"flep/internal/core"
 	"flep/internal/kernels"
 	"flep/internal/obs"
 )
+
+// shapeOf resolves a launch of a loaded benchmark's class-c input the way
+// admitLaunch does. Every loaded benchmark has artifacts, so it cannot fail.
+func shapeOf(s *Server, bench string, c kernels.InputClass) core.Shape {
+	sh, err := s.sys.Resolve(s.benches[bench], c, 0)
+	if err != nil {
+		panic(err)
+	}
+	return sh
+}
 
 // mkLaunchReq builds a pooled request the way serveLaunch does, for
 // driving tryEnqueue directly from tests.
 func mkLaunchReq(s *Server, client string, deadline time.Duration) *launchReq {
 	q := getLaunchReq()
-	q.client, q.Bench, q.Class = client, s.benches["VA"], kernels.Trivial
+	q.client, q.Shape = client, shapeOf(s, "VA", kernels.Trivial)
 	q.Priority, q.Budget = 1, deadline
 	q.enqueuedReal = time.Now()
 	return q

@@ -465,12 +465,17 @@ func (s *Server) admitLaunch(req *LaunchRequest, client string) (*launchReq, out
 	if err := validateDepSpec(req); err != nil {
 		return nil, outRejectedInvalid, err
 	}
+	// The one read of the offline artifacts this launch makes: its input,
+	// predicted Te, solo baseline and profile all come with the shape.
+	shape, err := s.sys.Resolve(bench, class, req.TasksOverride)
+	if err != nil {
+		return nil, outRejectedInvalid, err
+	}
 
 	q := getLaunchReq()
 	q.client = client
 	q.Launch = core.Launch{
-		Bench: bench, Class: class, TasksOverride: req.TasksOverride,
-		Priority: prio, Weight: req.Weight, Budget: deadline, Dependent: req.Graph != "",
+		Shape: shape, Priority: prio, Weight: req.Weight, Budget: deadline, Dependent: req.Graph != "",
 	}
 	q.graph, q.stage, q.model = req.Graph, req.Stage, req.Model
 	q.after, q.stages = req.After, req.Stages

@@ -406,7 +406,7 @@ func (s *Server) admit(q *launchReq) {
 		}
 		//flepvet:allow blockingsend -- q.done is per-request with capacity 1 (http.go) and sees exactly one send
 		q.done <- LaunchResult{
-			Client: q.client, Kernel: q.Bench.Name, Class: q.Class.String(),
+			Client: q.client, Kernel: q.Bench().Name, Class: q.Class().String(),
 			Priority: q.Priority, Device: s.device, Err: err.Error(),
 		}
 		return
@@ -420,13 +420,13 @@ func (s *Server) admit(q *launchReq) {
 			Step:          atStep,
 			Device:        s.device,
 			Client:        q.client,
-			Bench:         q.Bench.Name,
-			Class:         q.Class.String(),
+			Bench:         q.Bench().Name,
+			Class:         q.Class().String(),
 			Priority:      q.Priority,
 			Weight:        q.Weight,
-			TasksOverride: q.TasksOverride,
+			TasksOverride: q.TasksOverride(),
 			Grid:          v.Tasks,
-			Block:         q.Bench.ThreadsPerCTA,
+			Block:         q.Bench().ThreadsPerCTA,
 			WorkingSet:    v.WorkingSet,
 			Te:            int64(v.Te),
 			DeadlineNS:    int64(q.Budget),
@@ -454,11 +454,11 @@ func recordSLOClass(deadline time.Duration) string {
 // on the loop goroutine (from the runtime's OnFinish hook).
 func (s *Server) complete(q *launchReq, fv *flepruntime.Invocation) {
 	s.vnow.Store(int64(s.stack.Dev.Now()))
-	run := s.stack.Finished(q.Launch, fv)
-	a := s.sys.Artifacts(q.Bench.Name)
+	run := s.stack.Finished(&q.Shape, fv)
+	est := q.Artifacts().PreemptOverhead
 	res := LaunchResult{
 		ID:     fv.ID,
-		Client: q.client, Kernel: fv.Kernel, Class: q.Class.String(),
+		Client: q.client, Kernel: fv.Kernel, Class: q.Class().String(),
 		Priority:           fv.Priority,
 		Device:             s.device,
 		SubmittedVirtualNS: int64(fv.SubmittedAt()),
@@ -468,8 +468,8 @@ func (s *Server) complete(q *launchReq, fv *flepruntime.Invocation) {
 		ExecutionNS:        int64(run.Turnaround - run.Waiting),
 		NTT:                run.NTT(),
 		Preemptions:        run.Preemptions,
-		PreemptEstimateNS:  int64(a.PreemptOverhead),
-		OverheadNS:         int64(a.PreemptOverhead) * int64(run.Preemptions),
+		PreemptEstimateNS:  int64(est),
+		OverheadNS:         int64(est) * int64(run.Preemptions),
 		QueueWaitRealNS:    q.admitReal.Sub(q.enqueuedReal).Nanoseconds(),
 	}
 	if run.Alone > 0 {

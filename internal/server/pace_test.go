@@ -151,7 +151,7 @@ func TestPacedLoopAdmitsMidInterval(t *testing.T) {
 	enqueue := func(client, bench string, class kernels.InputClass) *launchReq {
 		t.Helper()
 		q := mkLaunchReq(s, client, 0)
-		q.Bench, q.Class = s.benches[bench], class
+		q.Shape = shapeOf(s, bench, class)
 		if err := s.tryEnqueue(q); err != nil {
 			t.Fatalf("enqueue %s: %v", client, err)
 		}

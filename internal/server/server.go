@@ -685,14 +685,13 @@ func buildBenchmarkInfo(sys *core.System, benchs []*kernels.Benchmark) []Benchma
 		}
 		for _, c := range kernels.Classes() {
 			in := b.Input(c)
-			pred, _ := sys.Predict(b, in)
-			// The offline phase left the baseline in sys's table, where the
-			// loop's completions find it too; neither call simulates.
-			solo, _ := sys.SoloTime(b, c)
+			// The shape a launch of this class resolves to, so the catalog
+			// quotes the Te and baseline the loop uses; nothing simulates.
+			sh, _ := sys.Resolve(b, c, 0) // newShard checked the artifacts
 			bi.Classes[c.String()] = ClassInfo{
 				Tasks: in.Tasks, Bytes: in.Bytes,
-				SoloNS:      int64(solo),
-				PredictedNS: int64(pred),
+				SoloNS:      int64(sh.Alone()),
+				PredictedNS: int64(sh.Te()),
 			}
 		}
 		out = append(out, bi)
