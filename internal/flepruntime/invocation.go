@@ -76,8 +76,8 @@ type Invocation struct {
 	Te time.Duration
 	// Overhead is the kernel's estimated preemption overhead: the profiled
 	// mean (§4.2) when whoever builds the invocation knows it, else filled
-	// in by Runtime.OverheadFor when a policy first asks, and dropped again
-	// at the next Submit.
+	// in by Runtime.OverheadFor when a policy first asks. Recycle clears it;
+	// storage resubmitted without Recycle keeps the estimate it had.
 	Overhead time.Duration
 	// Tw is the accumulated waiting time.
 	Tw time.Duration
@@ -119,7 +119,6 @@ type sched struct {
 	finishedAt  time.Duration
 	guest       bool // currently running as a spatial guest
 	reserved    bool // holds a device-memory reservation
-	estimated   bool // Overhead is Runtime.OverheadFor's estimate
 }
 
 // held refuses, with an error, storage a runtime still holds: queued,

@@ -178,6 +178,7 @@ func (r *Runtime) log(kind, kernel, detail string) {
 // flep_intercept call) and enters it into scheduling. Invocations whose
 // working set exceeds the device memory can never run and are rejected, as
 // is one a runtime still holds: each submission finishes exactly once.
+// Finished storage is resubmitted after Recycle.
 func (r *Runtime) Submit(v *Invocation) error {
 	if err := v.held(); err != nil {
 		return err
@@ -195,10 +196,6 @@ func (r *Runtime) Submit(v *Invocation) error {
 	}
 	if v.L <= 0 {
 		v.L = 1
-	}
-	if v.estimated {
-		// Another runtime's estimate: this one makes its own on first use.
-		v.Overhead, v.estimated = 0, false
 	}
 	v.beginWait(r.dev.Now())
 	r.enqueue(v)
@@ -226,7 +223,8 @@ func (r *Runtime) fits(v *Invocation) bool {
 // term mirrors gpu.Exec.drainTime: a uniformly-positioned worker owes
 // (L-1)/2 tasks on average before its next flag poll. It depends only on
 // the kernel and on fields fixed at Submit, so it is computed once per
-// invocation of a runtime, into Overhead; policies ask on every decision.
+// invocation, into Overhead; policies ask on every decision. Recycle clears
+// it, so resubmitted storage is estimated afresh.
 func (r *Runtime) OverheadFor(v *Invocation) time.Duration {
 	if v.Overhead > 0 {
 		return v.Overhead
@@ -239,7 +237,6 @@ func (r *Runtime) OverheadFor(v *Invocation) time.Duration {
 			v.Overhead = d
 		}
 	}
-	v.estimated = true
 	return v.Overhead
 }
 

@@ -162,39 +162,20 @@ func TestOverheadAwareSkipsUnprofitablePreemption(t *testing.T) {
 }
 
 // An invocation's own Overhead, set by whoever built it, is the estimate
-// every runtime uses. Without one, each runtime it is submitted to makes
-// its own on first use: a second runtime does not inherit the first's.
-func TestOverheadIsTheInvocationsOrEachRuntimesOwn(t *testing.T) {
-	runtimeWith := func(d time.Duration) (*sim.Engine, *Runtime) {
-		eng := sim.New()
-		return eng, New(gpu.New(eng, gpu.DefaultParams()), Config{Policy: NewHPF(), OverheadEstimate: func(string) time.Duration { return d }})
-	}
-	engA, a := runtimeWith(us(500))
-	engB, b := runtimeWith(us(700))
-	v := inv("k", 1, 240, us(100), 2)
-	for _, c := range []struct {
-		eng  *sim.Engine
-		rt   *Runtime
-		want time.Duration
-	}{{engA, a, us(500)}, {engB, b, us(700)}} {
-		if err := c.rt.Submit(v); err != nil {
-			t.Fatal(err)
-		}
-		if got := c.rt.OverheadFor(v); got != c.want {
-			t.Errorf("estimated %v, want the runtime's own %v", got, c.want)
-		}
-		c.eng.Run()
-	}
+// every runtime uses in place of its configured one.
+func TestProfiledOverheadIsTheInvocationsOwn(t *testing.T) {
 	profiled := inv("k", 1, 240, us(100), 2)
 	profiled.Overhead = us(300)
-	for _, rt := range []*Runtime{a, b} {
+	for _, d := range []time.Duration{us(500), us(700)} {
+		eng := sim.New()
+		rt := New(gpu.New(eng, gpu.DefaultParams()), Config{Policy: NewHPF(), OverheadEstimate: func(string) time.Duration { return d }})
 		if err := rt.Submit(profiled); err != nil {
 			t.Fatal(err)
 		}
 		if got := rt.OverheadFor(profiled); got != us(300) {
-			t.Errorf("an invocation profiled at 300µs is estimated at %v", got)
+			t.Errorf("an invocation profiled at 300µs is estimated at %v by a runtime configured for %v", got, d)
 		}
-		rt.dev.Engine().Run()
+		eng.Run()
 	}
 }
 

@@ -70,8 +70,9 @@ type Replayer struct {
 	store atomic.Pointer[runStore]
 }
 
-// shape is a record's resolved launch shape, or the reason it has none,
-// which the run reports when it reaches the record.
+// shape is a record's resolved launch shape or, for a record whose class
+// does not parse, that error, which the run reports when it reaches the
+// record.
 type shape struct {
 	core.Shape
 	err error
@@ -131,31 +132,27 @@ func NewReplayer(t *Trace, opts ReplayerOptions) (*Replayer, error) {
 	}
 	shapeIndex, tenantIndex := map[shapeKey]int32{}, map[string]int32{}
 	rp.shapeOf, rp.tenantOf = make([]int32, len(recs)), make([]int32, len(recs))
-	var last shapeKey
 	for i := range recs {
 		rp.timed[i] = i
 		rec := &recs[i]
 		key := shapeKey{rec.Bench, rec.Class, rec.TasksOverride}
-		// A tenant's launches of one shape often follow one another: such a
-		// record takes its predecessor's indices without a lookup.
-		if i > 0 && key == last && rec.Client == recs[i-1].Client {
-			rp.shapeOf[i], rp.tenantOf[i] = rp.shapeOf[i-1], rp.tenantOf[i-1]
-		} else {
-			k, ok := shapeIndex[key]
-			if !ok {
-				k = int32(len(rp.shapes))
-				shapeIndex[key] = k
-				rp.shapes = append(rp.shapes, rp.resolve(benches, rec))
+		k, ok := shapeIndex[key]
+		if !ok {
+			k = int32(len(rp.shapes))
+			shapeIndex[key] = k
+			sh, err := rp.resolve(benches[rec.Bench], rec)
+			if err != nil {
+				return nil, fmt.Errorf("replay: %w", err)
 			}
-			rp.shapeOf[i] = k
-			if k, ok = tenantIndex[rec.Client]; !ok {
-				k = int32(len(rp.tenants))
-				tenantIndex[rec.Client] = k
-				rp.tenants = append(rp.tenants, rec.Client)
-			}
-			rp.tenantOf[i] = k
+			rp.shapes = append(rp.shapes, sh)
 		}
-		last = key
+		rp.shapeOf[i] = k
+		if k, ok = tenantIndex[rec.Client]; !ok {
+			k = int32(len(rp.tenants))
+			tenantIndex[rec.Client] = k
+			rp.tenants = append(rp.tenants, rec.Client)
+		}
+		rp.tenantOf[i] = k
 		dv := max(recs[i].Device, 0)
 		for dv >= len(rp.exact) {
 			rp.exact = append(rp.exact, nil)
@@ -198,19 +195,16 @@ func NewReplayer(t *Trace, opts ReplayerOptions) (*Replayer, error) {
 	return rp, nil
 }
 
-// resolve resolves the launch shape of rec, whose benchmark's artifacts are
-// built if benches names it.
-func (rp *Replayer) resolve(benches map[string]*kernels.Benchmark, rec *Record) shape {
-	b := benches[rec.Bench]
-	if b == nil {
-		return shape{err: fmt.Errorf("references unknown benchmark %q", rec.Bench)}
-	}
+// resolve resolves rec's launch shape against b's artifacts. A class the
+// record does not name leaves the shape holding that error, which the run
+// reports when it reaches the record.
+func (rp *Replayer) resolve(b *kernels.Benchmark, rec *Record) (shape, error) {
 	class, err := kernels.ParseClass(rec.Class)
 	if err != nil {
-		return shape{err: err}
+		return shape{err: err}, nil
 	}
 	sh, err := rp.sys.Resolve(b, class, rec.TasksOverride)
-	return shape{sh, err}
+	return shape{Shape: sh}, err
 }
 
 // graph is the record's graph instance, keyed as the recording daemon's
