@@ -46,9 +46,9 @@ func (s *Suite) fairStudy(window time.Duration) ([]fairRun, error) {
 }
 
 // Figure13 regenerates the FFS GPU-share experiment: closed-loop co-run
-// pairs at weight ratio 2:1; the high-priority kernel should hold ~2/3 of
-// the GPU and the low-priority kernel ~1/3, with narrow variation. It
-// always runs the study itself, then leaves it for the next Figure14.
+// pairs at weight ratio 2:1; each kernel should hold its weight's share of
+// the GPU (the paper's two shares are Claims rows), with narrow variation.
+// It always runs the study itself, then leaves it for the next Figure14.
 func (s *Suite) Figure13() (*Table, error) {
 	t := &Table{
 		ID:      "fig13",

@@ -4,8 +4,8 @@ import "flep/internal/workload"
 
 // Figure1 regenerates the motivation experiment: the slowdown of the
 // high-priority kernel A (small input) when it must wait for B (large
-// input) under the default MPS co-run, across the 28 pairs.
-// Paper: degradation up to 32.6x.
+// input) under the default MPS co-run, across the 28 pairs. The paper's
+// largest slowdown is a Claims row.
 func (s *Suite) Figure1() (*Table, error) {
 	t := &Table{
 		ID:      "fig1",
@@ -28,7 +28,7 @@ func (s *Suite) Figure1() (*Table, error) {
 		sum += slow
 		t.AddRow(sc.Name, r.Turnaround, r.Alone, x(slow))
 	}
-	t.Note("max slowdown %.1fx (paper: up to 32.6x); mean %.1fx over %d pairs",
-		maxSlow, sum/float64(len(pairs)), len(pairs))
+	t.Note("max slowdown %.1fx (paper: up to %gx); mean %.1fx over %d pairs",
+		maxSlow, paper("fig1", "slowdown", "max"), sum/float64(len(pairs)), len(pairs))
 	return t, nil
 }

@@ -11,7 +11,7 @@ import (
 // overhead of the FLEP-transformed kernel (at its tuned L, never preempted)
 // versus kernel slicing at equivalent preemption granularity (sub-kernels
 // of L waves, i.e. 120·L CTAs), both relative to the original kernel.
-// Paper: FLEP 2.5% average; slicing 8% average, over 10% for several
+// The paper's two means are Claims rows; slicing is over 10% for several
 // benchmarks, much worse for CFD/MD/SPMV/MM.
 func (s *Suite) Figure17() (*Table, error) {
 	t := &Table{
@@ -43,7 +43,8 @@ func (s *Suite) Figure17() (*Table, error) {
 		t.AddRow(b.Name, solo, pct(ovF), slices, pct(ovS))
 	}
 	n := float64(len(kernels.All()))
-	t.Note("mean overhead: FLEP %s (paper: ~2.5%%), slicing %s (paper: ~8%%)", pct(sumF/n), pct(sumS/n))
+	t.Note("mean overhead: FLEP %s (paper: ~%g%%), slicing %s (paper: ~%g%%)",
+		pct(sumF/n), paper("fig17", "FLEP-ovh", "mean"), pct(sumS/n), paper("fig17", "slicing-ovh", "mean"))
 	t.Note("slicing granularity matched to FLEP's per-CTA batch (sub-kernels of 120·L CTAs)")
 	return t, nil
 }

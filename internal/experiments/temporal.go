@@ -11,7 +11,7 @@ import (
 
 // Figure8 regenerates the HPF priority experiment: speedup of the
 // high-priority kernel's turnaround under FLEP over the MPS co-run, across
-// the 28 pairs. Paper: mean 10.1x, max 24.2x (SPMV_NN), min 4.1x.
+// the 28 pairs. The paper's mean, max (SPMV_NN) and min are Claims rows.
 func (s *Suite) Figure8() (*Table, error) {
 	t := &Table{
 		ID:      "fig8",
@@ -41,8 +41,9 @@ func (s *Suite) Figure8() (*Table, error) {
 		}
 		t.AddRow(sc.Name, mps.ResultFor(high).Turnaround, flep.ResultFor(high).Turnaround, x(sp))
 	}
-	t.Note("mean %.1fx, max %.1fx, min %.1fx over %d pairs (paper: mean 10.1x, max 24.2x, min 4.1x)",
-		sum/float64(len(pairs)), maxV, minV, len(pairs))
+	t.Note("mean %.1fx, max %.1fx, min %.1fx over %d pairs (paper: mean %gx, max %gx, min %gx)",
+		sum/float64(len(pairs)), maxV, minV, len(pairs),
+		paper("fig8", "speedup", "mean"), paper("fig8", "speedup", "max"), paper("fig8", "speedup", "min"))
 	return t, nil
 }
 
@@ -112,7 +113,7 @@ func execOnly(runs []metrics.KernelRun) []metrics.KernelRun {
 }
 
 // Figure10 regenerates the equal-priority ANTT improvement over MPS across
-// the 28 pairs. Paper: 8x average.
+// the 28 pairs, against the paper's mean (a Claims row).
 func (s *Suite) Figure10() (*Table, error) {
 	t := &Table{
 		ID:      "fig10",
@@ -130,12 +131,13 @@ func (s *Suite) Figure10() (*Table, error) {
 		sum += imp
 		t.AddRow(sc.Name, am, af, x(imp))
 	}
-	t.Note("mean ANTT improvement %.1fx over %d pairs (paper: 8x average)", sum/float64(len(pairs)), len(pairs))
+	t.Note("mean ANTT improvement %.1fx over %d pairs (paper: %gx average)",
+		sum/float64(len(pairs)), len(pairs), paper("fig10", "improvement", "mean"))
 	return t, nil
 }
 
-// Figure11 regenerates the STP degradation of the same runs. Paper: ~5.4%
-// average (throughput sacrificed for responsiveness).
+// Figure11 regenerates the STP degradation of the same runs: throughput
+// sacrificed for responsiveness, against the paper's mean (a Claims row).
 func (s *Suite) Figure11() (*Table, error) {
 	t := &Table{
 		ID:      "fig11",
@@ -153,13 +155,15 @@ func (s *Suite) Figure11() (*Table, error) {
 		sum += deg
 		t.AddRow(sc.Name, sm, sf, pct(deg))
 	}
-	t.Note("mean STP degradation %s over %d pairs (paper: ~5.4%%)", pct(sum/float64(len(pairs))), len(pairs))
+	t.Note("mean STP degradation %s over %d pairs (paper: ~%g%%)",
+		pct(sum/float64(len(pairs))), len(pairs), paper("fig11", "degradation", "mean"))
 	return t, nil
 }
 
 // Figure12 regenerates the three-kernel co-runs: FLEP's ANTT improvement
-// over MPS for 28 triplets, against the kernel-reordering baseline.
-// Paper: FLEP up to 20.2x (VA_SPMV_MM), mean 6.6x; reordering only 2.3%.
+// over MPS for 28 triplets, against the kernel-reordering baseline. The
+// paper's FLEP mean and max (VA_SPMV_MM) and reordering's small mean are
+// Claims rows.
 func (s *Suite) Figure12() (*Table, error) {
 	t := &Table{
 		ID:      "fig12",
@@ -191,7 +195,8 @@ func (s *Suite) Figure12() (*Table, error) {
 		t.AddRow(sc.Name, am, af, x(impF), ar, x(impR))
 	}
 	n := float64(len(trips))
-	t.Note("FLEP mean %.1fx, max %.1fx (paper: 6.6x mean, 20.2x max for VA_SPMV_MM)", sumF/n, maxF)
-	t.Note("reordering mean improvement %s (paper: ~2.3%%)", pct(sumR/n-1))
+	t.Note("FLEP mean %.1fx, max %.1fx (paper: %gx mean, %gx max for VA_SPMV_MM)",
+		sumF/n, maxF, paper("fig12", "FLEP-impr", "mean"), paper("fig12", "FLEP-impr", "max"))
+	t.Note("reordering mean improvement %s (paper: ~%s)", pct(sumR/n-1), pct(paper("fig12", "ANTT-MPS", "mean")-1))
 	return t, nil
 }
