@@ -38,7 +38,7 @@ func (s *Suite) Table1() (*Table, error) {
 			a.L, b.PaperL,
 		)
 	}
-	t.Note("execution times calibrated to Table 1; amortizing factors emerge from the 4%% tuner")
+	t.Note("execution times calibrated to Table 1; amortizing factors: one latency scale is fitted (the flag poll's), their ratios emerge from the 4%% tuner")
 	return t, nil
 }
 
