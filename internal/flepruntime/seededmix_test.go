@@ -34,6 +34,20 @@ const (
 // model-graph stages. Every draw comes from the seed, so a cell is
 // reproduced by its (policy, spatial, seed) coordinates alone.
 func seededMix(t *testing.T, policy string, spatial bool, seed int64) (*sim.Engine, *Runtime, []*Invocation) {
+	return seededMixWith(t, policy, spatial, seed, mixChange{})
+}
+
+// mixChange transforms a seeded mix without touching its draws: every
+// arrival later by shift, kernel k<i> named k<rename[i]>, every priority
+// times prioScale. The zero value changes nothing.
+type mixChange struct {
+	shift     time.Duration
+	rename    []int
+	prioScale int
+}
+
+// seededMixWith is seededMix with its mix transformed by ch.
+func seededMixWith(t *testing.T, policy string, spatial bool, seed int64, ch mixChange) (*sim.Engine, *Runtime, []*Invocation) {
 	pol, err := NewPolicy(policy, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -49,10 +63,17 @@ func seededMix(t *testing.T, policy string, spatial bool, seed int64) (*sim.Engi
 		if i > 0 && rng.Intn(4) != 0 {
 			at += time.Duration(rng.Intn(400)+1) * time.Microsecond
 		}
-		name := fmt.Sprintf("k%d", rng.Intn(5))
+		k := rng.Intn(5)
+		if ch.rename != nil {
+			k = ch.rename[k]
+		}
+		name := fmt.Sprintf("k%d", k)
 		p := prof(name)
 		p.CTAsPerSM, p.ThreadsPerCTA = 2+rng.Intn(15), 128
 		prio := 1 + rng.Intn(3)
+		if ch.prioScale > 0 {
+			prio *= ch.prioScale
+		}
 		// Half uniform, half log-uniform over 8–6,000: device-filling grids
 		// to queue behind, and grids that fit in a few SMs to host as guests.
 		tasks := 8 + rng.Intn(5993)
@@ -75,7 +96,7 @@ func seededMix(t *testing.T, policy string, spatial bool, seed int64) (*sim.Engi
 		}
 		v.Dependent = rng.Intn(5) == 0
 		invs = append(invs, v)
-		eng.At(at, func() {
+		eng.At(at+ch.shift, func() {
 			if budget > 0 {
 				v.Deadline = eng.Now() + budget
 			}
@@ -157,6 +178,73 @@ func TestSeededMixDigests(t *testing.T) {
 	for i := range gotLines {
 		if !bytes.Equal(gotLines[i], wantLines[i]) {
 			t.Errorf("schedule diverged from %s:\n got %s\nwant %s", path, gotLines[i], wantLines[i])
+		}
+	}
+}
+
+// schedule is one invocation's outcome as the metamorphic relations compare
+// it: its finish, less the arrival shift, its queueing time and its
+// preemptions.
+type schedule struct {
+	finish, tw  time.Duration
+	preemptions int
+}
+
+// seededMixSchedules runs one transformed cell to quiescence and returns
+// every invocation's schedule in submission order.
+func seededMixSchedules(t *testing.T, policy string, spatial bool, seed int64, ch mixChange) []schedule {
+	t.Helper()
+	eng, _, invs := seededMixWith(t, policy, spatial, seed, ch)
+	for steps := 0; eng.Step(); steps++ {
+		if steps > seededMixMaxSteps {
+			t.Fatalf("%s spatial=%v seed=%d %+v: runaway", policy, spatial, seed, ch)
+		}
+	}
+	out := make([]schedule, len(invs))
+	for i, v := range invs {
+		if v.State() != InvFinished {
+			t.Fatalf("%s spatial=%v seed=%d %+v: invocation %d wedged", policy, spatial, seed, ch, i)
+		}
+		out[i] = schedule{v.FinishedAt() - ch.shift, v.Tw, v.Preemptions}
+	}
+	return out
+}
+
+// TestSeededMixMetamorphic runs the cells of TestSeededMixDigests again
+// under transformations the schedule must not notice, and requires every
+// invocation's (finish - shift, Tw, Preemptions) to be what the plain cell
+// produced: every arrival shifted by 1 ms and by 1.234567 ms, the five
+// kernel names permuted, and, except under FFS, whose weights are keyed by
+// priority, every priority times ten.
+func TestSeededMixMetamorphic(t *testing.T) {
+	relations := []struct {
+		name string
+		ch   mixChange
+		ffs  bool
+	}{
+		{"shift 1ms", mixChange{shift: time.Millisecond}, true},
+		{"shift 1.234567ms", mixChange{shift: 1234567 * time.Nanosecond}, true},
+		{"rename k0-k4 to k4,k2,k0,k3,k1", mixChange{rename: []int{4, 2, 0, 3, 1}}, true},
+		{"priority x10", mixChange{prioScale: 10}, false},
+	}
+	for _, policy := range PolicyNames() {
+		for _, spatial := range []bool{false, true} {
+			for seed := int64(1); seed <= seededMixSeeds; seed++ {
+				base := seededMixSchedules(t, policy, spatial, seed, mixChange{})
+				for _, r := range relations {
+					if policy == "ffs" && !r.ffs {
+						continue
+					}
+					got := seededMixSchedules(t, policy, spatial, seed, r.ch)
+					for i := range base {
+						if got[i] != base[i] {
+							t.Errorf("%s spatial=%v seed=%d, %s: invocation %d %+v, plain %+v",
+								policy, spatial, seed, r.name, i, got[i], base[i])
+							break
+						}
+					}
+				}
+			}
 		}
 	}
 }
